@@ -19,7 +19,7 @@ test-fast:
 test-fleet:
 	$(PYTHON) -m pytest -x -q tests/fleet $(if $(FLEET_SLOW),,-m "not slow")
 
-## execution layer only: backend conformance, executor, recovery, YAML DSL
+## execution layer only: operator conformance, executor, recovery, YAML DSL
 test-exec:
 	$(PYTHON) -m pytest -x -q tests/exec tests/io/test_yamlflow.py tests/property/test_exec_properties.py
 

@@ -5,9 +5,9 @@ is a process intensive task, mainly due to the large number of alternative
 flows that have to be concurrently evaluated. Therefore, we employ Amazon
 Cloud elastic infrastructures, by launching processing nodes that run in
 the background and enable system responsiveness."  The reproduction
-substitutes a local worker pool; this benchmark compares sequential and
-parallel measure estimation over a batch of alternatives and reports the
-throughput of each backend.
+substitutes a local process pool; this benchmark compares sequential and
+pooled measure estimation over a batch of alternatives and reports the
+throughput of each worker count.
 """
 
 import pytest
@@ -35,8 +35,8 @@ def _estimator() -> QualityEstimator:
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_demo2_evaluation_throughput(benchmark, batch, workers):
-    """Throughput of measure estimation with 1, 2 and 4 workers."""
-    evaluator = ParallelEvaluator(estimator=_estimator(), workers=workers, backend="thread")
+    """Throughput of measure estimation: sequential, 2 and 4 processes."""
+    evaluator = ParallelEvaluator(estimator=_estimator(), workers=workers)
 
     def evaluate():
         # fresh copies so that the profile assignment does not short-circuit work

@@ -4,9 +4,9 @@ The planner ranks alternatives by *simulated* measures; this benchmark
 closes the loop (see ``docs/execution.md``).  It plans the dirty-source
 TPC-H calibration workload with the data-quality/reliability palette,
 executes the top-k skyline alternatives on sampled data with the
-``local`` dataframe backend, and scores the simulator with Spearman rank
-correlation between the simulated ``process_cycle_time_ms`` ranking and
-the measured wall-time ranking.
+pure-Python ``local`` execution backend, and scores the simulator with
+Spearman rank correlation between the simulated
+``process_cycle_time_ms`` ranking and the measured wall-time ranking.
 
 Two claims are asserted by the ``slow``-marked pytest entry:
 
@@ -56,7 +56,6 @@ def run_execution_bench(
     data_seed: int = 7,
     k: int = 6,
     repeats: int = 3,
-    backend: str = "local",
 ) -> dict:
     """Plan, execute the top-k skyline designs, and score the ranking."""
     flow = calibration_flow(scale=scale, defect_boost=defect_boost)
@@ -74,7 +73,6 @@ def run_execution_bench(
     execution_started = time.perf_counter()
     calibration = execute_top_k(
         result,
-        backend=backend,
         k=k,
         repeats=repeats,
         data_seed=data_seed,
@@ -158,7 +156,6 @@ def main(argv=None) -> int:
     parser.add_argument("--data-seed", type=int, default=7)
     parser.add_argument("--k", type=int, default=6)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--backend", default="local")
     parser.add_argument("--json", action="store_true", help="emit the raw report as JSON")
     args = parser.parse_args(argv)
     report = run_execution_bench(
@@ -169,7 +166,6 @@ def main(argv=None) -> int:
         data_seed=args.data_seed,
         k=args.k,
         repeats=args.repeats,
-        backend=args.backend,
     )
     if args.json:
         print(json.dumps(report, indent=2))

@@ -152,33 +152,13 @@ def run_all(tiny: bool = False) -> dict:
             "workload": generation["workload"],
             "pattern_budget": generation["pattern_budget"],
             "max_points_per_pattern": generation["max_points_per_pattern"],
-            "alternatives": generation["arms"]["cow"]["alternatives"],
-            "candidates_per_second_deep": generation["arms"]["deep"]["candidates_per_second"],
-            "candidates_per_second_cow": generation["arms"]["cow"]["candidates_per_second"],
-            "apply_seconds_deep": generation["arms"]["deep"]["apply_seconds"],
-            "apply_seconds_cow": generation["arms"]["cow"]["apply_seconds"],
-            "validation_seconds_deep": generation["arms"]["deep"]["validation_seconds"],
-            "validation_seconds_cow": generation["arms"]["cow"]["validation_seconds"],
-            "speedup_cow_vs_deep": generation["speedup_cow_vs_deep"],
+            "alternatives": generation["alternatives"],
+            "candidates_per_second": generation["candidates_per_second"],
+            "apply_seconds": generation["apply_seconds"],
+            "validation_seconds": generation["validation_seconds"],
+            "patterns_applied": generation["patterns_applied"],
+            "prefix_steps_reused": generation["prefix_steps_reused"],
             "identical_alternatives": generation["identical_alternatives"],
-            "prefix_cache": {
-                "patterns_applied_deep_noprefix": generation["arms"]["deep_noprefix"][
-                    "patterns_applied"
-                ],
-                "patterns_applied_deep": generation["arms"]["deep"]["patterns_applied"],
-                "patterns_applied_cow_noprefix": generation["arms"]["cow_noprefix"][
-                    "patterns_applied"
-                ],
-                "patterns_applied_cow": generation["arms"]["cow"]["patterns_applied"],
-                "application_reduction_deep": generation["application_reduction_deep"],
-                "application_reduction_cow": generation["application_reduction_cow"],
-                "speedup_prefix_vs_noprefix_deep": generation[
-                    "speedup_prefix_vs_noprefix_deep"
-                ],
-                "speedup_prefix_vs_noprefix_cow": generation[
-                    "speedup_prefix_vs_noprefix_cow"
-                ],
-            },
             "raw": generation,
         },
         "streaming": {
@@ -266,15 +246,10 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     generation = report["generation"]
     print(
-        f"generation: {generation['candidates_per_second_cow']:.0f} cand/s (cow) vs "
-        f"{generation['candidates_per_second_deep']:.0f} cand/s (deep), "
-        f"speedup {generation['speedup_cow_vs_deep']:.2f}x, "
+        f"generation: {generation['candidates_per_second']:.0f} cand/s, "
+        f"{generation['patterns_applied']} applications "
+        f"({generation['prefix_steps_reused']} prefix steps reused), "
         f"identical={generation['identical_alternatives']}"
-    )
-    prefix = generation["prefix_cache"]
-    print(
-        f"prefix cache: {prefix['application_reduction_deep']:.2f}x fewer applications "
-        f"(deep), {prefix['application_reduction_cow']:.2f}x (cow)"
     )
     print(
         f"streaming: {report['streaming']['speedup_streaming_vs_eager']:.2f}x vs eager, "

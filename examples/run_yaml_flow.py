@@ -3,7 +3,7 @@
 
 Reads ``examples/flow.yaml`` (a hand-written purchases flow in the
 compact YAML dialect of :mod:`repro.io.yamlflow`), executes it on the
-always-available ``local`` dataframe backend with deterministic sampled
+pure-Python ``local`` execution backend with deterministic sampled
 source data, and prints the per-node execution report.  The same flow
 can be run from the command line with ``python tools/run_flow.py
 examples/flow.yaml``.
@@ -29,7 +29,6 @@ def main() -> None:
           f"{flow.edge_count} transitions")
 
     executor = FlowExecutor(
-        backend="local",
         policy=RecoveryPolicy(max_retries=1, on_exhaustion="skip"),
         data_seed=7,
     )

@@ -3,22 +3,8 @@
 This file enables ``python setup.py develop`` / legacy editable installs
 on machines where PEP 660 editable wheels cannot be built (no ``wheel``
 package, offline).
-
-The optional extras gate the native dataframe backends of the execution
-layer (``repro.exec``): the core install runs every flow on the
-pure-Python ``local`` backend, while ``pip install
-poiesis-repro[pandas]`` / ``[polars]`` unlocks the matching
-:class:`~repro.exec.backends.PandasBackend` /
-:class:`~repro.exec.backends.PolarsBackend` and the differential
-conformance arms in ``tests/exec/test_backend_equivalence.py``.
 """
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        "pandas": ["pandas>=2.0"],
-        "polars": ["polars>=1.0"],
-        "backends": ["pandas>=2.0", "polars>=1.0"],
-    },
-)
+setup()

@@ -1,10 +1,5 @@
-"""The in-memory LRU profile-cache tier.
-
-This is the original ``ProfileCache`` of the streaming pipeline (PR 1),
-relocated from :mod:`repro.quality.estimator` when the
-:class:`~repro.cache.backend.CacheBackend` protocol was extracted; the
-old import path still works (the estimator module re-exports it).
-"""
+"""The in-memory LRU profile-cache tier (the default
+:class:`~repro.cache.backend.CacheBackend`)."""
 
 from __future__ import annotations
 

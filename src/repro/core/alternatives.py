@@ -10,24 +10,21 @@ of the full space is factorial in the size of the graph (Section 2.2), so
 generation is bounded by ``max_alternatives`` and duplicate structures are
 pruned via graph signatures.
 
-Under ``ProcessingConfiguration.copy_mode == "cow"`` the per-candidate
-cost is proportional to the *delta* a pattern introduces, not to the flow:
-combinations are applied as chained copy-on-write graphs, validated with
+The per-candidate cost is proportional to the *delta* a pattern
+introduces, not to the flow: combinations are applied as chained
+copy-on-write graphs, validated with
 :func:`~repro.etl.validation.validate_delta`, and deduplicated via
-incrementally maintained signatures.  :class:`GenerationStats` reports the
-resulting application/validation time split.
+incrementally maintained signatures.
 
-Independently of the copy mode, ``itertools.combinations`` enumerates in
-lexicographic order, so consecutive combinations share long prefixes: at
-``pattern_budget=3`` the chain ``(a, b, c)`` differs from its predecessor
-``(a, b, c')`` only in the last deployment.  With
-``ProcessingConfiguration.prefix_cache`` on (the default) the generator
-keeps the last chain's intermediate flows -- and, in COW mode, their
-incrementally validated issue lists -- keyed by deployment prefix, and
-extends the deepest cached prefix instead of re-applying it from the base
-flow.  Reuse is reported through the ``prefix_hits`` /
-``prefix_steps_reused`` / ``patterns_applied`` counters of
-:class:`GenerationStats`.
+``itertools.combinations`` enumerates in lexicographic order, so
+consecutive combinations share long prefixes: at ``pattern_budget=3`` the
+chain ``(a, b, c)`` differs from its predecessor ``(a, b, c')`` only in
+the last deployment.  The generator keeps the last chain's intermediate
+flows and their incrementally validated issue lists, keyed by deployment
+prefix, and extends the deepest cached prefix instead of re-applying it
+from the base flow.  :class:`GenerationStats` reports the reuse
+(``prefix_hits`` / ``prefix_steps_reused`` / ``patterns_applied``) and
+the application/validation time split.
 """
 
 from __future__ import annotations
@@ -110,8 +107,8 @@ class _PrefixEntry:
     the pattern applications that actually took effect (deployments whose
     point vanished are processed but apply nothing), ``chained`` whether
     every applied step recorded a composable delta, and ``issues`` the
-    flow's complete validated issue list (COW chained prefixes only,
-    ``None`` otherwise).
+    flow's complete validated issue list (``None`` once a step recorded no
+    composable delta).
     """
 
     deployment: _Deployment
@@ -130,19 +127,17 @@ class GenerationStats:
     the candidates/sec rate and the application/validation time split.
     """
 
-    copy_mode: str = "deep"
-    prefix_cache: bool = True
     combinations_tried: int = 0
     yielded: int = 0
     duplicates_pruned: int = 0
     invalid_discarded: int = 0
     #: Successful ``pattern.apply`` calls -- the unit of work the prefix
-    #: cache saves; compare across ``prefix_cache`` on/off runs.
+    #: cache saves.
     patterns_applied: int = 0
     #: Combinations that reused at least one cached prefix step.
     prefix_hits: int = 0
     #: Deployment positions served from the prefix cache instead of being
-    #: re-processed (refreshed, applied and, in COW mode, re-validated).
+    #: re-processed (refreshed, applied and re-validated).
     prefix_steps_reused: int = 0
     apply_seconds: float = 0.0
     validation_seconds: float = 0.0
@@ -156,8 +151,6 @@ class GenerationStats:
     def as_dict(self) -> dict[str, float]:
         """JSON-friendly snapshot (used by benchmarks)."""
         return {
-            "copy_mode": self.copy_mode,
-            "prefix_cache": self.prefix_cache,
             "combinations_tried": self.combinations_tried,
             "yielded": self.yielded,
             "duplicates_pruned": self.duplicates_pruned,
@@ -185,11 +178,7 @@ class AlternativeGenerator:
         self.policy = policy or HeuristicPolicy()
         self.configuration = configuration or ProcessingConfiguration()
         #: Cost accounting of the most recent ``generate_iter`` run.
-        self.last_stats = GenerationStats(copy_mode=self.configuration.copy_mode)
-        # Validation state of COW base flows, keyed per base object so
-        # that interleaved (lazy) generate_iter runs on different flows
-        # never read each other's issue list.
-        self._base_issue_memo: dict[int, tuple[ETLGraph, list[ValidationIssue]]] = {}
+        self.last_stats = GenerationStats()
 
     # ------------------------------------------------------------------
     # Pattern generation (candidate deployments)
@@ -252,40 +241,35 @@ class AlternativeGenerator:
         consume.  Labels (``ETL Flow 1``, ``ETL Flow 2``, ...) follow the
         enumeration order and match the eager :meth:`generate` exactly.
 
-        With ``configuration.copy_mode == "cow"`` every pattern in a
-        combination is applied as a chained delta: each step is a
-        copy-on-write graph recording its difference from the previous
-        one, validity is maintained incrementally with
+        Every pattern in a combination is applied as a chained delta: each
+        step is a copy-on-write graph recording its difference from the
+        previous one, validity is maintained incrementally with
         :func:`~repro.etl.validation.validate_delta`, and deduplication
-        reads the incrementally maintained signatures -- the enumeration,
-        the surviving alternatives and their labels are identical to
-        ``"deep"`` mode.
-
-        With ``configuration.prefix_cache`` on (the default) the
-        intermediate state of the last combination's chain is kept per
-        deployment prefix; because the lexicographic enumeration makes
-        shared prefixes contiguous, extending ``(a, b)`` to ``(a, b, c)``
-        reuses the cached ``(a, b)`` flow (and, in COW mode, its
-        validated issue list) instead of re-applying from the base flow.
-        This is purely a cost optimization: the alternative stream is
-        byte-identical with the cache on or off, in both copy modes.
+        reads the incrementally maintained signatures.  The intermediate
+        state of the last combination's chain is kept per deployment
+        prefix; because the lexicographic enumeration makes shared
+        prefixes contiguous, extending ``(a, b)`` to ``(a, b, c)`` reuses
+        the cached ``(a, b)`` flow and its validated issue list instead of
+        re-applying from the base flow.  The stream is byte-identical to
+        applying every combination from scratch on deep copies of ``flow``
+        and validating each result in full.
         """
         config = self.configuration
-        cow = config.copy_mode == "cow"
-        stats = GenerationStats(copy_mode=config.copy_mode, prefix_cache=config.prefix_cache)
+        stats = GenerationStats()
         self.last_stats = stats
         started = time.perf_counter()
         # A private snapshot of the initial flow: the caller's graph is
         # never payload-aliased (mutating it directly afterwards stays
-        # safe, as on the seed), while every ``flow.copy()`` inside the
-        # patterns forks copy-on-write from the snapshot.
-        base = flow.cow_base() if cow else flow
+        # safe), while every ``flow.copy()`` inside the patterns forks
+        # copy-on-write from the snapshot.
+        base = flow.cow_base()
         deployments = self.candidate_deployments(base)
         produced = 0
         seen_signatures = {base.signature()}
-        # The prefix cache is scoped to this run: interleaved lazy runs
-        # on other flows keep their own stacks (and cached issue lists).
-        prefix_stack: list[_PrefixEntry] | None = [] if config.prefix_cache else None
+        # The base issue list and the prefix cache are scoped to this run:
+        # interleaved lazy runs on other flows keep their own.
+        base_issues = validate_flow(base)
+        prefix_stack: list[_PrefixEntry] = []
 
         try:
             for combo_size in range(1, config.pattern_budget + 1):
@@ -295,12 +279,9 @@ class AlternativeGenerator:
                     if not self._combination_is_reasonable(combo):
                         continue
                     stats.combinations_tried += 1
-                    if prefix_stack is None:
-                        alternative = self._apply_combination(base, combo)
-                    else:
-                        alternative = self._apply_combination_prefixed(
-                            base, combo, prefix_stack
-                        )
+                    alternative = self._apply_combination(
+                        base, base_issues, combo, prefix_stack
+                    )
                     if alternative is None:
                         continue
                     signature = alternative.flow.signature()
@@ -333,81 +314,24 @@ class AlternativeGenerator:
         return True
 
     def _apply_combination(
-        self, flow: ETLGraph, combo: Sequence[_Deployment]
-    ) -> AlternativeFlow | None:
-        """Apply a combination from scratch (``prefix_cache=False`` path).
-
-        Every deployment is re-applied on a fresh chain starting at the
-        base flow -- the uncached cost model the ``prefix_cache`` knob's
-        off-switch preserves for baselines and benchmarks.
-        """
-        stats = self.last_stats
-        base_issues = self._base_issues_for(flow)
-        current = flow
-        # ``pending_delta`` accumulates the chain of pattern deltas (COW
-        # mode only): each step's recorded delta is composed onto it, and
-        # the final flow is delta-validated once against the base flow's
-        # issue list.  ``chained`` degrades to False -- and the final
-        # check falls back to the full oracle -- if any pattern returns a
-        # flow without a delta chained onto its predecessor.
-        chained = base_issues is not None
-        pending_delta = None
-        applied: list[PatternApplication] = []
-        for deployment in combo:
-            point = self._refresh_point(current, deployment)
-            if point is None:
-                continue
-            tick = time.perf_counter()
-            try:
-                derived = deployment.pattern.apply(current, point)
-            except (KeyError, ValueError):
-                continue
-            finally:
-                stats.apply_seconds += time.perf_counter() - tick
-            stats.patterns_applied += 1
-            if chained:
-                if derived.delta is not None and derived.derived_from(current):
-                    pending_delta = (
-                        derived.delta
-                        if pending_delta is None
-                        else pending_delta.compose(derived.delta)
-                    )
-                else:
-                    chained = False
-            current = derived
-            applied.append(PatternApplication(deployment.pattern.name, point))
-        if not applied:
-            return None
-        tick = time.perf_counter()
-        if chained and pending_delta is not None:
-            issues = validate_delta(current, pending_delta, base_issues)
-            valid = not has_errors(issues)
-        else:
-            valid = is_valid(current)
-        stats.validation_seconds += time.perf_counter() - tick
-        if not valid:
-            stats.invalid_discarded += 1
-            return None
-        current.name = f"{flow.name}__{'+'.join(app.pattern for app in applied)}"
-        return AlternativeFlow(flow=current, applications=tuple(applied))
-
-    def _apply_combination_prefixed(
         self,
         flow: ETLGraph,
+        base_issues: list[ValidationIssue],
         combo: Sequence[_Deployment],
         stack: list[_PrefixEntry],
     ) -> AlternativeFlow | None:
         """Apply a combination, resuming from the deepest cached prefix.
 
-        ``stack`` holds the intermediate states of the previously
+        ``base_issues`` is the full issue list of ``flow``, the base every
+        chain starts from.  ``stack`` holds the intermediate states of the previously
         processed chain, one entry per deployment position (the final
         position is never cached: consecutive same-size combinations
         differ in their last deployment, so a full-chain state can never
         be a prefix of the next combination).  The longest shared prefix
         with ``combo`` is kept, everything deeper is dropped, and only
-        the remaining positions are processed -- refreshed, applied and,
-        in COW mode, validated incrementally with their own step delta
-        against the cached prefix's issue list.
+        the remaining positions are processed -- refreshed, applied and
+        validated incrementally with their own step delta against the
+        cached prefix's issue list.
 
         Reuse is sound because pattern application never mutates its
         host and is deterministic in the host state (see
@@ -416,7 +340,6 @@ class AlternativeGenerator:
         re-processing ``(a, b)`` from the base flow would rebuild.
         """
         stats = self.last_stats
-        base_issues = self._base_issues_for(flow)
         reused = 0
         limit = min(len(stack), len(combo) - 1)
         while reused < limit and stack[reused].deployment is combo[reused]:
@@ -433,7 +356,7 @@ class AlternativeGenerator:
         else:
             current = flow
             applied = []
-            chained = base_issues is not None
+            chained = True
             issues = base_issues
 
         last = len(combo) - 1
@@ -480,29 +403,6 @@ class AlternativeGenerator:
             return None
         current.name = f"{flow.name}__{'+'.join(app.pattern for app in applied)}"
         return AlternativeFlow(flow=current, applications=tuple(applied))
-
-    def _base_issues_for(self, base: ETLGraph) -> list[ValidationIssue] | None:
-        """The full issue list of a COW base flow, memoized per object.
-
-        Returns ``None`` for deep-mode bases, which signals
-        :meth:`_apply_combination` to validate candidates with the full
-        oracle (the seed behaviour).  The memo is keyed by object
-        identity with the base pinned in the value, so several lazily
-        interleaved ``generate_iter`` runs keep their own state; it is
-        bounded, since a generator only ever serves a handful of live
-        runs at once.
-        """
-        if base.copy_mode != "cow":
-            return None
-        memo = self._base_issue_memo
-        entry = memo.get(id(base))
-        if entry is not None and entry[0] is base:
-            return entry[1]
-        issues = validate_flow(base)
-        if len(memo) >= 8:
-            memo.pop(next(iter(memo)))
-        memo[id(base)] = (base, issues)
-        return issues
 
     def _refresh_point(
         self, current: ETLGraph, deployment: _Deployment

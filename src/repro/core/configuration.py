@@ -9,52 +9,27 @@ part P2).  :class:`ProcessingConfiguration` bundles those choices.
 Performance tuning
 ------------------
 
-The alternative space is factorial in the flow size, so the planner
-exposes a set of scaling knobs.  All of them default to the conservative
-seed behaviour; turning them on changes wall-clock, never results (except
-``screening_beam``, which deliberately prunes):
+The alternative space is factorial in the flow size, so generation
+always applies patterns as copy-on-write deltas and reuses the shared
+prefix of consecutive pattern combinations (see
+:mod:`repro.core.alternatives`).  The remaining scaling knobs change
+wall-clock, never results (except ``screening_beam``, which deliberately
+prunes):
 
-``copy_mode``
-    ``"deep"`` (default) clones every operation on each pattern
-    application -- the reference implementation.  ``"cow"`` applies
-    patterns on copy-on-write graphs: operation payloads are shared until
-    written, every application is recorded as a structured delta,
-    validation re-checks only the delta neighbourhood, and deduplication
-    reuses incrementally maintained signatures.  The generated
-    alternative set is identical (same signatures, same order, same
-    labels); generation is several times faster and the speedup grows
-    with ``pattern_budget``.  Use ``"cow"`` whenever ``pattern_budget >=
-    3`` or the flow has tens of operations.
-``prefix_cache``
-    Pattern combinations are enumerated in lexicographic order, so
-    consecutive combinations share long prefixes: at ``pattern_budget=3``
-    the chain ``(a, b, c)`` shares ``(a, b)`` with its predecessor.  When
-    on (the default) the generator keeps the last chain's intermediate
-    flows -- and, under ``copy_mode="cow"``, their incrementally
-    validated issue lists -- and extends the cached prefix instead of
-    re-applying it from the base flow, cutting pattern applications per
-    run by ~2.5x at budget 3.  The enumeration order, the surviving
-    alternatives and their labels are identical with the cache on or
-    off, in both copy modes; turn it off only to reproduce the
-    uncached cost model (benchmark baselines).
-``backend``
-    Evaluation worker pool flavour: ``"thread"`` (default) shares memory
-    and suits the numpy-light simulator at small scale; ``"process"``
-    sidesteps the GIL so CPU-bound generation (the COW fast path still
-    runs on the main thread) and simulation genuinely overlap.  Flows
-    cross the process boundary by pickle; copy-on-write graphs
-    materialize their shared payloads when pickled, so workers always
-    receive self-contained flows.
 ``parallel_workers`` / ``eval_batch_size``
     Size of the evaluation pool and the bounded in-flight window of the
-    streaming evaluator (PR 1): generation and estimation overlap within
-    the window, keeping memory flat while workers stay busy.
+    streaming evaluator: one worker evaluates sequentially on the calling
+    thread; more run a process pool, so generation and the pure-Python
+    simulator genuinely overlap within the window while memory stays
+    flat.  Flows cross the process boundary by pickle; copy-on-write
+    graphs materialize their shared payloads when pickled, so workers
+    always receive self-contained flows.
 ``screening_beam``
-    Two-phase planning (PR 1): score every candidate statically, simulate
+    Two-phase planning: score every candidate statically, simulate
     only the top ``screening_beam`` survivors.
 ``cache_profiles``
     Memoize quality profiles by flow fingerprint across re-plans and
-    session iterations (PR 1).
+    session iterations.
 ``cache_tier`` / ``cache_dir`` / ``cache_max_bytes``
     Which cache backend holds those memoized profiles: the in-process
     LRU (``"memory"``, the default), a persistent directory shared
@@ -83,12 +58,6 @@ seed behaviour; turning them on changes wall-clock, never results (except
     store, and the ring's virtual points per shard.  Each shard is a
     full ``"http"`` client, so every wire knob above applies per shard.
     See ``docs/fleet.md``.
-``executor_backend``
-    Which dataframe backend runs planned flows when execution is
-    requested (``Planner.execute_top_k`` / measured calibration): the
-    pure-Python ``"local"`` reference backend, or the optional native
-    ``"pandas"`` / ``"polars"`` backends.  Execution only -- planning
-    output is byte-identical across backends.  See ``docs/execution.md``.
 ``metrics_enabled`` / ``metrics_registry``
     Observability of one planning campaign: when on, the planner, the
     parallel evaluator and every cache tier record phase spans, latency
@@ -113,11 +82,6 @@ from repro.cache import CACHE_TIERS
 #: this module -- a cycle at import time).
 DEFAULT_RING_REPLICAS = 96
 
-#: Names accepted by ``executor_backend``.  Kept in sync with
-#: :data:`repro.exec.backends.EXECUTOR_BACKENDS` (not imported:
-#: ``repro.exec`` is only needed when flows actually execute, and this
-#: module must stay import-light).
-EXECUTOR_BACKENDS = ("local", "pandas", "polars")
 from repro.quality.composite import QualityProfile
 from repro.quality.framework import QualityCharacteristic
 
@@ -201,8 +165,9 @@ class ProcessingConfiguration:
     simulation_runs / seed:
         Passed to the quality estimator's simulator.
     parallel_workers:
-        Number of workers used for concurrent measure estimation
-        (the reproduction's substitute for the paper's cloud nodes).
+        Number of workers used for concurrent measure estimation (the
+        reproduction's substitute for the paper's cloud nodes): ``1``
+        (the default) evaluates sequentially, more run a process pool.
     screening_beam:
         When set, planning runs in two phases: every generated candidate
         is first scored with cheap *static-only* estimation (no
@@ -293,35 +258,6 @@ class ProcessingConfiguration:
         default keeps the busiest of four shards well within 2x of the
         ideal quarter.  Must be identical across a fleet -- it changes
         placement.
-    copy_mode:
-        How pattern application copies flows: ``"deep"`` (default, the
-        seed behaviour) clones every operation payload per application;
-        ``"cow"`` shares payloads copy-on-write and drives delta-based
-        validation and incremental signatures -- same alternatives,
-        several times faster generation (see the module's Performance
-        tuning section).
-    prefix_cache:
-        When true (the default) the alternative generator reuses the
-        shared prefix of consecutive pattern combinations (intermediate
-        flows, and under ``copy_mode="cow"`` their validated issue
-        lists) instead of re-applying it from the base flow.  Identical
-        alternative sets in both copy modes; ~2.5x fewer pattern
-        applications at ``pattern_budget=3``.  ``False`` restores the
-        uncached enumeration (every combination re-applied from
-        scratch).
-    backend:
-        Worker pool flavour of the parallel evaluator: ``"thread"``
-        (default) or ``"process"`` (GIL-free overlap of generation and
-        simulation; flows are pickled to the workers).
-    executor_backend:
-        Dataframe backend used when planned flows are *executed*
-        (:meth:`~repro.core.planner.Planner.execute_top_k`): the
-        dependency-free ``"local"`` reference backend (default), or the
-        optional native ``"pandas"`` / ``"polars"`` backends (a
-        :class:`~repro.exec.backends.BackendUnavailableError` is raised
-        at execution time when the library is not installed).  Planning
-        itself never touches this knob -- plans are byte-identical
-        whichever backend later runs them.  See ``docs/execution.md``.
     metrics_enabled:
         When true, the planner and everything it drives (evaluator,
         cache tiers, wire client) record latency histograms, phase
@@ -368,10 +304,6 @@ class ProcessingConfiguration:
     cache_max_pending: int = 1024
     cache_urls: tuple[str, ...] | None = None
     fleet_ring_replicas: int = DEFAULT_RING_REPLICAS
-    copy_mode: str = "deep"
-    prefix_cache: bool = True
-    backend: str = "thread"
-    executor_backend: str = "local"
     metrics_enabled: bool = False
     metrics_registry: object | None = None
 
@@ -385,15 +317,6 @@ class ProcessingConfiguration:
                         "metrics_registry must be a repro.obs.MetricsRegistry "
                         f"(missing {required!r})"
                     )
-        if self.copy_mode not in ("deep", "cow"):
-            raise ValueError(f"unknown copy_mode: {self.copy_mode!r} (use 'deep' or 'cow')")
-        if self.backend not in ("thread", "process"):
-            raise ValueError(f"unknown backend: {self.backend!r} (use 'thread' or 'process')")
-        if self.executor_backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown executor_backend: {self.executor_backend!r} "
-                f"(use one of {EXECUTOR_BACKENDS})"
-            )
         if self.pattern_budget < 1:
             raise ValueError("pattern_budget must be at least 1")
         if self.max_points_per_pattern < 1:

@@ -4,8 +4,10 @@ The processing and analysis of the alternative process designs is a
 process-intensive task, mainly due to the large number of alternative
 flows that have to be concurrently evaluated; the paper offloads it to
 Amazon EC2 elastic infrastructures running in the background.  This
-reproduction substitutes a local worker pool (threads or processes from
-:mod:`concurrent.futures`) and adds three scaling levers on top:
+reproduction evaluates sequentially with one worker and substitutes a
+local process pool (:class:`concurrent.futures.ProcessPoolExecutor`) for
+more -- threads would buy nothing, since the simulator is pure Python and
+holds the GIL -- and adds three scaling levers on top:
 
 * **Streaming** -- :meth:`ParallelEvaluator.evaluate_stream` consumes a
   *generator* of alternatives with a bounded number of in-flight
@@ -16,9 +18,9 @@ reproduction substitutes a local worker pool (threads or processes from
   :mod:`repro.cache` tier), the evaluator performs the cache lookups in
   the *parent* process before submitting work, and inserts freshly
   computed profiles back afterwards.  This keeps the cache effective
-  even with the process backend and counts every alternative exactly
+  even with the process pool and counts every alternative exactly
   once in the hit/miss statistics.
-* **Per-worker estimators (process backend)** -- instead of pickling the
+* **Per-worker estimators** -- instead of pickling the
   estimator into every task, the process pool ships it *once per worker*
   through the executor's ``initializer`` hook; tasks then carry only the
   alternatives being evaluated, grouped into small contiguous *chunks*
@@ -36,8 +38,8 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Iterable, Iterator, Literal, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor
+from typing import Iterable, Iterator, Sequence
 
 from repro.cache import CacheBackend, DiskProfileCache, TieredProfileCache
 from repro.cache.http import HTTPProfileCache
@@ -69,37 +71,11 @@ def _relabel(profile: QualityProfile, flow_name: str) -> QualityProfile:
     )
 
 
-def _evaluate_one(estimator: QualityEstimator, alternative: AlternativeFlow) -> QualityProfile:
-    """Evaluate a single alternative (thread backend / legacy process path).
-
-    Cache handling happens in the parent process (see the module
-    docstring), so workers always run the raw estimation.
-    """
-    return estimator.evaluate_uncached(alternative.flow)
-
-
-def _evaluate_chunk(
-    estimator: QualityEstimator,
-    alternatives: Sequence[AlternativeFlow],
-    registry: MetricsRegistry | None = None,
-) -> list[QualityProfile]:
-    """Evaluate a chunk of alternatives in one task (thread backend).
-
-    Worker threads share the caller's registry (it is thread-safe), so
-    per-profile estimation latency is observed right here.
-    """
-    profiles: list[QualityProfile] = []
-    for alternative in alternatives:
-        with maybe_timer(registry, "evaluator.estimate_seconds"):
-            profiles.append(estimator.evaluate_uncached(alternative.flow))
-    return profiles
-
-
 #: Estimator of the current process-pool worker, installed once per
 #: worker process by :func:`_init_worker`.
 _WORKER_ESTIMATOR: QualityEstimator | None = None
 
-#: Worker-local metrics registry (process backend).  Workers accumulate
+#: Worker-local metrics registry of a pool worker.  Workers accumulate
 #: into this private registry and each task returns the drained delta,
 #: which the parent folds into its own registry -- registries cross the
 #: process boundary as *handles* (see :mod:`repro.obs.metrics`), so
@@ -183,11 +159,6 @@ def _evaluate_chunk_pooled_metered(
     return profiles, delta
 
 
-def _evaluate_one_pooled(alternative: AlternativeFlow) -> QualityProfile:
-    """Single-alternative variant of :func:`_evaluate_chunk_pooled`."""
-    return _evaluate_chunk_pooled([alternative])[0]
-
-
 class ParallelEvaluator:
     """Evaluates batches or streams of alternative flows, optionally in parallel.
 
@@ -196,13 +167,10 @@ class ParallelEvaluator:
     estimator:
         The quality estimator applied to every flow.
     workers:
-        Number of parallel workers; ``1`` evaluates sequentially.
-    backend:
-        ``"thread"`` (default) or ``"process"``.  Threads are sufficient
-        here because the simulation is numpy/pure-Python dominated and the
-        batches are small; processes avoid the GIL for large campaigns.
-        The process pool ships the estimator once per worker via its
-        initializer and batches disk-cache write-back until teardown.
+        ``1`` (the default) evaluates sequentially on the calling thread;
+        more run a process pool of that size.  The pool ships the
+        estimator once per worker via its initializer and batches
+        disk-cache write-back until teardown.
     registry:
         Optional :class:`repro.obs.MetricsRegistry` recording window
         fill/drain timings and per-profile estimation latency; ``None``
@@ -213,16 +181,12 @@ class ParallelEvaluator:
         self,
         estimator: QualityEstimator | None = None,
         workers: int = 1,
-        backend: Literal["thread", "process"] = "thread",
         registry: MetricsRegistry | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if backend not in ("thread", "process"):
-            raise ValueError(f"unknown evaluation backend: {backend!r}")
         self.estimator = estimator or QualityEstimator()
         self.workers = workers
-        self.backend = backend
         self.registry = registry
 
     # ------------------------------------------------------------------
@@ -341,16 +305,15 @@ class ParallelEvaluator:
 
         # Groups preserve input order: each pending entry is a contiguous
         # run of alternatives sharing one future (or a single parent-side
-        # cache hit with no future).  The process backend groups several
-        # misses per task so each worker resolves its read-through cache
-        # lookups in one get_many pass; with the default window
-        # (2 * workers) the chunk size is 1, i.e. the classic
-        # one-task-per-alternative behaviour.
+        # cache hit with no future).  Several misses are grouped per task
+        # so each worker resolves its read-through cache lookups in one
+        # get_many pass; with the default window (2 * workers) the chunk
+        # size is 1, i.e. one task per alternative.
         pending: deque[
             tuple[list[AlternativeFlow], list[tuple | None], Future | None]
         ] = deque()
-        pooled = self.backend == "process"
-        chunk_size = max(1, max_inflight // (2 * self.workers)) if pooled else 1
+        chunk_size = max(1, max_inflight // (2 * self.workers))
+        task = _evaluate_chunk_pooled if registry is None else _evaluate_chunk_pooled_metered
         chunk: list[AlternativeFlow] = []
         chunk_keys: list[tuple | None] = []
 
@@ -364,16 +327,11 @@ class ParallelEvaluator:
             except StopIteration:
                 return
             iterator = itertools.chain([first], iterator)
-            if pooled:
-                executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(estimator, registry is not None),
-                )
-            else:
-                executor = ThreadPoolExecutor(max_workers=self.workers)
-
-            with executor:
+            with ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(estimator, registry is not None),
+            ) as executor:
 
                 def flush_chunk() -> None:
                     if not chunk:
@@ -381,13 +339,7 @@ class ParallelEvaluator:
                     group, keys = list(chunk), list(chunk_keys)
                     chunk.clear()
                     chunk_keys.clear()
-                    if pooled and registry is not None:
-                        future = executor.submit(_evaluate_chunk_pooled_metered, group)
-                    elif pooled:
-                        future = executor.submit(_evaluate_chunk_pooled, group)
-                    else:
-                        future = executor.submit(_evaluate_chunk, estimator, group, registry)
-                    pending.append((group, keys, future))
+                    pending.append((group, keys, executor.submit(task, group)))
 
                 def refill() -> None:
                     # Top the window up in batches so the parent-side
@@ -430,7 +382,7 @@ class ParallelEvaluator:
                     if future is not None:
                         with maybe_timer(registry, "evaluator.window_drain_seconds"):
                             result = future.result()
-                        if pooled and registry is not None:
+                        if registry is not None:
                             profiles, delta = result
                             registry.merge(delta)
                         else:

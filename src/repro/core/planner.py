@@ -11,7 +11,7 @@ comparison of every alternative against the initial flow.
 The stages run as a *streaming pipeline*: candidates flow out of the lazy
 generator straight into the parallel evaluator with a bounded in-flight
 window (``eval_batch_size``), profiles are memoized in a shared
-:class:`~repro.quality.estimator.ProfileCache` (``cache_profiles``), and
+:class:`~repro.cache.ProfileCache` (``cache_profiles``), and
 an optional two-phase beam screening (``screening_beam``) scores every
 candidate with cheap static-only estimation before spending simulation
 time on the survivors.  With all knobs at their defaults the results are
@@ -214,7 +214,6 @@ class Planner:
         self.evaluator = ParallelEvaluator(
             estimator=self.estimator,
             workers=self.configuration.parallel_workers,
-            backend=self.configuration.backend,
             registry=self.metrics,
         )
         # Static-only twin used by the beam-screening first phase; shares
@@ -231,7 +230,6 @@ class Planner:
         self.screening_evaluator = ParallelEvaluator(
             estimator=self.screening_estimator,
             workers=self.configuration.parallel_workers,
-            backend=self.configuration.backend,
             registry=self.metrics,
         )
         self.generator = AlternativeGenerator(
@@ -283,9 +281,9 @@ class Planner:
         --------
         * ``flow`` must pass :func:`~repro.etl.validation.validate_flow`
           (a :class:`~repro.etl.validation.ValidationError` is raised
-          otherwise) and is **never mutated**: alternatives are built on
-          copies, and with ``copy_mode="cow"`` the generator works on a
-          private snapshot so the caller's graph is never payload-aliased.
+          otherwise) and is **never mutated**: the generator works on a
+          private copy-on-write snapshot, so the caller's graph is never
+          payload-aliased.
         * The call is eager (it returns a fully evaluated
           :class:`PlanningResult`) but internally *streaming*: candidates
           flow from the lazy generator into the evaluator with at most
@@ -295,8 +293,7 @@ class Planner:
         * Deterministic for a fixed configuration: same flow + same
           :class:`~repro.core.configuration.ProcessingConfiguration`
           (including ``seed``) produce the same alternatives, labels,
-          profiles and skyline, regardless of ``copy_mode``,
-          ``prefix_cache``, ``backend`` or worker count.
+          profiles and skyline, regardless of the worker count.
         * When ``screening_beam`` is set, a static-only scoring pass
           screens the stream first and only the beam survivors are
           simulated -- the single knob that deliberately changes which
@@ -366,8 +363,8 @@ class Planner:
 
         Runs the ordinary planning pipeline (or reuses an existing
         ``planning_result`` for the same flow), compiles the planner's
-        top-k designs for the configuration's ``executor_backend``, runs
-        them on sampled workload data, and returns
+        top-k designs, runs them on sampled workload data with the
+        pure-Python :class:`~repro.exec.backends.LocalBackend`, and returns
         ``(planning_result, calibration_report)`` where the report
         carries measured wall times and the simulated-vs-measured
         Spearman rank correlation
@@ -380,13 +377,7 @@ class Planner:
         from repro.exec.measured import execute_top_k as _execute_top_k
 
         result = planning_result if planning_result is not None else self.plan(flow)
-        report = _execute_top_k(
-            result,
-            backend=self.configuration.executor_backend,
-            k=k,
-            repeats=repeats,
-            data_seed=data_seed,
-        )
+        report = _execute_top_k(result, k=k, repeats=repeats, data_seed=data_seed)
         return result, report
 
     def _timed_generation(

@@ -70,7 +70,7 @@ class RedesignSession:
     Contract
     --------
     * One planner -- and therefore one shared
-      :class:`~repro.quality.estimator.ProfileCache` -- serves every
+      :class:`~repro.cache.ProfileCache` -- serves every
       iteration: a flow profiled in iteration N (including the adopted
       alternative, which becomes iteration N+1's baseline) is never
       re-simulated.  :meth:`cache_stats` exposes the accumulated
@@ -84,7 +84,7 @@ class RedesignSession:
       incremental process.
     * Sessions are deterministic under a fixed configuration: replaying
       the same choices yields the same flows and profiles, independent
-      of ``copy_mode`` / ``prefix_cache`` / ``backend``.
+      of the worker count.
 
     Parameters
     ----------

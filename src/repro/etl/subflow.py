@@ -61,9 +61,9 @@ def _unique_id(flow: ETLGraph, base: str) -> str:
 
     Collisions are disambiguated with a counter derived from the host
     flow itself (not from global state), so grafting is a pure function
-    of the host and the sub-flow: repeated planning runs -- and the
-    ``copy_mode="deep"`` vs ``"cow"`` arms of the generation benchmark --
-    produce identically labelled operations.
+    of the host and the sub-flow: repeated planning runs -- and deep vs
+    copy-on-write copies of the same host -- produce identically
+    labelled operations.
     """
     candidate = base
     suffix = 2

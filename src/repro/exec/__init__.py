@@ -1,9 +1,9 @@
 """Executable flows: compile :class:`~repro.etl.graph.ETLGraph` and run it.
 
 The planner's output is a *plan*; this package makes it runnable.  A
-flow compiles (:func:`compile_flow`) into an executable DAG, any of the
-interchangeable dataframe backends (:func:`create_backend`) runs it
-under a :class:`FlowExecutor` with error-routed recovery, and
+flow compiles (:func:`compile_flow`) into an executable DAG, an
+:class:`ETLBackend` (the pure-Python :class:`LocalBackend` by default)
+runs it under a :class:`FlowExecutor` with error-routed recovery, and
 :func:`execute_top_k` closes the simulated-vs-measured loop by executing
 the planner's best alternatives on sampled data and scoring the
 simulator's ranking with Spearman correlation.
@@ -12,17 +12,7 @@ See ``docs/execution.md`` for the backend protocol and the calibration
 workflow.
 """
 
-from repro.exec.backends import (
-    EXECUTOR_BACKENDS,
-    BackendUnavailableError,
-    ETLBackend,
-    LocalBackend,
-    PandasBackend,
-    PolarsBackend,
-    UnsupportedOperationError,
-    available_backends,
-    create_backend,
-)
+from repro.exec.backends import ETLBackend, LocalBackend, UnsupportedOperationError
 from repro.exec.compiler import CompileError, CompiledNode, ExecutablePlan, compile_flow
 from repro.exec.executor import (
     EXHAUSTION_ROUTES,
@@ -33,7 +23,7 @@ from repro.exec.executor import (
     NodeRun,
     RecoveryPolicy,
 )
-from repro.exec.frame import Frame, canonical_rows, frame_bytes, rows_approximately_equal
+from repro.exec.frame import Frame, canonical_rows, frame_bytes
 from repro.exec.measured import (
     CalibrationReport,
     MeasuredRun,
@@ -42,15 +32,9 @@ from repro.exec.measured import (
 )
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
-    "BackendUnavailableError",
     "ETLBackend",
     "LocalBackend",
-    "PandasBackend",
-    "PolarsBackend",
     "UnsupportedOperationError",
-    "available_backends",
-    "create_backend",
     "CompileError",
     "CompiledNode",
     "ExecutablePlan",
@@ -65,7 +49,6 @@ __all__ = [
     "Frame",
     "canonical_rows",
     "frame_bytes",
-    "rows_approximately_equal",
     "CalibrationReport",
     "MeasuredRun",
     "execute_top_k",

@@ -1,30 +1,24 @@
-"""Interchangeable dataframe backends for ETL flow execution.
+"""The execution backend protocol and its pure-Python implementation.
 
 An :class:`ETLBackend` turns one operation at a time into data: it holds
 a *dispatch table* mapping :class:`~repro.etl.operations.OperationKind`
 to a handler, and the executor walks the compiled DAG calling
 :meth:`ETLBackend.run_node` on each node with the frames produced by its
-predecessors.  Three backends implement the protocol:
+predecessors.  :class:`LocalBackend` is the dependency-free
+implementation over plain Python rows (:class:`repro.exec.frame.Frame`);
+a native dataframe backend plugs in by subclassing :class:`ETLBackend`
+(or :class:`LocalBackend`, overriding the structural operators) and
+passing an instance to :class:`~repro.exec.executor.FlowExecutor`.
 
-* :class:`LocalBackend` -- the dependency-free reference implementation
-  over plain Python rows (:class:`repro.exec.frame.Frame`).  Always
-  available; the conformance suite treats it as ground truth.
-* :class:`PandasBackend` -- native :mod:`pandas` DataFrames.  Optional:
-  constructing it without pandas installed raises
-  :class:`BackendUnavailableError`, and its test arm auto-skips.
-* :class:`PolarsBackend` -- native :mod:`polars` DataFrames, gated the
-  same way.
-
-All backends share one expression interpreter (:mod:`repro.exec.expr`)
-for predicate and derivation text, so the differential suite compares
-their *structural* operators (joins, group-bys, sorts, dedup), not three
-expression dialects.  Row-level semantics are normalized at the frame
-boundary (:func:`repro.exec.frame.normalize_value`).
+Predicate and derivation text always goes through the shared expression
+interpreter (:mod:`repro.exec.expr`), and row-level semantics are
+normalized at the frame boundary
+(:func:`repro.exec.frame.normalize_value`), so a backend only has to
+implement the structural operators (joins, group-bys, sorts, dedup).
 """
 
 from __future__ import annotations
 
-import importlib.util
 import zlib
 from typing import Any, Callable, Mapping, Sequence
 
@@ -34,26 +28,10 @@ from repro.exec.expr import CompiledPredicate, compile_expression, evaluate
 from repro.exec.frame import Frame, _sort_token, normalize_value
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
-    "BackendUnavailableError",
     "UnsupportedOperationError",
     "ETLBackend",
     "LocalBackend",
-    "PandasBackend",
-    "PolarsBackend",
-    "available_backends",
-    "create_backend",
 ]
-
-#: Names accepted by the ``executor_backend`` configuration knob, in
-#: preference order.  Kept in sync with
-#: ``repro.core.configuration.EXECUTOR_BACKENDS`` (not imported there:
-#: the configuration module must stay import-light).
-EXECUTOR_BACKENDS: tuple[str, ...] = ("local", "pandas", "polars")
-
-
-class BackendUnavailableError(RuntimeError):
-    """Raised when constructing a backend whose library is not installed."""
 
 
 class UnsupportedOperationError(ValueError):
@@ -169,11 +147,6 @@ class ETLBackend:
 
     def __init__(self) -> None:
         self.dispatch: dict[OperationKind, Callable] = self._build_dispatch()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether the backend's library is importable here."""
-        return True
 
     def _build_dispatch(self) -> dict[OperationKind, Callable]:
         table: dict[OperationKind, Callable] = {}
@@ -586,549 +559,3 @@ def _aggregate_bucket(bucket: list[dict], column: str, function: str) -> Any:
     if function == "max":
         return max(present, key=_sort_token) if present else None
     raise UnsupportedOperationError(f"unknown aggregation function {function!r}")
-
-
-# ----------------------------------------------------------------------
-# Optional native backends (import-gated)
-# ----------------------------------------------------------------------
-
-
-class PandasBackend(LocalBackend):
-    """Execute flows over native :mod:`pandas` DataFrames.
-
-    Structural operators (joins, group-bys, sorts, dedup, concat) run on
-    pandas; row-level predicate and derivation text still goes through
-    the shared interpreter for identical semantics.  Constructing the
-    backend without pandas installed raises
-    :class:`BackendUnavailableError`.
-    """
-
-    name = "pandas"
-
-    def __init__(self) -> None:
-        if not self.is_available():
-            raise BackendUnavailableError(
-                "the 'pandas' backend requires the pandas package "
-                "(pip install poiesis-repro[pandas])"
-            )
-        import pandas  # noqa: PLC0415 - import-gated optional dependency
-
-        self._pd = pandas
-        super().__init__()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return importlib.util.find_spec("pandas") is not None
-
-    # -- frame boundary -------------------------------------------------
-
-    def from_columns(self, columns: Mapping[str, list]):
-        return self._pd.DataFrame({name: list(values) for name, values in columns.items()})
-
-    def to_columns(self, frame) -> dict[str, list]:
-        return {
-            str(name): [normalize_value(v) for v in frame[name].tolist()]
-            for name in frame.columns
-        }
-
-    def row_count(self, frame) -> int:
-        return int(len(frame.index))
-
-    def column_names(self, frame) -> list[str]:
-        return [str(c) for c in frame.columns]
-
-    # -- row-level handlers reuse the shared interpreter ----------------
-
-    def _rows(self, frame) -> list[dict]:
-        return [
-            {k: normalize_value(v) for k, v in record.items()}
-            for record in frame.to_dict("records")
-        ]
-
-    def _op_filter(self, operation, inputs, context):
-        frame = inputs[0]
-        text = operation.config.get("predicate", "")
-        if not text or not len(frame.index):
-            return frame
-        predicate = CompiledPredicate.compile(text)
-        params = context.params
-        mask = [predicate(row, params) for row in self._rows(frame)]
-        return frame[self._pd.Series(mask, index=frame.index)].reset_index(drop=True)
-
-    def _op_project(self, operation, inputs, context):
-        frame = inputs[0]
-        keep = [c for c in operation.config.get("keep", []) if c in frame.columns]
-        return frame[keep] if keep else frame
-
-    def _op_derive(self, operation, inputs, context):
-        frame = inputs[0]
-        expressions = operation.config.get("expressions", {})
-        if not expressions:
-            return frame
-        compiled = [(name, compile_expression(text)) for name, text in expressions.items()]
-        params = context.params
-        derived: dict[str, list] = {name: [] for name, _ in compiled}
-        for row in self._rows(frame):
-            env = dict(row)
-            for name, node in compiled:
-                env[name] = evaluate(node, env, params)
-                derived[name].append(env[name])
-        out = frame.copy()
-        for name, values in derived.items():
-            out[name] = values
-        return out
-
-    def _op_rename(self, operation, inputs, context):
-        renames = operation.config.get("renames", {})
-        return inputs[0].rename(columns=renames) if renames else inputs[0]
-
-    def _op_convert(self, operation, inputs, context):
-        frame = inputs[0]
-        conversions = operation.config.get("conversions", {})
-        out = frame.copy()
-        for column, target in conversions.items():
-            if column in out.columns:
-                caster = _make_caster(str(target))
-                out[column] = [caster(v) for v in (normalize_value(x) for x in out[column])]
-        return out
-
-    def _op_surrogate_key(self, operation, inputs, context):
-        frame = inputs[0].copy()
-        frame[operation.config.get("key_field", "surrogate_key")] = range(
-            1, len(frame.index) + 1
-        )
-        return frame
-
-    def _op_lookup(self, operation, inputs, context):
-        if len(inputs) < 2:
-            frame = inputs[0].copy()
-            frame[f"{operation.config.get('reference', 'reference')}_matched"] = True
-            return frame
-        probe_index, reference_index = self._orient(operation, inputs)
-        left, right = inputs[probe_index], inputs[reference_index]
-        pairs = _lookup_pairs(
-            operation.config.get("on", []),
-            context.input_operation(operation, reference_index),
-            self.column_names(right),
-        )
-        return self._merge(left, right, pairs, how="left")
-
-    def _op_join(self, operation, inputs, context):
-        left_index, right_index = self._orient(operation, inputs)
-        left, right = inputs[left_index], inputs[right_index]
-        pairs = _join_pairs(
-            operation.config.get("on", []),
-            self.column_names(left),
-            self.column_names(right),
-        )
-        if not pairs:
-            return left
-        return self._merge(left, right, pairs, how="inner")
-
-    def _merge(self, left, right, pairs: list[tuple[str, str]], how: str):
-        right_keys = [p[1] for p in pairs]
-        renames = _collision_renames(
-            [str(c) for c in left.columns], [str(c) for c in right.columns], set(right_keys)
-        )
-        prepared = right.rename(columns=renames) if renames else right
-        merged = left.merge(
-            prepared,
-            how=how,
-            left_on=[p[0] for p in pairs],
-            right_on=right_keys,
-            suffixes=("", "__dup"),
-        )
-        drop = [k for k in right_keys if k not in {p[0] for p in pairs} and k in merged.columns]
-        return merged.drop(columns=drop) if drop else merged
-
-    def _op_aggregate(self, operation, inputs, context):
-        frame = inputs[0]
-        group_by = [c for c in operation.config.get("group_by", []) if c in frame.columns]
-        aggregations = dict(operation.config.get("aggregations", {})) or {"row_count": "count"}
-        spec = {}
-        out = frame.copy()
-        for column, function in aggregations.items():
-            function = str(function).lower()
-            if function in ("avg", "mean"):
-                function = "mean"
-            if column not in out.columns:
-                out[column] = None
-            spec[column] = "size" if function == "count" else function
-        if not group_by:
-            result = {c: [_aggregate_bucket(self._rows(out), c, f)] for c, f in aggregations.items()}
-            return self._pd.DataFrame(result)
-        grouped = out.groupby(group_by, sort=False, dropna=False).agg(spec).reset_index()
-        return grouped
-
-    def _op_sort(self, operation, inputs, context):
-        frame = inputs[0]
-        by = [c for c in operation.config.get("by", []) if c in frame.columns]
-        if not by:
-            return frame
-        return frame.sort_values(by, kind="mergesort", na_position="first").reset_index(
-            drop=True
-        )
-
-    def _op_union(self, operation, inputs, context):
-        return self._pd.concat(list(inputs), ignore_index=True, sort=False)
-
-    _op_merge_frames = _op_union
-    _op_merge = _op_union
-
-    def _op_diff(self, operation, inputs, context):
-        left = inputs[0]
-        if len(inputs) < 2:
-            return left
-        right = inputs[1]
-        shared = [c for c in left.columns if c in set(right.columns)]
-        seen = {
-            tuple(normalize_value(v) for v in row)
-            for row in right[shared].itertuples(index=False, name=None)
-        }
-        mask = [
-            tuple(normalize_value(v) for v in row) not in seen
-            for row in left[shared].itertuples(index=False, name=None)
-        ]
-        return left[self._pd.Series(mask, index=left.index)].reset_index(drop=True)
-
-    def _op_deduplicate(self, operation, inputs, context):
-        frame = inputs[0]
-        keys = [c for c in operation.config.get("keys", []) if c in frame.columns]
-        subset = keys or None
-        return frame.drop_duplicates(subset=subset, keep="first").reset_index(drop=True)
-
-    def _op_filter_nulls(self, operation, inputs, context):
-        return inputs[0].dropna().reset_index(drop=True)
-
-    def _op_crosscheck(self, operation, inputs, context):
-        frame = inputs[0]
-        mask = [
-            not any(datagen.is_error_value(v) for v in row.values())
-            for row in self._rows(frame)
-        ]
-        return frame[self._pd.Series(mask, index=frame.index)].reset_index(drop=True)
-
-    _op_validate = _op_crosscheck
-
-    def _op_cleanse(self, operation, inputs, context):
-        frame = inputs[0]
-        rows = [
-            {k: datagen.repair_error_value(v) for k, v in row.items()}
-            for row in self._rows(frame)
-        ]
-        return self._pd.DataFrame(rows, columns=list(frame.columns))
-
-    def _op_slowly_changing_dim(self, operation, inputs, context):
-        frame = inputs[0]
-        if "scd_current" in frame.columns:
-            return frame
-        out = frame.copy()
-        out["scd_current"] = True
-        return out
-
-    def _op_split(self, operation, inputs, context):
-        frame = inputs[0]
-        fanout = max(1, context.fanout(operation))
-        return [frame.iloc[offset::fanout].reset_index(drop=True) for offset in range(fanout)]
-
-    _op_router = _op_split
-
-    def _op_partition(self, operation, inputs, context):
-        frame = inputs[0]
-        fanout = max(1, context.fanout(operation))
-        key = operation.config.get("key", "")
-        if key not in frame.columns:
-            return [frame] + [frame.iloc[0:0] for _ in range(fanout - 1)]
-        assignment = [
-            _partition_index(v, fanout) for v in (normalize_value(x) for x in frame[key])
-        ]
-        series = self._pd.Series(assignment, index=frame.index)
-        return [frame[series == g].reset_index(drop=True) for g in range(fanout)]
-
-    def _op_replicate(self, operation, inputs, context):
-        frame = inputs[0]
-        return [frame.copy() for _ in range(max(1, context.fanout(operation)))]
-
-
-class PolarsBackend(LocalBackend):
-    """Execute flows over native :mod:`polars` DataFrames (import-gated)."""
-
-    name = "polars"
-
-    def __init__(self) -> None:
-        if not self.is_available():
-            raise BackendUnavailableError(
-                "the 'polars' backend requires the polars package "
-                "(pip install poiesis-repro[polars])"
-            )
-        import polars  # noqa: PLC0415 - import-gated optional dependency
-
-        self._pl = polars
-        super().__init__()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return importlib.util.find_spec("polars") is not None
-
-    # -- frame boundary -------------------------------------------------
-
-    def from_columns(self, columns: Mapping[str, list]):
-        return self._pl.DataFrame(
-            {name: list(values) for name, values in columns.items()}, strict=False
-        )
-
-    def to_columns(self, frame) -> dict[str, list]:
-        return {
-            name: [normalize_value(v) for v in frame.get_column(name).to_list()]
-            for name in frame.columns
-        }
-
-    def row_count(self, frame) -> int:
-        return int(frame.height)
-
-    def _rows(self, frame) -> list[dict]:
-        return [
-            {k: normalize_value(v) for k, v in record.items()} for record in frame.to_dicts()
-        ]
-
-    def _op_filter(self, operation, inputs, context):
-        frame = inputs[0]
-        text = operation.config.get("predicate", "")
-        if not text or not frame.height:
-            return frame
-        predicate = CompiledPredicate.compile(text)
-        params = context.params
-        mask = self._pl.Series([predicate(row, params) for row in self._rows(frame)])
-        return frame.filter(mask)
-
-    def _op_project(self, operation, inputs, context):
-        frame = inputs[0]
-        keep = [c for c in operation.config.get("keep", []) if c in frame.columns]
-        return frame.select(keep) if keep else frame
-
-    def _op_derive(self, operation, inputs, context):
-        frame = inputs[0]
-        expressions = operation.config.get("expressions", {})
-        if not expressions:
-            return frame
-        compiled = [(name, compile_expression(text)) for name, text in expressions.items()]
-        params = context.params
-        derived: dict[str, list] = {name: [] for name, _ in compiled}
-        for row in self._rows(frame):
-            env = dict(row)
-            for name, node in compiled:
-                env[name] = evaluate(node, env, params)
-                derived[name].append(env[name])
-        out = frame
-        for name, values in derived.items():
-            series = self._pl.Series(name, values, strict=False)
-            out = out.with_columns(series)
-        return out
-
-    def _op_rename(self, operation, inputs, context):
-        renames = {
-            old: new
-            for old, new in operation.config.get("renames", {}).items()
-            if old in inputs[0].columns
-        }
-        return inputs[0].rename(renames) if renames else inputs[0]
-
-    def _op_convert(self, operation, inputs, context):
-        frame = inputs[0]
-        for column, target in operation.config.get("conversions", {}).items():
-            if column not in frame.columns:
-                continue
-            caster = _make_caster(str(target))
-            values = [caster(normalize_value(v)) for v in frame.get_column(column).to_list()]
-            frame = frame.with_columns(self._pl.Series(column, values, strict=False))
-        return frame
-
-    def _op_surrogate_key(self, operation, inputs, context):
-        frame = inputs[0]
-        key_field = operation.config.get("key_field", "surrogate_key")
-        return frame.with_columns(
-            self._pl.Series(key_field, list(range(1, frame.height + 1)))
-        )
-
-    def _op_lookup(self, operation, inputs, context):
-        if len(inputs) < 2:
-            frame = inputs[0]
-            flag = f"{operation.config.get('reference', 'reference')}_matched"
-            return frame.with_columns(self._pl.Series(flag, [True] * frame.height))
-        probe_index, reference_index = self._orient(operation, inputs)
-        left, right = inputs[probe_index], inputs[reference_index]
-        pairs = _lookup_pairs(
-            operation.config.get("on", []),
-            context.input_operation(operation, reference_index),
-            right.columns,
-        )
-        return self._join_frames(left, right, pairs, how="left")
-
-    def _op_join(self, operation, inputs, context):
-        left_index, right_index = self._orient(operation, inputs)
-        left, right = inputs[left_index], inputs[right_index]
-        pairs = _join_pairs(operation.config.get("on", []), left.columns, right.columns)
-        if not pairs:
-            return left
-        return self._join_frames(left, right, pairs, how="inner")
-
-    def _join_frames(self, left, right, pairs: list[tuple[str, str]], how: str):
-        right_keys = [p[1] for p in pairs]
-        renames = _collision_renames(left.columns, right.columns, set(right_keys))
-        prepared = right.rename(renames) if renames else right
-        joined = left.join(
-            prepared,
-            how=how,
-            left_on=[p[0] for p in pairs],
-            right_on=right_keys,
-            coalesce=True,
-        )
-        return joined
-
-    def _op_aggregate(self, operation, inputs, context):
-        frame = inputs[0]
-        group_by = [c for c in operation.config.get("group_by", []) if c in frame.columns]
-        aggregations = dict(operation.config.get("aggregations", {})) or {"row_count": "count"}
-        pl = self._pl
-        expressions = []
-        for column, function in aggregations.items():
-            function = str(function).lower()
-            source = pl.col(column) if column in frame.columns else pl.lit(None)
-            if function == "count":
-                expressions.append(pl.len().alias(column))
-            elif function == "sum":
-                expressions.append(source.sum().alias(column))
-            elif function in ("avg", "mean"):
-                expressions.append(source.mean().alias(column))
-            elif function == "min":
-                expressions.append(source.min().alias(column))
-            elif function == "max":
-                expressions.append(source.max().alias(column))
-            else:
-                raise UnsupportedOperationError(f"unknown aggregation function {function!r}")
-        if not group_by:
-            return frame.select(expressions)
-        return frame.group_by(group_by, maintain_order=True).agg(expressions)
-
-    def _op_sort(self, operation, inputs, context):
-        frame = inputs[0]
-        by = [c for c in operation.config.get("by", []) if c in frame.columns]
-        return frame.sort(by, nulls_last=False) if by else frame
-
-    def _op_union(self, operation, inputs, context):
-        return self._pl.concat(list(inputs), how="diagonal")
-
-    _op_merge = _op_union
-
-    def _op_diff(self, operation, inputs, context):
-        left = inputs[0]
-        if len(inputs) < 2:
-            return left
-        right = inputs[1]
-        shared = [c for c in left.columns if c in set(right.columns)]
-        seen = {
-            tuple(normalize_value(row.get(c)) for c in shared) for row in right.to_dicts()
-        }
-        mask = self._pl.Series(
-            [
-                tuple(normalize_value(row.get(c)) for c in shared) not in seen
-                for row in left.to_dicts()
-            ]
-        )
-        return left.filter(mask)
-
-    def _op_deduplicate(self, operation, inputs, context):
-        frame = inputs[0]
-        keys = [c for c in operation.config.get("keys", []) if c in frame.columns]
-        return frame.unique(subset=keys or None, keep="first", maintain_order=True)
-
-    def _op_filter_nulls(self, operation, inputs, context):
-        return inputs[0].drop_nulls()
-
-    def _op_crosscheck(self, operation, inputs, context):
-        frame = inputs[0]
-        mask = self._pl.Series(
-            [
-                not any(datagen.is_error_value(v) for v in row.values())
-                for row in self._rows(frame)
-            ]
-        )
-        return frame.filter(mask)
-
-    _op_validate = _op_crosscheck
-
-    def _op_cleanse(self, operation, inputs, context):
-        frame = inputs[0]
-        rows = [
-            {k: datagen.repair_error_value(v) for k, v in row.items()}
-            for row in self._rows(frame)
-        ]
-        return self._pl.DataFrame(rows, schema=frame.columns, strict=False)
-
-    def _op_slowly_changing_dim(self, operation, inputs, context):
-        frame = inputs[0]
-        if "scd_current" in frame.columns:
-            return frame
-        return frame.with_columns(self._pl.Series("scd_current", [True] * frame.height))
-
-    def _op_split(self, operation, inputs, context):
-        frame = inputs[0]
-        fanout = max(1, context.fanout(operation))
-        masks = [
-            self._pl.Series([i % fanout == offset for i in range(frame.height)])
-            for offset in range(fanout)
-        ]
-        return [frame.filter(mask) for mask in masks]
-
-    _op_router = _op_split
-
-    def _op_partition(self, operation, inputs, context):
-        frame = inputs[0]
-        fanout = max(1, context.fanout(operation))
-        key = operation.config.get("key", "")
-        if key not in frame.columns:
-            return [frame] + [frame.head(0) for _ in range(fanout - 1)]
-        assignment = [
-            _partition_index(normalize_value(v), fanout)
-            for v in frame.get_column(key).to_list()
-        ]
-        return [
-            frame.filter(self._pl.Series([a == g for a in assignment]))
-            for g in range(fanout)
-        ]
-
-    def _op_replicate(self, operation, inputs, context):
-        frame = inputs[0]
-        return [frame.clone() for _ in range(max(1, context.fanout(operation)))]
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_BACKEND_TYPES: dict[str, type[ETLBackend]] = {
-    "local": LocalBackend,
-    "pandas": PandasBackend,
-    "polars": PolarsBackend,
-}
-
-
-def available_backends() -> dict[str, bool]:
-    """Backend name -> whether it can be constructed in this environment."""
-    return {name: cls.is_available() for name, cls in _BACKEND_TYPES.items()}
-
-
-def create_backend(name: str) -> ETLBackend:
-    """Instantiate a backend by its ``executor_backend`` name.
-
-    Raises :class:`ValueError` for unknown names and
-    :class:`BackendUnavailableError` when the backing library is not
-    installed (optional backends are never silently substituted).
-    """
-    try:
-        backend_type = _BACKEND_TYPES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor backend: {name!r} (use one of {EXECUTOR_BACKENDS})"
-        ) from None
-    return backend_type()

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.etl.graph import ETLGraph
 from repro.etl.operations import Operation
-from repro.exec.backends import ETLBackend, create_backend
+from repro.exec.backends import ETLBackend, LocalBackend
 from repro.exec.compiler import CompiledNode, ExecutablePlan, compile_flow
 from repro.exec.data import generate_source_columns
 from repro.exec.frame import frame_bytes
@@ -227,13 +227,13 @@ class FlowExecutor:
 
     def __init__(
         self,
-        backend: ETLBackend | str = "local",
+        backend: ETLBackend | None = None,
         policy: RecoveryPolicy | None = None,
         data_seed: int = 7,
         params: Mapping[str, Any] | None = None,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
-        self.backend = create_backend(backend) if isinstance(backend, str) else backend
+        self.backend = backend if backend is not None else LocalBackend()
         self.policy = policy or RecoveryPolicy()
         self.data_seed = data_seed
         self.params = dict(params or {})

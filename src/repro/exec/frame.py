@@ -4,13 +4,13 @@ Backends exchange data with the harness in one canonical currency:
 *columns* -- an ordered ``{name: [values...]}`` mapping of plain Python
 scalars (``int``, ``float``, ``str``, ``bool`` or ``None``).  The local
 backend also uses that representation internally (as a list of row
-dictionaries); pandas and polars convert at the frame boundary and keep
-their native structures in between.
+dictionaries); a native backend would convert at the frame boundary and
+keep its own structures in between.
 
-The module also owns the *normalization* rules of the differential
-conformance suite: :func:`canonical_rows` reduces any backend's output to
-a sorted, dtype-normalized list of row tuples, and :func:`frame_bytes`
-digests it for the byte-identity assertions of the property tests.
+The module also owns the *normalization* rules: :func:`canonical_rows`
+reduces any backend's output to a sorted, dtype-normalized list of row
+tuples, and :func:`frame_bytes` digests it for the byte-identity
+assertions of the property tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 
 def normalize_value(value: Any) -> Any:
@@ -61,8 +61,8 @@ def _sort_token(value: Any) -> tuple:
 def canonical_rows(columns: Mapping[str, list]) -> list[tuple]:
     """Rows of a column mapping as sorted, normalized tuples.
 
-    The comparison currency of the conformance suite: two backends agree
-    on a result iff their canonical rows (and column names) are equal.
+    The comparison currency of execution results: two runs agree on a
+    result iff their canonical rows (and column names) are equal.
     Rows are sorted because backends are free to reorder rows wherever an
     operator does not prescribe an order (hash joins, group-bys).
     """
@@ -78,33 +78,6 @@ def canonical_rows(columns: Mapping[str, list]) -> list[tuple]:
         )
     rows.sort(key=lambda row: tuple(_sort_token(v) for v in row))
     return rows
-
-
-def rows_approximately_equal(
-    left: Iterable[tuple], right: Iterable[tuple], rel_tol: float = 1e-9
-) -> bool:
-    """Whether two canonical row lists are value-identical.
-
-    Floats are compared with a relative tolerance: backends may sum in a
-    different order, so the last bits of an aggregate are not portable.
-    Everything else must match exactly.
-    """
-    left, right = list(left), list(right)
-    if len(left) != len(right):
-        return False
-    for lrow, rrow in zip(left, right):
-        if len(lrow) != len(rrow):
-            return False
-        for lval, rval in zip(lrow, rrow):
-            if isinstance(lval, float) and isinstance(rval, (int, float)):
-                if not math.isclose(lval, float(rval), rel_tol=rel_tol, abs_tol=1e-12):
-                    return False
-            elif isinstance(rval, float) and isinstance(lval, (int, float)):
-                if not math.isclose(float(lval), rval, rel_tol=rel_tol, abs_tol=1e-12):
-                    return False
-            elif lval != rval:
-                return False
-    return True
 
 
 def frame_bytes(columns: Mapping[str, list]) -> str:

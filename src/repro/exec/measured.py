@@ -161,7 +161,7 @@ def _simulated_value(alternative, measure: str) -> float | None:
 
 def execute_top_k(
     planning_result: "PlanningResult",
-    backend: ETLBackend | str = "local",
+    backend: ETLBackend | None = None,
     k: int = 5,
     repeats: int = 2,
     data_seed: int = 7,

@@ -184,8 +184,8 @@ class FlowComponentPattern(abc.ABC):
 
         Implementations must not mutate ``flow``; they work on a copy (the
         grafting helpers in :mod:`repro.etl.subflow` already do).  The
-        copy inherits the host's copy mode, so under the planner's
-        ``copy_mode="cow"`` the returned flow shares untouched operation
+        copy inherits the host's copy mode, so on the planner's
+        copy-on-write chains the returned flow shares untouched operation
         payloads with the host: any in-place write to an existing
         operation must go through ``ETLGraph.mutable_operation`` (never
         ``operation``), and annotations should be set via

@@ -18,13 +18,7 @@ from repro.quality.framework import (
     default_registry,
 )
 from repro.quality.composite import CompositeMeasure, QualityProfile
-from repro.quality.estimator import (
-    CacheStats,
-    EstimationSettings,
-    ProfileCache,
-    QualityEstimator,
-    flow_fingerprint,
-)
+from repro.quality.estimator import EstimationSettings, QualityEstimator, flow_fingerprint
 
 from repro.quality import (  # noqa: F401  (re-exported measure modules)
     performance,
@@ -44,7 +38,5 @@ __all__ = [
     "QualityProfile",
     "QualityEstimator",
     "EstimationSettings",
-    "ProfileCache",
-    "CacheStats",
     "flow_fingerprint",
 ]

@@ -16,20 +16,13 @@ estimation settings) lets a planner or a whole
 has already profiled -- and, with a disk-backed tier, lets *separate
 runs and parallel sessions* share profiles.  Every tier keeps hit/miss
 statistics so benchmarks can report the savings.
-
-:class:`ProfileCache` and :class:`~repro.cache.CacheStats` originally
-lived here and are re-exported for backwards compatibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Re-exported for backwards compatibility: ProfileCache and CacheStats
-# lived in this module until the CacheBackend protocol was extracted
-# into the repro.cache package (which also provides the disk-backed and
-# tiered implementations).
-from repro.cache import CacheBackend, CacheStats, ProfileCache  # noqa: F401
+from repro.cache import CacheBackend
 from repro.etl.graph import ETLGraph
 from repro.quality.composite import QualityProfile, build_composites
 from repro.quality.framework import MeasureRegistry, MeasureValue, default_registry
@@ -127,7 +120,7 @@ class QualityEstimator:
     cache:
         Optional shared cache backend (any
         :class:`~repro.cache.CacheBackend` tier: the in-memory
-        :class:`ProfileCache`, a persistent
+        :class:`~repro.cache.ProfileCache`, a persistent
         :class:`~repro.cache.DiskProfileCache`, or the
         :class:`~repro.cache.TieredProfileCache` composite).  When set,
         :meth:`evaluate` memoizes profiles by flow fingerprint +
@@ -257,13 +250,3 @@ class QualityEstimator:
         for characteristic, composite in self._composites.items():
             profile.scores[characteristic] = composite.score(values)
         return profile
-
-    def evaluate_many(self, flows: list[ETLGraph]) -> list[QualityProfile]:
-        """Evaluate a batch of flows sequentially (cache-aware).
-
-        Parallel evaluation (the paper's cloud-backed concurrent
-        processing) is provided by
-        :class:`repro.core.evaluator.ParallelEvaluator`, which consumes
-        flows as a stream and overlaps generation with estimation.
-        """
-        return [self.evaluate(flow) for flow in flows]

@@ -64,9 +64,11 @@ from repro.service.results import result_to_dict
 logger = logging.getLogger("repro.service.redesign")
 
 #: Configuration fields a request may NOT set: the service owns the
-#: cache tier (one shared backend for the whole worker pool) and the
+#: cache tier (one shared backend for the whole worker pool), the
 #: metrics registry (servers inject their own -- a registry is not a
-#: JSON value anyway).
+#: JSON value anyway) and evaluation concurrency (the server's
+#: ``workers``; a multi-worker request would fork a process pool from
+#: inside the threaded server).
 _RESERVED_FIELDS = frozenset(
     {
         "cache_tier",
@@ -81,6 +83,7 @@ _RESERVED_FIELDS = frozenset(
         "cache_urls",
         "fleet_ring_replicas",
         "metrics_registry",
+        "parallel_workers",
     }
 )
 
@@ -93,13 +96,9 @@ _SIMPLE_FIELDS = frozenset(
         "max_alternatives",
         "simulation_runs",
         "seed",
-        "parallel_workers",
         "screening_beam",
         "eval_batch_size",
         "cache_profiles",
-        "copy_mode",
-        "prefix_cache",
-        "backend",
         "metrics_enabled",
     }
 )
@@ -112,8 +111,9 @@ def configuration_from_request(data: Mapping[str, Any] | None) -> ProcessingConf
     ``goal_priorities`` as a ``{characteristic: weight}`` object,
     ``skyline_characteristics`` as an array of characteristic names and
     ``constraints`` as an array of ``{target, min_value, max_value}``
-    objects.  Unknown or reserved (cache-tier) fields are rejected with
-    a 400 -- the service owns the cache configuration.
+    objects.  Unknown or reserved (cache-tier, metrics-registry,
+    worker-count) fields are rejected with a 400 -- the service owns
+    those.
     """
     if data is None:
         data = {}
@@ -124,8 +124,9 @@ def configuration_from_request(data: Mapping[str, Any] | None) -> ProcessingConf
         if name in _RESERVED_FIELDS:
             raise ServiceError(
                 400,
-                f"configuration field {name!r} is owned by the service "
-                "(one shared cache tier per server); remove it from the request",
+                f"configuration field {name!r} is owned by the service (one shared "
+                "cache tier, metrics registry and worker pool per server); "
+                "remove it from the request",
             )
         if name in _SIMPLE_FIELDS:
             kwargs[name] = value

@@ -98,15 +98,19 @@ class FailureInjector:
         upstream_checkpoints = upstream & self._checkpoints
         if upstream_checkpoints:
             # Nearest checkpoint = the one with the largest distance from sources
-            # (i.e. the latest persisted state on the path to the failure).
+            # (i.e. the latest persisted state on the path to the failure);
+            # equally distant checkpoints tie-break on their id, never on
+            # set (hash) order.
             nearest = max(
                 upstream_checkpoints,
-                key=lambda cp: self._flow.distance_from_sources(cp),
+                key=lambda cp: (self._flow.distance_from_sources(cp), cp),
             )
             recovered_from = nearest
             protected = self._flow.upstream_of(nearest) | {nearest}
             chargeable -= protected
-        lost = sum(operation_times_ms.get(op_id, 0.0) for op_id in chargeable)
+        # Summed in id order: float addition is not associative, so a
+        # hash-ordered sum would move the last bits with PYTHONHASHSEED.
+        lost = sum(operation_times_ms.get(op_id, 0.0) for op_id in sorted(chargeable))
         return FailureEvent(op_id=failed_op, lost_work_ms=lost, recovered_from=recovered_from)
 
     def recovery_events(

@@ -165,7 +165,6 @@ class TestProcessBackendPool:
             cache_tier="tiered",
             cache_dir=str(tmp_path),
             parallel_workers=2,
-            backend="process",
         )
         pooled_planner = Planner(configuration=pooled_config)
         pooled = pooled_planner.plan(linear_flow)
@@ -184,7 +183,7 @@ class TestProcessBackendPool:
         self, make_config, tmp_path, linear_flow
     ):
         """Workers open their own handle onto cache_dir (read-through path)."""
-        from repro.core.evaluator import _init_worker, _evaluate_one_pooled
+        from repro.core.evaluator import _evaluate_chunk_pooled, _init_worker
         import repro.core.evaluator as evaluator_module
 
         config = make_config(cache_tier="tiered", cache_dir=str(tmp_path))
@@ -201,7 +200,7 @@ class TestProcessBackendPool:
         try:
             _init_worker(worker_estimator)
             assert isinstance(worker_estimator.cache, DiskProfileCache)
-            profile = _evaluate_one_pooled(alternatives[0])
+            (profile,) = _evaluate_chunk_pooled(alternatives[:1])
             assert worker_estimator.cache.stats.hits == 1, "served from the warm dir"
             assert profile.values  # a real, fully populated profile
         finally:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import ProfileCache
 from repro.core.alternatives import AlternativeFlow
 from repro.core.evaluator import ParallelEvaluator
-from repro.quality.estimator import EstimationSettings, ProfileCache, QualityEstimator
+from repro.quality.estimator import EstimationSettings, QualityEstimator
 
 
 def _alternatives(flow, count):
@@ -95,7 +96,7 @@ class TestPooledChunks:
         estimator = QualityEstimator(
             settings=EstimationSettings(simulation_runs=1, seed=3), cache=tiered
         )
-        pooled = ParallelEvaluator(estimator=estimator, workers=2, backend="process")
+        pooled = ParallelEvaluator(estimator=estimator, workers=2)
         streamed = list(
             pooled.evaluate_stream(iter(_alternatives(linear_flow, 10)), batch_size=16)
         )

@@ -1,9 +1,10 @@
-"""Tests of copy-on-write alternative generation and the new planner knobs.
+"""Tests of copy-on-write alternative generation and the evaluation pool.
 
-Covers the ``copy_mode`` gate (deep/cow equivalence of the generated
-space), the annotation-aware dedup regression (graph-level patterns must
-survive), :class:`GenerationStats`, the ``backend`` knob, and process
-workers receiving COW flows by pickle.
+Covers equivalence of the copy-on-write generator with the from-scratch
+deep-copy reference in ``tests/reference_generator.py``, the
+annotation-aware dedup regression (graph-level patterns must survive),
+:class:`GenerationStats`, the removed mode knobs, and process workers
+receiving COW flows by pickle.
 """
 
 from __future__ import annotations
@@ -17,31 +18,36 @@ from repro.core.policies import ExhaustivePolicy, HeuristicPolicy
 from repro.etl.validation import is_valid
 from repro.patterns.registry import default_palette
 from repro.quality.estimator import EstimationSettings, QualityEstimator
+from tests.reference_generator import outcome, reference_generate
 
 
-def _generate(flow, mode, **overrides):
-    defaults = dict(pattern_budget=2, max_points_per_pattern=2, copy_mode=mode)
+def _generator(**overrides):
+    defaults = dict(pattern_budget=2, max_points_per_pattern=2)
     defaults.update(overrides)
     config = ProcessingConfiguration(**defaults)
-    generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
+    return AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
+
+
+def _generate(flow, **overrides):
+    generator = _generator(**overrides)
     return generator.generate(flow), generator
 
 
 class TestCowDeepEquivalence:
+    """The COW generator against the deep-copy, from-scratch reference."""
+
     def test_identical_alternative_streams(self, small_purchases):
-        deep, _ = _generate(small_purchases, "deep")
-        cow, _ = _generate(small_purchases, "cow")
-        assert [a.label for a in deep] == [a.label for a in cow]
-        assert [a.pattern_names for a in deep] == [a.pattern_names for a in cow]
-        assert [a.flow.signature() for a in deep] == [a.flow.signature() for a in cow]
+        cow, generator = _generate(small_purchases)
+        reference, _ = reference_generate(generator, small_purchases)
+        assert outcome(cow) == outcome(reference)
 
     def test_identical_with_budget_three(self, small_purchases):
-        deep, _ = _generate(small_purchases, "deep", pattern_budget=3, max_alternatives=300)
-        cow, _ = _generate(small_purchases, "cow", pattern_budget=3, max_alternatives=300)
-        assert [a.flow.signature() for a in deep] == [a.flow.signature() for a in cow]
+        cow, generator = _generate(small_purchases, pattern_budget=3, max_alternatives=300)
+        reference, _ = reference_generate(generator, small_purchases)
+        assert outcome(cow) == outcome(reference)
 
     def test_cow_alternatives_are_valid_and_self_contained(self, small_purchases):
-        cow, _ = _generate(small_purchases, "cow")
+        cow, _ = _generate(small_purchases)
         for alternative in cow:
             assert is_valid(alternative.flow)
         # mutating one alternative must not bleed into any other
@@ -55,13 +61,13 @@ class TestCowDeepEquivalence:
 
     def test_initial_flow_untouched_by_cow_generation(self, small_purchases):
         before = small_purchases.signature()
-        _generate(small_purchases, "cow")
+        _generate(small_purchases)
         assert small_purchases.signature() == before
 
     def test_caller_flow_never_payload_aliased(self, small_purchases):
-        # After COW generation, the seed idiom of mutating the caller's
-        # deep flow directly must not bleed into any returned alternative.
-        cow, _ = _generate(small_purchases, "cow")
+        # After COW generation, mutating the caller's deep flow directly
+        # must not bleed into any returned alternative.
+        cow, _ = _generate(small_purchases)
         target = small_purchases.operation_ids()[0]
         assert all(
             alt.flow.operation(target) is not small_purchases.operation(target)
@@ -76,10 +82,7 @@ class TestCowDeepEquivalence:
     def test_interleaved_lazy_runs_keep_separate_state(self, small_purchases, tpch_flow):
         # Two partially consumed generate_iter runs on the same generator
         # must each validate against their own base flow.
-        config = ProcessingConfiguration(
-            pattern_budget=2, max_points_per_pattern=2, copy_mode="cow"
-        )
-        generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
+        generator = _generator()
         first = generator.generate_iter(small_purchases)
         second = generator.generate_iter(tpch_flow)
         interleaved = []
@@ -89,28 +92,26 @@ class TestCowDeepEquivalence:
         interleaved.extend(first)
         interleaved.extend(second)
         assert all(is_valid(alt.flow) for alt in interleaved)
-        solo = [a.flow.signature() for a in _generate(small_purchases, "cow")[0]]
-        a_sigs = [
-            a.flow.signature()
-            for a in interleaved
-            if a.flow.name.startswith(small_purchases.name)
+        solo, _ = reference_generate(generator, small_purchases)
+        purchases_part = [
+            alt for alt in interleaved if alt.flow.name.startswith(small_purchases.name)
         ]
-        assert a_sigs == solo
+        assert outcome(purchases_part) == outcome(solo)
 
     def test_planner_plan_equivalent_across_modes(self, small_purchases, make_planner):
-        results = {}
-        for mode in ("deep", "cow"):
-            planner = make_planner(copy_mode=mode)
-            result = planner.plan(small_purchases)
-            results[mode] = result
-        deep, cow = results["deep"], results["cow"]
-        assert [a.label for a in deep.alternatives] == [a.label for a in cow.alternatives]
-        assert [a.flow.signature() for a in deep.alternatives] == [
-            a.flow.signature() for a in cow.alternatives
+        """A plan is the same whether its candidates come from the
+        generator or from the reference."""
+        generated = make_planner(pattern_budget=2).plan(small_purchases)
+
+        reference_planner = make_planner(pattern_budget=2)
+        generator = reference_planner.generator
+        generator.generate_iter = lambda flow: iter(reference_generate(generator, flow)[0])
+        reference = reference_planner.plan(small_purchases)
+
+        assert generated.fingerprint() == reference.fingerprint()
+        assert [a.label for a in generated.alternatives] == [
+            a.label for a in reference.alternatives
         ]
-        assert deep.skyline_indices == cow.skyline_indices
-        for d, c in zip(deep.alternatives, cow.alternatives):
-            assert d.profile.scores == c.profile.scores
 
 
 class TestGraphLevelDedupRegression:
@@ -154,10 +155,9 @@ class TestGraphLevelDedupRegression:
 
 class TestGenerationStats:
     def test_stats_filled_in(self, small_purchases):
-        _, generator = _generate(small_purchases, "cow")
+        _, generator = _generate(small_purchases)
         stats = generator.last_stats
         assert isinstance(stats, GenerationStats)
-        assert stats.copy_mode == "cow"
         assert stats.yielded > 0
         assert stats.combinations_tried >= stats.yielded
         assert stats.wall_seconds > 0
@@ -166,9 +166,7 @@ class TestGenerationStats:
         assert payload["yielded"] == stats.yielded
 
     def test_stats_track_duplicates(self, small_purchases):
-        _, generator = _generate(
-            small_purchases, "cow", pattern_budget=2, max_points_per_pattern=4
-        )
+        _, generator = _generate(small_purchases, pattern_budget=2, max_points_per_pattern=4)
         stats = generator.last_stats
         assert stats.duplicates_pruned >= 0
         assert stats.combinations_tried == (
@@ -177,37 +175,39 @@ class TestGenerationStats:
 
 
 class TestBackendKnob:
+    """The evaluation pool is sized by ``parallel_workers`` alone."""
+
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessingConfiguration(backend="greenlet")
+        # the thread/process switch is gone: more than one worker is
+        # always a process pool
+        with pytest.raises(TypeError):
+            ProcessingConfiguration(backend="process")
 
     def test_invalid_copy_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessingConfiguration(copy_mode="shallow")
+        # generation always runs copy-on-write with the prefix cache
+        for knob in ("copy_mode", "prefix_cache", "executor_backend"):
+            with pytest.raises(TypeError):
+                ProcessingConfiguration(**{knob: "deep"})
 
     def test_planner_wires_backend_through(self, make_planner):
-        planner = make_planner(backend="process", parallel_workers=2)
-        assert planner.evaluator.backend == "process"
-        assert planner.screening_evaluator.backend == "process"
-
-    def test_default_backend_is_thread(self, make_planner):
-        planner = make_planner()
-        assert planner.evaluator.backend == "thread"
+        planner = make_planner(parallel_workers=2)
+        assert planner.evaluator.workers == 2
+        assert planner.screening_evaluator.workers == 2
 
     @pytest.mark.slow
     def test_process_backend_evaluates_cow_alternatives(self, small_purchases):
         # COW flows must pickle (materialize-on-pickle) into pool workers
-        alternatives, _ = _generate(small_purchases, "cow", max_alternatives=4)
+        alternatives, _ = _generate(small_purchases, max_alternatives=4)
         estimator = QualityEstimator(settings=EstimationSettings(simulation_runs=1, seed=3))
-        evaluator = ParallelEvaluator(estimator=estimator, workers=2, backend="process")
+        evaluator = ParallelEvaluator(estimator=estimator, workers=2)
         evaluated = evaluator.evaluate(alternatives)
         assert all(alt.profile is not None for alt in evaluated)
 
     @pytest.mark.slow
     def test_planner_process_backend_end_to_end(self, small_purchases, make_planner):
-        planner = make_planner(
-            backend="process", parallel_workers=2, copy_mode="cow", max_alternatives=6
-        )
+        planner = make_planner(parallel_workers=2, max_alternatives=6)
         result = planner.plan(small_purchases)
         assert result.alternatives
         assert all(alt.profile is not None for alt in result.alternatives)
+        sequential = make_planner(max_alternatives=6).plan(small_purchases)
+        assert result.fingerprint() == sequential.fingerprint()

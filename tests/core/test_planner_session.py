@@ -49,8 +49,8 @@ class TestParallelEvaluator:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ParallelEvaluator(workers=0)
-        with pytest.raises(ValueError):
-            ParallelEvaluator(backend="gpu")  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            ParallelEvaluator(backend="thread")  # type: ignore[call-arg]
 
 
 class TestPlanner:

@@ -1,14 +1,14 @@
 """Tests of prefix-cached combination enumeration.
 
 The lexicographic order of ``itertools.combinations`` makes consecutive
-combinations share prefixes; ``ProcessingConfiguration.prefix_cache``
-(default on) lets :class:`AlternativeGenerator` reuse the last chain's
-intermediate flows and issue lists instead of re-applying the shared
-prefix from the base flow.  These tests pin down
+combinations share prefixes; :class:`AlternativeGenerator` reuses the
+last chain's intermediate flows and issue lists instead of re-applying
+the shared prefix from the base flow.  These tests pin down
 
-* byte-identical alternative streams with the cache on and off, in both
-  copy modes (including the TPC-H acceptance run at ``pattern_budget=3``
-  with the >= 2x cut in pattern applications),
+* byte-identical alternative streams against the from-scratch reference
+  in ``tests/reference_generator.py``, whether the reference copies the
+  initial flow deep or copy-on-write (including the TPC-H acceptance run
+  at ``pattern_budget=3`` with the >= 2x cut in pattern applications),
 * the exact :class:`GenerationStats` reuse accounting on a synthetic
   palette small enough to count by hand,
 * safety: cached prefix flows never leak into or between yielded
@@ -25,22 +25,30 @@ from repro.core.policies import ExhaustivePolicy, HeuristicPolicy
 from repro.etl.validation import is_valid
 from repro.patterns.base import ApplicationPointType, FlowComponentPattern
 from repro.patterns.registry import PatternRegistry, default_palette
-from repro.workloads import purchases_flow
+from tests.reference_generator import outcome, reference_generate
 
 
-def _generate(flow, *, palette=None, policy=None, **overrides):
+def _generator(*, palette=None, policy=None, **overrides):
     defaults = dict(pattern_budget=2, max_points_per_pattern=2)
     defaults.update(overrides)
     config = ProcessingConfiguration(**defaults)
-    generator = AlternativeGenerator(
-        palette or default_palette(), policy or HeuristicPolicy(), config
-    )
+    return AlternativeGenerator(palette or default_palette(), policy or HeuristicPolicy(), config)
+
+
+def _generate(flow, **overrides):
+    generator = _generator(**overrides)
     return generator.generate(flow), generator.last_stats
 
 
-def _outcome(alternatives):
-    """The observable identity of an alternative stream."""
-    return [(a.label, a.pattern_names, a.flow.signature()) for a in alternatives]
+def _against_reference(flow, mode, **overrides):
+    """Generator and reference runs of one configuration.
+
+    Returns ``(alternatives, stats, reference, reference_applications)``.
+    """
+    generator = _generator(**overrides)
+    alternatives = generator.generate(flow)
+    reference, applied = reference_generate(generator, flow, copy_mode=mode)
+    return alternatives, generator.last_stats, reference, applied
 
 
 class _FlagPattern(FlowComponentPattern):
@@ -73,53 +81,38 @@ def _flag_palette(count: int) -> PatternRegistry:
 class TestPrefixEquivalence:
     @pytest.mark.parametrize("mode", ["deep", "cow"])
     def test_identical_streams_budget_two(self, small_purchases, mode):
-        on, _ = _generate(small_purchases, copy_mode=mode, prefix_cache=True)
-        off, _ = _generate(small_purchases, copy_mode=mode, prefix_cache=False)
-        assert _outcome(on) == _outcome(off)
+        alts, _, reference, _ = _against_reference(small_purchases, mode)
+        assert outcome(alts) == outcome(reference)
 
     @pytest.mark.parametrize("mode", ["deep", "cow"])
     def test_identical_streams_budget_three(self, small_purchases, mode):
-        knobs = dict(pattern_budget=3, max_points_per_pattern=3, copy_mode=mode)
-        on, _ = _generate(small_purchases, prefix_cache=True, **knobs)
-        off, _ = _generate(small_purchases, prefix_cache=False, **knobs)
-        assert _outcome(on) == _outcome(off)
+        alts, _, reference, _ = _against_reference(
+            small_purchases, mode, pattern_budget=3, max_points_per_pattern=3
+        )
+        assert outcome(alts) == outcome(reference)
 
-    def test_identical_across_all_four_arms(self, small_purchases):
-        outcomes = []
-        for mode in ("deep", "cow"):
-            for prefix_cache in (True, False):
-                alts, _ = _generate(
-                    small_purchases,
-                    pattern_budget=3,
-                    max_points_per_pattern=3,
-                    copy_mode=mode,
-                    prefix_cache=prefix_cache,
-                )
-                outcomes.append(_outcome(alts))
-        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    def test_identical_with_exhaustive_policy(self, linear_flow):
+        """Every valid point of every pattern, on a flow small enough to
+        enumerate completely at budget 3."""
+        alts, _, reference, _ = _against_reference(
+            linear_flow, "deep", policy=ExhaustivePolicy(), pattern_budget=3
+        )
+        assert len(alts) > 20
+        assert outcome(alts) == outcome(reference)
 
     def test_tpch_acceptance_two_x_fewer_applications(self, tpch_flow):
-        """The ISSUE acceptance bar: >= 2x fewer pattern applications at
-        budget 3 on TPC-H, byte-identical alternative sets, both modes."""
+        """>= 2x fewer pattern applications than the from-scratch
+        reference at budget 3 on TPC-H, byte-identical alternative sets."""
         knobs = dict(pattern_budget=3, max_points_per_pattern=3, max_alternatives=1500)
-        reference = None
-        for mode in ("deep", "cow"):
-            on, stats_on = _generate(tpch_flow, copy_mode=mode, prefix_cache=True, **knobs)
-            off, stats_off = _generate(tpch_flow, copy_mode=mode, prefix_cache=False, **knobs)
-            assert _outcome(on) == _outcome(off)
-            if reference is None:
-                reference = _outcome(on)
-            else:
-                assert _outcome(on) == reference
-            assert stats_off.patterns_applied >= 2 * stats_on.patterns_applied, (
-                f"{mode}: {stats_off.patterns_applied} uncached vs "
-                f"{stats_on.patterns_applied} cached applications"
-            )
-            assert stats_on.prefix_steps_reused > 0
-            assert stats_off.prefix_steps_reused == 0
+        alts, stats, reference, applied = _against_reference(tpch_flow, "deep", **knobs)
+        assert outcome(alts) == outcome(reference)
+        assert applied >= 2 * stats.patterns_applied, (
+            f"{applied} from-scratch vs {stats.patterns_applied} cached applications"
+        )
+        assert stats.prefix_steps_reused > 0
 
     def test_respects_max_alternatives_and_labels(self, small_purchases):
-        alts, _ = _generate(small_purchases, max_alternatives=5, prefix_cache=True)
+        alts, _ = _generate(small_purchases, max_alternatives=5)
         assert len(alts) == 5
         assert [a.label for a in alts] == [f"ETL Flow {i}" for i in range(1, 6)]
 
@@ -129,7 +122,7 @@ class TestPrefixExactCounts:
 
     Four graph-level deployments ``d0..d3`` at ``pattern_budget=3``
     enumerate 4 + 6 + 4 = 14 combinations, all reasonable, valid and
-    unique.  Without the cache every combination replays its full chain:
+    unique.  The from-scratch reference replays every full chain:
     4*1 + 6*2 + 4*3 = 28 applications.  With the cache, walking the
     lexicographic order by hand gives 22 applications, 5 combinations
     reusing a prefix, and 6 reused steps:
@@ -157,16 +150,12 @@ class TestPrefixExactCounts:
     EXPECTED_PREFIX_HITS = 5
     EXPECTED_STEPS_REUSED = 6
 
-    @pytest.mark.parametrize("mode", ["deep", "cow"])
-    def test_exact_reuse_counters(self, linear_flow, mode):
-        palette = _flag_palette(4)
+    def test_exact_reuse_counters(self, linear_flow):
         alts, stats = _generate(
             linear_flow,
-            palette=palette,
+            palette=_flag_palette(4),
             policy=ExhaustivePolicy(),
             pattern_budget=3,
-            copy_mode=mode,
-            prefix_cache=True,
         )
         assert len(alts) == self.EXPECTED_COMBOS
         assert stats.combinations_tried == self.EXPECTED_COMBOS
@@ -179,28 +168,25 @@ class TestPrefixExactCounts:
 
     @pytest.mark.parametrize("mode", ["deep", "cow"])
     def test_exact_counts_uncached(self, linear_flow, mode):
-        palette = _flag_palette(4)
-        alts, stats = _generate(
+        alts, stats, reference, applied = _against_reference(
             linear_flow,
-            palette=palette,
+            mode,
+            palette=_flag_palette(4),
             policy=ExhaustivePolicy(),
             pattern_budget=3,
-            copy_mode=mode,
-            prefix_cache=False,
         )
-        assert len(alts) == self.EXPECTED_COMBOS
-        assert stats.patterns_applied == self.EXPECTED_APPLIED_UNCACHED
-        assert stats.prefix_hits == 0
-        assert stats.prefix_steps_reused == 0
+        assert outcome(alts) == outcome(reference)
+        assert len(reference) == self.EXPECTED_COMBOS
+        assert applied == self.EXPECTED_APPLIED_UNCACHED
+        assert stats.patterns_applied == self.EXPECTED_APPLIED_CACHED
 
     def test_apply_validation_split_reported(self, small_purchases):
-        _, stats = _generate(small_purchases, copy_mode="cow", pattern_budget=2)
+        _, stats = _generate(small_purchases, pattern_budget=2)
         assert stats.apply_seconds > 0
         assert stats.validation_seconds > 0
         assert stats.wall_seconds > 0
         payload = stats.as_dict()
         for key in (
-            "prefix_cache",
             "patterns_applied",
             "prefix_hits",
             "prefix_steps_reused",
@@ -208,7 +194,6 @@ class TestPrefixExactCounts:
             "validation_seconds",
         ):
             assert key in payload
-        assert payload["prefix_cache"] is True
         assert payload["patterns_applied"] == stats.patterns_applied
 
 
@@ -216,9 +201,7 @@ class TestPrefixSafety:
     def test_alternatives_stay_self_contained(self, small_purchases):
         """Mutating one yielded alternative must not bleed into any other
         (cached prefix flows are shared internally but never yielded)."""
-        alts, _ = _generate(
-            small_purchases, copy_mode="cow", pattern_budget=3, max_points_per_pattern=3
-        )
+        alts, _ = _generate(small_purchases, pattern_budget=3, max_points_per_pattern=3)
         assert all(is_valid(a.flow) for a in alts)
         first = alts[0].flow
         target = first.operation_ids()[0]
@@ -230,15 +213,11 @@ class TestPrefixSafety:
 
     def test_base_flow_untouched(self, small_purchases):
         before = small_purchases.signature()
-        for mode in ("deep", "cow"):
-            _generate(small_purchases, copy_mode=mode, pattern_budget=3)
-            assert small_purchases.signature() == before
+        _generate(small_purchases, pattern_budget=3)
+        assert small_purchases.signature() == before
 
     def test_interleaved_lazy_runs_have_separate_caches(self, small_purchases, tpch_flow):
-        config = ProcessingConfiguration(
-            pattern_budget=2, max_points_per_pattern=2, copy_mode="cow", prefix_cache=True
-        )
-        generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
+        generator = _generator()
         first = generator.generate_iter(small_purchases)
         second = generator.generate_iter(tpch_flow)
         interleaved = []
@@ -248,17 +227,8 @@ class TestPrefixSafety:
         interleaved.extend(first)
         interleaved.extend(second)
         assert all(is_valid(a.flow) for a in interleaved)
-        solo = _outcome(
-            _generate(small_purchases, copy_mode="cow", prefix_cache=True)[0]
-        )
+        solo, _ = reference_generate(generator, small_purchases)
         purchases_part = [
-            (a.label, a.pattern_names, a.flow.signature())
-            for a in interleaved
-            if a.flow.name.startswith(small_purchases.name)
+            a for a in interleaved if a.flow.name.startswith(small_purchases.name)
         ]
-        assert purchases_part == solo
-
-    def test_prefix_cache_defaults_on(self):
-        assert ProcessingConfiguration().prefix_cache is True
-        stats_payload = ProcessingConfiguration(prefix_cache=False)
-        assert stats_payload.prefix_cache is False
+        assert outcome(purchases_part) == outcome(solo)

@@ -65,18 +65,12 @@ class TestLazyGeneration:
         generator = AlternativeGenerator(default_palette(), configuration=config)
         total = {"calls": 0}
         original = generator._apply_combination
-        original_prefixed = generator._apply_combination_prefixed
 
-        def counting(flow, combo):
+        def counting(*args):
             total["calls"] += 1
-            return original(flow, combo)
-
-        def counting_prefixed(flow, combo, stack):
-            total["calls"] += 1
-            return original_prefixed(flow, combo, stack)
+            return original(*args)
 
         generator._apply_combination = counting
-        generator._apply_combination_prefixed = counting_prefixed
         full = list(generator.generate_iter(small_purchases))
         full_calls = total["calls"]
         assert len(full) > 5
@@ -180,20 +174,20 @@ class TestStreamingEvaluator:
         sequential = ParallelEvaluator(estimator=estimator, workers=1).evaluate(
             self._alternatives(linear_flow, count=4)
         )
-        procs = ParallelEvaluator(estimator=estimator, workers=2, backend="process")
+        procs = ParallelEvaluator(estimator=estimator, workers=2)
         parallel = procs.evaluate(self._alternatives(linear_flow, count=4))
         for s, p in zip(sequential, parallel):
             assert s.profile.scores == p.profile.scores
 
     @pytest.mark.slow
     def test_process_backend_stream_fills_parent_cache(self, linear_flow):
-        from repro.quality.estimator import ProfileCache
+        from repro.cache import ProfileCache
 
         cache = ProfileCache()
         estimator = QualityEstimator(
             settings=EstimationSettings(simulation_runs=1, seed=3), cache=cache
         )
-        evaluator = ParallelEvaluator(estimator=estimator, workers=2, backend="process")
+        evaluator = ParallelEvaluator(estimator=estimator, workers=2)
         first = list(evaluator.evaluate_stream(self._alternatives(linear_flow, count=3)))
         assert all(alt.profile is not None for alt in first)
         assert cache.stats.misses == 3

@@ -1,18 +1,9 @@
-"""Differential conformance: every operator, pandas/polars vs. local.
+"""Operator conformance of the local execution backend.
 
-The ``local`` pure-Python backend is the executable semantics reference;
-the optional native backends must be drop-in replacements.  For every
-supported operator kind this module builds a seeded micro-flow, executes
-it on ``local`` and on each optional backend, and asserts the loaded
-frames are value-identical after canonicalisation (row order and dtype
-representation are not semantics: rows are compared sorted, numpy
-scalars unwrapped, NaN treated as null, floats within 1e-9 relative).
-
-The pandas and polars arms auto-skip with an explicit reason when the
-library is not installed (``pip install poiesis-repro[pandas]`` /
-``[polars]`` enables them); the matrix itself runs everywhere because
-the local arm doubles as a self-check that each micro-flow executes and
-loads rows at all.
+For every supported operator kind this module builds a seeded
+micro-flow and executes it on :class:`~repro.exec.LocalBackend`, the
+reference semantics every future native backend must reproduce: each
+micro-flow must execute and load rows at all.
 """
 
 from __future__ import annotations
@@ -22,28 +13,7 @@ import pytest
 from repro.etl.builder import FlowBuilder
 from repro.etl.operations import OperationKind
 from repro.etl.schema import DataType, Field, Schema
-from repro.exec import (
-    FlowExecutor,
-    available_backends,
-    canonical_rows,
-    rows_approximately_equal,
-)
-
-_AVAILABLE = available_backends()
-
-requires_pandas = pytest.mark.skipif(
-    not _AVAILABLE.get("pandas", False),
-    reason="pandas is not installed (pip install poiesis-repro[pandas])",
-)
-requires_polars = pytest.mark.skipif(
-    not _AVAILABLE.get("polars", False),
-    reason="polars is not installed (pip install poiesis-repro[polars])",
-)
-
-OPTIONAL_BACKENDS = [
-    pytest.param("pandas", marks=[requires_pandas, pytest.mark.requires_pandas]),
-    pytest.param("polars", marks=[requires_polars, pytest.mark.requires_polars]),
-]
+from repro.exec import FlowExecutor
 
 
 def _schema() -> Schema:
@@ -169,51 +139,17 @@ OPERATOR_FLOWS = {
 }
 
 
-def _outputs(flow, backend: str) -> dict[str, dict[str, list]]:
-    return FlowExecutor(backend=backend, data_seed=13).execute(flow).outputs
+def _outputs(flow) -> dict[str, dict[str, list]]:
+    return FlowExecutor(data_seed=13).execute(flow).outputs
 
 
 @pytest.mark.parametrize("operator", sorted(OPERATOR_FLOWS))
 def test_operator_executes_on_local(operator: str):
     """Each micro-flow must execute and load rows on the reference backend."""
-    outputs = _outputs(OPERATOR_FLOWS[operator](), "local")
+    outputs = _outputs(OPERATOR_FLOWS[operator]())
     assert outputs, f"{operator}: no sink output captured"
     total = sum(
         max((len(v) for v in columns.values()), default=0)
         for columns in outputs.values()
     )
     assert total > 0, f"{operator}: sinks received no rows"
-
-
-@pytest.mark.parametrize("backend", OPTIONAL_BACKENDS)
-@pytest.mark.parametrize("operator", sorted(OPERATOR_FLOWS))
-def test_operator_matches_local(operator: str, backend: str):
-    """Native backends must be value-identical to the local reference."""
-    flow = OPERATOR_FLOWS[operator]()
-    reference = _outputs(flow, "local")
-    candidate = _outputs(flow, backend)
-    assert sorted(candidate) == sorted(reference)
-    for sink, columns in reference.items():
-        expected = canonical_rows(columns)
-        actual = canonical_rows(candidate[sink])
-        assert sorted(candidate[sink]) == sorted(columns), (
-            f"{operator}/{sink}: column sets differ on {backend}"
-        )
-        assert rows_approximately_equal(actual, expected), (
-            f"{operator}/{sink}: values differ between local and {backend}"
-        )
-
-
-@pytest.mark.parametrize("backend", OPTIONAL_BACKENDS)
-def test_builtin_workloads_match_local(backend: str):
-    """The shipped TPC-H and purchases flows agree across backends."""
-    from repro.workloads import purchases_flow, tpch_refresh_flow
-
-    for flow in (tpch_refresh_flow(scale=0.02), purchases_flow(rows_per_source=500)):
-        reference = _outputs(flow, "local")
-        candidate = _outputs(flow, backend)
-        assert sorted(candidate) == sorted(reference)
-        for sink, columns in reference.items():
-            assert rows_approximately_equal(
-                canonical_rows(candidate[sink]), canonical_rows(columns)
-            ), f"{flow.name}/{sink}: values differ between local and {backend}"

@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.configuration import ProcessingConfiguration
 from repro.core.planner import Planner
 from repro.etl.builder import FlowBuilder
 from repro.etl.operations import Operation, OperationKind
 from repro.etl.schema import DataType, Field, Schema
 from repro.exec import (
-    BackendUnavailableError,
     CompileError,
     ExecutionError,
     FlowExecutor,
+    LocalBackend,
     RecoveryPolicy,
     compile_flow,
-    create_backend,
 )
 from repro.workloads import calibration_configuration, purchases_flow, tpch_refresh_flow
 
@@ -233,23 +231,14 @@ def test_recovery_policy_validation():
 
 
 # ----------------------------------------------------------------------
-# Backend registry
+# Backend instances
 # ----------------------------------------------------------------------
 
 
-def test_create_backend_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown"):
-        create_backend("dask")
-
-
-def test_unavailable_backend_raises_with_install_hint():
-    from repro.exec import available_backends
-
-    unavailable = [name for name, ok in available_backends().items() if not ok]
-    if not unavailable:  # pragma: no cover - full environment
-        pytest.skip("all optional backends installed")
-    with pytest.raises(BackendUnavailableError, match="pip install"):
-        create_backend(unavailable[0])
+def test_executor_defaults_to_the_local_backend():
+    assert isinstance(FlowExecutor().backend, LocalBackend)
+    backend = LocalBackend()
+    assert FlowExecutor(backend=backend).backend is backend
 
 
 def test_report_to_dict_is_json_friendly():

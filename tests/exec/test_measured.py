@@ -144,8 +144,8 @@ def test_session_execute_top_k_records_iteration():
 # ----------------------------------------------------------------------
 
 
-def test_executor_backend_knob_validation():
-    assert ProcessingConfiguration().executor_backend == "local"
-    assert ProcessingConfiguration(executor_backend="pandas").executor_backend == "pandas"
-    with pytest.raises(ValueError, match="executor_backend"):
-        ProcessingConfiguration(executor_backend="dask")
+def test_executor_backend_knob_validation(planned):
+    # execution takes a backend instance, never a configuration name
+    with pytest.raises(TypeError):
+        ProcessingConfiguration(executor_backend="local")
+    assert execute_top_k(planned, k=2, repeats=1).backend == "local"

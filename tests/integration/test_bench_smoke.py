@@ -62,20 +62,13 @@ def test_generation_bench_smoke_tiny_flow():
         max_alternatives=30,
         repeats=1,
     )
-    assert set(report["arms"]) == {"deep", "cow", "deep_noprefix", "cow_noprefix"}
     assert report["identical_alternatives"]
-    for arm in report["arms"].values():
-        assert arm["seconds"] > 0
-        assert arm["alternatives"] > 0
-        assert arm["candidates_per_second"] > 0
-        assert arm["patterns_applied"] > 0
-    # the uncached arms never touch the prefix cache
-    assert report["arms"]["deep_noprefix"]["prefix_steps_reused"] == 0
-    assert report["arms"]["cow_noprefix"]["prefix_steps_reused"] == 0
-    assert report["application_reduction_deep"] >= 1.0
-    assert report["application_reduction_cow"] >= 1.0
+    assert report["seconds"] > 0
+    assert report["alternatives"] > 0
+    assert report["candidates_per_second"] > 0
+    assert 0 < report["patterns_applied"] <= 2 * report["combinations_tried"]
+    assert report["prefix_steps_reused"] > 0
     rendered = bench._render_report(report)
-    assert "cow vs deep" in rendered
     assert "prefix cache" in rendered
 
 
@@ -246,12 +239,8 @@ def test_run_all_smoke_writes_machine_readable_record(tmp_path):
     assert record["peak_rss_kb"] > 0
     generation = record["generation"]
     assert generation["identical_alternatives"]
-    assert generation["candidates_per_second_cow"] > 0
-    assert generation["speedup_cow_vs_deep"] > 0
-    prefix = generation["prefix_cache"]
-    assert prefix["patterns_applied_deep"] > 0
-    assert prefix["application_reduction_deep"] >= 1.0
-    assert prefix["application_reduction_cow"] >= 1.0
+    assert generation["candidates_per_second"] > 0
+    assert generation["patterns_applied"] > 0
     streaming = record["streaming"]
     assert streaming["equivalent_selections"]
     assert streaming["speedup_streaming_vs_eager"] > 0

@@ -52,10 +52,10 @@ def test_missing_doc_file_detected(tmp_path):
 def test_undocumented_knob_detected(tmp_path):
     checker = _load_checker()
     partial = tmp_path / "tuning.md"
-    partial.write_text("only documents `pattern_budget` and `copy_mode`")
+    partial.write_text("only documents `pattern_budget` and `screening_beam`")
     problems = checker.undocumented_knobs(partial)
     assert problems, "an incomplete tuning guide must be flagged"
-    assert any("prefix_cache" in p for p in problems)
+    assert any("eval_batch_size" in p for p in problems)
     assert not any("pattern_budget`" in p for p in problems)
 
 
@@ -77,7 +77,7 @@ def test_phantom_knob_ignores_non_heading_mentions(tmp_path):
     checker = _load_checker()
     doc = tmp_path / "tuning.md"
     doc.write_text(
-        "### `copy_mode` — default `\"deep\"`\nmentions `GraphDelta` and "
+        "### `cache_tier` — default `\"memory\"`\nmentions `GraphDelta` and "
         "`validate_delta` in prose, which are not knobs\n"
     )
     assert checker.phantom_knobs(doc) == []

@@ -5,10 +5,12 @@ number of threads lose no increments, and a concurrent reader never
 observes a *torn* snapshot -- a histogram whose ``count`` disagrees
 with its bucket sum, or a counter that went backwards.  These tests
 hammer the registry directly from raw threads and indirectly through
-the planner's thread-pool evaluator.
+concurrent planners sharing one registry (the redesign server's worker
+threads).
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import Planner
 from repro.obs.metrics import MetricsRegistry
@@ -84,37 +86,55 @@ def test_concurrent_snapshots_are_monotone_and_never_torn():
 
 
 def test_thread_pool_evaluator_hammers_one_registry(linear_flow):
-    """A metrics-enabled planner with a worker pool records consistently."""
+    """Metrics-enabled planners on a thread pool record consistently."""
     registry = MetricsRegistry()
-    planner = Planner(
-        configuration=fast_planner_config(
-            metrics_enabled=True,
-            metrics_registry=registry,
-            parallel_workers=4,
-            backend="thread",
-            eval_batch_size=4,
-        )
+    configuration = fast_planner_config(
+        metrics_enabled=True, metrics_registry=registry, eval_batch_size=4
     )
-    result = planner.plan(linear_flow)
+    plans = 4
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(
+            pool.map(
+                lambda _: Planner(configuration=configuration).plan(linear_flow),
+                range(plans),
+            )
+        )
 
     snapshot = registry.snapshot()
     histograms = snapshot["histograms"]
-    # one campaign span, with every phase inside it (screen only runs
-    # when a screening beam is configured)
-    assert histograms["planner.plan_seconds"]["count"] == 1
+    # one campaign span per plan, with every phase inside it (screen
+    # only runs when a screening beam is configured)
+    assert histograms["planner.plan_seconds"]["count"] == plans
     for phase in ("generate", "estimate", "rank"):
-        assert histograms[f"planner.phase.{phase}_seconds"]["count"] == 1, phase
-    # worker threads recorded one estimation span per evaluated profile
+        assert histograms[f"planner.phase.{phase}_seconds"]["count"] == plans, phase
+    # one estimation span per evaluated profile
     estimates = histograms["evaluator.estimate_seconds"]
     assert estimates["count"] > 0
-    # untorn after the concurrent campaign: counts match bucket sums
+    # untorn after the concurrent campaigns: counts match bucket sums
     for name, data in histograms.items():
         assert data["count"] == sum(count for _, count in data["buckets"]), name
     counters = snapshot["counters"]
-    assert counters["planner.plans"] == 1
-    assert counters["planner.alternatives_evaluated"] == (
-        len(result.alternatives) + result.discarded_by_constraints
+    assert counters["planner.plans"] == plans
+    assert counters["planner.alternatives_evaluated"] == sum(
+        len(result.alternatives) + result.discarded_by_constraints for result in results
     )
+
+
+def test_process_pool_worker_metrics_merge_into_the_parent(linear_flow):
+    """Pool workers' estimation spans reach the parent registry exactly once."""
+    registry = MetricsRegistry()
+    planner = Planner(
+        configuration=fast_planner_config(
+            metrics_enabled=True, metrics_registry=registry, parallel_workers=2
+        )
+    )
+    result = planner.plan(linear_flow)
+    sequential = Planner(configuration=fast_planner_config()).plan(linear_flow)
+    assert result.fingerprint() == sequential.fingerprint()
+    estimates = registry.snapshot()["histograms"]["evaluator.estimate_seconds"]
+    # every alternative is simulated once, in a worker; the baseline
+    # profile is estimated in the parent, outside the evaluator
+    assert estimates["count"] == planner.profile_cache.stats.misses - 1
 
 
 def test_plans_identical_with_and_without_metrics(linear_flow):

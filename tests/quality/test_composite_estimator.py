@@ -174,7 +174,3 @@ class TestQualityEstimator:
         profile = estimator.evaluate(linear_flow)
         assert set(profile.values) == {"longest_path_length", "coupling"}
         assert set(profile.scores) == {QualityCharacteristic.MANAGEABILITY}
-
-    def test_evaluate_many(self, linear_flow, branching_flow, fast_estimator):
-        profiles = fast_estimator.evaluate_many([linear_flow, branching_flow])
-        assert [p.flow_name for p in profiles] == [linear_flow.name, branching_flow.name]

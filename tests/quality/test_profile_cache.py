@@ -5,13 +5,8 @@ import pickle
 import pytest
 
 from repro.quality.composite import QualityProfile
-from repro.quality.estimator import (
-    CacheStats,
-    EstimationSettings,
-    ProfileCache,
-    QualityEstimator,
-    flow_fingerprint,
-)
+from repro.cache import CacheStats, ProfileCache
+from repro.quality.estimator import EstimationSettings, QualityEstimator, flow_fingerprint
 
 
 class TestFlowFingerprint:

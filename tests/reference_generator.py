@@ -1,0 +1,81 @@
+"""A from-scratch reference for :meth:`AlternativeGenerator.generate_iter`.
+
+The generator applies combinations as chained copy-on-write deltas,
+reuses the shared prefix of consecutive combinations and validates each
+step incrementally.  This reference does none of that: every combination
+is replayed from a fresh copy of the initial flow, every result is
+validated in full with :func:`validate_flow`, and duplicates are pruned
+by :meth:`ETLGraph.signature`.  It borrows only the generator's
+enumeration primitives (``candidate_deployments``,
+``_combination_is_reasonable`` and ``_refresh_point``), so a disagreement
+between the two points at the incremental machinery, not at the policy.
+
+``copy_mode`` picks how the initial flow is copied for each combination:
+``"deep"`` (the default) clones every operation, so the reference shares
+nothing with the generator's copy-on-write path; ``"cow"`` isolates the
+prefix cache and delta validation as the only difference.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from repro.core.alternatives import AlternativeFlow, AlternativeGenerator
+from repro.etl.graph import ETLGraph
+from repro.etl.validation import has_errors, validate_flow
+from repro.patterns.base import PatternApplication
+
+
+def reference_generate(
+    generator: AlternativeGenerator, flow: ETLGraph, copy_mode: str = "deep"
+) -> tuple[list[AlternativeFlow], int]:
+    """The alternative stream, rebuilt from scratch per combination.
+
+    Returns the alternatives and the number of successful pattern
+    applications (every combination replays its whole chain).
+    """
+    config = generator.configuration
+    deployments = generator.candidate_deployments(flow)
+    seen = {flow.signature()}
+    alternatives: list[AlternativeFlow] = []
+    patterns_applied = 0
+    for size in range(1, config.pattern_budget + 1):
+        for combo in itertools.combinations(deployments, size):
+            if len(alternatives) >= config.max_alternatives:
+                return alternatives, patterns_applied
+            if not generator._combination_is_reasonable(combo):
+                continue
+            current = flow.copy(mode=copy_mode)
+            applied: list[PatternApplication] = []
+            for deployment in combo:
+                point = generator._refresh_point(current, deployment)
+                if point is None:
+                    continue
+                try:
+                    current = deployment.pattern.apply(current, point)
+                except (KeyError, ValueError):
+                    continue
+                patterns_applied += 1
+                applied.append(PatternApplication(deployment.pattern.name, point))
+            if not applied or has_errors(validate_flow(current)):
+                continue
+            signature = current.signature()
+            if signature in seen:
+                continue
+            seen.add(signature)
+            current.name = f"{flow.name}__{'+'.join(app.pattern for app in applied)}"
+            alternatives.append(
+                AlternativeFlow(
+                    flow=current,
+                    applications=tuple(applied),
+                    label=f"ETL Flow {len(alternatives) + 1}",
+                )
+            )
+    return alternatives, patterns_applied
+
+
+def outcome(alternatives: list[AlternativeFlow]) -> list[tuple]:
+    """The observable identity of an alternative stream, in order."""
+    return [
+        (a.label, a.applications, a.flow.name, a.flow.signature()) for a in alternatives
+    ]

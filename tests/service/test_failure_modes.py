@@ -190,13 +190,12 @@ class TestProcessPoolOverHTTP:
     def test_pooled_workers_read_through_the_cache_server(
         self, tmp_path, make_config, linear_flow
     ):
-        """The process backend's per-worker clients reconnect and share."""
+        """The process pool's per-worker clients reconnect and share."""
         with CacheServer(DiskProfileCache(tmp_path)) as server:
             config = make_config(
                 cache_tier="http",
                 cache_url=server.url,
                 parallel_workers=2,
-                backend="process",
             )
             sequential = Planner(configuration=make_config()).plan(linear_flow)
             pooled = Planner(configuration=config).plan(linear_flow)

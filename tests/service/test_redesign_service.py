@@ -110,6 +110,20 @@ class TestJobLifecycle:
         assert excinfo.value.status == 400
         assert "malformed flow" in excinfo.value.message
 
+    @pytest.mark.parametrize("knob", ["copy_mode", "prefix_cache", "backend"])
+    def test_removed_mode_knobs_are_rejected_at_submit(self, client, linear_flow, knob):
+        with pytest.raises(RedesignServiceError) as excinfo:
+            client.submit(linear_flow, dict(_WIRE_CONFIG, **{knob: "cow"}))
+        assert excinfo.value.status == 400
+        assert f"unknown configuration field: {knob!r}" in excinfo.value.message
+
+    def test_worker_count_is_owned_by_the_server(self, client, linear_flow):
+        """A request cannot make a server worker fork a process pool."""
+        with pytest.raises(RedesignServiceError) as excinfo:
+            client.submit(linear_flow, dict(_WIRE_CONFIG, parallel_workers=2))
+        assert excinfo.value.status == 400
+        assert "'parallel_workers' is owned by the service" in excinfo.value.message
+
     def test_runtime_failure_fails_the_job_not_the_server(self, client, server, linear_flow):
         """An error inside the planning run surfaces as a failed job."""
         job_id = client.submit(

@@ -1,5 +1,10 @@
 """Unit tests for failure injection and checkpoint recovery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.etl.builder import FlowBuilder
@@ -118,3 +123,37 @@ class TestRecovery:
         events = injector.recovery_events([derive.op_id, derive.op_id], times)
         assert len(events) == 2
         assert all(e.op_id == derive.op_id for e in events)
+
+
+#: Plans TPC-H and prints a digest of the result's fingerprint.  At this
+#: size a budget-2 plan has alternatives with several checkpoints
+#: upstream of a failing operation, so lost work sums many operations.
+_PLAN_DIGEST = """
+import hashlib
+from repro.core import Planner, ProcessingConfiguration
+from repro.workloads import tpch_refresh_flow
+configuration = ProcessingConfiguration(pattern_budget=2, simulation_runs=3)
+result = Planner(configuration=configuration).plan(tpch_refresh_flow(scale=0.05))
+print(hashlib.sha256(repr(result.fingerprint()).encode()).hexdigest())
+"""
+
+
+def _plan_digest(hash_seed: int) -> str:
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [sys.executable, "-c", _PLAN_DIGEST],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return completed.stdout.strip()
+
+
+@pytest.mark.slow
+def test_plans_do_not_depend_on_the_hash_seed():
+    """Lost work is summed, and the nearest checkpoint picked, in a fixed
+    order, so string hashing never reaches the last bits of a profile."""
+    assert _plan_digest(0) == _plan_digest(2)

@@ -3,12 +3,12 @@
 
 Loads a flow from the YAML DSL (``.yaml``/``.yml``, see
 ``docs/execution.md``) or the native JSON interchange format (``.json``),
-compiles it for one of the interchangeable dataframe backends and runs
-it on deterministic sampled source data, printing the per-node execution
+compiles it for the pure-Python execution backend and runs it on
+deterministic sampled source data, printing the per-node execution
 report::
 
     PYTHONPATH=src python tools/run_flow.py examples/flow.yaml
-    PYTHONPATH=src python tools/run_flow.py flow.json --backend pandas --json
+    PYTHONPATH=src python tools/run_flow.py flow.json --json
 
 Node failures route through the recovery policy instead of aborting the
 run: ``--on-exhaustion skip`` drops the failing branch, ``dead_letter``
@@ -26,12 +26,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.exec import (  # noqa: E402
-    EXECUTOR_BACKENDS,
     EXHAUSTION_ROUTES,
     ExecutionError,
     FlowExecutor,
     RecoveryPolicy,
-    available_backends,
 )
 from repro.io import load_flow_json, load_flow_yaml  # noqa: E402
 
@@ -73,13 +71,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("flow", type=Path, help="flow document (.yaml/.yml/.json)")
     parser.add_argument(
-        "--backend",
-        default="local",
-        choices=EXECUTOR_BACKENDS,
-        help="dataframe backend (default: local; pandas/polars need the "
-        "matching extra installed)",
-    )
-    parser.add_argument(
         "--data-seed", type=int, default=7, help="source sampling seed (default: 7)"
     )
     parser.add_argument(
@@ -99,21 +90,12 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    availability = available_backends()
-    if not availability.get(args.backend, False):
-        installed = sorted(name for name, ok in availability.items() if ok)
-        parser.error(
-            f"backend {args.backend!r} is not installed in this environment "
-            f"(available: {', '.join(installed)})"
-        )
-
     try:
         flow = _load_flow(args.flow)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
     executor = FlowExecutor(
-        backend=args.backend,
         policy=RecoveryPolicy(
             max_retries=args.max_retries, on_exhaustion=args.on_exhaustion
         ),
