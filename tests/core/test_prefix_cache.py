@@ -150,13 +150,16 @@ class TestPrefixExactCounts:
     EXPECTED_PREFIX_HITS = 5
     EXPECTED_STEPS_REUSED = 6
 
-    def test_exact_reuse_counters(self, linear_flow):
-        alts, stats = _generate(
+    @pytest.mark.parametrize("mode", ["deep", "cow"])
+    def test_exact_reuse_counters(self, linear_flow, mode):
+        alts, stats, reference, _ = _against_reference(
             linear_flow,
+            mode,
             palette=_flag_palette(4),
             policy=ExhaustivePolicy(),
             pattern_budget=3,
         )
+        assert outcome(alts) == outcome(reference)
         assert len(alts) == self.EXPECTED_COMBOS
         assert stats.combinations_tried == self.EXPECTED_COMBOS
         assert stats.yielded == self.EXPECTED_COMBOS
