@@ -4,7 +4,7 @@ The fleet subsystem's claim is about *aggregate serving capacity*: one
 cache shard is one machine with one NIC, one disk and one interpreter
 -- a fixed budget of bytes per second -- so a fleet of warm planners
 hammering it queues on that budget no matter how patiently each client
-waits.  ``cache_tier="sharded"`` splits the store across N
+waits.  ``cache_urls`` with N URLs splits the store across N
 :class:`~repro.service.CacheServer` shards by consistent hashing, so
 the same fleet's traffic drains through N independent channels -- and a
 single client's batched ``get_many`` windows fan out N ways too.
@@ -380,9 +380,7 @@ def run_fleet_bench(
     shard_request_seconds: dict[int, list[dict]] = {}
     for shards in shard_counts:
         with _ShardFleet(shards, bandwidth, service_time, connect_latency) as servers:
-            configuration = ProcessingConfiguration(
-                **base, cache_tier="sharded", cache_urls=tuple(servers.urls)
-            )
+            configuration = ProcessingConfiguration(**base, cache_urls=tuple(servers.urls))
             # One solo run pays the simulation campaign and publishes
             # every profile across the ring; all measured cells are warm.
             warm_planner = Planner(configuration=configuration)

@@ -7,7 +7,7 @@ sessions share profiles instead of re-simulating identical flows.  This
 benchmark measures that amortization on the TPC-H refresh workload with
 three arms over the identical planning run:
 
-* **cold** -- a fresh ``cache_tier="tiered"`` planner on an empty
+* **cold** -- a fresh planner with memory over disk on an empty
   ``cache_dir``: pays full simulation plus the disk write-back.  This is
   also (within noise) the uncached/first-run cost.
 * **warm_memory** -- the same planner plans again: every profile is
@@ -99,7 +99,7 @@ def run_cache_bench(
     cache_dir = cache_dir or tempfile.mkdtemp(prefix="repro-profile-cache-")
 
     try:
-        tiered = ProcessingConfiguration(**base, cache_tier="tiered", cache_dir=cache_dir)
+        tiered = ProcessingConfiguration(**base, cache_dir=cache_dir)
         arms: dict[str, dict] = {}
 
         # Reference: the default in-process memory tier, cold.

@@ -11,7 +11,7 @@ TPC-H refresh workload with two arms:
   for a fleet without the service, every machine pays the full
   simulation campaign.
 * **service** -- the same fleet of ``clients`` concurrent processes,
-  but every planner uses ``cache_tier="http"`` against one
+  but every planner uses ``cache_urls`` with the URL of one
   :class:`~repro.service.CacheServer` (fronting a disk store) that a
   single run warmed up first.
 
@@ -160,7 +160,7 @@ def run_service_bench(
 
         # --- service arm: the same fleet sharing one warm cache server -
         with CacheServer(DiskProfileCache(cache_dir)) as server:
-            http = ProcessingConfiguration(**base, cache_tier="http", cache_url=server.url)
+            http = ProcessingConfiguration(**base, cache_urls=(server.url,))
             t0 = time.perf_counter()
             warm_result = Planner(configuration=http).plan(flow)
             warm_seconds = time.perf_counter() - t0

@@ -3,29 +3,24 @@
 The planning loop re-estimates quality profiles for every candidate
 flow; profiles are pure functions of (flow fingerprint, estimation
 settings, measure registry), which makes them ideal cache currency.
-This package provides the cache tiers behind
-``ProcessingConfiguration.cache_tier``:
+The planner's tier follows from its configuration
+(:func:`build_profile_cache`):
 
-``"memory"``
+neither ``cache_dir`` nor ``cache_urls``
     :class:`ProfileCache` -- the in-process LRU (the default; the seed
     behaviour).
-``"disk"``
-    :class:`DiskProfileCache` -- a persistent, process-shared store
-    under ``cache_dir`` (atomic writes, versioned self-verifying
-    entries, corruption-tolerant reads, size-capped LRU eviction).
-``"tiered"``
-    :class:`TieredProfileCache` -- memory over disk with promotion on
-    disk hits; the right choice for repeated/parallel runs.
-``"http"``
-    :class:`HTTPProfileCache` -- a client onto a shared network cache
-    service (:class:`repro.service.CacheServer`), so a fleet of machines
-    shares one store; degrades gracefully to a local memory tier when
-    the server is unreachable.
-``"sharded"``
+``cache_dir``
+    :class:`TieredProfileCache` -- an in-process LRU in front of a
+    :class:`DiskProfileCache`, a persistent, process-shared store
+    (atomic writes, versioned self-verifying entries,
+    corruption-tolerant reads, size-capped LRU eviction), promoting
+    disk hits into memory.
+``cache_urls``
     :class:`~repro.fleet.ShardedProfileCache` -- a consistent-hash ring
-    of ``"http"`` clients partitioning the store across N cache servers
-    (``cache_urls``); each shard degrades and recovers independently.
-    See ``docs/fleet.md``.
+    over one or more :class:`repro.service.CacheServer` shards, each
+    reached through an :class:`HTTPProfileCache` client that degrades
+    to a local memory tier while its server is unreachable and
+    recovers on its own.  See ``docs/fleet.md``.
 
 All tiers implement the :class:`CacheBackend` protocol.  See
 ``docs/caching.md`` for the selection guide, the key/versioning scheme
@@ -45,97 +40,73 @@ from repro.cache.tiered import TieredProfileCache
 
 # Safe to import eagerly: repro.cache.http defers its JSON-codec imports
 # (repro.io -> repro.quality -> repro.cache) to call time, so no cycle.
-from repro.cache.http import (  # noqa: E402  (after siblings)
-    DEFAULT_MAX_PENDING,
-    DEFAULT_RECOVERY_INTERVAL,
-    HTTPProfileCache,
-)
+from repro.cache.http import HTTPProfileCache  # noqa: E402  (after siblings)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
-
-#: The valid values of ``ProcessingConfiguration.cache_tier``.
-CACHE_TIERS = ("memory", "disk", "tiered", "http", "sharded")
 
 #: Default ``ProcessingConfiguration.cache_timeout`` (seconds per request).
 DEFAULT_CACHE_TIMEOUT = 5.0
 
 
 def build_profile_cache(
-    tier: str = "memory",
     cache_dir: str | os.PathLike | None = None,
     max_bytes: int | None = None,
-    url: str | None = None,
-    timeout: float = DEFAULT_CACHE_TIMEOUT,
-    compression: bool = True,
-    auth_token: str | None = None,
-    recovery_interval: float | None = DEFAULT_RECOVERY_INTERVAL,
-    max_pending: int = DEFAULT_MAX_PENDING,
     urls: tuple[str, ...] | None = None,
-    ring_replicas: int | None = None,
+    timeout: float = DEFAULT_CACHE_TIMEOUT,
+    auth_token: str | None = None,
     registry: "MetricsRegistry | None" = None,
 ) -> CacheBackend:
-    """Build the cache backend selected by the configuration knobs.
+    """Build the cache backend the configuration's inputs select.
 
-    Mirrors the ``cache_tier`` / ``cache_dir`` / ``cache_max_bytes`` /
-    ``cache_url`` / ``cache_timeout`` fields of
-    :class:`~repro.core.configuration.ProcessingConfiguration` -- plus
-    the ``"http"`` tier's wire knobs (``cache_compression``,
-    ``cache_auth_token``, ``cache_recovery_interval``,
-    ``cache_max_pending``) and the ``"sharded"`` tier's ring knobs
-    (``cache_urls`` -> ``urls``, ``fleet_ring_replicas`` ->
-    ``ring_replicas``); the configuration validates the combination up
-    front and the planner calls this when ``cache_profiles`` is
-    enabled.  ``tier="memory"`` ignores the other arguments and
-    reproduces the original in-process behaviour.  ``registry``
+    Mirrors the ``cache_dir`` / ``cache_max_bytes`` / ``cache_urls`` /
+    ``cache_timeout`` / ``cache_auth_token`` fields of
+    :class:`~repro.core.configuration.ProcessingConfiguration`, which
+    validates the combination up front; the planner calls this when
+    ``cache_profiles`` is enabled.  ``urls`` builds a
+    :class:`~repro.fleet.ShardedProfileCache` ring (one URL is a
+    one-shard ring), ``cache_dir`` memory over disk, and neither the
+    in-process :class:`ProfileCache`.  ``registry``
     (``metrics_enabled`` -> :func:`repro.obs.enabled_registry`) hangs a
     metrics registry on the built tier so its batched lookups report
     ``cache.<tier>.*`` instruments; ``None`` (the default) keeps every
     tier observation-free.
     """
-    if tier == "memory":
-        return ProfileCache(registry=registry)
-    if tier not in CACHE_TIERS:
-        raise ValueError(f"unknown cache tier: {tier!r} (use one of {CACHE_TIERS})")
-    if tier == "sharded":
-        if not urls:
-            raise ValueError('cache_tier="sharded" requires cache_urls')
+    if urls:
         # Imported lazily: repro.fleet.sharded imports this package.
         from repro.fleet.sharded import ShardedProfileCache
 
-        kwargs: dict = dict(
-            timeout=timeout,
-            compression=compression,
-            auth_token=auth_token,
-            recovery_interval=recovery_interval,
-            max_pending=max_pending,
-        )
-        if ring_replicas is not None:
-            kwargs["ring_replicas"] = ring_replicas
-        return ShardedProfileCache(urls, registry=registry, **kwargs)
-    if tier == "http":
-        if url is None:
-            raise ValueError('cache_tier="http" requires a cache_url')
-        return HTTPProfileCache(
-            url,
-            timeout=timeout,
-            compression=compression,
-            auth_token=auth_token,
-            recovery_interval=recovery_interval,
-            max_pending=max_pending,
-            registry=registry,
+        return ShardedProfileCache(
+            urls, timeout=timeout, auth_token=auth_token, registry=registry
         )
     if cache_dir is None:
-        raise ValueError(f"cache_tier={tier!r} requires a cache_dir")
+        return ProfileCache(registry=registry)
     disk = DiskProfileCache(cache_dir, max_bytes=max_bytes, registry=registry)
-    if tier == "disk":
-        return disk
     return TieredProfileCache(ProfileCache(registry=registry), disk, registry=registry)
+
+
+def persistent_component(cache: CacheBackend | None) -> CacheBackend | None:
+    """The part of ``cache`` whose entries outlive this process, if any.
+
+    The disk store of a memory-over-disk tier, or the cache itself for a
+    disk store, a cache-server client or a ring of them: the only parts
+    worth shipping to process-pool workers (which unpickle them as fresh
+    handles onto the same store) or batching writes for.  ``None`` for
+    memory-only caches, whose unpickled copy would be empty.
+    """
+    if cache is None or isinstance(cache, ProfileCache):
+        return None
+    if isinstance(cache, TieredProfileCache):
+        return cache.disk
+    from repro.fleet.sharded import ShardedProfileCache
+
+    if isinstance(cache, (DiskProfileCache, HTTPProfileCache, ShardedProfileCache)):
+        return cache
+    return None
 
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "CACHE_TIERS",
     "DEFAULT_CACHE_TIMEOUT",
     "CacheBackend",
     "CacheStats",
@@ -146,4 +117,5 @@ __all__ = [
     "build_profile_cache",
     "cache_stats_dict",
     "key_digest",
+    "persistent_component",
 ]

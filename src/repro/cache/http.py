@@ -4,8 +4,9 @@
 protocol on top of a remote cache service (:class:`repro.service.CacheServer`)
 so that a *fleet* of planners -- separate processes, separate machines --
 can share one profile store without mounting a common ``cache_dir``.
-Selected by ``ProcessingConfiguration.cache_tier="http"`` with the server
-address in ``cache_url`` and the per-request budget in ``cache_timeout``.
+Each shard of the ``ProcessingConfiguration.cache_urls`` ring
+(:class:`~repro.fleet.ShardedProfileCache`) is reached through one of
+these clients; ``cache_timeout`` is its per-request budget.
 
 Design points, mirroring the disk tier where the analogy holds:
 
@@ -84,12 +85,10 @@ logger = logging.getLogger("repro.cache.http")
 #: Default per-request budget, in seconds (``ProcessingConfiguration.cache_timeout``).
 DEFAULT_TIMEOUT = 5.0
 
-#: Default first recovery-probe delay, in seconds
-#: (``ProcessingConfiguration.cache_recovery_interval``).
+#: Default first recovery-probe delay, in seconds.
 DEFAULT_RECOVERY_INTERVAL = 5.0
 
-#: Default bound on the unflushed write buffer
-#: (``ProcessingConfiguration.cache_max_pending``).
+#: Default bound on the unflushed write buffer.
 DEFAULT_MAX_PENDING = 1024
 
 #: The probe delay doubles after each failed probe, up to this multiple
@@ -123,7 +122,7 @@ class HTTPProfileCache:
         ``ProfileCache``).
     compression:
         Gzip request bodies at/above ``compress_min_bytes`` and accept
-        compressed responses (``ProcessingConfiguration.cache_compression``).
+        compressed responses.
     compress_min_bytes:
         Size threshold of the request compressor.
     auth_token:
@@ -397,6 +396,16 @@ class HTTPProfileCache:
         moves a few bytes per profile.  Counts exactly one hit or miss
         per key, whichever side served it.
         """
+        return self._get_many(keys, None)
+
+    def _get_many(
+        self, keys: Sequence[tuple], digests: Sequence[str] | None
+    ) -> list["QualityProfile | None"]:
+        """:meth:`get_many`, reusing ``digests[i] == key_digest(keys[i])``.
+
+        The sharded ring hashes every key to route it; handing those
+        digests down saves a second SHA-256 of each multi-kilobyte key.
+        """
         from repro.io.jsonflow import profile_from_dict
 
         start = time.perf_counter()
@@ -416,7 +425,12 @@ class HTTPProfileCache:
             response = (
                 self._request(
                     "/get_many",
-                    {"digests": [key_digest(keys[index]) for index in remote]},
+                    {
+                        "digests": [
+                            key_digest(keys[index]) if digests is None else digests[index]
+                            for index in remote
+                        ]
+                    },
                 )
                 if not self._degraded
                 else None

@@ -30,34 +30,20 @@ prunes):
 ``cache_profiles``
     Memoize quality profiles by flow fingerprint across re-plans and
     session iterations.
-``cache_tier`` / ``cache_dir`` / ``cache_max_bytes``
-    Which cache backend holds those memoized profiles: the in-process
-    LRU (``"memory"``, the default), a persistent directory shared
-    across runs and parallel sessions (``"disk"``), memory over disk
-    with promotion (``"tiered"``), or a shared network cache service
-    (``"http"``).  Disk-backed tiers amortize simulation work across
-    *processes*: a warm ``cache_dir`` makes a re-run mostly I/O-bound.
-    See ``docs/caching.md``.
-``cache_url`` / ``cache_timeout``
-    Address and per-request budget of the network tier
-    (``cache_tier="http"``): a :class:`repro.service.CacheServer` lets a
-    fleet of machines share one profile store without a common
-    filesystem.  The client degrades gracefully -- an unreachable
-    server is logged once and the plan falls back to a local in-memory
-    tier, never failing.  See ``docs/service.md``.
-``cache_compression`` / ``cache_auth_token`` / ``cache_recovery_interval`` / ``cache_max_pending``
-    Wire-path behaviour of the ``"http"`` tier: transparent gzip of
-    large bodies, the shared bearer token of an authenticated server, a
-    degraded client's recovery-probe cadence (exponential backoff; the
-    client re-attaches and republishes its fallback writes when the
-    server returns), and the auto-publish bound on the client-side
-    write buffer.
-``cache_urls`` / ``fleet_ring_replicas``
-    The scale-out cache tier (``cache_tier="sharded"``): the shard
-    server URLs of a consistent-hash ring partitioning the profile
-    store, and the ring's virtual points per shard.  Each shard is a
-    full ``"http"`` client, so every wire knob above applies per shard.
-    See ``docs/fleet.md``.
+``cache_dir`` / ``cache_urls``
+    Where those memoized profiles live -- the tier follows from what is
+    set.  Neither: the in-process LRU (the default).  ``cache_dir``:
+    memory in front of a persistent directory shared across runs and
+    parallel sessions, so a warm ``cache_dir`` makes a re-run mostly
+    I/O-bound (``cache_max_bytes`` caps the directory).  ``cache_urls``:
+    a consistent-hash ring over one or more
+    :class:`repro.service.CacheServer` shards, so a fleet of machines
+    shares one profile store without a common filesystem; each shard
+    client degrades to a local in-memory tier when its server is
+    unreachable and recovers on its own, never failing a plan
+    (``cache_timeout`` is the per-request budget, ``cache_auth_token``
+    the shared bearer token).  See ``docs/caching.md`` and
+    ``docs/fleet.md``.
 ``metrics_enabled`` / ``metrics_registry``
     Observability of one planning campaign: when on, the planner, the
     parallel evaluator and every cache tier record phase spans, latency
@@ -73,14 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-from repro.cache import CACHE_TIERS
-
-#: Default virtual points per shard on the ``"sharded"`` tier's hash
-#: ring.  Kept in sync with :data:`repro.fleet.ring.DEFAULT_REPLICAS`
-#: (not imported: ``repro.fleet`` imports the planner, which imports
-#: this module -- a cycle at import time).
-DEFAULT_RING_REPLICAS = 96
 
 from repro.quality.composite import QualityProfile
 from repro.quality.framework import QualityCharacteristic
@@ -183,81 +161,37 @@ class ProcessingConfiguration:
         flow fingerprint, so structurally identical flows -- within one
         run or across the iterations of a redesign session -- are
         simulated only once.
-    cache_tier:
-        Which cache backend holds the memoized profiles (requires
-        ``cache_profiles=True`` to matter): ``"memory"`` (default, the
-        in-process LRU -- dies with the process), ``"disk"`` (a
-        persistent store under ``cache_dir``, shared across runs and
-        concurrent sessions), ``"tiered"`` (memory in front of disk,
-        promoting disk hits -- the best of both for repeated runs) or
-        ``"http"`` (a client onto a shared
-        :class:`repro.service.CacheServer` at ``cache_url`` -- profiles
-        shared across *machines*, no common filesystem needed) or
-        ``"sharded"`` (a consistent-hash ring of ``"http"`` clients
-        partitioning the store across the ``cache_urls`` shard servers;
-        see ``docs/fleet.md``).
     cache_dir:
-        Directory of the persistent profile store; required by (and only
-        meaningful for) the ``"disk"`` and ``"tiered"`` cache tiers.
-        Point several planners at one directory to share profiles
-        between them; entries are self-verifying, so a stale or damaged
-        directory degrades to a cold cache, never to wrong results.
+        Directory of a persistent profile store, fronted by an
+        in-process LRU that promotes disk hits.  Point several planners
+        at one directory to share profiles between them; entries are
+        self-verifying, so a stale or damaged directory degrades to a
+        cold cache, never to wrong results.  Mutually exclusive with
+        ``cache_urls``.
     cache_max_bytes:
-        Optional size cap on the on-disk profile store;
-        least-recently-used entries are evicted once the total entry
-        size exceeds it.  ``None`` (the default) means unbounded.
-        Meaningless for the ``"http"`` tier, whose *server* owns
-        eviction.
-    cache_url:
-        Base URL of the shared cache service, required by (and only
-        valid for) ``cache_tier="http"`` -- e.g.
-        ``"http://cache-host:8731"``, typically a
-        ``tools/serve.py cache`` process fronting one ``cache_dir`` for
-        a whole fleet.  An unreachable server degrades the tier to
-        local memory (logged once); it never fails a plan.
+        Optional size cap on the ``cache_dir`` store; least-recently-used
+        entries are evicted once the total entry size exceeds it.
+        ``None`` (the default) means unbounded.  Requires ``cache_dir``
+        (a cache server owns its own eviction).
     cache_timeout:
-        Per-request budget of the ``"http"`` cache client, in seconds.
-        A request exceeding it counts as a server failure and triggers
-        the local fallback.
-    cache_compression:
-        Whether the ``"http"`` client gzip-compresses large request
-        bodies and accepts compressed responses (default ``True``;
-        profile documents compress several-fold).  ``False`` reproduces
-        the uncompressed wire protocol.
+        Per-request budget of each ``cache_urls`` shard client, in
+        seconds.  A request exceeding it counts as a server failure and
+        triggers that shard's local fallback.
     cache_auth_token:
-        Shared token of an authenticated cache server (its
+        Shared token of authenticated cache servers (their
         ``--auth-token``), sent as ``Authorization: Bearer <token>``.
         A rejected token raises
         :class:`repro.cache.http.CacheAuthError` instead of silently
-        degrading.  Only valid with ``cache_tier="http"``.
-    cache_recovery_interval:
-        Seconds before a degraded ``"http"`` client's first recovery
-        probe; the delay doubles per failed probe (capped at 16x).  On
-        success the client re-attaches and republishes what the local
-        fallback accumulated.  ``None`` disables probing (degradation
-        lasts for the process).
-    cache_max_pending:
-        The ``"http"`` client's write buffer auto-publishes once it
-        holds this many entries, bounding client memory on campaigns
-        that never flush.
+        degrading.  Requires ``cache_urls``.
     cache_urls:
-        The shard-server base URLs of the ``"sharded"`` tier (required
-        by and only valid for it) -- one
-        :class:`repro.service.CacheServer` per entry, e.g.
-        ``("http://shard0:8731", "http://shard1:8731")``.  Routing is a
-        pure function of this *set* (order does not matter), so every
-        planner and worker configured with the same URLs agrees on
-        placement with no coordination.  Wire knobs (``cache_timeout``,
-        ``cache_compression``, ``cache_auth_token``,
-        ``cache_recovery_interval``, ``cache_max_pending``) apply to
-        each shard client; an unreachable shard degrades *alone* to a
-        local fallback and recovers without touching live shards.
-    fleet_ring_replicas:
-        Virtual points per shard on the consistent-hash ring (the
-        ``"sharded"`` tier).  More points smooth the partition; the
-        default keeps the busiest of four shards well within 2x of the
-        ideal quarter.  Must be identical across a fleet -- it changes
-        placement.
+        Base URLs of one or more :class:`repro.service.CacheServer`
+        shards, e.g. ``("http://shard0:8731", "http://shard1:8731")``;
+        a single URL is a one-shard ring.  Routing is a pure function
+        of this *set* (order does not matter), so every planner and
+        worker configured with the same URLs agrees on placement with
+        no coordination.  An unreachable shard degrades *alone* to a
+        local fallback and recovers without touching live shards.  See
+        ``docs/fleet.md``.
     metrics_enabled:
         When true, the planner and everything it drives (evaluator,
         cache tiers, wire client) record latency histograms, phase
@@ -293,17 +227,11 @@ class ProcessingConfiguration:
     screening_beam: int | None = None
     eval_batch_size: int = 16
     cache_profiles: bool = True
-    cache_tier: str = "memory"
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
-    cache_url: str | None = None
     cache_timeout: float = 5.0
-    cache_compression: bool = True
     cache_auth_token: str | None = None
-    cache_recovery_interval: float | None = 5.0
-    cache_max_pending: int = 1024
     cache_urls: tuple[str, ...] | None = None
-    fleet_ring_replicas: int = DEFAULT_RING_REPLICAS
     metrics_enabled: bool = False
     metrics_registry: object | None = None
 
@@ -331,64 +259,32 @@ class ProcessingConfiguration:
             raise ValueError("screening_beam must be at least 1 (or None to disable)")
         if self.eval_batch_size < 1:
             raise ValueError("eval_batch_size must be at least 1")
-        if self.cache_tier not in CACHE_TIERS:
-            raise ValueError(
-                f"unknown cache_tier: {self.cache_tier!r} (use one of {CACHE_TIERS})"
-            )
-        if self.cache_tier in ("disk", "tiered") and self.cache_dir is None:
-            raise ValueError(f"cache_tier={self.cache_tier!r} requires a cache_dir")
-        if self.cache_tier == "http" and self.cache_url is None:
-            raise ValueError('cache_tier="http" requires a cache_url')
-        if self.cache_tier in ("http", "sharded") and self.cache_dir is not None:
-            raise ValueError(
-                f"cache_dir does not apply to cache_tier={self.cache_tier!r} -- the "
-                "cache server owns the store; point the server at the directory instead"
-            )
-        if self.cache_url is not None and self.cache_tier != "http":
-            raise ValueError(
-                'cache_url only applies to cache_tier="http" '
-                f"(got cache_tier={self.cache_tier!r}; "
-                'the "sharded" tier takes cache_urls, plural)'
-            )
-        if self.cache_tier == "sharded":
+        if self.cache_urls is not None:
             if not self.cache_urls:
-                raise ValueError(
-                    'cache_tier="sharded" requires cache_urls (the shard server URLs)'
-                )
+                raise ValueError("cache_urls needs at least one shard URL (or None)")
             if not all(isinstance(url, str) and url for url in self.cache_urls):
                 raise ValueError("cache_urls entries must be non-empty strings")
             if len(set(self.cache_urls)) != len(tuple(self.cache_urls)):
                 raise ValueError(f"cache_urls contains duplicates: {self.cache_urls!r}")
-        elif self.cache_urls is not None:
-            raise ValueError(
-                'cache_urls only applies to cache_tier="sharded" '
-                f"(got cache_tier={self.cache_tier!r})"
-            )
-        if self.fleet_ring_replicas < 1:
-            raise ValueError("fleet_ring_replicas must be at least 1")
+            if self.cache_dir is not None:
+                raise ValueError(
+                    "cache_dir and cache_urls are mutually exclusive -- the cache "
+                    "servers own the store; point a server at the directory instead"
+                )
         if self.cache_timeout <= 0:
             raise ValueError("cache_timeout must be positive (seconds)")
         if self.cache_auth_token is not None:
             if not self.cache_auth_token:
                 raise ValueError("cache_auth_token must be a non-empty string (or None)")
-            if self.cache_tier not in ("http", "sharded"):
-                raise ValueError(
-                    "cache_auth_token only applies to the network cache tiers "
-                    f"('http' or 'sharded'; got cache_tier={self.cache_tier!r})"
-                )
-        if self.cache_recovery_interval is not None and self.cache_recovery_interval <= 0:
-            raise ValueError(
-                "cache_recovery_interval must be positive seconds (or None to disable)"
-            )
-        if self.cache_max_pending < 1:
-            raise ValueError("cache_max_pending must be at least 1")
+            if self.cache_urls is None:
+                raise ValueError("cache_auth_token requires cache_urls (the cache servers)")
         if self.cache_max_bytes is not None:
             if self.cache_max_bytes < 1:
                 raise ValueError("cache_max_bytes must be at least 1 (or None for unbounded)")
-            if self.cache_tier not in ("disk", "tiered"):
+            if self.cache_dir is None:
                 raise ValueError(
-                    "cache_max_bytes only applies to the disk-backed cache tiers "
-                    "('disk' or 'tiered'); the 'http' tier's server owns eviction"
+                    "cache_max_bytes requires cache_dir (a cache server owns its "
+                    "own eviction)"
                 )
 
     def prioritized_characteristics(self) -> list[QualityCharacteristic]:

@@ -41,27 +41,11 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Iterable, Iterator, Sequence
 
-from repro.cache import CacheBackend, DiskProfileCache, TieredProfileCache
-from repro.cache.http import HTTPProfileCache
+from repro.cache import persistent_component
 from repro.core.alternatives import AlternativeFlow
 from repro.obs.metrics import MetricsRegistry, maybe_timer
 from repro.quality.composite import QualityProfile
 from repro.quality.estimator import QualityEstimator
-
-
-def _persistent_component(cache: CacheBackend | None):
-    """The shared *persistent* tier inside ``cache``, if it has one.
-
-    A disk store (optionally inside the tiered composite) or the network
-    cache client -- the tiers whose entries outlive this process, and
-    therefore the only tiers worth shipping to pool workers or batching
-    writes for.  ``None`` for memory-only caches.
-    """
-    if isinstance(cache, (DiskProfileCache, HTTPProfileCache)):
-        return cache
-    if isinstance(cache, TieredProfileCache):
-        return cache.disk
-    return None
 
 
 def _relabel(profile: QualityProfile, flow_name: str) -> QualityProfile:
@@ -89,12 +73,13 @@ def _init_worker(estimator: QualityEstimator, metrics_enabled: bool = False) -> 
     Amortizes estimator pickling (registry, settings, resource model)
     over the whole campaign instead of paying it per task.  The
     worker-side cache is reduced to the *persistent* component of the
-    parent's cache, if any:
+    parent's cache, if any (:func:`repro.cache.persistent_component`):
 
     * a disk-backed tier unpickles as a fresh handle onto the same
-      ``cache_dir``, giving every worker **read-through** to profiles
+      ``cache_dir``, and a ring of cache servers as a fresh handle onto
+      the same shards, giving every worker **read-through** to profiles
       persisted by earlier runs or by concurrent sessions sharing the
-      directory;
+      store;
     * a memory-only cache is dropped (it unpickles entry-less, so each
       lookup would be a guaranteed miss) -- parent-side lookups already
       cover the in-process memoization.
@@ -105,7 +90,7 @@ def _init_worker(estimator: QualityEstimator, metrics_enabled: bool = False) -> 
     processes racing to publish the same entries.
     """
     global _WORKER_ESTIMATOR, _WORKER_REGISTRY
-    estimator.cache = _persistent_component(estimator.cache)
+    estimator.cache = persistent_component(estimator.cache)
     _WORKER_ESTIMATOR = estimator
     _WORKER_REGISTRY = MetricsRegistry() if metrics_enabled else None
 
@@ -236,7 +221,7 @@ class ParallelEvaluator:
         # streams sharing one backend -- the redesign service's worker
         # pool -- compose instead of racing on a boolean.  (The HTTP
         # tier always batches and has no scopes.)
-        persistent = _persistent_component(estimator.cache)
+        persistent = persistent_component(estimator.cache)
         batching = persistent is not None and hasattr(persistent, "begin_write_batch")
         if batching:
             persistent.begin_write_batch()

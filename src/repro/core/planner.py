@@ -179,9 +179,9 @@ class Planner:
         # into; ``None`` (the default) keeps all instrumentation sites on
         # their free fast path.
         self.metrics = enabled_registry(self.configuration)
-        # The cache tier is selected by the configuration -- the default
-        # in-process LRU, a persistent disk store, memory-over-disk, or
-        # a network cache service -- unless the caller injected a shared
+        # The cache tier follows from the configuration -- the default
+        # in-process LRU, memory over a cache_dir, or a ring of cache
+        # servers at cache_urls -- unless the caller injected a shared
         # backend.  Either way one backend serves every estimator of
         # this planner, every re-plan, and -- through RedesignSession --
         # every iteration.
@@ -191,17 +191,11 @@ class Planner:
             self.profile_cache = profile_cache
         else:
             self.profile_cache = build_profile_cache(
-                tier=self.configuration.cache_tier,
                 cache_dir=self.configuration.cache_dir,
                 max_bytes=self.configuration.cache_max_bytes,
-                url=self.configuration.cache_url,
-                timeout=self.configuration.cache_timeout,
-                compression=self.configuration.cache_compression,
-                auth_token=self.configuration.cache_auth_token,
-                recovery_interval=self.configuration.cache_recovery_interval,
-                max_pending=self.configuration.cache_max_pending,
                 urls=self.configuration.cache_urls,
-                ring_replicas=self.configuration.fleet_ring_replicas,
+                timeout=self.configuration.cache_timeout,
+                auth_token=self.configuration.cache_auth_token,
                 registry=self.metrics,
             )
         estimator_settings = EstimationSettings(

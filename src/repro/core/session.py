@@ -13,18 +13,16 @@ The session reuses one planner -- and therefore one shared profile
 cache (any :mod:`repro.cache` tier) -- across all iterations and
 re-plans: flows profiled in iteration N (including the adopted
 alternative, which becomes iteration N+1's baseline) are never
-re-simulated later.  With a disk-backed tier
-(``cache_tier="disk"``/``"tiered"``) that sharing extends across
+re-simulated later.  With ``cache_dir`` set that sharing extends across
 *sessions and processes*: parallel sessions pointed at one ``cache_dir``
 serve each other's profiles, and a new run starts warm.
-With the network tier (``cache_tier="http"``) the sharing spans
-*machines*: every session pointed at one
-:class:`repro.service.CacheServer` reads and writes the same store, and
-the redesign service runs a whole worker pool of concurrent sessions on
-one injected backend.  :meth:`RedesignSession.cache_stats` exposes the
-accumulated hit/miss accounting (with a per-tier breakdown -- including
-the network tier's client/server/fallback split) for reports and
-benchmarks.
+With ``cache_urls`` set the sharing spans *machines*: every session
+pointed at the same :class:`repro.service.CacheServer` shards reads and
+writes the same store, and the redesign service runs a whole worker
+pool of concurrent sessions on one injected backend.
+:meth:`RedesignSession.cache_stats` exposes the accumulated hit/miss
+accounting (with a per-tier breakdown -- memory and disk, or each
+shard's client/server/fallback split) for reports and benchmarks.
 """
 
 from __future__ import annotations

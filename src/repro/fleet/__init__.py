@@ -5,7 +5,7 @@ Two independent pieces that compose into a fleet (``docs/fleet.md``):
 * :class:`HashRing` / :class:`ShardedProfileCache` -- client-side
   consistent-hash routing of profile digests across N
   :class:`~repro.service.CacheServer` shards
-  (``cache_tier="sharded"``, ``cache_urls=...``), degrading and
+  (``cache_urls=...``), degrading and
   recovering per shard.
 * :class:`JobQueue` / :class:`FleetWorker` -- a durable SQLite-backed
   job queue with a lease/heartbeat/ack protocol, drained by pull-based

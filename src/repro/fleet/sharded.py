@@ -4,9 +4,8 @@
 :class:`~repro.cache.http.HTTPProfileCache`: instead of one
 :class:`~repro.service.CacheServer` it fronts a *fleet* of them, routing
 every key by the consistent-hash ring of :mod:`repro.fleet.ring` over
-the key's SHA-256 digest.  Selected by
-``ProcessingConfiguration.cache_tier="sharded"`` with the server
-addresses in ``cache_urls``.
+the key's SHA-256 digest.  Selected by ``ProcessingConfiguration.cache_urls``
+(one or more server addresses; one URL is a one-shard ring).
 
 Design points:
 
@@ -41,14 +40,16 @@ Design points:
   the aggregated wire counters (:meth:`wire_stats` sums the per-shard
   transports), so ``RedesignSession.cache_stats()["tiers"]`` shows the
   whole fleet instead of one client.
-* **Pickling.**  Like the single-server tier, the cache is a *handle*:
-  clones re-open the same URL set with fresh buffers and connection
-  pools while the logical statistics survive, so process-pool workers
-  read through the same fleet.
+* **Pickling and forking.**  Like the single-server tier, the cache is
+  a *handle*: clones re-open the same URL set with fresh buffers and
+  connection pools while the logical statistics survive, and a forked
+  copy opens its own fan-out threads and connections, so process-pool
+  workers read through the same fleet.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,7 +63,7 @@ from repro.cache.http import (
     DEFAULT_TIMEOUT,
     HTTPProfileCache,
 )
-from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
+from repro.fleet.ring import HashRing
 from repro.wire import COMPRESS_MIN_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,10 +94,6 @@ class ShardedProfileCache:
         Base URLs of the shard servers (at least one).  The consistent
         hash ring over this set decides which shard owns which digest;
         URL order is irrelevant.
-    ring_replicas:
-        Virtual ring points per shard
-        (``ProcessingConfiguration.fleet_ring_replicas``); more points =
-        smoother partition.
     timeout / compression / compress_min_bytes / auth_token /
     recovery_interval / max_pending / fallback_max_entries / pool:
         Forwarded to every per-shard :class:`HTTPProfileCache` -- the
@@ -111,7 +108,6 @@ class ShardedProfileCache:
     def __init__(
         self,
         urls: Sequence[str],
-        ring_replicas: int = DEFAULT_REPLICAS,
         timeout: float = DEFAULT_TIMEOUT,
         fallback_max_entries: int | None = None,
         compression: bool = True,
@@ -142,7 +138,8 @@ class ShardedProfileCache:
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
-        self.ring = HashRing(cleaned, replicas=ring_replicas)
+        self._executor_pid = os.getpid()
+        self.ring = HashRing(cleaned)
         self._clients: dict[str, HTTPProfileCache] = {
             url: self._new_client(url) for url in self.ring.nodes
         }
@@ -164,10 +161,6 @@ class ShardedProfileCache:
     def urls(self) -> tuple[str, ...]:
         """The shard URL set (sorted -- the ring's canonical order)."""
         return self.ring.nodes
-
-    @property
-    def ring_replicas(self) -> int:
-        return self.ring.replicas
 
     def shard_for(self, key: tuple) -> str:
         """The URL of the shard owning a cache key (routing introspection)."""
@@ -200,7 +193,7 @@ class ShardedProfileCache:
         cleaned = [str(url).rstrip("/") for url in urls]
         self.flush()
         with self._lock:
-            new_ring = HashRing(cleaned, replicas=self.ring.replicas)
+            new_ring = HashRing(cleaned)
             old_clients = self._clients
             clients: dict[str, HTTPProfileCache] = {}
             for url in new_ring.nodes:
@@ -223,6 +216,12 @@ class ShardedProfileCache:
 
     def _pool(self) -> ThreadPoolExecutor:
         with self._lock:
+            if os.getpid() != self._executor_pid:
+                # Forked child (a process-pool worker inherits the
+                # parent's handle as is): the inherited executor has no
+                # threads here, so submitting to it would wait forever.
+                self._executor = None
+                self._executor_pid = os.getpid()
             if self._executor is None:
                 # One worker per shard: fan-out threads are stable, so
                 # each (thread, shard-client) pair keeps one pooled
@@ -233,11 +232,11 @@ class ShardedProfileCache:
                 )
             return self._executor
 
-    def _group_by_shard(self, keys: Sequence[tuple]) -> dict[str, list[int]]:
-        """``{shard url: [index into keys]}`` for one lookup window."""
+    def _group_by_shard(self, digests: Sequence[str]) -> dict[str, list[int]]:
+        """``{shard url: [index into digests]}`` for one lookup window."""
         groups: dict[str, list[int]] = {}
-        for index, key in enumerate(keys):
-            groups.setdefault(self.ring.node(key_digest(key)), []).append(index)
+        for index, digest in enumerate(digests):
+            groups.setdefault(self.ring.node(digest), []).append(index)
         return groups
 
     # ------------------------------------------------------------------
@@ -246,7 +245,8 @@ class ShardedProfileCache:
 
     def get(self, key: tuple) -> "QualityProfile | None":
         """Look up one profile on its owning shard."""
-        profile = self._clients[self.shard_for(key)].get(key)
+        digest = key_digest(key)
+        profile = self._clients[self.ring.node(digest)]._get_many([key], [digest])[0]
         with self._lock:
             if profile is None:
                 self.stats.misses += 1
@@ -258,16 +258,23 @@ class ShardedProfileCache:
         """Batched lookup: one concurrent ``/get_many`` per involved shard."""
         start = time.perf_counter()
         results: "list[QualityProfile | None]" = [None] * len(keys)
-        groups = self._group_by_shard(keys)
+        # Hashed once: the digests route the keys here and travel on the
+        # wire in the shard clients.
+        digests = [key_digest(key) for key in keys]
+        groups = self._group_by_shard(digests)
         if len(groups) <= 1:
             for url, indices in groups.items():
-                found = self._clients[url].get_many([keys[i] for i in indices])
+                found = self._clients[url]._get_many(
+                    [keys[i] for i in indices], [digests[i] for i in indices]
+                )
                 for index, profile in zip(indices, found):
                     results[index] = profile
         else:
             futures = {
                 self._pool().submit(
-                    self._clients[url].get_many, [keys[i] for i in indices]
+                    self._clients[url]._get_many,
+                    [keys[i] for i in indices],
+                    [digests[i] for i in indices],
                 ): indices
                 for url, indices in groups.items()
             }
@@ -363,18 +370,13 @@ class ShardedProfileCache:
     def __getstate__(self) -> dict[str, object]:
         return {
             "urls": list(self.ring.nodes),
-            "ring_replicas": self.ring.replicas,
             "client_kwargs": dict(self._client_kwargs),
             "stats": self.stats,
         }
 
     def __setstate__(self, state: dict[str, object]) -> None:
         kwargs = dict(state.get("client_kwargs") or {})
-        self.__init__(  # type: ignore[misc]
-            state["urls"],
-            ring_replicas=state.get("ring_replicas", DEFAULT_REPLICAS),
-            **kwargs,
-        )
+        self.__init__(state["urls"], **kwargs)  # type: ignore[misc]
         stats = state.get("stats")
         if stats is not None:
             self.stats = stats  # type: ignore[assignment]

@@ -7,7 +7,7 @@ annotations and pattern lineage) and is the format the examples and
 benchmarks persist their artefacts in.
 
 The module is also the JSON codec of the service layer
-(:mod:`repro.service` and the ``"http"`` cache tier):
+(:mod:`repro.service` and the network cache tier):
 :func:`profile_to_dict` / :func:`profile_from_dict` round-trip
 :class:`~repro.quality.composite.QualityProfile` instances exactly
 (floats survive because :mod:`json` serialises them with ``repr``), and

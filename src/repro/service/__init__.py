@@ -9,7 +9,7 @@ two coordinated halves.
 :class:`CacheServer` / :class:`~repro.cache.http.HTTPProfileCache`
     Any profile-cache tier served over HTTP, so a *fleet* of planners on
     different machines shares one store
-    (``ProcessingConfiguration.cache_tier="http"``); unreachable servers
+    (``ProcessingConfiguration.cache_urls``); unreachable servers
     degrade to a local memory tier, never failing a plan, and recovery
     probes win a restarted server its traffic back.
 

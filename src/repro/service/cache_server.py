@@ -5,7 +5,7 @@
 -- so that a fleet of planners on *different machines* reads and writes
 one profile store through
 :class:`~repro.cache.http.HTTPProfileCache` clients
-(``ProcessingConfiguration.cache_tier="http"``).
+(the shards of ``ProcessingConfiguration.cache_urls``).
 
 Wire format (JSON throughout; see ``docs/service.md``):
 
@@ -37,13 +37,7 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
-from repro.cache import (
-    CacheBackend,
-    CacheStats,
-    DiskProfileCache,
-    TieredProfileCache,
-    key_digest,
-)
+from repro.cache import CacheBackend, CacheStats, DiskProfileCache, key_digest
 from repro.cache.disk import _DIGEST_RE, _ENTRY_SUFFIX
 from repro.io.jsonflow import cache_key_from_jsonable, profile_from_dict, profile_to_dict
 from repro.service.common import (
@@ -163,9 +157,9 @@ class CacheServer(ServiceServer):
         disk store is huge).  Evicted documents are re-read from the
         backend on demand; ``None`` keeps every served document.
     eviction_interval:
-        When set (seconds), and the backend has a persistent size-capped
-        component, run its LRU sweep on a background thread at this
-        interval instead of on every publish
+        When set (seconds), and the backend is a size-capped
+        :class:`~repro.cache.DiskProfileCache`, run its LRU sweep on a
+        background thread at this interval instead of on every publish
         (:meth:`~repro.cache.DiskProfileCache.start_background_eviction`);
         stopped -- with a final sweep -- by :meth:`stop`.
 
@@ -213,24 +207,15 @@ class CacheServer(ServiceServer):
         #: skip it -- entries are re-resolved by file-name digest instead.
         self._keys: OrderedDict[str, tuple] = OrderedDict()
         self._lock = threading.Lock()
-        self._disk = self._disk_component(backend)
+        self._disk = backend if isinstance(backend, DiskProfileCache) else None
         self._sweeping: DiskProfileCache | None = None
         if eviction_interval is not None:
             if self._disk is None:
                 raise ValueError(
-                    "eviction_interval requires a disk-backed backend "
-                    "(DiskProfileCache or TieredProfileCache)"
+                    "eviction_interval requires a disk-backed backend (DiskProfileCache)"
                 )
             self._disk.start_background_eviction(eviction_interval)
             self._sweeping = self._disk
-
-    @staticmethod
-    def _disk_component(backend: CacheBackend) -> DiskProfileCache | None:
-        if isinstance(backend, DiskProfileCache):
-            return backend
-        if isinstance(backend, TieredProfileCache):
-            return backend.disk
-        return None
 
     # ------------------------------------------------------------------
     # Lookup / store (shared by the HTTP routes and in-process callers)
@@ -274,10 +259,7 @@ class CacheServer(ServiceServer):
                 if disk is not None:
                     entry = disk.get_by_digest(digest)
                     if entry is not None:
-                        stored_key, profile = entry
-                        if isinstance(self.backend, TieredProfileCache):
-                            self.backend.memory.put(stored_key, profile)
-                        document = profile_to_dict(profile)
+                        document = profile_to_dict(entry[1])
                         self._hot_put(digest, document)
                 else:
                     # Backends without digest addressing (the in-memory

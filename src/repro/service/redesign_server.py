@@ -71,17 +71,11 @@ logger = logging.getLogger("repro.service.redesign")
 #: inside the threaded server).
 _RESERVED_FIELDS = frozenset(
     {
-        "cache_tier",
         "cache_dir",
         "cache_max_bytes",
-        "cache_url",
         "cache_timeout",
-        "cache_compression",
         "cache_auth_token",
-        "cache_recovery_interval",
-        "cache_max_pending",
         "cache_urls",
-        "fleet_ring_replicas",
         "metrics_registry",
         "parallel_workers",
     }

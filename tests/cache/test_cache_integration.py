@@ -2,10 +2,11 @@
 
 The acceptance bar of the subsystem: every cache tier produces
 byte-identical planning results (property-tested over seeded random
-flows), defaults reproduce the memory-only behaviour, two planners can
-share one ``cache_dir``, and the process backend's per-worker estimator
-path agrees with sequential evaluation while still writing profiles
-back to disk on pool teardown.
+flows), the tier follows from ``cache_dir`` / ``cache_urls``, defaults
+reproduce the memory-only behaviour, two planners can share one
+``cache_dir``, and the process backend's per-worker estimator path
+agrees with sequential evaluation while still writing profiles back to
+disk on pool teardown.
 """
 
 from __future__ import annotations
@@ -23,38 +24,50 @@ class TestConfigurationValidation:
         planner = Planner(configuration=make_config())
         assert isinstance(planner.profile_cache, ProfileCache)
 
-    def test_disk_and_tiered_require_cache_dir(self):
-        with pytest.raises(ValueError, match="requires a cache_dir"):
-            ProcessingConfiguration(cache_tier="disk")
-        with pytest.raises(ValueError, match="requires a cache_dir"):
-            ProcessingConfiguration(cache_tier="tiered")
+    def test_disk_and_tiered_require_cache_dir(self, tmp_path):
+        """There is no tier knob: ``cache_dir`` alone selects memory over disk."""
+        with pytest.raises(TypeError):
+            ProcessingConfiguration(cache_tier="disk")  # type: ignore[call-arg]
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            ProcessingConfiguration(cache_dir=str(tmp_path), cache_urls=("http://x",))
 
-    def test_unknown_tier_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown cache_tier"):
-            ProcessingConfiguration(cache_tier="redis", cache_dir=str(tmp_path))
+    def test_unknown_tier_rejected(self):
+        """The removed tier and wire knobs are unknown fields now."""
+        for removed in (
+            "cache_tier",
+            "cache_url",
+            "cache_compression",
+            "cache_recovery_interval",
+            "cache_max_pending",
+            "fleet_ring_replicas",
+        ):
+            with pytest.raises(TypeError, match=removed):
+                ProcessingConfiguration(**{removed: None})
 
     def test_cache_max_bytes_needs_a_disk_tier(self, tmp_path):
-        with pytest.raises(ValueError, match="cache_max_bytes"):
+        with pytest.raises(ValueError, match="cache_max_bytes requires cache_dir"):
             ProcessingConfiguration(cache_max_bytes=1 << 20)
+        with pytest.raises(ValueError, match="cache_max_bytes requires cache_dir"):
+            ProcessingConfiguration(cache_urls=("http://x",), cache_max_bytes=1 << 20)
         with pytest.raises(ValueError, match="cache_max_bytes"):
-            ProcessingConfiguration(
-                cache_tier="disk", cache_dir=str(tmp_path), cache_max_bytes=0
-            )
+            ProcessingConfiguration(cache_dir=str(tmp_path), cache_max_bytes=0)
         # valid combination passes
-        config = ProcessingConfiguration(
-            cache_tier="tiered", cache_dir=str(tmp_path), cache_max_bytes=1 << 20
-        )
+        config = ProcessingConfiguration(cache_dir=str(tmp_path), cache_max_bytes=1 << 20)
         assert config.cache_max_bytes == 1 << 20
 
     def test_planner_builds_the_configured_tier(self, make_config, tmp_path):
-        disk = Planner(
-            configuration=make_config(cache_tier="disk", cache_dir=str(tmp_path / "d"))
-        )
-        assert isinstance(disk.profile_cache, DiskProfileCache)
+        from repro.fleet import ShardedProfileCache
+
+        ring = Planner(configuration=make_config(cache_urls=("http://127.0.0.1:9",)))
+        assert isinstance(ring.profile_cache, ShardedProfileCache)
+        assert ring.profile_cache.urls == ("http://127.0.0.1:9",)
+        ring.profile_cache.close()
         tiered = Planner(
-            configuration=make_config(cache_tier="tiered", cache_dir=str(tmp_path / "t"))
+            configuration=make_config(cache_dir=str(tmp_path / "t"), cache_max_bytes=1 << 20)
         )
         assert isinstance(tiered.profile_cache, TieredProfileCache)
+        assert isinstance(tiered.profile_cache.disk, DiskProfileCache)
+        assert tiered.profile_cache.disk.max_bytes == 1 << 20
         # both estimators (full + screening) share the one backend
         assert tiered.estimator.cache is tiered.profile_cache
         assert tiered.screening_estimator.cache is tiered.profile_cache
@@ -64,27 +77,39 @@ class TestTierEquivalence:
     @pytest.mark.parametrize("flow_seed", [11, 29, 53])
     def test_all_tiers_plan_byte_identically(self, make_config, tmp_path, flow_seed):
         """Property: cache tiers -- including the network one -- trade
-        wall-clock, never results."""
+        wall-clock, never results.
+
+        The arms are the three configurable tiers (memory, ``cache_dir``,
+        a one-URL ``cache_urls`` ring), an uncached run, and a reference
+        planner injected with a bare single-server ``HTTPProfileCache``.
+        """
+        from repro.cache import HTTPProfileCache
         from repro.service import CacheServer
 
         flow = random_flow(RandomFlowConfig(operations=6, rows_per_source=500, seed=flow_seed))
-        with CacheServer(DiskProfileCache(tmp_path / f"srv{flow_seed}")) as server:
-            fingerprints = set()
+        server = CacheServer(DiskProfileCache(tmp_path / f"srv{flow_seed}"))
+        reference_server = CacheServer(DiskProfileCache(tmp_path / f"ref{flow_seed}"))
+        with server, reference_server:
+            fingerprints = {}
             for name, extra in {
                 "memory": {},
-                "disk": dict(cache_tier="disk", cache_dir=str(tmp_path / f"d{flow_seed}")),
-                "tiered": dict(cache_tier="tiered", cache_dir=str(tmp_path / f"t{flow_seed}")),
-                "http": dict(cache_tier="http", cache_url=server.url),
+                "cache_dir": dict(cache_dir=str(tmp_path / f"t{flow_seed}")),
+                "cache_urls": dict(cache_urls=(server.url,)),
                 "uncached": dict(cache_profiles=False),
             }.items():
                 result = Planner(configuration=make_config(**extra)).plan(flow)
-                fingerprints.add(result.fingerprint())
-            assert len(fingerprints) == 1
-            # the http arm really went through the server
+                fingerprints[name] = result.fingerprint()
+            reference_cache = HTTPProfileCache(reference_server.url)
+            reference = Planner(configuration=make_config(), profile_cache=reference_cache)
+            fingerprints["http_reference"] = reference.plan(flow).fingerprint()
+            reference_cache.close()
+            assert len(set(fingerprints.values())) == 1, sorted(fingerprints)
+            # both network arms really went through their servers
             assert server.stats.lookups > 0
+            assert reference_server.stats.lookups > 0
 
     def test_warm_disk_rerun_is_identical_and_all_hits(self, make_config, tmp_path, linear_flow):
-        config = make_config(cache_tier="tiered", cache_dir=str(tmp_path))
+        config = make_config(cache_dir=str(tmp_path))
         cold = Planner(configuration=config)
         cold_result = cold.plan(linear_flow)
         warm = Planner(configuration=config)  # fresh process stand-in: empty memory tier
@@ -98,25 +123,25 @@ class TestTierEquivalence:
 class TestSharedCacheDir:
     def test_two_planners_share_one_cache_dir(self, make_config, tmp_path, linear_flow):
         """The 'parallel sessions' scenario: planner B reuses A's profiles."""
-        config = make_config(cache_tier="disk", cache_dir=str(tmp_path))
+        config = make_config(cache_dir=str(tmp_path))
         a = Planner(configuration=config)
         b = Planner(configuration=config)
         result_a = a.plan(linear_flow)
         result_b = b.plan(linear_flow)
         assert result_a.fingerprint() == result_b.fingerprint()
+        # b's memory front started empty: every hit came off a's disk entries
         assert b.profile_cache.stats.misses == 0
         assert b.profile_cache.stats.hits == b.profile_cache.stats.lookups
+        assert b.profile_cache.disk.stats.hits > 0
 
     def test_eviction_under_cache_max_bytes_during_planning(
         self, make_config, tmp_path, linear_flow
     ):
-        probe = Planner(
-            configuration=make_config(cache_tier="disk", cache_dir=str(tmp_path / "probe"))
-        )
+        probe = Planner(configuration=make_config(cache_dir=str(tmp_path / "probe")))
         reference = probe.plan(linear_flow)
-        entry_bytes = probe.profile_cache.size_bytes() // max(len(probe.profile_cache), 1)
+        probe_disk = probe.profile_cache.disk
+        entry_bytes = probe_disk.size_bytes() // max(len(probe_disk), 1)
         capped_config = make_config(
-            cache_tier="disk",
             cache_dir=str(tmp_path / "capped"),
             cache_max_bytes=entry_bytes * 2,
         )
@@ -124,15 +149,16 @@ class TestSharedCacheDir:
         capped_result = capped.plan(linear_flow)
         # the cap squeezed the store without changing any result
         assert capped_result.fingerprint() == reference.fingerprint()
-        assert capped.profile_cache.stats.evictions > 0
-        assert capped.profile_cache.size_bytes() <= capped_config.cache_max_bytes
+        capped_disk = capped.profile_cache.disk
+        assert capped_disk.stats.evictions > 0
+        assert capped_disk.size_bytes() <= capped_config.cache_max_bytes
 
 
 class TestSessionCacheStats:
     def test_session_stats_include_the_tier_breakdown(self, make_config, tmp_path, linear_flow):
         session = RedesignSession(
             linear_flow,
-            configuration=make_config(cache_tier="tiered", cache_dir=str(tmp_path)),
+            configuration=make_config(cache_dir=str(tmp_path)),
         )
         session.iterate()
         stats = session.cache_stats()
@@ -161,11 +187,7 @@ class TestProcessBackendPool:
     ):
         """Per-worker estimator pool: same results, disk populated on teardown."""
         sequential = Planner(configuration=make_config()).plan(linear_flow)
-        pooled_config = make_config(
-            cache_tier="tiered",
-            cache_dir=str(tmp_path),
-            parallel_workers=2,
-        )
+        pooled_config = make_config(cache_dir=str(tmp_path), parallel_workers=2)
         pooled_planner = Planner(configuration=pooled_config)
         pooled = pooled_planner.plan(linear_flow)
         assert pooled.fingerprint() == sequential.fingerprint()
@@ -186,7 +208,7 @@ class TestProcessBackendPool:
         from repro.core.evaluator import _evaluate_chunk_pooled, _init_worker
         import repro.core.evaluator as evaluator_module
 
-        config = make_config(cache_tier="tiered", cache_dir=str(tmp_path))
+        config = make_config(cache_dir=str(tmp_path))
         seeder = Planner(configuration=config)
         seeder.plan(linear_flow)  # populates the directory
 

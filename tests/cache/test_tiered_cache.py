@@ -109,23 +109,30 @@ class TestTieredMaintenance:
 
 class TestBuildProfileCache:
     def test_memory_tier_ignores_other_knobs(self):
-        cache = build_profile_cache("memory")
+        cache = build_profile_cache(max_bytes=1 << 20, timeout=1.0)
         assert isinstance(cache, ProfileCache)
 
     def test_disk_and_tiered_tiers(self, tmp_path):
-        disk = build_profile_cache("disk", cache_dir=tmp_path / "d", max_bytes=1 << 20)
-        assert isinstance(disk, DiskProfileCache)
-        assert disk.max_bytes == 1 << 20
-        tiered = build_profile_cache("tiered", cache_dir=tmp_path / "t")
+        """``cache_dir`` always means memory over disk."""
+        tiered = build_profile_cache(cache_dir=tmp_path / "t", max_bytes=1 << 20)
         assert isinstance(tiered, TieredProfileCache)
+        assert isinstance(tiered.disk, DiskProfileCache)
+        assert tiered.disk.max_bytes == 1 << 20
 
-    def test_rejects_bad_combinations(self, tmp_path):
+    def test_rejects_bad_combinations(self):
+        """The tier and wire knobs are gone from the builder."""
         import pytest
 
-        with pytest.raises(ValueError):
-            build_profile_cache("disk")  # no cache_dir
-        with pytest.raises(ValueError):
-            build_profile_cache("redis", cache_dir=tmp_path)
+        for removed in (
+            "tier",
+            "url",
+            "compression",
+            "recovery_interval",
+            "max_pending",
+            "ring_replicas",
+        ):
+            with pytest.raises(TypeError, match=removed):
+                build_profile_cache(**{removed: None})
 
 
 class TestTieredGetMany:

@@ -28,18 +28,23 @@ def test_submit_validates_before_enqueueing(fleet):
 
 def test_reserved_fleet_fields_rejected_at_submit(fleet, linear_flow):
     client = fleet.client()
-    for field in ("cache_urls", "fleet_ring_replicas", "cache_url"):
+    with pytest.raises(RedesignServiceError) as excinfo:
+        client.submit(linear_flow, configuration={"cache_urls": "x"})
+    assert excinfo.value.status == 400
+    assert "owned by the service" in str(excinfo.value)
+    # The removed ring and single-server knobs are no fields at all.
+    for field in ("fleet_ring_replicas", "cache_url"):
         with pytest.raises(RedesignServiceError) as excinfo:
             client.submit(linear_flow, configuration={field: "x"})
         assert excinfo.value.status == 400
-        assert "owned by the service" in str(excinfo.value)
+        assert "unknown configuration field" in str(excinfo.value)
     assert len(fleet.queue) == 0
 
 
 def test_fleet_knobs_are_reserved_fields():
     # The regression guard for the service-owned knob list itself.
     assert "cache_urls" in _RESERVED_FIELDS
-    assert "fleet_ring_replicas" in _RESERVED_FIELDS
+    assert "fleet_ring_replicas" not in _RESERVED_FIELDS
     with pytest.raises(ServiceError):
         configuration_from_request({"cache_urls": ("http://a:1",)})
 

@@ -16,6 +16,7 @@ import pytest
 from repro.cache import ProfileCache, build_profile_cache, key_digest
 from repro.core.planner import Planner
 from repro.core.session import RedesignSession
+from repro.fleet import DEFAULT_REPLICAS, ShardedProfileCache
 from repro.quality.composite import QualityProfile
 from repro.service import CacheServer
 from tests.conftest import fast_planner_config
@@ -118,14 +119,43 @@ def test_contains_and_len_see_all_shards(sharded):
 
 def test_build_profile_cache_constructs_sharded_tier(shard_servers):
     urls = tuple(server.url for server in shard_servers)
-    cache = build_profile_cache(tier="sharded", urls=urls, ring_replicas=32)
+    cache = build_profile_cache(urls=urls, timeout=1.5, auth_token="token")
     try:
+        assert isinstance(cache, ShardedProfileCache)
         assert cache.urls == tuple(sorted(urls))
-        assert cache.ring_replicas == 32
+        assert cache.ring.replicas == DEFAULT_REPLICAS
+        client = cache.client_for(cache.urls[0])
+        assert client.timeout == 1.5
     finally:
         cache.close()
-    with pytest.raises(ValueError, match="cache_urls"):
-        build_profile_cache(tier="sharded")
+    # no URLs: the in-process tier
+    assert isinstance(build_profile_cache(), ProfileCache)
+
+
+def test_get_many_hashes_each_key_once(sharded, monkeypatch):
+    """The routing digest is the wire digest: one SHA-256 per key."""
+    import repro.cache.http as http_module
+    import repro.fleet.sharded as sharded_module
+
+    keys = [_key(n) for n in range(24)]
+    for n, key in enumerate(keys[:8]):
+        sharded.put(key, _profile(f"p{n}"))
+    sharded.flush()
+    calls = []
+
+    def counting_digest(key):
+        calls.append(key)
+        return key_digest(key)
+
+    monkeypatch.setattr(sharded_module, "key_digest", counting_digest)
+    monkeypatch.setattr(http_module, "key_digest", counting_digest)
+    results = sharded.get_many(keys)
+    assert [r is not None for r in results] == [True] * 8 + [False] * 16
+    assert len(sharded._group_by_shard([key_digest(key) for key in keys])) > 1
+    assert sorted(calls) == sorted(keys)
+    calls.clear()
+    assert sharded.get(keys[3]).flow_name == "p3"
+    assert calls == [keys[3]]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +329,7 @@ def test_pickled_clone_reads_the_same_fleet(sharded):
     clone = pickle.loads(pickle.dumps(sharded))
     try:
         assert clone.urls == sharded.urls
-        assert clone.ring_replicas == sharded.ring_replicas
+        assert clone.ring == sharded.ring
         got = clone.get(_key(5))
         assert got is not None and got.flow_name == "shared"
     finally:

@@ -77,7 +77,7 @@ def test_phantom_knob_ignores_non_heading_mentions(tmp_path):
     checker = _load_checker()
     doc = tmp_path / "tuning.md"
     doc.write_text(
-        "### `cache_tier` — default `\"memory\"`\nmentions `GraphDelta` and "
+        "### `cache_dir` — default `None`\nmentions `GraphDelta` and "
         "`validate_delta` in prose, which are not knobs\n"
     )
     assert checker.phantom_knobs(doc) == []

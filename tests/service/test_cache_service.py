@@ -4,7 +4,7 @@ Covers the CacheBackend contract over the network (buffered writes
 visible locally, one flush per campaign, logical stats), the fleet
 scenario (two clients warm each other through one server), the digest
 fast path across server restarts, stats pickling, and the planner-level
-wiring of ``cache_tier="http"``.
+wiring of a one-URL ``cache_urls`` ring.
 """
 
 from __future__ import annotations
@@ -210,9 +210,12 @@ class TestPlannerWiring:
     def test_cache_tier_http_builds_the_client_and_plans_warm(
         self, disk_server, make_config, linear_flow
     ):
-        config = make_config(cache_tier="http", cache_url=disk_server.url)
+        from repro.fleet import ShardedProfileCache
+
+        config = make_config(cache_urls=(disk_server.url,))
         cold = Planner(configuration=config)
-        assert isinstance(cold.profile_cache, HTTPProfileCache)
+        assert isinstance(cold.profile_cache, ShardedProfileCache)
+        assert isinstance(cold.profile_cache.client_for(disk_server.url), HTTPProfileCache)
         cold_result = cold.plan(linear_flow)
         assert cold.profile_cache.stats.misses > 0
         warm = Planner(configuration=config)  # fresh client, warm server
@@ -226,33 +229,29 @@ class TestPlannerWiring:
     ):
         session = RedesignSession(
             linear_flow,
-            configuration=make_config(cache_tier="http", cache_url=disk_server.url),
+            configuration=make_config(cache_urls=(disk_server.url,)),
         )
         session.iterate()
         stats = session.cache_stats()
         assert stats["lookups"] > 0
-        assert {"http", "server", "fallback"} <= set(stats["tiers"])
-        assert stats["tiers"]["http"]["lookups"] == stats["lookups"]
+        assert {"shard0:http", "shard0:server", "shard0:fallback"} <= set(stats["tiers"])
+        assert stats["tiers"]["shard0:http"]["lookups"] == stats["lookups"]
 
     def test_configuration_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="requires a cache_url"):
-            ProcessingConfiguration(cache_tier="http")
-        with pytest.raises(ValueError, match="cache_url only applies"):
-            ProcessingConfiguration(cache_url="http://x")
+        with pytest.raises(ValueError, match="at least one shard URL"):
+            ProcessingConfiguration(cache_urls=())
+        with pytest.raises(ValueError, match="duplicates"):
+            ProcessingConfiguration(cache_urls=("http://x", "http://x"))
         with pytest.raises(ValueError, match="cache_timeout"):
-            ProcessingConfiguration(
-                cache_tier="http", cache_url="http://x", cache_timeout=0
-            )
+            ProcessingConfiguration(cache_urls=("http://x",), cache_timeout=0)
         with pytest.raises(ValueError, match="cache_max_bytes"):
-            ProcessingConfiguration(
-                cache_tier="http", cache_url="http://x", cache_max_bytes=1 << 20
-            )
-        with pytest.raises(ValueError, match="cache_dir does not apply"):
-            ProcessingConfiguration(
-                cache_tier="http", cache_url="http://x", cache_dir=str(tmp_path)
-            )
+            ProcessingConfiguration(cache_urls=("http://x",), cache_max_bytes=1 << 20)
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            ProcessingConfiguration(cache_urls=("http://x",), cache_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="cache_auth_token requires cache_urls"):
+            ProcessingConfiguration(cache_auth_token="secret")
         config = ProcessingConfiguration(
-            cache_tier="http", cache_url="http://x", cache_timeout=0.5
+            cache_urls=("http://x",), cache_timeout=0.5, cache_auth_token="secret"
         )
         assert config.cache_timeout == 0.5
 

@@ -27,9 +27,7 @@ class TestServerKilledMidPlan:
         reference = Planner(configuration=make_config()).plan(linear_flow)
 
         server = CacheServer(DiskProfileCache(tmp_path / f"s{kill_after}")).start()
-        config = make_config(
-            cache_tier="http", cache_url=server.url, cache_timeout=2.0
-        )
+        config = make_config(cache_urls=(server.url,), cache_timeout=2.0)
         planner = Planner(configuration=config)
         seen = {"count": 0}
 
@@ -46,12 +44,13 @@ class TestServerKilledMidPlan:
                 result = planner.plan(linear_flow, on_evaluated=killer)
 
         assert result.fingerprint() == reference.fingerprint()
-        assert planner.profile_cache.degraded
+        assert planner.profile_cache.degraded_shards == (server.url,)
         warnings = [r for r in caplog.records if "falling back" in r.getMessage()]
         assert len(warnings) == 1, "one warning, however often the dead server is hit"
         # the degradation is visible in the stats, not in exceptions
         tiers = planner.profile_cache.tier_stats()
-        assert set(tiers) == {"http", "fallback"}
+        assert set(tiers) == {"sharded", "shard0:http", "shard0:fallback", "wire"}
+        planner.profile_cache.close()
 
     def test_revived_server_wins_the_planner_back_mid_session(
         self, make_config, linear_flow
@@ -59,15 +58,16 @@ class TestServerKilledMidPlan:
         """Kill mid-plan, revive: the probe re-attaches and republishes."""
         import time
 
+        from repro.cache import HTTPProfileCache
+
         server = CacheServer(ProfileCache()).start()
         port = server.port
-        config = make_config(
-            cache_tier="http",
-            cache_url=server.url,
-            cache_timeout=2.0,
-            cache_recovery_interval=0.05,
+        # A fast recovery probe is a client knob, not a configuration field:
+        # inject the client.
+        planner = Planner(
+            configuration=make_config(),
+            profile_cache=HTTPProfileCache(server.url, timeout=2.0, recovery_interval=0.05),
         )
-        planner = Planner(configuration=config)
         seen = {"count": 0}
 
         def killer(_alternative) -> None:
@@ -111,7 +111,7 @@ class TestServerKilledMidPlan:
     ):
         """After degradation the fallback memoizes like the memory tier."""
         server = CacheServer(DiskProfileCache(tmp_path)).start()
-        config = make_config(cache_tier="http", cache_url=server.url, cache_timeout=2.0)
+        config = make_config(cache_urls=(server.url,), cache_timeout=2.0)
         planner = Planner(configuration=config)
         server.stop()
         first = planner.plan(linear_flow)
@@ -119,7 +119,9 @@ class TestServerKilledMidPlan:
         second = planner.plan(linear_flow)  # re-plan: all served by the fallback
         assert second.fingerprint() == first.fingerprint()
         new_lookups = planner.profile_cache.stats.lookups - lookups_after_first
-        assert planner.profile_cache.fallback.stats.hits >= new_lookups - 1
+        fallback = planner.profile_cache.client_for(server.url).fallback
+        assert fallback.stats.hits >= new_lookups - 1
+        planner.profile_cache.close()
 
 
 class TestClientDegradesOnAnyFailure:
@@ -192,11 +194,7 @@ class TestProcessPoolOverHTTP:
     ):
         """The process pool's per-worker clients reconnect and share."""
         with CacheServer(DiskProfileCache(tmp_path)) as server:
-            config = make_config(
-                cache_tier="http",
-                cache_url=server.url,
-                parallel_workers=2,
-            )
+            config = make_config(cache_urls=(server.url,), parallel_workers=2)
             sequential = Planner(configuration=make_config()).plan(linear_flow)
             pooled = Planner(configuration=config).plan(linear_flow)
             assert pooled.fingerprint() == sequential.fingerprint()
@@ -212,11 +210,11 @@ class TestProcessPoolOverHTTP:
         from repro.core.evaluator import _evaluate_chunk_pooled, _init_worker
 
         with CacheServer(DiskProfileCache(tmp_path)) as server:
-            config = make_config(cache_tier="http", cache_url=server.url)
-            seeder = Planner(configuration=config)
+            config = make_config()
+            seeder = Planner(configuration=config, profile_cache=HTTPProfileCache(server.url))
             seeder.plan(linear_flow)  # warms the server (flush on stream end)
 
-            fresh = Planner(configuration=config)
+            fresh = Planner(configuration=config, profile_cache=HTTPProfileCache(server.url))
             alternatives = fresh.generate_alternatives(linear_flow)
             worker_estimator = pickle.loads(pickle.dumps(fresh.estimator))
             original = evaluator_module._WORKER_ESTIMATOR
@@ -229,3 +227,56 @@ class TestProcessPoolOverHTTP:
                 assert worker_estimator.cache.stats.hits == 2
             finally:
                 evaluator_module._WORKER_ESTIMATOR = original
+
+    @pytest.mark.slow
+    def test_pooled_workers_read_through_the_ring(self, tmp_path, make_config, linear_flow):
+        """With ``cache_urls`` and a process pool, workers hold a ring handle.
+
+        The parent looks every window up first; each miss it submits is
+        looked up once more by the worker that estimates it, so the
+        servers see more lookups than the parent made.  Workers without
+        the ring would add none.
+        """
+        shards = [CacheServer(DiskProfileCache(tmp_path / f"s{i}")).start() for i in range(2)]
+        try:
+            config = make_config(
+                cache_urls=tuple(shard.url for shard in shards), parallel_workers=2
+            )
+            planner = Planner(configuration=config)
+            pooled = planner.plan(linear_flow)
+            sequential = Planner(configuration=make_config()).plan(linear_flow)
+            assert pooled.fingerprint() == sequential.fingerprint()
+            parent = planner.profile_cache.stats
+            served = sum(shard.stats.lookups for shard in shards)
+            assert parent.misses > 0
+            assert served > parent.lookups
+            planner.profile_cache.close()
+        finally:
+            for shard in shards:
+                shard.stop()
+
+    def test_worker_estimator_keeps_the_ring_handle(self, tmp_path, make_config, linear_flow):
+        """_init_worker keeps a ``cache_urls`` ring: workers read through it."""
+        import pickle
+
+        from repro.core import evaluator as evaluator_module
+        from repro.core.evaluator import _evaluate_chunk_pooled, _init_worker
+        from repro.fleet import ShardedProfileCache
+
+        with CacheServer(DiskProfileCache(tmp_path)) as server:
+            config = make_config(cache_urls=(server.url,))
+            Planner(configuration=config).plan(linear_flow)  # warms the server
+
+            fresh = Planner(configuration=config)
+            alternatives = fresh.generate_alternatives(linear_flow)
+            worker_estimator = pickle.loads(pickle.dumps(fresh.estimator))
+            original = evaluator_module._WORKER_ESTIMATOR
+            try:
+                _init_worker(worker_estimator)
+                assert isinstance(worker_estimator.cache, ShardedProfileCache)
+                profiles = _evaluate_chunk_pooled(alternatives[:2])
+                assert len(profiles) == 2 and all(p.values for p in profiles)
+                assert worker_estimator.cache.stats.hits == 2
+            finally:
+                evaluator_module._WORKER_ESTIMATOR = original
+                worker_estimator.cache.close()

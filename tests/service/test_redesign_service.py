@@ -110,7 +110,20 @@ class TestJobLifecycle:
         assert excinfo.value.status == 400
         assert "malformed flow" in excinfo.value.message
 
-    @pytest.mark.parametrize("knob", ["copy_mode", "prefix_cache", "backend"])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "copy_mode",
+            "prefix_cache",
+            "backend",
+            "cache_tier",
+            "cache_url",
+            "cache_compression",
+            "cache_recovery_interval",
+            "cache_max_pending",
+            "fleet_ring_replicas",
+        ],
+    )
     def test_removed_mode_knobs_are_rejected_at_submit(self, client, linear_flow, knob):
         with pytest.raises(RedesignServiceError) as excinfo:
             client.submit(linear_flow, dict(_WIRE_CONFIG, **{knob: "cow"}))
@@ -291,7 +304,7 @@ class TestConfigurationFromRequest:
 
     def test_rejects_reserved_unknown_and_invalid(self):
         with pytest.raises(ServiceError, match="owned by the service"):
-            configuration_from_request({"cache_tier": "disk"})
+            configuration_from_request({"cache_dir": "/tmp/profiles"})
         with pytest.raises(ServiceError, match="unknown configuration field"):
             configuration_from_request({"not_a_knob": 1})
         with pytest.raises(ServiceError, match="invalid configuration"):

@@ -7,11 +7,12 @@ Two subcommands, one per server (see ``docs/service.md``):
     Serve a profile-cache tier to a fleet of planners::
 
         PYTHONPATH=src python tools/serve.py cache --cache-dir .cache/profiles
-        # clients: ProcessingConfiguration(cache_tier="http", cache_url="http://host:8731")
+        # clients: ProcessingConfiguration(cache_urls=("http://host:8731",))
 
 ``redesign``
     Serve the full redesign loop (``POST /plans`` -> ranked
-    alternatives), with every worker session sharing one cache tier::
+    alternatives), with every worker session sharing one cache tier
+    (memory over disk with ``--cache-dir``, as a planner's)::
 
         PYTHONPATH=src python tools/serve.py redesign --workers 4 --cache-dir .cache/profiles
 
@@ -24,7 +25,7 @@ Two subcommands, one per server (see ``docs/service.md``):
 ``fleet``
     Launch a whole scale-out topology in one process (see
     ``docs/fleet.md``): N shard cache servers, the durable job queue, M
-    pull-based planner workers wired to the sharded tier, and the
+    pull-based planner workers wired to a ring over the shards, and the
     queue-backed redesign front-end::
 
         PYTHONPATH=src python tools/serve.py fleet --shards 4 --fleet-workers 4 \
@@ -55,18 +56,15 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:  # pragma: no cover - environment guard
     sys.path.insert(0, str(_SRC))
 
-from repro.cache import DiskProfileCache, ProfileCache, TieredProfileCache  # noqa: E402
+from repro.cache import DiskProfileCache, ProfileCache, build_profile_cache  # noqa: E402
 from repro.service import CacheServer, RedesignServer  # noqa: E402
 
 
-def _backend(args: argparse.Namespace):
-    """The cache tier behind either server, from the shared CLI knobs."""
-    if args.cache_dir is None:
+def _server_backend(cache_dir: str | None, max_bytes: int | None):
+    """A cache server's store: its hot document map is the memory front."""
+    if cache_dir is None:
         return ProfileCache()
-    disk = DiskProfileCache(args.cache_dir, max_bytes=args.max_bytes)
-    if args.tiered:
-        return TieredProfileCache(ProfileCache(), disk)
-    return disk
+    return DiskProfileCache(cache_dir, max_bytes=max_bytes)
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
@@ -84,8 +82,8 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="back the store with a persistent DiskProfileCache rooted here "
-        "(default: in-memory only)",
+        help="back the store with a persistent DiskProfileCache rooted here, "
+        "behind an in-memory front (default: in-memory only)",
     )
     parser.add_argument(
         "--max-bytes",
@@ -93,16 +91,10 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="LRU size cap on the disk store (requires --cache-dir)",
     )
-    parser.add_argument(
-        "--tiered",
-        action="store_true",
-        help="put an in-memory LRU in front of the disk store (requires --cache-dir)",
-    )
 
 
 def _run_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """The ``fleet`` subcommand: shards + queue + workers + front-end."""
-    from repro.cache import build_profile_cache
     from repro.fleet import FleetWorker, JobQueue
 
     if args.shards < 1:
@@ -110,20 +102,16 @@ def _run_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.fleet_workers < 1:
         parser.error("--fleet-workers must be at least 1")
 
-    def shard_backend(index: int):
-        if args.cache_dir is None:
-            return ProfileCache()
-        # One store per shard: the ring partitions the key space, so
-        # shards must not share a directory.
-        shard_args = argparse.Namespace(**vars(args))
-        shard_args.cache_dir = str(Path(args.cache_dir) / f"shard{index}")
-        return _backend(shard_args)
-
     shards = []
     for index in range(args.shards):
         port = 0 if args.shard_port_base == 0 else args.shard_port_base + index
+        # One store per shard: the ring partitions the key space, so
+        # shards must not share a directory.
+        shard_dir = (
+            None if args.cache_dir is None else str(Path(args.cache_dir) / f"shard{index}")
+        )
         shard = CacheServer(
-            shard_backend(index),
+            _server_backend(shard_dir, args.max_bytes),
             host=args.host,
             port=port,
             auth_token=args.auth_token,
@@ -137,12 +125,7 @@ def _run_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     queue = JobQueue(queue_path)
     workers = []
     for index in range(args.fleet_workers):
-        cache = build_profile_cache(
-            tier="sharded",
-            urls=shard_urls,
-            ring_replicas=args.ring_replicas,
-            auth_token=args.auth_token,
-        )
+        cache = build_profile_cache(urls=shard_urls, auth_token=args.auth_token)
         worker = FleetWorker(queue, worker_id=f"worker-{index}", cache=cache)
         worker.start()
         workers.append(worker)
@@ -158,7 +141,7 @@ def _run_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         front.url,
         len(shard_urls),
         ", ".join(shard_urls),
-        "tiered" if args.tiered else ("disk" if args.cache_dir else "memory"),
+        "disk" if args.cache_dir else "memory",
         queue_path,
         args.fleet_workers,
     )
@@ -252,12 +235,6 @@ def main(argv=None) -> int:
         default=".fleet/jobs.sqlite",
         help="path of the durable SQLite job queue (created if missing)",
     )
-    fleet.add_argument(
-        "--ring-replicas",
-        type=int,
-        default=None,
-        help="virtual ring points per shard (default: the library default)",
-    )
     _add_backend_arguments(fleet)
 
     args = parser.parse_args(argv)
@@ -271,8 +248,6 @@ def main(argv=None) -> int:
     )
     if args.max_bytes is not None and args.cache_dir is None:
         parser.error("--max-bytes requires --cache-dir")
-    if args.tiered and args.cache_dir is None:
-        parser.error("--tiered requires --cache-dir")
 
     if args.host in ("0.0.0.0", "") and args.auth_token is None:
         logging.getLogger("repro.service").warning(
@@ -289,7 +264,7 @@ def main(argv=None) -> int:
         if args.eviction_interval is not None and args.max_bytes is None:
             parser.error("--eviction-interval requires --max-bytes")
         server = CacheServer(
-            _backend(args),
+            _server_backend(args.cache_dir, args.max_bytes),
             host=args.host,
             port=args.port,
             auth_token=args.auth_token,
@@ -297,7 +272,7 @@ def main(argv=None) -> int:
             eviction_interval=args.eviction_interval,
         )
         role = "profile-cache"
-        hint = f'ProcessingConfiguration(cache_tier="http", cache_url="{server.url}")'
+        hint = f'ProcessingConfiguration(cache_urls=("{server.url}",))'
     elif args.queue is not None:
         from repro.fleet import JobQueue
 
@@ -319,7 +294,7 @@ def main(argv=None) -> int:
         )
     else:
         server = RedesignServer(
-            cache=_backend(args),
+            cache=build_profile_cache(cache_dir=args.cache_dir, max_bytes=args.max_bytes),
             workers=args.workers,
             host=args.host,
             port=args.port,

@@ -16,9 +16,8 @@ its restart counter, any job the dead incarnation held is re-leased
 automatically once its lease expires, and the fresh process just keeps
 draining.
 
-``--cache-urls`` wires every planning session to the sharded profile
-cache tier; ``--cache-url`` (singular) targets one cache server;
-neither plans cold.
+``--cache-urls`` wires every planning session to a ring over one or
+more cache servers; without it the worker plans cold.
 """
 
 from __future__ import annotations
@@ -52,18 +51,7 @@ def main(argv=None) -> int:
         nargs="+",
         default=None,
         metavar="URL",
-        help="shard cache-server URLs: plan against the sharded tier",
-    )
-    parser.add_argument(
-        "--cache-url",
-        default=None,
-        help="single cache-server URL: plan against the http tier",
-    )
-    parser.add_argument(
-        "--ring-replicas",
-        type=int,
-        default=None,
-        help="virtual ring points per shard (must match the rest of the fleet)",
+        help="cache-server URLs (one or more): plan against a ring over them",
     )
     parser.add_argument(
         "--auth-token",
@@ -99,21 +87,10 @@ def main(argv=None) -> int:
         level=level,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    if args.cache_urls and args.cache_url:
-        parser.error("--cache-urls and --cache-url are mutually exclusive")
 
     def cache_factory():
         if args.cache_urls:
-            return build_profile_cache(
-                tier="sharded",
-                urls=tuple(args.cache_urls),
-                ring_replicas=args.ring_replicas,
-                auth_token=args.auth_token,
-            )
-        if args.cache_url:
-            return build_profile_cache(
-                tier="http", url=args.cache_url, auth_token=args.auth_token
-            )
+            return build_profile_cache(urls=tuple(args.cache_urls), auth_token=args.auth_token)
         return None
 
     try:
