@@ -18,12 +18,15 @@ graph supports two copying disciplines:
   mutation must then go through the graph methods (``mutable_operation``,
   ``set_annotation``, ``add_edge``, ...), which trigger the copy-on-write
   fault, record a structured :class:`GraphDelta` against the parent, and
-  keep an incrementally maintained structural signature.
+  keep an incrementally maintained structural signature and content
+  fingerprint.
 
 The delta makes downstream stages O(delta) as well: validation re-checks
-only the delta neighbourhood (:func:`repro.etl.validation.validate_delta`)
-and deduplication reuses the parent signature instead of re-hashing the
-whole flow.
+only the delta neighbourhood (:func:`repro.etl.validation.validate_delta`),
+deduplication reuses the parent signature instead of re-hashing the
+whole flow, and the profile-cache key reuses the parent's per-operation
+fingerprint entries.  Deep graphs cache neither: mutating a deep flow in
+place (even through ``operation(...)`` results) is always observed.
 """
 
 from __future__ import annotations
@@ -86,6 +89,30 @@ def _copy_structure(graph: nx.DiGraph, into: nx.DiGraph | None = None) -> nx.DiG
     clone._succ.update(graph._succ)
     clone._pred.update(graph._pred)
     return clone
+
+
+def _operation_entry(op: Operation) -> tuple:
+    """The fingerprint entry of one operation (see :meth:`ETLGraph.fingerprint`)."""
+    props = op.properties
+    return (
+        op.op_id,
+        op.kind.value,
+        op.parallelism,
+        tuple((f.name, f.dtype.value, f.nullable, f.key) for f in op.output_schema.fields),
+        tuple(sorted((str(k), repr(v)) for k, v in op.config.items())),
+        props.cost_per_tuple,
+        props.fixed_cost,
+        props.selectivity,
+        props.error_rate,
+        props.null_rate,
+        props.duplicate_rate,
+        props.failure_rate,
+        props.memory_per_tuple,
+        props.freshness_lag,
+        props.update_frequency,
+        props.monetary_cost,
+        tuple(sorted((str(k), repr(v)) for k, v in props.extra.items())),
+    )
 
 
 @dataclass
@@ -284,9 +311,9 @@ class ETLGraph:
         # operations whose payload is shared with another graph and must be
         # materialized before any write; ``_delta`` (COW children only)
         # records the net difference against the copy parent; ``_parent_sig``
-        # snapshots the parent's structural signature at fork time so the
-        # child's signature is computed by merging the delta instead of
-        # re-hashing the whole flow.
+        # and ``_parent_fp`` snapshot the parent's structural signature and
+        # operation fingerprint entries so the child's are computed by
+        # merging the delta instead of re-hashing the whole flow.
         self._copy_mode: str = "deep"
         self._shared_ops: set[str] = set()
         # Adjacency copy-on-write: when ``_shared_adj`` is set (after a
@@ -299,8 +326,14 @@ class ETLGraph:
         self._delta: GraphDelta | None = None
         self._parent_uid: int | None = None
         self._parent_sig: tuple | None = None
+        self._parent_fp: tuple | None = None
         self._parent_ref: "ETLGraph | None" = None
         self._sig_cache: tuple | None = None
+        self._fp_cache: tuple | None = None
+        # Bumped by every mutation; a child only merges from its parent's
+        # snapshots if the parent is still in the state it was forked from.
+        self._version: int = 0
+        self._parent_version: int = 0
         self._uid: int = next(_graph_uid_counter)
 
     # ------------------------------------------------------------------
@@ -308,8 +341,10 @@ class ETLGraph:
     # ------------------------------------------------------------------
 
     def _dirty(self) -> None:
-        """Invalidate the cached structural signature after a mutation."""
+        """Invalidate the cached signature and fingerprint after a mutation."""
         self._sig_cache = None
+        self._fp_cache = None
+        self._version += 1
 
     def _succ_of(self, op_id: str) -> dict:
         """The successor dict of ``op_id``, privatized for writing."""
@@ -560,8 +595,9 @@ class ETLGraph:
         copy before being handed out, so in-place mutation never leaks
         across the copy boundary.  On fully owned graphs this is the same
         as :meth:`operation`.  The operation is recorded as modified in
-        the graph delta and the cached signature is invalidated; callers
-        must finish mutating before the signature is read again.
+        the graph delta and the cached signature and fingerprint are
+        invalidated; callers must finish mutating before either is read
+        again.
         """
         operation = self.operation(op_id)
         if op_id in self._shared_ops:
@@ -774,8 +810,8 @@ class ETLGraph:
 
         Equivalent to assigning into :attr:`annotations` directly, but
         visible to delta-based tooling; graph-level patterns go through
-        here.  (The signature always reads the live annotation dict, so
-        direct assignment stays correct as well.)
+        here.  (The signature and the fingerprint always read the live
+        annotation dict, so direct assignment stays correct as well.)
         """
         self.annotations[key] = value
         if self._delta is not None:
@@ -823,9 +859,9 @@ class ETLGraph:
           :meth:`mutable_operation`, :meth:`set_annotation`,
           :meth:`add_edge`, ... -- which materializes the touched piece,
           records the change in the child's :class:`GraphDelta`
-          (:attr:`delta`), and maintains :meth:`signature`
-          incrementally.  Constant-time fork, O(delta) downstream
-          validation/deduplication.
+          (:attr:`delta`), and maintains :meth:`signature` and
+          :meth:`fingerprint` incrementally.  Constant-time fork,
+          O(delta) downstream validation/deduplication/cache keys.
 
         Parameters
         ----------
@@ -876,8 +912,8 @@ class ETLGraph:
         writes first -- through :meth:`mutable_operation` -- materializes
         a private copy, so neither graph can observe the other's
         mutations.  The child records every subsequent mutation in its
-        delta and snapshots the parent's structural signature for
-        incremental signature maintenance.
+        delta and snapshots the parent's structural signature and
+        fingerprint entries for incremental maintenance.
 
         Forking the *same* parent repeatedly is cheap and safe: the
         parent is never materialized, each fork only re-marks its
@@ -910,12 +946,13 @@ class ETLGraph:
             self._own_pred = set()
         clone._delta = GraphDelta()
         clone._parent_uid = self._uid
-        # The parent's structural signature is captured lazily, on the
-        # child's first signature request: candidates discarded before
-        # deduplication never pay for it.  The reference is dropped as
-        # soon as the signature is resolved, so no parent chain is kept
-        # alive beyond that point.
+        # The parent's structural signature and fingerprint entries are
+        # captured lazily, on the child's first signature or fingerprint
+        # request: candidates discarded before deduplication never pay
+        # for them.  The reference is dropped as soon as they are
+        # captured, so no parent chain is kept alive beyond that point.
         clone._parent_ref = self
+        clone._parent_version = self._version
         return clone
 
     def structurally_equal(self, other: "ETLGraph") -> bool:
@@ -947,13 +984,24 @@ class ETLGraph:
         )
         return (nodes, edges, annotations)
 
+    def _capture_parent(self) -> None:
+        """Snapshot the copy parent's signature and fingerprint entries, once.
+
+        A parent mutated since the fork no longer matches the recorded
+        delta; the child then computes both from scratch.
+        """
+        parent = self._parent_ref
+        if parent is not None:
+            self._parent_ref = None
+            if parent._version == self._parent_version:
+                self._parent_sig = parent._structural_signature()
+                self._parent_fp = parent._operation_entries()
+
     def _structural_signature(self) -> tuple:
         """The (nodes, edges) part of the signature, cached on COW graphs."""
         if self._sig_cache is not None:
             return self._sig_cache
-        if self._parent_sig is None and self._parent_ref is not None:
-            self._parent_sig = self._parent_ref._structural_signature()
-            self._parent_ref = None
+        self._capture_parent()
         if self._parent_sig is not None and self._delta is not None:
             signature = self._merge_parent_signature()
         else:
@@ -985,6 +1033,57 @@ class ETLGraph:
         edges.extend(key for key in delta.edges_added if self._graph.has_edge(*key))
         return (tuple(sorted(nodes)), tuple(sorted(edges)))
 
+    def fingerprint(self) -> tuple:
+        """A hashable content fingerprint of everything that influences measures.
+
+        Strictly finer than :meth:`signature`: besides the transitions it
+        covers each operation's kind, parallelism, output schema, config
+        and properties (costs, selectivities, rates), plus the graph
+        annotations -- everything the simulator and the static
+        estimators read.  The flow *name* and pattern lineage are left
+        out, so equal flows reached through different pattern
+        combinations share one profile-cache entry.
+
+        The operation part is cached on copy-on-write graphs and merged
+        from the parent's entries plus the recorded delta (entries of
+        unchanged operations are shared with the parent, not rebuilt);
+        the transitions are those of the structural signature, and the
+        annotations are read live.  Deep graphs recompute everything on
+        each call, so mutating a deep flow in place always yields a
+        fresh fingerprint.
+        """
+        annotations = tuple(
+            sorted((str(k), repr(v)) for k, v in self.annotations.items())
+        )
+        return (self._operation_entries(), self._structural_signature()[1], annotations)
+
+    def _operation_entries(self) -> tuple:
+        """The sorted per-operation part of the fingerprint, cached on COW graphs."""
+        if self._fp_cache is not None:
+            return self._fp_cache
+        self._capture_parent()
+        if self._parent_fp is not None and self._delta is not None:
+            entries = self._merge_parent_entries()
+        else:
+            entries = tuple(sorted(_operation_entry(op) for op in self.operations()))
+        if self._copy_mode == "cow":
+            self._fp_cache = entries
+        return entries
+
+    def _merge_parent_entries(self) -> tuple:
+        """Parent fingerprint entries + delta -> this graph's entries."""
+        delta = self._delta
+        changed = delta.ops_added | delta.ops_modified
+        gone = delta.ops_removed | changed
+        if not gone:
+            return self._parent_fp
+        entries = [entry for entry in self._parent_fp if entry[0] not in gone]
+        for op_id in changed:
+            if op_id in self._graph:
+                entries.append(_operation_entry(self.operation(op_id)))
+        entries.sort()
+        return tuple(entries)
+
     # ------------------------------------------------------------------
     # Pickling
     # ------------------------------------------------------------------
@@ -1012,6 +1111,10 @@ class ETLGraph:
             # unpickled graph recomputes its signature from scratch.
             state["_parent_ref"] = None
             state["_parent_sig"] = None
+        # The fingerprint entries are rebuilt on demand after unpickling,
+        # so process-pool payloads stay the size of the flow itself.
+        state["_parent_fp"] = None
+        state["_fp_cache"] = None
         return state
 
     # ------------------------------------------------------------------

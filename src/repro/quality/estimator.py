@@ -67,45 +67,13 @@ class EstimationSettings:
 
 
 def flow_fingerprint(flow: ETLGraph) -> tuple:
-    """A hashable content fingerprint of everything that influences measures.
+    """The content fingerprint of ``flow``, the flow part of every cache key.
 
-    Strictly finer than :meth:`ETLGraph.signature`: it also covers operation
-    properties (costs, selectivities, rates), operation configs and
-    schemas, and graph annotations, all of which feed the simulator and the
-    static estimators.  The flow *name* and pattern lineage are
-    deliberately excluded so that structurally identical flows reached
-    through different pattern combinations share one cache entry.
+    Covers everything that influences measures but not the flow name or
+    pattern lineage; see :meth:`ETLGraph.fingerprint`, which maintains
+    it incrementally on copy-on-write graphs.
     """
-    ops = []
-    for op in flow.operations():
-        props = op.properties
-        ops.append(
-            (
-                op.op_id,
-                op.kind.value,
-                op.parallelism,
-                tuple((f.name, f.dtype.value, f.nullable, f.key) for f in op.output_schema.fields),
-                tuple(sorted((str(k), repr(v)) for k, v in op.config.items())),
-                props.cost_per_tuple,
-                props.fixed_cost,
-                props.selectivity,
-                props.error_rate,
-                props.null_rate,
-                props.duplicate_rate,
-                props.failure_rate,
-                props.memory_per_tuple,
-                props.freshness_lag,
-                props.update_frequency,
-                props.monetary_cost,
-                tuple(sorted((str(k), repr(v)) for k, v in props.extra.items())),
-            )
-        )
-    ops.sort()
-    return (
-        tuple(ops),
-        tuple(sorted((e.source, e.target) for e in flow.edges())),
-        tuple(sorted((str(k), repr(v)) for k, v in flow.annotations.items())),
-    )
+    return flow.fingerprint()
 
 
 class QualityEstimator:
@@ -162,9 +130,12 @@ class QualityEstimator:
 
         Covers the flow content, the estimation settings, and the measure
         registry, so estimators with different registries can safely share
-        one cache.  Recomputed on every call -- nothing is memoized per
-        graph instance, so mutating a flow in place and re-evaluating it
-        yields a fresh key (a cache miss), never a stale profile.
+        one cache.  The flow part is :meth:`ETLGraph.fingerprint`: cached
+        on copy-on-write graphs (which see every mutation through the
+        graph API, so a mutated flow gets a fresh key), recomputed on
+        every call for deep graphs, so mutating a deep flow in place and
+        re-evaluating it yields a fresh key (a cache miss), never a stale
+        profile.
         """
         registry = tuple(
             sorted((m.name, m.weight, m.requires_trace) for m in self.registry)
