@@ -26,7 +26,10 @@ only the delta neighbourhood (:func:`repro.etl.validation.validate_delta`),
 deduplication reuses the parent signature instead of re-hashing the
 whole flow, and the profile-cache key reuses the parent's per-operation
 fingerprint entries.  Deep graphs cache neither: mutating a deep flow in
-place (even through ``operation(...)`` results) is always observed.
+place (even through ``operation(...)`` results) is always observed.  Both
+modes memoize the topological order per structure version (see
+:class:`ETLGraph`), which the simulator, the structural measures and the
+executor's compiler all read.
 """
 
 from __future__ import annotations
@@ -300,6 +303,14 @@ class ETLGraph:
     ``op_id`` and exposes the structural queries needed by the pattern
     applicability checks (sources, sinks, topological order, longest path,
     fan-in/fan-out) and by the manageability measures.
+
+    Structure memo: the topological order (as operation ids) and the
+    longest path length are computed once per structure version and
+    memoized on deep and copy-on-write graphs alike.  The contract is
+    ``_version``: every structural mutation goes through the graph API,
+    whose ``_dirty()`` bumps it and so retires the memo.  The memo holds
+    ids only -- kinds and properties are always read live, because a
+    deep flow's payloads may be mutated in place -- and pickling drops it.
     """
 
     def __init__(self, name: str = "etl_flow") -> None:
@@ -334,6 +345,11 @@ class ETLGraph:
         # snapshots if the parent is still in the state it was forked from.
         self._version: int = 0
         self._parent_version: int = 0
+        # Structure memo: ``(version, topological ids)`` and ``(version,
+        # longest path length)``, valid while ``_version`` is unchanged.
+        # Ids only -- kinds and properties are always read live.
+        self._order_memo: tuple[int, tuple[str, ...]] | None = None
+        self._longest_memo: tuple[int, int] | None = None
         self._uid: int = next(_graph_uid_counter)
 
     # ------------------------------------------------------------------
@@ -341,7 +357,11 @@ class ETLGraph:
     # ------------------------------------------------------------------
 
     def _dirty(self) -> None:
-        """Invalidate the cached signature and fingerprint after a mutation."""
+        """Invalidate the cached signature, fingerprint and structure memo.
+
+        Bumping ``_version`` is what retires the structure memo, on deep
+        and copy-on-write graphs alike.
+        """
         self._sig_cache = None
         self._fp_cache = None
         self._version += 1
@@ -611,6 +631,8 @@ class ETLGraph:
 
     def operations(self) -> list[Operation]:
         """All operations, in insertion order."""
+        if _PLAIN_DICT_INTERNALS:
+            return [data["operation"] for data in self._graph._node.values()]
         return [data["operation"] for _, data in self._graph.nodes(data=True)]
 
     def operation_ids(self) -> list[str]:
@@ -658,15 +680,19 @@ class ETLGraph:
     @property
     def edge_count(self) -> int:
         """Number of transitions in the flow."""
+        if _PLAIN_DICT_INTERNALS:
+            return sum(map(len, self._graph._succ.values()))
         return self._graph.number_of_edges()
 
     def sources(self) -> list[Operation]:
-        """Operations with no predecessors (the extraction points)."""
-        return [self.operation(n) for n in self._graph.nodes() if self._graph.in_degree(n) == 0]
+        """Operations with no predecessors (the extraction points), in insertion order."""
+        pred = self._graph._pred if _PLAIN_DICT_INTERNALS else self._graph.pred
+        return [self.operation(n) for n, preds in pred.items() if not preds]
 
     def sinks(self) -> list[Operation]:
-        """Operations with no successors (the loading points)."""
-        return [self.operation(n) for n in self._graph.nodes() if self._graph.out_degree(n) == 0]
+        """Operations with no successors (the loading points), in insertion order."""
+        succ = self._graph._succ if _PLAIN_DICT_INTERNALS else self._graph.succ
+        return [self.operation(n) for n, succs in succ.items() if not succs]
 
     def has_source(self) -> bool:
         """Whether at least one operation has no predecessors (early exit)."""
@@ -684,6 +710,18 @@ class ETLGraph:
         """Operations fed directly by ``op_id``."""
         return [self.operation(n) for n in self._graph.successors(op_id)]
 
+    def predecessor_ids(self, op_id: str) -> list[str]:
+        """Identifiers of the operations feeding ``op_id``, in edge insertion order."""
+        if _PLAIN_DICT_INTERNALS:
+            return list(self._graph._pred[op_id])
+        return list(self._graph.predecessors(op_id))
+
+    def successor_ids(self, op_id: str) -> list[str]:
+        """Identifiers of the operations fed by ``op_id``, in edge insertion order."""
+        if _PLAIN_DICT_INTERNALS:
+            return list(self._graph._succ[op_id])
+        return list(self._graph.successors(op_id))
+
     def in_degree(self, op_id: str) -> int:
         """Number of incoming transitions of ``op_id``."""
         if _PLAIN_DICT_INTERNALS:
@@ -696,19 +734,40 @@ class ETLGraph:
             return len(self._graph._succ[op_id])
         return int(self._graph.out_degree(op_id))
 
+    def topological_ids(self) -> tuple[str, ...]:
+        """Operation identifiers in networkx's topological order (sources first).
+
+        Sorted once per structure version and memoized; the simulator
+        draws source volumes in this order, so it is exactly the order
+        ``nx.topological_sort`` yields.
+        """
+        memo = self._order_memo
+        if memo is None or memo[0] != self._version:
+            memo = self._order_memo = (self._version, tuple(nx.topological_sort(self._graph)))
+        return memo[1]
+
     def topological_order(self) -> list[Operation]:
         """Operations in a topological order (sources first)."""
-        return [self.operation(n) for n in nx.topological_sort(self._graph)]
+        return [self.operation(n) for n in self.topological_ids()]
 
     def longest_path_length(self) -> int:
         """Length (in edges) of the longest path of the flow.
 
         This is the "length of process workflow's longest path"
-        manageability measure of Fig. 1.
+        manageability measure of Fig. 1.  One pass over the memoized
+        topological order, memoized per structure version as well.
         """
-        if self.node_count == 0:
-            return 0
-        return int(nx.dag_longest_path_length(self._graph))
+        memo = self._longest_memo
+        if memo is None or memo[0] != self._version:
+            depth: dict[str, int] = {}
+            longest = 0
+            for op_id in self.topological_ids():
+                here = max((depth[p] + 1 for p in self.predecessor_ids(op_id)), default=0)
+                depth[op_id] = here
+                if here > longest:
+                    longest = here
+            memo = self._longest_memo = (self._version, longest)
+        return memo[1]
 
     def longest_path(self) -> list[Operation]:
         """Operations along one longest path of the flow."""
@@ -1115,6 +1174,8 @@ class ETLGraph:
         # so process-pool payloads stay the size of the flow itself.
         state["_parent_fp"] = None
         state["_fp_cache"] = None
+        state["_order_memo"] = None
+        state["_longest_memo"] = None
         return state
 
     # ------------------------------------------------------------------

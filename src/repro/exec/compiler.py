@@ -114,19 +114,20 @@ def compile_flow(flow: ETLGraph, backend: ETLBackend | None = None) -> Executabl
             f"unsupported operations: {', '.join(unsupported)}"
         )
 
-    order = [op.op_id for op in flow.topological_order()]
+    # The flow's memoized topological order: the simulator lowers the
+    # same one, so execution and estimation never sort a structure twice.
+    order = list(flow.topological_ids())
 
     nodes: dict[str, CompiledNode] = {}
     for op_id in order:
         operation = flow.operation(op_id)
         inputs: list[tuple[str, int]] = []
-        for predecessor in flow.predecessors(op_id):
-            if predecessor.kind in ROUTER_KINDS:
-                siblings = [s.op_id for s in flow.successors(predecessor.op_id)]
-                slot = siblings.index(op_id)
+        for predecessor_id in flow.predecessor_ids(op_id):
+            if flow.operation(predecessor_id).kind in ROUTER_KINDS:
+                slot = flow.successor_ids(predecessor_id).index(op_id)
             else:
                 slot = 0
-            inputs.append((predecessor.op_id, slot))
+            inputs.append((predecessor_id, slot))
         fanout = (
             max(1, flow.out_degree(op_id)) if operation.kind in ROUTER_KINDS else 1
         )

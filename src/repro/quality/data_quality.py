@@ -136,11 +136,14 @@ class CleansingCoverage(Measure):
         cleansing_ids = {op.op_id for op in flow.operations_of_kind(*self._CLEANSING_KINDS)}
         if not cleansing_ids:
             return 0.0
-        covered = 0
-        for source in sources:
-            downstream = flow.downstream_of(source.op_id)
-            if downstream & cleansing_ids:
-                covered += 1
+        # "A cleansing operation lies downstream", for every operation in
+        # one reverse pass over the topological order.
+        cleansed: dict[str, bool] = {}
+        for op_id in reversed(flow.topological_ids()):
+            cleansed[op_id] = any(
+                succ in cleansing_ids or cleansed[succ] for succ in flow.successor_ids(op_id)
+            )
+        covered = sum(1 for source in sources if cleansed[source.op_id])
         return covered / len(sources)
 
     def normalize(self, value: float) -> float:

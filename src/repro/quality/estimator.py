@@ -55,6 +55,10 @@ class EstimationSettings:
     resources: ResourceModel | None = None
     use_simulation: bool = True
 
+    def __post_init__(self) -> None:
+        if self.simulation_runs < 1:
+            raise ValueError(f"simulation_runs must be at least 1, got {self.simulation_runs}")
+
     def fingerprint(self) -> tuple:
         """A hashable identity of everything that influences the estimates."""
         resources = self.resources

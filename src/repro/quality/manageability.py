@@ -8,7 +8,11 @@ from repro.simulator.traces import TraceArchive
 
 
 class LongestPathLength(Measure):
-    """Length of the process workflow's longest path (in transitions)."""
+    """Length of the process workflow's longest path (in transitions).
+
+    Read from the flow's structure memo (one pass over its memoized
+    topological order per structure version).
+    """
 
     name = "longest_path_length"
     description = "Length of process workflow's longest path"

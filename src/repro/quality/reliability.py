@@ -69,13 +69,20 @@ class RecoveryCoverage(Measure):
         }
         if not checkpoints:
             return 0.0
+        # "A checkpoint lies upstream", for every operation in one forward
+        # pass over the topological order.
+        protected: dict[str, bool] = {}
+        for op_id in flow.topological_ids():
+            protected[op_id] = any(
+                pred in checkpoints or protected[pred] for pred in flow.predecessor_ids(op_id)
+            )
         total_weight = 0.0
         protected_weight = 0.0
         for op in flow.operations():
             rows = float(op.config.get("rows", 1000))
             weight = op.properties.fixed_cost + op.properties.cost_per_tuple * rows
             total_weight += weight
-            if flow.upstream_of(op.op_id) & checkpoints:
+            if protected[op.op_id]:
                 protected_weight += weight
         if total_weight <= 0:
             return 0.0

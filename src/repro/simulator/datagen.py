@@ -121,3 +121,7 @@ class SyntheticDataGenerator:
     def random(self) -> float:
         """A uniform sample in ``[0, 1)``."""
         return float(self._rng.random())
+
+    def random_batch(self, count: int) -> list[float]:
+        """``count`` uniform samples in ``[0, 1)``: the same stream as ``count`` :meth:`random` calls."""
+        return self._rng.random(count).tolist()

@@ -40,13 +40,20 @@ class FailureEvent:
 
 
 class FailureInjector:
-    """Samples failures for a flow execution and computes recovery costs."""
+    """Samples failures for a flow execution and computes recovery costs.
+
+    The checkpoint set is read at construction and each failing
+    operation's recovery plan is memoized, so a flow mutated afterwards
+    needs a new injector.
+    """
 
     def __init__(self, flow: ETLGraph) -> None:
         self._flow = flow
         self._checkpoints = {
             op.op_id for op in flow.operations_of_kind(OperationKind.CHECKPOINT)
         }
+        # failed op -> (chargeable ids in id order, checkpoint recovered from)
+        self._plans: dict[str, tuple[tuple[str, ...], str]] = {}
 
     @property
     def checkpoint_ids(self) -> frozenset[str]:
@@ -90,8 +97,21 @@ class FailureInjector:
         performed upstream (plus the failed operation's own work) must be
         repeated.  With one or more checkpoints upstream, only the work of
         operations strictly downstream of the nearest checkpoint is lost,
-        modelling the paper's savepoint/recovery construct.
+        modelling the paper's savepoint/recovery construct.  The graph
+        queries behind that answer run once per failing operation; later
+        failures of the same operation only sum the chargeable times.
         """
+        chargeable, recovered_from = self._recovery_plan(failed_op)
+        # Summed in id order: float addition is not associative, so a
+        # hash-ordered sum would move the last bits with PYTHONHASHSEED.
+        lost = sum(operation_times_ms.get(op_id, 0.0) for op_id in chargeable)
+        return FailureEvent(op_id=failed_op, lost_work_ms=lost, recovered_from=recovered_from)
+
+    def _recovery_plan(self, failed_op: str) -> tuple[tuple[str, ...], str]:
+        """The sorted ids charged for a failure of ``failed_op``, and its checkpoint."""
+        plan = self._plans.get(failed_op)
+        if plan is not None:
+            return plan
         upstream = self._flow.upstream_of(failed_op)
         chargeable = set(upstream) | {failed_op}
         recovered_from = ""
@@ -108,10 +128,8 @@ class FailureInjector:
             recovered_from = nearest
             protected = self._flow.upstream_of(nearest) | {nearest}
             chargeable -= protected
-        # Summed in id order: float addition is not associative, so a
-        # hash-ordered sum would move the last bits with PYTHONHASHSEED.
-        lost = sum(operation_times_ms.get(op_id, 0.0) for op_id in sorted(chargeable))
-        return FailureEvent(op_id=failed_op, lost_work_ms=lost, recovered_from=recovered_from)
+        plan = self._plans[failed_op] = (tuple(sorted(chargeable)), recovered_from)
+        return plan
 
     def recovery_events(
         self,

@@ -82,7 +82,7 @@ class FlowTrace:
     @property
     def total_error_rows(self) -> float:
         """Erroneous rows present in the data loaded by the sink operations."""
-        sinks = [t for t in self.operations.values() if t.kind.startswith("load_")]
+        sinks = _sink_traces(self)
         if not sinks:
             return 0.0
         return sum(t.error_rows for t in sinks)
@@ -90,7 +90,7 @@ class FlowTrace:
     @property
     def total_null_rows(self) -> float:
         """Rows with NULL defects present in the loaded data."""
-        sinks = [t for t in self.operations.values() if t.kind.startswith("load_")]
+        sinks = _sink_traces(self)
         if not sinks:
             return 0.0
         return sum(t.null_rows for t in sinks)
@@ -98,7 +98,7 @@ class FlowTrace:
     @property
     def total_duplicate_rows(self) -> float:
         """Duplicate rows present in the loaded data."""
-        sinks = [t for t in self.operations.values() if t.kind.startswith("load_")]
+        sinks = _sink_traces(self)
         if not sinks:
             return 0.0
         return sum(t.duplicate_rows for t in sinks)
@@ -114,6 +114,11 @@ class FlowTrace:
     def failure_count(self) -> int:
         """Number of failure events encountered during the run."""
         return len(self.failures)
+
+
+def _sink_traces(trace: FlowTrace) -> list[OperationTrace]:
+    """The traces of the sink (``load_*``) operations of one run, in operation order."""
+    return [t for t in trace.operations.values() if t.kind.startswith("load_")]
 
 
 class TraceArchive:
@@ -186,14 +191,20 @@ class TraceArchive:
         return statistics.fmean(t.rows_loaded for t in self._traces)
 
     def mean_defect_rates(self) -> dict[str, float]:
-        """Mean null/duplicate/error rates of the loaded data across runs."""
+        """Mean null/duplicate/error rates of the loaded data across runs.
+
+        Each trace's sinks are collected once; the per-defect sums run over
+        them in the order of :attr:`FlowTrace.total_null_rows` and friends,
+        so the rates equal those properties' quotients bit for bit.
+        """
         self._require_traces()
         nulls, dups, errs = [], [], []
         for trace in self._traces:
             loaded = max(trace.rows_loaded, 1.0)
-            nulls.append(trace.total_null_rows / loaded)
-            dups.append(trace.total_duplicate_rows / loaded)
-            errs.append(trace.total_error_rows / loaded)
+            sinks = _sink_traces(trace)
+            nulls.append(sum(t.null_rows for t in sinks) / loaded)
+            dups.append(sum(t.duplicate_rows for t in sinks) / loaded)
+            errs.append(sum(t.error_rows for t in sinks) / loaded)
         return {
             "null_rate": statistics.fmean(nulls),
             "duplicate_rate": statistics.fmean(dups),

@@ -174,3 +174,14 @@ class TestQualityEstimator:
         profile = estimator.evaluate(linear_flow)
         assert set(profile.values) == {"longest_path_length", "coupling"}
         assert set(profile.scores) == {QualityCharacteristic.MANAGEABILITY}
+
+
+class TestEstimationSettings:
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_fewer_than_one_simulation_run_is_rejected(self, runs):
+        with pytest.raises(ValueError, match="simulation_runs"):
+            EstimationSettings(simulation_runs=runs)
+
+    def test_static_only_settings_still_need_a_valid_run_count(self):
+        with pytest.raises(ValueError, match="simulation_runs"):
+            EstimationSettings(simulation_runs=0, use_simulation=False)

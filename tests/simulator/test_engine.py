@@ -203,3 +203,27 @@ class TestReliabilityAndFreshness:
         flow = _simple_flow()
         archive = simulate_flow(flow, runs=1, seed=5)
         assert archive.mean_freshness_lag_minutes() >= 60.0
+
+
+class TestRunCountValidation:
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_config_rejects_fewer_than_one_run(self, runs):
+        with pytest.raises(ValueError, match="runs"):
+            SimulationConfig(runs=runs)
+
+    def test_simulate_flow_rejects_zero_runs(self, linear_flow):
+        with pytest.raises(ValueError, match="runs"):
+            simulate_flow(linear_flow, runs=0)
+
+    def test_one_run_is_accepted(self, linear_flow):
+        assert len(simulate_flow(linear_flow, runs=1)) == 1
+
+
+class TestLowering:
+    def test_flow_mutated_after_construction_needs_a_new_simulator(self, linear_flow):
+        config = SimulationConfig(runs=1, seed=4)
+        simulator = ETLSimulator(linear_flow, config)
+        linear_flow.mutable_operation("flt").properties.selectivity = 0.1
+        stale = simulator.run_once()
+        fresh = ETLSimulator(linear_flow, config).run_once()
+        assert stale.operation("flt").rows_out > fresh.operation("flt").rows_out

@@ -11,6 +11,7 @@ from repro.etl.builder import FlowBuilder
 from repro.etl.operations import OperationKind
 from repro.etl.schema import DataType, Field, Schema
 from repro.simulator.failures import FailureInjector
+from tests.reference_simulator import reference_lost_work
 
 
 def _schema():
@@ -157,3 +158,24 @@ def test_plans_do_not_depend_on_the_hash_seed():
     """Lost work is summed, and the nearest checkpoint picked, in a fixed
     order, so string hashing never reaches the last bits of a profile."""
     assert _plan_digest(0) == _plan_digest(2)
+
+
+class TestRecoveryPlanMemo:
+    def test_repeated_failures_sum_the_times_they_are_given(self):
+        flow, derive = _flow_with_checkpoint(True)
+        injector = FailureInjector(flow)
+        first = injector.lost_work_for_failure(derive.op_id, {derive.op_id: 10.0})
+        second = injector.lost_work_for_failure(derive.op_id, {derive.op_id: 4.0})
+        assert (first.lost_work_ms, second.lost_work_ms) == (10.0, 4.0)
+        assert first.recovered_from == second.recovered_from == "cp"
+
+    def test_matches_fresh_graph_queries_for_every_operation(self):
+        for with_checkpoint in (False, True):
+            flow, _ = _flow_with_checkpoint(with_checkpoint)
+            injector = FailureInjector(flow)
+            times = {op.op_id: 1.5 * (index + 1) for index, op in enumerate(flow.operations())}
+            for _ in range(2):  # the second pass reads the memoized plans
+                for op_id in flow.operation_ids():
+                    assert injector.lost_work_for_failure(op_id, times) == reference_lost_work(
+                        flow, op_id, times
+                    )

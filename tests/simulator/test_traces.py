@@ -1,7 +1,10 @@
 """Unit tests for trace records and archives."""
 
+import statistics
+
 import pytest
 
+from repro.simulator.engine import simulate_flow
 from repro.simulator.traces import FlowTrace, OperationTrace, TraceArchive
 
 
@@ -117,3 +120,16 @@ class TestTraceArchive:
         }
         assert set(summary) == expected_keys
         assert summary["runs"] == 1.0
+
+    def test_defect_rates_equal_the_per_trace_totals_bit_for_bit(self, branching_flow):
+        archive = simulate_flow(branching_flow, runs=4, seed=9)
+        rates = archive.mean_defect_rates()
+        for key, total in (
+            ("null_rate", "total_null_rows"),
+            ("duplicate_rate", "total_duplicate_rows"),
+            ("error_rate", "total_error_rows"),
+        ):
+            expected = statistics.fmean(
+                getattr(trace, total) / max(trace.rows_loaded, 1.0) for trace in archive
+            )
+            assert rates[key] == expected
