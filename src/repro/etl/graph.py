@@ -3,10 +3,12 @@
 Following the paper, an ETL process is modelled as one graph ``G`` with
 components ``(V, E)``: each node represents an ETL flow operation and each
 directed edge represents a transition from one operation to a successor
-one.  :class:`ETLGraph` wraps a :class:`networkx.DiGraph` and adds the
-ETL-specific structure (operations on nodes, schemas on edges, sources,
-sinks, paths, cloning and annotation bookkeeping) that the planner and the
-quality estimators rely on.
+one.  :class:`ETLGraph` stores that graph in three insertion-ordered
+dicts -- operations by id, and successor and predecessor adjacency
+holding the :class:`Edge` records -- and answers the structural queries
+the planner and the quality estimators rely on (sources, sinks,
+topological order, longest path, reachability, distances) with plain
+graph walks over them.
 
 Pattern application produces thousands of near-identical flows, so the
 graph supports two copying disciplines:
@@ -36,9 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
+from typing import Any, Iterator, Mapping
 
 from repro.etl.operations import Operation, OperationKind
 from repro.etl.schema import Schema
@@ -46,52 +46,48 @@ from repro.etl.schema import Schema
 _graph_uid_counter = itertools.count(1)
 
 
-def _probe_plain_dict_internals() -> bool:
-    """Whether DiGraph stores nodes/adjacency in plain dicts (CPython default)."""
-    probe = nx.DiGraph()
-    try:
-        return (
-            isinstance(probe._node, dict)
-            and isinstance(probe._succ, dict)
-            and isinstance(probe._pred, dict)
-        )
-    except AttributeError:  # pragma: no cover - exotic networkx backends only
-        return False
+def _reach(start: str, *adjacencies: Mapping[str, Mapping[str, Any]]) -> Iterator[str]:
+    """Every operation reachable from ``start`` (itself excluded), each once.
 
-
-#: When true (the stock networkx implementation), ETLGraph copies share the
-#: node/edge *attribute dicts* between parent and child and every write
-#: replaces the leaf dict instead of mutating it, making a structure copy a
-#: two-level dict copy.  When false, leaf dicts are copied defensively and
-#: writes mutate in place (the seed behaviour).
-_PLAIN_DICT_INTERNALS = _probe_plain_dict_internals()
-
-#: networkx >= 3.3 keeps a per-graph backend-conversion cache that direct
-#: adjacency writes must invalidate; older releases have no such cache, so
-#: the invalidation degrades to a no-op there.
-_clear_nx_cache = getattr(nx, "_clear_cache", lambda graph: None)
-
-
-def _copy_structure(graph: nx.DiGraph, into: nx.DiGraph | None = None) -> nx.DiGraph:
-    """A structure copy of a DiGraph sharing every inner dictionary.
-
-    Cheaper than ``graph.copy()``: only the three *outer* dictionaries
-    (nodes, successor and predecessor adjacency) are rebuilt -- flat
-    pointer copies -- while the per-node adjacency dicts and the leaf
-    attribute dicts (``{"operation": ...}`` / ``{"edge": ...}``) are
-    shared.  Safe because :class:`ETLGraph` treats all inner dicts as
-    copy-on-write: adjacency writes go through the ``_own_*`` faults and
-    attribute writes replace leaf dicts instead of mutating them.  This
-    runs once per pattern application, so the constant factor matters.
+    Walks the union of ``adjacencies`` -- ``_succ`` for descendants,
+    ``_pred`` for ancestors, both for the weakly connected component.
+    Lazy, so a reachability probe stops at the first hit.
     """
-    if not _PLAIN_DICT_INTERNALS:  # pragma: no cover - exotic backends only
-        return graph.copy()
-    clone = nx.DiGraph() if into is None else into
-    clone.graph.update(graph.graph)
-    clone._node.update(graph._node)
-    clone._succ.update(graph._succ)
-    clone._pred.update(graph._pred)
-    return clone
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for adjacency in adjacencies:
+            for other in adjacency[node]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+                    yield other
+
+
+def _hops_to_end(adjacency: Mapping[str, Mapping[str, Any]], start: str) -> int:
+    """Hops from ``start`` to the nearest operation with no neighbours in ``adjacency``.
+
+    One breadth-first walk: the first generation holding an operation
+    without neighbours (a source over ``_pred``, a sink over ``_succ``)
+    gives the shortest distance.
+    """
+    generation = [start]
+    seen = {start}
+    hops = 0
+    while generation:
+        following = []
+        for node in generation:
+            neighbours = adjacency[node]
+            if not neighbours:
+                return hops
+            for other in neighbours:
+                if other not in seen:
+                    seen.add(other)
+                    following.append(other)
+        generation = following
+        hops += 1
+    return 0
 
 
 def _operation_entry(op: Operation) -> tuple:
@@ -304,18 +300,28 @@ class ETLGraph:
     applicability checks (sources, sinks, topological order, longest path,
     fan-in/fan-out) and by the manageability measures.
 
-    Structure memo: the topological order (as operation ids) and the
-    longest path length are computed once per structure version and
-    memoized on deep and copy-on-write graphs alike.  The contract is
-    ``_version``: every structural mutation goes through the graph API,
-    whose ``_dirty()`` bumps it and so retires the memo.  The memo holds
-    ids only -- kinds and properties are always read live, because a
-    deep flow's payloads may be mutated in place -- and pickling drops it.
+    Storage: ``_nodes`` maps each id to its :class:`Operation`, and
+    ``_succ[u][v]`` / ``_pred[v][u]`` both hold the :class:`Edge` of the
+    transition ``u -> v``.  The three outer dicts list the operations in
+    the same (insertion) order; each inner dict lists neighbours in edge
+    insertion order.  Values are never mutated in place while they may
+    be shared with a copy: writes install a new ``Operation`` (after the
+    copy-on-write fault) or a new frozen ``Edge``.
+
+    Structure memo: the topological order (as operation ids) and one
+    longest path are computed once per structure version and memoized on
+    deep and copy-on-write graphs alike.  The contract is ``_version``:
+    every structural mutation goes through the graph API, whose
+    ``_dirty()`` bumps it and so retires the memo.  The memo holds ids
+    only -- kinds and properties are always read live, because a deep
+    flow's payloads may be mutated in place -- and pickling drops it.
     """
 
     def __init__(self, name: str = "etl_flow") -> None:
         self.name = name
-        self._graph: nx.DiGraph = nx.DiGraph()
+        self._nodes: dict[str, Operation] = {}
+        self._succ: dict[str, dict[str, Edge]] = {}
+        self._pred: dict[str, dict[str, Edge]] = {}
         self.annotations: dict[str, Any] = {}
         self._lineage: list[str] = []
         # Copy-on-write bookkeeping.  ``_shared_ops`` holds identifiers of
@@ -346,10 +352,10 @@ class ETLGraph:
         self._version: int = 0
         self._parent_version: int = 0
         # Structure memo: ``(version, topological ids)`` and ``(version,
-        # longest path length)``, valid while ``_version`` is unchanged.
+        # longest path ids)``, valid while ``_version`` is unchanged.
         # Ids only -- kinds and properties are always read live.
         self._order_memo: tuple[int, tuple[str, ...]] | None = None
-        self._longest_memo: tuple[int, int] | None = None
+        self._longest_memo: tuple[int, tuple[str, ...]] | None = None
         self._uid: int = next(_graph_uid_counter)
 
     # ------------------------------------------------------------------
@@ -366,62 +372,33 @@ class ETLGraph:
         self._fp_cache = None
         self._version += 1
 
-    def _succ_of(self, op_id: str) -> dict:
+    def _succ_of(self, op_id: str) -> dict[str, Edge]:
         """The successor dict of ``op_id``, privatized for writing."""
-        graph = self._graph
         if self._shared_adj and op_id not in self._own_succ:
-            graph._succ[op_id] = dict(graph._succ[op_id])
+            self._succ[op_id] = dict(self._succ[op_id])
             self._own_succ.add(op_id)
-        return graph._succ[op_id]
+        return self._succ[op_id]
 
-    def _pred_of(self, op_id: str) -> dict:
+    def _pred_of(self, op_id: str) -> dict[str, Edge]:
         """The predecessor dict of ``op_id``, privatized for writing."""
-        graph = self._graph
         if self._shared_adj and op_id not in self._own_pred:
-            graph._pred[op_id] = dict(graph._pred[op_id])
+            self._pred[op_id] = dict(self._pred[op_id])
             self._own_pred.add(op_id)
-        return graph._pred[op_id]
+        return self._pred[op_id]
 
-    def _materialize_adjacency(self) -> None:
-        """Privatize every adjacency dict (before bulk nx-level mutation)."""
-        if not self._shared_adj:
-            return
-        graph = self._graph
-        for op_id in graph._succ:
-            if op_id not in self._own_succ:
-                graph._succ[op_id] = dict(graph._succ[op_id])
-        for op_id in graph._pred:
-            if op_id not in self._own_pred:
-                graph._pred[op_id] = dict(graph._pred[op_id])
-        self._shared_adj = False
-        self._own_succ = None
-        self._own_pred = None
+    def _write_edge(self, edge: Edge) -> None:
+        """Insert or replace ``edge`` in both adjacency directions.
 
-    def _write_operation_payload(self, op_id: str, operation: Operation) -> None:
-        """Replace the payload of an existing node, alias-preserving.
-
-        A fresh leaf dict is installed so that graphs sharing the old leaf
-        (copy parents/children) are unaffected.
+        Dicts shared with copies are privatized first, so they keep the
+        old record.  Both endpoints must exist.
         """
-        if _PLAIN_DICT_INTERNALS:
-            self._graph._node[op_id] = {"operation": operation}
-        else:  # pragma: no cover - exotic networkx backends only
-            self._graph.nodes[op_id]["operation"] = operation
+        self._succ_of(edge.source)[edge.target] = edge
+        self._pred_of(edge.target)[edge.source] = edge
 
-    def _write_edge_record(self, source: str, target: str, edge: Edge) -> None:
-        """Insert or replace the record of an edge, alias-preserving.
-
-        Installs a fresh leaf dict into both adjacency directions (the
-        networkx invariant: ``_succ[u][v] is _pred[v][u]``), leaving any
-        old leaf shared with copies untouched.  Both endpoints must exist.
-        """
-        if _PLAIN_DICT_INTERNALS:
-            attr = {"edge": edge}
-            self._succ_of(source)[target] = attr
-            self._pred_of(target)[source] = attr
-            _clear_nx_cache(self._graph)
-        else:  # pragma: no cover - exotic networkx backends only
-            self._graph.add_edge(source, target, edge=edge)
+    def _require(self, op_id: str) -> None:
+        """Raise a ``KeyError`` naming ``op_id`` unless it is an operation of the flow."""
+        if op_id not in self._nodes:
+            raise KeyError(f"unknown operation: {op_id!r}")
 
     def add_operation(self, operation: Operation) -> Operation:
         """Add an operation as a new node.
@@ -431,16 +408,19 @@ class ETLGraph:
         ValueError
             If an operation with the same ``op_id`` already exists.
         """
-        if operation.op_id in self._graph:
-            raise ValueError(f"duplicate operation id: {operation.op_id!r}")
-        self._graph.add_node(operation.op_id, operation=operation)
+        op_id = operation.op_id
+        if op_id in self._nodes:
+            raise ValueError(f"duplicate operation id: {op_id!r}")
+        self._nodes[op_id] = operation
+        self._succ[op_id] = {}
+        self._pred[op_id] = {}
         if self._shared_adj:
             # The freshly created adjacency dicts are private already.
-            self._own_succ.add(operation.op_id)
-            self._own_pred.add(operation.op_id)
+            self._own_succ.add(op_id)
+            self._own_pred.add(op_id)
         self._dirty()
         if self._delta is not None:
-            self._delta.record_op_added(operation.op_id)
+            self._delta.record_op_added(op_id)
         return operation
 
     def add_edge(
@@ -463,9 +443,9 @@ class ETLGraph:
         """
         source_id = source.op_id if isinstance(source, Operation) else source
         target_id = target.op_id if isinstance(target, Operation) else target
-        if source_id not in self._graph:
+        if source_id not in self._nodes:
             raise KeyError(f"unknown source operation: {source_id!r}")
-        if target_id not in self._graph:
+        if target_id not in self._nodes:
             raise KeyError(f"unknown target operation: {target_id!r}")
         if source_id == target_id:
             raise ValueError(f"self-loop on {source_id!r} is not allowed in an ETL flow")
@@ -473,13 +453,13 @@ class ETLGraph:
         # the target already reaches the source.  This early-exiting
         # reachability probe replaces a full-graph DAG recomputation and
         # keeps edge insertion proportional to the affected region.
-        if not unchecked and nx.has_path(self._graph, target_id, source_id):
+        if not unchecked and source_id in _reach(target_id, self._succ):
             raise ValueError(
                 f"adding edge {source_id!r} -> {target_id!r} would create a cycle"
             )
-        effective_schema = schema if schema is not None else self.operation(source_id).output_schema
+        effective_schema = schema if schema is not None else self._nodes[source_id].output_schema
         edge = Edge(source=source_id, target=target_id, schema=effective_schema, label=label)
-        self._write_edge_record(source_id, target_id, edge)
+        self._write_edge(edge)
         self._dirty()
         if self._delta is not None:
             self._delta.record_edge_added((source_id, target_id))
@@ -487,108 +467,68 @@ class ETLGraph:
 
     def remove_edge(self, source: str, target: str) -> None:
         """Remove the transition ``source -> target``."""
-        if not self._graph.has_edge(source, target):
+        if not self.has_edge(source, target):
             raise KeyError(f"no edge {source!r} -> {target!r}")
-        if _PLAIN_DICT_INTERNALS:
-            del self._succ_of(source)[target]
-            del self._pred_of(target)[source]
-            _clear_nx_cache(self._graph)
-        else:  # pragma: no cover - exotic networkx backends only
-            self._graph.remove_edge(source, target)
+        del self._succ_of(source)[target]
+        del self._pred_of(target)[source]
         self._dirty()
         if self._delta is not None:
             self._delta.record_edge_removed((source, target))
 
     def remove_operation(self, op_id: str) -> None:
         """Remove an operation and all its incident transitions."""
-        if op_id not in self._graph:
-            raise KeyError(f"unknown operation: {op_id!r}")
-        incident = [
-            *((pred, op_id) for pred in self._graph.predecessors(op_id)),
-            *((op_id, succ) for succ in self._graph.successors(op_id)),
-        ]
-        if _PLAIN_DICT_INTERNALS:
-            graph = self._graph
-            for pred, _ in incident:
-                if pred != op_id:
-                    del self._succ_of(pred)[op_id]
-            for _, succ in incident:
-                if succ != op_id:
-                    del self._pred_of(succ)[op_id]
-            del graph._succ[op_id]
-            del graph._pred[op_id]
-            del graph._node[op_id]
-            if self._shared_adj:
-                self._own_succ.discard(op_id)
-                self._own_pred.discard(op_id)
-            _clear_nx_cache(graph)
-        else:  # pragma: no cover - exotic networkx backends only
-            self._graph.remove_node(op_id)
+        self._require(op_id)
+        preds = self._pred[op_id]
+        succs = self._succ[op_id]
+        for pred in preds:
+            del self._succ_of(pred)[op_id]
+        for succ in succs:
+            del self._pred_of(succ)[op_id]
+        del self._nodes[op_id], self._succ[op_id], self._pred[op_id]
+        if self._shared_adj:
+            self._own_succ.discard(op_id)
+            self._own_pred.discard(op_id)
         self._shared_ops.discard(op_id)
         self._dirty()
         if self._delta is not None:
-            for key in incident:
-                self._delta.record_edge_removed(key)
+            for pred in preds:
+                self._delta.record_edge_removed((pred, op_id))
+            for succ in succs:
+                self._delta.record_edge_removed((op_id, succ))
             self._delta.record_op_removed(op_id)
 
     def relabel_operation(self, op_id: str, new_id: str) -> None:
-        """Change the identifier of an operation (keeping all edges)."""
-        if op_id not in self._graph:
-            raise KeyError(f"unknown operation: {op_id!r}")
-        if new_id in self._graph:
+        """Change the identifier of an operation (keeping all edges).
+
+        The renamed operation moves to the end of the operation order and
+        of each neighbour's adjacency dict, as networkx's in-place
+        relabelling does.
+        """
+        self._require(op_id)
+        if new_id in self._nodes:
             raise ValueError(f"operation id already in use: {new_id!r}")
-        # Materialize before touching ``op_id``: the payload may be shared
-        # with a copy parent/child, and ``nx.relabel_nodes(copy=False)``
-        # would otherwise rename the operation inside *both* graphs.
+        # Materialize before renaming: the payload may be shared with a
+        # copy parent/child, which must keep the old identifier.
         operation = self.mutable_operation(op_id)
-        incident = [
-            *((pred, op_id) for pred in self._graph.predecessors(op_id)),
-            *((op_id, succ) for succ in self._graph.successors(op_id)),
-        ]
+        succs = self._succ[op_id]
+        preds = self._pred[op_id]
+        self.remove_operation(op_id)
         operation.op_id = new_id
-        # ``relabel_nodes(copy=False)`` mutates adjacency dicts at the
-        # networkx level, below the copy-on-write faults: privatize the
-        # whole adjacency first so shared state stays untouched.
-        self._materialize_adjacency()
-        nx.relabel_nodes(self._graph, {op_id: new_id}, copy=False)
-        self._dirty()
-        if self._delta is not None:
-            for key in incident:
-                self._delta.record_edge_removed(key)
-            self._delta.record_op_removed(op_id)
-            self._delta.record_op_added(new_id)
-            for source, target in incident:
-                renamed = (
-                    new_id if source == op_id else source,
-                    new_id if target == op_id else target,
-                )
-                self._delta.record_edge_added(renamed)
-        # Rebuild edge records referencing the old identifier (fresh leaf
-        # dicts, so records shared with copies stay intact).
-        for pred in list(self._graph.predecessors(new_id)):
-            old_edge: Edge = self._graph.edges[pred, new_id]["edge"]
-            self._write_edge_record(
-                pred,
-                new_id,
-                Edge(source=pred, target=new_id, schema=old_edge.schema, label=old_edge.label),
-            )
-        for succ in list(self._graph.successors(new_id)):
-            old_edge = self._graph.edges[new_id, succ]["edge"]
-            self._write_edge_record(
-                new_id,
-                succ,
-                Edge(source=new_id, target=succ, schema=old_edge.schema, label=old_edge.label),
-            )
+        self.add_operation(operation)
+        for succ, edge in succs.items():
+            self.add_edge(new_id, succ, edge.schema, edge.label, unchecked=True)
+        for pred, edge in preds.items():
+            self.add_edge(pred, new_id, edge.schema, edge.label, unchecked=True)
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
 
     def __contains__(self, op_id: object) -> bool:
-        return op_id in self._graph
+        return op_id in self._nodes
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     def operation(self, op_id: str) -> Operation:
         """Return the operation with the given identifier (read-only view).
@@ -598,14 +538,9 @@ class ETLGraph:
         :meth:`mutable_operation` instead.
         """
         try:
-            # Reach into the node dict directly: this is the hottest
-            # accessor of the whole planner (validation, estimation and
-            # pattern checks all funnel through it).
-            if _PLAIN_DICT_INTERNALS:
-                return self._graph._node[op_id]["operation"]
-            return self._graph.nodes[op_id]["operation"]
-        except KeyError as exc:
-            raise KeyError(f"unknown operation: {op_id!r}") from exc
+            return self._nodes[op_id]
+        except KeyError:
+            raise KeyError(f"unknown operation: {op_id!r}") from None
 
     def mutable_operation(self, op_id: str) -> Operation:
         """Return the operation, materializing it first if its payload is shared.
@@ -621,8 +556,7 @@ class ETLGraph:
         """
         operation = self.operation(op_id)
         if op_id in self._shared_ops:
-            operation = operation.copy()
-            self._write_operation_payload(op_id, operation)
+            operation = self._nodes[op_id] = operation.copy()
             self._shared_ops.discard(op_id)
         self._dirty()
         if self._delta is not None:
@@ -631,39 +565,31 @@ class ETLGraph:
 
     def operations(self) -> list[Operation]:
         """All operations, in insertion order."""
-        if _PLAIN_DICT_INTERNALS:
-            return [data["operation"] for data in self._graph._node.values()]
-        return [data["operation"] for _, data in self._graph.nodes(data=True)]
+        return list(self._nodes.values())
 
     def operation_ids(self) -> list[str]:
         """All operation identifiers, in insertion order."""
-        return list(self._graph.nodes())
+        return list(self._nodes)
 
     def edges(self) -> list[Edge]:
-        """All transitions of the flow."""
-        return [data["edge"] for _, _, data in self._graph.edges(data=True)]
+        """All transitions of the flow, by source operation then edge insertion."""
+        return [edge for succs in self._succ.values() for edge in succs.values()]
 
     def edge(self, source: str, target: str) -> Edge:
         """Return the transition ``source -> target``."""
         try:
-            if _PLAIN_DICT_INTERNALS:
-                return self._graph._succ[source][target]["edge"]
-            return self._graph.edges[source, target]["edge"]
-        except KeyError as exc:
-            raise KeyError(f"no edge {source!r} -> {target!r}") from exc
+            return self._succ[source][target]
+        except KeyError:
+            raise KeyError(f"no edge {source!r} -> {target!r}") from None
 
     def has_edge(self, source: str, target: str) -> bool:
         """Whether the transition ``source -> target`` exists."""
-        return self._graph.has_edge(source, target)
+        return target in self._succ.get(source, ())
 
     def set_edge_schema(self, source: str, target: str, schema: Schema) -> None:
         """Replace the schema carried by an existing transition."""
         existing = self.edge(source, target)
-        self._write_edge_record(
-            source,
-            target,
-            Edge(source=source, target=target, schema=schema, label=existing.label),
-        )
+        self._write_edge(Edge(source=source, target=target, schema=schema, label=existing.label))
         self._dirty()
         if self._delta is not None:
             self._delta.record_edge_modified((source, target))
@@ -675,113 +601,144 @@ class ETLGraph:
     @property
     def node_count(self) -> int:
         """Number of operations in the flow."""
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     @property
     def edge_count(self) -> int:
         """Number of transitions in the flow."""
-        if _PLAIN_DICT_INTERNALS:
-            return sum(map(len, self._graph._succ.values()))
-        return self._graph.number_of_edges()
+        return sum(map(len, self._succ.values()))
 
     def sources(self) -> list[Operation]:
         """Operations with no predecessors (the extraction points), in insertion order."""
-        pred = self._graph._pred if _PLAIN_DICT_INTERNALS else self._graph.pred
-        return [self.operation(n) for n, preds in pred.items() if not preds]
+        return [self._nodes[n] for n, preds in self._pred.items() if not preds]
 
     def sinks(self) -> list[Operation]:
         """Operations with no successors (the loading points), in insertion order."""
-        succ = self._graph._succ if _PLAIN_DICT_INTERNALS else self._graph.succ
-        return [self.operation(n) for n, succs in succ.items() if not succs]
+        return [self._nodes[n] for n, succs in self._succ.items() if not succs]
 
     def has_source(self) -> bool:
         """Whether at least one operation has no predecessors (early exit)."""
-        return any(not preds for preds in self._graph.pred.values())
+        return any(not preds for preds in self._pred.values())
 
     def has_sink(self) -> bool:
         """Whether at least one operation has no successors (early exit)."""
-        return any(not succs for succs in self._graph.succ.values())
+        return any(not succs for succs in self._succ.values())
 
     def predecessors(self, op_id: str) -> list[Operation]:
-        """Operations feeding directly into ``op_id``."""
-        return [self.operation(n) for n in self._graph.predecessors(op_id)]
+        """Operations feeding directly into ``op_id``, in edge insertion order."""
+        self._require(op_id)
+        return [self._nodes[n] for n in self._pred[op_id]]
 
     def successors(self, op_id: str) -> list[Operation]:
-        """Operations fed directly by ``op_id``."""
-        return [self.operation(n) for n in self._graph.successors(op_id)]
+        """Operations fed directly by ``op_id``, in edge insertion order."""
+        self._require(op_id)
+        return [self._nodes[n] for n in self._succ[op_id]]
 
     def predecessor_ids(self, op_id: str) -> list[str]:
         """Identifiers of the operations feeding ``op_id``, in edge insertion order."""
-        if _PLAIN_DICT_INTERNALS:
-            return list(self._graph._pred[op_id])
-        return list(self._graph.predecessors(op_id))
+        self._require(op_id)
+        return list(self._pred[op_id])
 
     def successor_ids(self, op_id: str) -> list[str]:
         """Identifiers of the operations fed by ``op_id``, in edge insertion order."""
-        if _PLAIN_DICT_INTERNALS:
-            return list(self._graph._succ[op_id])
-        return list(self._graph.successors(op_id))
+        self._require(op_id)
+        return list(self._succ[op_id])
 
     def in_degree(self, op_id: str) -> int:
         """Number of incoming transitions of ``op_id``."""
-        if _PLAIN_DICT_INTERNALS:
-            return len(self._graph._pred[op_id])
-        return int(self._graph.in_degree(op_id))
+        self._require(op_id)
+        return len(self._pred[op_id])
 
     def out_degree(self, op_id: str) -> int:
         """Number of outgoing transitions of ``op_id``."""
-        if _PLAIN_DICT_INTERNALS:
-            return len(self._graph._succ[op_id])
-        return int(self._graph.out_degree(op_id))
+        self._require(op_id)
+        return len(self._succ[op_id])
 
     def topological_ids(self) -> tuple[str, ...]:
-        """Operation identifiers in networkx's topological order (sources first).
+        """Operation identifiers in topological order (sources first).
 
-        Sorted once per structure version and memoized; the simulator
-        draws source volumes in this order, so it is exactly the order
-        ``nx.topological_sort`` yields.
+        Kahn's algorithm by generations: the operations without
+        predecessors in insertion order, then each generation expanded
+        through its successors in edge insertion order.  This is exactly
+        the order ``networkx.topological_sort`` yields; the simulator
+        draws source volumes in it, so every plan depends on it.  Sorted
+        once per structure version and memoized.
         """
         memo = self._order_memo
         if memo is None or memo[0] != self._version:
-            memo = self._order_memo = (self._version, tuple(nx.topological_sort(self._graph)))
+            succ = self._succ
+            indegree = {n: len(preds) for n, preds in self._pred.items()}
+            generation = [n for n, degree in indegree.items() if not degree]
+            order: list[str] = []
+            while generation:
+                order.extend(generation)
+                following = []
+                for node in generation:
+                    for child in succ[node]:
+                        indegree[child] -= 1
+                        if not indegree[child]:
+                            following.append(child)
+                generation = following
+            if len(order) != len(indegree):
+                raise ValueError(f"flow {self.name!r} contains a cycle")
+            memo = self._order_memo = (self._version, tuple(order))
         return memo[1]
 
     def topological_order(self) -> list[Operation]:
         """Operations in a topological order (sources first)."""
-        return [self.operation(n) for n in self.topological_ids()]
+        return [self._nodes[n] for n in self.topological_ids()]
+
+    def _longest_path_ids(self) -> tuple[str, ...]:
+        """One longest path as operation ids, memoized per structure version.
+
+        One DP pass over the topological order: each operation extends
+        its first deepest predecessor (in edge insertion order), and the
+        path ends at the first deepest operation in topological order --
+        the tie-break of ``networkx.dag_longest_path``.
+        """
+        memo = self._longest_memo
+        if memo is None or memo[0] != self._version:
+            pred = self._pred
+            depth: dict[str, int] = {}
+            parent: dict[str, str] = {}
+            end = None
+            for op_id in self.topological_ids():
+                here = 0
+                for p in pred[op_id]:
+                    if depth[p] + 1 > here:
+                        here = depth[p] + 1
+                        parent[op_id] = p
+                depth[op_id] = here
+                if end is None or here > depth[end]:
+                    end = op_id
+            path = []
+            while end is not None:
+                path.append(end)
+                end = parent.get(end)
+            memo = self._longest_memo = (self._version, tuple(reversed(path)))
+        return memo[1]
 
     def longest_path_length(self) -> int:
         """Length (in edges) of the longest path of the flow.
 
         This is the "length of process workflow's longest path"
-        manageability measure of Fig. 1.  One pass over the memoized
-        topological order, memoized per structure version as well.
+        manageability measure of Fig. 1, read off the memoized path.
         """
-        memo = self._longest_memo
-        if memo is None or memo[0] != self._version:
-            depth: dict[str, int] = {}
-            longest = 0
-            for op_id in self.topological_ids():
-                here = max((depth[p] + 1 for p in self.predecessor_ids(op_id)), default=0)
-                depth[op_id] = here
-                if here > longest:
-                    longest = here
-            memo = self._longest_memo = (self._version, longest)
-        return memo[1]
+        return max(len(self._longest_path_ids()) - 1, 0)
 
     def longest_path(self) -> list[Operation]:
         """Operations along one longest path of the flow."""
-        if self.node_count == 0:
-            return []
-        return [self.operation(n) for n in nx.dag_longest_path(self._graph)]
+        return [self._nodes[n] for n in self._longest_path_ids()]
 
     def upstream_of(self, op_id: str) -> set[str]:
         """Identifiers of every operation from which ``op_id`` is reachable."""
-        return set(nx.ancestors(self._graph, op_id))
+        self._require(op_id)
+        return set(_reach(op_id, self._pred))
 
     def downstream_of(self, op_id: str) -> set[str]:
         """Identifiers of every operation reachable from ``op_id``."""
-        return set(nx.descendants(self._graph, op_id))
+        self._require(op_id)
+        return set(_reach(op_id, self._succ))
 
     def distance_from_sources(self, op_id: str) -> int:
         """Shortest number of hops from any source operation to ``op_id``.
@@ -789,42 +746,25 @@ class ETLGraph:
         Used by the placement heuristics that push data-cleaning patterns
         as close as possible to the extraction operations.
         """
-        if op_id not in self._graph:
-            raise KeyError(f"unknown operation: {op_id!r}")
-        best: int | None = None
-        for source in self.sources():
-            try:
-                distance = nx.shortest_path_length(self._graph, source.op_id, op_id)
-            except nx.NetworkXNoPath:
-                continue
-            if best is None or distance < best:
-                best = distance
-        return 0 if best is None else int(best)
+        self._require(op_id)
+        return _hops_to_end(self._pred, op_id)
 
     def distance_to_sinks(self, op_id: str) -> int:
         """Shortest number of hops from ``op_id`` to any sink operation."""
-        if op_id not in self._graph:
-            raise KeyError(f"unknown operation: {op_id!r}")
-        best: int | None = None
-        for sink in self.sinks():
-            try:
-                distance = nx.shortest_path_length(self._graph, op_id, sink.op_id)
-            except nx.NetworkXNoPath:
-                continue
-            if best is None or distance < best:
-                best = distance
-        return 0 if best is None else int(best)
+        self._require(op_id)
+        return _hops_to_end(self._succ, op_id)
 
     def operations_of_kind(self, *kinds: OperationKind) -> list[Operation]:
         """All operations whose kind is one of ``kinds``."""
         wanted = set(kinds)
-        return [op for op in self.operations() if op.kind in wanted]
+        return [op for op in self._nodes.values() if op.kind in wanted]
 
     def is_connected(self) -> bool:
         """Whether the flow forms a single weakly connected component."""
-        if self.node_count == 0:
+        if not self._nodes:
             return True
-        return nx.is_weakly_connected(self._graph)
+        start = next(iter(self._nodes))
+        return 1 + sum(1 for _ in _reach(start, self._succ, self._pred)) == len(self._nodes)
 
     def coupling(self) -> float:
         """Average fan-in/fan-out coupling of the flow.
@@ -846,8 +786,8 @@ class ETLGraph:
         branches even if their declared kind is not a merger.
         """
         count = 0
-        for op in self.operations():
-            if op.kind.is_merger or self.in_degree(op.op_id) > 1:
+        for op_id, op in self._nodes.items():
+            if op.kind.is_merger or len(self._pred[op_id]) > 1:
                 count += 1
         return count
 
@@ -982,11 +922,15 @@ class ETLGraph:
         unchanged parent.
         """
         clone = ETLGraph(name=name or self.name)
-        clone._graph = _copy_structure(self._graph, into=clone._graph)
+        # Only the three outer dicts are copied; the per-operation
+        # adjacency dicts stay shared until a write faults them private.
+        clone._nodes = dict(self._nodes)
+        clone._succ = dict(self._succ)
+        clone._pred = dict(self._pred)
         clone.annotations = dict(self.annotations)
         clone._lineage = list(self._lineage)
         clone._copy_mode = "cow"
-        shared = set(self._graph._node if _PLAIN_DICT_INTERNALS else self._graph.nodes)
+        shared = set(self._nodes)
         clone._shared_ops = shared
         if len(self._shared_ops) != len(shared):
             # ``_shared_ops`` only ever holds present operations, so equal
@@ -1084,12 +1028,12 @@ class ETLGraph:
         gone = delta.ops_removed | changed
         nodes = [entry for entry in parent_nodes if entry[0] not in gone]
         for op_id in changed:
-            if op_id in self._graph:
-                op = self._graph.nodes[op_id]["operation"]
+            op = self._nodes.get(op_id)
+            if op is not None:
                 nodes.append((op.op_id, op.kind.value, op.parallelism))
         edge_gone = delta.edges_removed | delta.edges_added
         edges = [key for key in parent_edges if key not in edge_gone]
-        edges.extend(key for key in delta.edges_added if self._graph.has_edge(*key))
+        edges.extend(key for key in delta.edges_added if self.has_edge(*key))
         return (tuple(sorted(nodes)), tuple(sorted(edges)))
 
     def fingerprint(self) -> tuple:
@@ -1138,8 +1082,8 @@ class ETLGraph:
             return self._parent_fp
         entries = [entry for entry in self._parent_fp if entry[0] not in gone]
         for op_id in changed:
-            if op_id in self._graph:
-                entries.append(_operation_entry(self.operation(op_id)))
+            if op_id in self._nodes:
+                entries.append(_operation_entry(self._nodes[op_id]))
         entries.sort()
         return tuple(entries)
 
@@ -1157,10 +1101,12 @@ class ETLGraph:
         """
         state = self.__dict__.copy()
         if self._shared_ops or self._shared_adj:
-            graph = self._graph.copy()
-            for op_id in self._shared_ops:
-                graph.nodes[op_id]["operation"] = graph.nodes[op_id]["operation"].copy()
-            state["_graph"] = graph
+            shared = self._shared_ops
+            state["_nodes"] = {
+                op_id: op.copy() if op_id in shared else op for op_id, op in self._nodes.items()
+            }
+            state["_succ"] = {op_id: dict(succs) for op_id, succs in self._succ.items()}
+            state["_pred"] = {op_id: dict(preds) for op_id, preds in self._pred.items()}
             state["_shared_ops"] = set()
             state["_shared_adj"] = False
             state["_own_succ"] = None
@@ -1179,12 +1125,8 @@ class ETLGraph:
         return state
 
     # ------------------------------------------------------------------
-    # Interop
+    # Serialisation
     # ------------------------------------------------------------------
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Return (a copy of) the underlying networkx graph."""
-        return self._graph.copy()
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise the whole flow to a JSON-friendly structure."""

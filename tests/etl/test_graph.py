@@ -97,6 +97,28 @@ class TestAccess:
         with pytest.raises(KeyError):
             diamond.edge("src", "merge")
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "operation",
+            "mutable_operation",
+            "predecessors",
+            "successors",
+            "predecessor_ids",
+            "successor_ids",
+            "in_degree",
+            "out_degree",
+            "upstream_of",
+            "downstream_of",
+            "distance_from_sources",
+            "distance_to_sinks",
+            "remove_operation",
+        ],
+    )
+    def test_unknown_id_raises_key_error(self, diamond, query):
+        with pytest.raises(KeyError, match="unknown operation: 'ghost'"):
+            getattr(diamond, query)("ghost")
+
     def test_sources_and_sinks(self, diamond):
         assert [op.op_id for op in diamond.sources()] == ["src"]
         assert [op.op_id for op in diamond.sinks()] == ["load"]
@@ -196,8 +218,3 @@ class TestSerialisation:
         assert restored.annotations == {"encryption": True}
         assert restored.applied_patterns == ["something"]
         assert restored.name == diamond.name
-
-    def test_to_networkx_is_a_copy(self, diamond):
-        g = diamond.to_networkx()
-        g.remove_node("load")
-        assert "load" in diamond

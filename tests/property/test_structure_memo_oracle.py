@@ -1,16 +1,17 @@
-"""The structure memo of :class:`ETLGraph` against networkx, after every mutation.
+"""The structure queries of :class:`ETLGraph` against networkx, after every mutation.
 
-:meth:`ETLGraph.topological_ids` and :meth:`ETLGraph.longest_path_length`
-are memoized per structure version, and ``RecoveryCoverage`` /
-``CleansingCoverage`` derive their reachability facts in one pass over
-that order.  For random flows, random pattern chains and random
-sequences of every mutation kind -- ``add_operation``, ``add_edge``,
-``remove_edge``, ``remove_operation``, ``relabel_operation``,
+:meth:`ETLGraph.topological_ids` and the longest path are memoized per
+structure version, ``RecoveryCoverage`` / ``CleansingCoverage`` derive
+their reachability facts in one pass over that order, and reachability,
+distances and connectivity are walks over the graph's adjacency dicts.
+For random flows, random pattern chains and random sequences of every
+mutation kind -- ``add_operation``, ``add_edge`` (cycle-closing targets
+included), ``remove_edge``, ``remove_operation``, ``relabel_operation``,
 ``mutable_operation`` and ``set_edge_schema``, plus kinds rewritten in
 place on deep graphs -- on deep and copy-on-write graphs (the parent
 written after a fork included) and after a pickle round trip, each
-memoized answer must equal a from-scratch networkx computation read
-before and after the mutation.
+answer must equal a from-scratch networkx computation
+(``tests/reference_graph.py``) read before and after the mutation.
 """
 
 from __future__ import annotations
@@ -26,13 +27,19 @@ from repro.quality.data_quality import CleansingCoverage
 from repro.quality.reliability import RecoveryCoverage
 from repro.workloads import RandomFlowConfig, random_flow
 from tests.property.test_cow_equivalence import _apply_sequence, _pick_sequences
+from tests.reference_graph import (
+    reference_digraph,
+    reference_distance_from_sources,
+    reference_distance_to_sinks,
+    reference_longest_path,
+)
 
 _CLEANSING_KINDS = set(CleansingCoverage._CLEANSING_KINDS)
 
 
 def reference_recovery_coverage(flow) -> float:
     """``RecoveryCoverage`` with one ``nx.ancestors`` query per operation."""
-    graph = flow.to_networkx()
+    graph = reference_digraph(flow)
     checkpoints = {op.op_id for op in flow.operations() if op.kind is OperationKind.CHECKPOINT}
     if not checkpoints:
         return 0.0
@@ -51,7 +58,7 @@ def reference_recovery_coverage(flow) -> float:
 
 def reference_cleansing_coverage(flow) -> float:
     """``CleansingCoverage`` with one ``nx.descendants`` query per source."""
-    graph = flow.to_networkx()
+    graph = reference_digraph(flow)
     sources = [n for n in graph.nodes() if graph.in_degree(n) == 0]
     if not sources:
         return 0.0
@@ -63,13 +70,15 @@ def reference_cleansing_coverage(flow) -> float:
 
 
 def assert_matches_networkx(flow) -> None:
-    graph = flow.to_networkx()
+    graph = reference_digraph(flow)
     order = tuple(nx.topological_sort(graph))
     assert flow.topological_ids() == order
     assert [op.op_id for op in flow.topological_order()] == list(order)
     expected_longest = nx.dag_longest_path_length(graph) if len(flow) else 0
     assert flow.longest_path_length() == expected_longest
     assert type(flow.longest_path_length()) is int
+    assert [op.op_id for op in flow.longest_path()] == reference_longest_path(flow)
+    assert flow.is_connected() == (not len(flow) or nx.is_weakly_connected(graph))
     assert [op.op_id for op in flow.sources()] == [
         n for n in graph.nodes() if graph.in_degree(n) == 0
     ]
@@ -82,6 +91,10 @@ def assert_matches_networkx(flow) -> None:
         # predecessors: compare against the Operation-list accessors.
         assert flow.predecessor_ids(op_id) == [op.op_id for op in flow.predecessors(op_id)]
         assert flow.successor_ids(op_id) == [op.op_id for op in flow.successors(op_id)]
+        assert flow.upstream_of(op_id) == nx.ancestors(graph, op_id)
+        assert flow.downstream_of(op_id) == nx.descendants(graph, op_id)
+        assert flow.distance_from_sources(op_id) == reference_distance_from_sources(graph, op_id)
+        assert flow.distance_to_sinks(op_id) == reference_distance_to_sinks(graph, op_id)
     if len(flow):
         assert RecoveryCoverage().compute(flow) == reference_recovery_coverage(flow)
         assert CleansingCoverage().compute(flow) == reference_cleansing_coverage(flow)
@@ -124,6 +137,22 @@ def _pick(ids, number):
     return ids[number % len(ids)] if ids else None
 
 
+def _adjacency(flow):
+    """Everything an edge insertion could touch, in the flow's own orders."""
+    return [
+        (
+            op_id,
+            flow.predecessor_ids(op_id),
+            [flow.edge(op_id, target) for target in flow.successor_ids(op_id)],
+        )
+        for op_id in flow.operation_ids()
+    ]
+
+
+def _successor_lists(graph):
+    return [(node, list(graph.successors(node))) for node in graph]
+
+
 def _mutate(graphs, action, first, second, step) -> None:
     """Apply one mutation to the newest graph (``parent_write``: its parent)."""
     flow = graphs[-1]
@@ -135,17 +164,27 @@ def _mutate(graphs, action, first, second, step) -> None:
         if ids:
             flow.add_edge(_pick(ids, second), f"added_{step}")
     elif action == "add_edge" and len(ids) > 1:
-        source, target = _pick(ids, first), _pick(ids, second)
+        source = _pick(ids, first)
+        target = _pick([op_id for op_id in ids if op_id != source], second)
+        closes_cycle = nx.has_path(reference_digraph(flow), target, source)
+        before = _adjacency(flow)
         try:
             flow.add_edge(source, target)
-        except ValueError:  # self-loop or cycle
-            pass
+        except ValueError:
+            assert closes_cycle
+            assert _adjacency(flow) == before
+        else:
+            assert not closes_cycle
     elif action == "remove_edge" and edges:
         flow.remove_edge(*edges[first % len(edges)])
     elif action == "remove_operation" and len(ids) > 1:
         flow.remove_operation(_pick(ids, first))
     elif action == "relabel_operation" and ids:
-        flow.relabel_operation(_pick(ids, first), f"relabelled_{step}")
+        old_id, new_id = _pick(ids, first), f"relabelled_{step}"
+        expected = nx.relabel_nodes(reference_digraph(flow), {old_id: new_id}, copy=False)
+        flow.relabel_operation(old_id, new_id)
+        # networkx's in-place order: the node and its edges move to the end.
+        assert _successor_lists(reference_digraph(flow)) == _successor_lists(expected)
     elif action == "mutable_operation" and ids:
         op = flow.mutable_operation(_pick(ids, first))
         op.kind = _NEW_KINDS[second % len(_NEW_KINDS)]

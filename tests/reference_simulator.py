@@ -2,11 +2,12 @@
 
 The simulator lowers a flow once into flat per-operation records and
 memoizes each failing operation's recovery plan.  This reference does
-none of that: every run walks the graph in topological order through
-the :class:`ETLGraph` accessors, gathers inputs per predecessor, draws
-one uniform per operation through :meth:`SyntheticDataGenerator.random`,
-recomputes the critical path with a second walk, and answers every
-failure with fresh ancestor and distance queries.  It shares only the
+none of that: every run walks the graph in networkx's topological
+order through the :class:`ETLGraph` accessors, gathers inputs per
+predecessor, draws one uniform per operation through
+:meth:`SyntheticDataGenerator.random`, recomputes the critical path with
+a second walk, and answers every failure with fresh networkx ancestor
+and distance queries (see ``tests/reference_graph.py``).  It shares only the
 data generator, the resource model, the trace records and the model
 constants with the simulator, so a disagreement points at the lowering.
 """
@@ -30,29 +31,35 @@ from repro.simulator.engine import (
 from repro.simulator.failures import FailureEvent
 from repro.simulator.resources import ResourceModel, ResourceTier
 from repro.simulator.traces import FlowTrace, OperationTrace, TraceArchive
+from tests.reference_graph import (
+    reference_digraph,
+    reference_distance_from_sources,
+    reference_topological_ids,
+)
 
 
 def reference_topological_order(flow: ETLGraph) -> list[Operation]:
     """The flow's operations in networkx's topological order, sorted afresh."""
-    return [flow.operation(op_id) for op_id in nx.topological_sort(flow.to_networkx())]
+    return [flow.operation(op_id) for op_id in reference_topological_ids(flow)]
 
 
 def reference_lost_work(
     flow: ETLGraph, failed_op: str, operation_times_ms: Mapping[str, float]
 ) -> FailureEvent:
-    """The work lost when ``failed_op`` fails, from fresh graph queries."""
+    """The work lost when ``failed_op`` fails, from fresh networkx queries."""
+    graph = reference_digraph(flow)
     checkpoints = {op.op_id for op in flow.operations_of_kind(OperationKind.CHECKPOINT)}
-    upstream = flow.upstream_of(failed_op)
+    upstream = nx.ancestors(graph, failed_op)
     chargeable = set(upstream) | {failed_op}
     recovered_from = ""
     upstream_checkpoints = upstream & checkpoints
     if upstream_checkpoints:
         nearest = max(
             upstream_checkpoints,
-            key=lambda cp: (flow.distance_from_sources(cp), cp),
+            key=lambda cp: (reference_distance_from_sources(graph, cp), cp),
         )
         recovered_from = nearest
-        protected = flow.upstream_of(nearest) | {nearest}
+        protected = nx.ancestors(graph, nearest) | {nearest}
         chargeable -= protected
     lost = sum(operation_times_ms.get(op_id, 0.0) for op_id in sorted(chargeable))
     return FailureEvent(op_id=failed_op, lost_work_ms=lost, recovered_from=recovered_from)
