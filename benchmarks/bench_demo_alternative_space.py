@@ -79,10 +79,10 @@ def test_demo1_space_grows_with_budget(benchmark, tpch):
     counts = {}
     for budget in (1, 2):
         generator = _generator(budget=budget, points_per_pattern=6, cap=50_000)
-        alternatives = generator.generate(tpch)
+        alternatives = list(generator.generate_iter(tpch))
         counts[budget] = len(alternatives)
         rows.append({"pattern_budget": budget, "alternative_flows": len(alternatives)})
-    capped = _generator(budget=3, points_per_pattern=6, cap=5_000).generate(tpch)
+    capped = list(_generator(budget=3, points_per_pattern=6, cap=5_000).generate_iter(tpch))
     rows.append({"pattern_budget": "3 (capped at 5000)", "alternative_flows": len(capped)})
     print_artifact("DEMO1 -- alternative-space size vs pattern budget (tpch_refresh)", render_table(rows))
     assert counts[2] > 10 * counts[1]

@@ -24,7 +24,7 @@ from conftest import fast_configuration, print_artifact
 def batch(tpch):
     """A batch of unevaluated alternatives from the TPC-H flow."""
     planner = Planner(configuration=fast_configuration(pattern_budget=2, max_points_per_pattern=2))
-    alternatives = planner.generate_alternatives(tpch)
+    alternatives = list(planner.generator.generate_iter(tpch))
     assert len(alternatives) >= 60
     return alternatives[:60]
 

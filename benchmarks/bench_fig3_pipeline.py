@@ -32,7 +32,7 @@ def test_fig3_stage_pattern_generation(benchmark, planner, tpch):
 
 def test_fig3_stage_pattern_application(benchmark, planner, tpch):
     """Stage 2: apply patterns in varying positions/combinations -> ETL Flow 1..n."""
-    alternatives = benchmark(planner.generate_alternatives, tpch)
+    alternatives = benchmark(lambda flow: list(planner.generator.generate_iter(flow)), tpch)
     assert alternatives
     assert alternatives[0].label == "ETL Flow 1"
     print_artifact(
@@ -44,7 +44,7 @@ def test_fig3_stage_pattern_application(benchmark, planner, tpch):
 
 def test_fig3_stage_measures_estimation(benchmark, planner, tpch):
     """Stage 3: estimate flow measures for the alternatives."""
-    alternatives = planner.generate_alternatives(tpch)[:8]
+    alternatives = list(planner.generator.generate_iter(tpch))[:8]
     evaluated = benchmark(planner.evaluate_alternatives, alternatives)
     assert all(alt.profile is not None for alt in evaluated)
     rows = []

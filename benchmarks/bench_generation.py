@@ -46,7 +46,7 @@ def _run_once(flow, **knobs):
     configuration = ProcessingConfiguration(**knobs)
     generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), configuration)
     started = time.perf_counter()
-    alternatives = generator.generate(flow)
+    alternatives = list(generator.generate_iter(flow))
     seconds = time.perf_counter() - started
     outcome = [(alt.label, alt.flow.signature()) for alt in alternatives]
     return seconds, outcome, generator.last_stats.as_dict()

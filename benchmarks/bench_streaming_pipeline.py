@@ -67,7 +67,7 @@ def _eager_plan(planner: Planner, flow):
     """The seed pipeline: materialize everything, evaluate as one barrier batch."""
     config = planner.configuration
     baseline = planner.evaluate_flow(flow)
-    alternatives = planner.evaluate_alternatives(planner.generate_alternatives(flow))
+    alternatives = planner.evaluate_alternatives(list(planner.generator.generate_iter(flow)))
     kept, discarded = [], 0
     for alternative in alternatives:
         if config.satisfies_constraints(alternative.profile):

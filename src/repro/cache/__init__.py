@@ -34,7 +34,7 @@ import os
 from typing import TYPE_CHECKING
 
 from repro.cache.backend import CacheBackend, CacheStats, cache_stats_dict
-from repro.cache.disk import CACHE_SCHEMA_VERSION, DiskProfileCache, key_digest
+from repro.cache.disk import CACHE_SCHEMA_VERSION, DiskProfileCache
 from repro.cache.memory import ProfileCache
 from repro.cache.tiered import TieredProfileCache
 
@@ -116,6 +116,5 @@ __all__ = [
     "TieredProfileCache",
     "build_profile_cache",
     "cache_stats_dict",
-    "key_digest",
     "persistent_component",
 ]

@@ -8,11 +8,12 @@ the parallel evaluator can be handed *any* cache tier -- in-memory LRU
 composite (:class:`~repro.cache.tiered.TieredProfileCache`) -- without
 knowing which one they got.
 
-Keys are opaque hashable tuples produced by
-:meth:`repro.quality.estimator.QualityEstimator.cache_key`; they already
-fold in the flow content fingerprint, the estimation settings and the
-measure registry, so two estimators with different settings can safely
-share one backend.  Values are
+Keys are 64-character lowercase hex SHA-256 strings produced by
+:meth:`repro.quality.estimator.QualityEstimator.cache_key`, the same on
+every tier, on the wire and on the shard ring; they already fold in the
+cache schema version, the flow content fingerprint, the estimation
+settings and the measure registry, so two estimators with different
+settings can safely share one backend.  Values are
 :class:`~repro.quality.composite.QualityProfile` instances; backends
 must treat them as immutable snapshots (callers already store copies).
 
@@ -135,11 +136,11 @@ class CacheBackend(Protocol):
 
     stats: CacheStats
 
-    def get(self, key: tuple) -> "QualityProfile | None":
+    def get(self, key: str) -> "QualityProfile | None":
         """Look up a profile, counting the hit or miss."""
         ...
 
-    def get_many(self, keys: "Sequence[tuple]") -> "list[QualityProfile | None]":
+    def get_many(self, keys: "Sequence[str]") -> "list[QualityProfile | None]":
         """Batched lookup: one result (and one hit/miss count) per key.
 
         Semantically equivalent to ``[self.get(k) for k in keys]`` but
@@ -150,7 +151,7 @@ class CacheBackend(Protocol):
         """
         ...
 
-    def put(self, key: tuple, profile: "QualityProfile") -> None:
+    def put(self, key: str, profile: "QualityProfile") -> None:
         """Insert (or refresh) a profile; does not affect hit/miss counts."""
         ...
 
@@ -168,4 +169,4 @@ class CacheBackend(Protocol):
 
     def __len__(self) -> int: ...
 
-    def __contains__(self, key: tuple) -> bool: ...
+    def __contains__(self, key: str) -> bool: ...

@@ -5,21 +5,24 @@ Persists fingerprint-keyed quality profiles under a directory so that
 re-plans in new processes, and parallel sessions pointed at one
 ``cache_dir`` all share profiles.  Design points:
 
-* **One file per entry.**  The file name is the SHA-256 of the versioned
-  key, so lookups are a single ``stat``/read and concurrent writers
-  never contend on a shared index.
+* **One file per entry.**  The file name is the key itself -- a
+  64-character lowercase hex SHA-256 (see
+  ``QualityEstimator.cache_key``) -- so lookups are a single
+  ``stat``/read and concurrent writers never contend on a shared index.
+  Any other key is refused before it can name a file: ``put`` raises
+  :class:`ValueError`, ``get`` and ``in`` report a miss.
 * **Atomic writes.**  Entries are written to a unique temporary file in
   the same directory and published with :func:`os.replace`, so readers
   (including readers in other processes) see either the old entry or the
   new one, never a torn write.
 * **Versioned, self-verifying payloads.**  Each payload records the
-  cache schema version and the full key it was stored under; reads
-  verify both, so entries written by an incompatible schema (or the
-  astronomically unlikely hash collision) are treated as misses and
-  deleted instead of served stale.  The *key* already folds in the
-  estimator settings and measure-registry fingerprints (see
-  ``QualityEstimator.cache_key``), so changing simulation settings can
-  never hit an entry computed under different ones.
+  cache schema version and the key it was stored under; reads verify
+  both, so a file renamed or copied under another key, or written by
+  an incompatible schema, is treated as a miss and deleted instead of
+  served stale.  The *key* already folds in the schema version, the
+  estimator settings and the measure-registry fingerprint, so changing
+  simulation settings can never hit an entry computed under different
+  ones.
 * **Corruption tolerance.**  A truncated, garbled or unreadable entry is
   counted in ``stats.invalid``, removed best-effort, and reported as a
   miss -- a damaged cache directory degrades to a cold cache, it never
@@ -39,7 +42,6 @@ re-plans in new processes, and parallel sessions pointed at one
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import re
@@ -54,33 +56,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.quality.composite import QualityProfile
 
-#: Version of the on-disk entry layout.  Folded into the hashed file name
-#: *and* recorded inside every payload: bumping it makes every existing
-#: entry invisible (new hashes) and unreadable-as-stale (version check),
-#: so schema changes can never serve stale profiles.
-CACHE_SCHEMA_VERSION = 1
+#: Version of the cache key and entry layout.  Hashed into every key by
+#: ``QualityEstimator.cache_key`` *and* recorded inside every payload:
+#: bumping it makes every existing entry invisible (new keys, so new
+#: file names) and unreadable-as-stale (version check), so schema
+#: changes can never serve stale profiles.  Version 2: the key is a
+#: 64-hex digest instead of a nested tuple.
+CACHE_SCHEMA_VERSION = 2
 
 _ENTRY_SUFFIX = ".profile.pkl"
 
-#: The shape of a :func:`key_digest` value.  Digest-addressed lookups
-#: validate against this before building a file path, so a caller-
-#: supplied "digest" containing ``/`` or ``..`` (e.g. from an
-#: unauthenticated cache-service client) can never name a file outside
-#: ``cache_dir``.
+#: The shape of a cache key.  Checked before a key names a file or is
+#: accepted from the network, so a caller-supplied key containing ``/``
+#: or ``..`` (e.g. from an unauthenticated cache-service client) can
+#: never name a file outside ``cache_dir``.
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 
-def key_digest(key: tuple) -> str:
-    """The hashed identity of a versioned cache key (hex SHA-256).
-
-    This is the disk tier's file-name digest, exported because it is
-    also the *wire identity* of an entry in the cache service protocol:
-    HTTP clients hash their keys locally and send only the digest, so
-    the multi-kilobyte flow fingerprints never cross the network on the
-    lookup path, and a cache server fronting a ``cache_dir`` addresses
-    exactly the same files a local planner would.
-    """
-    return hashlib.sha256(repr((CACHE_SCHEMA_VERSION, key)).encode("utf-8")).hexdigest()
+def is_cache_key(key: object) -> bool:
+    """Whether ``key`` has the shape of a cache key (64 lowercase hex)."""
+    return isinstance(key, str) and _DIGEST_RE.fullmatch(key) is not None
 
 
 class DiskProfileCache:
@@ -118,7 +113,7 @@ class DiskProfileCache:
         # Observability only; not pickled -- the handle clone re-attaches
         # its own registry (or none).
         self.metrics_registry = registry
-        self._pending: dict[tuple, QualityProfile] = {}
+        self._pending: dict[str, QualityProfile] = {}
         self._lock = threading.Lock()
         # Write-batch refcount (begin/end_write_batch): how many streams
         # currently own a batching scope, and what to restore at zero.
@@ -134,8 +129,8 @@ class DiskProfileCache:
     # Key -> file mapping
     # ------------------------------------------------------------------
 
-    def _path(self, key: tuple) -> Path:
-        return self.cache_dir / f"{key_digest(key)}{_ENTRY_SUFFIX}"
+    def _path(self, key: str) -> Path:
+        return self.cache_dir / f"{key}{_ENTRY_SUFFIX}"
 
     def _entry_files(self) -> list[Path]:
         try:
@@ -147,7 +142,7 @@ class DiskProfileCache:
     # Lookup / insert
     # ------------------------------------------------------------------
 
-    def get(self, key: tuple) -> QualityProfile | None:
+    def get(self, key: str) -> QualityProfile | None:
         """Look up a profile, counting the hit or miss.
 
         A hit refreshes the entry's mtime so size-capped eviction is
@@ -171,8 +166,10 @@ class DiskProfileCache:
         if self.metrics_registry is not None:
             self.metrics_registry.counter("cache.disk.invalid").inc()
 
-    def _read(self, key: tuple) -> QualityProfile | None:
+    def _read(self, key: str) -> QualityProfile | None:
         """Read and verify one entry; invalid entries are dropped, not raised."""
+        if not is_cache_key(key):
+            return None  # a malformed key names no file: a plain miss
         path = self._path(key)
         try:
             raw = path.read_bytes()
@@ -199,7 +196,7 @@ class DiskProfileCache:
             pass  # a concurrent eviction won the race; the hit still counts
         return profile
 
-    def get_many(self, keys: Sequence[tuple]) -> list["QualityProfile | None"]:
+    def get_many(self, keys: Sequence[str]) -> list["QualityProfile | None"]:
         """Batched lookup: one locked pass over pending buffer and files."""
         start = time.perf_counter()
         with self._lock:
@@ -221,57 +218,13 @@ class DiskProfileCache:
         )
         return results
 
-    def get_by_digest(self, digest: str) -> "tuple[tuple, QualityProfile] | None":
-        """Look up one entry by its :func:`key_digest` (the service fast path).
+    def put(self, key: str, profile: QualityProfile) -> None:
+        """Insert (or refresh) a profile; does not affect hit/miss counts.
 
-        Returns ``(stored_key, profile)`` so callers holding only the
-        digest (a cache server) can promote or re-index the entry.
-        Counts one hit or miss.  Trust model: :meth:`_write` derives the
-        file name from the key inside the payload, so an intact,
-        version-matching entry at ``<digest>.profile.pkl`` is the entry
-        for that digest by construction -- the full stored-key
-        comparison of the keyed path is replaced by the write invariant
-        plus the unpickle/version integrity checks.
+        Raises :class:`ValueError` for a key that is not 64 lowercase hex.
         """
-        with self._lock:
-            if not isinstance(digest, str) or _DIGEST_RE.fullmatch(digest) is None:
-                self.stats.misses += 1
-                return None
-            if self._pending:
-                for key, profile in self._pending.items():
-                    if key_digest(key) == digest:
-                        self.stats.hits += 1
-                        return key, profile
-            path = self.cache_dir / f"{digest}{_ENTRY_SUFFIX}"
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                self.stats.misses += 1
-                return None
-            try:
-                payload = pickle.loads(raw)
-                version = payload["version"]
-                stored_key = payload["key"]
-                profile = payload["profile"]
-            except Exception:
-                self._count_invalid()
-                self.stats.misses += 1
-                self._discard(path)
-                return None
-            if version != CACHE_SCHEMA_VERSION:
-                self._count_invalid()
-                self.stats.misses += 1
-                self._discard(path)
-                return None
-            try:
-                os.utime(path)
-            except OSError:
-                pass  # a concurrent eviction won the race; the hit still counts
-            self.stats.hits += 1
-            return stored_key, profile
-
-    def put(self, key: tuple, profile: QualityProfile) -> None:
-        """Insert (or refresh) a profile; does not affect hit/miss counts."""
+        if not is_cache_key(key):
+            raise ValueError(f"cache keys must be 64-character lowercase hex, got {key!r}")
         with self._lock:
             if self.batch_writes:
                 self._pending[key] = profile
@@ -313,7 +266,7 @@ class DiskProfileCache:
             if self._batch_depth == 0:
                 self.batch_writes = self._configured_batch_writes
 
-    def _write(self, key: tuple, profile: QualityProfile) -> None:
+    def _write(self, key: str, profile: QualityProfile) -> None:
         payload = {"version": CACHE_SCHEMA_VERSION, "key": key, "profile": profile}
         path = self._path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -442,9 +395,9 @@ class DiskProfileCache:
             extra = sum(1 for key in self._pending if not self._path(key).exists())
             return len(on_disk) + extra
 
-    def __contains__(self, key: tuple) -> bool:
+    def __contains__(self, key: str) -> bool:
         with self._lock:
-            return key in self._pending or self._path(key).exists()
+            return key in self._pending or (is_cache_key(key) and self._path(key).exists())
 
     # ------------------------------------------------------------------
     # Pickling: a disk cache is a *handle*; the clone re-opens the same

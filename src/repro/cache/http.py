@@ -10,12 +10,11 @@ these clients; ``cache_timeout`` is its per-request budget.
 
 Design points, mirroring the disk tier where the analogy holds:
 
-* **JSON wire format, digests on the hot path.**  Lookups send only the
-  :func:`~repro.cache.key_digest` of each key (the disk tier's file-name
-  hash, computed client-side), because the keys themselves are
-  multi-kilobyte flow fingerprints; writes carry the full keys (restored
-  server-side by :func:`repro.io.jsonflow.cache_key_from_jsonable`) so
-  on-disk entries stay self-verifying.  Profiles travel as
+* **JSON wire format, keys as they are.**  A cache key is a 64-hex
+  SHA-256 string (``QualityEstimator.cache_key``), the same on every
+  tier, so lookups, ``/contains`` probes and ``/put`` entries carry the
+  key unchanged and a server fronting a ``cache_dir`` addresses exactly
+  the files a local planner would.  Profiles travel as
   :func:`repro.io.jsonflow.profile_to_dict` documents; the round-trip is
   exact, so the tier-equivalence property (identical planning results
   across tiers) holds over the network too.
@@ -72,7 +71,6 @@ import time
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.backend import CacheStats, observe_get_many
-from repro.cache.disk import key_digest
 from repro.cache.memory import ProfileCache
 from repro.wire import COMPRESS_MIN_BYTES, PooledJSONClient, WireError
 
@@ -183,7 +181,7 @@ class HTTPProfileCache:
         # The transport mirrors wire.* byte counters into the same
         # registry (compression ratio = raw_bytes / bytes on the wire).
         self._client.metrics_registry = registry
-        self._pending: dict[tuple, QualityProfile] = {}
+        self._pending: dict[str, QualityProfile] = {}
         self._degraded = False
         self._closed = False
         self._probe_timer: threading.Timer | None = None
@@ -384,27 +382,14 @@ class HTTPProfileCache:
     # CacheBackend protocol
     # ------------------------------------------------------------------
 
-    def get(self, key: tuple) -> QualityProfile | None:
+    def get(self, key: str) -> QualityProfile | None:
         """Look up a profile (pending buffer, then server, then fallback)."""
         return self.get_many([key])[0]
 
-    def get_many(self, keys: Sequence[tuple]) -> list["QualityProfile | None"]:
+    def get_many(self, keys: Sequence[str]) -> list["QualityProfile | None"]:
         """Batched lookup: one round-trip for every key not buffered locally.
 
-        Keys are hashed locally (:func:`repro.cache.key_digest`) and
-        only the digests travel, so looking up a whole evaluation window
-        moves a few bytes per profile.  Counts exactly one hit or miss
-        per key, whichever side served it.
-        """
-        return self._get_many(keys, None)
-
-    def _get_many(
-        self, keys: Sequence[tuple], digests: Sequence[str] | None
-    ) -> list["QualityProfile | None"]:
-        """:meth:`get_many`, reusing ``digests[i] == key_digest(keys[i])``.
-
-        The sharded ring hashes every key to route it; handing those
-        digests down saves a second SHA-256 of each multi-kilobyte key.
+        Counts exactly one hit or miss per key, whichever side served it.
         """
         from repro.io.jsonflow import profile_from_dict
 
@@ -419,21 +404,8 @@ class HTTPProfileCache:
                 else:
                     remote.append(index)
         if remote:
-            # Check degradation before hashing: once fallen back there is
-            # no point computing SHA-256 digests of multi-kilobyte keys
-            # just for _request to return None.
-            response = (
-                self._request(
-                    "/get_many",
-                    {
-                        "digests": [
-                            key_digest(keys[index]) if digests is None else digests[index]
-                            for index in remote
-                        ]
-                    },
-                )
-                if not self._degraded
-                else None
+            response = self._request(
+                "/get_many", {"digests": [keys[index] for index in remote]}
             )
             if response is not None:
                 try:
@@ -477,7 +449,7 @@ class HTTPProfileCache:
         )
         return results
 
-    def put(self, key: tuple, profile: QualityProfile) -> None:
+    def put(self, key: str, profile: QualityProfile) -> None:
         """Buffer an insert; :meth:`flush` publishes the buffer in one batch.
 
         The degraded check happens under the same lock :meth:`_degrade`
@@ -566,11 +538,11 @@ class HTTPProfileCache:
             return len(self.fallback) + pending
         return int(response.get("entries", 0)) + pending
 
-    def __contains__(self, key: tuple) -> bool:
+    def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._pending:
                 return True
-        response = self._request("/contains", {"digest": key_digest(key)})
+        response = self._request("/contains", {"digest": key})
         if response is None:
             return key in self.fallback
         return bool(response.get("contains", False))

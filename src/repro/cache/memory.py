@@ -48,12 +48,12 @@ class ProfileCache:
         # registry itself travels as a handle, but an entry-less worker
         # copy should not double-report the memory tier).
         self.metrics_registry = registry
-        self._entries: OrderedDict[tuple, QualityProfile] = OrderedDict()
+        self._entries: OrderedDict[str, QualityProfile] = OrderedDict()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
-    def get(self, key: tuple) -> QualityProfile | None:
+    def get(self, key: str) -> QualityProfile | None:
         """Look up a profile, counting the hit or miss."""
         with self._lock:
             profile = self._entries.get(key)
@@ -64,7 +64,7 @@ class ProfileCache:
             self.stats.hits += 1
             return profile
 
-    def get_many(self, keys: Sequence[tuple]) -> list["QualityProfile | None"]:
+    def get_many(self, keys: Sequence[str]) -> list["QualityProfile | None"]:
         """Batched lookup under a single lock acquisition."""
         start = time.perf_counter()
         with self._lock:
@@ -82,7 +82,7 @@ class ProfileCache:
         )
         return results
 
-    def put(self, key: tuple, profile: QualityProfile) -> None:
+    def put(self, key: str, profile: QualityProfile) -> None:
         """Insert (or refresh) a profile; does not affect hit/miss counts."""
         with self._lock:
             self._entries[key] = profile
@@ -95,7 +95,7 @@ class ProfileCache:
     def flush(self) -> None:
         """No-op: in-memory writes are always synchronous."""
 
-    def drain(self) -> list[tuple[tuple, "QualityProfile"]]:
+    def drain(self) -> list[tuple[str, "QualityProfile"]]:
         """Remove and return every entry, *keeping* the statistics.
 
         Unlike :meth:`clear` (drop everything, reset accounting), this
@@ -123,7 +123,7 @@ class ProfileCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: tuple) -> bool:
+    def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
 

@@ -47,7 +47,7 @@ class TieredProfileCache:
 
     # ------------------------------------------------------------------
 
-    def get(self, key: tuple) -> QualityProfile | None:
+    def get(self, key: str) -> QualityProfile | None:
         """Memory first, then disk (promoting the hit); one logical count."""
         profile = self.memory.get(key)
         if profile is None:
@@ -61,7 +61,7 @@ class TieredProfileCache:
                 self.stats.hits += 1
         return profile
 
-    def get_many(self, keys: Sequence[tuple]) -> list["QualityProfile | None"]:
+    def get_many(self, keys: Sequence[str]) -> list["QualityProfile | None"]:
         """Batched lookup: memory first, then one disk pass for the misses."""
         start = time.perf_counter()
         results: list[QualityProfile | None] = self.memory.get_many(keys)
@@ -83,7 +83,7 @@ class TieredProfileCache:
         )
         return results
 
-    def put(self, key: tuple, profile: QualityProfile) -> None:
+    def put(self, key: str, profile: QualityProfile) -> None:
         """Write through to both tiers (the disk write may be buffered)."""
         self.memory.put(key, profile)
         self.disk.put(key, profile)
@@ -112,7 +112,7 @@ class TieredProfileCache:
         # through to it), so its entry count is the cache's entry count.
         return len(self.disk)
 
-    def __contains__(self, key: tuple) -> bool:
+    def __contains__(self, key: str) -> bool:
         return key in self.memory or key in self.disk
 
     # ------------------------------------------------------------------

@@ -216,14 +216,6 @@ class AlternativeGenerator:
     # Pattern application (alternative flows)
     # ------------------------------------------------------------------
 
-    def generate(self, flow: ETLGraph) -> list[AlternativeFlow]:
-        """Produce every alternative flow eagerly, as a list.
-
-        Equivalent to ``list(generate_iter(flow))``; kept for callers that
-        want the full alternative space at once (reports, ablations).
-        """
-        return list(self.generate_iter(flow))
-
     def generate_iter(self, flow: ETLGraph) -> Iterator[AlternativeFlow]:
         """Lazily produce alternative flows by combining candidate deployments.
 
@@ -239,7 +231,7 @@ class AlternativeGenerator:
         the consumer asks for the next one, so a streaming evaluator (or a
         benchmark slicing the space) never pays for candidates it does not
         consume.  Labels (``ETL Flow 1``, ``ETL Flow 2``, ...) follow the
-        enumeration order and match the eager :meth:`generate` exactly.
+        enumeration order.
 
         Every pattern in a combination is applied as a chained delta: each
         step is a copy-on-write graph recording its difference from the

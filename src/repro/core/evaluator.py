@@ -114,7 +114,7 @@ def _evaluate_chunk_pooled(alternatives: Sequence[AlternativeFlow]) -> list[Qual
         keys = [None] * len(alternatives)
         hits = [None] * len(alternatives)
     profiles: list[QualityProfile] = []
-    fresh: dict[tuple, QualityProfile] = {}  # chunk-local duplicate memo
+    fresh: dict[str, QualityProfile] = {}  # chunk-local duplicate memo
     for alternative, key, hit in zip(alternatives, keys, hits):
         if hit is None and key is not None:
             hit = fresh.get(key)
@@ -228,7 +228,7 @@ class ParallelEvaluator:
 
         def lookup_window(
             window: Sequence[AlternativeFlow],
-        ) -> tuple[list[tuple | None], list[QualityProfile | None]]:
+        ) -> tuple[list[str | None], list[QualityProfile | None]]:
             """One batched cache pass for a window of candidates.
 
             `is not None`, not truthiness: bool(cache) would call
@@ -257,7 +257,7 @@ class ParallelEvaluator:
                     # Window-local memo: candidates sharing a fingerprint
                     # within one window (both looked up before either was
                     # computed) are still simulated only once.
-                    fresh: dict[tuple, QualityProfile] = {}
+                    fresh: dict[str, QualityProfile] = {}
                     drain_seconds = 0.0
                     for alternative, key, hit in zip(window, keys, hits):
                         if hit is None and key is not None:
@@ -295,12 +295,12 @@ class ParallelEvaluator:
         # get_many pass; with the default window (2 * workers) the chunk
         # size is 1, i.e. one task per alternative.
         pending: deque[
-            tuple[list[AlternativeFlow], list[tuple | None], Future | None]
+            tuple[list[AlternativeFlow], list[str | None], Future | None]
         ] = deque()
         chunk_size = max(1, max_inflight // (2 * self.workers))
         task = _evaluate_chunk_pooled if registry is None else _evaluate_chunk_pooled_metered
         chunk: list[AlternativeFlow] = []
-        chunk_keys: list[tuple | None] = []
+        chunk_keys: list[str | None] = []
 
         def inflight() -> int:
             return sum(len(group) for group, _, _ in pending) + len(chunk)

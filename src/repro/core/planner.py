@@ -234,13 +234,8 @@ class Planner:
     # Individual stages (exposed for benchmarks and fine-grained use)
     # ------------------------------------------------------------------
 
-    def generate_alternatives(self, flow: ETLGraph) -> list[AlternativeFlow]:
-        """Pattern Generation + Pattern Application: produce alternative flows."""
-        validate_flow(flow, raise_on_error=True)
-        return self.generator.generate(flow)
-
     def stream_alternatives(self, flow: ETLGraph) -> Iterator[AlternativeFlow]:
-        """Lazy variant of :meth:`generate_alternatives` (streaming pipeline)."""
+        """Pattern Generation + Pattern Application: lazily produce alternative flows."""
         validate_flow(flow, raise_on_error=True)
         return self.generator.generate_iter(flow)
 

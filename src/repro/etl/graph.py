@@ -36,6 +36,7 @@ executor's compiler all read.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
@@ -90,10 +91,15 @@ def _hops_to_end(adjacency: Mapping[str, Mapping[str, Any]], start: str) -> int:
     return 0
 
 
-def _operation_entry(op: Operation) -> tuple:
-    """The fingerprint entry of one operation (see :meth:`ETLGraph.fingerprint`)."""
+def _operation_entry(op: Operation) -> tuple[str, str]:
+    """The fingerprint entry of one operation: its id and a content digest.
+
+    The digest is the SHA-256 of everything about the operation that
+    influences measures (see :meth:`ETLGraph.fingerprint`); the id stays
+    in the clear so entries sort, and merge from a copy parent, by id.
+    """
     props = op.properties
-    return (
+    content = (
         op.op_id,
         op.kind.value,
         op.parallelism,
@@ -112,6 +118,7 @@ def _operation_entry(op: Operation) -> tuple:
         props.monetary_cost,
         tuple(sorted((str(k), repr(v)) for k, v in props.extra.items())),
     )
+    return (op.op_id, hashlib.sha256(repr(content).encode("utf-8")).hexdigest())
 
 
 @dataclass
@@ -1036,8 +1043,8 @@ class ETLGraph:
         edges.extend(key for key in delta.edges_added if self.has_edge(*key))
         return (tuple(sorted(nodes)), tuple(sorted(edges)))
 
-    def fingerprint(self) -> tuple:
-        """A hashable content fingerprint of everything that influences measures.
+    def fingerprint(self) -> str:
+        """A content digest (64 lowercase hex) of everything that influences measures.
 
         Strictly finer than :meth:`signature`: besides the transitions it
         covers each operation's kind, parallelism, output schema, config
@@ -1047,18 +1054,21 @@ class ETLGraph:
         out, so equal flows reached through different pattern
         combinations share one profile-cache entry.
 
-        The operation part is cached on copy-on-write graphs and merged
-        from the parent's entries plus the recorded delta (entries of
-        unchanged operations are shared with the parent, not rebuilt);
-        the transitions are those of the structural signature, and the
-        annotations are read live.  Deep graphs recompute everything on
-        each call, so mutating a deep flow in place always yields a
-        fresh fingerprint.
+        It is the SHA-256 of ``repr((entries, transitions,
+        annotations))``, where each entry is an operation id and the
+        digest of that operation's content.  The entries are cached on
+        copy-on-write graphs and merged from the parent's entries plus
+        the recorded delta (an unchanged operation's digest is shared
+        with the parent, never recomputed); the transitions are those of
+        the structural signature, and the annotations are read live.
+        Deep graphs recompute everything on each call, so mutating a
+        deep flow in place always yields a fresh fingerprint.
         """
         annotations = tuple(
             sorted((str(k), repr(v)) for k, v in self.annotations.items())
         )
-        return (self._operation_entries(), self._structural_signature()[1], annotations)
+        content = (self._operation_entries(), self._structural_signature()[1], annotations)
+        return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
 
     def _operation_entries(self) -> tuple:
         """The sorted per-operation part of the fingerprint, cached on COW graphs."""

@@ -1,10 +1,11 @@
-"""Consistent-hash ring: deterministic digest -> shard routing.
+"""Consistent-hash ring: deterministic key -> shard routing.
 
 The sharded cache tier (:class:`~repro.fleet.sharded.ShardedProfileCache`)
 partitions the profile store across N cache servers.  Profile keys are
-already location-independent SHA-256 digests (:func:`repro.cache.key_digest`,
-the disk tier's file-name hash), so routing only needs a stable function
-``digest -> shard url`` with three properties:
+already location-independent 64-hex SHA-256 digests
+(``QualityEstimator.cache_key``, also the disk tier's file names), so
+the ring routes on the key itself and only needs a stable function
+``key -> shard url`` with three properties:
 
 * **Deterministic.**  The mapping is a pure function of the shard URL
   set (and the replica count): every client configured with the same
@@ -83,11 +84,11 @@ class HashRing:
     # ------------------------------------------------------------------
 
     def node(self, digest: str) -> str:
-        """The shard owning a 64-hex-char key digest.
+        """The shard owning a 64-hex-char cache key.
 
-        Uses the digest's own leading 8 bytes as the ring position --
-        :func:`repro.cache.key_digest` output is uniformly distributed,
-        so no re-hashing is needed.
+        Uses the key's own leading 8 bytes as the ring position -- a
+        cache key is a SHA-256 digest, uniformly distributed, so no
+        re-hashing is needed.
         """
         position = int(digest[:16], 16)
         index = bisect.bisect_right(self._points, position)

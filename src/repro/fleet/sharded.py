@@ -3,16 +3,17 @@
 :class:`ShardedProfileCache` is the scale-out sibling of
 :class:`~repro.cache.http.HTTPProfileCache`: instead of one
 :class:`~repro.service.CacheServer` it fronts a *fleet* of them, routing
-every key by the consistent-hash ring of :mod:`repro.fleet.ring` over
-the key's SHA-256 digest.  Selected by ``ProcessingConfiguration.cache_urls``
+every key by the consistent-hash ring of :mod:`repro.fleet.ring` (a
+cache key is already a 64-hex SHA-256, so the ring routes on the key
+itself).  Selected by ``ProcessingConfiguration.cache_urls``
 (one or more server addresses; one URL is a one-shard ring).
 
 Design points:
 
 * **Client-side routing, no coordinator.**  The ring is a pure function
   of the URL set, so every planner and worker configured with the same
-  ``cache_urls`` agrees on placement with zero coordination -- exactly
-  how the digest protocol already makes keys location-independent.
+  ``cache_urls`` agrees on placement with zero coordination -- keys are
+  content digests, so they are location-independent already.
 * **One shard client per shard, full PR 6 wire machinery each.**  Every
   shard is served by its own :class:`HTTPProfileCache`: pooled
   keep-alive connections, transparent compression, per-campaign write
@@ -56,7 +57,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.backend import CacheStats, observe_get_many
-from repro.cache.disk import key_digest
 from repro.cache.http import (
     DEFAULT_MAX_PENDING,
     DEFAULT_RECOVERY_INTERVAL,
@@ -92,7 +92,7 @@ class ShardedProfileCache:
     ----------
     urls:
         Base URLs of the shard servers (at least one).  The consistent
-        hash ring over this set decides which shard owns which digest;
+        hash ring over this set decides which shard owns which key;
         URL order is irrelevant.
     timeout / compression / compress_min_bytes / auth_token /
     recovery_interval / max_pending / fallback_max_entries / pool:
@@ -162,9 +162,9 @@ class ShardedProfileCache:
         """The shard URL set (sorted -- the ring's canonical order)."""
         return self.ring.nodes
 
-    def shard_for(self, key: tuple) -> str:
+    def shard_for(self, key: str) -> str:
         """The URL of the shard owning a cache key (routing introspection)."""
-        return self.ring.node(key_digest(key))
+        return self.ring.node(key)
 
     def client_for(self, url: str) -> HTTPProfileCache:
         """The per-shard client (tests and monitors peek at degradation)."""
@@ -232,21 +232,20 @@ class ShardedProfileCache:
                 )
             return self._executor
 
-    def _group_by_shard(self, digests: Sequence[str]) -> dict[str, list[int]]:
-        """``{shard url: [index into digests]}`` for one lookup window."""
+    def _group_by_shard(self, keys: Sequence[str]) -> dict[str, list[int]]:
+        """``{shard url: [index into keys]}`` for one lookup window."""
         groups: dict[str, list[int]] = {}
-        for index, digest in enumerate(digests):
-            groups.setdefault(self.ring.node(digest), []).append(index)
+        for index, key in enumerate(keys):
+            groups.setdefault(self.ring.node(key), []).append(index)
         return groups
 
     # ------------------------------------------------------------------
     # CacheBackend protocol
     # ------------------------------------------------------------------
 
-    def get(self, key: tuple) -> "QualityProfile | None":
+    def get(self, key: str) -> "QualityProfile | None":
         """Look up one profile on its owning shard."""
-        digest = key_digest(key)
-        profile = self._clients[self.ring.node(digest)]._get_many([key], [digest])[0]
+        profile = self._clients[self.ring.node(key)].get(key)
         with self._lock:
             if profile is None:
                 self.stats.misses += 1
@@ -254,27 +253,20 @@ class ShardedProfileCache:
                 self.stats.hits += 1
         return profile
 
-    def get_many(self, keys: Sequence[tuple]) -> "list[QualityProfile | None]":
+    def get_many(self, keys: Sequence[str]) -> "list[QualityProfile | None]":
         """Batched lookup: one concurrent ``/get_many`` per involved shard."""
         start = time.perf_counter()
         results: "list[QualityProfile | None]" = [None] * len(keys)
-        # Hashed once: the digests route the keys here and travel on the
-        # wire in the shard clients.
-        digests = [key_digest(key) for key in keys]
-        groups = self._group_by_shard(digests)
+        groups = self._group_by_shard(keys)
         if len(groups) <= 1:
             for url, indices in groups.items():
-                found = self._clients[url]._get_many(
-                    [keys[i] for i in indices], [digests[i] for i in indices]
-                )
+                found = self._clients[url].get_many([keys[i] for i in indices])
                 for index, profile in zip(indices, found):
                     results[index] = profile
         else:
             futures = {
                 self._pool().submit(
-                    self._clients[url]._get_many,
-                    [keys[i] for i in indices],
-                    [digests[i] for i in indices],
+                    self._clients[url].get_many, [keys[i] for i in indices]
                 ): indices
                 for url, indices in groups.items()
             }
@@ -292,7 +284,7 @@ class ShardedProfileCache:
         )
         return results
 
-    def put(self, key: tuple, profile: "QualityProfile") -> None:
+    def put(self, key: str, profile: "QualityProfile") -> None:
         """Buffer an insert in the owning shard's client."""
         self._clients[self.shard_for(key)].put(key, profile)
 
@@ -312,7 +304,7 @@ class ShardedProfileCache:
         """Total entries across shards (best-effort, like the shard tier)."""
         return sum(len(client) for client in self._clients.values())
 
-    def __contains__(self, key: tuple) -> bool:
+    def __contains__(self, key: str) -> bool:
         return key in self._clients[self.shard_for(key)]
 
     # ------------------------------------------------------------------

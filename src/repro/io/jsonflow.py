@@ -10,10 +10,8 @@ The module is also the JSON codec of the service layer
 (:mod:`repro.service` and the network cache tier):
 :func:`profile_to_dict` / :func:`profile_from_dict` round-trip
 :class:`~repro.quality.composite.QualityProfile` instances exactly
-(floats survive because :mod:`json` serialises them with ``repr``), and
-:func:`cache_key_from_jsonable` restores the nested-tuple cache keys of
-:meth:`~repro.quality.estimator.QualityEstimator.cache_key` after their
-trip through JSON arrays.
+(floats survive because :mod:`json` serialises them with ``repr``).
+Cache keys need no codec: they are 64-hex strings.
 """
 
 from __future__ import annotations
@@ -101,17 +99,3 @@ def profile_from_dict(data: Mapping[str, Any]) -> QualityProfile:
     }
     return QualityProfile(flow_name=data["flow_name"], scores=scores, values=values)
 
-
-def cache_key_from_jsonable(data: Any) -> Any:
-    """Restore a profile-cache key after its trip through JSON.
-
-    Cache keys are nested tuples of scalars (see
-    ``QualityEstimator.cache_key``); :func:`json.dumps` serialises the
-    tuples as arrays, so decoding converts every array back into a tuple
-    recursively.  Keys never contain real lists, so the conversion is
-    unambiguous, and the result is ``repr``-identical to the original
-    key -- the property the disk tier's hashed file names depend on.
-    """
-    if isinstance(data, list):
-        return tuple(cache_key_from_jsonable(item) for item in data)
-    return data

@@ -18,7 +18,7 @@ from repro.quality.framework import (
     default_registry,
 )
 from repro.quality.composite import CompositeMeasure, QualityProfile
-from repro.quality.estimator import EstimationSettings, QualityEstimator, flow_fingerprint
+from repro.quality.estimator import EstimationSettings, QualityEstimator
 
 from repro.quality import (  # noqa: F401  (re-exported measure modules)
     performance,
@@ -38,5 +38,4 @@ __all__ = [
     "QualityProfile",
     "QualityEstimator",
     "EstimationSettings",
-    "flow_fingerprint",
 ]

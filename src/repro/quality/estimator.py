@@ -20,9 +20,10 @@ statistics so benchmarks can report the savings.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
-from repro.cache import CacheBackend
+from repro.cache import CACHE_SCHEMA_VERSION, CacheBackend
 from repro.etl.graph import ETLGraph
 from repro.quality.composite import QualityProfile, build_composites
 from repro.quality.framework import MeasureRegistry, MeasureValue, default_registry
@@ -68,16 +69,6 @@ class EstimationSettings:
             else (resources.workers, resources.speed, resources.cost_per_hour, resources.memory_mb)
         )
         return (self.simulation_runs, self.seed, self.use_simulation, resource_key)
-
-
-def flow_fingerprint(flow: ETLGraph) -> tuple:
-    """The content fingerprint of ``flow``, the flow part of every cache key.
-
-    Covers everything that influences measures but not the flow name or
-    pattern lineage; see :meth:`ETLGraph.fingerprint`, which maintains
-    it incrementally on copy-on-write graphs.
-    """
-    return flow.fingerprint()
 
 
 class QualityEstimator:
@@ -129,25 +120,30 @@ class QualityEstimator:
     # cache in the parent process so process-pool workers stay cheap)
     # ------------------------------------------------------------------
 
-    def cache_key(self, flow: ETLGraph) -> tuple:
+    def cache_key(self, flow: ETLGraph) -> str:
         """The memoization key of ``flow`` under the current settings.
 
-        Covers the flow content, the estimation settings, and the measure
-        registry, so estimators with different registries can safely share
-        one cache.  The flow part is :meth:`ETLGraph.fingerprint`: cached
-        on copy-on-write graphs (which see every mutation through the
-        graph API, so a mutated flow gets a fresh key), recomputed on
-        every call for deep graphs, so mutating a deep flow in place and
-        re-evaluating it yields a fresh key (a cache miss), never a stale
-        profile.
+        A 64-character lowercase hex SHA-256 over the cache schema
+        version, the flow content, the estimation settings and the
+        measure registry, so estimators with different registries can
+        safely share one cache, and every tier, the wire and the shard
+        ring use it as is.  The flow part is :meth:`ETLGraph.fingerprint`:
+        merged incrementally on copy-on-write graphs (which see every
+        mutation through the graph API, so a mutated flow gets a fresh
+        key), recomputed on every call for deep graphs, so mutating a
+        deep flow in place and re-evaluating it yields a fresh key (a
+        cache miss), never a stale profile.
         """
         registry = tuple(
             sorted((m.name, m.weight, m.requires_trace) for m in self.registry)
         )
-        return (flow_fingerprint(flow), self.settings.fingerprint(), registry)
+        content = (
+            CACHE_SCHEMA_VERSION, flow.fingerprint(), self.settings.fingerprint(), registry
+        )
+        return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
 
     def cached_profile(
-        self, flow: ETLGraph, key: tuple | None = None
+        self, flow: ETLGraph, key: str | None = None
     ) -> QualityProfile | None:
         """A cached profile for ``flow``, re-labelled with the flow's name.
 
@@ -166,7 +162,7 @@ class QualityEstimator:
         )
 
     def store_profile(
-        self, flow: ETLGraph, profile: QualityProfile, key: tuple | None = None
+        self, flow: ETLGraph, profile: QualityProfile, key: str | None = None
     ) -> None:
         """Memoize an evaluated profile (no-op without a cache).
 
@@ -196,7 +192,7 @@ class QualityEstimator:
             enabled), the flow is simulated first.  Passing an explicit
             archive bypasses the profile cache.
         """
-        key: tuple | None = None
+        key: str | None = None
         if archive is None and self.cache is not None:
             key = self.cache_key(flow)
             cached = self.cached_profile(flow, key)

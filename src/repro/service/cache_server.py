@@ -9,19 +9,17 @@ one profile store through
 
 Wire format (JSON throughout; see ``docs/service.md``):
 
-* **Lookups travel as digests.**  A cache key is a multi-kilobyte flow
-  fingerprint; clients hash it locally with
-  :func:`repro.cache.key_digest` -- the exact digest the disk tier uses
-  for its file names -- and send only the 64-hex-char digest, so the
-  hot lookup path moves a few bytes per profile, not kilobytes, and the
-  server never re-hashes giant tuples.
-* **Writes travel as full keys** (restored server-side with
-  :func:`repro.io.jsonflow.cache_key_from_jsonable`), because on-disk
-  entries are self-verifying: the stored payload records the key it was
-  written under.
+* **Keys travel as they are.**  A cache key is a 64-character
+  lowercase hex SHA-256 (``QualityEstimator.cache_key``), the same on
+  every tier: ``/get``, ``/get_many`` and ``/contains`` name entries by
+  it (the ``digest``/``digests`` fields) and ``/put`` entries carry it
+  as ``key``.  Anything of another shape is answered with ``400``
+  before it reaches the backend, so no request can name a file outside
+  a disk backend's ``cache_dir``.  Every backend is served through
+  ``get_many`` and ``in`` with the key unchanged.
 * **Profiles travel as** :func:`repro.io.jsonflow.profile_to_dict`
   documents; the server keeps the documents of recently served entries
-  in a digest-keyed *hot map*, so repeat lookups skip the backend, the
+  in a key-indexed *hot map*, so repeat lookups skip the backend, the
   unpickling and the re-encoding entirely.
 
 With ``eviction_interval`` set (and a size-capped disk backend), the
@@ -37,9 +35,9 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
-from repro.cache import CacheBackend, CacheStats, DiskProfileCache, key_digest
-from repro.cache.disk import _DIGEST_RE, _ENTRY_SUFFIX
-from repro.io.jsonflow import cache_key_from_jsonable, profile_from_dict, profile_to_dict
+from repro.cache import CacheBackend, CacheStats, DiskProfileCache
+from repro.cache.disk import is_cache_key
+from repro.io.jsonflow import profile_from_dict, profile_to_dict
 from repro.service.common import (
     MAX_REQUEST_BYTES,
     JSONRequestHandler,
@@ -48,27 +46,15 @@ from repro.service.common import (
 )
 
 
-def _decode_key(data: Any) -> tuple:
-    """Decode and sanity-check one wire key."""
-    key = cache_key_from_jsonable(data)
-    try:
-        hash(key)
-    except TypeError:
-        raise ServiceError(400, "cache keys must be JSON arrays of scalars") from None
-    if not isinstance(key, tuple):
-        raise ServiceError(400, "cache keys must be JSON arrays (tuples), not scalars")
-    return key
-
-
-def _decode_digest(data: Any) -> str:
-    """Accept exactly what :func:`repro.cache.key_digest` produces.
+def _decode_key(data: Any) -> str:
+    """Accept exactly the shape ``QualityEstimator.cache_key`` produces.
 
     Anything else -- in particular strings containing ``/`` or ``..`` --
-    must never reach the digest-addressed file paths of the disk tier
-    (the shape regex is the disk tier's own, one source of truth).
+    must never reach the key-named files of the disk tier (the shape
+    check is the disk tier's own, one source of truth).
     """
-    if not isinstance(data, str) or _DIGEST_RE.fullmatch(data) is None:
-        raise ServiceError(400, "digests must be 64-character lowercase hex strings")
+    if not is_cache_key(data):
+        raise ServiceError(400, "cache keys must be 64-character lowercase hex strings")
     return data
 
 
@@ -96,10 +82,10 @@ class _CacheHandler(JSONRequestHandler):
             if not isinstance(digests, list):
                 raise ServiceError(400, '"digests" must be a JSON array')
             return {
-                "profiles": service.get_documents([_decode_digest(d) for d in digests])
+                "profiles": service.get_documents([_decode_key(d) for d in digests])
             }
         if path == "/get":
-            docs = service.get_documents([_decode_digest(body.get("digest"))])
+            docs = service.get_documents([_decode_key(body.get("digest"))])
             if docs[0] is None:
                 return {"hit": False}
             return {"hit": True, "profile": docs[0]}
@@ -121,7 +107,7 @@ class _CacheHandler(JSONRequestHandler):
             service.store_entries(decoded)
             return {"stored": len(decoded)}
         if path == "/contains":
-            return {"contains": service.contains(_decode_digest(body.get("digest")))}
+            return {"contains": service.contains(_decode_key(body.get("digest")))}
         if path == "/flush":
             service.backend.flush()
             return {"ok": True}
@@ -151,7 +137,7 @@ class CacheServer(ServiceServer):
         carry ``Authorization: Bearer <token>`` or get a ``401``.
         Clients configure it as ``cache_auth_token``.
     max_hot_entries:
-        LRU bound on the digest-keyed hot map of ready-to-send profile
+        LRU bound on the key-indexed hot map of ready-to-send profile
         documents (default 8192 -- tens of MB at typical profile sizes,
         so a long-running server's memory stays bounded even when the
         disk store is huge).  Evicted documents are re-read from the
@@ -167,7 +153,7 @@ class CacheServer(ServiceServer):
     ----------
     stats:
         The server's own lookup accounting (one hit or miss per served
-        digest, whichever layer -- hot map, backend or disk -- answered).
+        key, whichever layer -- hot map or backend -- answered).
         This is what clients report as the ``"server"`` tier.
     """
 
@@ -193,142 +179,78 @@ class CacheServer(ServiceServer):
         self.stats = CacheStats()
         # Server-side observability: the backend reports its batched
         # lookups (cache.<tier>.*) into the server's registry, alongside
-        # the cache.hits/cache.misses the served digests count below.
+        # the cache.hits/cache.misses the served keys count below.
         if getattr(backend, "metrics_registry", False) is None:
             backend.metrics_registry = self.metrics  # type: ignore[attr-defined]
         self.max_hot_entries = max_hot_entries
-        #: digest -> ready-to-send profile document (JSON-able dict).
+        #: key -> ready-to-send profile document (JSON-able dict).
         self._hot: OrderedDict[str, dict] = OrderedDict()
-        #: digest -> full key.  Only populated for backends *without*
-        #: digest addressing (no disk component).  Kept in LRU order and
-        #: trimmed to the backend's own entry count on every insert (plus
-        #: pruned when a lookup through it misses), so it is bounded by
-        #: the same thing that bounds the backend.  Disk-backed servers
-        #: skip it -- entries are re-resolved by file-name digest instead.
-        self._keys: OrderedDict[str, tuple] = OrderedDict()
         self._lock = threading.Lock()
-        self._disk = backend if isinstance(backend, DiskProfileCache) else None
         self._sweeping: DiskProfileCache | None = None
         if eviction_interval is not None:
-            if self._disk is None:
+            if not isinstance(backend, DiskProfileCache):
                 raise ValueError(
                     "eviction_interval requires a disk-backed backend (DiskProfileCache)"
                 )
-            self._disk.start_background_eviction(eviction_interval)
-            self._sweeping = self._disk
+            backend.start_background_eviction(eviction_interval)
+            self._sweeping = backend
 
     # ------------------------------------------------------------------
     # Lookup / store (shared by the HTTP routes and in-process callers)
     # ------------------------------------------------------------------
 
-    def _hot_get(self, digest: str) -> dict | None:
+    def _hot_get(self, key: str) -> dict | None:
         with self._lock:
-            document = self._hot.get(digest)
+            document = self._hot.get(key)
             if document is not None:
-                self._hot.move_to_end(digest)
+                self._hot.move_to_end(key)
             return document
 
-    def _hot_put(self, digest: str, document: dict, key: tuple | None = None) -> None:
+    def _hot_put(self, key: str, document: dict) -> None:
         with self._lock:
-            self._hot[digest] = document
-            self._hot.move_to_end(digest)
-            if key is not None and self._disk is None:
-                # Only keyed backends need the index (see its comment);
-                # it survives hot-map eviction so backend entries whose
-                # document was dropped remain reachable -- but it is
-                # trimmed to the backend's entry count, so a bounded
-                # backend can never leave the index growing with the
-                # full history of distinct keys ever stored.
-                self._keys[digest] = key
-                self._keys.move_to_end(digest)
-                backend_entries = len(self.backend)
-                while len(self._keys) > backend_entries:
-                    self._keys.popitem(last=False)
+            self._hot[key] = document
+            self._hot.move_to_end(key)
             if self.max_hot_entries is not None:
                 while len(self._hot) > self.max_hot_entries:
                     self._hot.popitem(last=False)
 
-    def get_documents(self, digests: list[str]) -> list[dict | None]:
-        """Resolve digests to profile documents (hot map, then backend)."""
-        disk = self._disk
-        results: list[dict | None] = []
-        hits = 0
-        for digest in digests:
-            document = self._hot_get(digest)
-            if document is None:
-                if disk is not None:
-                    entry = disk.get_by_digest(digest)
-                    if entry is not None:
-                        document = profile_to_dict(entry[1])
-                        self._hot_put(digest, document)
-                else:
-                    # Backends without digest addressing (the in-memory
-                    # scratch tier) are reached through the key index;
-                    # touching it keeps its LRU order tracking the
-                    # backend's.
-                    with self._lock:
-                        key = self._keys.get(digest)
-                        if key is not None:
-                            self._keys.move_to_end(digest)
-                    profile = self.backend.get(key) if key is not None else None
-                    if profile is not None:
-                        document = profile_to_dict(profile)
-                        self._hot_put(digest, document)
-                    elif key is not None:
-                        # The backend evicted the entry under its own
-                        # bound: prune the now-dangling index entry so
-                        # the index stays bounded by the backend's
-                        # content.  Conditional on identity: a
-                        # concurrent store_entries may have re-indexed
-                        # the digest (with a freshly decoded tuple)
-                        # after our backend miss.
-                        with self._lock:
-                            if self._keys.get(digest) is key:
-                                del self._keys[digest]
-            if document is not None:
-                hits += 1
-            results.append(document)
+    def get_documents(self, keys: list[str]) -> list[dict | None]:
+        """Resolve keys to profile documents (hot map, then one backend batch)."""
+        results = [self._hot_get(key) for key in keys]
+        missing = [index for index, document in enumerate(results) if document is None]
+        if missing:
+            profiles = self.backend.get_many([keys[index] for index in missing])
+            for index, profile in zip(missing, profiles):
+                if profile is not None:
+                    results[index] = profile_to_dict(profile)
+                    self._hot_put(keys[index], results[index])
+        hits = sum(1 for document in results if document is not None)
         with self._lock:
             self.stats.hits += hits
-            self.stats.misses += len(digests) - hits
+            self.stats.misses += len(keys) - hits
         if hits:
             self.metrics.counter("cache.hits").inc(hits)
-        if len(digests) - hits:
-            self.metrics.counter("cache.misses").inc(len(digests) - hits)
+        if len(keys) - hits:
+            self.metrics.counter("cache.misses").inc(len(keys) - hits)
         return results
 
-    def store_entries(self, entries: list[tuple[tuple, dict, object]]) -> None:
+    def store_entries(self, entries: list[tuple[str, dict, object]]) -> None:
         """Store ``(key, document, profile)`` triples and publish them."""
         for key, document, profile in entries:
             self.backend.put(key, profile)  # type: ignore[arg-type]
-            self._hot_put(key_digest(key), document, key=key)
+            self._hot_put(key, document)
         self.backend.flush()
 
-    def contains(self, digest: str) -> bool:
+    def contains(self, key: str) -> bool:
         with self._lock:
-            if digest in self._hot:
+            if key in self._hot:
                 return True
-            key = self._keys.get(digest)
-        if key is not None:
-            if key in self.backend:
-                return True
-            # The backend dropped the entry (eviction/clear): prune the
-            # index so it stays bounded by the backend's content.  Only
-            # if it is still *our* entry -- a concurrent store_entries
-            # may have re-indexed the digest since the backend miss.
-            with self._lock:
-                if self._keys.get(digest) is key:
-                    del self._keys[digest]
-            return False
-        if self._disk is not None and _DIGEST_RE.fullmatch(digest) is not None:
-            return (self._disk.cache_dir / f"{digest}{_ENTRY_SUFFIX}").exists()
-        return False
+        return key in self.backend
 
     def clear(self) -> None:
-        """Drop the hot map, the key index and every backend entry."""
+        """Drop the hot map and every backend entry."""
         with self._lock:
             self._hot.clear()
-            self._keys.clear()
             self.stats = CacheStats()
         self.backend.clear()
 

@@ -213,7 +213,7 @@ class TestProcessBackendPool:
         seeder.plan(linear_flow)  # populates the directory
 
         fresh = Planner(configuration=config)
-        alternatives = fresh.generate_alternatives(linear_flow)
+        alternatives = list(fresh.generator.generate_iter(linear_flow))
         # simulate the worker side in-process: initializer + pooled task
         import pickle
 

@@ -11,6 +11,7 @@ from repro.cache import (
     build_profile_cache,
 )
 from repro.quality.composite import QualityProfile
+from tests.keys import cache_key
 
 
 def _profile(name: str = "p") -> QualityProfile:
@@ -24,58 +25,58 @@ def _tiered(tmp_path, **disk_kwargs) -> TieredProfileCache:
 class TestTieredLookup:
     def test_write_through_and_memory_hit(self, tmp_path):
         cache = _tiered(tmp_path)
-        cache.put(("k",), _profile())
-        assert cache.get(("k",)) is not None
+        cache.put(cache_key("k"), _profile())
+        assert cache.get(cache_key("k")) is not None
         # the memory tier answered; disk was never consulted for the get
         assert cache.memory.stats.hits == 1
         assert cache.disk.stats.lookups == 0
         # but the entry was written through to disk
-        assert ("k",) in cache.disk
+        assert cache_key("k") in cache.disk
 
     def test_disk_hit_is_promoted_to_memory(self, tmp_path):
-        DiskProfileCache(tmp_path).put(("k",), _profile("warm"))
+        DiskProfileCache(tmp_path).put(cache_key("k"), _profile("warm"))
         cache = _tiered(tmp_path)  # fresh memory tier, warm disk
-        first = cache.get(("k",))
+        first = cache.get(cache_key("k"))
         assert first is not None and first.flow_name == "warm"
         assert cache.memory.stats.misses == 1
         assert cache.disk.stats.hits == 1
         # the promotion makes the second lookup a pure memory hit
-        assert cache.get(("k",)) is not None
+        assert cache.get(cache_key("k")) is not None
         assert cache.memory.stats.hits == 1
         assert cache.disk.stats.lookups == 1
 
     def test_logical_stats_count_once_per_lookup(self, tmp_path):
-        DiskProfileCache(tmp_path).put(("warm",), _profile())
+        DiskProfileCache(tmp_path).put(cache_key("warm"), _profile())
         cache = _tiered(tmp_path)
-        cache.get(("warm",))  # disk hit
-        cache.put(("new",), _profile())
-        cache.get(("new",))  # memory hit
-        cache.get(("absent",))  # miss everywhere
+        cache.get(cache_key("warm"))  # disk hit
+        cache.put(cache_key("new"), _profile())
+        cache.get(cache_key("new"))  # memory hit
+        cache.get(cache_key("absent"))  # miss everywhere
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
         assert cache.stats.lookups == 3
 
     def test_contains_and_len(self, tmp_path):
         cache = _tiered(tmp_path)
-        cache.put(("k",), _profile())
-        assert ("k",) in cache
-        assert ("absent",) not in cache
+        cache.put(cache_key("k"), _profile())
+        assert cache_key("k") in cache
+        assert cache_key("absent") not in cache
         assert len(cache) == 1
 
 
 class TestTieredMaintenance:
     def test_flush_publishes_the_disk_buffer(self, tmp_path):
         cache = _tiered(tmp_path, batch_writes=True)
-        cache.put(("k",), _profile("buffered"))
-        assert DiskProfileCache(tmp_path).get(("k",)) is None  # not published yet
+        cache.put(cache_key("k"), _profile("buffered"))
+        assert DiskProfileCache(tmp_path).get(cache_key("k")) is None  # not published yet
         cache.flush()
-        assert DiskProfileCache(tmp_path).get(("k",)).flow_name == "buffered"
+        assert DiskProfileCache(tmp_path).get(cache_key("k")).flow_name == "buffered"
 
     def test_clear_resets_both_tiers_and_all_stats(self, tmp_path):
         cache = _tiered(tmp_path)
-        cache.put(("k",), _profile())
-        cache.get(("k",))
-        cache.get(("absent",))
+        cache.put(cache_key("k"), _profile())
+        cache.get(cache_key("k"))
+        cache.get(cache_key("absent"))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
@@ -84,8 +85,8 @@ class TestTieredMaintenance:
 
     def test_tier_stats_shape(self, tmp_path):
         cache = _tiered(tmp_path)
-        cache.put(("k",), _profile())
-        cache.get(("k",))
+        cache.put(cache_key("k"), _profile())
+        cache.get(cache_key("k"))
         tiers = cache.tier_stats()
         assert set(tiers) == {"overall", "memory", "disk"}
         assert tiers["overall"]["hits"] == 1
@@ -100,10 +101,10 @@ class TestTieredMaintenance:
 
     def test_pickles_to_an_entry_less_memory_tier_and_a_disk_handle(self, tmp_path):
         cache = _tiered(tmp_path)
-        cache.put(("k",), _profile("shared"))
+        cache.put(cache_key("k"), _profile("shared"))
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone.memory) == 0  # memory entries never cross the boundary
-        hit = clone.get(("k",))  # ...but the disk handle still reads them
+        hit = clone.get(cache_key("k"))  # ...but the disk handle still reads them
         assert hit is not None and hit.flow_name == "shared"
 
 
@@ -138,14 +139,14 @@ class TestBuildProfileCache:
 class TestTieredGetMany:
     def test_batched_lookup_promotes_disk_hits_and_counts_logically(self, tmp_path):
         cache = _tiered(tmp_path)
-        cache.put(("a",), _profile("pa"))
-        cache.put(("b",), _profile("pb"))
+        cache.put(cache_key("a"), _profile("pa"))
+        cache.put(cache_key("b"), _profile("pb"))
         cache.memory.clear()  # simulate a fresh process: disk-only warmth
-        results = cache.get_many([("a",), ("gone",), ("b",)])
+        results = cache.get_many([cache_key("a"), cache_key("gone"), cache_key("b")])
         assert [r.flow_name if r else None for r in results] == ["pa", None, "pb"]
         # one logical count per key...
         assert cache.stats.hits == 2 and cache.stats.misses == 1
         # ...and the disk hits were promoted into memory
-        assert ("a",) in cache.memory and ("b",) in cache.memory
-        cache.get_many([("a",), ("b",)])
+        assert cache_key("a") in cache.memory and cache_key("b") in cache.memory
+        cache.get_many([cache_key("a"), cache_key("b")])
         assert cache.disk.stats.hits == 2, "promoted entries stop touching disk"

@@ -30,7 +30,7 @@ def _generator(**overrides):
 
 def _generate(flow, **overrides):
     generator = _generator(**overrides)
-    return generator.generate(flow), generator
+    return list(generator.generate_iter(flow)), generator
 
 
 class TestCowDeepEquivalence:
@@ -124,7 +124,7 @@ class TestGraphLevelDedupRegression:
             pattern_names=("EncryptDataFlow",),
         )
         generator = AlternativeGenerator(default_palette(), ExhaustivePolicy(), config)
-        alternatives = generator.generate(small_purchases)
+        alternatives = list(generator.generate_iter(small_purchases))
         assert len(alternatives) == 1
         assert alternatives[0].pattern_names == ("EncryptDataFlow",)
         assert alternatives[0].flow.annotations.get("encryption") is True
@@ -136,7 +136,7 @@ class TestGraphLevelDedupRegression:
             pattern_names=("AddCheckpoint", "EncryptDataFlow"),
         )
         generator = AlternativeGenerator(default_palette(), ExhaustivePolicy(), config)
-        names = {alt.pattern_names for alt in generator.generate(small_purchases)}
+        names = {alt.pattern_names for alt in generator.generate_iter(small_purchases)}
         assert ("AddCheckpoint",) in names
         assert ("EncryptDataFlow",) in names
         assert ("AddCheckpoint", "EncryptDataFlow") in names
@@ -150,7 +150,7 @@ class TestGraphLevelDedupRegression:
             pattern_names=("EncryptDataFlow",),
         )
         generator = AlternativeGenerator(default_palette(), ExhaustivePolicy(), config)
-        assert len(generator.generate(small_purchases)) == 1
+        assert len(list(generator.generate_iter(small_purchases))) == 1
 
 
 class TestGenerationStats:

@@ -37,7 +37,7 @@ def _generator(*, palette=None, policy=None, **overrides):
 
 def _generate(flow, **overrides):
     generator = _generator(**overrides)
-    return generator.generate(flow), generator.last_stats
+    return list(generator.generate_iter(flow)), generator.last_stats
 
 
 def _against_reference(flow, mode, **overrides):
@@ -46,7 +46,7 @@ def _against_reference(flow, mode, **overrides):
     Returns ``(alternatives, stats, reference, reference_applications)``.
     """
     generator = _generator(**overrides)
-    alternatives = generator.generate(flow)
+    alternatives = list(generator.generate_iter(flow))
     reference, applied = reference_generate(generator, flow, copy_mode=mode)
     return alternatives, generator.last_stats, reference, applied
 

@@ -27,7 +27,7 @@ def _eager_plan(planner: Planner, flow) -> PlanningResult:
     """The seed's eager pipeline: materialize, barrier-evaluate, filter."""
     config = planner.configuration
     baseline = planner.evaluate_flow(flow)
-    alternatives = planner.evaluate_alternatives(planner.generate_alternatives(flow))
+    alternatives = planner.evaluate_alternatives(list(planner.generator.generate_iter(flow)))
     kept, discarded = [], 0
     for alternative in alternatives:
         if config.satisfies_constraints(alternative.profile):
@@ -48,16 +48,16 @@ def _eager_plan(planner: Planner, flow) -> PlanningResult:
 
 
 class TestLazyGeneration:
-    def test_generate_matches_generate_iter(self, small_purchases, make_config):
+    def test_fresh_generators_agree(self, small_purchases, make_config):
         config = make_config(pattern_budget=2)
-        eager = AlternativeGenerator(default_palette(), configuration=config)
-        lazy = AlternativeGenerator(default_palette(), configuration=config)
-        eager_alts = eager.generate(small_purchases)
-        lazy_alts = list(lazy.generate_iter(small_purchases))
-        assert [a.label for a in eager_alts] == [a.label for a in lazy_alts]
-        assert [a.pattern_names for a in eager_alts] == [a.pattern_names for a in lazy_alts]
-        assert [a.flow.signature() for a in eager_alts] == [
-            a.flow.signature() for a in lazy_alts
+        first = AlternativeGenerator(default_palette(), configuration=config)
+        second = AlternativeGenerator(default_palette(), configuration=config)
+        first_alts = list(first.generate_iter(small_purchases))
+        second_alts = list(second.generate_iter(small_purchases))
+        assert [a.label for a in first_alts] == [a.label for a in second_alts]
+        assert [a.pattern_names for a in first_alts] == [a.pattern_names for a in second_alts]
+        assert [a.flow.signature() for a in first_alts] == [
+            a.flow.signature() for a in second_alts
         ]
 
     def test_generate_iter_is_genuinely_lazy(self, small_purchases, make_config):
@@ -251,7 +251,7 @@ class TestBeamScreening:
         planner = make_planner(screening_beam=3)
         static = planner.screening_estimator
         assert static.settings.use_simulation is False
-        generated = make_planner().generate_alternatives(small_purchases)
+        generated = list(make_planner().generator.generate_iter(small_purchases))
         characteristics = tuple(planner.configuration.skyline_characteristics)
         static_scores = {
             alt.label: sum(

@@ -21,6 +21,7 @@ from repro.service.redesign_server import configuration_from_request
 from repro.service.results import result_to_dict
 from repro.quality.composite import QualityProfile
 from tests.fleet.conftest import FleetHarness
+from tests.keys import cache_key
 
 pytestmark = pytest.mark.fleet
 
@@ -101,15 +102,15 @@ def test_kill_one_shard_of_four_mid_plan(make_fleet, branching_flow):
 
     # Revive on the same port: the probe re-attaches the client...
     fleet.revive_shard(victim)
-    cache.get(("poke", "the", "degraded", "client"))  # ensure degradation seen
+    cache.get(cache_key("poke", "the", "degraded", "client"))  # ensure degradation seen
     wait_for(lambda: not cache.client_for(victim_url).degraded, timeout=10)
     assert cache.degraded_shards == ()
 
     # ... and the revived shard serves its slice again: a key the ring
     # assigns to it round-trips through the fleet to the new store.
     sentinel = next(
-        ("sentinel", n) for n in range(10_000)
-        if cache.shard_for(("sentinel", n)) == victim_url
+        cache_key("sentinel", n) for n in range(10_000)
+        if cache.shard_for(cache_key("sentinel", n)) == victim_url
     )
     cache.put(sentinel, QualityProfile(flow_name="republished"))
     cache.flush()
@@ -229,7 +230,7 @@ def test_failure_storm_loses_nothing_and_changes_nothing(
 
     # The fleet healed: no worker cache still considers shard 1 dead.
     for cache in fleet.caches:
-        cache.get(("poke", id(cache)))
+        cache.get(cache_key("poke", id(cache)))
         wait_for(lambda: not cache.client_for(fleet.shard_urls[1]).degraded, timeout=10)
 
     # And the queue agrees nothing is pending or stalled.

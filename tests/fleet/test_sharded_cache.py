@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.cache import ProfileCache, build_profile_cache, key_digest
+from repro.cache import ProfileCache, build_profile_cache
 from repro.core.planner import Planner
 from repro.core.session import RedesignSession
 from repro.fleet import DEFAULT_REPLICAS, ShardedProfileCache
@@ -21,6 +21,7 @@ from repro.quality.composite import QualityProfile
 from repro.service import CacheServer
 from tests.conftest import fast_planner_config
 from tests.fleet.conftest import PROBE_INTERVAL, make_sharded_cache
+from tests.keys import cache_key
 
 pytestmark = pytest.mark.fleet
 
@@ -29,8 +30,8 @@ def _profile(name: str = "p") -> QualityProfile:
     return QualityProfile(flow_name=name)
 
 
-def _key(n: int) -> tuple:
-    return ("flow", n, "settings")
+def _key(n: int) -> str:
+    return cache_key("flow", n, "settings")
 
 
 @pytest.fixture
@@ -81,7 +82,7 @@ def test_entries_land_on_their_ring_shard(shard_servers, sharded):
     sharded.flush()
     used_shards = set()
     for key in keys:
-        owner = sharded.ring.node(key_digest(key))
+        owner = sharded.ring.node(key)
         used_shards.add(owner)
         # Present on the owner, absent from every other shard's store.
         for url, backend in backends.items():
@@ -130,32 +131,6 @@ def test_build_profile_cache_constructs_sharded_tier(shard_servers):
         cache.close()
     # no URLs: the in-process tier
     assert isinstance(build_profile_cache(), ProfileCache)
-
-
-def test_get_many_hashes_each_key_once(sharded, monkeypatch):
-    """The routing digest is the wire digest: one SHA-256 per key."""
-    import repro.cache.http as http_module
-    import repro.fleet.sharded as sharded_module
-
-    keys = [_key(n) for n in range(24)]
-    for n, key in enumerate(keys[:8]):
-        sharded.put(key, _profile(f"p{n}"))
-    sharded.flush()
-    calls = []
-
-    def counting_digest(key):
-        calls.append(key)
-        return key_digest(key)
-
-    monkeypatch.setattr(sharded_module, "key_digest", counting_digest)
-    monkeypatch.setattr(http_module, "key_digest", counting_digest)
-    results = sharded.get_many(keys)
-    assert [r is not None for r in results] == [True] * 8 + [False] * 16
-    assert len(sharded._group_by_shard([key_digest(key) for key in keys])) > 1
-    assert sorted(calls) == sorted(keys)
-    calls.clear()
-    assert sharded.get(keys[3]).flow_name == "p3"
-    assert calls == [keys[3]]
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ class TestPrefixCacheEquivalence:
             pattern_budget=budget, max_points_per_pattern=2, max_alternatives=150
         )
         generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), config)
-        generated = outcome(generator.generate(flow))
+        generated = outcome(list(generator.generate_iter(flow)))
         for mode in ("deep", "cow"):
             reference, _ = reference_generate(generator, flow, copy_mode=mode)
             assert outcome(reference) == generated

@@ -1,16 +1,16 @@
 """The incrementally maintained fingerprint against a from-scratch build.
 
-:meth:`ETLGraph.fingerprint` caches its operation entries on
+:meth:`ETLGraph.fingerprint` caches its per-operation digests on
 copy-on-write graphs and merges them from the copy parent's entries plus
 the recorded delta.  For random pattern chains and random sequences of
 graph-API mutations (relabel, remove, annotations set either way,
 ``mutable_operation`` edits of config, properties and schema made after
 the fingerprint was read, writes to a parent after it was forked, pickle
 round trips), every graph's fingerprint must equal
-``tests/reference_fingerprint.py``, which ignores every cache.  A corpus
-test pins the profile-cache key digests of the TPC-H alternatives to the
-from-scratch ones, so caches written before the incremental fingerprint
-stay valid.
+``tests/reference_fingerprint.py``'s digest, which ignores every cache.
+Corpus tests pin the profile-cache keys of the TPC-H alternatives to the
+from-scratch ones, and check that hashing loses no distinction: as many
+distinct digests as distinct from-scratch fingerprint tuples.
 """
 
 from __future__ import annotations
@@ -19,13 +19,17 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import key_digest
+import pytest
+
 from repro.core import Planner, ProcessingConfiguration
 from repro.etl.schema import DataType, Field, Schema
-from repro.quality.estimator import flow_fingerprint
-from repro.workloads import RandomFlowConfig, random_flow
+from repro.workloads import RandomFlowConfig, random_flow, tpch_refresh_flow
 from tests.property.test_cow_equivalence import _apply_sequence, _pick_sequences
-from tests.reference_fingerprint import reference_cache_key, reference_fingerprint
+from tests.reference_fingerprint import (
+    reference_cache_key,
+    reference_digest,
+    reference_fingerprint,
+)
 
 _ACTIONS = (
     "fork",
@@ -96,8 +100,8 @@ class TestFingerprintOracle:
         _, chain = _apply_sequence(flow, picks, "cow")
         # either order: a child read first captures its parent's entries
         for graph in reversed(chain) if newest_first else chain:
-            assert graph.fingerprint() == reference_fingerprint(graph)
-        assert flow_fingerprint(flow) == reference_fingerprint(flow)
+            assert graph.fingerprint() == reference_digest(graph)
+        assert flow.fingerprint() == reference_digest(flow)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -113,25 +117,42 @@ class TestFingerprintOracle:
         for step, (action, number, read_after) in enumerate(actions):
             _mutate(graphs, action, number, step)
             if read_after:
-                assert graphs[-1].fingerprint() == reference_fingerprint(graphs[-1])
+                assert graphs[-1].fingerprint() == reference_digest(graphs[-1])
         for graph in chain + graphs:
-            assert graph.fingerprint() == reference_fingerprint(graph)
+            assert graph.fingerprint() == reference_digest(graph)
 
         restored = pickle.loads(pickle.dumps(graphs[-1]))
-        assert restored.fingerprint() == reference_fingerprint(graphs[-1])
+        assert restored.fingerprint() == reference_digest(graphs[-1])
         _mutate([restored], "config", 3, len(actions))
-        assert restored.fingerprint() == reference_fingerprint(restored)
-        assert graphs[-1].fingerprint() == reference_fingerprint(graphs[-1])
+        assert restored.fingerprint() == reference_digest(restored)
+        assert graphs[-1].fingerprint() == reference_digest(graphs[-1])
+
+
+def _budget_two_corpus(flow):
+    planner = Planner(configuration=ProcessingConfiguration(pattern_budget=2))
+    alternatives = list(planner.generator.generate_iter(flow))
+    assert len(alternatives) > 100
+    return planner.estimator, [flow] + [alternative.flow for alternative in alternatives]
 
 
 class TestCacheKeyCorpus:
-    def test_tpch_budget_two_key_digests_match_from_scratch(self, tpch_flow):
-        planner = Planner(configuration=ProcessingConfiguration(pattern_budget=2))
-        estimator = planner.estimator
-        alternatives = planner.generate_alternatives(tpch_flow)
-        assert len(alternatives) > 100
-        for flow in [tpch_flow] + [alternative.flow for alternative in alternatives]:
+    def test_tpch_budget_two_keys_match_from_scratch(self, tpch_flow):
+        estimator, flows = _budget_two_corpus(tpch_flow)
+        for flow in flows:
             key = estimator.cache_key(flow)
-            expected = reference_cache_key(estimator, flow)
-            assert key == expected and repr(key) == repr(expected)
-            assert key_digest(key) == key_digest(expected)
+            assert key == reference_cache_key(estimator, flow)
+            assert len(key) == 64 and key == key.lower()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tpch_refresh_flow(),
+            lambda: random_flow(RandomFlowConfig(operations=16, seed=1)),
+        ],
+        ids=["tpch", "random16"],
+    )
+    def test_budget_two_digests_keep_every_distinction(self, build):
+        _, flows = _budget_two_corpus(build())
+        tuples = {reference_fingerprint(flow) for flow in flows}
+        digests = {flow.fingerprint() for flow in flows}
+        assert len(digests) == len(tuples)

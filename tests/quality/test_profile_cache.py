@@ -6,30 +6,31 @@ import pytest
 
 from repro.quality.composite import QualityProfile
 from repro.cache import CacheStats, ProfileCache
-from repro.quality.estimator import EstimationSettings, QualityEstimator, flow_fingerprint
+from repro.quality.estimator import EstimationSettings, QualityEstimator
+from tests.keys import cache_key
 
 
 class TestFlowFingerprint:
     def test_identical_copies_share_a_fingerprint(self, linear_flow):
-        assert flow_fingerprint(linear_flow) == flow_fingerprint(linear_flow.copy())
+        assert linear_flow.fingerprint() == linear_flow.copy().fingerprint()
 
     def test_name_and_lineage_are_ignored(self, linear_flow):
         renamed = linear_flow.copy(name="something_else")
         renamed.record_pattern("AddCheckpoint @ der")
-        assert flow_fingerprint(renamed) == flow_fingerprint(linear_flow)
+        assert renamed.fingerprint() == linear_flow.fingerprint()
 
     def test_annotations_change_the_fingerprint(self, linear_flow):
         annotated = linear_flow.copy()
         annotated.annotations["encryption"] = True
-        assert flow_fingerprint(annotated) != flow_fingerprint(linear_flow)
+        assert annotated.fingerprint() != linear_flow.fingerprint()
 
     def test_operation_properties_change_the_fingerprint(self, linear_flow):
         tweaked = linear_flow.copy()
         tweaked.operation("der").properties.cost_per_tuple = 123.0
-        assert flow_fingerprint(tweaked) != flow_fingerprint(linear_flow)
+        assert tweaked.fingerprint() != linear_flow.fingerprint()
 
     def test_structure_changes_the_fingerprint(self, linear_flow, branching_flow):
-        assert flow_fingerprint(linear_flow) != flow_fingerprint(branching_flow)
+        assert linear_flow.fingerprint() != branching_flow.fingerprint()
 
 
 class TestProfileCache:
@@ -38,30 +39,30 @@ class TestProfileCache:
 
     def test_get_put_and_stats(self):
         cache = ProfileCache()
-        assert cache.get(("k",)) is None
-        cache.put(("k",), self._profile())
-        assert cache.get(("k",)).flow_name == "p"
+        assert cache.get(cache_key("k")) is None
+        cache.put(cache_key("k"), self._profile())
+        assert cache.get(cache_key("k")).flow_name == "p"
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.lookups == 2
         assert cache.stats.hit_rate == 0.5
         assert len(cache) == 1
-        assert ("k",) in cache
+        assert cache_key("k") in cache
 
     def test_lru_eviction(self):
         cache = ProfileCache(max_entries=2)
-        cache.put(("a",), self._profile("a"))
-        cache.put(("b",), self._profile("b"))
-        assert cache.get(("a",)) is not None  # refresh "a"
-        cache.put(("c",), self._profile("c"))
-        assert ("b",) not in cache
-        assert ("a",) in cache and ("c",) in cache
+        cache.put(cache_key("a"), self._profile("a"))
+        cache.put(cache_key("b"), self._profile("b"))
+        assert cache.get(cache_key("a")) is not None  # refresh "a"
+        cache.put(cache_key("c"), self._profile("c"))
+        assert cache_key("b") not in cache
+        assert cache_key("a") in cache and cache_key("c") in cache
         assert cache.stats.evictions == 1
 
     def test_clear_resets_entries_and_stats(self):
         cache = ProfileCache()
-        cache.put(("a",), self._profile())
-        cache.get(("a",))
+        cache.put(cache_key("a"), self._profile())
+        cache.get(cache_key("a"))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
@@ -72,13 +73,13 @@ class TestProfileCache:
 
     def test_pickles_as_an_entry_less_cache(self):
         cache = ProfileCache(max_entries=8)
-        cache.put(("a",), self._profile())
+        cache.put(cache_key("a"), self._profile())
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone) == 0
         assert clone.max_entries == 8
         # the clone is fully functional (fresh lock, fresh entries)
-        clone.put(("b",), self._profile("b"))
-        assert ("b",) in clone
+        clone.put(cache_key("b"), self._profile("b"))
+        assert cache_key("b") in clone
 
     def test_pickling_round_trips_the_stats(self):
         """Hit/miss counters survive a process-pool transfer.
@@ -88,24 +89,24 @@ class TestProfileCache:
         that crossed a process boundary still reports its history.
         """
         cache = ProfileCache()
-        cache.put(("a",), self._profile())
-        cache.get(("a",))  # hit
-        cache.get(("b",))  # miss
+        cache.put(cache_key("a"), self._profile())
+        cache.get(cache_key("a"))  # hit
+        cache.get(cache_key("b"))  # miss
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone) == 0  # entries still dropped by design
         assert clone.stats.hits == 1
         assert clone.stats.misses == 1
         assert clone.stats.lookups == 2
         # a second hop keeps accumulating on top of the restored counters
-        clone.get(("c",))
+        clone.get(cache_key("c"))
         hop = pickle.loads(pickle.dumps(clone))
         assert hop.stats.misses == 2
 
     def test_flush_is_a_noop_and_tier_stats_report_memory(self):
         cache = ProfileCache()
-        cache.put(("a",), self._profile())
+        cache.put(cache_key("a"), self._profile())
         cache.flush()
-        assert ("a",) in cache
+        assert cache_key("a") in cache
         assert set(cache.tier_stats()) == {"memory"}
 
     def test_cache_stats_as_dict(self):

@@ -2,8 +2,8 @@
 
 Covers the CacheBackend contract over the network (buffered writes
 visible locally, one flush per campaign, logical stats), the fleet
-scenario (two clients warm each other through one server), the digest
-fast path across server restarts, stats pickling, and the planner-level
+scenario (two clients warm each other through one server), key-named
+disk entries across server restarts, stats pickling, and the planner-level
 wiring of a one-URL ``cache_urls`` ring.
 """
 
@@ -14,11 +14,12 @@ import pickle
 
 import pytest
 
-from repro.cache import DiskProfileCache, ProfileCache, key_digest
+from repro.cache import DiskProfileCache, ProfileCache
 from repro.cache.http import HTTPProfileCache
 from repro.core import Planner, ProcessingConfiguration, RedesignSession
 from repro.quality.composite import QualityProfile
 from repro.service import CacheServer
+from tests.keys import cache_key
 
 
 def _profile(name: str = "p") -> QualityProfile:
@@ -38,7 +39,7 @@ def client(disk_server):
 
 class TestClientBackendContract:
     def test_put_buffers_until_flush_then_publishes(self, disk_server, client):
-        key = ("k", 1)
+        key = cache_key("k", 1)
         client.put(key, _profile("mine"))
         # buffered: visible to this instance, invisible to the server
         assert key in client
@@ -52,24 +53,24 @@ class TestClientBackendContract:
         assert other.stats.hits == 1
 
     def test_stats_count_one_per_lookup_on_either_side(self, client):
-        client.put(("a",), _profile())
-        assert client.get(("a",)) is not None  # pending buffer hit
-        assert client.get(("absent",)) is None  # server miss
+        client.put(cache_key("a"), _profile())
+        assert client.get(cache_key("a")) is not None  # pending buffer hit
+        assert client.get(cache_key("absent")) is None  # server miss
         assert client.stats.hits == 1 and client.stats.misses == 1
-        results = client.get_many([("a",), ("absent",), ("also-absent",)])
+        results = client.get_many([cache_key("a"), cache_key("absent"), cache_key("also-absent")])
         assert [r is not None for r in results] == [True, False, False]
         assert client.stats.hits == 2 and client.stats.misses == 3
 
     def test_clear_resets_client_and_server(self, disk_server, client):
-        client.put(("k",), _profile())
+        client.put(cache_key("k"), _profile())
         client.flush()
         client.clear()
         assert len(disk_server.backend) == 0
         assert client.stats.lookups == 0
-        assert client.get(("k",)) is None
+        assert client.get(cache_key("k")) is None
 
     def test_tier_stats_exposes_client_server_fallback(self, client):
-        client.get(("missing",))
+        client.get(cache_key("missing"))
         tiers = client.tier_stats()
         assert set(tiers) == {"http", "server", "fallback"}
         assert tiers["http"]["misses"] == 1
@@ -77,15 +78,15 @@ class TestClientBackendContract:
         assert tiers["fallback"]["lookups"] == 0
 
     def test_pickles_as_a_handle_with_stats(self, disk_server, client):
-        client.put(("k",), _profile("published"))
+        client.put(cache_key("k"), _profile("published"))
         client.flush()
-        assert client.get(("k",)) is not None
+        assert client.get(cache_key("k")) is not None
         clone = pickle.loads(pickle.dumps(client))
         # stats round-trip (PR 4 discipline); buffer does not
         assert clone.stats.hits == client.stats.hits
         assert clone.stats.misses == client.stats.misses
         # the clone is a live handle onto the same server
-        assert clone.get(("k",)).flow_name == "published"
+        assert clone.get(cache_key("k")).flow_name == "published"
 
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
@@ -96,18 +97,18 @@ class TestSharedServer:
     def test_two_clients_see_each_others_warm_entries(self, disk_server):
         a = HTTPProfileCache(disk_server.url)
         b = HTTPProfileCache(disk_server.url)
-        a.put(("shared",), _profile("from-a"))
+        a.put(cache_key("shared"), _profile("from-a"))
         a.flush()
-        assert b.get(("shared",)).flow_name == "from-a"
-        b.put(("back",), _profile("from-b"))
+        assert b.get(cache_key("shared")).flow_name == "from-a"
+        b.put(cache_key("back"), _profile("from-b"))
         b.flush()
-        assert a.get(("back",)).flow_name == "from-b"
+        assert a.get(cache_key("back")).flow_name == "from-b"
         assert disk_server.stats.hits == 2
 
     def test_digest_path_survives_a_server_restart(self, tmp_path):
-        """A fresh server on a warm cache_dir serves old entries by digest."""
+        """A fresh server on a warm cache_dir serves old entries by key."""
         store = tmp_path / "store"
-        key = ("persisted", 1)
+        key = cache_key("persisted", 1)
         with CacheServer(DiskProfileCache(store)) as first:
             warm = HTTPProfileCache(first.url)
             warm.put(key, _profile("old"))
@@ -115,84 +116,82 @@ class TestSharedServer:
         with CacheServer(DiskProfileCache(store)) as second:
             fresh = HTTPProfileCache(second.url)
             assert fresh.get(key).flow_name == "old"
-            # served through DiskProfileCache.get_by_digest: the new
-            # server never saw the key, only its digest
+            # served from the file the first server wrote: the new
+            # server's hot map was empty
             assert second.stats.hits == 1
 
     def test_entries_shared_bit_for_bit_with_local_disk_planners(self, tmp_path):
         """A local disk tier and the server address the same files."""
         store = tmp_path / "store"
         local = DiskProfileCache(store)
-        key = ("local-write",)
+        key = cache_key("local-write")
         local.put(key, _profile("direct"))
         with CacheServer(DiskProfileCache(store)) as server:
             over_http = HTTPProfileCache(server.url)
             assert over_http.get(key).flow_name == "direct"
-        assert local._path(key).name.startswith(key_digest(key))
+        assert local._path(key).name == f"{key}.profile.pkl"
 
 
 class TestMemoryBackedServer:
     def test_in_memory_scratch_server(self):
         with CacheServer(ProfileCache()) as server:
             client = HTTPProfileCache(server.url)
-            client.put(("k",), _profile("scratch"))
+            client.put(cache_key("k"), _profile("scratch"))
             client.flush()
             other = HTTPProfileCache(server.url)
-            assert other.get(("k",)).flow_name == "scratch"
-            assert ("k",) in other
+            assert other.get(cache_key("k")).flow_name == "scratch"
+            assert cache_key("k") in other
 
-    def test_hot_map_eviction_falls_back_to_the_key_index(self):
+    def test_hot_map_eviction_falls_back_to_the_backend(self):
         with CacheServer(ProfileCache(), max_hot_entries=1) as server:
             client = HTTPProfileCache(server.url)
-            client.put(("a",), _profile("pa"))
-            client.put(("b",), _profile("pb"))
+            client.put(cache_key("a"), _profile("pa"))
+            client.put(cache_key("b"), _profile("pb"))
             client.flush()
-            # "a" was evicted from the hot map; the key index still
-            # reaches it through the backend
-            assert client.get(("a",)).flow_name == "pa"
-            assert client.get(("b",)).flow_name == "pb"
+            # "a" was evicted from the hot map; the backend still
+            # holds it under the same key
+            assert client.get(cache_key("a")).flow_name == "pa"
+            assert client.get(cache_key("b")).flow_name == "pb"
 
-    def test_key_index_prunes_entries_the_backend_evicted(self):
-        """The digest->key index stays bounded by the backend's content."""
+    def test_entries_the_backend_evicted_are_misses(self):
+        """The server holds no key the bounded backend has dropped."""
         with CacheServer(ProfileCache(max_entries=1), max_hot_entries=1) as server:
             client = HTTPProfileCache(server.url)
-            client.put(("a",), _profile("pa"))
+            client.put(cache_key("a"), _profile("pa"))
             client.flush()
-            client.put(("b",), _profile("pb"))
+            client.put(cache_key("b"), _profile("pb"))
             client.flush()  # the bounded backend evicted "a"
-            assert client.get(("a",)) is None
-            assert client.get(("b",)).flow_name == "pb"
-            # the index dropped the evicted digest instead of keeping
-            # the stale entry forever
-            assert key_digest(("a",)) not in server._keys
-            assert key_digest(("b",)) in server._keys
+            assert client.get(cache_key("a")) is None
+            assert client.get(cache_key("b")).flow_name == "pb"
+            assert cache_key("a") not in client
 
-    def test_key_index_never_outgrows_a_bounded_backend(self):
-        """Storing many distinct keys must not grow the index with history."""
-        # max_hot_entries=1 so the final lookup goes through the key
-        # index, not the hot document map
+    def test_server_state_never_outgrows_a_bounded_backend(self):
+        """Storing many distinct keys must not grow the server with history."""
+        # max_hot_entries=1 so the older survivor is served by the backend
         with CacheServer(ProfileCache(max_entries=2), max_hot_entries=1) as server:
             client = HTTPProfileCache(server.url)
             for i in range(20):
-                client.put((f"k{i}",), _profile(f"p{i}"))
+                client.put(cache_key(f"k{i}"), _profile(f"p{i}"))
                 client.flush()
-            assert len(server._keys) <= len(server.backend) == 2
-            # the surviving index entries still resolve their profiles
-            assert client.get(("k18",)).flow_name == "p18"
-            assert client.get(("k19",)).flow_name == "p19"
+            assert len(server._hot) <= 1
+            assert len(server.backend) == 2
+            # the survivors still resolve their profiles
+            assert client.get(cache_key("k18")).flow_name == "p18"
+            assert client.get(cache_key("k19")).flow_name == "p19"
+            assert client.get(cache_key("k17")) is None
 
 
 class TestBackgroundEvictionWiring:
     def test_server_runs_the_sweeper_and_stops_it(self, tmp_path):
         probe = DiskProfileCache(tmp_path / "probe")
-        probe.put(("probe",), _profile())
+        probe.put(cache_key("probe"), _profile())
         entry_size = probe.size_bytes()
         disk = DiskProfileCache(tmp_path / "store", max_bytes=entry_size * 2)
         server = CacheServer(disk, eviction_interval=3600.0).start()
         try:
             client = HTTPProfileCache(server.url)
             for i in range(5):
-                client.put((f"k{i}",), _profile(f"p{i}"))
+                client.put(cache_key(f"k{i}"), _profile(f"p{i}"))
             client.flush()
             # the write path did not sweep
             assert disk.size_bytes() > disk.max_bytes
@@ -260,10 +259,10 @@ class TestDegradation:
     def test_unreachable_server_logs_once_and_falls_back(self, caplog):
         client = HTTPProfileCache("http://127.0.0.1:9", timeout=0.2)  # discard port
         with caplog.at_level(logging.WARNING, logger="repro.cache.http"):
-            assert client.get(("k",)) is None
-            client.put(("k",), _profile("local"))
-            assert client.get(("k",)).flow_name == "local"  # served by the fallback
-            assert client.get(("other",)) is None
+            assert client.get(cache_key("k")) is None
+            client.put(cache_key("k"), _profile("local"))
+            assert client.get(cache_key("k")).flow_name == "local"  # served by the fallback
+            assert client.get(cache_key("other")) is None
         warnings = [r for r in caplog.records if "falling back" in r.getMessage()]
         assert len(warnings) == 1, "degradation is logged exactly once"
         assert client.degraded
@@ -274,20 +273,20 @@ class TestDegradation:
     def test_pending_writes_move_into_the_fallback(self):
         with CacheServer(ProfileCache()) as server:
             client = HTTPProfileCache(server.url, timeout=0.5)
-            client.put(("buffered",), _profile("survives"))
+            client.put(cache_key("buffered"), _profile("survives"))
             server.stop()
         client.flush()  # fails -> degrades; the buffer must not be lost
         assert client.degraded
-        assert client.get(("buffered",)).flow_name == "survives"
+        assert client.get(cache_key("buffered")).flow_name == "survives"
 
     def test_degraded_pickle_clone_retries_the_server(self, tmp_path):
         with CacheServer(DiskProfileCache(tmp_path)) as server:
             doomed = HTTPProfileCache(server.url, timeout=0.5)
             seeder = HTTPProfileCache(server.url)
-            seeder.put(("k",), _profile("alive"))
+            seeder.put(cache_key("k"), _profile("alive"))
             seeder.flush()
             doomed._degrade(RuntimeError("simulated outage"))
             assert doomed.degraded
             clone = pickle.loads(pickle.dumps(doomed))
             assert not clone.degraded
-            assert clone.get(("k",)).flow_name == "alive"
+            assert clone.get(cache_key("k")).flow_name == "alive"

@@ -16,6 +16,7 @@ import pytest
 from repro.cache import DiskProfileCache, ProfileCache
 from repro.core import Planner
 from repro.service import CacheServer
+from tests.keys import cache_key
 
 
 class TestServerKilledMidPlan:
@@ -139,7 +140,7 @@ class TestClientDegradesOnAnyFailure:
             raise http.client.BadStatusLine("<html>not http/1.1</html>")
 
         monkeypatch.setattr(client._client, "request_json", bad_server)
-        assert client.get(("k",)) is None  # degrades, no exception
+        assert client.get(cache_key("k")) is None  # degrades, no exception
         assert client.degraded
 
     def test_garbage_200_with_malformed_profiles_degrades(self, monkeypatch):
@@ -150,7 +151,7 @@ class TestClientDegradesOnAnyFailure:
         monkeypatch.setattr(
             client, "_request", lambda path, payload=None: {"profiles": [{"x": 1}]}
         )
-        assert client.get(("k",)) is None  # falls back, no exception
+        assert client.get(cache_key("k")) is None  # falls back, no exception
         assert client.degraded
 
     def test_garbage_200_with_a_short_profiles_array_degrades(self, monkeypatch):
@@ -159,7 +160,7 @@ class TestClientDegradesOnAnyFailure:
 
         client = HTTPProfileCache("http://127.0.0.1:1", timeout=1.0)
         monkeypatch.setattr(client, "_request", lambda path, payload=None: {"ok": True})
-        assert client.get_many([("a",), ("b",)]) == [None, None]
+        assert client.get_many([cache_key("a"), cache_key("b")]) == [None, None]
         assert client.degraded
 
     def test_garbage_200_with_a_non_object_body_degrades(self, monkeypatch):
@@ -170,7 +171,7 @@ class TestClientDegradesOnAnyFailure:
         monkeypatch.setattr(
             client._client, "request_json", lambda *args, **kwargs: [1, 2, 3]
         )
-        assert client.get(("k",)) is None
+        assert client.get(cache_key("k")) is None
         assert client.degraded
 
     def test_unserializable_key_degrades_on_flush_without_losing_the_entry(self):
@@ -215,7 +216,7 @@ class TestProcessPoolOverHTTP:
             seeder.plan(linear_flow)  # warms the server (flush on stream end)
 
             fresh = Planner(configuration=config, profile_cache=HTTPProfileCache(server.url))
-            alternatives = fresh.generate_alternatives(linear_flow)
+            alternatives = list(fresh.generator.generate_iter(linear_flow))
             worker_estimator = pickle.loads(pickle.dumps(fresh.estimator))
             original = evaluator_module._WORKER_ESTIMATOR
             try:
@@ -268,7 +269,7 @@ class TestProcessPoolOverHTTP:
             Planner(configuration=config).plan(linear_flow)  # warms the server
 
             fresh = Planner(configuration=config)
-            alternatives = fresh.generate_alternatives(linear_flow)
+            alternatives = list(fresh.generator.generate_iter(linear_flow))
             worker_estimator = pickle.loads(pickle.dumps(fresh.estimator))
             original = evaluator_module._WORKER_ESTIMATOR
             try:

@@ -20,6 +20,7 @@ from repro.cache import ProfileCache
 from repro.cache.http import HTTPProfileCache
 from repro.quality.composite import QualityProfile
 from repro.service import CacheServer, RedesignClient, RedesignServer
+from tests.keys import cache_key
 
 _WIRE_CONFIG = dict(
     pattern_budget=1,
@@ -57,10 +58,10 @@ class TestCacheServerMetrics:
 
     def test_traffic_shows_up_in_counters_and_golden(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0)
-        client.put(("k",), QualityProfile(flow_name="k"))
+        client.put(cache_key("k"), QualityProfile(flow_name="k"))
         client.flush()
-        assert client.get(("k",)) is not None
-        assert client.get(("absent",)) is None
+        assert client.get(cache_key("k")) is not None
+        assert client.get(cache_key("absent")) is None
         payload = _get_json(server.url + "/metrics")
         counters = payload["metrics"]["counters"]
         assert counters["cache.hits"] >= 1
@@ -73,7 +74,7 @@ class TestCacheServerMetrics:
 
     def test_prometheus_text_exposition(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0)
-        assert client.get(("absent",)) is None
+        assert client.get(cache_key("absent")) is None
         status, content_type, body = _get(server.url + "/metrics?format=prom")
         assert status == 200
         assert content_type.startswith("text/plain")
@@ -120,7 +121,7 @@ class TestScrapeIsAPureRead:
         """A monitoring loop and a working client share one server."""
         client = HTTPProfileCache(server.url, timeout=5.0)
         for index in range(10):
-            client.put(("warm", index), QualityProfile(flow_name=f"p{index}"))
+            client.put(cache_key("warm", index), QualityProfile(flow_name=f"p{index}"))
         client.flush()
 
         stop = threading.Event()
@@ -138,7 +139,7 @@ class TestScrapeIsAPureRead:
         scraper.start()
         try:
             for _ in range(20):
-                results = client.get_many([("warm", index) for index in range(10)])
+                results = client.get_many([cache_key("warm", index) for index in range(10)])
                 assert all(result is not None for result in results)
         finally:
             stop.set()

@@ -1,11 +1,11 @@
 """The JSON wire codecs: exact round-trips and clean request rejection.
 
-The service layer's correctness rests on two codec properties: profiles
-survive JSON *exactly* (so the network tier is byte-identical to the
-local tiers) and cache keys survive the tuple->array->tuple trip
-``repr``-identically (so digests computed on either side of the wire
-agree).  The HTTP plumbing must reject malformed and oversized bodies
-with clean JSON errors, never tracebacks.
+The service layer's correctness rests on profiles surviving JSON
+*exactly* (so the network tier is byte-identical to the local tiers);
+cache keys are 64-hex strings and travel unchanged.  The HTTP plumbing
+must reject malformed and oversized bodies with clean JSON errors, never
+tracebacks, and a key of any other shape must reach no file, neither
+through the server nor through the disk tier directly.
 """
 
 from __future__ import annotations
@@ -16,15 +16,23 @@ import urllib.request
 
 import pytest
 
-from repro.cache import ProfileCache, key_digest
+from repro.cache import DiskProfileCache, ProfileCache
 from repro.core import Planner
-from repro.io.jsonflow import (
-    cache_key_from_jsonable,
-    profile_from_dict,
-    profile_to_dict,
-)
+from repro.io.jsonflow import profile_from_dict, profile_to_dict
+from repro.quality.composite import QualityProfile
 from repro.service import CacheServer
 from repro.workloads import purchases_flow
+
+#: Keys that are not 64 lowercase hex.  The first names a file outside
+#: ``cache_dir`` and is exactly 64 characters, so a length-only check
+#: would let it through.
+_MALFORMED_KEYS = {
+    "traversal-64": "../" + "a" * 61,
+    "traversal": "../x",
+    "upper-case": "A" * 64,
+    "63-chars": "a" * 63,
+    "tuple": ("k",),
+}
 
 
 @pytest.fixture(scope="module")
@@ -50,20 +58,6 @@ class TestProfileCodec:
 
         empty = QualityProfile(flow_name="nothing")
         assert profile_from_dict(profile_to_dict(empty)).flow_name == "nothing"
-
-
-class TestKeyCodec:
-    def test_key_round_trip_is_repr_identical(self, evaluated_profile):
-        _, key = evaluated_profile
-        back = cache_key_from_jsonable(json.loads(json.dumps(key)))
-        assert back == key
-        assert repr(back) == repr(key)  # the property file-name digests rely on
-        assert key_digest(back) == key_digest(key)
-
-    def test_scalars_and_nesting(self):
-        key = (1, 2.5, None, True, "s", ("nested", ("deeper", 0)))
-        back = cache_key_from_jsonable(json.loads(json.dumps(key)))
-        assert back == key and isinstance(back[5], tuple)
 
 
 class TestRequestHygiene:
@@ -134,32 +128,47 @@ class TestRequestHygiene:
         finally:
             connection.close()
 
-    def test_traversal_shaped_digest_is_rejected_and_touches_no_files(self, tmp_path):
-        """A 64-char "digest" with path components must never reach the disk.
+    @pytest.mark.parametrize("bad", list(_MALFORMED_KEYS.values()), ids=list(_MALFORMED_KEYS))
+    def test_malformed_key_is_refused_and_touches_no_files(self, tmp_path, bad):
+        """Neither the disk tier nor the server builds a path from a bad key.
 
-        Before validation, ``../``-shaped digests flowed into
-        ``cache_dir / f"{digest}.profile.pkl"`` — letting a client read,
+        Before validation, ``../``-shaped keys flowed into
+        ``cache_dir / f"{key}.profile.pkl"`` -- letting a client read,
         touch or (via the invalid-entry discard) delete ``*.profile.pkl``
         files outside the served directory.
         """
-        from repro.cache import DiskProfileCache
+        outside = [tmp_path / f"{'a' * 61}.profile.pkl", tmp_path / "x.profile.pkl"]
+        for path in outside:
+            path.write_bytes(b"not an entry; outside the served directory")
+        before = [path.stat().st_mtime_ns for path in outside]
+        store = tmp_path / "store"
+        disk = DiskProfileCache(store)
+        profile = QualityProfile(flow_name="p")
 
-        rest = "a" * 61
-        evil = "../" + rest  # exactly 64 chars: defeats a length-only check
-        outside = tmp_path / f"{rest}.profile.pkl"
-        outside.write_bytes(b"not an entry; outside the served directory")
-        disk = DiskProfileCache(tmp_path / "store")
+        with pytest.raises(ValueError, match="hex"):
+            disk.put(bad, profile)
+        assert disk.get(bad) is None
+        assert disk.get_many([bad]) == [None]
+        assert bad not in disk
+        assert disk.stats.misses == 2 and disk.stats.hits == 0
+
+        wire = list(bad) if isinstance(bad, tuple) else bad
+        document = profile_to_dict(profile)
         with CacheServer(disk) as server:
-            for path in ("/get", "/contains"):
+            for path, body in [
+                ("/get", {"digest": wire}),
+                ("/get_many", {"digests": [wire]}),
+                ("/contains", {"digest": wire}),
+                ("/put", {"entries": [{"key": wire, "profile": document}]}),
+            ]:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    self._post(server.url + path, json.dumps({"digest": evil}).encode())
+                    self._post(server.url + path, json.dumps(body).encode())
                 assert excinfo.value.code == 400, path
-                assert "hex" in json.loads(excinfo.value.read().decode())["error"]
-        # defense in depth: the digest-addressed disk lookup itself
-        # refuses non-hex digests instead of building a path from them
-        assert disk.get_by_digest(evil) is None
-        assert disk.get_by_digest("A" * 64) is None  # uppercase is not a digest
-        assert outside.read_bytes() == b"not an entry; outside the served directory"
+                assert "hex" in json.loads(excinfo.value.read().decode())["error"], path
+        assert list(store.iterdir()) == []
+        for path, mtime in zip(outside, before):
+            assert path.read_bytes() == b"not an entry; outside the served directory"
+            assert path.stat().st_mtime_ns == mtime
 
     def test_health_and_stats_endpoints(self, server):
         with urllib.request.urlopen(server.url + "/health", timeout=5.0) as response:

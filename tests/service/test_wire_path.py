@@ -25,6 +25,7 @@ from repro.quality.composite import QualityProfile
 from repro.service import CacheServer, RedesignClient, RedesignServer
 from repro.service.client import RedesignServiceError
 from repro.wire import BodyTooLarge, decode_body, encode_body
+from tests.keys import cache_key
 
 
 def _profile(name: str = "p") -> QualityProfile:
@@ -46,9 +47,9 @@ class TestConnectionPooling:
     def test_one_connection_serves_a_whole_campaign(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0)
         for index in range(10):
-            client.put((f"k{index}",), _profile())
+            client.put(cache_key(f"k{index}"), _profile())
         client.flush()
-        assert all(client.get((f"k{index}",)) for index in range(10))
+        assert all(client.get(cache_key(f"k{index}")) for index in range(10))
         stats = client.wire_stats()
         assert stats["connections_opened"] == 1
         assert stats["reconnects"] == 0
@@ -57,14 +58,14 @@ class TestConnectionPooling:
     def test_pool_false_reproduces_per_request_connections(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0, pool=False)
         for _ in range(4):
-            assert client.get(("absent",)) is None
+            assert client.get(cache_key("absent")) is None
         assert client.wire_stats()["connections_opened"] == 4
         assert not client.degraded
 
     def test_stale_keepalive_socket_reconnects_exactly_once(self, server):
         """A server restart costs one transparent reconnect, not a plan."""
         client = HTTPProfileCache(server.url, timeout=5.0, recovery_interval=None)
-        client.put(("warm",), _profile("kept"))
+        client.put(cache_key("warm"), _profile("kept"))
         client.flush()
         port = server.port
         server.stop()
@@ -73,7 +74,7 @@ class TestConnectionPooling:
             # The pooled socket is stale; the request must be retried on
             # a fresh connection -- once -- and succeed, without the
             # client ever touching its fallback tier.
-            assert client.get(("warm",)) is None  # fresh (empty) store
+            assert client.get(cache_key("warm")) is None  # fresh (empty) store
             stats = client.wire_stats()
             assert stats["reconnects"] == 1
             assert stats["connections_opened"] == 2
@@ -86,13 +87,13 @@ class TestCompression:
     def test_roundtrip_is_byte_identical_and_actually_compressed(self, server):
         writer = HTTPProfileCache(server.url, timeout=5.0)
         profile = _big_profile()
-        writer.put(("big",), profile)
+        writer.put(cache_key("big"), profile)
         writer.flush()
         assert writer.wire_stats()["compressed_requests"] >= 1
 
         for compression in (True, False):
             reader = HTTPProfileCache(server.url, timeout=5.0, compression=compression)
-            fetched = reader.get(("big",))
+            fetched = reader.get(cache_key("big"))
             assert fetched == profile  # exact document, either wire format
             expected = 1 if compression else 0
             assert reader.wire_stats()["compressed_responses"] == expected
@@ -100,7 +101,7 @@ class TestCompression:
 
     def test_small_bodies_travel_uncompressed(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0)
-        assert client.get(("tiny",)) is None
+        assert client.get(cache_key("tiny")) is None
         assert client.wire_stats()["compressed_requests"] == 0
 
     def test_encode_decode_inverse_and_deterministic(self):
@@ -142,16 +143,16 @@ class TestAuthentication:
 
     def test_matching_token_serves_normally(self, locked_server):
         client = HTTPProfileCache(locked_server.url, timeout=5.0, auth_token="s3cret")
-        client.put(("k",), _profile("authed"))
+        client.put(cache_key("k"), _profile("authed"))
         client.flush()
-        assert client.get(("k",)).flow_name == "authed"
+        assert client.get(cache_key("k")).flow_name == "authed"
         assert not client.degraded
 
     @pytest.mark.parametrize("token", [None, "wrong"])
     def test_bad_token_raises_instead_of_silent_fallback(self, locked_server, token):
         client = HTTPProfileCache(locked_server.url, timeout=5.0, auth_token=token)
         with pytest.raises(CacheAuthError):
-            client.get(("k",))
+            client.get(cache_key("k"))
         # The one failure an operator must see: NOT degraded-and-quiet.
         assert not client.degraded
 
@@ -182,13 +183,13 @@ class TestRecoveryProbes:
         server = CacheServer(ProfileCache()).start()
         port = server.port
         client = HTTPProfileCache(server.url, timeout=2.0, recovery_interval=0.05)
-        client.put(("before",), _profile("early"))
+        client.put(cache_key("before"), _profile("early"))
         server.stop()
         with caplog.at_level(logging.WARNING, logger="repro.cache.http"):
-            assert client.get(("before",)).flow_name == "early"  # buffered
-            assert client.get(("missing",)) is None  # degrades here
+            assert client.get(cache_key("before")).flow_name == "early"  # buffered
+            assert client.get(cache_key("missing")) is None  # degrades here
             assert client.degraded
-            client.put(("during",), _profile("offline"))  # fallback write
+            client.put(cache_key("during"), _profile("offline"))  # fallback write
             restarted = CacheServer(ProfileCache(), port=port).start()
             try:
                 # Re-attach flips `degraded` before the republish flush
@@ -203,7 +204,7 @@ class TestRecoveryProbes:
                 # Everything written while offline (and the pre-outage
                 # buffer) was republished to the restarted server.
                 assert len(restarted.backend) == 2
-                assert client.get(("during",)).flow_name == "offline"
+                assert client.get(cache_key("during")).flow_name == "offline"
             finally:
                 restarted.stop()
                 client.close()
@@ -213,7 +214,7 @@ class TestRecoveryProbes:
         server = CacheServer(ProfileCache()).start()
         client = HTTPProfileCache(server.url, timeout=2.0, recovery_interval=None)
         server.stop()
-        assert client.get(("k",)) is None
+        assert client.get(cache_key("k")) is None
         assert client.degraded
         assert client._probe_timer is None  # nothing scheduled, ever
 
@@ -221,7 +222,7 @@ class TestRecoveryProbes:
         server = CacheServer(ProfileCache()).start()
         client = HTTPProfileCache(server.url, timeout=2.0, recovery_interval=30.0)
         server.stop()
-        assert client.get(("k",)) is None and client.degraded
+        assert client.get(cache_key("k")) is None and client.degraded
         assert client._probe_timer is not None
         client.close()
         assert client._probe_timer is None
@@ -230,7 +231,7 @@ class TestRecoveryProbes:
 class TestBestEffortObservability:
     def test_failed_stats_poll_never_degrades_the_hot_path(self, server, monkeypatch):
         client = HTTPProfileCache(server.url, timeout=5.0)
-        client.put(("k",), _profile("served"))
+        client.put(cache_key("k"), _profile("served"))
         client.flush()
 
         real = client._client.request_json
@@ -246,12 +247,12 @@ class TestBestEffortObservability:
         assert len(client) == 0  # local view: buffer empty, fallback empty
         assert not client.degraded
         # The next lookup still goes to the server -- and hits.
-        assert client.get(("k",)).flow_name == "served"
+        assert client.get(cache_key("k")).flow_name == "served"
         assert server.stats.hits == 1
 
     def test_stats_include_wire_accounting(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0)
-        client.get(("k",))
+        client.get(cache_key("k"))
         stats = client.wire_stats()
         assert {
             "requests",
@@ -266,10 +267,10 @@ class TestBestEffortObservability:
 class TestPendingBuffer:
     def test_buffer_auto_publishes_at_max_pending(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0, max_pending=3)
-        client.put(("a",), _profile())
-        client.put(("b",), _profile())
+        client.put(cache_key("a"), _profile())
+        client.put(cache_key("b"), _profile())
         assert len(server.backend) == 0  # still buffered
-        client.put(("c",), _profile())  # third entry crosses the bound
+        client.put(cache_key("c"), _profile())  # third entry crosses the bound
         assert len(server.backend) == 3
         assert client._pending == {}
 
@@ -284,7 +285,7 @@ class TestWildcardBinding:
             assert srv.host == "0.0.0.0"  # the binding is preserved
             assert "0.0.0.0" not in srv.url  # ... but never advertised
             client = HTTPProfileCache(srv.url, timeout=5.0)
-            assert client.get(("k",)) is None
+            assert client.get(cache_key("k")) is None
             assert not client.degraded
 
 
