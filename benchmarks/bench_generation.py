@@ -1,7 +1,8 @@
 """Alternative generation throughput on the TPC-H refresh workload.
 
-Generation applies every pattern combination as a chain of
-copy-on-write deltas, validates each step incrementally, deduplicates
+Generation applies every pattern combination as a chain of deltas on
+forks of the initial flow (operations are frozen values the forks
+share), validates each step incrementally, deduplicates
 via incrementally maintained signatures, and reuses the shared prefix of
 consecutive combinations instead of re-applying it from the base flow.
 This benchmark times that generator on the TPC-H refresh workload at
@@ -9,8 +10,9 @@ This benchmark times that generator on the TPC-H refresh workload at
 application/validation time split and the prefix-reuse counters of
 :class:`~repro.core.alternatives.GenerationStats`.  Every repeat must
 produce the identical alternative stream (same labels, same
-signatures); equivalence with a from-scratch deep-copy generator is the
-test suite's job (``tests/reference_generator.py``).
+signatures); equivalence with a from-scratch generator that rebuilds the
+initial flow for every combination is the test suite's job
+(``tests/reference_generator.py``).
 
 Run standalone::
 
@@ -128,7 +130,7 @@ def test_generation_throughput():
     report = run_generation_bench()
     print()
     print("=" * 78)
-    print("ARTIFACT: copy-on-write, prefix-cached generation (TPC-H)")
+    print("ARTIFACT: forked, prefix-cached generation (TPC-H)")
     print("=" * 78)
     print(_render_report(report))
     assert report["identical_alternatives"], "repeats generated different streams"

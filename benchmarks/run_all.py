@@ -1,7 +1,7 @@
 """Run the planning-pipeline benchmarks and persist a machine-readable record.
 
-Executes the generation benchmark (``bench_generation``: deep vs.
-copy-on-write pattern application), the streaming-pipeline benchmark
+Executes the generation benchmark (``bench_generation``: forked,
+prefix-cached pattern application), the streaming-pipeline benchmark
 (``bench_streaming_pipeline``: eager vs. streaming vs. screening), the
 profile-cache benchmark (``bench_profile_cache``: cold vs. warm-disk
 vs. in-memory planning), the service benchmark (``bench_service``:

@@ -12,7 +12,7 @@ pruned via graph signatures.
 
 The per-candidate cost is proportional to the *delta* a pattern
 introduces, not to the flow: combinations are applied as chained
-copy-on-write graphs, validated with
+flow copies sharing every untouched operation, validated with
 :func:`~repro.etl.validation.validate_delta`, and deduplicated via
 incrementally maintained signatures.
 
@@ -233,8 +233,11 @@ class AlternativeGenerator:
         consume.  Labels (``ETL Flow 1``, ``ETL Flow 2``, ...) follow the
         enumeration order.
 
+        The stream forks ``flow`` itself, so ``flow`` must not change
+        while the stream is being consumed.
+
         Every pattern in a combination is applied as a chained delta: each
-        step is a copy-on-write graph recording its difference from the
+        step is a flow copy recording its difference from the
         previous one, validity is maintained incrementally with
         :func:`~repro.etl.validation.validate_delta`, and deduplication
         reads the incrementally maintained signatures.  The intermediate
@@ -243,24 +246,22 @@ class AlternativeGenerator:
         prefixes contiguous, extending ``(a, b)`` to ``(a, b, c)`` reuses
         the cached ``(a, b)`` flow and its validated issue list instead of
         re-applying from the base flow.  The stream is byte-identical to
-        applying every combination from scratch on deep copies of ``flow``
+        applying every combination from scratch on a rebuilt ``flow``
         and validating each result in full.
         """
         config = self.configuration
         stats = GenerationStats()
         self.last_stats = stats
         started = time.perf_counter()
-        # A private snapshot of the initial flow: the caller's graph is
-        # never payload-aliased (mutating it directly afterwards stays
-        # safe), while every ``flow.copy()`` inside the patterns forks
-        # copy-on-write from the snapshot.
-        base = flow.cow_base()
-        deployments = self.candidate_deployments(base)
+        # Every candidate forks the caller's flow directly: operations
+        # are frozen values and forks privatize adjacency before writing,
+        # so generation never changes the caller's graph.
+        deployments = self.candidate_deployments(flow)
         produced = 0
-        seen_signatures = {base.signature()}
+        seen_signatures = {flow.signature()}
         # The base issue list and the prefix cache are scoped to this run:
         # interleaved lazy runs on other flows keep their own.
-        base_issues = validate_flow(base)
+        base_issues = validate_flow(flow)
         prefix_stack: list[_PrefixEntry] = []
 
         try:
@@ -272,7 +273,7 @@ class AlternativeGenerator:
                         continue
                     stats.combinations_tried += 1
                     alternative = self._apply_combination(
-                        base, base_issues, combo, prefix_stack
+                        flow, base_issues, combo, prefix_stack
                     )
                     if alternative is None:
                         continue

@@ -10,7 +10,7 @@ Performance tuning
 ------------------
 
 The alternative space is factorial in the flow size, so generation
-always applies patterns as copy-on-write deltas and reuses the shared
+always applies patterns as deltas on shared flow copies and reuses the shared
 prefix of consecutive pattern combinations (see
 :mod:`repro.core.alternatives`).  The remaining scaling knobs change
 wall-clock, never results (except ``screening_beam``, which deliberately
@@ -21,9 +21,9 @@ prunes):
     streaming evaluator: one worker evaluates sequentially on the calling
     thread; more run a process pool, so generation and the pure-Python
     simulator genuinely overlap within the window while memory stays
-    flat.  Flows cross the process boundary by pickle; copy-on-write
-    graphs materialize their shared payloads when pickled, so workers
-    always receive self-contained flows.
+    flat.  Flows cross the process boundary by pickle; a pickled flow
+    privatizes the adjacency it shares with its copies, so workers always
+    receive self-contained flows.
 ``screening_beam``
     Two-phase planning: score every candidate statically, simulate
     only the top ``screening_beam`` survivors.

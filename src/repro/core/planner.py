@@ -270,9 +270,9 @@ class Planner:
         --------
         * ``flow`` must pass :func:`~repro.etl.validation.validate_flow`
           (a :class:`~repro.etl.validation.ValidationError` is raised
-          otherwise) and is **never mutated**: the generator works on a
-          private copy-on-write snapshot, so the caller's graph is never
-          payload-aliased.
+          otherwise) and is **never mutated**: candidates are forks of
+          it that share its frozen operations and write only to their
+          own copies of its structure.
         * The call is eager (it returns a fully evaluated
           :class:`PlanningResult`) but internally *streaming*: candidates
           flow from the lazy generator into the evaluator with at most

@@ -8,6 +8,7 @@ edge schemas consistent with the output schemas of preceding operations.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Sequence
 
 from repro.etl.graph import ETLGraph
@@ -461,6 +462,17 @@ class FlowBuilder:
     # ------------------------------------------------------------------
     # Finalisation
     # ------------------------------------------------------------------
+
+    def set_properties(self, operation: Operation | str, **changes: Any) -> Operation:
+        """Change runtime properties of an operation already in the flow.
+
+        ``changes`` are :class:`~repro.etl.properties.OperationProperties`
+        fields.  Operations are frozen values, so this installs a new
+        operation through :meth:`ETLGraph.update_operation` and returns it.
+        """
+        op_id = operation.op_id if isinstance(operation, Operation) else operation
+        properties = replace(self._flow.operation(op_id).properties, **changes)
+        return self._flow.update_operation(op_id, properties=properties)
 
     @property
     def flow(self) -> ETLGraph:

@@ -10,35 +10,32 @@ the planner and the quality estimators rely on (sources, sinks,
 topological order, longest path, reachability, distances) with plain
 graph walks over them.
 
-Pattern application produces thousands of near-identical flows, so the
-graph supports two copying disciplines:
-
-* ``copy(mode="deep")`` (the default) clones every operation payload --
-  the seed behaviour, safe against arbitrary direct mutation;
-* ``copy(mode="cow")`` shares the operation payloads between parent and
-  child and only materializes an operation when a write touches it.  All
-  mutation must then go through the graph methods (``mutable_operation``,
-  ``set_annotation``, ``add_edge``, ...), which trigger the copy-on-write
-  fault, record a structured :class:`GraphDelta` against the parent, and
-  keep an incrementally maintained structural signature and content
-  fingerprint.
+Pattern application produces thousands of near-identical flows, and
+every one of them is its initial flow plus the deltas of the patterns
+applied to it.  The graph has one copy discipline built on that:
+operations are frozen values (:class:`~repro.etl.operations.Operation`,
+with read-only ``config`` and ``properties.extra``), so ``copy()`` shares
+every payload with the original, unconditionally, and shares the
+per-operation adjacency dicts until a write privatizes them.  Every write
+goes through the graph API (``update_operation``, ``add_edge``,
+``set_annotation``, ...), which records a structured :class:`GraphDelta`
+against the copy parent and keeps an incrementally maintained structural
+signature and content fingerprint.
 
 The delta makes downstream stages O(delta) as well: validation re-checks
 only the delta neighbourhood (:func:`repro.etl.validation.validate_delta`),
 deduplication reuses the parent signature instead of re-hashing the
 whole flow, and the profile-cache key reuses the parent's per-operation
-fingerprint entries.  Deep graphs cache neither: mutating a deep flow in
-place (even through ``operation(...)`` results) is always observed.  Both
-modes memoize the topological order per structure version (see
-:class:`ETLGraph`), which the simulator, the structural measures and the
-executor's compiler all read.
+fingerprint entries.  The topological order is memoized per structure
+version (see :class:`ETLGraph`); the simulator, the structural measures
+and the executor's compiler all read it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping
 
 from repro.etl.operations import Operation, OperationKind
@@ -125,7 +122,7 @@ def _operation_entry(op: Operation) -> tuple[str, str]:
 class GraphDelta:
     """The net structural difference of a flow against its copy parent.
 
-    Recorded automatically on graphs created with ``copy(mode="cow")``:
+    Recorded automatically on graphs created with :meth:`ETLGraph.copy`:
     every mutation performed through the :class:`ETLGraph` API updates the
     delta so that, at any point, replaying the delta on the parent yields
     the child.  Entries are *net* effects -- an operation added and then
@@ -136,8 +133,8 @@ class GraphDelta:
     ops_added / ops_removed:
         Identifiers of operations added to / removed from the parent.
     ops_modified:
-        Identifiers of parent operations whose payload was materialized
-        for writing (copy-on-write fault) or relabelled.
+        Identifiers of parent operations whose payload was replaced
+        through :meth:`ETLGraph.update_operation`.
     edges_added / edges_removed:
         ``(source, target)`` pairs of transitions added / removed.
     edges_modified:
@@ -169,7 +166,7 @@ class GraphDelta:
     def touched_operations(self, flow: "ETLGraph") -> set[str]:
         """Identifiers of present operations whose neighbourhood changed.
 
-        Covers added and materialized operations plus every endpoint of an
+        Covers added and updated operations plus every endpoint of an
         added, removed or modified transition -- exactly the set whose
         degree, schema environment or payload may differ from the parent,
         and therefore the only operations delta validation re-checks.
@@ -311,17 +308,14 @@ class ETLGraph:
     ``_succ[u][v]`` / ``_pred[v][u]`` both hold the :class:`Edge` of the
     transition ``u -> v``.  The three outer dicts list the operations in
     the same (insertion) order; each inner dict lists neighbours in edge
-    insertion order.  Values are never mutated in place while they may
-    be shared with a copy: writes install a new ``Operation`` (after the
-    copy-on-write fault) or a new frozen ``Edge``.
+    insertion order.  Values are never mutated in place: operations and
+    edges are frozen, so writes install a new ``Operation`` or ``Edge``.
 
     Structure memo: the topological order (as operation ids) and one
-    longest path are computed once per structure version and memoized on
-    deep and copy-on-write graphs alike.  The contract is ``_version``:
-    every structural mutation goes through the graph API, whose
-    ``_dirty()`` bumps it and so retires the memo.  The memo holds ids
-    only -- kinds and properties are always read live, because a deep
-    flow's payloads may be mutated in place -- and pickling drops it.
+    longest path are computed once per structure version and memoized.
+    The contract is ``_version``: every mutation goes through the graph
+    API, whose ``_dirty()`` bumps it and so retires the memo.  The memo
+    holds ids only, and pickling drops it.
     """
 
     def __init__(self, name: str = "etl_flow") -> None:
@@ -331,17 +325,13 @@ class ETLGraph:
         self._pred: dict[str, dict[str, Edge]] = {}
         self.annotations: dict[str, Any] = {}
         self._lineage: list[str] = []
-        # Copy-on-write bookkeeping.  ``_shared_ops`` holds identifiers of
-        # operations whose payload is shared with another graph and must be
-        # materialized before any write; ``_delta`` (COW children only)
-        # records the net difference against the copy parent; ``_parent_sig``
-        # and ``_parent_fp`` snapshot the parent's structural signature and
+        # Copy bookkeeping.  ``_delta`` (copies only) records the net
+        # difference against the copy parent; ``_parent_sig`` and
+        # ``_parent_fp`` snapshot the parent's structural signature and
         # operation fingerprint entries so the child's are computed by
         # merging the delta instead of re-hashing the whole flow.
-        self._copy_mode: str = "deep"
-        self._shared_ops: set[str] = set()
         # Adjacency copy-on-write: when ``_shared_adj`` is set (after a
-        # COW fork, on both sides), the per-node adjacency dicts may be
+        # fork, on both sides), the per-node adjacency dicts may be
         # shared with another graph; ``_own_succ``/``_own_pred`` name the
         # nodes whose dicts this graph has already privatized.
         self._shared_adj: bool = False
@@ -372,8 +362,7 @@ class ETLGraph:
     def _dirty(self) -> None:
         """Invalidate the cached signature, fingerprint and structure memo.
 
-        Bumping ``_version`` is what retires the structure memo, on deep
-        and copy-on-write graphs alike.
+        Bumping ``_version`` is what retires the structure memo.
         """
         self._sig_cache = None
         self._fp_cache = None
@@ -495,7 +484,6 @@ class ETLGraph:
         if self._shared_adj:
             self._own_succ.discard(op_id)
             self._own_pred.discard(op_id)
-        self._shared_ops.discard(op_id)
         self._dirty()
         if self._delta is not None:
             for pred in preds:
@@ -514,14 +502,11 @@ class ETLGraph:
         self._require(op_id)
         if new_id in self._nodes:
             raise ValueError(f"operation id already in use: {new_id!r}")
-        # Materialize before renaming: the payload may be shared with a
-        # copy parent/child, which must keep the old identifier.
-        operation = self.mutable_operation(op_id)
+        operation = self._nodes[op_id]
         succs = self._succ[op_id]
         preds = self._pred[op_id]
         self.remove_operation(op_id)
-        operation.op_id = new_id
-        self.add_operation(operation)
+        self.add_operation(replace(operation, op_id=new_id))
         for succ, edge in succs.items():
             self.add_edge(new_id, succ, edge.schema, edge.label, unchecked=True)
         for pred, edge in preds.items():
@@ -538,37 +523,32 @@ class ETLGraph:
         return len(self._nodes)
 
     def operation(self, op_id: str) -> Operation:
-        """Return the operation with the given identifier (read-only view).
+        """Return the operation with the given identifier.
 
-        On copy-on-write graphs the returned payload may be shared with
-        the copy parent; callers intending to mutate it must use
-        :meth:`mutable_operation` instead.
+        Operations are frozen values, possibly shared with copies of the
+        flow; change one through :meth:`update_operation`.
         """
         try:
             return self._nodes[op_id]
         except KeyError:
             raise KeyError(f"unknown operation: {op_id!r}") from None
 
-    def mutable_operation(self, op_id: str) -> Operation:
-        """Return the operation, materializing it first if its payload is shared.
+    def update_operation(self, op_id: str, **changes: Any) -> Operation:
+        """Replace operation ``op_id`` by a copy with ``changes`` applied.
 
-        This is the copy-on-write fault: on a ``copy(mode="cow")`` graph
-        (or its parent) the operation payload is replaced by a private
-        copy before being handed out, so in-place mutation never leaks
-        across the copy boundary.  On fully owned graphs this is the same
-        as :meth:`operation`.  The operation is recorded as modified in
-        the graph delta and the cached signature and fingerprint are
-        invalidated; callers must finish mutating before either is read
-        again.
+        The one write path for operation payloads: ``changes`` are fields
+        of :class:`~repro.etl.operations.Operation`, applied with
+        ``dataclasses.replace``.  The new operation takes the old one's
+        place (same position, same transitions), is recorded as modified
+        in the graph delta, and the cached signature and fingerprint are
+        invalidated.  Returns the new operation.  Identifiers change
+        through :meth:`relabel_operation` instead.
         """
-        operation = self.operation(op_id)
-        if op_id in self._shared_ops:
-            operation = self._nodes[op_id] = operation.copy()
-            self._shared_ops.discard(op_id)
+        updated = self._nodes[op_id] = replace(self.operation(op_id), **changes)
         self._dirty()
         if self._delta is not None:
             self._delta.record_op_modified(op_id)
-        return operation
+        return updated
 
     def operations(self) -> list[Operation]:
         """All operations, in insertion order."""
@@ -828,17 +808,12 @@ class ETLGraph:
     # ------------------------------------------------------------------
 
     @property
-    def copy_mode(self) -> str:
-        """The copy discipline later ``copy()`` calls default to."""
-        return self._copy_mode
-
-    @property
     def delta(self) -> GraphDelta | None:
-        """The recorded delta against the copy parent (COW children only)."""
+        """The recorded delta against the copy parent (copies only)."""
         return self._delta
 
     def derived_from(self, parent: "ETLGraph") -> bool:
-        """Whether this graph was produced by ``parent.copy(mode="cow")``.
+        """Whether this graph was produced by ``parent.copy()``.
 
         Used by the alternative generator to decide if the recorded delta
         can be chained onto the parent's validation state.
@@ -849,102 +824,40 @@ class ETLGraph:
     # Copying / comparison
     # ------------------------------------------------------------------
 
-    def copy(self, name: str | None = None, mode: str | None = None) -> "ETLGraph":
-        """Return an independent copy of the flow.
+    def copy(self, name: str | None = None) -> "ETLGraph":
+        """Return a copy of the flow that evolves independently of it.
 
-        Both modes yield a copy that *observably* evolves independently
-        of the original -- the difference is the write discipline required
-        to keep it that way:
+        A cheap fork: only the three outer dicts are copied.  The copy
+        shares every operation payload with this graph (operations are
+        frozen values) and shares the per-operation adjacency dicts until
+        a write on either side privatizes the touched ones.  The copy records each later
+        mutation in its :class:`GraphDelta` (:attr:`delta`) and
+        maintains :meth:`signature` and :meth:`fingerprint`
+        incrementally from this graph's, so downstream validation,
+        deduplication and cache keys cost O(delta).
 
-        * ``"deep"`` clones every operation payload up front.  The copy
-          tolerates arbitrary direct mutation, including writing through
-          ``operation(...)`` results -- the reference semantics.
-        * ``"cow"`` shares operation payloads and adjacency with this
-          graph until first write.  All mutation of the copy (and of
-          this graph, while shared) must go through the graph API --
-          :meth:`mutable_operation`, :meth:`set_annotation`,
-          :meth:`add_edge`, ... -- which materializes the touched piece,
-          records the change in the child's :class:`GraphDelta`
-          (:attr:`delta`), and maintains :meth:`signature` and
-          :meth:`fingerprint` incrementally.  Constant-time fork,
-          O(delta) downstream validation/deduplication/cache keys.
+        The parent's structural signature and fingerprint entries are
+        captured lazily, on the copy's first signature or fingerprint
+        request: candidates discarded before deduplication never pay for
+        them.  The reference is dropped as soon as they are captured, so
+        no parent chain is kept alive beyond that point.
+
+        Forking the *same* parent repeatedly is cheap and safe; the
+        alternative generator's prefix cache leans on this -- one cached
+        prefix flow is extended into many sibling candidates, each a
+        fresh fork of the same unchanged parent.
 
         Parameters
         ----------
         name:
             Optional name of the copy (defaults to this flow's name).
-        mode:
-            ``"deep"``, ``"cow"``, or ``None`` (the default) to inherit
-            this graph's own copy mode -- so a planning run switched to
-            COW propagates it through every pattern application without
-            the patterns knowing.
-        """
-        effective = mode or self._copy_mode
-        if effective == "cow":
-            return self._cow_copy(name)
-        if effective != "deep":
-            raise ValueError(f"unknown copy mode: {effective!r}")
-        clone = ETLGraph(name=name or self.name)
-        for op in self.operations():
-            clone.add_operation(op.copy())
-        for edge in self.edges():
-            # Cloning a DAG cannot introduce a cycle.
-            clone.add_edge(
-                edge.source, edge.target, schema=edge.schema, label=edge.label, unchecked=True
-            )
-        clone.annotations = dict(self.annotations)
-        clone._lineage = list(self._lineage)
-        return clone
-
-    def cow_base(self, name: str | None = None) -> "ETLGraph":
-        """A private deep snapshot whose future copies default to COW.
-
-        Used by the alternative generator: the caller's flow is
-        deep-copied exactly once -- so it never shares payloads with
-        generated candidates and the seed idiom of mutating a deep
-        flow's operations directly keeps working -- while every flow
-        derived from the snapshot forks copy-on-write.
-        """
-        base = self.copy(name=name, mode="deep")
-        base._copy_mode = "cow"
-        return base
-
-    def _cow_copy(self, name: str | None = None) -> "ETLGraph":
-        """A copy sharing operation payloads with this graph (copy-on-write).
-
-        The graph *structure* (node/edge dictionaries) is copied so the
-        two flows evolve independently, but the :class:`Operation`
-        payloads are shared and marked as such on **both** sides: whoever
-        writes first -- through :meth:`mutable_operation` -- materializes
-        a private copy, so neither graph can observe the other's
-        mutations.  The child records every subsequent mutation in its
-        delta and snapshots the parent's structural signature and
-        fingerprint entries for incremental maintenance.
-
-        Forking the *same* parent repeatedly is cheap and safe: the
-        parent is never materialized, each fork only re-marks its
-        payloads and adjacency as shared.  The alternative generator's
-        prefix cache leans on this -- one cached prefix flow is extended
-        into many sibling candidates, each a fresh fork of the same
-        unchanged parent.
         """
         clone = ETLGraph(name=name or self.name)
-        # Only the three outer dicts are copied; the per-operation
-        # adjacency dicts stay shared until a write faults them private.
         clone._nodes = dict(self._nodes)
         clone._succ = dict(self._succ)
         clone._pred = dict(self._pred)
         clone.annotations = dict(self.annotations)
         clone._lineage = list(self._lineage)
-        clone._copy_mode = "cow"
-        shared = set(self._nodes)
-        clone._shared_ops = shared
-        if len(self._shared_ops) != len(shared):
-            # ``_shared_ops`` only ever holds present operations, so equal
-            # size means equal sets: a parent forked repeatedly without
-            # intervening writes (the prefix-cache hot path) skips
-            # rebuilding its marker set on every fork.
-            self._shared_ops = set(shared)
         # After the fork every adjacency dict is shared between the two
         # graphs, so both sides restart their copy-on-write tracking.
         clone._shared_adj = True
@@ -956,11 +869,6 @@ class ETLGraph:
             self._own_pred = set()
         clone._delta = GraphDelta()
         clone._parent_uid = self._uid
-        # The parent's structural signature and fingerprint entries are
-        # captured lazily, on the child's first signature or fingerprint
-        # request: candidates discarded before deduplication never pay
-        # for them.  The reference is dropped as soon as they are
-        # captured, so no parent chain is kept alive beyond that point.
         clone._parent_ref = self
         clone._parent_version = self._version
         return clone
@@ -983,10 +891,10 @@ class ETLGraph:
         transitions) *and* the graph annotations, so that graph-level
         (annotation-only) patterns produce distinguishable flows instead
         of being pruned as duplicates of their host.  The structural part
-        is cached on copy-on-write graphs and maintained incrementally
-        from the parent signature plus the recorded delta; the annotation
-        part is always read live (annotation dicts are tiny and may be
-        assigned directly).
+        is cached and, on copies, maintained incrementally from the parent
+        signature plus the recorded delta; the annotation part is always
+        read live (annotation dicts are tiny and may be assigned
+        directly).
         """
         nodes, edges = self._structural_signature()
         annotations = tuple(
@@ -1008,7 +916,7 @@ class ETLGraph:
                 self._parent_fp = parent._operation_entries()
 
     def _structural_signature(self) -> tuple:
-        """The (nodes, edges) part of the signature, cached on COW graphs."""
+        """The (nodes, edges) part of the signature, cached per structure version."""
         if self._sig_cache is not None:
             return self._sig_cache
         self._capture_parent()
@@ -1020,11 +928,7 @@ class ETLGraph:
             )
             edges = tuple(sorted((e.source, e.target) for e in self.edges()))
             signature = (nodes, edges)
-        if self._copy_mode == "cow":
-            # Only COW graphs funnel every mutation through the graph API,
-            # so only they can invalidate the cache reliably; deep graphs
-            # recompute each time, exactly like the seed.
-            self._sig_cache = signature
+        self._sig_cache = signature
         return signature
 
     def _merge_parent_signature(self) -> tuple:
@@ -1056,13 +960,11 @@ class ETLGraph:
 
         It is the SHA-256 of ``repr((entries, transitions,
         annotations))``, where each entry is an operation id and the
-        digest of that operation's content.  The entries are cached on
-        copy-on-write graphs and merged from the parent's entries plus
-        the recorded delta (an unchanged operation's digest is shared
-        with the parent, never recomputed); the transitions are those of
-        the structural signature, and the annotations are read live.
-        Deep graphs recompute everything on each call, so mutating a
-        deep flow in place always yields a fresh fingerprint.
+        digest of that operation's content.  The entries are cached and,
+        on copies, merged from the parent's entries plus the recorded
+        delta (an unchanged operation's digest is shared with the
+        parent, never recomputed); the transitions are those of the
+        structural signature, and the annotations are read live.
         """
         annotations = tuple(
             sorted((str(k), repr(v)) for k, v in self.annotations.items())
@@ -1071,7 +973,7 @@ class ETLGraph:
         return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
 
     def _operation_entries(self) -> tuple:
-        """The sorted per-operation part of the fingerprint, cached on COW graphs."""
+        """The sorted per-operation part of the fingerprint, cached per version."""
         if self._fp_cache is not None:
             return self._fp_cache
         self._capture_parent()
@@ -1079,8 +981,7 @@ class ETLGraph:
             entries = self._merge_parent_entries()
         else:
             entries = tuple(sorted(_operation_entry(op) for op in self.operations()))
-        if self._copy_mode == "cow":
-            self._fp_cache = entries
+        self._fp_cache = entries
         return entries
 
     def _merge_parent_entries(self) -> tuple:
@@ -1102,22 +1003,18 @@ class ETLGraph:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:
-        """Materialize shared operation payloads before pickling.
+        """Privatize shared adjacency dicts before pickling.
 
-        Process-pool workers receive flows by pickle; materializing here
-        guarantees that no operation object is shared between a parent
-        and a child pickled in the same payload, so an unpickled COW
-        graph is always fully self-contained and safely mutable.
+        Process-pool workers receive flows by pickle.  A parent and a copy
+        pickled in the same payload would otherwise come back sharing
+        adjacency dicts while believing they own them; privatizing here
+        keeps every unpickled graph self-contained.  Operations need no
+        such care: they are frozen values, safe to share.
         """
         state = self.__dict__.copy()
-        if self._shared_ops or self._shared_adj:
-            shared = self._shared_ops
-            state["_nodes"] = {
-                op_id: op.copy() if op_id in shared else op for op_id, op in self._nodes.items()
-            }
+        if self._shared_adj:
             state["_succ"] = {op_id: dict(succs) for op_id, succs in self._succ.items()}
             state["_pred"] = {op_id: dict(preds) for op_id, preds in self._pred.items()}
-            state["_shared_ops"] = set()
             state["_shared_adj"] = False
             state["_own_succ"] = None
             state["_own_pred"] = None

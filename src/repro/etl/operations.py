@@ -7,17 +7,21 @@ unary/binary grouping operations, data-quality operations, loading and
 control/management operations.
 
 Each node of an :class:`repro.etl.graph.ETLGraph` holds exactly one
-:class:`Operation`.
+:class:`Operation`.  Operations are values: frozen, with read-only
+``config`` and ``properties.extra``, so a flow and all its forks share
+them safely.  A changed operation is a new one, built with
+``dataclasses.replace`` and installed through
+:meth:`repro.etl.graph.ETLGraph.update_operation`.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.etl.properties import OperationProperties
+from repro.etl.properties import OperationProperties, ReadOnlyDict
 from repro.etl.schema import Schema
 
 
@@ -186,7 +190,7 @@ def _next_operation_id(kind: OperationKind) -> str:
     return f"{kind.value}_{next(_id_counter)}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Operation:
     """A single ETL flow operation (one node of the flow graph).
 
@@ -204,7 +208,8 @@ class Operation:
         in ``config``.
     config:
         Operation-specific configuration (predicate text, join keys,
-        derivation expressions, target table, degree of parallelism, ...).
+        derivation expressions, target table, degree of parallelism, ...),
+        stored as a read-only mapping.
     properties:
         Runtime annotations used by the simulator and the static measure
         estimators (cost per tuple, selectivity, error rate, ...).
@@ -214,14 +219,16 @@ class Operation:
     name: str = ""
     op_id: str = ""
     output_schema: Schema = field(default_factory=Schema)
-    config: dict[str, Any] = field(default_factory=dict)
+    config: Mapping[str, Any] = field(default_factory=ReadOnlyDict)
     properties: OperationProperties = field(default_factory=OperationProperties)
 
     def __post_init__(self) -> None:
         if not self.op_id:
-            self.op_id = _next_operation_id(self.kind)
+            object.__setattr__(self, "op_id", _next_operation_id(self.kind))
         if not self.name:
-            self.name = self.op_id
+            object.__setattr__(self, "name", self.op_id)
+        if type(self.config) is not ReadOnlyDict:
+            object.__setattr__(self, "config", ReadOnlyDict(self.config))
 
     # -- convenience ----------------------------------------------------
 
@@ -243,22 +250,6 @@ class Operation:
         """Configured degree of parallelism (1 when not parallelised)."""
         return int(self.config.get("parallelism", 1))
 
-    def copy(self, **overrides: Any) -> "Operation":
-        """Return a deep-ish copy of this operation with optional overrides.
-
-        ``config`` and ``properties`` are copied so that mutations on the
-        copy never leak back into the original flow -- pattern application
-        relies on this.
-        """
-        new = replace(
-            self,
-            config=dict(self.config),
-            properties=self.properties.copy(),
-        )
-        for key, value in overrides.items():
-            setattr(new, key, value)
-        return new
-
     def to_dict(self) -> dict[str, Any]:
         """Serialise the operation to a JSON-friendly structure."""
         return {
@@ -278,7 +269,7 @@ class Operation:
             name=str(data.get("name", "")),
             op_id=str(data.get("op_id", "")),
             output_schema=Schema.from_dict(data.get("output_schema", [])),
-            config=dict(data.get("config", {})),
+            config=data.get("config", {}),
             properties=OperationProperties.from_dict(data.get("properties", {})),
         )
 

@@ -13,7 +13,31 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 
-@dataclass
+class ReadOnlyDict(dict):
+    """A ``dict`` that refuses every write.
+
+    Operation payloads are values shared by a flow and all its forks, so
+    the mappings inside them (``Operation.config``,
+    ``OperationProperties.extra``) must never change after construction.
+    Reads, ``==``, ``repr`` and JSON encoding are those of a plain
+    ``dict`` -- fingerprints digest the ``repr`` of the items, so they do
+    not see the difference -- and ``copy()`` returns a plain, writable
+    ``dict``.  Any write raises ``TypeError``.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError(f"{type(self).__name__} does not support item assignment")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> tuple:
+        return (ReadOnlyDict, (dict(self),))
+
+
+@dataclass(frozen=True)
 class OperationProperties:
     """Per-operation runtime parameters.
 
@@ -51,7 +75,11 @@ class OperationProperties:
         Monetary cost per execution attributed to this operation
         (licences, cloud resources), in abstract cost units.
     extra:
-        Free-form additional annotations preserved by serialisation.
+        Free-form additional annotations preserved by serialisation
+        (stored read-only).
+
+    Properties are frozen: derive changed ones with
+    ``dataclasses.replace``.
     """
 
     cost_per_tuple: float = 0.01
@@ -65,9 +93,11 @@ class OperationProperties:
     freshness_lag: float = 0.0
     update_frequency: float = 24.0
     monetary_cost: float = 0.0
-    extra: dict[str, Any] = field(default_factory=dict)
+    extra: Mapping[str, Any] = field(default_factory=ReadOnlyDict)
 
     def __post_init__(self) -> None:
+        if type(self.extra) is not ReadOnlyDict:
+            object.__setattr__(self, "extra", ReadOnlyDict(self.extra))
         if self.cost_per_tuple < 0:
             raise ValueError("cost_per_tuple must be non-negative")
         if self.fixed_cost < 0:
@@ -78,23 +108,6 @@ class OperationProperties:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-    def copy(self) -> "OperationProperties":
-        """Return an independent copy of these properties."""
-        return OperationProperties(
-            cost_per_tuple=self.cost_per_tuple,
-            fixed_cost=self.fixed_cost,
-            selectivity=self.selectivity,
-            error_rate=self.error_rate,
-            null_rate=self.null_rate,
-            duplicate_rate=self.duplicate_rate,
-            failure_rate=self.failure_rate,
-            memory_per_tuple=self.memory_per_tuple,
-            freshness_lag=self.freshness_lag,
-            update_frequency=self.update_frequency,
-            monetary_cost=self.monetary_cost,
-            extra=dict(self.extra),
-        )
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a JSON-friendly mapping (only non-default values kept compactly)."""
@@ -130,5 +143,4 @@ class OperationProperties:
             "monetary_cost",
         }
         kwargs = {key: float(data[key]) for key in known if key in data}
-        extra = dict(data.get("extra", {}))
-        return cls(extra=extra, **kwargs)
+        return cls(extra=data.get("extra", {}), **kwargs)

@@ -15,21 +15,19 @@ into another at a valid application point:
   annotations (encryption, access control, scheduling).
 
 All functions return a *new* flow; the host flow passed in is never
-mutated.  The new flow is produced with ``host.copy()`` and therefore
-inherits the host's copy mode: on a copy-on-write host the graft is
-recorded as a structured :class:`~repro.etl.graph.GraphDelta` (operations
-added, transitions rewired, annotations set) that downstream validation
-and deduplication exploit, and every write to a grafted or shared
-operation goes through the graph's copy-on-write fault.
+mutated.  The new flow is a ``host.copy()``, so the graft is recorded as
+a structured :class:`~repro.etl.graph.GraphDelta` (operations added,
+transitions rewired, annotations set) that downstream validation and
+deduplication exploit.  Grafted operations are new values built with
+``dataclasses.replace``; the sub-flow's own operations are left as they
+are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from repro.etl.graph import ETLGraph
-from repro.etl.operations import Operation
 from repro.etl.schema import Schema
 
 
@@ -61,9 +59,8 @@ def _unique_id(flow: ETLGraph, base: str) -> str:
 
     Collisions are disambiguated with a counter derived from the host
     flow itself (not from global state), so grafting is a pure function
-    of the host and the sub-flow: repeated planning runs -- and deep vs
-    copy-on-write copies of the same host -- produce identically
-    labelled operations.
+    of the host and the sub-flow: repeated planning runs on the same host
+    produce identically labelled operations.
     """
     candidate = base
     suffix = 2
@@ -74,20 +71,19 @@ def _unique_id(flow: ETLGraph, base: str) -> str:
 
 
 def _copy_subflow_into(
-    host: ETLGraph, subflow: ETLGraph, suffix: str
+    host: ETLGraph, subflow: ETLGraph, suffix: str, schema: Schema
 ) -> dict[str, str]:
     """Copy every operation of ``subflow`` into ``host`` with fresh identifiers.
 
-    Returns the mapping from original sub-flow identifiers to the
-    identifiers used inside the host flow.  Edges internal to the sub-flow
-    are copied as well.
+    A grafted operation whose output schema is empty inherits ``schema``,
+    the schema at the application point.  Returns the mapping from
+    original sub-flow identifiers to the identifiers used inside the host
+    flow.  Edges internal to the sub-flow are copied as well.
     """
     mapping: dict[str, str] = {}
     for op in subflow.operations():
         new_id = _unique_id(host, f"{op.op_id}__{suffix}")
-        clone = op.copy()
-        clone.op_id = new_id
-        host.add_operation(clone)
+        host.add_operation(replace(op, op_id=new_id, output_schema=op.output_schema or schema))
         mapping[op.op_id] = new_id
     for edge in subflow.edges():
         # Both endpoints are freshly grafted nodes, acyclic by construction.
@@ -108,7 +104,6 @@ def insert_on_edge(
     subflow: ETLGraph,
     *,
     description: str = "",
-    configure: Callable[[Operation, Schema], None] | None = None,
 ) -> tuple[ETLGraph, SubflowInsertion]:
     """Interpose ``subflow`` on the transition ``edge_source -> edge_target``.
 
@@ -118,13 +113,6 @@ def insert_on_edge(
     edge_target`` transitions.  Every grafted operation whose output schema
     is empty inherits the schema that flowed over the replaced transition,
     ensuring the consistency between data schemata the paper requires.
-
-    Parameters
-    ----------
-    configure:
-        Optional callback invoked for every grafted operation with the
-        operation and the schema of the replaced transition, allowing the
-        pattern to adapt its configuration to the application point.
     """
     if not host.has_edge(edge_source, edge_target):
         raise KeyError(f"host flow has no transition {edge_source!r} -> {edge_target!r}")
@@ -138,16 +126,9 @@ def insert_on_edge(
     replaced_edge = host.edge(edge_source, edge_target)
     new_flow = host.copy()
     suffix = f"on_{edge_source}"
-    mapping = _copy_subflow_into(new_flow, subflow, suffix)
+    mapping = _copy_subflow_into(new_flow, subflow, suffix, replaced_edge.schema)
     entry_id = mapping[entries[0].op_id]
     exit_id = mapping[exits[0].op_id]
-    # Propagate the transition schema into schema-less grafted operations.
-    for new_id in mapping.values():
-        grafted = new_flow.mutable_operation(new_id)
-        if len(grafted.output_schema) == 0:
-            grafted.output_schema = replaced_edge.schema
-        if configure is not None:
-            configure(grafted, replaced_edge.schema)
     new_flow.remove_edge(edge_source, edge_target)
     # Interposing fresh nodes on an existing transition of a DAG cannot
     # close a cycle, so the insertion probes are skipped.
@@ -173,16 +154,16 @@ def replace_node(
     subflow: ETLGraph,
     *,
     description: str = "",
-    configure: Callable[[Operation, Operation], None] | None = None,
 ) -> tuple[ETLGraph, SubflowInsertion]:
     """Replace the operation ``op_id`` by the given sub-flow.
 
     Every incoming transition of the replaced node is redirected to the
     sub-flow entry, every outgoing transition leaves from the sub-flow
-    exit.  The replaced operation is made available to the ``configure``
-    callback so that the pattern can copy its cost model, schema or
-    configuration (e.g. the parallel copies of a task must perform the same
-    derivation as the original task).
+    exit.  Grafted operations whose output schema is empty inherit the
+    replaced operation's.  A pattern that must carry the replaced
+    operation's cost model or configuration over (e.g. the parallel
+    copies of a task perform the same derivation as the original task)
+    builds its sub-flow from that operation.
     """
     if op_id not in host:
         raise KeyError(f"host flow has no operation {op_id!r}")
@@ -198,15 +179,9 @@ def replace_node(
     outgoing = [host.edge(op_id, s.op_id) for s in host.successors(op_id)]
     new_flow = host.copy()
     suffix = f"repl_{op_id}"
-    mapping = _copy_subflow_into(new_flow, subflow, suffix)
+    mapping = _copy_subflow_into(new_flow, subflow, suffix, replaced.output_schema)
     entry_id = mapping[entries[0].op_id]
     exit_id = mapping[exits[0].op_id]
-    for new_id in mapping.values():
-        grafted = new_flow.mutable_operation(new_id)
-        if len(grafted.output_schema) == 0:
-            grafted.output_schema = replaced.output_schema
-        if configure is not None:
-            configure(grafted, replaced)
     new_flow.remove_operation(op_id)
     # Rewiring the replaced node's transitions onto the fresh entry/exit
     # preserves acyclicity: any new cycle would imply a path between a

@@ -8,8 +8,8 @@ schema compatibility along transitions.
 
 Two entry points are provided.  :func:`validate_flow` is the oracle: it
 walks the whole flow.  :func:`validate_delta` exploits the structured
-:class:`~repro.etl.graph.GraphDelta` a copy-on-write graph records against
-its parent: given the parent's issue list it re-checks only the
+:class:`~repro.etl.graph.GraphDelta` a flow copy records against its
+parent: given the parent's issue list it re-checks only the
 operations whose neighbourhood the delta touched, carries the remaining
 parent issues over, and refreshes the cheap global invariants -- so
 validating one pattern application costs O(delta), not O(flow).  Both

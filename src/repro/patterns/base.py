@@ -182,15 +182,14 @@ class FlowComponentPattern(abc.ABC):
     def apply(self, flow: ETLGraph, point: ApplicationPoint) -> ETLGraph:
         """Deploy the pattern at ``point`` and return the new flow.
 
-        Implementations must not mutate ``flow``; they work on a copy (the
-        grafting helpers in :mod:`repro.etl.subflow` already do).  The
-        copy inherits the host's copy mode, so on the planner's
-        copy-on-write chains the returned flow shares untouched operation
-        payloads with the host: any in-place write to an existing
-        operation must go through ``ETLGraph.mutable_operation`` (never
-        ``operation``), and annotations should be set via
-        ``ETLGraph.set_annotation``, so the copy-on-write fault fires and
-        the application is captured in the flow's delta.
+        Implementations must not mutate ``flow``; they work on a
+        ``flow.copy()`` (the grafting helpers in :mod:`repro.etl.subflow`
+        already do).  The copy shares every operation with the host, and
+        operations are frozen values: a changed operation is installed
+        with ``ETLGraph.update_operation`` (a new operation built with
+        ``dataclasses.replace``), and annotations are set via
+        ``ETLGraph.set_annotation``, so the application is captured in
+        the flow's delta.
 
         Two further contract points the generator's prefix cache relies
         on:
@@ -224,15 +223,15 @@ class FlowComponentPattern(abc.ABC):
         Patterns instantiate their sub-flow from the application point's
         schema (or operation); across the thousands of candidate flows of
         one planning run those anchors are the *same objects* (flow
-        copies share schemas and, copy-on-write, operations), so the
-        template -- and every schema object inside it -- is built once.
-        Grafting copies the template's operations into the host, so the
-        cached instance is never mutated.  The memo pins the anchor,
-        keeping its id stable for the lifetime of the entry, and is
-        bounded: node-anchored patterns in deep mode see fresh anchor
-        objects on every application (no hits), so without the bound the
-        cache would grow with every candidate; once full it is flushed
-        wholesale, templates being cheap to rebuild.
+        copies share schemas and operations), so the template -- and
+        every schema object inside it -- is built once.  Grafting copies
+        the template's operations into the host, so the cached instance
+        is never mutated.  The memo pins the anchor, keeping its id
+        stable for the lifetime of the entry, and is bounded: a flow
+        rebuilt from scratch (say, decoded from the wire) brings fresh
+        anchor objects, so without the bound the cache would grow with
+        every such flow; once full it is flushed wholesale, templates
+        being cheap to rebuild.
         """
         cache: dict[int, tuple[object, ETLGraph]] = getattr(self, "_subflow_cache", None)
         if cache is None:

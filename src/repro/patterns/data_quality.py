@@ -140,15 +140,16 @@ class RemoveDuplicateEntries(_EdgeCleansingPattern):
     def _build_subflow(self, schema: Schema) -> ETLGraph:
         subflow = ETLGraph(name="fcp_remove_duplicates")
         key_fields = [f.name for f in schema.key_fields] or list(schema.names[:1])
-        operation = _operation(
-            OperationKind.DEDUPLICATE,
-            "remove_duplicate_entries",
-            schema,
-            cost_per_tuple=0.008,
-            fixed_cost=10.0,
+        subflow.add_operation(
+            _operation(
+                OperationKind.DEDUPLICATE,
+                "remove_duplicate_entries",
+                schema,
+                config={"keys": key_fields},
+                cost_per_tuple=0.008,
+                fixed_cost=10.0,
+            )
         )
-        operation.config["keys"] = key_fields
-        subflow.add_operation(operation)
         return subflow
 
 
@@ -176,20 +177,23 @@ class CrosscheckSources(_EdgeCleansingPattern):
         # source access is part of the operation configuration, as the
         # paper describes for "more elaborate implementations".
         subflow = ETLGraph(name="fcp_crosscheck_sources")
-        crosscheck = _operation(
-            OperationKind.CROSSCHECK,
-            "crosscheck_sources",
-            schema,
-            cost_per_tuple=0.02,
-            fixed_cost=25.0,
+        subflow.add_operation(
+            _operation(
+                OperationKind.CROSSCHECK,
+                "crosscheck_sources",
+                schema,
+                config={
+                    "reference": self.reference_source,
+                    "reference_rows": self.reference_rows,
+                },
+                cost_per_tuple=0.02,
+                fixed_cost=25.0,
+            )
         )
-        crosscheck.config["reference"] = self.reference_source
-        crosscheck.config["reference_rows"] = self.reference_rows
-        subflow.add_operation(crosscheck)
         return subflow
 
 
-def _operation(kind, name, schema, **properties):
+def _operation(kind, name, schema, config=None, **properties):
     """Small helper creating an operation with fresh properties.
 
     The operation identifier is fixed to ``name`` so that pattern
@@ -204,5 +208,6 @@ def _operation(kind, name, schema, **properties):
         name=name,
         op_id=name,
         output_schema=schema,
+        config=config or {},
         properties=OperationProperties(**properties),
     )

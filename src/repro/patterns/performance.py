@@ -10,6 +10,8 @@ parallel) and *horizontal partitioning* (the task is split into a
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.etl.graph import ETLGraph
 from repro.etl.operations import Operation, OperationKind
 from repro.etl.properties import OperationProperties
@@ -105,11 +107,12 @@ class ParallelizeTask(FlowComponentPattern):
 
     def apply(self, flow: ETLGraph, point: ApplicationPoint) -> ETLGraph:
         new_flow = flow.copy()
-        # mutable_operation triggers the copy-on-write fault: on a COW
-        # copy the payload is still shared with the host flow.
-        operation = new_flow.mutable_operation(point.node_id)
-        operation.config["parallelism"] = self.degree
-        operation.name = f"{operation.name} (x{self.degree} parallel)"
+        operation = new_flow.operation(point.node_id)
+        new_flow.update_operation(
+            point.node_id,
+            config={**operation.config, "parallelism": self.degree},
+            name=f"{operation.name} (x{self.degree} parallel)",
+        )
         new_flow.record_pattern(f"{self.name} @ {point.describe()} (degree={self.degree})")
         return new_flow
 
@@ -207,9 +210,11 @@ class HorizontalPartitionTask(FlowComponentPattern):
         copies = []
         for index in range(self.partitions):
             group = chr(ord("A") + index) if index < 26 else str(index)
-            copy = original.copy()
-            copy.op_id = f"{original.op_id}_group_{group}"
-            copy.name = f"{original.name} for Group_{group}"
+            copy = replace(
+                original,
+                op_id=f"{original.op_id}_group_{group}",
+                name=f"{original.name} for Group_{group}",
+            )
             subflow.add_operation(copy)
             subflow.add_edge(partition, copy)
             copies.append(copy)

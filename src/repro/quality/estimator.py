@@ -32,7 +32,7 @@ from repro.simulator.resources import ResourceModel
 from repro.simulator.traces import TraceArchive
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationSettings:
     """Settings controlling how quality profiles are estimated.
 
@@ -49,6 +49,9 @@ class EstimationSettings:
         When false, only static (structure-based) measures are evaluated;
         useful for cheap screening of very large alternative spaces (the
         planner's ``screening_beam`` first phase).
+
+    Settings are frozen: every cache key an estimator hands out encodes
+    them once, at construction.
     """
 
     simulation_runs: int = 5
@@ -103,6 +106,14 @@ class QualityEstimator:
         self.settings = settings or EstimationSettings()
         self.cache = cache
         self._composites = build_composites(self.registry)
+        # Every cache key is the SHA-256 of ``repr((CACHE_SCHEMA_VERSION,
+        # flow.fingerprint(), settings, registry))``.  The settings and the
+        # registry are fixed for this estimator, so the tail of that text
+        # is encoded once here.
+        registry = tuple(
+            sorted((m.name, m.weight, m.requires_trace) for m in self.registry)
+        )
+        self._key_tail = f", {self.settings.fingerprint()!r}, {registry!r})".encode("utf-8")
 
     # ------------------------------------------------------------------
 
@@ -127,20 +138,16 @@ class QualityEstimator:
         version, the flow content, the estimation settings and the
         measure registry, so estimators with different registries can
         safely share one cache, and every tier, the wire and the shard
-        ring use it as is.  The flow part is :meth:`ETLGraph.fingerprint`:
-        merged incrementally on copy-on-write graphs (which see every
-        mutation through the graph API, so a mutated flow gets a fresh
-        key), recomputed on every call for deep graphs, so mutating a
-        deep flow in place and re-evaluating it yields a fresh key (a
-        cache miss), never a stale profile.
+        ring use it as is.  The flow part is :meth:`ETLGraph.fingerprint`,
+        merged incrementally from a copy parent's: every change to a flow
+        goes through the graph API (operations are frozen values), so a
+        changed flow always gets a fresh key (a cache miss), never a
+        stale profile.  The settings and registry parts are encoded once,
+        at construction: settings are frozen, and the registry is fixed
+        for the estimator's lifetime.
         """
-        registry = tuple(
-            sorted((m.name, m.weight, m.requires_trace) for m in self.registry)
-        )
-        content = (
-            CACHE_SCHEMA_VERSION, flow.fingerprint(), self.settings.fingerprint(), registry
-        )
-        return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
+        head = f"({CACHE_SCHEMA_VERSION!r}, {flow.fingerprint()!r}".encode("utf-8")
+        return hashlib.sha256(head + self._key_tail).hexdigest()
 
     def cached_profile(
         self, flow: ETLGraph, key: str | None = None

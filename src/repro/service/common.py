@@ -303,6 +303,12 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
                 pass
 
 
+#: How often (seconds) the accept loop checks for a shutdown request.
+#: ``socketserver``'s default of 0.5 s made every ``stop()`` of an idle
+#: server wait up to half a second.
+_POLL_INTERVAL = 0.05
+
+
 class ServiceServer:
     """A threaded HTTP server running on a daemon thread.
 
@@ -396,6 +402,7 @@ class ServiceServer:
         if self._thread is None or not self._thread.is_alive():
             self._thread = threading.Thread(
                 target=self._http.serve_forever,
+                args=(_POLL_INTERVAL,),
                 name=f"{type(self).__name__}@{self.port}",
                 daemon=True,
             )
@@ -438,7 +445,7 @@ class ServiceServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (CLI entry point)."""
         try:
-            self._http.serve_forever()
+            self._http.serve_forever(_POLL_INTERVAL)
         finally:
             self._http.server_close()
 

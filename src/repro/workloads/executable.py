@@ -13,6 +13,8 @@ noise, so the calibration preset leaves them out.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.configuration import ProcessingConfiguration
 from repro.etl.graph import ETLGraph
 from repro.workloads.tpch import tpch_refresh_flow
@@ -65,8 +67,10 @@ def calibration_flow(scale: float = 0.05, defect_boost: float = 8.0) -> ETLGraph
     for operation in flow.operations():
         if not operation.kind.is_source:
             continue
-        properties = flow.mutable_operation(operation.op_id).properties
-        for rate_name in ("null_rate", "duplicate_rate", "error_rate"):
-            boosted = min(0.45, getattr(properties, rate_name) * defect_boost)
-            setattr(properties, rate_name, boosted)
+        properties = operation.properties
+        boosted = {
+            rate_name: min(0.45, getattr(properties, rate_name) * defect_boost)
+            for rate_name in ("null_rate", "duplicate_rate", "error_rate")
+        }
+        flow.update_operation(operation.op_id, properties=replace(properties, **boosted))
     return flow

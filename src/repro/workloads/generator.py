@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.etl.builder import FlowBuilder
 from repro.etl.graph import ETLGraph
-from repro.etl.operations import Operation
 from repro.etl.schema import DataType, Field, Schema
 
 
@@ -76,8 +75,8 @@ def random_flow(config: RandomFlowConfig | None = None) -> ETLGraph:
     rng = random.Random(config.seed)
     builder = FlowBuilder(f"generated_flow_{config.seed}_{config.operations}")
 
-    # Sources.
-    branch_heads: list[Operation] = []
+    # Sources.  Each branch is tracked by the id of its current head.
+    branch_heads: list[str] = []
     for index in range(config.sources):
         source = builder.extract_table(
             f"extract_source_{index}",
@@ -89,7 +88,7 @@ def random_flow(config: RandomFlowConfig | None = None) -> ETLGraph:
             freshness_lag=rng.uniform(10.0, 600.0),
             update_frequency=rng.choice([1.0, 4.0, 24.0, 96.0]),
         )
-        branch_heads.append(source)
+        branch_heads.append(source.op_id)
 
     # Transformation operations distributed over the branches.
     remaining = config.operations - config.sources - 1  # reserve one load
@@ -105,14 +104,14 @@ def random_flow(config: RandomFlowConfig | None = None) -> ETLGraph:
                 predicate=f"amount_{branch_index} > {rng.randint(0, 100)}",
                 selectivity=rng.uniform(0.3, 0.95),
                 after=head,
-            )
+            ).op_id
         elif choice < 0.60:
             head = builder.derive(
                 f"derive_{name}",
                 expressions={"computed": f"amount * {rng.uniform(0.5, 2.0):.2f}"},
                 cost_per_tuple=rng.uniform(0.01, 0.06),
                 after=head,
-            )
+            ).op_id
         elif choice < 0.75:
             head = builder.lookup(
                 f"lookup_{name}",
@@ -121,11 +120,11 @@ def random_flow(config: RandomFlowConfig | None = None) -> ETLGraph:
                 cost_per_tuple=rng.uniform(0.01, 0.03),
                 error_rate=rng.uniform(0.0, 0.02),
                 after=head,
-            )
+            ).op_id
         elif choice < 0.85:
             head = builder.surrogate_key(
                 f"surrogate_{name}", key_field=f"sk_{transformation_count}", after=head,
-            )
+            ).op_id
         elif choice < 0.93 and len(branch_heads) > 1:
             # Join two branches together (only when they are still distinct;
             # earlier joins may already have merged them into the same head).
@@ -133,19 +132,19 @@ def random_flow(config: RandomFlowConfig | None = None) -> ETLGraph:
             if other_index == branch_index:
                 other_index = (other_index + 1) % len(branch_heads)
             other = branch_heads[other_index]
-            if other is head:
+            if other == head:
                 head = builder.derive(
                     f"derive_{name}",
                     expressions={"computed": "amount"},
                     cost_per_tuple=rng.uniform(0.01, 0.06),
                     after=head,
-                )
+                ).op_id
             else:
                 head = builder.join(
                     f"join_{name}", head, other, on=["id_0"],
                     selectivity=rng.uniform(0.8, 1.2),
                     cost_per_tuple=rng.uniform(0.02, 0.04),
-                )
+                ).op_id
                 # The other branch now continues through the join.
                 branch_heads[other_index] = head
         else:
@@ -156,9 +155,9 @@ def random_flow(config: RandomFlowConfig | None = None) -> ETLGraph:
                 selectivity=rng.uniform(0.05, 0.3),
                 cost_per_tuple=rng.uniform(0.02, 0.06),
                 after=head,
-            )
+            ).op_id
         if rng.random() < config.failure_prone_fraction:
-            head.properties.failure_rate = rng.uniform(0.01, 0.1)
+            builder.set_properties(head, failure_rate=rng.uniform(0.01, 0.1))
         branch_heads[branch_index] = head
         transformation_count += 1
 
@@ -170,9 +169,7 @@ def random_flow(config: RandomFlowConfig | None = None) -> ETLGraph:
         if head not in unique_heads:
             unique_heads.append(head)
     if len(unique_heads) > 1:
-        tail = builder.union(
-            "consolidate_branches", unique_heads, schema=unique_heads[0].output_schema
-        )
+        tail = builder.union("consolidate_branches", unique_heads).op_id
     else:
         tail = unique_heads[0]
     builder.load_table("load_target", table="target", after=tail)

@@ -108,6 +108,6 @@ def purchases_flow(
         cost_per_tuple=derive_cost_per_tuple,
         after=split,
     )
-    derive.properties.failure_rate = failure_rate
+    builder.set_properties(derive, failure_rate=failure_rate)
     builder.load_table("load_purchases_fact", table="fact_purchases", after=derive)
     return builder.build()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.etl.builder import FlowBuilder
 from repro.etl.graph import ETLGraph
 from repro.etl.operations import OperationKind
+from repro.etl.properties import OperationProperties
 from repro.etl.schema import DataType, Field, Schema
 
 
@@ -120,16 +121,15 @@ def tpcds_sales_flow(scale: float = 1.0) -> ETLGraph:
     item_scd = builder.add(
         OperationKind.SLOWLY_CHANGING_DIM, "scd_item", after=item,
         config={"keys": ["i_item_id"], "type": 2},
+        properties=OperationProperties(cost_per_tuple=0.02),
     )
-    item_scd.properties.cost_per_tuple = 0.02
     builder.load_table("load_dim_item", table="dim_item", after=item_scd)
 
     customer_cleanse = builder.add(
         OperationKind.CLEANSE, "standardise_customer_names", after=customer,
         config={"rules": ["trim", "title_case", "email_lowercase"]},
+        properties=OperationProperties(cost_per_tuple=0.015, selectivity=1.0),
     )
-    customer_cleanse.properties.cost_per_tuple = 0.015
-    customer_cleanse.properties.selectivity = 1.0
     customer_sk = builder.surrogate_key(
         "assign_customer_sk", key_field="customer_dim_sk", after=customer_cleanse,
     )
@@ -150,9 +150,8 @@ def tpcds_sales_flow(scale: float = 1.0) -> ETLGraph:
     ss_validate = builder.add(
         OperationKind.VALIDATE, "validate_store_sales", after=store_sales,
         config={"checks": ["quantity > 0", "sales_price >= 0"]},
+        properties=OperationProperties(selectivity=0.98, cost_per_tuple=0.01),
     )
-    ss_validate.properties.selectivity = 0.98
-    ss_validate.properties.cost_per_tuple = 0.01
     ss_conform = builder.add(
         OperationKind.RENAME, "conform_store_sales", after=ss_validate,
         config={"prefix_strip": "ss_", "channel": "store"},
@@ -165,15 +164,14 @@ def tpcds_sales_flow(scale: float = 1.0) -> ETLGraph:
         },
         cost_per_tuple=0.04, after=ss_conform,
     )
-    ss_derive.properties.failure_rate = 0.04
+    builder.set_properties(ss_derive, failure_rate=0.04)
 
     # --- web sales channel -----------------------------------------------
     ws_validate = builder.add(
         OperationKind.VALIDATE, "validate_web_sales", after=web_sales,
         config={"checks": ["quantity > 0", "sales_price >= 0"]},
+        properties=OperationProperties(selectivity=0.97, cost_per_tuple=0.01),
     )
-    ws_validate.properties.selectivity = 0.97
-    ws_validate.properties.cost_per_tuple = 0.01
     ws_conform = builder.add(
         OperationKind.RENAME, "conform_web_sales", after=ws_validate,
         config={"prefix_strip": "ws_", "channel": "web"},
@@ -186,7 +184,7 @@ def tpcds_sales_flow(scale: float = 1.0) -> ETLGraph:
         },
         cost_per_tuple=0.04, after=ws_conform,
     )
-    ws_derive.properties.failure_rate = 0.04
+    builder.set_properties(ws_derive, failure_rate=0.04)
 
     # --- conformed fact pipeline --------------------------------------------
     sales_union = builder.union(
@@ -220,7 +218,7 @@ def tpcds_sales_flow(scale: float = 1.0) -> ETLGraph:
         aggregations={"net_paid": "sum", "net_profit": "sum", "quantity": "sum"},
         selectivity=0.02, cost_per_tuple=0.05, after=channel_sort,
     )
-    channel_agg.properties.failure_rate = 0.04
+    builder.set_properties(channel_agg, failure_rate=0.04)
     builder.load_table("load_summary_channel", table="summary_sales_channel", after=channel_agg)
 
     return builder.build()

@@ -170,7 +170,7 @@ def tpch_refresh_flow(scale: float = 1.0) -> ETLGraph:
         },
         cost_per_tuple=0.05, after=cust_join,
     )
-    derive_revenue.properties.failure_rate = 0.05
+    builder.set_properties(derive_revenue, failure_rate=0.05)
     part_lookup = builder.lookup(
         "lookup_part_dimension", reference="dim_part", on=["l_partkey"],
         after=[derive_revenue, part_sk], error_rate=0.01,
@@ -190,7 +190,7 @@ def tpch_refresh_flow(scale: float = 1.0) -> ETLGraph:
         aggregations={"revenue": "sum", "charge": "sum", "l_quantity": "sum"},
         selectivity=0.05, cost_per_tuple=0.04, after=sort_for_agg,
     )
-    aggregate.properties.failure_rate = 0.03
+    builder.set_properties(aggregate, failure_rate=0.03)
     builder.load_table("load_summary_revenue", table="summary_revenue_nation", after=aggregate)
 
     return builder.build()

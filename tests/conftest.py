@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import Planner, ProcessingConfiguration
@@ -34,7 +36,7 @@ def linear_flow(simple_schema: Schema) -> ETLGraph:
     )
     flt = builder.filter("flt", predicate="amount > 0", selectivity=0.8, after=src)
     der = builder.derive("der", expressions={"total": "amount * 2"}, cost_per_tuple=0.05, after=flt)
-    der.properties.failure_rate = 0.1
+    builder.set_properties(der, failure_rate=0.1)
     builder.load_table("load", after=der)
     return builder.build()
 
@@ -64,6 +66,16 @@ def small_purchases() -> ETLGraph:
 def tpch_flow() -> ETLGraph:
     """A scaled-down TPC-H refresh flow (shared across tests; treat as read-only)."""
     return tpch_refresh_flow(scale=0.05)
+
+
+def set_properties(flow: ETLGraph, op_id: str, **changes) -> None:
+    """Install a copy of operation ``op_id`` whose properties carry ``changes``."""
+    flow.update_operation(op_id, properties=replace(flow.operation(op_id).properties, **changes))
+
+
+def set_config(flow: ETLGraph, op_id: str, **entries) -> None:
+    """Install a copy of operation ``op_id`` with ``entries`` merged into its config."""
+    flow.update_operation(op_id, config={**flow.operation(op_id).config, **entries})
 
 
 def fast_planner_config(**overrides) -> ProcessingConfiguration:

@@ -1,10 +1,11 @@
-"""Tests of copy-on-write alternative generation and the evaluation pool.
+"""Tests of alternative generation on flow copies and the evaluation pool.
 
-Covers equivalence of the copy-on-write generator with the from-scratch
-deep-copy reference in ``tests/reference_generator.py``, the
-annotation-aware dedup regression (graph-level patterns must survive),
-:class:`GenerationStats`, the removed mode knobs, and process workers
-receiving COW flows by pickle.
+Covers equivalence of the generator with the from-scratch reference in
+``tests/reference_generator.py``, the isolation between the caller's flow
+and the alternatives forked from it, the annotation-aware dedup
+regression (graph-level patterns must survive), :class:`GenerationStats`,
+the removed mode knobs, and process workers receiving flow copies by
+pickle.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.core.policies import ExhaustivePolicy, HeuristicPolicy
 from repro.etl.validation import is_valid
 from repro.patterns.registry import default_palette
 from repro.quality.estimator import EstimationSettings, QualityEstimator
+from tests.conftest import set_config
 from tests.reference_generator import outcome, reference_generate
 
 
@@ -34,7 +36,7 @@ def _generate(flow, **overrides):
 
 
 class TestCowDeepEquivalence:
-    """The COW generator against the deep-copy, from-scratch reference."""
+    """The generator against the from-scratch reference."""
 
     def test_identical_alternative_streams(self, small_purchases):
         cow, generator = _generate(small_purchases)
@@ -53,7 +55,7 @@ class TestCowDeepEquivalence:
         # mutating one alternative must not bleed into any other
         first = cow[0].flow
         target = first.operation_ids()[0]
-        first.mutable_operation(target).config["marker"] = True
+        set_config(first, target, marker=True)
         assert "marker" not in small_purchases.operation(target).config
         for other in cow[1:]:
             if target in other.flow:
@@ -64,20 +66,18 @@ class TestCowDeepEquivalence:
         _generate(small_purchases)
         assert small_purchases.signature() == before
 
-    def test_caller_flow_never_payload_aliased(self, small_purchases):
-        # After COW generation, mutating the caller's deep flow directly
-        # must not bleed into any returned alternative.
+    def test_caller_writes_never_reach_alternatives(self, small_purchases):
+        # Alternatives fork the caller's flow and share its operations;
+        # later writes to the caller's flow must not bleed into them.
         cow, _ = _generate(small_purchases)
         target = small_purchases.operation_ids()[0]
-        assert all(
-            alt.flow.operation(target) is not small_purchases.operation(target)
-            for alt in cow
-            if target in alt.flow
-        )
-        small_purchases.operation(target).config["marker"] = "caller-write"
-        for alt in cow:
-            if target in alt.flow:
-                assert "marker" not in alt.flow.operation(target).config
+        original = small_purchases.operation(target)
+        assert any(alt.flow.operation(target) is original for alt in cow)
+        before = [alt.flow.to_dict() for alt in cow]
+        set_config(small_purchases, target, marker="caller-write")
+        edge = small_purchases.edges()[0]
+        small_purchases.remove_edge(edge.source, edge.target)
+        assert [alt.flow.to_dict() for alt in cow] == before
 
     def test_interleaved_lazy_runs_keep_separate_state(self, small_purchases, tpch_flow):
         # Two partially consumed generate_iter runs on the same generator
@@ -184,7 +184,7 @@ class TestBackendKnob:
             ProcessingConfiguration(backend="process")
 
     def test_invalid_copy_mode_rejected(self):
-        # generation always runs copy-on-write with the prefix cache
+        # generation always forks flow copies and runs the prefix cache
         for knob in ("copy_mode", "prefix_cache", "executor_backend"):
             with pytest.raises(TypeError):
                 ProcessingConfiguration(**{knob: "deep"})
@@ -196,7 +196,7 @@ class TestBackendKnob:
 
     @pytest.mark.slow
     def test_process_backend_evaluates_cow_alternatives(self, small_purchases):
-        # COW flows must pickle (materialize-on-pickle) into pool workers
+        # flow copies must pickle (adjacency privatized) into pool workers
         alternatives, _ = _generate(small_purchases, max_alternatives=4)
         estimator = QualityEstimator(settings=EstimationSettings(simulation_runs=1, seed=3))
         evaluator = ParallelEvaluator(estimator=estimator, workers=2)

@@ -6,8 +6,8 @@ last chain's intermediate flows and issue lists instead of re-applying
 the shared prefix from the base flow.  These tests pin down
 
 * byte-identical alternative streams against the from-scratch reference
-  in ``tests/reference_generator.py``, whether the reference copies the
-  initial flow deep or copy-on-write (including the TPC-H acceptance run
+  in ``tests/reference_generator.py``, which rebuilds the initial flow
+  from scratch for every combination (including the TPC-H acceptance run
   at ``pattern_budget=3`` with the >= 2x cut in pattern applications),
 * the exact :class:`GenerationStats` reuse accounting on a synthetic
   palette small enough to count by hand,
@@ -25,6 +25,7 @@ from repro.core.policies import ExhaustivePolicy, HeuristicPolicy
 from repro.etl.validation import is_valid
 from repro.patterns.base import ApplicationPointType, FlowComponentPattern
 from repro.patterns.registry import PatternRegistry, default_palette
+from tests.conftest import set_config
 from tests.reference_generator import outcome, reference_generate
 
 
@@ -40,14 +41,14 @@ def _generate(flow, **overrides):
     return list(generator.generate_iter(flow)), generator.last_stats
 
 
-def _against_reference(flow, mode, **overrides):
+def _against_reference(flow, **overrides):
     """Generator and reference runs of one configuration.
 
     Returns ``(alternatives, stats, reference, reference_applications)``.
     """
     generator = _generator(**overrides)
     alternatives = list(generator.generate_iter(flow))
-    reference, applied = reference_generate(generator, flow, copy_mode=mode)
+    reference, applied = reference_generate(generator, flow)
     return alternatives, generator.last_stats, reference, applied
 
 
@@ -79,15 +80,13 @@ def _flag_palette(count: int) -> PatternRegistry:
 
 
 class TestPrefixEquivalence:
-    @pytest.mark.parametrize("mode", ["deep", "cow"])
-    def test_identical_streams_budget_two(self, small_purchases, mode):
-        alts, _, reference, _ = _against_reference(small_purchases, mode)
+    def test_identical_streams_budget_two(self, small_purchases):
+        alts, _, reference, _ = _against_reference(small_purchases)
         assert outcome(alts) == outcome(reference)
 
-    @pytest.mark.parametrize("mode", ["deep", "cow"])
-    def test_identical_streams_budget_three(self, small_purchases, mode):
+    def test_identical_streams_budget_three(self, small_purchases):
         alts, _, reference, _ = _against_reference(
-            small_purchases, mode, pattern_budget=3, max_points_per_pattern=3
+            small_purchases, pattern_budget=3, max_points_per_pattern=3
         )
         assert outcome(alts) == outcome(reference)
 
@@ -95,7 +94,7 @@ class TestPrefixEquivalence:
         """Every valid point of every pattern, on a flow small enough to
         enumerate completely at budget 3."""
         alts, _, reference, _ = _against_reference(
-            linear_flow, "deep", policy=ExhaustivePolicy(), pattern_budget=3
+            linear_flow, policy=ExhaustivePolicy(), pattern_budget=3
         )
         assert len(alts) > 20
         assert outcome(alts) == outcome(reference)
@@ -104,7 +103,7 @@ class TestPrefixEquivalence:
         """>= 2x fewer pattern applications than the from-scratch
         reference at budget 3 on TPC-H, byte-identical alternative sets."""
         knobs = dict(pattern_budget=3, max_points_per_pattern=3, max_alternatives=1500)
-        alts, stats, reference, applied = _against_reference(tpch_flow, "deep", **knobs)
+        alts, stats, reference, applied = _against_reference(tpch_flow, **knobs)
         assert outcome(alts) == outcome(reference)
         assert applied >= 2 * stats.patterns_applied, (
             f"{applied} from-scratch vs {stats.patterns_applied} cached applications"
@@ -150,11 +149,9 @@ class TestPrefixExactCounts:
     EXPECTED_PREFIX_HITS = 5
     EXPECTED_STEPS_REUSED = 6
 
-    @pytest.mark.parametrize("mode", ["deep", "cow"])
-    def test_exact_reuse_counters(self, linear_flow, mode):
+    def test_exact_reuse_counters(self, linear_flow):
         alts, stats, reference, _ = _against_reference(
             linear_flow,
-            mode,
             palette=_flag_palette(4),
             policy=ExhaustivePolicy(),
             pattern_budget=3,
@@ -169,11 +166,9 @@ class TestPrefixExactCounts:
         assert stats.prefix_hits == self.EXPECTED_PREFIX_HITS
         assert stats.prefix_steps_reused == self.EXPECTED_STEPS_REUSED
 
-    @pytest.mark.parametrize("mode", ["deep", "cow"])
-    def test_exact_counts_uncached(self, linear_flow, mode):
+    def test_exact_counts_uncached(self, linear_flow):
         alts, stats, reference, applied = _against_reference(
             linear_flow,
-            mode,
             palette=_flag_palette(4),
             policy=ExhaustivePolicy(),
             pattern_budget=3,
@@ -208,7 +203,7 @@ class TestPrefixSafety:
         assert all(is_valid(a.flow) for a in alts)
         first = alts[0].flow
         target = first.operation_ids()[0]
-        first.mutable_operation(target).config["marker"] = True
+        set_config(first, target, marker=True)
         assert "marker" not in small_purchases.operation(target).config
         for other in alts[1:]:
             if target in other.flow:

@@ -101,7 +101,7 @@ class TestAccess:
         "query",
         [
             "operation",
-            "mutable_operation",
+            "update_operation",
             "predecessors",
             "successors",
             "predecessor_ids",
@@ -182,9 +182,11 @@ class TestStructureMetrics:
 
 
 class TestCopyAndSignature:
-    def test_copy_is_deep_for_operations(self, diamond):
+    def test_copy_shares_operations_and_isolates_updates(self, diamond):
         clone = diamond.copy()
-        clone.operation("branch_a").config["marker"] = True
+        assert clone.operation("branch_a") is diamond.operation("branch_a")
+        clone.update_operation("branch_a", config={"marker": True})
+        assert clone.operation("branch_a").config == {"marker": True}
         assert "marker" not in diamond.operation("branch_a").config
 
     def test_copy_preserves_structure(self, diamond):
@@ -200,8 +202,26 @@ class TestCopyAndSignature:
 
     def test_signature_sensitive_to_parallelism(self, diamond):
         clone = diamond.copy()
-        clone.operation("branch_a").config["parallelism"] = 4
+        clone.update_operation("branch_a", config={"parallelism": 4})
         assert clone.signature() != diamond.signature()
+
+    def test_update_operation_keeps_position_and_transitions(self, diamond):
+        order = diamond.operation_ids()
+        edges = [edge.key() for edge in diamond.edges()]
+        updated = diamond.update_operation("branch_a", name="renamed")
+        assert diamond.operation("branch_a") is updated
+        assert updated.name == "renamed"
+        assert diamond.operation_ids() == order
+        assert [edge.key() for edge in diamond.edges()] == edges
+
+    def test_update_operation_cannot_change_the_identifier(self, diamond):
+        with pytest.raises(TypeError):
+            diamond.update_operation("branch_a", op_id="other")
+        assert "branch_a" in diamond and "other" not in diamond
+
+    def test_copy_takes_only_a_name(self, diamond):
+        with pytest.raises(TypeError):
+            diamond.copy(mode="deep")
 
     def test_lineage_recording(self, diamond):
         diamond.record_pattern("AddCheckpoint @ edge merge->load")

@@ -1,9 +1,9 @@
-"""Tests of the copy-on-write layer of :class:`ETLGraph`.
+"""Tests of the copy discipline of :class:`ETLGraph`.
 
-Covers payload sharing and the copy-on-write fault (both directions),
-delta recording and composition, incremental + annotation-aware
-signatures, the relabel/shared-state interaction, and
-materialize-on-pickle.
+Covers payload sharing and update isolation (both directions), adjacency
+copy-on-write, delta recording and composition, incremental +
+annotation-aware signatures, the relabel/shared-state interaction, and
+pickling of graphs that share payloads and adjacency with their copies.
 """
 
 from __future__ import annotations
@@ -39,27 +39,25 @@ def chain(schema: Schema) -> ETLGraph:
 
 class TestCowSharing:
     def test_cow_copy_equals_parent(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         assert child.signature() == chain.signature()
         assert child.structurally_equal(chain)
         assert child.operation("mid") is chain.operation("mid")  # payload shared
 
-    def test_mutable_operation_materializes(self, chain):
-        child = chain.copy(mode="cow")
-        op = child.mutable_operation("mid")
+    def test_update_operation_is_isolated(self, chain):
+        child = chain.copy()
+        op = child.update_operation("mid", config={"parallelism": 8})
         assert op is not chain.operation("mid")
-        op.config["parallelism"] = 8
         assert chain.operation("mid").parallelism == 1
         assert child.operation("mid").parallelism == 8
 
     def test_parent_write_does_not_leak_into_child(self, chain):
-        child = chain.copy(mode="cow")
-        parent_op = chain.mutable_operation("mid")
-        parent_op.config["parallelism"] = 4
+        child = chain.copy()
+        chain.update_operation("mid", config={"parallelism": 4})
         assert child.operation("mid").parallelism == 1
 
     def test_child_structural_mutation_is_isolated(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.remove_edge("mid", "dst")
         child.remove_operation("dst")
         assert chain.has_edge("mid", "dst")
@@ -67,51 +65,47 @@ class TestCowSharing:
         assert "dst" not in child
 
     def test_parent_structural_mutation_is_isolated(self, chain, schema):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         chain.add_operation(Operation(OperationKind.NOOP, op_id="extra", output_schema=schema))
         chain.add_edge("mid", "extra")
         assert "extra" not in child
         assert not child.has_edge("mid", "extra")
 
     def test_set_edge_schema_is_isolated(self, chain, schema):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.set_edge_schema("src", "mid", Schema())
         assert len(chain.edge("src", "mid").schema) == len(schema)
         assert len(child.edge("src", "mid").schema) == 0
 
     def test_chained_cow_copies(self, chain):
-        child = chain.copy(mode="cow")
-        child.mutable_operation("mid").config["parallelism"] = 2
-        grandchild = child.copy(mode="cow")
-        grandchild.mutable_operation("mid").config["parallelism"] = 3
+        child = chain.copy()
+        child.update_operation("mid", config={"parallelism": 2})
+        grandchild = child.copy()
+        grandchild.update_operation("mid", config={"parallelism": 3})
         assert chain.operation("mid").parallelism == 1
         assert child.operation("mid").parallelism == 2
         assert grandchild.operation("mid").parallelism == 3
 
-    def test_copy_mode_is_inherited(self, chain):
-        child = chain.copy(mode="cow")
-        grandchild = child.copy()  # no explicit mode: inherits "cow"
+    def test_every_copy_records_a_delta(self, chain):
+        child = chain.copy()
+        grandchild = child.copy()
         assert grandchild.delta is not None
         assert grandchild.derived_from(child)
+        assert not grandchild.derived_from(chain)
 
-    def test_deep_copy_still_default(self, chain):
-        clone = chain.copy()
-        assert clone.delta is None
-        assert clone.operation("mid") is not chain.operation("mid")
-
-    def test_unknown_copy_mode_rejected(self, chain):
-        with pytest.raises(ValueError):
-            chain.copy(mode="shallow")
+    def test_fresh_flow_has_no_delta(self, chain):
+        assert chain.delta is None
+        assert ETLGraph.from_dict(chain.to_dict()).delta is None
 
 
 class TestDeltaRecording:
     def test_empty_delta_after_fork(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         assert child.delta is not None and child.delta.is_empty()
         assert child.derived_from(chain)
 
     def test_structural_delta(self, chain, schema):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.remove_edge("mid", "dst")
         child.add_operation(Operation(OperationKind.CHECKPOINT, op_id="cp", output_schema=schema))
         child.add_edge("mid", "cp")
@@ -123,7 +117,7 @@ class TestDeltaRecording:
         assert delta.touched_operations(child) == {"mid", "cp", "dst"}
 
     def test_net_effect_cancellation(self, chain, schema):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.add_operation(Operation(OperationKind.NOOP, op_id="tmp", output_schema=schema))
         child.add_edge("mid", "tmp")
         child.remove_operation("tmp")
@@ -131,7 +125,7 @@ class TestDeltaRecording:
         assert child.signature() == chain.signature()
 
     def test_annotation_delta_and_signature(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.set_annotation("encryption", True)
         assert child.delta.annotations_set == {"encryption": True}
         assert not child.delta.is_structural()
@@ -140,7 +134,7 @@ class TestDeltaRecording:
 
     def test_direct_annotation_assignment_still_in_signature(self, chain):
         # Legacy code assigns into the dict; the signature reads it live.
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.annotations["resource_tier"] = "large"
         assert child.signature() != chain.signature()
 
@@ -164,31 +158,30 @@ class TestDeltaRecording:
 
 class TestIncrementalSignature:
     def test_signature_matches_full_recompute(self, chain, schema):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.remove_edge("mid", "dst")
         child.add_operation(Operation(OperationKind.CHECKPOINT, op_id="cp", output_schema=schema))
         child.add_edge("mid", "cp")
         child.add_edge("cp", "dst")
-        child.mutable_operation("mid").config["parallelism"] = 4
+        child.update_operation("mid", config={"parallelism": 4})
         fresh = ETLGraph.from_dict(child.to_dict())
         assert child.signature() == fresh.signature()
 
     def test_signature_cache_invalidated_on_mutation(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         before = child.signature()
-        child.mutable_operation("mid").config["parallelism"] = 4
+        child.update_operation("mid", config={"parallelism": 4})
         assert child.signature() != before
 
     def test_signature_includes_parallelism_via_merge(self, chain):
-        child = chain.copy(mode="cow")
-        op = child.mutable_operation("mid")
-        op.config["parallelism"] = 4
+        child = chain.copy()
+        child.update_operation("mid", config={"parallelism": 4})
         nodes, _, _ = child.signature()
         assert ("mid", "derive", 4) in nodes
 
     def test_annotations_fold_into_signature(self, chain):
-        a = chain.copy(mode="cow")
-        b = chain.copy(mode="cow")
+        a = chain.copy()
+        b = chain.copy()
         a.set_annotation("encryption", True)
         b.set_annotation("encryption", True)
         assert a.signature() == b.signature()
@@ -198,7 +191,7 @@ class TestIncrementalSignature:
 
 class TestRelabelIsolation:
     def test_relabel_on_child_does_not_leak_into_parent(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.relabel_operation("mid", "renamed")
         assert "mid" in chain and "renamed" not in chain
         assert chain.operation("mid").op_id == "mid"
@@ -207,13 +200,13 @@ class TestRelabelIsolation:
         assert child.has_edge("src", "renamed") and child.has_edge("renamed", "dst")
 
     def test_relabel_on_parent_does_not_leak_into_child(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         chain.relabel_operation("mid", "renamed")
         assert "mid" in child and "renamed" not in child
         assert child.operation("mid").op_id == "mid"
 
     def test_relabel_delta_and_signature(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         child.relabel_operation("mid", "renamed")
         delta = child.delta
         assert "mid" in delta.ops_removed
@@ -224,21 +217,41 @@ class TestRelabelIsolation:
 
 class TestPickling:
     def test_cow_child_pickles_self_contained(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         restored = pickle.loads(pickle.dumps(child))
         assert restored.signature() == child.signature()
-        # the unpickled graph owns its payloads: writes must not require
-        # (or perform) any sharing bookkeeping
-        restored.mutable_operation("mid").config["parallelism"] = 6
+        restored.update_operation("mid", config={"parallelism": 6})
+        restored.remove_edge("mid", "dst")
         assert chain.operation("mid").parallelism == 1
+        assert chain.has_edge("mid", "dst")
 
     def test_parent_and_child_pickled_together_stay_isolated(self, chain):
-        child = chain.copy(mode="cow")
+        child = chain.copy()
         parent2, child2 = pickle.loads(pickle.dumps((chain, child)))
-        child2.mutable_operation("mid").config["parallelism"] = 9
+        # operations are values, so the round trip may keep them shared ...
+        assert child2.operation("mid") is parent2.operation("mid")
+        # ... but adjacency comes back private on each side
+        child2.update_operation("mid", config={"parallelism": 9})
+        child2.remove_edge("mid", "dst")
         assert parent2.operation("mid").parallelism == 1
+        assert parent2.has_edge("mid", "dst")
 
-    def test_deep_graph_pickle_unchanged(self, chain):
+    def test_shared_payloads_survive_a_round_trip(self, chain, schema):
+        # The flow a process-pool worker receives: its payloads are shared
+        # with forks that changed other operations.
+        sibling = chain.copy()
+        sibling.update_operation("mid", config={"parallelism": 3})
+        sibling.add_operation(Operation(OperationKind.NOOP, op_id="extra", output_schema=schema))
+        sibling.add_edge("mid", "extra")
+        child = chain.copy()
+        child.set_annotation("encryption", True)
+        for flow in (chain, child, sibling):
+            restored = pickle.loads(pickle.dumps(flow))
+            assert restored.fingerprint() == flow.fingerprint()
+            assert restored.signature() == flow.signature()
+            assert restored.to_dict() == flow.to_dict()
+
+    def test_fresh_graph_pickle_unchanged(self, chain):
         restored = pickle.loads(pickle.dumps(chain))
         assert restored.signature() == chain.signature()
         assert restored.structurally_equal(chain)

@@ -1,4 +1,9 @@
-"""Unit tests for the operation taxonomy."""
+"""Unit tests for the operation taxonomy and operations as frozen values."""
+
+import dataclasses
+import json
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -69,26 +74,30 @@ class TestOperation:
     def test_parallelism_defaults_to_one(self):
         op = Operation(OperationKind.DERIVE)
         assert op.parallelism == 1
-        op.config["parallelism"] = 8
-        assert op.parallelism == 8
+        assert replace(op, config={"parallelism": 8}).parallelism == 8
 
-    def test_copy_is_independent(self):
+    def test_replace_leaves_the_original_unchanged(self):
         op = Operation(
             OperationKind.FILTER,
             config={"predicate": "x > 1"},
             properties=OperationProperties(selectivity=0.4),
         )
-        clone = op.copy()
-        clone.config["predicate"] = "changed"
-        clone.properties.selectivity = 0.9
+        changed = replace(
+            op,
+            config={**op.config, "predicate": "changed"},
+            properties=replace(op.properties, selectivity=0.9),
+        )
+        assert changed.config["predicate"] == "changed"
+        assert changed.properties.selectivity == 0.9
         assert op.config["predicate"] == "x > 1"
         assert op.properties.selectivity == 0.4
 
-    def test_copy_with_overrides(self):
+    def test_replace_with_overrides(self):
         op = Operation(OperationKind.FILTER, name="original")
-        clone = op.copy(name="renamed")
-        assert clone.name == "renamed"
-        assert clone.kind is OperationKind.FILTER
+        renamed = replace(op, name="renamed")
+        assert renamed.name == "renamed"
+        assert renamed.op_id == op.op_id
+        assert renamed.kind is OperationKind.FILTER
 
     def test_round_trip_serialisation(self):
         schema = Schema.of(Field("id", DataType.INTEGER, nullable=False, key=True))
@@ -107,6 +116,7 @@ class TestOperation:
         assert restored.config == {"group_by": ["id"]}
         assert restored.properties.cost_per_tuple == pytest.approx(0.2)
         assert restored.properties.selectivity == pytest.approx(0.1)
+        assert restored == op
 
 
 class TestOperationProperties:
@@ -130,13 +140,16 @@ class TestOperationProperties:
         with pytest.raises(ValueError):
             OperationProperties(selectivity=-0.1)
 
-    def test_copy_is_independent(self):
+    def test_replace_leaves_the_original_unchanged(self):
         props = OperationProperties(extra={"note": "x"})
-        clone = props.copy()
-        clone.extra["note"] = "changed"
-        clone.cost_per_tuple = 99.0
+        changed = replace(props, extra={"note": "changed"}, cost_per_tuple=99.0)
+        assert changed.extra["note"] == "changed"
         assert props.extra["note"] == "x"
         assert props.cost_per_tuple != 99.0
+
+    def test_replace_still_validates(self):
+        with pytest.raises(ValueError):
+            replace(OperationProperties(), failure_rate=1.5)
 
     def test_round_trip_serialisation(self):
         props = OperationProperties(
@@ -151,3 +164,69 @@ class TestOperationProperties:
     def test_from_dict_ignores_unknown_keys(self):
         restored = OperationProperties.from_dict({"cost_per_tuple": 0.2, "bogus": 1})
         assert restored.cost_per_tuple == pytest.approx(0.2)
+
+
+class TestOperationsAreValues:
+    """Operations taken from a flow are frozen: every write raises."""
+
+    def test_config_write_raises(self, linear_flow):
+        op = linear_flow.operation("flt")
+        with pytest.raises(TypeError):
+            op.config["predicate"] = "changed"
+        for write in (
+            lambda: op.config.update(predicate="changed"),
+            lambda: op.config.pop("predicate"),
+            lambda: op.config.setdefault("new", 1),
+            lambda: op.config.clear(),
+        ):
+            with pytest.raises(TypeError):
+                write()
+        with pytest.raises(TypeError):
+            del op.config["predicate"]
+        assert op.config["predicate"] == "amount > 0"
+
+    def test_properties_write_raises(self, linear_flow):
+        op = linear_flow.operation("flt")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.properties.selectivity = 0.1
+        assert op.properties.selectivity == 0.8
+
+    def test_extra_write_raises(self, linear_flow):
+        op = linear_flow.operation("src")
+        with pytest.raises(TypeError):
+            op.properties.extra["note"] = "x"
+        assert "note" not in op.properties.extra
+
+    def test_operation_field_write_raises(self, linear_flow):
+        op = linear_flow.operation("flt")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.op_id = "renamed"
+        assert op.op_id == "flt"
+        assert linear_flow.operation("flt") is op
+
+    def test_dict_round_trip_is_equal(self, linear_flow):
+        for op in linear_flow.operations():
+            assert Operation.from_dict(op.to_dict()) == op
+
+    def test_mappings_read_like_dicts(self):
+        op = Operation(
+            OperationKind.DERIVE,
+            config={"expressions": {"a": "b"}, "parallelism": 2},
+            properties=OperationProperties(extra={"k": [1, 2]}),
+        )
+        config = {"expressions": {"a": "b"}, "parallelism": 2}
+        assert op.config == config
+        assert repr(op.config) == repr(config)
+        assert json.dumps(op.config) == json.dumps(config)
+        assert repr(op.properties.extra) == repr({"k": [1, 2]})
+        writable = op.config.copy()
+        writable["parallelism"] = 4
+        assert op.parallelism == 2
+
+    def test_pickle_keeps_values_read_only(self):
+        op = Operation(OperationKind.DERIVE, config={"parallelism": 2})
+        restored = pickle.loads(pickle.dumps(op))
+        assert restored == op
+        assert restored.config == {"parallelism": 2}
+        with pytest.raises(TypeError):
+            restored.config["parallelism"] = 3

@@ -59,20 +59,17 @@ class TestInsertOnEdge:
         assert new_flow.node_count == linear_flow.node_count + 2
         assert is_valid(new_flow)
 
-    def test_configure_callback(self, linear_flow):
+    def test_subflow_template_is_left_untouched(self, linear_flow):
         edge = linear_flow.edges()[0]
-        seen = []
-
-        def configure(operation, schema):
-            seen.append(operation.op_id)
-            operation.config["configured_for"] = len(schema)
-
-        new_flow, insertion = insert_on_edge(
-            linear_flow, edge.source, edge.target, _single_op_subflow(), configure=configure
-        )
-        assert seen == list(insertion.added_operations)
+        subflow = _single_op_subflow()
+        template = subflow.operation("cleanser")
+        new_flow, insertion = insert_on_edge(linear_flow, edge.source, edge.target, subflow)
+        assert subflow.operation("cleanser") is template
+        assert len(template.output_schema) == 0
         grafted = new_flow.operation(insertion.added_operations[0])
-        assert grafted.config["configured_for"] == len(edge.schema)
+        assert grafted.op_id != template.op_id
+        assert grafted.output_schema == edge.schema
+        assert new_flow.delta.ops_added == set(insertion.added_operations)
 
     def test_missing_edge_raises(self, linear_flow):
         with pytest.raises(KeyError):
@@ -133,18 +130,17 @@ class TestReplaceNode:
         for succ in succs:
             assert new_flow.has_edge(grafted, succ)
 
-    def test_configure_receives_replaced_operation(self, linear_flow):
+    def test_schema_less_operations_inherit_the_replaced_schema(self, linear_flow):
         derive = next(op for op in linear_flow.operations() if op.kind is OperationKind.DERIVE)
-
-        def configure(new_op, replaced):
-            new_op.properties.cost_per_tuple = replaced.properties.cost_per_tuple
-
-        sub = _single_op_subflow(OperationKind.DERIVE, "copy")
-        new_flow, insertion = replace_node(linear_flow, derive.op_id, sub, configure=configure)
-        grafted = new_flow.operation(insertion.added_operations[0])
-        assert grafted.properties.cost_per_tuple == pytest.approx(
-            derive.properties.cost_per_tuple
-        )
+        keep = Schema.of(Field("only", DataType.STRING))
+        sub = ETLGraph(name="sub")
+        sub.add_operation(Operation(OperationKind.DERIVE, op_id="inherits"))
+        sub.add_operation(Operation(OperationKind.NOOP, op_id="keeps", output_schema=keep))
+        sub.add_edge("inherits", "keeps")
+        new_flow, insertion = replace_node(linear_flow, derive.op_id, sub)
+        inherits, keeps = (new_flow.operation(op_id) for op_id in insertion.added_operations)
+        assert inherits.output_schema == derive.output_schema
+        assert keeps.output_schema == keep
 
     def test_missing_node_raises(self, linear_flow):
         with pytest.raises(KeyError):

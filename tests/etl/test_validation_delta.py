@@ -15,6 +15,7 @@ from repro.etl.operations import Operation, OperationKind
 from repro.etl.schema import DataType, Field, Schema
 from repro.etl.validation import Severity, validate_delta, validate_flow
 from repro.patterns.registry import default_palette
+from tests.conftest import set_config
 
 
 def _issue_set(issues):
@@ -37,12 +38,12 @@ def schema() -> Schema:
 
 class TestValidateDelta:
     def test_empty_delta_carries_parent_issues(self, linear_flow):
-        child = linear_flow.copy(mode="cow")
+        child = linear_flow.copy()
         parent_issues = validate_flow(linear_flow)
         assert validate_delta(child, child.delta, parent_issues) == parent_issues
 
     def test_annotation_only_delta_short_circuits(self, linear_flow):
-        child = linear_flow.copy(mode="cow")
+        child = linear_flow.copy()
         child.set_annotation("encryption", True)
         parent_issues = validate_flow(linear_flow)
         assert validate_delta(child, child.delta, parent_issues) == parent_issues
@@ -57,7 +58,7 @@ class TestValidateDelta:
         flow.add_edge("b", "j")
         flow.add_edge("j", "l")
         parent_issues = validate_flow(flow)
-        child = flow.copy(mode="cow")
+        child = flow.copy()
         child.remove_edge("b", "j")
         child.remove_operation("b")
         issues = validate_delta(child, child.delta, parent_issues)
@@ -72,7 +73,7 @@ class TestValidateDelta:
         flow.add_edge("a", "m")
         flow.add_edge("m", "l")
         parent_issues = validate_flow(flow)
-        child = flow.copy(mode="cow")
+        child = flow.copy()
         child.remove_edge("m", "l")
         issues = validate_delta(child, child.delta, parent_issues)
         assert any(i.code == "DISCONNECTED" for i in issues)
@@ -88,8 +89,8 @@ class TestValidateDelta:
         flow.add_edge("m", "end")
         parent_issues = validate_flow(flow)
         assert any(i.code == "NON_LOAD_SINK" for i in parent_issues)
-        child = flow.copy(mode="cow")
-        child.mutable_operation("a").config["rows"] = 10  # touches only "a"
+        child = flow.copy()
+        set_config(child, "a", rows=10)  # touches only "a"
         issues = validate_delta(child, child.delta, parent_issues)
         assert any(i.code == "NON_LOAD_SINK" and i.op_id == "end" for i in issues)
         assert_oracle_agreement(child, parent_issues)
@@ -101,7 +102,7 @@ class TestValidateDelta:
         flow.add_edge("a", "bad_end")
         parent_issues = validate_flow(flow)
         assert any(i.op_id == "bad_end" for i in parent_issues)
-        child = flow.copy(mode="cow")
+        child = flow.copy()
         child.remove_operation("bad_end")
         issues = validate_delta(child, child.delta, parent_issues)
         assert not any(i.op_id == "bad_end" for i in issues)
@@ -118,7 +119,7 @@ class TestOracleAgreementOnPatterns:
         checked = 0
         for pattern in default_palette():
             for point in pattern.find_application_points(flow):
-                base = flow.copy(mode="cow")
+                base = flow.copy()
                 child = pattern.apply(base, point)
                 assert child.delta is not None and child.derived_from(base)
                 got = _issue_set(validate_delta(child, child.delta, parent_issues))
@@ -129,7 +130,7 @@ class TestOracleAgreementOnPatterns:
 
     def test_chained_applications_with_composed_delta(self, branching_flow):
         parent_issues = validate_flow(branching_flow)
-        base = branching_flow.copy(mode="cow")
+        base = branching_flow.copy()
         checked = 0
         for first in default_palette():
             points = first.find_application_points(base)

@@ -25,6 +25,7 @@ from repro.exec import (
     compile_flow,
 )
 from repro.workloads import calibration_configuration, purchases_flow, tpch_refresh_flow
+from tests.conftest import set_config
 
 
 def _schema() -> Schema:
@@ -46,7 +47,7 @@ def _faulty_flow(fail_times: int, with_checkpoint: bool):
     faulty = builder.derive(
         "faulty", expressions={"twice": "value * 2"}, after=upstream
     )
-    faulty.config["fail_times"] = fail_times
+    set_config(builder.flow, faulty.op_id, fail_times=fail_times)
     builder.load_table("sink", after=faulty)
     return builder.build()
 

@@ -1,10 +1,12 @@
 """Tests of the ``make docs-check`` tooling (``tools/docs_check.py``).
 
-The checker gates three docs invariants: no broken intra-repository
+The checker gates four docs invariants: no broken intra-repository
 links in README/docs, every ``ProcessingConfiguration`` field documented
-in the tuning guide, and -- inversely -- no tuning-guide knob entry for
-a field that no longer exists.  These tests assert the current tree is
-clean and that the checker actually catches all failure modes.
+in the tuning guide, -- inversely -- no tuning-guide knob entry for a
+field that no longer exists, and no backticked ``Class.attr`` reference
+to a ``repro`` class attribute that no longer exists.  These tests
+assert the current tree is clean and that the checker actually catches
+all failure modes.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ def test_repository_docs_are_clean():
     assert checker.broken_links() == []
     assert checker.undocumented_knobs() == []
     assert checker.phantom_knobs() == []
+    assert checker.phantom_api() == []
     assert checker.main() == 0
 
 
@@ -95,3 +98,30 @@ def test_every_knob_has_a_tuning_entry():
     text = (REPO_ROOT / "docs" / "performance-tuning.md").read_text()
     for field in dataclasses.fields(ProcessingConfiguration):
         assert f"`{field.name}`" in text, field.name
+
+
+def test_phantom_api_detected(tmp_path):
+    """Deleted methods left behind in prose must fail the check."""
+    checker = _load_checker()
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`ETLGraph.update_operation(op_id, **changes)` is real, "
+        "`Operation.copy()` and `ETLGraph.cow_base` are gone, "
+        "`EstimationSettings.simulation_runs` is a field"
+    )
+    problems = checker.phantom_api([doc])
+    assert len(problems) == 2
+    assert any("Operation.copy" in p for p in problems)
+    assert any("ETLGraph.cow_base" in p for p in problems)
+
+
+def test_phantom_api_ignores_names_outside_repro(tmp_path):
+    """Only classes defined under ``repro`` are checked: module paths,
+    standard-library classes and unknown names are prose."""
+    checker = _load_checker()
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`Path.nonexistent` `Thing.whatever` `repro.cache.ProfileCache` "
+        "`ProfileCache.get` and text ETLGraph.cow_base outside a code span"
+    )
+    assert checker.phantom_api([doc]) == []

@@ -141,7 +141,7 @@ class TestDotExport:
 
     def test_escaping_of_quotes(self, linear_flow):
         op = linear_flow.operations()[0]
-        op.name = 'quoted "name"'
+        linear_flow.update_operation(op.op_id, name='quoted "name"')
         dot = flow_to_dot(linear_flow)
         assert '\\"name\\"' in dot
 

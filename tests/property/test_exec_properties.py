@@ -22,6 +22,7 @@ from repro.etl.operations import OperationKind
 from repro.exec import ExecutionError, FlowExecutor
 from repro.patterns.registry import default_palette
 from repro.workloads import RandomFlowConfig, random_flow
+from tests.conftest import set_config
 
 
 def _small_flow(seed: int, operations: int):
@@ -86,18 +87,20 @@ class TestRecoveryRouting:
         assume(successors)
         victim = successors[0].op_id
 
-        patterned.mutable_operation(victim).config["fail_times"] = 1
+        set_config(patterned, victim, fail_times=1)
         report = FlowExecutor(data_seed=7).execute(patterned)
         assert report.statuses[victim] == "recovered"
 
         # The recovered run is indistinguishable from a fault-free one.
-        del patterned.mutable_operation(victim).config["fail_times"]
+        clean_config = dict(patterned.operation(victim).config)
+        del clean_config["fail_times"]
+        patterned.update_operation(victim, config=clean_config)
         clean = FlowExecutor(data_seed=7).execute(patterned)
         assert report.frame_bytes() == clean.frame_bytes()
 
         # The same fault without the reliability pattern tears the run down.
         unpatterned = _small_flow(seed, operations)
         assert victim in {op.op_id for op in unpatterned.operations()}
-        unpatterned.mutable_operation(victim).config["fail_times"] = 1
+        set_config(unpatterned, victim, fail_times=1)
         with pytest.raises(ExecutionError):
             FlowExecutor(data_seed=7).execute(unpatterned)

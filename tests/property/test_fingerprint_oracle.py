@@ -1,10 +1,10 @@
 """The incrementally maintained fingerprint against a from-scratch build.
 
-:meth:`ETLGraph.fingerprint` caches its per-operation digests on
-copy-on-write graphs and merges them from the copy parent's entries plus
-the recorded delta.  For random pattern chains and random sequences of
-graph-API mutations (relabel, remove, annotations set either way,
-``mutable_operation`` edits of config, properties and schema made after
+:meth:`ETLGraph.fingerprint` caches its per-operation digests and, on a
+copy, merges them from the copy parent's entries plus the recorded
+delta.  For random pattern chains and random sequences of graph-API
+mutations (relabel, remove, annotations set either way,
+``update_operation`` changes of config, properties and schema made after
 the fingerprint was read, writes to a parent after it was forked, pickle
 round trips), every graph's fingerprint must equal
 ``tests/reference_fingerprint.py``'s digest, which ignores every cache.
@@ -16,6 +16,7 @@ distinct digests as distinct from-scratch fingerprint tuples.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -63,7 +64,7 @@ def _mutate(graphs, action, number, step):
     """Apply one graph-API mutation to the newest graph (``parent_write``: its parent)."""
     current = graphs[-1]
     if action == "fork":
-        graphs.append(current.copy(mode="cow"))
+        graphs.append(current.copy())
     elif action == "relabel":
         current.relabel_operation(_pick(current, number), f"relabelled_{step}")
     elif action == "remove":
@@ -74,17 +75,25 @@ def _mutate(graphs, action, number, step):
     elif action == "assign_annotation":
         current.annotations[f"key_{number % 3}"] = -number
     elif action == "config":
-        current.mutable_operation(_pick(current, number)).config["parallelism"] = number % 4 + 1
+        op = current.operation(_pick(current, number))
+        current.update_operation(op.op_id, config={**op.config, "parallelism": number % 4 + 1})
     elif action == "properties":
-        op = current.mutable_operation(_pick(current, number))
-        op.properties.selectivity = (number % 100) / 100
-        op.properties.extra["tag"] = number
+        op = current.operation(_pick(current, number))
+        properties = replace(
+            op.properties,
+            selectivity=(number % 100) / 100,
+            extra={**op.properties.extra, "tag": number},
+        )
+        current.update_operation(op.op_id, properties=properties)
     elif action == "schema":
-        op = current.mutable_operation(_pick(current, number))
-        op.output_schema = Schema.of(Field(f"field_{number}", DataType.INTEGER))
+        current.update_operation(
+            _pick(current, number),
+            output_schema=Schema.of(Field(f"field_{number}", DataType.INTEGER)),
+        )
     elif action == "parent_write":
         parent = graphs[-2]
-        parent.mutable_operation(_pick(parent, number)).properties.fixed_cost = number
+        op = parent.operation(_pick(parent, number))
+        parent.update_operation(op.op_id, properties=replace(op.properties, fixed_cost=number))
 
 
 class TestFingerprintOracle:
@@ -97,7 +106,7 @@ class TestFingerprintOracle:
     )
     def test_every_graph_of_a_pattern_chain(self, seed, operations, picks, newest_first):
         flow = random_flow(RandomFlowConfig(operations=operations, sources=2, seed=seed))
-        _, chain = _apply_sequence(flow, picks, "cow")
+        _, chain = _apply_sequence(flow, picks)
         # either order: a child read first captures its parent's entries
         for graph in reversed(chain) if newest_first else chain:
             assert graph.fingerprint() == reference_digest(graph)
@@ -111,8 +120,8 @@ class TestFingerprintOracle:
     )
     def test_graph_api_mutations(self, seed, picks, actions):
         flow = random_flow(RandomFlowConfig(operations=10, sources=2, seed=seed))
-        _, chain = _apply_sequence(flow, picks, "cow")
-        graphs = [chain[-1], chain[-1].copy(mode="cow")]
+        _, chain = _apply_sequence(flow, picks)
+        graphs = [chain[-1], chain[-1].copy()]
         graphs[-1].fingerprint()  # cached before any mutation
         for step, (action, number, read_after) in enumerate(actions):
             _mutate(graphs, action, number, step)

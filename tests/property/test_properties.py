@@ -16,6 +16,7 @@ from repro.quality.framework import MeasureValue, QualityCharacteristic
 from repro.quality.manageability import Coupling, LongestPathLength, MergeElementCount
 from repro.simulator.engine import ETLSimulator, SimulationConfig
 from repro.workloads import RandomFlowConfig, random_flow
+from tests.conftest import set_config
 
 # --------------------------------------------------------------------------
 # Strategies
@@ -145,8 +146,10 @@ class TestFlowProperties:
     def test_copy_equivalence_and_independence(self, flow):
         clone = flow.copy()
         assert clone.signature() == flow.signature()
-        clone.operation("src").config["rows"] = -1
+        assert clone.fingerprint() == flow.fingerprint()
+        set_config(clone, "src", rows=-1)
         assert flow.operation("src").config["rows"] != -1
+        assert clone.fingerprint() != flow.fingerprint()
 
     @settings(max_examples=30, deadline=None)
     @given(flow=linear_flows())

@@ -23,6 +23,7 @@ from repro.etl.properties import OperationProperties
 from repro.simulator.engine import ETLSimulator, SimulationConfig
 from repro.simulator.resources import ResourceModel
 from repro.workloads import RandomFlowConfig, random_flow
+from tests.conftest import set_properties
 from tests.property.test_cow_equivalence import _apply_sequence, _pick_sequences
 from tests.reference_simulator import ReferenceSimulator
 
@@ -153,11 +154,11 @@ class TestSimulatorOracle:
     )
     def test_random_pattern_chains(self, seed, operations, picks, failing):
         flow = random_flow(RandomFlowConfig(operations=operations, sources=2, seed=seed))
-        _, chain = _apply_sequence(flow, picks, "cow")
+        _, chain = _apply_sequence(flow, picks)
         result = chain[-1]
         ids = sorted(result.operation_ids())
         for number in failing:
-            result.mutable_operation(ids[number % len(ids)]).properties.failure_rate = 0.6
+            set_properties(result, ids[number % len(ids)], failure_rate=0.6)
         for graph in (flow, result):
             _assert_same_archives(graph, SimulationConfig(runs=3, seed=seed))
 

@@ -7,16 +7,17 @@ distances and connectivity are walks over the graph's adjacency dicts.
 For random flows, random pattern chains and random sequences of every
 mutation kind -- ``add_operation``, ``add_edge`` (cycle-closing targets
 included), ``remove_edge``, ``remove_operation``, ``relabel_operation``,
-``mutable_operation`` and ``set_edge_schema``, plus kinds rewritten in
-place on deep graphs -- on deep and copy-on-write graphs (the parent
-written after a fork included) and after a pickle round trip, each
-answer must equal a from-scratch networkx computation
-(``tests/reference_graph.py``) read before and after the mutation.
+``update_operation`` (kinds alone, or kinds and properties) and
+``set_edge_schema`` -- on forked and rebuilt chains (the parent written
+after a fork included) and after a pickle round trip, each answer must
+equal a from-scratch networkx computation (``tests/reference_graph.py``)
+read before and after the mutation.
 """
 
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import networkx as nx
 from hypothesis import given, settings, strategies as st
@@ -106,9 +107,9 @@ _ACTIONS = (
     "remove_edge",
     "remove_operation",
     "relabel_operation",
-    "mutable_operation",
+    "update_operation",
     "set_edge_schema",
-    "kind_in_place",
+    "update_kind",
     "fork",
     "parent_write",
 )
@@ -185,18 +186,21 @@ def _mutate(graphs, action, first, second, step) -> None:
         flow.relabel_operation(old_id, new_id)
         # networkx's in-place order: the node and its edges move to the end.
         assert _successor_lists(reference_digraph(flow)) == _successor_lists(expected)
-    elif action == "mutable_operation" and ids:
-        op = flow.mutable_operation(_pick(ids, first))
-        op.kind = _NEW_KINDS[second % len(_NEW_KINDS)]
-        op.properties.cost_per_tuple = second / 100
+    elif action == "update_operation" and ids:
+        op = flow.operation(_pick(ids, first))
+        flow.update_operation(
+            op.op_id,
+            kind=_NEW_KINDS[second % len(_NEW_KINDS)],
+            properties=replace(op.properties, cost_per_tuple=second / 100),
+        )
     elif action == "set_edge_schema" and edges:
         source, target = edges[first % len(edges)]
         flow.set_edge_schema(source, target, Schema.of(Field(f"f_{step}", DataType.STRING)))
-    elif action == "kind_in_place" and ids and flow.copy_mode == "deep":
-        # Deep flows tolerate direct payload writes; kinds are read live.
-        flow.operation(_pick(ids, first)).kind = _NEW_KINDS[second % len(_NEW_KINDS)]
+    elif action == "update_kind" and ids:
+        # Kinds alone: the coverage measures must read the new ones.
+        flow.update_operation(_pick(ids, first), kind=_NEW_KINDS[second % len(_NEW_KINDS)])
     elif action == "fork":
-        graphs.append(flow.copy(mode=flow.copy_mode))
+        graphs.append(flow.copy())
     elif action == "parent_write" and len(graphs) > 1:
         parent = graphs[-2]
         parent_ids = parent.operation_ids()
@@ -213,8 +217,8 @@ class TestStructureMemoOracle:
     )
     def test_pattern_chains(self, seed, operations, picks):
         flow = random_flow(RandomFlowConfig(operations=operations, sources=2, seed=seed))
-        for mode in ("deep", "cow"):
-            _, chain = _apply_sequence(flow, picks, mode)
+        for rebuild in (True, False):
+            _, chain = _apply_sequence(flow, picks, rebuild=rebuild)
             for graph in chain:
                 assert_matches_networkx(graph)
         assert_matches_networkx(flow)
@@ -222,13 +226,13 @@ class TestStructureMemoOracle:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2_000),
-        mode=st.sampled_from(["deep", "cow"]),
+        rebuild=st.booleans(),
         picks=_pick_sequences,
         actions=_action_sequences,
     )
-    def test_every_mutation_kind(self, seed, mode, picks, actions):
+    def test_every_mutation_kind(self, seed, rebuild, picks, actions):
         flow = random_flow(RandomFlowConfig(operations=10, sources=2, seed=seed))
-        _, chain = _apply_sequence(flow, picks, mode)
+        _, chain = _apply_sequence(flow, picks, rebuild=rebuild)
         graphs = [chain[-1]]
         for step, (action, first, second) in enumerate(actions):
             for graph in graphs:

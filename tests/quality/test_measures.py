@@ -8,7 +8,7 @@ from repro.etl.schema import DataType, Field, Schema
 from repro.quality import data_quality, manageability, performance, reliability, cost
 from repro.simulator.engine import simulate_flow
 
-from tests.conftest import simulate
+from tests.conftest import set_config, simulate
 
 
 def _schema():
@@ -119,7 +119,7 @@ class TestReliabilityMeasures:
         if with_checkpoint:
             mid = builder.add(OperationKind.CHECKPOINT, "cp", after=mid)
         derive = builder.derive("fragile_derive", cost_per_tuple=0.01, after=mid)
-        derive.properties.failure_rate = 0.4
+        builder.set_properties(derive, failure_rate=0.4)
         builder.load_table("load", after=derive)
         return builder.build()
 
@@ -182,6 +182,6 @@ class TestCostMeasures:
     def test_resource_footprint_reflects_parallelism(self, linear_flow):
         parallel = linear_flow.copy()
         derive = next(op for op in parallel.operations() if op.kind is OperationKind.DERIVE)
-        derive.config["parallelism"] = 4
+        set_config(parallel, derive.op_id, parallelism=4)
         footprint = cost.ResourceFootprint()
         assert footprint.compute(parallel) < footprint.compute(linear_flow)

@@ -1,5 +1,6 @@
 """Tests for the memoized estimation layer: ProfileCache and fingerprints."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from repro.quality.composite import QualityProfile
 from repro.cache import CacheStats, ProfileCache
 from repro.quality.estimator import EstimationSettings, QualityEstimator
+from repro.simulator.resources import ResourceModel
+from tests.conftest import set_properties
+from tests.reference_fingerprint import reference_cache_key
 from tests.keys import cache_key
 
 
@@ -26,7 +30,7 @@ class TestFlowFingerprint:
 
     def test_operation_properties_change_the_fingerprint(self, linear_flow):
         tweaked = linear_flow.copy()
-        tweaked.operation("der").properties.cost_per_tuple = 123.0
+        set_properties(tweaked, "der", cost_per_tuple=123.0)
         assert tweaked.fingerprint() != linear_flow.fingerprint()
 
     def test_structure_changes_the_fingerprint(self, linear_flow, branching_flow):
@@ -183,13 +187,32 @@ class TestCachedEstimator:
         assert "process_cycle_time_ms" in full_profile.values
         assert "process_cycle_time_ms" not in restricted_profile.values
 
-    def test_in_place_mutation_invalidates_the_memo(self, linear_flow):
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            EstimationSettings(),
+            EstimationSettings(
+                simulation_runs=2, seed=None, use_simulation=False, resources=ResourceModel(workers=8)
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_cache_key_matches_the_reference(self, linear_flow, branching_flow, settings):
+        estimator = QualityEstimator(settings=settings)
+        for flow in (linear_flow, branching_flow):
+            assert estimator.cache_key(flow) == reference_cache_key(estimator, flow)
+
+    def test_settings_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            EstimationSettings().seed = 1
+
+    def test_changed_flow_invalidates_the_memo(self, linear_flow):
         cache = ProfileCache()
         estimator = QualityEstimator(
             settings=EstimationSettings(simulation_runs=1, seed=3), cache=cache
         )
         before = estimator.evaluate(linear_flow)
-        linear_flow.operation("der").properties.cost_per_tuple = 50.0
+        set_properties(linear_flow, "der", cost_per_tuple=50.0)
         after = estimator.evaluate(linear_flow)
         assert cache.stats.misses == 2  # the mutation produced a fresh key
         assert (

@@ -1,19 +1,16 @@
 """A from-scratch reference for :meth:`AlternativeGenerator.generate_iter`.
 
-The generator applies combinations as chained copy-on-write deltas,
-reuses the shared prefix of consecutive combinations and validates each
-step incrementally.  This reference does none of that: every combination
-is replayed from a fresh copy of the initial flow, every result is
-validated in full with :func:`validate_flow`, and duplicates are pruned
-by :meth:`ETLGraph.signature`.  It borrows only the generator's
-enumeration primitives (``candidate_deployments``,
-``_combination_is_reasonable`` and ``_refresh_point``), so a disagreement
-between the two points at the incremental machinery, not at the policy.
-
-``copy_mode`` picks how the initial flow is copied for each combination:
-``"deep"`` (the default) clones every operation, so the reference shares
-nothing with the generator's copy-on-write path; ``"cow"`` isolates the
-prefix cache and delta validation as the only difference.
+The generator applies combinations as chained deltas on forks of the
+initial flow, reuses the shared prefix of consecutive combinations and
+validates each step incrementally.  This reference does none of that:
+every combination is replayed on a flow rebuilt from scratch with
+``ETLGraph.from_dict(flow.to_dict())`` -- which shares no object with the
+initial flow or with the generator -- every result is validated in full
+with :func:`validate_flow`, and duplicates are pruned by
+:meth:`ETLGraph.signature`.  It borrows only the generator's enumeration
+primitives (``candidate_deployments``, ``_combination_is_reasonable`` and
+``_refresh_point``), so a disagreement between the two points at the
+incremental machinery, not at the policy.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from repro.patterns.base import PatternApplication
 
 
 def reference_generate(
-    generator: AlternativeGenerator, flow: ETLGraph, copy_mode: str = "deep"
+    generator: AlternativeGenerator, flow: ETLGraph
 ) -> tuple[list[AlternativeFlow], int]:
     """The alternative stream, rebuilt from scratch per combination.
 
@@ -35,6 +32,7 @@ def reference_generate(
     applications (every combination replays its whole chain).
     """
     config = generator.configuration
+    document = flow.to_dict()
     deployments = generator.candidate_deployments(flow)
     seen = {flow.signature()}
     alternatives: list[AlternativeFlow] = []
@@ -45,7 +43,7 @@ def reference_generate(
                 return alternatives, patterns_applied
             if not generator._combination_is_reasonable(combo):
                 continue
-            current = flow.copy(mode=copy_mode)
+            current = ETLGraph.from_dict(document)
             applied: list[PatternApplication] = []
             for deployment in combo:
                 point = generator._refresh_point(current, deployment)

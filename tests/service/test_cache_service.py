@@ -3,14 +3,16 @@
 Covers the CacheBackend contract over the network (buffered writes
 visible locally, one flush per campaign, logical stats), the fleet
 scenario (two clients warm each other through one server), key-named
-disk entries across server restarts, stats pickling, and the planner-level
-wiring of a one-URL ``cache_urls`` ring.
+disk entries across server restarts, stats pickling, prompt shutdown of
+an idle server, and the planner-level wiring of a one-URL ``cache_urls``
+ring.
 """
 
 from __future__ import annotations
 
 import logging
 import pickle
+import time
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.cache import DiskProfileCache, ProfileCache
 from repro.cache.http import HTTPProfileCache
 from repro.core import Planner, ProcessingConfiguration, RedesignSession
 from repro.quality.composite import QualityProfile
-from repro.service import CacheServer
+from repro.service import CacheServer, RedesignServer
 from tests.keys import cache_key
 
 
@@ -179,6 +181,19 @@ class TestMemoryBackedServer:
             assert client.get(cache_key("k18")).flow_name == "p18"
             assert client.get(cache_key("k19")).flow_name == "p19"
             assert client.get(cache_key("k17")) is None
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize(
+        "make", [lambda: CacheServer(ProfileCache()), RedesignServer], ids=["cache", "redesign"]
+    )
+    def test_idle_server_stops_promptly(self, make):
+        server = make().start()
+        time.sleep(0.05)  # let the accept loop block on its poll
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.25
+        assert not server.running
 
 
 class TestBackgroundEvictionWiring:

@@ -7,6 +7,7 @@ from repro.etl.operations import OperationKind
 from repro.etl.schema import DataType, Field, Schema
 from repro.simulator.engine import ETLSimulator, SimulationConfig, simulate_flow
 from repro.simulator.resources import ResourceModel
+from tests.conftest import set_config, set_properties
 
 
 def _schema():
@@ -120,12 +121,11 @@ class TestPerformanceModel:
     def test_parallelism_reduces_time(self):
         flow = _simple_flow(rows=10_000, selectivity=1.0)
         flt = next(op for op in flow.operations() if op.kind is OperationKind.FILTER)
-        flt.properties.cost_per_tuple = 0.05
+        set_properties(flow, flt.op_id, cost_per_tuple=0.05)
         base = ETLSimulator(flow, SimulationConfig(runs=1, seed=7, volume_jitter=0.0)).run_once()
 
         parallel = flow.copy()
-        parallel_flt = parallel.operation(flt.op_id)
-        parallel_flt.config["parallelism"] = 4
+        set_config(parallel, flt.op_id, parallelism=4)
         fast = ETLSimulator(parallel, SimulationConfig(runs=1, seed=7, volume_jitter=0.0)).run_once()
         assert fast.operations[flt.op_id].time_ms < base.operations[flt.op_id].time_ms
         assert fast.cycle_time_ms < base.cycle_time_ms
@@ -133,8 +133,8 @@ class TestPerformanceModel:
     def test_parallelism_capped_by_resource_workers(self):
         flow = _simple_flow(rows=10_000, selectivity=1.0)
         flt = next(op for op in flow.operations() if op.kind is OperationKind.FILTER)
-        flt.properties.cost_per_tuple = 0.05
-        flt.config["parallelism"] = 16
+        set_properties(flow, flt.op_id, cost_per_tuple=0.05)
+        set_config(flow, flt.op_id, parallelism=16)
         config = SimulationConfig(
             runs=1, seed=7, volume_jitter=0.0, resources=ResourceModel(workers=2)
         )
@@ -179,7 +179,7 @@ class TestReliabilityAndFreshness:
             if with_checkpoint:
                 mid = builder.add(OperationKind.CHECKPOINT, "cp", after=mid)
             derive = builder.derive("fragile", cost_per_tuple=0.005, after=mid)
-            derive.properties.failure_rate = 0.5
+            builder.set_properties(derive, failure_rate=0.5)
             builder.load_table("load", after=derive)
             return builder.build()
 
@@ -223,7 +223,7 @@ class TestLowering:
     def test_flow_mutated_after_construction_needs_a_new_simulator(self, linear_flow):
         config = SimulationConfig(runs=1, seed=4)
         simulator = ETLSimulator(linear_flow, config)
-        linear_flow.mutable_operation("flt").properties.selectivity = 0.1
+        set_properties(linear_flow, "flt", selectivity=0.1)
         stale = simulator.run_once()
         fresh = ETLSimulator(linear_flow, config).run_once()
         assert stale.operation("flt").rows_out > fresh.operation("flt").rows_out

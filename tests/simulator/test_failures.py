@@ -11,6 +11,7 @@ from repro.etl.builder import FlowBuilder
 from repro.etl.operations import OperationKind
 from repro.etl.schema import DataType, Field, Schema
 from repro.simulator.failures import FailureInjector
+from tests.conftest import set_properties
 from tests.reference_simulator import reference_lost_work
 
 
@@ -28,7 +29,7 @@ def _flow_with_checkpoint(with_checkpoint: bool):
     else:
         previous = flt
     derive = builder.derive("expensive", cost_per_tuple=0.5, after=previous)
-    derive.properties.failure_rate = 0.5
+    derive = builder.set_properties(derive, failure_rate=0.5)
     builder.load_table("load", after=derive)
     return builder.build(), derive
 
@@ -37,7 +38,7 @@ class TestFailureSampling:
     def test_no_failures_with_zero_rates(self, linear_flow):
         # strip the failure rate configured by the fixture
         for op in linear_flow.operations():
-            op.properties.failure_rate = 0.0
+            set_properties(linear_flow, op.op_id, failure_rate=0.0)
         injector = FailureInjector(linear_flow)
         draws = {op.op_id: 0.0 for op in linear_flow.operations()}
         assert injector.sample_failures(draws) == []
@@ -91,7 +92,7 @@ class TestRecovery:
         builder = FlowBuilder("late_cp")
         src = builder.extract_table("src", schema=_schema(), rows=100)
         derive = builder.derive("expensive", cost_per_tuple=0.5, after=src)
-        derive.properties.failure_rate = 0.5
+        derive = builder.set_properties(derive, failure_rate=0.5)
         builder.add(OperationKind.CHECKPOINT, "cp", after=derive)
         builder.load_table("load")
         flow = builder.build()
@@ -108,7 +109,7 @@ class TestRecovery:
         mid = builder.derive("mid", cost_per_tuple=0.1, after=cp1)
         cp2 = builder.add(OperationKind.CHECKPOINT, "cp2", after=mid)
         final = builder.derive("final", cost_per_tuple=0.5, after=cp2)
-        final.properties.failure_rate = 0.5
+        final = builder.set_properties(final, failure_rate=0.5)
         builder.load_table("load", after=final)
         flow = builder.build()
         injector = FailureInjector(flow)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checks (the ``make docs-check`` target).
 
-Three failure modes the docs surface must never regress into:
+Four failure modes the docs surface must never regress into:
 
 1. **Broken intra-repository links.** Every relative link target in
    ``README.md`` and ``docs/*.md`` must exist on disk (external
@@ -16,6 +16,10 @@ Three failure modes the docs surface must never regress into:
    field — renaming or deleting a knob without updating its docs fails
    the build, so the guide can never describe configuration that no
    longer exists.
+4. **Phantom API.** Every backticked ``Class.attr`` reference in
+   ``README.md`` and ``docs/*.md`` whose ``Class`` is a class defined
+   under ``repro`` must resolve with ``getattr`` — a deleted method or
+   property left behind in prose (``Operation.copy``) fails the build.
 
 Exit status is the number of problems found (0 = clean), so the script
 doubles as a pre-commit hook.  Run directly::
@@ -26,6 +30,9 @@ doubles as a pre-commit hook.  Run directly::
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -39,6 +46,9 @@ _LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 
 #: Knob entries in the tuning guide: ``### `knob_name` — default …``.
 _KNOB_HEADING_RE = re.compile(r"^###\s+`([A-Za-z_][A-Za-z0-9_]*)`", re.MULTILINE)
+
+#: Code spans opening with a class attribute: ```Class.attr``` or ```Class.attr(...)```.
+_CLASS_ATTR_RE = re.compile(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)")
 
 
 def _rel(path: Path) -> str:
@@ -114,8 +124,40 @@ def phantom_knobs(tuning_doc: Path | None = None) -> list[str]:
     return problems
 
 
+def _repro_classes() -> dict[str, list[type]]:
+    """Every class defined under ``repro``, by name (importing each module)."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    import repro
+
+    classes: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == info.name:
+                classes.setdefault(name, []).append(obj)
+    return classes
+
+
+def phantom_api(doc_files: list[Path] | None = None) -> list[str]:
+    """Backticked ``Class.attr`` references that no ``repro`` class resolves."""
+    classes = _repro_classes()
+    problems = []
+    for doc in DOC_FILES if doc_files is None else doc_files:
+        if not doc.exists():
+            problems.append(f"{_rel(doc)}: file missing")
+            continue
+        for name, attr in _CLASS_ATTR_RE.findall(doc.read_text()):
+            candidates = classes.get(name)
+            if candidates and not any(hasattr(cls, attr) for cls in candidates):
+                problems.append(
+                    f"{_rel(doc)}: `{name}.{attr}` does not exist "
+                    f"(remove or rename the reference)"
+                )
+    return problems
+
+
 def main() -> int:
-    problems = broken_links() + undocumented_knobs() + phantom_knobs()
+    problems = broken_links() + undocumented_knobs() + phantom_knobs() + phantom_api()
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
     if not problems:
