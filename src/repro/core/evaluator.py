@@ -59,6 +59,11 @@ def _relabel(profile: QualityProfile, flow_name: str) -> QualityProfile:
 #: worker process by :func:`_init_worker`.
 _WORKER_ESTIMATOR: QualityEstimator | None = None
 
+#: The worker's :meth:`QualityEstimator.shared_simulation` scope.  A pool
+#: lives for one evaluation stream, so the scope stays open until the
+#: worker process ends with the pool.
+_WORKER_SHARING = None
+
 #: Worker-local metrics registry of a pool worker.  Workers accumulate
 #: into this private registry and each task returns the drained delta,
 #: which the parent folds into its own registry -- registries cross the
@@ -88,10 +93,15 @@ def _init_worker(estimator: QualityEstimator, metrics_enabled: bool = False) -> 
     freshly computed profile exactly once (batched, flushed on pool
     teardown), which keeps the statistics single-counted and avoids N
     processes racing to publish the same entries.
+
+    The estimator arrives without a simulation memo (it is never
+    pickled); each worker opens its own for the pool's lifetime.
     """
-    global _WORKER_ESTIMATOR, _WORKER_REGISTRY
+    global _WORKER_ESTIMATOR, _WORKER_REGISTRY, _WORKER_SHARING
     estimator.cache = persistent_component(estimator.cache)
     _WORKER_ESTIMATOR = estimator
+    _WORKER_SHARING = estimator.shared_simulation()
+    _WORKER_SHARING.__enter__()
     _WORKER_REGISTRY = MetricsRegistry() if metrics_enabled else None
 
 
@@ -202,11 +212,19 @@ class ParallelEvaluator:
         With a disk-backed cache, insertions are buffered and published
         to disk in one batch at the end of the stream (pool teardown),
         so a long campaign does one eviction sweep instead of thousands
-        of tiny ones.
+        of tiny ones.  The estimator shares one simulation memo across
+        the stream (:meth:`QualityEstimator.shared_simulation`), dropped
+        when the stream ends.
         """
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        return self._stream(iter(alternatives), batch_size or 2 * self.workers)
+        return self._shared(iter(alternatives), batch_size or 2 * self.workers)
+
+    def _shared(
+        self, iterator: Iterator[AlternativeFlow], max_inflight: int
+    ) -> Iterator[AlternativeFlow]:
+        with self.estimator.shared_simulation():
+            yield from self._stream(iterator, max_inflight)
 
     def _stream(
         self, iterator: Iterator[AlternativeFlow], max_inflight: int

@@ -288,6 +288,15 @@ class Planner:
           simulated -- the single knob that deliberately changes which
           profiles get computed.
         """
+        with self.estimator.shared_simulation():
+            return self._plan(flow, on_evaluated)
+
+    def _plan(
+        self,
+        flow: ETLGraph,
+        on_evaluated: Callable[[AlternativeFlow], None] | None,
+    ) -> PlanningResult:
+        """:meth:`plan`, inside one shared simulation scope (baseline included)."""
         config = self.configuration
         registry = self.metrics
         campaign = maybe_timer(registry, "planner.plan_seconds")

@@ -34,11 +34,12 @@ and the executor's compiler all read it.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping
 
-from repro.etl.operations import Operation, OperationKind
+from repro.etl.operations import MERGER_KINDS, Operation, OperationKind
 from repro.etl.schema import Schema
 
 _graph_uid_counter = itertools.count(1)
@@ -562,6 +563,41 @@ class ETLGraph:
         """All transitions of the flow, by source operation then edge insertion."""
         return [edge for succs in self._succ.values() for edge in succs.values()]
 
+    def edges_for_replay(self) -> list[Edge]:
+        """All transitions, in an order that rebuilds both adjacency orders.
+
+        Adding the edges to a fresh graph in this order (as
+        :meth:`from_dict` and the YAML loader do) gives every operation
+        the successor order *and* the predecessor order it has here; the
+        executor takes join inputs, and the simulator sums inputs, in
+        predecessor order.  The order is the first linear extension, by
+        :meth:`edges` position, of every operation's successor order and
+        predecessor order -- one always exists, since the edges' own
+        insertion history is one -- so it equals :meth:`edges` whenever
+        that already is one.
+        """
+        edges = self.edges()
+        index = {(edge.source, edge.target): position for position, edge in enumerate(edges)}
+        waiting = [0] * len(edges)
+        releases: list[list[int]] = [[] for _ in edges]
+        for adjacency in (self._succ, self._pred):
+            for neighbours in adjacency.values():
+                chain = [index[edge.source, edge.target] for edge in neighbours.values()]
+                for earlier, later in zip(chain, chain[1:]):
+                    waiting[later] += 1
+                    releases[earlier].append(later)
+        ready = [position for position, count in enumerate(waiting) if not count]
+        heapq.heapify(ready)
+        order: list[Edge] = []
+        while ready:
+            position = heapq.heappop(ready)
+            order.append(edges[position])
+            for later in releases[position]:
+                waiting[later] -= 1
+                if not waiting[later]:
+                    heapq.heappush(ready, later)
+        return order
+
     def edge(self, source: str, target: str) -> Edge:
         """Return the transition ``source -> target``."""
         try:
@@ -671,6 +707,18 @@ class ETLGraph:
             memo = self._order_memo = (self._version, tuple(order))
         return memo[1]
 
+    def predecessor_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Per operation in :meth:`topological_ids` order, its predecessors' positions there.
+
+        Each entry lists the predecessors in edge insertion order, as
+        :meth:`predecessor_ids` does, by their index in the topological
+        order.  One pass, for consumers that walk the order by position.
+        """
+        order = self.topological_ids()
+        position = {op_id: index for index, op_id in enumerate(order)}
+        pred = self._pred
+        return tuple(tuple(map(position.__getitem__, pred[op_id])) for op_id in order)
+
     def topological_order(self) -> list[Operation]:
         """Operations in a topological order (sources first)."""
         return [self._nodes[n] for n in self.topological_ids()]
@@ -742,9 +790,12 @@ class ETLGraph:
         return _hops_to_end(self._succ, op_id)
 
     def operations_of_kind(self, *kinds: OperationKind) -> list[Operation]:
-        """All operations whose kind is one of ``kinds``."""
-        wanted = set(kinds)
-        return [op for op in self._nodes.values() if op.kind in wanted]
+        """All operations whose kind is one of ``kinds``, in insertion order.
+
+        Kinds are matched by identity (tuple membership), never through
+        ``Enum.__hash__``, a Python-level call per operation.
+        """
+        return [op for op in self._nodes.values() if op.kind in kinds]
 
     def is_connected(self) -> bool:
         """Whether the flow forms a single weakly connected component."""
@@ -772,9 +823,10 @@ class ETLGraph:
         above one are counted as well, because structurally they merge
         branches even if their declared kind is not a merger.
         """
+        pred = self._pred
         count = 0
         for op_id, op in self._nodes.items():
-            if op.kind.is_merger or len(self._pred[op_id]) > 1:
+            if op.kind in MERGER_KINDS or len(pred[op_id]) > 1:
                 count += 1
         return count
 
@@ -1049,7 +1101,7 @@ class ETLGraph:
                     "label": e.label,
                     "schema": e.schema.to_dict(),
                 }
-                for e in self.edges()
+                for e in self.edges_for_replay()
             ],
         }
 

@@ -134,13 +134,17 @@ class OperationKind(enum.Enum):
         The number of merger nodes is one of the manageability measures of
         Fig. 1 in the paper.
         """
-        return self in (
-            OperationKind.JOIN,
-            OperationKind.UNION,
-            OperationKind.MERGE,
-            OperationKind.DIFF,
-        )
+        return self in MERGER_KINDS
 
+
+#: The kinds that combine multiple data inputs (:attr:`OperationKind.is_merger`),
+#: for loops that match by identity instead of through the enum property.
+MERGER_KINDS = (
+    OperationKind.JOIN,
+    OperationKind.UNION,
+    OperationKind.MERGE,
+    OperationKind.DIFF,
+)
 
 _KIND_CATEGORIES: dict[OperationKind, OperationCategory] = {
     OperationKind.EXTRACT_FILE: OperationCategory.EXTRACTION,

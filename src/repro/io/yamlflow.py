@@ -304,7 +304,7 @@ def flow_to_yaml(flow: ETLGraph) -> str:
     """
     nodes = {op.op_id: _dump_node(op) for op in flow.operations()}
     edges: list[Any] = []
-    for edge in flow.edges():
+    for edge in flow.edges_for_replay():
         source_schema = flow.operation(edge.source).output_schema
         if not edge.label and edge.schema.to_dict() == source_schema.to_dict():
             edges.append(f"{edge.source} >> {edge.target}")

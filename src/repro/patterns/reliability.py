@@ -85,7 +85,10 @@ class AddCheckpoint(FlowComponentPattern):
 
     def fitness(self, flow: ETLGraph, point: ApplicationPoint) -> float:
         source_id = point.edge[0]
-        upstream = flow.upstream_of(source_id) | {source_id}
+        # Summed in id order: float addition is not associative, so a
+        # hash-ordered sum would move the last bits with PYTHONHASHSEED
+        # and with the flow's insertion history.
+        upstream = sorted(flow.upstream_of(source_id) | {source_id})
         upstream_cost = sum(
             flow.operation(op_id).properties.cost_per_tuple
             + flow.operation(op_id).properties.fixed_cost / 1000.0

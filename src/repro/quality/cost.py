@@ -47,9 +47,9 @@ class ResourceFootprint(Measure):
             source_rows = 1000.0
         total = 0.0
         for op in flow.operations():
-            parallelism = max(1, op.parallelism)
-            total += op.properties.fixed_cost
-            total += op.properties.cost_per_tuple * source_rows / parallelism
+            props = op.properties
+            total += props.fixed_cost
+            total += props.cost_per_tuple * source_rows / max(1, op.parallelism)
         return total
 
 

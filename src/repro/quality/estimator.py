@@ -21,13 +21,16 @@ statistics so benchmarks can report the savings.
 from __future__ import annotations
 
 import hashlib
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Any, Iterator
 
 from repro.cache import CACHE_SCHEMA_VERSION, CacheBackend
 from repro.etl.graph import ETLGraph
 from repro.quality.composite import QualityProfile, build_composites
 from repro.quality.framework import MeasureRegistry, MeasureValue, default_registry
-from repro.simulator.engine import ETLSimulator, SimulationConfig
+from repro.simulator.engine import ETLSimulator, SimulationConfig, SimulationMemo
 from repro.simulator.resources import ResourceModel
 from repro.simulator.traces import TraceArchive
 
@@ -94,6 +97,14 @@ class QualityEstimator:
         flow (e.g. in a later session iteration, a re-plan, or -- with a
         disk-backed tier -- a whole separate run) costs a lookup instead
         of a simulation campaign.
+
+    Inside :meth:`shared_simulation` -- one plan's evaluation stream --
+    every flow is simulated against one
+    :class:`~repro.simulator.engine.SimulationMemo`, so the operation
+    states the alternatives share are propagated once.  The memo is
+    dropped when the last open scope closes, is never pickled (process
+    pool workers get the estimator without it), and is safe to share
+    between threads calling one estimator.
     """
 
     def __init__(
@@ -114,17 +125,51 @@ class QualityEstimator:
             sorted((m.name, m.weight, m.requires_trace) for m in self.registry)
         )
         self._key_tail = f", {self.settings.fingerprint()!r}, {registry!r})".encode("utf-8")
-
-    # ------------------------------------------------------------------
-
-    def simulate(self, flow: ETLGraph) -> TraceArchive:
-        """Run the simulator for one flow and return its trace archive."""
-        config = SimulationConfig(
+        self._simulation = SimulationConfig(
             runs=self.settings.simulation_runs,
             seed=self.settings.seed,
             resources=self.settings.resources or ResourceModel(),
         )
-        return ETLSimulator(flow, config).run()
+        self._memo_lock = threading.Lock()
+        self._memo: SimulationMemo | None = None
+        self._memo_scopes = 0
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle without the lock and the simulation memo."""
+        state = self.__dict__.copy()
+        del state["_memo_lock"]
+        state["_memo"] = None
+        state["_memo_scopes"] = 0
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._memo_lock = threading.Lock()
+
+    # ------------------------------------------------------------------
+
+    @contextmanager
+    def shared_simulation(self) -> Iterator[None]:
+        """Simulate every flow inside the block against one shared memo.
+
+        Scopes nest and may overlap across threads: the memo is created
+        by the first open scope and dropped when the last one closes.
+        """
+        with self._memo_lock:
+            if not self._memo_scopes:
+                self._memo = SimulationMemo()
+            self._memo_scopes += 1
+        try:
+            yield
+        finally:
+            with self._memo_lock:
+                self._memo_scopes -= 1
+                if not self._memo_scopes:
+                    self._memo = None
+
+    def simulate(self, flow: ETLGraph) -> TraceArchive:
+        """Run the simulator for one flow and return its trace archive."""
+        return ETLSimulator(flow, self._simulation, memo=self._memo).run()
 
     # ------------------------------------------------------------------
     # Cache plumbing (also used by ParallelEvaluator, which checks the

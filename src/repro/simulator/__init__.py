@@ -15,7 +15,7 @@ from repro.simulator.datagen import SourceProfile, SyntheticDataGenerator
 from repro.simulator.resources import ResourceModel, ResourceTier
 from repro.simulator.traces import FlowTrace, OperationTrace, TraceArchive
 from repro.simulator.failures import FailureInjector, FailureEvent
-from repro.simulator.engine import SimulationConfig, ETLSimulator, simulate_flow
+from repro.simulator.engine import SimulationConfig, SimulationMemo, ETLSimulator, simulate_flow
 
 __all__ = [
     "SourceProfile",
@@ -28,6 +28,7 @@ __all__ = [
     "FailureInjector",
     "FailureEvent",
     "SimulationConfig",
+    "SimulationMemo",
     "ETLSimulator",
     "simulate_flow",
 ]

@@ -1,29 +1,49 @@
-"""Operator-by-operator simulation of ETL flow executions.
+"""Content-addressed simulation of ETL flow executions.
 
-A simulator lowers its flow once, at construction, into flat records in
-topological order.  Each execution then walks those records, propagating
-row volumes and data-quality defect counts from the sources to the sinks,
-charging per-operation processing time according to the operation cost
-model and the resource environment, sampling failures and computing the
-recovery cost given the checkpoints present in the flow.  Because of the
-lowering, a flow mutated after its simulator was built needs a new
-simulator.  Each execution yields a
-:class:`~repro.simulator.traces.FlowTrace`; repeated executions are
-collected into a :class:`~repro.simulator.traces.TraceArchive` which
-stands in for the historical traces the paper's measures are based on.
+An execution propagates row volumes and data-quality defect counts from
+the sources to the sinks, charges per-operation processing time according
+to the operation cost model and the resource environment, samples
+failures and computes the recovery cost given the checkpoints present in
+the flow.  Each execution yields a :class:`~repro.simulator.traces.FlowTrace`;
+repeated executions are collected into a
+:class:`~repro.simulator.traces.TraceArchive` which stands in for the
+historical traces the paper's measures are based on.
+
+The alternatives of one plan are the initial flow plus a small delta, so
+most of their per-operation row/defect states repeat.  A
+:class:`SimulationMemo` computes each distinct state once -- the forward
+data-flow propagation of a flowgraph, re-run only where an operation's
+inputs changed:
+
+* **Basis.**  One random stream per (seed, jitter, sampling inputs of the
+  sources in topological order, operation count) draws each run's source
+  samples and then ``random_batch(operation count)`` failure uniforms,
+  in the order a single flow's own generator would draw them.
+* **Interned states.**  An operation's per-run ``(rows_in, rows, nulls,
+  dups, errors)`` is interned by its kind code, selectivity and defect
+  rates, plus ``(predecessor state, partition share)`` per predecessor in
+  edge insertion order.  Only new states are propagated, with the same
+  arithmetic in the same order as a walk of the one flow.
+* **Per flow and run.**  Times, the critical path, the sink totals and
+  the failures depend on annotations and resources, and are recomputed
+  for every flow and every run.
+
+An :class:`ETLSimulator` without a memo gets a private one, so a flow
+simulated alone and the same flow simulated among a plan's alternatives
+give equal traces.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from repro.etl.graph import ETLGraph
-from repro.etl.operations import OperationKind
+from repro.etl.operations import Operation, OperationKind
 from repro.simulator.datagen import SourceProfile, SyntheticDataGenerator
 from repro.simulator.failures import FailureInjector
 from repro.simulator.resources import ResourceModel, ResourceTier
-from repro.simulator.traces import FlowTrace, OperationTrace, TraceArchive
+from repro.simulator.traces import FlowTrace, TraceArchive
 
 # Kinds that divide their output rows among successors instead of
 # replicating the full output on every outgoing edge.
@@ -31,7 +51,7 @@ _PARTITIONING_KINDS = frozenset(
     {OperationKind.SPLIT, OperationKind.ROUTER, OperationKind.PARTITION}
 )
 
-# Kind codes of the lowered flow: one per branch of the row/defect model.
+# Kind codes: one per branch of the row/defect model.
 _SOURCE, _DEDUPLICATE, _FILTER_NULLS, _CROSSCHECK, _CLEANSING, _OTHER = range(6)
 _BRANCH_CODES = {
     OperationKind.DEDUPLICATE: _DEDUPLICATE,
@@ -59,33 +79,6 @@ _CROSSCHECK_CORRECTION = 0.85
 # configuration patterns.
 _ENCRYPTION_OVERHEAD = 1.12
 _ACCESS_CONTROL_OVERHEAD = 1.03
-
-
-class _LoweredOperation(NamedTuple):
-    """One operation of a lowered flow (see :class:`ETLSimulator`).
-
-    ``inputs`` holds ``(position, share)`` per predecessor, in edge
-    insertion order: the predecessor's position in the topological order
-    and the fraction of its output this operation receives (``1 /
-    out-degree`` behind a partitioning router, else 1); ``preds`` holds
-    the positions alone, for the critical-path pass.
-    """
-
-    op_id: str
-    kind: str
-    code: int
-    is_sink: bool
-    inputs: tuple[tuple[int, float], ...]
-    preds: tuple[int, ...]
-    selectivity: float
-    null_rate: float
-    duplicate_rate: float
-    error_rate: float
-    cost_per_tuple: float
-    fixed_cost: float
-    memory_per_tuple: float
-    parallelism: int
-    profile: SourceProfile | None
 
 
 @dataclass
@@ -117,29 +110,257 @@ class SimulationConfig:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
 
 
+class _Record:
+    """The static part of one operation, read once per operation value."""
+
+    __slots__ = (
+        "op",
+        "kind",
+        "code",
+        "is_sink",
+        "partitioning",
+        "model",
+        "failure_rate",
+        "monetary_cost",
+        "profile",
+        "_workers",
+        "_timing",
+    )
+
+    def __init__(self, op: Operation, model: int) -> None:
+        self.op = op  # keeps the payload, so its id() stays unique
+        self.kind, self.code, self.is_sink, self.partitioning = _KIND_INFO[op.kind]
+        # Interned (code, selectivity, defect rates): equal numbers mean
+        # equal row/defect arithmetic.
+        self.model = model
+        self.failure_rate = op.properties.failure_rate
+        self.monetary_cost = op.properties.monetary_cost
+        self.profile = SourceProfile.from_operation(op) if self.code == _SOURCE else None
+        self._workers = 0
+        self._timing: tuple = ()
+
+    def timing(self, workers: int) -> tuple:
+        """``((fixed cost, cost per tuple, parallelism), (op_id, kind, memory
+        per tuple, parallelism))`` under ``workers`` (kept for the last count)."""
+        if workers != self._workers:
+            props = self.op.properties
+            # ResourceModel.effective_parallelism, inlined.
+            parallelism = max(1, min(self.op.parallelism, workers))
+            self._timing = (
+                (props.fixed_cost, props.cost_per_tuple, parallelism),
+                (self.op.op_id, self.kind, props.memory_per_tuple, parallelism),
+            )
+            self._workers = workers
+        return self._timing
+
+
+class _State:
+    """One interned row/defect state: an operation's output in every run drawn so far.
+
+    ``runs[r]`` is ``(rows_in, rows, nulls, dups, errors)`` of run ``r``.
+    A source state is filled by its basis; any other state propagates
+    its ``inputs`` -- ``(predecessor state, share)`` pairs in edge
+    insertion order -- on demand (:meth:`extend`).
+    """
+
+    __slots__ = (
+        "code",
+        "selectivity",
+        "null_rate",
+        "duplicate_rate",
+        "error_rate",
+        "inputs",
+        "runs",
+    )
+
+    def __init__(
+        self, op: Operation | None = None, code: int = _SOURCE, inputs: tuple = ()
+    ) -> None:
+        if op is not None:
+            props = op.properties
+            self.selectivity = props.selectivity
+            self.null_rate = props.null_rate
+            self.duplicate_rate = props.duplicate_rate
+            self.error_rate = props.error_rate
+        self.code = code
+        self.inputs = inputs
+        self.runs: list[tuple[float, float, float, float, float]] = []
+
+    def extend(self, stop: int) -> None:
+        """Propagate runs up to ``stop`` (the inputs already hold them)."""
+        runs = self.runs
+        code = self.code
+        inputs = self.inputs
+        selectivity = self.selectivity
+        null_rate = self.null_rate
+        duplicate_rate = self.duplicate_rate
+        error_rate = self.error_rate
+        for run in range(len(runs), stop):
+            # Inputs summed over predecessors in edge insertion order.
+            rows_in = nulls = dups = errors = 0.0
+            for pred, share in inputs:
+                _, pred_rows, pred_nulls, pred_dups, pred_errors = pred.runs[run]
+                rows_in += pred_rows * share
+                nulls += pred_nulls * share
+                dups += pred_dups * share
+                errors += pred_errors * share
+            if code == _OTHER:
+                rows = rows_in * selectivity
+                scale = selectivity if selectivity < 1.0 else 1.0
+                nulls *= scale
+                dups *= scale
+                errors *= scale
+            elif code == _DEDUPLICATE:
+                rows = max(0.0, rows_in - dups)
+                dups = 0.0
+                nulls = min(nulls, rows)
+                errors = min(errors, rows)
+            elif code == _FILTER_NULLS:
+                rows = max(0.0, rows_in - nulls)
+                nulls = 0.0
+                dups = min(dups, rows)
+                errors = min(errors, rows)
+            elif code == _CROSSCHECK:
+                rows = rows_in * selectivity
+                errors = errors * (1.0 - _CROSSCHECK_CORRECTION)
+            else:  # _CLEANSING
+                rows = rows_in * selectivity
+                errors = errors * max(0.0, 1.0 - selectivity + error_rate)
+                nulls *= selectivity
+                dups *= selectivity
+            # The operation itself may introduce new defects on its output.
+            nulls += rows * null_rate
+            dups += rows * duplicate_rate
+            errors += rows * error_rate
+            if rows:
+                # min(defect, rows), inlined on the hot path.
+                if rows < nulls:
+                    nulls = rows
+                if rows < dups:
+                    dups = rows
+                if rows < errors:
+                    errors = rows
+            else:
+                nulls = dups = errors = 0.0
+            runs.append((rows_in, rows, nulls, dups, errors))
+
+
+class _Basis:
+    """The random draws every flow with the same sampling inputs shares.
+
+    Run ``r`` draws each source's sample in topological order, then one
+    failure uniform per operation -- the stream one flow's own generator
+    yields -- so any flow with these sources and this operation count
+    sees the same draws in every run.
+    """
+
+    __slots__ = ("_generator", "_profiles", "_operations", "sources", "draws", "rows_extracted")
+
+    def __init__(
+        self, config: SimulationConfig, profiles: list[SourceProfile], operations: int
+    ) -> None:
+        self._generator = SyntheticDataGenerator(seed=config.seed, jitter=config.volume_jitter)
+        self._profiles = profiles
+        self._operations = operations
+        self.sources = [_State() for _ in profiles]
+        self.draws: list[list[float]] = []
+        self.rows_extracted: list[float] = []
+
+    def extend(self, stop: int) -> None:
+        """Draw runs up to ``stop``."""
+        generator = self._generator
+        while len(self.draws) < stop:
+            extracted = 0.0
+            for profile, state in zip(self._profiles, self.sources):
+                sample = generator.sample(profile)
+                rows = sample["rows"]
+                extracted += rows
+                nulls = sample["null_rows"]
+                state.runs.append(
+                    (rows, rows, nulls, sample["duplicate_rows"], sample["error_rows"])
+                )
+            self.rows_extracted.append(extracted)
+            self.draws.append(generator.random_batch(self._operations))
+
+
+class SimulationMemo:
+    """Bases, interned states and static operation records shared across flows.
+
+    Any set of flows may share one memo: states are keyed by content, so
+    sharing changes no trace.  A memo grows with the distinct states it
+    has seen, so hold it for one plan's evaluation stream and drop it.  It
+    is safe to share between threads; it cannot be pickled.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._records: dict[int, _Record] = {}
+        self._models: dict[str, int] = {}
+        self._states: dict[tuple, _State] = {}
+        self._bases: dict[tuple, _Basis] = {}
+
+    def _record(self, op: Operation) -> _Record:
+        """The static record of ``op``, memoized by payload identity (operations are frozen)."""
+        record = self._records.get(id(op))
+        if record is None:
+            props = op.properties
+            # Keyed by repr: 0.0 and -0.0 must not share arithmetic.
+            model = repr(
+                (_KIND_INFO[op.kind][1], props.selectivity, props.null_rate,
+                 props.duplicate_rate, props.error_rate)
+            )
+            number = self._models.setdefault(model, len(self._models))
+            record = self._records[id(op)] = _Record(op, number)
+        return record
+
+    def _basis(
+        self, config: SimulationConfig, profiles: list[SourceProfile], operations: int
+    ) -> _Basis:
+        if config.seed is None:
+            # Unseeded draws are independent per flow, never shared.
+            return _Basis(config, profiles, operations)
+        # Only rows and defect rates steer the draws of a sample.
+        key = (
+            config.seed,
+            config.volume_jitter,
+            operations,
+            tuple((p.rows, p.null_rate, p.duplicate_rate, p.error_rate) for p in profiles),
+        )
+        basis = self._bases.get(key)
+        if basis is None:
+            basis = self._bases[key] = _Basis(config, profiles, operations)
+        return basis
+
+
 class ETLSimulator:
     """Simulates executions of a single ETL flow.
 
-    The flow is lowered once, at construction, into flat per-operation
-    records in topological order (predecessor positions with their
-    partition shares, a kind code, the cost/defect properties, the
-    effective parallelism, each source's :class:`SourceProfile`, a sink
-    flag) plus the insertion-ordered failure rates and the per-operation
-    monetary sum.  Every run then propagates rows, defects, times and the
-    critical path over plain lists in one pass.  The lowering is a
-    snapshot: a flow mutated after construction (structure, operation
-    properties or annotations) needs a new simulator.
+    The flow is compiled once, at construction, against a
+    :class:`SimulationMemo` (a private one unless ``memo`` is given): its
+    operations' static records, the basis of its sources, and one
+    interned state per operation in topological order.  Each run then
+    propagates only the states no earlier flow of the memo has
+    propagated, and recomputes times, the critical path, sink totals and
+    failures over plain lists.  Successive :meth:`run_once` calls yield
+    successive runs of one stream.  The compilation is a snapshot: a flow
+    mutated after construction (structure, operation properties or
+    annotations) needs a new simulator.
     """
 
-    def __init__(self, flow: ETLGraph, config: SimulationConfig | None = None) -> None:
+    def __init__(
+        self,
+        flow: ETLGraph,
+        config: SimulationConfig | None = None,
+        memo: SimulationMemo | None = None,
+    ) -> None:
         self.flow = flow
         self.config = config or SimulationConfig()
-        self._generator = SyntheticDataGenerator(
-            seed=self.config.seed, jitter=self.config.volume_jitter
-        )
-        self._injector = FailureInjector(flow)
+        self._memo = SimulationMemo() if memo is None else memo
         self._resources = self._resolve_resources()
-        self._lower()
+        self._injector: FailureInjector | None = None
+        self._next_run = 0
+        with self._memo._lock:
+            self._compile()
 
     def _resolve_resources(self) -> ResourceModel:
         tier = self.flow.annotations.get("resource_tier")
@@ -147,48 +368,64 @@ class ETLSimulator:
             return ResourceModel.from_tier(ResourceTier(tier) if isinstance(tier, str) else tier)
         return self.config.resources
 
-    def _lower(self) -> None:
-        """Flatten the flow into the per-run records (see the class docstring)."""
+    def _compile(self) -> None:
+        """Resolve records, basis and states (see the class docstring)."""
         flow = self.flow
-        resources = self._resources
+        memo = self._memo
+        workers = self._resources.workers
         order = flow.topological_ids()
-        position = {op_id: index for index, op_id in enumerate(order)}
-        # Share of a partitioning operation's output each successor gets,
-        # by position (predecessors precede their successors in ``order``).
-        shares: list[float] = []
-        records = []
-        for op_id in order:
-            op = flow.operation(op_id)
-            kind, code, is_sink, partitioning = _KIND_INFO[op.kind]
-            shares.append(1.0 / max(1, flow.out_degree(op_id)) if partitioning else 1.0)
-            preds = tuple(map(position.__getitem__, flow.predecessor_ids(op_id)))
-            props = op.properties
-            # Positional, in field order: a keyword call costs twice as much.
-            records.append(
-                _LoweredOperation(
-                    op_id,
-                    kind,
-                    code,
-                    is_sink,
-                    tuple(zip(preds, map(shares.__getitem__, preds))),
-                    preds,
-                    props.selectivity,
-                    props.null_rate,
-                    props.duplicate_rate,
-                    props.error_rate,
-                    props.cost_per_tuple,
-                    props.fixed_cost,
-                    props.memory_per_tuple,
-                    resources.effective_parallelism(op.parallelism),
-                    SourceProfile.from_operation(op) if code == _SOURCE else None,
-                )
-            )
-        self._order = order
-        self._records = records
         operations = flow.operations()
-        self._insertion_ids = [op.op_id for op in operations]
-        self._failure_rates = [op.properties.failure_rate for op in operations]
-        self._per_operation_cost = sum(op.properties.monetary_cost for op in operations)
+        known = memo._records.get
+        record = memo._record
+        # Records in insertion order (failure draws, monetary sum) and in
+        # topological order (propagation).
+        inserted = [known(id(op)) or record(op) for op in operations]
+        by_id = dict(zip(flow.operation_ids(), inserted))
+        records = list(map(by_id.__getitem__, order))
+        profiles = [record.profile for record in records if record.code == _SOURCE]
+        basis = self._basis = memo._basis(self.config, profiles, len(operations))
+        sources = iter(basis.sources)
+        interned = memo._states
+        states: list[_State] = []
+        shares: list[float] = []
+        costs = []
+        layout = []
+        pred_positions = flow.predecessor_positions()
+        for op_id, record, preds in zip(order, records, pred_positions):
+            if record.code == _SOURCE:
+                state = next(sources)
+            else:
+                if len(preds) == 1:
+                    pred = preds[0]
+                    key = (record.model, states[pred], shares[pred])
+                else:
+                    key = [record.model]
+                    for pred in preds:
+                        key.append(states[pred])
+                        key.append(shares[pred])
+                    key = tuple(key)
+                state = interned.get(key)
+                if state is None:
+                    inputs = tuple(zip(key[1::2], key[2::2]))
+                    state = interned[key] = _State(record.op, record.code, inputs)
+            states.append(state)
+            shares.append(1.0 / max(1, flow.out_degree(op_id)) if record.partitioning else 1.0)
+            cost, entry = record.timing(workers)
+            costs.append(cost)
+            layout.append(entry)
+        self._order = order
+        self._states = states
+        self._costs = costs
+        self._preds = pred_positions
+        self._sinks = [index for index, record in enumerate(records) if record.is_sink]
+        self._layout = tuple(layout)
+        # Failure candidates in insertion order: (draw index, op id, rate).
+        self._risky = [
+            (index, record.op.op_id, record.failure_rate)
+            for index, record in enumerate(inserted)
+            if record.failure_rate > 0
+        ]
+        self._per_operation_cost = sum(record.monetary_cost for record in inserted)
         overhead = 1.0
         if flow.annotations.get("encryption"):
             overhead *= _ENCRYPTION_OVERHEAD
@@ -201,168 +438,88 @@ class ETLSimulator:
             frequency = 1.0
         # Half the scheduling period is the expected additional staleness
         # introduced by running the process `frequency` times per day.
-        self._schedule_lag = (24.0 * 60.0 / frequency) / 2.0
+        schedule_lag = (24.0 * 60.0 / frequency) / 2.0
+        self._freshness_lag = (
+            max((p.freshness_lag_minutes for p in profiles), default=0.0) + schedule_lag
+        )
+        self._update_frequency = (
+            min(p.update_frequency_per_day for p in profiles) if profiles else 24.0
+        )
 
     # ------------------------------------------------------------------
 
     def run(self) -> TraceArchive:
         """Simulate ``config.runs`` executions and return the trace archive."""
-        archive = TraceArchive(self.flow.name)
-        for _ in range(self.config.runs):
-            archive.add(self.run_once())
-        return archive
+        return TraceArchive(self.flow.name, self._simulate(self.config.runs))
 
     def run_once(self) -> FlowTrace:
         """Simulate a single end-to-end execution of the flow."""
-        trace = FlowTrace(flow_name=self.flow.name)
-        operations = trace.operations
-        generator = self._generator
+        return self._simulate(1)[0]
+
+    def _simulate(self, count: int) -> list[FlowTrace]:
+        """The next ``count`` runs of the flow's stream."""
+        start = self._next_run
+        stop = self._next_run = start + count
+        with self._memo._lock:
+            self._basis.extend(stop)
+            for state in self._states:
+                if len(state.runs) < stop:
+                    state.extend(stop)
+        return [self._trace(run) for run in range(start, stop)]
+
+    def _trace(self, run: int) -> FlowTrace:
+        """Times, critical path, sink totals and failures of one run."""
         overhead = self._overhead
         speed = self._resources.speed
-        count = len(self._records)
-        rows_out = [0.0] * count
-        nulls_out = [0.0] * count
-        dups_out = [0.0] * count
-        errors_out = [0.0] * count
-        times = [0.0] * count
-        finish = [0.0] * count
-        critical_path_ms = 0.0
-        freshness_lags: list[float] = []
-        update_frequencies: list[float] = []
-
-        for index, (
-            op_id,
-            kind,
-            code,
-            is_sink,
-            inputs,
-            preds,
-            selectivity,
-            null_rate,
-            duplicate_rate,
-            error_rate,
-            cost_per_tuple,
-            fixed_cost,
-            memory_per_tuple,
-            parallelism,
-            profile,
-        ) in enumerate(self._records):
-            if code == _SOURCE:
-                sample = generator.sample(profile)
-                rows_in = sample["rows"]
-                nulls = sample["null_rows"]
-                dups = sample["duplicate_rows"]
-                errors = sample["error_rows"]
-                freshness_lags.append(sample["freshness_lag_minutes"])
-                update_frequencies.append(sample["update_frequency_per_day"])
-                trace.rows_extracted += rows_in
-                rows = rows_in
+        values = [state.runs[run] for state in self._states]
+        # ResourceModel.scale_time, inlined: divide by the speed.
+        times = [
+            (fixed_cost + cost_per_tuple * value[0] / parallelism) * overhead / speed
+            for (fixed_cost, cost_per_tuple, parallelism), value in zip(self._costs, values)
+        ]
+        # Longest path where each node contributes its processing time:
+        # pipeline branches execute concurrently.
+        finish: list[float] = []
+        for preds, time_ms in zip(self._preds, times):
+            if len(preds) == 1:
+                finish.append(finish[preds[0]] + time_ms)
             else:
-                # Inputs summed over predecessors in edge insertion order.
-                rows_in = nulls = dups = errors = 0.0
-                for pred, share in inputs:
-                    rows_in += rows_out[pred] * share
-                    nulls += nulls_out[pred] * share
-                    dups += dups_out[pred] * share
-                    errors += errors_out[pred] * share
-                if code == _OTHER:
-                    rows = rows_in * selectivity
-                    scale = selectivity if selectivity < 1.0 else 1.0
-                    nulls *= scale
-                    dups *= scale
-                    errors *= scale
-                elif code == _DEDUPLICATE:
-                    rows = max(0.0, rows_in - dups)
-                    dups = 0.0
-                    nulls = min(nulls, rows)
-                    errors = min(errors, rows)
-                elif code == _FILTER_NULLS:
-                    rows = max(0.0, rows_in - nulls)
-                    nulls = 0.0
-                    dups = min(dups, rows)
-                    errors = min(errors, rows)
-                elif code == _CROSSCHECK:
-                    rows = rows_in * selectivity
-                    errors = errors * (1.0 - _CROSSCHECK_CORRECTION)
-                else:  # _CLEANSING
-                    rows = rows_in * selectivity
-                    errors = errors * max(0.0, 1.0 - selectivity + error_rate)
-                    nulls *= selectivity
-                    dups *= selectivity
-                # The operation itself may introduce new defects on its output.
-                nulls += rows * null_rate
-                dups += rows * duplicate_rate
-                errors += rows * error_rate
-                if rows:
-                    # min(defect, rows), inlined on the hot path.
-                    if rows < nulls:
-                        nulls = rows
-                    if rows < dups:
-                        dups = rows
-                    if rows < errors:
-                        errors = rows
-                else:
-                    nulls = dups = errors = 0.0
-
-            variable = cost_per_tuple * rows_in / parallelism
-            # ResourceModel.scale_time, inlined: divide by the speed.
-            time_ms = (fixed_cost + variable) * overhead / speed
-            rows_out[index] = rows
-            nulls_out[index] = nulls
-            dups_out[index] = dups
-            errors_out[index] = errors
-            times[index] = time_ms
-            # Longest path where each node contributes its processing
-            # time: pipeline branches execute concurrently.
-            reached = max(map(finish.__getitem__, preds), default=0.0) + time_ms
-            finish[index] = reached
-            if reached > critical_path_ms:
-                critical_path_ms = reached
-            # Positional, in field order: op_id, kind, rows_in, rows_out,
-            # time_ms, null/duplicate/error rows, memory_kb, parallelism.
-            operations[op_id] = OperationTrace(
-                op_id,
-                kind,
-                rows_in,
-                rows,
-                time_ms,
-                nulls,
-                dups,
-                errors,
-                memory_per_tuple * rows_in,
-                parallelism,
-            )
-            if is_sink:
-                trace.rows_loaded += rows
+                finish.append(max(map(finish.__getitem__, preds), default=0.0) + time_ms)
+        # The first strict maximum after a 0.0 start, as a running "if
+        # reached > best" would keep it.
+        critical_path_ms = max((0.0, *finish))
+        sinks = [values[index] for index in self._sinks]
+        rows_loaded = 0.0
+        for value in sinks:
+            rows_loaded += value[1]
 
         total_work_ms = sum(times)
-        # One uniform per operation, in insertion order, after the sources.
-        draws = generator.random_batch(len(self._failure_rates))
-        failed = [
-            op_id
-            for op_id, rate, draw in zip(self._insertion_ids, self._failure_rates, draws)
-            if draw < rate
-        ]
-        events = (
-            self._injector.recovery_events(failed, dict(zip(self._order, times)))
-            if failed
-            else []
-        )
+        draws = self._basis.draws[run]
+        failed = [op_id for index, op_id, rate in self._risky if draws[index] < rate]
+        if failed:
+            if self._injector is None:
+                self._injector = FailureInjector(self.flow)
+            events = self._injector.recovery_events(failed, dict(zip(self._order, times)))
+        else:
+            events = []
         lost_work = sum(event.lost_work_ms for event in events)
-        unprotected = [event for event in events if not event.recovered_from]
-
-        trace.failures = events
-        trace.recovered_failures = len(events) - len(unprotected)
-        trace.lost_work_ms = lost_work
-        trace.succeeded = not unprotected
-        trace.critical_path_ms = critical_path_ms
-        trace.cycle_time_ms = critical_path_ms + lost_work
-        trace.freshness_lag_minutes = max(freshness_lags, default=0.0) + self._schedule_lag
-        trace.update_frequency_per_day = (
-            min(update_frequencies) if update_frequencies else 24.0
-        )
+        unprotected = sum(1 for event in events if not event.recovered_from)
         infrastructure = self._resources.cost_of(total_work_ms + lost_work)
-        trace.monetary_cost = (infrastructure + self._per_operation_cost) * self._frequency_factor
+        trace = FlowTrace(
+            flow_name=self.flow.name,
+            cycle_time_ms=critical_path_ms + lost_work,
+            critical_path_ms=critical_path_ms,
+            rows_loaded=rows_loaded,
+            rows_extracted=self._basis.rows_extracted[run],
+            failures=events,
+            recovered_failures=len(events) - unprotected,
+            lost_work_ms=lost_work,
+            freshness_lag_minutes=self._freshness_lag,
+            update_frequency_per_day=self._update_frequency,
+            monetary_cost=(infrastructure + self._per_operation_cost) * self._frequency_factor,
+            succeeded=not unprotected,
+        )
+        trace.set_columns(self._layout, values, times, sinks)
         return trace
 
 

@@ -12,7 +12,13 @@ from repro.etl.graph import ETLGraph
 from repro.etl.schema import DataType, Field, Schema
 from repro.quality.estimator import EstimationSettings, QualityEstimator
 from repro.simulator.engine import ETLSimulator, SimulationConfig
-from repro.workloads import purchases_flow, tpch_refresh_flow
+from repro.workloads import (
+    RandomFlowConfig,
+    purchases_flow,
+    random_flow,
+    tpcds_sales_flow,
+    tpch_refresh_flow,
+)
 
 
 @pytest.fixture
@@ -76,6 +82,24 @@ def set_properties(flow: ETLGraph, op_id: str, **changes) -> None:
 def set_config(flow: ETLGraph, op_id: str, **entries) -> None:
     """Install a copy of operation ``op_id`` with ``entries`` merged into its config."""
     flow.update_operation(op_id, config={**flow.operation(op_id).config, **entries})
+
+
+def twelve_cases():
+    """The twelve planning cases (four flows at budgets 1-3) as ``(build, budget)`` params.
+
+    The cases whose plan tables are recorded in CHANGES.md; budget 3 is
+    marked slow.
+    """
+    flows = {
+        "tpch": tpch_refresh_flow,
+        "tpcds": tpcds_sales_flow,
+        "purchases": purchases_flow,
+        "random16": lambda: random_flow(RandomFlowConfig(operations=16, seed=1, sources=3)),
+    }
+    for name, build in flows.items():
+        for budget in (1, 2, 3):
+            marks = [pytest.mark.slow] if budget == 3 else []
+            yield pytest.param(build, budget, id=f"{name}-budget{budget}", marks=marks)
 
 
 def fast_planner_config(**overrides) -> ProcessingConfiguration:

@@ -11,6 +11,7 @@ harness of ``conftest.py``.
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -62,6 +63,31 @@ def wait_for(predicate, timeout: float = 30.0, poll: float = 0.01):
             return value
         time.sleep(poll)
     raise AssertionError("condition not reached in time")
+
+
+def hold_first_plan_until_killed(monkeypatch, worker) -> threading.Event:
+    """Hold the first plan started in this process inside ``worker`` until it is killed.
+
+    The plan stops at its first evaluated alternative and waits for the
+    worker's kill, so a test kills a worker mid-job whatever the speed of
+    planning, with no sleep.  The returned event is set once the plan is
+    held; later plans run unhindered.
+    """
+    holding = threading.Event()
+    iterate = RedesignSession.iterate
+
+    def iterate_held_until_killed(session, on_evaluated=None):
+        def gate(alternative):
+            if not holding.is_set():
+                holding.set()
+                worker._killed.wait(timeout=30)
+            if on_evaluated is not None:
+                on_evaluated(alternative)
+
+        return iterate(session, on_evaluated=gate)
+
+    monkeypatch.setattr(RedesignSession, "iterate", iterate_held_until_killed)
+    return holding
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +150,17 @@ def test_kill_one_shard_of_four_mid_plan(make_fleet, branching_flow):
 # ---------------------------------------------------------------------------
 
 
-def test_killed_worker_job_is_re_leased_exactly_once(make_fleet, linear_flow):
+def test_killed_worker_job_is_re_leased_exactly_once(make_fleet, linear_flow, monkeypatch):
     baseline = solo_baseline(linear_flow)
     fleet = make_fleet(n_shards=2, n_workers=1, lease_timeout=1.0)
     client = fleet.client()
 
+    worker = fleet.workers["w0"]
+    holding = hold_first_plan_until_killed(monkeypatch, worker)
     job_id = client.submit(linear_flow, configuration=dict(STORM_CONFIG))
-    # Kill as soon as the lease is taken -- long before the plan can
-    # finish -- so the abandon is guaranteed to strand a held lease.
-    wait_for(lambda: client.status(job_id)["status"] == "running")
+    # The plan is held inside the worker until the kill lands, so the
+    # abandon is guaranteed to strand a held lease.
+    assert holding.wait(timeout=30)
     fleet.kill_worker("w0")
     assert fleet.workers["w0"].jobs_abandoned == 1
     assert fleet.workers["w0"].jobs_done == 0
@@ -153,13 +181,17 @@ def test_killed_worker_job_is_re_leased_exactly_once(make_fleet, linear_flow):
 
 
 def test_restarted_worker_reregisters_and_drains_its_own_abandoned_job(
-    make_fleet, linear_flow
+    make_fleet, linear_flow, monkeypatch
 ):
     fleet = make_fleet(n_shards=2, n_workers=1, lease_timeout=1.0)
+    first = fleet.workers["w0"]
+    holding = hold_first_plan_until_killed(monkeypatch, first)
     client = fleet.client()
     job_id = client.submit(linear_flow, configuration=dict(STORM_CONFIG))
-    wait_for(lambda: client.status(job_id)["status"] == "running")
+    assert holding.wait(timeout=30)
     fleet.kill_worker("w0")
+    assert first.jobs_abandoned == 1
+    assert first.jobs_done == 0
 
     # Restart under the SAME name -- the tools/worker.py restart story.
     fleet.add_worker("w0")

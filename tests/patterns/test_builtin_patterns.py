@@ -1,5 +1,10 @@
 """Behavioural tests for the built-in Flow Component Patterns."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.etl.operations import OperationKind
@@ -206,6 +211,35 @@ class TestAddCheckpoint:
         checkpoint_ids = {op.op_id for op in once.operations_of_kind(OperationKind.CHECKPOINT)}
         for p in pattern.find_application_points(once):
             assert not (set(p.edge) & checkpoint_ids)
+
+
+    def test_fitness_does_not_depend_on_the_hash_seed(self):
+        """The upstream cost is summed in id order, never in set (hash) order."""
+        assert _checkpoint_fitness(0) == _checkpoint_fitness(6)
+
+
+_CHECKPOINT_FITNESS = """
+from repro.patterns.reliability import AddCheckpoint
+from repro.workloads import tpch_refresh_flow
+
+points = AddCheckpoint().find_application_points(tpch_refresh_flow())
+print(sorted((point.edge, repr(point.fitness)) for point in points))
+"""
+
+
+def _checkpoint_fitness(hash_seed: int) -> str:
+    """Every AddCheckpoint point's fitness on TPC-H, printed under one hash seed."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [sys.executable, "-c", _CHECKPOINT_FITNESS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return completed.stdout
 
 
 class TestGraphLevelPatterns:

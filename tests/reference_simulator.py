@@ -1,15 +1,17 @@
 """A graph-walking reference for :class:`repro.simulator.engine.ETLSimulator`.
 
-The simulator lowers a flow once into flat per-operation records and
-memoizes each failing operation's recovery plan.  This reference does
-none of that: every run walks the graph in networkx's topological
-order through the :class:`ETLGraph` accessors, gathers inputs per
-predecessor, draws one uniform per operation through
+The simulator compiles a flow once against a memo of interned
+per-operation states and shared random draws, and memoizes each failing
+operation's recovery plan.  This reference does none of that: every run
+walks the graph in networkx's topological order through the
+:class:`ETLGraph` accessors, draws from its own generator, gathers inputs
+per predecessor, draws one uniform per operation through
 :meth:`SyntheticDataGenerator.random`, recomputes the critical path with
 a second walk, and answers every failure with fresh networkx ancestor
 and distance queries (see ``tests/reference_graph.py``).  It shares only the
 data generator, the resource model, the trace records and the model
-constants with the simulator, so a disagreement points at the lowering.
+constants with the simulator, so a disagreement points at the
+compilation or the memo.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 from repro.etl.builder import FlowBuilder
 from repro.etl.operations import OperationKind
 from repro.etl.schema import DataType, Field, Schema
-from repro.simulator.engine import ETLSimulator, SimulationConfig, simulate_flow
+from repro.simulator.engine import ETLSimulator, SimulationConfig, SimulationMemo, simulate_flow
 from repro.simulator.resources import ResourceModel
 from tests.conftest import set_config, set_properties
 
@@ -227,3 +227,37 @@ class TestLowering:
         stale = simulator.run_once()
         fresh = ETLSimulator(linear_flow, config).run_once()
         assert stale.operation("flt").rows_out > fresh.operation("flt").rows_out
+
+
+class TestSharedMemo:
+    """A :class:`SimulationMemo` changes no trace, whatever shares it."""
+
+    def test_one_memo_serves_any_mix_of_configurations(self, linear_flow, branching_flow):
+        configs = [
+            SimulationConfig(runs=3, seed=1),
+            SimulationConfig(runs=3, seed=1, volume_jitter=0.3),
+            SimulationConfig(runs=2, seed=2),
+            SimulationConfig(runs=4, seed=1, resources=ResourceModel(workers=1, speed=2.0)),
+        ]
+        memo = SimulationMemo()
+        for config in configs:
+            for flow in (linear_flow, branching_flow):
+                shared = ETLSimulator(flow, config, memo).run()
+                alone = ETLSimulator(flow, config).run()
+                assert list(shared) == list(alone)
+                assert repr(list(shared)) == repr(list(alone))
+
+    def test_run_once_continues_one_stream(self, branching_flow):
+        config = SimulationConfig(runs=3, seed=5)
+        memo = SimulationMemo()
+        ahead = ETLSimulator(branching_flow, config, memo)
+        ahead.run()
+        behind = ETLSimulator(branching_flow, config, memo)
+        stepped = [behind.run_once() for _ in range(4)]
+        expected = list(ETLSimulator(branching_flow, SimulationConfig(runs=4, seed=5)).run())
+        assert stepped == expected
+
+    def test_unseeded_draws_are_never_shared(self, linear_flow):
+        memo = SimulationMemo()
+        ETLSimulator(linear_flow, SimulationConfig(runs=1, seed=None), memo).run()
+        assert not memo._bases
