@@ -1,7 +1,7 @@
 """Instrumentation overhead: metrics on vs. metrics off, warm campaign.
 
 The observability layer's contract is that it is effectively free when
-disabled (``metrics_enabled=False`` costs one attribute check per
+disabled (``metrics_registry=None`` costs one attribute check per
 instrumentation site) and *cheap* when enabled -- the planner, the
 evaluator and the cache tiers record counters and histogram samples on
 their hot paths, and none of that may change what gets planned or
@@ -81,9 +81,7 @@ def run_obs_bench(
     arms = {
         "off": Planner(configuration=ProcessingConfiguration(**base)),
         "on": Planner(
-            configuration=ProcessingConfiguration(
-                **base, metrics_enabled=True, metrics_registry=registry
-            )
+            configuration=ProcessingConfiguration(**base, metrics_registry=registry)
         ),
     }
 

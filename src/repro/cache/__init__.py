@@ -66,9 +66,8 @@ def build_profile_cache(
     ``cache_profiles`` is enabled.  ``urls`` builds a
     :class:`~repro.fleet.ShardedProfileCache` ring (one URL is a
     one-shard ring), ``cache_dir`` memory over disk, and neither the
-    in-process :class:`ProfileCache`.  ``registry``
-    (``metrics_enabled`` -> :func:`repro.obs.enabled_registry`) hangs a
-    metrics registry on the built tier so its batched lookups report
+    in-process :class:`ProfileCache`.  ``registry`` (the configuration's
+    ``metrics_registry``) hangs a metrics registry on the built tier so its batched lookups report
     ``cache.<tier>.*`` instruments; ``None`` (the default) keeps every
     tier observation-free.
     """

@@ -44,12 +44,12 @@ prunes):
     (``cache_timeout`` is the per-request budget, ``cache_auth_token``
     the shared bearer token).  See ``docs/caching.md`` and
     ``docs/fleet.md``.
-``metrics_enabled`` / ``metrics_registry``
-    Observability of one planning campaign: when on, the planner, the
+``metrics_registry``
+    Observability of one planning campaign: when set, the planner, the
     parallel evaluator and every cache tier record phase spans, latency
-    histograms and hit/miss counters into a
-    :class:`repro.obs.MetricsRegistry` (the process-wide default, or an
-    explicit one via ``metrics_registry``).  Results are byte-identical
+    histograms and hit/miss counters into that
+    :class:`repro.obs.MetricsRegistry` (for example the process-wide
+    :func:`repro.obs.default_registry`).  Results are byte-identical
     with metrics on or off; the measured overhead budget is <= 3% of a
     warm campaign (``benchmarks/bench_obs.py``).  See
     ``docs/observability.md``.
@@ -192,21 +192,18 @@ class ProcessingConfiguration:
         no coordination.  An unreachable shard degrades *alone* to a
         local fallback and recovers without touching live shards.  See
         ``docs/fleet.md``.
-    metrics_enabled:
-        When true, the planner and everything it drives (evaluator,
-        cache tiers, wire client) record latency histograms, phase
-        spans and hit/miss counters into a metrics registry; the
-        ``GET /metrics`` endpoints and ``tools/obs.py`` dashboard read
-        them back.  Off by default -- the disabled path costs one
-        ``None`` check per instrumentation site, and results are
-        byte-identical either way.  See ``docs/observability.md``.
     metrics_registry:
-        The :class:`repro.obs.MetricsRegistry` to record into when
-        ``metrics_enabled`` is set; ``None`` (the default) uses the
-        process-wide default registry
-        (:func:`repro.obs.default_registry`).  Not part of the service
-        request schema -- servers inject their own registry, a client
-        cannot pick one over the wire.
+        When set, the planner and everything it drives (evaluator,
+        cache tiers, wire client) record latency histograms, phase
+        spans and hit/miss counters into this
+        :class:`repro.obs.MetricsRegistry`; the ``GET /metrics``
+        endpoints and ``tools/obs.py`` dashboard read them back.
+        ``None`` (the default) is off -- the disabled path costs one
+        ``None`` check per instrumentation site, and results are
+        byte-identical either way.  Not part of the service request
+        schema: a request sends ``"metrics_enabled": true`` and the
+        planning worker supplies its registry.  See
+        ``docs/observability.md``.
     """
 
     pattern_names: tuple[str, ...] = ()
@@ -232,13 +229,10 @@ class ProcessingConfiguration:
     cache_timeout: float = 5.0
     cache_auth_token: str | None = None
     cache_urls: tuple[str, ...] | None = None
-    metrics_enabled: bool = False
     metrics_registry: object | None = None
 
     def __post_init__(self) -> None:
         if self.metrics_registry is not None:
-            if not self.metrics_enabled:
-                raise ValueError("metrics_registry requires metrics_enabled=True")
             for required in ("counter", "histogram", "snapshot"):
                 if not callable(getattr(self.metrics_registry, required, None)):
                     raise ValueError(

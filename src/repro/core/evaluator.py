@@ -72,7 +72,7 @@ _WORKER_SHARING = None
 _WORKER_REGISTRY: MetricsRegistry | None = None
 
 
-def _init_worker(estimator: QualityEstimator, metrics_enabled: bool = False) -> None:
+def _init_worker(estimator: QualityEstimator, metered: bool = False) -> None:
     """Process-pool initializer: receive the estimator once per worker.
 
     Amortizes estimator pickling (registry, settings, resource model)
@@ -102,10 +102,12 @@ def _init_worker(estimator: QualityEstimator, metrics_enabled: bool = False) -> 
     _WORKER_ESTIMATOR = estimator
     _WORKER_SHARING = estimator.shared_simulation()
     _WORKER_SHARING.__enter__()
-    _WORKER_REGISTRY = MetricsRegistry() if metrics_enabled else None
+    _WORKER_REGISTRY = MetricsRegistry() if metered else None
 
 
-def _evaluate_chunk_pooled(alternatives: Sequence[AlternativeFlow]) -> list[QualityProfile]:
+def _evaluate_chunk_pooled(
+    alternatives: Sequence[AlternativeFlow],
+) -> tuple[list[QualityProfile], dict]:
     """Task body of the initializer-based process pool.
 
     Resolves the whole chunk against the worker's persistent cache in
@@ -113,6 +115,11 @@ def _evaluate_chunk_pooled(alternatives: Sequence[AlternativeFlow]) -> list[Qual
     directory pass for a disk tier, one round-trip for the network
     tier) instead of one open/``stat`` per profile, then estimates the
     misses.  Never writes back -- the parent owns cache insertion.
+
+    Returns the profiles and the worker's drained metric delta (empty
+    when the pool is not metered), which the parent merges into its own
+    registry: that is how worker-local accumulation flushes back across
+    the process boundary.
     """
     estimator = _WORKER_ESTIMATOR
     assert estimator is not None, "worker initializer did not run"
@@ -136,20 +143,6 @@ def _evaluate_chunk_pooled(alternatives: Sequence[AlternativeFlow]) -> list[Qual
             if key is not None:
                 fresh[key] = profile
             profiles.append(profile)
-    return profiles
-
-
-def _evaluate_chunk_pooled_metered(
-    alternatives: Sequence[AlternativeFlow],
-) -> tuple[list[QualityProfile], dict]:
-    """Metered task body: profiles plus the worker's drained metric delta.
-
-    Used instead of :func:`_evaluate_chunk_pooled` when the parent has
-    metrics enabled; the parent merges each returned delta into its own
-    registry, which is how worker-local accumulation flushes back across
-    the process boundary.
-    """
-    profiles = _evaluate_chunk_pooled(alternatives)
     delta = _WORKER_REGISTRY.drain() if _WORKER_REGISTRY is not None else {}
     return profiles, delta
 
@@ -316,7 +309,6 @@ class ParallelEvaluator:
             tuple[list[AlternativeFlow], list[str | None], Future | None]
         ] = deque()
         chunk_size = max(1, max_inflight // (2 * self.workers))
-        task = _evaluate_chunk_pooled if registry is None else _evaluate_chunk_pooled_metered
         chunk: list[AlternativeFlow] = []
         chunk_keys: list[str | None] = []
 
@@ -342,7 +334,8 @@ class ParallelEvaluator:
                     group, keys = list(chunk), list(chunk_keys)
                     chunk.clear()
                     chunk_keys.clear()
-                    pending.append((group, keys, executor.submit(task, group)))
+                    future = executor.submit(_evaluate_chunk_pooled, group)
+                    pending.append((group, keys, future))
 
                 def refill() -> None:
                     # Top the window up in batches so the parent-side
@@ -384,12 +377,9 @@ class ParallelEvaluator:
                     group, keys, future = pending.popleft()
                     if future is not None:
                         with maybe_timer(registry, "evaluator.window_drain_seconds"):
-                            result = future.result()
+                            profiles, delta = future.result()
                         if registry is not None:
-                            profiles, delta = result
                             registry.merge(delta)
-                        else:
-                            profiles = result
                         for alternative, key, profile in zip(group, keys, profiles):
                             estimator.store_profile(alternative.flow, profile, key)
                             alternative.profile = profile

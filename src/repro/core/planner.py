@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.cache import CacheBackend, build_profile_cache
-from repro.obs.metrics import enabled_registry, maybe_timer
+from repro.obs.metrics import maybe_timer
 from repro.core.alternatives import AlternativeFlow, AlternativeGenerator
 from repro.core.comparison import FlowComparison, compare_profiles
 from repro.core.configuration import ProcessingConfiguration
@@ -178,7 +178,7 @@ class Planner:
         # The metrics registry every component of this planner records
         # into; ``None`` (the default) keeps all instrumentation sites on
         # their free fast path.
-        self.metrics = enabled_registry(self.configuration)
+        self.metrics = self.configuration.metrics_registry
         # The cache tier follows from the configuration -- the default
         # in-process LRU, memory over a cache_dir, or a ring of cache
         # servers at cache_urls -- unless the caller injected a shared

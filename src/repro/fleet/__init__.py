@@ -7,10 +7,12 @@ Two independent pieces that compose into a fleet (``docs/fleet.md``):
   :class:`~repro.service.CacheServer` shards
   (``cache_urls=...``), degrading and
   recovering per shard.
-* :class:`JobQueue` / :class:`FleetWorker` -- a durable SQLite-backed
-  job queue with a lease/heartbeat/ack protocol, drained by pull-based
-  planner workers (``tools/worker.py``), fronted by a queue-backed
-  :class:`~repro.service.RedesignServer`.
+* :class:`JobQueue` / :class:`FleetWorker` -- a SQLite-backed job
+  queue with a lease/heartbeat/ack protocol, drained by pull-based
+  planner workers, fronted by a :class:`~repro.service.RedesignServer`.
+  The server's default is a private in-memory queue drained by its own
+  worker threads; a durable queue file is drained by worker processes
+  (``tools/worker.py``).
 """
 
 from repro.fleet.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, LeasedJob

@@ -25,15 +25,21 @@ The lease protocol (see ``docs/fleet.md`` for the full state diagram):
   It fails, returning ``False``, once the lease was lost to another
   worker: the worker must abandon the job (its successor owns it now).
 * ``ack`` records the terminal result (``done`` with the result
-  document, or ``failed`` with an error) -- but only for the worker
-  that *currently* holds the lease.  A zombie worker acking a job that
-  was re-leased after its lease expired is rejected, so a re-run can
-  never produce duplicate (or conflicting) result rows.
+  document, or ``failed`` with an error, plus the run's summary
+  fields) -- but only for the worker that *currently* holds the lease.
+  A zombie worker acking a job that was re-leased after its lease
+  expired is rejected, so a re-run can never produce duplicate (or
+  conflicting) result rows.
 
 Workers additionally ``register`` themselves (name, pid, start time)
 and refresh ``last_seen`` with every lease/heartbeat; a worker process
 restarted after a kill re-registers under the same name and simply
 continues draining -- there is no session state to rebuild.
+
+``JobQueue(":memory:")`` is a private queue for one process: it is
+what a :class:`~repro.service.RedesignServer` without ``queue=`` drains
+with in-process worker threads.  Workers idling on the *same instance*
+are woken by ``enqueue`` instead of sleeping out their poll interval.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ CREATE TABLE IF NOT EXISTS jobs (
     enqueued_at REAL NOT NULL,
     finished_at REAL,
     result      TEXT,
-    error       TEXT
+    error       TEXT,
+    summary     TEXT
 );
 CREATE INDEX IF NOT EXISTS jobs_status ON jobs (status, rowid);
 CREATE TABLE IF NOT EXISTS workers (
@@ -86,6 +93,10 @@ CREATE TABLE IF NOT EXISTS workers (
 #: Job states.  ``queued`` and (expired) ``leased`` are leasable;
 #: ``done`` and ``failed`` are terminal.
 TERMINAL_STATES = ("done", "failed")
+
+#: What a status document is built from: never ``payload`` or ``result``,
+#: which carry whole flows and ranked alternatives.
+_STATUS_COLUMNS = "id, status, attempts, evaluated, worker, error, lease_deadline, summary"
 
 
 @dataclass(frozen=True)
@@ -142,11 +153,17 @@ class JobQueue:
         # pending one first), so the schema runs outside _transaction().
         with self._lock:
             self._connection.executescript(_SCHEMA)
-            try:
-                # Migrate queues created before the lease-latency column.
-                self._connection.execute("ALTER TABLE jobs ADD COLUMN leased_at REAL")
-            except sqlite3.OperationalError:
-                pass  # current schema: the column already exists
+            # Migrate queues created before the lease-latency and
+            # summary columns.
+            for column in ("leased_at REAL", "summary TEXT"):
+                try:
+                    self._connection.execute(f"ALTER TABLE jobs ADD COLUMN {column}")
+                except sqlite3.OperationalError:
+                    pass  # current schema: the column already exists
+        # Enqueues through this instance, and the condition idle workers
+        # on it wait for (see wait_for_enqueue).
+        self.enqueued = 0
+        self._enqueued = threading.Condition()
 
     # ------------------------------------------------------------------
 
@@ -195,8 +212,15 @@ class JobQueue:
     # Producer side (the submit/status front-end)
     # ------------------------------------------------------------------
 
-    def enqueue(self, payload: dict[str, Any]) -> str:
-        """Insert one job as ``queued``; returns its durable id."""
+    def enqueue(
+        self, payload: dict[str, Any], max_retained_jobs: int | None = None
+    ) -> str:
+        """Insert one job as ``queued``; returns its durable id.
+
+        With ``max_retained_jobs``, the oldest terminal jobs beyond that
+        many rows are deleted in the same transaction; queued and leased
+        jobs are never evicted.
+        """
         document = json.dumps(payload)
         with self._transaction() as connection:
             cursor = connection.execute(
@@ -207,10 +231,42 @@ class JobQueue:
             connection.execute(
                 "UPDATE jobs SET id = ? WHERE rowid = ?", (job_id, cursor.lastrowid)
             )
+            if max_retained_jobs is not None:
+                (rows,) = connection.execute("SELECT COUNT(*) FROM jobs").fetchone()
+                if rows > max_retained_jobs:
+                    connection.execute(
+                        "DELETE FROM jobs WHERE rowid IN (SELECT rowid FROM jobs "
+                        "WHERE status IN ('done', 'failed') ORDER BY rowid LIMIT ?)",
+                        (rows - max_retained_jobs,),
+                    )
         if self.metrics_registry is not None:
             self.metrics_registry.counter("queue.enqueued").inc()
+        with self._enqueued:
+            self.enqueued += 1
+            self._enqueued.notify_all()
         logger.debug("enqueued %s", job_id)
         return job_id
+
+    def wait_for_enqueue(
+        self, seen: int, timeout: float, stop: threading.Event
+    ) -> None:
+        """Block until this instance enqueues past ``seen``, ``stop`` is set
+        (and :meth:`wake` called) or ``timeout`` passes.
+
+        Idle workers read :attr:`enqueued` before a lease that found
+        nothing and wait here, so a job enqueued in between is never
+        slept through.  Enqueues by other processes are not seen; those
+        workers find them at the next poll.
+        """
+        with self._enqueued:
+            self._enqueued.wait_for(
+                lambda: self.enqueued != seen or stop.is_set(), timeout
+            )
+
+    def wake(self) -> None:
+        """Wake every :meth:`wait_for_enqueue` to re-check its ``stop``."""
+        with self._enqueued:
+            self._enqueued.notify_all()
 
     def status(self, job_id: str) -> dict[str, Any] | None:
         """One job's row as a JSON-able status document (``None`` if unknown).
@@ -222,7 +278,7 @@ class JobQueue:
         """
         with self._lock:
             row = self._connection.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)
+                f"SELECT {_STATUS_COLUMNS} FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
         return None if row is None else self._row_payload(row)
 
@@ -230,19 +286,26 @@ class JobQueue:
         """Every job's status document, in submission order."""
         with self._lock:
             rows = self._connection.execute(
-                "SELECT * FROM jobs ORDER BY rowid"
+                f"SELECT {_STATUS_COLUMNS} FROM jobs ORDER BY rowid"
             ).fetchall()
         return [self._row_payload(row) for row in rows]
 
-    def result(self, job_id: str) -> dict[str, Any] | None:
-        """The stored result document of a ``done`` job (else ``None``)."""
+    def result_json(self, job_id: str) -> str | None:
+        """The stored result of a ``done`` job as its JSON text (else ``None``).
+
+        The text is what :meth:`ack` encoded, so a server can send it
+        without parsing it again.
+        """
         with self._lock:
             row = self._connection.execute(
-                "SELECT status, result FROM jobs WHERE id = ?", (job_id,)
+                "SELECT result FROM jobs WHERE id = ? AND status = 'done'", (job_id,)
             ).fetchone()
-        if row is None or row["status"] != "done" or row["result"] is None:
-            return None
-        return json.loads(row["result"])
+        return None if row is None else row["result"]
+
+    def result(self, job_id: str) -> dict[str, Any] | None:
+        """The stored result document of a ``done`` job (else ``None``)."""
+        document = self.result_json(job_id)
+        return None if document is None else json.loads(document)
 
     def delete(self, job_id: str) -> bool:
         """Forget a *terminal* job; ``False`` when absent or still live."""
@@ -267,6 +330,8 @@ class JobQueue:
             payload["error"] = row["error"]
         if row["status"] == "leased" and (row["lease_deadline"] or 0) < time.time():
             payload["stalled"] = True
+        if row["summary"] is not None:
+            payload.update(json.loads(row["summary"]))
         return payload
 
     # ------------------------------------------------------------------
@@ -365,6 +430,7 @@ class JobQueue:
         result: dict[str, Any] | None = None,
         error: str | None = None,
         evaluated: int | None = None,
+        summary: dict[str, Any] | None = None,
     ) -> bool:
         """Record a terminal outcome; ``False`` = this worker lost the lease.
 
@@ -374,11 +440,26 @@ class JobQueue:
         reassigned) unable to write a second, conflicting result row.
         An expired-but-not-yet-re-leased lease still acks fine: the
         result beat the competition, nothing re-runs.
+
+        ``summary`` (JSON-able) is merged into the job's status
+        document from then on.  The ack's metrics are recorded before
+        the queue lock is released, so a status read on this instance
+        that sees the terminal state also sees them counted.
         """
         if status not in TERMINAL_STATES:
             raise ValueError(
                 f"ack status must be terminal {TERMINAL_STATES}, got {status!r}"
             )
+        # Encoded before the lock: a large result takes tens of
+        # milliseconds, and every status read waits on the lock.  Compact
+        # separators: the text is served verbatim, and on a 1.7 MB result
+        # they save 10% of its bytes, of the encoding and of the gzip.
+        arguments: list[Any] = [
+            status,
+            json.dumps(result, separators=(",", ":")) if result is not None else None,
+            error,
+            json.dumps(summary) if summary is not None else None,
+        ]
         now = time.time()
         with self._transaction() as connection:
             timings = connection.execute(
@@ -390,15 +471,11 @@ class JobQueue:
                 "status = ?",
                 "result = ?",
                 "error = ?",
+                "summary = ?",
                 "finished_at = ?",
                 "lease_deadline = NULL",
             ]
-            arguments: list[Any] = [
-                status,
-                json.dumps(result) if result is not None else None,
-                error,
-                now,
-            ]
+            arguments.append(now)
             if evaluated is not None:
                 assignments.append("evaluated = ?")
                 arguments.append(evaluated)
@@ -410,18 +487,17 @@ class JobQueue:
             )
             self._touch_worker(connection, worker_id, now)
             acked = cursor.rowcount > 0
-        if acked:
             registry = self.metrics_registry
-            if registry is not None:
+            if acked and registry is not None:
                 registry.counter(f"queue.acked_{status}").inc()
-                if timings is not None and timings["leased_at"] is not None:
+                if timings["leased_at"] is not None:
                     registry.histogram("queue.lease_to_ack_seconds").observe(
                         max(0.0, now - timings["leased_at"])
                     )
-                if timings is not None:
-                    registry.histogram("queue.enqueue_to_ack_seconds").observe(
-                        max(0.0, now - timings["enqueued_at"])
-                    )
+                registry.histogram("queue.enqueue_to_ack_seconds").observe(
+                    max(0.0, now - timings["enqueued_at"])
+                )
+        if acked:
             if status == "failed":
                 logger.warning("job %s failed on %s: %s", job_id, worker_id, error)
             else:

@@ -1,21 +1,27 @@
 """The pull-based redesign worker: lease -> plan -> heartbeat -> ack.
 
-A :class:`FleetWorker` drains the durable :class:`~repro.fleet.queue.JobQueue`
-that a queue-backed :class:`~repro.service.RedesignServer` front-end
-fills.  It owns a full planning stack -- its own
+A :class:`FleetWorker` drains the :class:`~repro.fleet.queue.JobQueue`
+that a :class:`~repro.service.RedesignServer` fills: the server's own
+private queue (it runs its ``workers`` as in-process FleetWorker
+threads), or a durable queue file shared with ``tools/worker.py``
+processes.  Either way this is the one place a job is planned.  The
+worker owns a full planning stack -- its own
 :class:`~repro.core.planner.Planner` per job, wired to whatever
-profile-cache tier the fleet shares (typically a
+profile-cache tier it was given (the server's, or a
 :class:`~repro.fleet.sharded.ShardedProfileCache` over the shard
 servers) -- and follows the queue's lease protocol:
 
-* lease the oldest available job (``None`` -> sleep ``poll_interval``),
-* plan it, heartbeating on a background timer so the lease never
-  expires while the worker is alive (each heartbeat also publishes the
-  live evaluated-alternatives counter the status endpoint serves),
+* lease the oldest available job (``None`` -> wait ``poll_interval``,
+  or less when the job is enqueued through the same queue instance),
+* plan it, publishing the running job (:attr:`FleetWorker.current`:
+  id, planner, session, live evaluated counter) before the plan starts
+  and heartbeating on a background timer so the lease never expires
+  while the worker is alive (each heartbeat also records the evaluated
+  counter in the queue),
 * ack ``done`` with the result document
-  (:func:`~repro.service.results.result_to_dict` -- the same shape the
-  in-process server produces, so :class:`~repro.service.RedesignClient`
-  cannot tell the difference), or ``failed`` with the error.
+  (:func:`~repro.service.results.result_to_dict`) and the run's summary
+  (``generation``, ``cache``, ``alternatives``, ``skyline_size``), or
+  ``failed`` with the error.
 
 Crash behaviour needs no code: a worker that dies mid-plan simply stops
 heartbeating, its lease expires, and the next idle worker re-leases the
@@ -38,13 +44,14 @@ import logging
 import os
 import threading
 import uuid
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cache import CacheBackend
-from repro.core.planner import Planner
+from repro.core.planner import Planner, PlanningResult
 from repro.core.session import RedesignSession
 from repro.etl.graph import ETLGraph
-from repro.fleet.queue import DEFAULT_LEASE_TIMEOUT, JobQueue, LeasedJob
+from repro.fleet.queue import JobQueue, LeasedJob
 from repro.obs.metrics import MetricsRegistry, maybe_timer
 from repro.patterns.registry import PatternRegistry
 from repro.service.redesign_server import configuration_from_request
@@ -58,6 +65,42 @@ DEFAULT_POLL_INTERVAL = 0.2
 
 class _JobAbandoned(Exception):
     """Internal: stop planning the current job *without acking it*."""
+
+
+@dataclass
+class RunningJob:
+    """The job a worker is planning, readable from other threads.
+
+    ``planner`` and ``session`` are set before planning starts;
+    ``evaluated`` counts the alternatives profiled so far.
+    """
+
+    job_id: str
+    planner: Planner | None = None
+    session: RedesignSession | None = None
+    evaluated: int = 0
+
+    def summary(self, result: PlanningResult | None = None) -> dict[str, Any]:
+        """``generation`` / ``cache`` stats, plus result sizes once done.
+
+        Never raises: it runs on the failure path too, and a cache tier
+        broken enough to raise in its stats calls must not strand the
+        job un-acked.  Stats are best-effort.
+        """
+        summary: dict[str, Any] = {}
+        if self.planner is None:
+            return summary
+        try:
+            stats = getattr(self.planner.generator, "last_stats", None)
+            if stats is not None:
+                summary["generation"] = stats.as_dict()
+            summary["cache"] = self.session.cache_stats()
+        except Exception:
+            pass
+        if result is not None:
+            summary["alternatives"] = len(result.alternatives)
+            summary["skyline_size"] = len(result.skyline_indices)
+        return summary
 
 
 class FleetWorker:
@@ -81,9 +124,16 @@ class FleetWorker:
     palette:
         Optional pattern palette forwarded to every planner.
     poll_interval / lease_timeout / heartbeat_interval:
-        Idle sleep; lease validity requested from the queue (default:
-        the queue's); heartbeat period (default: a third of the lease
-        timeout, so two beats may be lost before the lease expires).
+        Longest idle wait between lease attempts (an enqueue through
+        this worker's queue instance ends it early); lease validity
+        requested from the queue (default: the queue's); heartbeat
+        period (default: a third of the lease timeout, so two beats may
+        be lost before the lease expires).
+    registry:
+        Where the worker's loop timings and job outcomes are recorded,
+        and where a job submitted with ``"metrics_enabled": true``
+        records its planner metrics (``None``: the process default
+        registry).
     """
 
     def __init__(
@@ -116,6 +166,8 @@ class FleetWorker:
         self.jobs_done = 0
         self.jobs_failed = 0
         self.jobs_abandoned = 0
+        #: The job being planned right now (``None`` while idle).
+        self.current: RunningJob | None = None
         self._stop = threading.Event()
         self._killed = threading.Event()
         self._thread: threading.Thread | None = None
@@ -125,7 +177,7 @@ class FleetWorker:
     # ------------------------------------------------------------------
 
     def start(self) -> "FleetWorker":
-        """Run the drain loop on a daemon thread (the in-process mode)."""
+        """Run the drain loop on a daemon thread."""
         if self._thread is not None and self._thread.is_alive():
             raise RuntimeError(f"worker {self.worker_id} is already running")
         self._stop.clear()
@@ -139,6 +191,7 @@ class FleetWorker:
     def stop(self, timeout: float | None = 30.0) -> None:
         """Graceful shutdown: finish (and ack) the current job, then exit."""
         self._stop.set()
+        self.queue.wake()
         thread = self._thread
         if thread is not None and thread.is_alive():
             thread.join(timeout)
@@ -165,6 +218,7 @@ class FleetWorker:
         self.queue.register_worker(self.worker_id, pid=os.getpid())
         logger.info("worker %s draining %s", self.worker_id, self.queue.path)
         while not self._stop.is_set():
+            seen = self.queue.enqueued
             try:
                 job = self.queue.lease(self.worker_id, self.lease_timeout)
             except Exception:
@@ -172,7 +226,7 @@ class FleetWorker:
                 self._stop.wait(self.poll_interval)
                 continue
             if job is None:
-                self._stop.wait(self.poll_interval)
+                self.queue.wait_for_enqueue(seen, self.poll_interval, self._stop)
                 continue
             self._execute(job)
 
@@ -189,18 +243,19 @@ class FleetWorker:
             self._execute_timed(job)
 
     def _execute_timed(self, job: LeasedJob) -> None:
-        evaluated = [0]
+        running = RunningJob(job.job_id)
         lease_lost = threading.Event()
         stop_heartbeat = threading.Event()
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
-            args=(job.job_id, evaluated, lease_lost, stop_heartbeat),
+            args=(running, lease_lost, stop_heartbeat),
             name=f"fleet-{self.worker_id}-heartbeat",
             daemon=True,
         )
         heartbeat.start()
         try:
-            result_doc = self._plan(job, evaluated, lease_lost)
+            result = self._plan(job, running, lease_lost)
+            result_doc = result_to_dict(result)
         except _JobAbandoned:
             self.jobs_abandoned += 1
             self._count_job("abandoned")
@@ -214,7 +269,12 @@ class FleetWorker:
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             if self.queue.ack(
-                job.job_id, self.worker_id, "failed", error=error, evaluated=evaluated[0]
+                job.job_id,
+                self.worker_id,
+                "failed",
+                error=error,
+                evaluated=running.evaluated,
+                summary=running.summary(),
             ):
                 self.jobs_failed += 1
                 self._count_job("failed")
@@ -224,7 +284,12 @@ class FleetWorker:
             stop_heartbeat.set()
             heartbeat.join()
         if self.queue.ack(
-            job.job_id, self.worker_id, "done", result=result_doc, evaluated=evaluated[0]
+            job.job_id,
+            self.worker_id,
+            "done",
+            result=result_doc,
+            evaluated=running.evaluated,
+            summary=running.summary(result),
         ):
             self.jobs_done += 1
             self._count_job("done")
@@ -242,40 +307,47 @@ class FleetWorker:
     def _plan(
         self,
         job: LeasedJob,
-        evaluated: list[int],
+        running: RunningJob,
         lease_lost: threading.Event,
-    ) -> dict[str, Any]:
+    ) -> PlanningResult:
         payload = job.payload
         flow = ETLGraph.from_dict(payload["flow"])
-        configuration = configuration_from_request(payload.get("configuration"))
-        planner = Planner(
+        configuration = configuration_from_request(
+            payload.get("configuration"), registry=self.metrics_registry
+        )
+        running.planner = Planner(
             palette=self.palette,
             configuration=configuration,
             profile_cache=self.cache,
         )
-        session = RedesignSession(flow, planner=planner)
+        running.session = RedesignSession(flow, planner=running.planner)
 
         def on_evaluated(_alternative) -> None:
-            evaluated[0] += 1
+            running.evaluated += 1
             if self._killed.is_set() or lease_lost.is_set():
                 raise _JobAbandoned(job.job_id)
 
         if self._killed.is_set():  # killed between lease and planning start
             raise _JobAbandoned(job.job_id)
-        iteration = session.iterate(on_evaluated=on_evaluated)
-        return result_to_dict(iteration.result)
+        self.current = running
+        try:
+            return running.session.iterate(on_evaluated=on_evaluated).result
+        finally:
+            # Unpublished before the ack, so a job seen as terminal is
+            # never still listed as running.
+            self.current = None
 
     def _heartbeat_loop(
         self,
-        job_id: str,
-        evaluated: list[int],
+        running: RunningJob,
         lease_lost: threading.Event,
         stop: threading.Event,
     ) -> None:
+        job_id = running.job_id
         while not stop.wait(self.heartbeat_interval):
             try:
                 alive = self.queue.heartbeat(
-                    job_id, self.worker_id, evaluated=evaluated[0],
+                    job_id, self.worker_id, evaluated=running.evaluated,
                     lease_timeout=self.lease_timeout,
                 )
             except Exception:

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Timer,
     default_registry,
-    enabled_registry,
     maybe_timer,
     render_prometheus,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Timer",
     "DEFAULT_LATENCY_BOUNDS",
     "default_registry",
-    "enabled_registry",
     "maybe_timer",
     "render_prometheus",
     "GoldenThresholds",

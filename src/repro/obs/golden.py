@@ -90,9 +90,7 @@ def golden_metrics(snapshot: Mapping[str, object]) -> dict[str, float]:
     if hits or misses:
         golden["cache_hit_rate"] = hits / (hits + misses)
 
-    plan = histograms.get("service.plan_seconds") or histograms.get(
-        "planner.plan_seconds"
-    )
+    plan = histograms.get("planner.plan_seconds")
     if plan and plan.get("count"):
         golden["plan_count"] = float(plan["count"])
         golden["plan_p50_seconds"] = float(plan["p50"])

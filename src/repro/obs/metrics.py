@@ -30,8 +30,8 @@ Contract
   local registry and the parent folds the drained deltas back in --
   counts are never duplicated across the fork/spawn boundary.
 
-``enabled_registry(configuration)`` is the one gate the hot paths use:
-it returns ``None`` unless metrics are switched on, and every
+A planner records into its configuration's ``metrics_registry``
+(``None``, the default, switches metrics off), and every
 instrumentation site is a cheap ``if registry is not None`` guard, so
 the metrics-off path stays free.
 """
@@ -51,7 +51,6 @@ __all__ = [
     "Timer",
     "DEFAULT_LATENCY_BOUNDS",
     "default_registry",
-    "enabled_registry",
     "maybe_timer",
     "render_prometheus",
 ]
@@ -377,17 +376,6 @@ def default_registry() -> MetricsRegistry:
         if _DEFAULT_REGISTRY is None:
             _DEFAULT_REGISTRY = MetricsRegistry(_default=True)
         return _DEFAULT_REGISTRY
-
-
-def enabled_registry(configuration) -> MetricsRegistry | None:
-    """The registry a component should instrument against, or ``None``.
-
-    Components gate every instrumentation site on the returned value, so
-    ``metrics_enabled=False`` (the default) costs one attribute check.
-    """
-    if configuration is None or not getattr(configuration, "metrics_enabled", False):
-        return None
-    return getattr(configuration, "metrics_registry", None) or default_registry()
 
 
 def _prom_name(name: str) -> str:

@@ -15,9 +15,10 @@ two coordinated halves.
 
 :class:`RedesignServer` / :class:`RedesignClient`
     ``POST /plans`` a flow document, poll live progress (streamed by the
-    PR 1 pipeline), fetch the ranked alternatives; a bounded pool of
-    concurrent :class:`~repro.core.session.RedesignSession` workers all
-    share one injected cache tier.
+    planning pipeline), fetch the ranked alternatives.  Jobs go through a
+    :class:`~repro.fleet.JobQueue` drained by
+    :class:`~repro.fleet.FleetWorker` threads sharing one injected cache
+    tier by default, or by worker processes on a durable queue file.
 
 Start either from the command line with ``tools/serve.py``; see
 ``docs/service.md`` for the wire format and deployment sketch.  Both
@@ -36,11 +37,7 @@ from repro.service.common import (
     ServiceError,
     ServiceServer,
 )
-from repro.service.redesign_server import (
-    RedesignJob,
-    RedesignServer,
-    configuration_from_request,
-)
+from repro.service.redesign_server import RedesignServer, configuration_from_request
 from repro.service.results import result_from_dict, result_to_dict
 
 __all__ = [
@@ -48,7 +45,6 @@ __all__ = [
     "CacheServer",
     "JSONRequestHandler",
     "RedesignClient",
-    "RedesignJob",
     "RedesignServer",
     "RedesignServiceError",
     "ServiceError",

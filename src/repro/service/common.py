@@ -81,7 +81,8 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
     Subclasses implement :meth:`route` and receive the parsed body for
     every method (``{}`` when the request carries none -- bodies are
     always drained so keep-alive connections stay in sync); whatever
-    they return is serialised as the 200 response.  Raise
+    they return is serialised as the 200 response (``bytes`` are sent
+    as already-encoded JSON).  Raise
     :class:`ServiceError` for client errors; anything else becomes a
     500.
     """
@@ -98,8 +99,8 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         logger.debug("%s - %s", self.address_string(), format % args)
 
-    def send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def send_json(self, status: int, payload: dict | bytes) -> None:
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         content_encoding = None
         if len(body) >= COMPRESS_MIN_BYTES and "gzip" in (
             self.headers.get("Accept-Encoding") or ""
@@ -200,7 +201,7 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         raise ServiceError(401, "missing or invalid authorization token")
 
-    def route(self, method: str, path: str, body: Any) -> dict:
+    def route(self, method: str, path: str, body: Any) -> dict | bytes:
         """Dispatch one request; subclasses override."""
         raise ServiceError(404, f"unknown endpoint: {method} {path}")
 

@@ -222,7 +222,7 @@ class TestProcessBackendPool:
         try:
             _init_worker(worker_estimator)
             assert isinstance(worker_estimator.cache, DiskProfileCache)
-            (profile,) = _evaluate_chunk_pooled(alternatives[:1])
+            (profile,), _ = _evaluate_chunk_pooled(alternatives[:1])
             assert worker_estimator.cache.stats.hits == 1, "served from the warm dir"
             assert profile.values  # a real, fully populated profile
         finally:

@@ -12,7 +12,7 @@ def _snapshot_with_traffic() -> dict:
     registry.counter("cache.memory.misses").inc(1)
     registry.gauge("queue.depth").set(4)
     registry.gauge("fleet.workers_alive").set(2)
-    histogram = registry.histogram("service.plan_seconds")
+    histogram = registry.histogram("planner.plan_seconds")
     for value in (0.1, 0.2, 0.3, 0.4):
         histogram.observe(value)
     return registry.snapshot()

@@ -3,19 +3,19 @@
 import pickle
 import random
 import time
-from types import SimpleNamespace
 
 import pytest
 
+from repro.core.configuration import ProcessingConfiguration
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BOUNDS,
     MetricsRegistry,
     Timer,
     default_registry,
-    enabled_registry,
     maybe_timer,
     render_prometheus,
 )
+from repro.service import configuration_from_request
 
 
 class TestCounter:
@@ -202,21 +202,25 @@ class TestPickling:
         assert clone is default_registry()
 
 
-class TestEnabledRegistry:
-    def test_none_configuration_disables(self):
-        assert enabled_registry(None) is None
+class TestMetricsRegistryField:
+    def test_metrics_are_off_by_default(self):
+        assert ProcessingConfiguration().metrics_registry is None
 
-    def test_disabled_configuration_disables(self):
-        assert enabled_registry(SimpleNamespace(metrics_enabled=False)) is None
+    def test_a_non_registry_is_rejected(self):
+        with pytest.raises(ValueError, match="metrics_registry"):
+            ProcessingConfiguration(metrics_registry=object())
 
-    def test_enabled_without_registry_uses_the_default(self):
-        configuration = SimpleNamespace(metrics_enabled=True, metrics_registry=None)
-        assert enabled_registry(configuration) is default_registry()
+    def test_wire_switch_off_leaves_metrics_off(self):
+        assert configuration_from_request({"metrics_enabled": False}).metrics_registry is None
 
-    def test_enabled_with_explicit_registry_uses_it(self):
+    def test_wire_switch_without_a_registry_uses_the_default(self):
+        configuration = configuration_from_request({"metrics_enabled": True})
+        assert configuration.metrics_registry is default_registry()
+
+    def test_wire_switch_uses_the_planning_registry(self):
         registry = MetricsRegistry()
-        configuration = SimpleNamespace(metrics_enabled=True, metrics_registry=registry)
-        assert enabled_registry(configuration) is registry
+        configuration = configuration_from_request({"metrics_enabled": True}, registry=registry)
+        assert configuration.metrics_registry is registry
 
 
 class TestPrometheusRendering:

@@ -88,9 +88,7 @@ def test_concurrent_snapshots_are_monotone_and_never_torn():
 def test_thread_pool_evaluator_hammers_one_registry(linear_flow):
     """Metrics-enabled planners on a thread pool record consistently."""
     registry = MetricsRegistry()
-    configuration = fast_planner_config(
-        metrics_enabled=True, metrics_registry=registry, eval_batch_size=4
-    )
+    configuration = fast_planner_config(metrics_registry=registry, eval_batch_size=4)
     plans = 4
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(
@@ -124,9 +122,7 @@ def test_process_pool_worker_metrics_merge_into_the_parent(linear_flow):
     """Pool workers' estimation spans reach the parent registry exactly once."""
     registry = MetricsRegistry()
     planner = Planner(
-        configuration=fast_planner_config(
-            metrics_enabled=True, metrics_registry=registry, parallel_workers=2
-        )
+        configuration=fast_planner_config(metrics_registry=registry, parallel_workers=2)
     )
     result = planner.plan(linear_flow)
     sequential = Planner(configuration=fast_planner_config()).plan(linear_flow)
@@ -140,9 +136,5 @@ def test_process_pool_worker_metrics_merge_into_the_parent(linear_flow):
 def test_plans_identical_with_and_without_metrics(linear_flow):
     """Observability must never change what gets planned."""
     plain = Planner(configuration=fast_planner_config())
-    observed = Planner(
-        configuration=fast_planner_config(
-            metrics_enabled=True, metrics_registry=MetricsRegistry()
-        )
-    )
+    observed = Planner(configuration=fast_planner_config(metrics_registry=MetricsRegistry()))
     assert plain.plan(linear_flow).fingerprint() == observed.plan(linear_flow).fingerprint()

@@ -222,7 +222,7 @@ class TestProcessPoolOverHTTP:
             try:
                 _init_worker(worker_estimator)
                 assert isinstance(worker_estimator.cache, HTTPProfileCache)
-                profiles = _evaluate_chunk_pooled(alternatives[:2])
+                profiles, _ = _evaluate_chunk_pooled(alternatives[:2])
                 assert len(profiles) == 2 and all(p.values for p in profiles)
                 # both served from the warm server in one batched lookup
                 assert worker_estimator.cache.stats.hits == 2
@@ -275,7 +275,7 @@ class TestProcessPoolOverHTTP:
             try:
                 _init_worker(worker_estimator)
                 assert isinstance(worker_estimator.cache, ShardedProfileCache)
-                profiles = _evaluate_chunk_pooled(alternatives[:2])
+                profiles, _ = _evaluate_chunk_pooled(alternatives[:2])
                 assert len(profiles) == 2 and all(p.values for p in profiles)
                 assert worker_estimator.cache.stats.hits == 2
             finally:

@@ -107,10 +107,12 @@ class TestRedesignServerMetrics:
             client.plan(linear_flow, _WIRE_CONFIG, timeout=60.0)
             payload = _get_json(srv.url + "/metrics")
             assert payload["server"] == "redesign"
+            # job outcomes come from the queue the local workers ack into
             histograms = payload["metrics"]["histograms"]
-            assert histograms["service.plan_seconds"]["count"] == 1
-            assert histograms["service.plan_seconds"]["p99"] > 0
-            assert payload["metrics"]["counters"]["service.plans_done"] == 1
+            assert histograms["queue.enqueue_to_ack_seconds"]["count"] == 1
+            assert histograms["queue.enqueue_to_ack_seconds"]["p99"] > 0
+            assert payload["metrics"]["counters"]["queue.acked_done"] == 1
+            assert payload["queue"]["done"] == 1
             golden = payload["golden"]
             assert golden["plan_count"] == 1.0
             assert golden["plan_p99_seconds"] >= golden["plan_p50_seconds"] > 0

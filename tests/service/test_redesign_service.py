@@ -4,6 +4,11 @@ The acceptance bar: results fetched over the wire are equivalent to an
 in-process plan, >= 4 concurrent submissions all complete correctly on
 a bounded pool with one shared cache, bad requests get clean JSON
 errors, and progress is observable while a job runs.
+
+The lifecycle and retention contract is checked against both
+deployments: ``local`` (the server's private queue drained by its own
+worker threads) and ``fleet`` (a queue file the caller owns, drained by
+a worker on its own queue handle, as a separate process would).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import pytest
 
 from repro.cache import ProfileCache
 from repro.core import Planner
+from repro.fleet import FleetWorker, JobQueue
 from repro.service import (
     RedesignClient,
     RedesignServer,
@@ -37,10 +43,55 @@ _WIRE_CONFIG = dict(
 )
 
 
+#: Both deployments of the one job lifecycle.
+DEPLOYMENTS = pytest.mark.parametrize("deployment", ["local", "fleet"], indirect=True)
+
+
 @pytest.fixture()
-def server():
-    with RedesignServer(cache=ProfileCache(), workers=2) as srv:
-        yield srv
+def deployment(request):
+    return getattr(request, "param", "local")
+
+
+@pytest.fixture()
+def make_server(deployment, tmp_path):
+    """``make_server(cache=..., workers=..., ...)`` -> a started server.
+
+    ``fleet`` hands the server a queue file and drains it with as many
+    external workers, each sharing the cache and polling its own handle.
+    """
+    servers: list = []
+    external: list = []
+    queues: list = []
+
+    def make(cache=None, workers=2, **kwargs):
+        cache = cache if cache is not None else ProfileCache()
+        queue = None
+        if deployment == "fleet":
+            path = tmp_path / f"jobs-{len(queues)}.sqlite"
+            queue, worker_queue = JobQueue(path), JobQueue(path)
+            queues.extend([queue, worker_queue])
+        server = RedesignServer(cache=cache, workers=workers, queue=queue, **kwargs)
+        servers.append(server)
+        if queue is not None:
+            external.extend(
+                FleetWorker(
+                    worker_queue, worker_id=f"external-{index}", cache=cache,
+                    poll_interval=0.02,
+                ).start()
+                for index in range(workers)
+            )
+        return server.start()
+
+    yield make
+    for component in external + servers:
+        component.stop()
+    for queue in queues:
+        queue.close()
+
+
+@pytest.fixture()
+def server(make_server):
+    return make_server()
 
 
 @pytest.fixture()
@@ -60,6 +111,7 @@ class TestResultCodec:
         assert decoded.discarded_by_constraints == reference.discarded_by_constraints
 
 
+@DEPLOYMENTS
 class TestJobLifecycle:
     def test_submit_wait_result_matches_in_process_plan(self, client, linear_flow, make_config):
         reference = Planner(configuration=make_config()).plan(linear_flow)
@@ -151,49 +203,47 @@ class TestJobLifecycle:
         assert client.health()["status"] == "ok"  # the worker survived
 
 
+@DEPLOYMENTS
 class TestJobRetention:
-    def test_finished_jobs_are_compacted_and_evicted_beyond_the_cap(self, linear_flow):
-        with RedesignServer(
-            cache=ProfileCache(), workers=1, max_retained_jobs=2
-        ) as server:
-            client = RedesignClient(server.url, timeout=10.0)
-            job_ids = []
-            for _ in range(3):
-                job_id = client.submit(linear_flow, _WIRE_CONFIG)
-                client.wait(job_id, timeout=60.0)
-                job_ids.append(job_id)
-            # a finished job drops its planning graph...
-            for job in server.jobs_snapshot():
-                assert job.planner is None
-                assert job.session is None
-                assert job.result is None
-            # ...but its status payload still carries the captured stats
-            status = client.status(job_ids[-1])
-            assert status["alternatives"] > 0 and status["skyline_size"] > 0
-            assert "generation" in status and "cache" in status
-            result = client.result(job_ids[-1])
-            assert result.alternatives
-            # the oldest finished job was evicted at the third submission
-            assert len(server.jobs) == 2
-            with pytest.raises(RedesignServiceError) as excinfo:
-                client.status(job_ids[0])
-            assert excinfo.value.status == 404
+    def test_finished_jobs_are_compacted_and_evicted_beyond_the_cap(
+        self, make_server, linear_flow
+    ):
+        server = make_server(workers=1, max_retained_jobs=2)
+        client = RedesignClient(server.url, timeout=10.0)
+        job_ids = []
+        for _ in range(3):
+            job_id = client.submit(linear_flow, _WIRE_CONFIG)
+            client.wait(job_id, timeout=60.0)
+            job_ids.append(job_id)
+        # no finished job is still held as a running one...
+        assert server.jobs_snapshot() == []
+        # ...but its status payload still carries the captured stats
+        status = client.status(job_ids[-1])
+        assert status["alternatives"] > 0 and status["skyline_size"] > 0
+        assert "generation" in status and "cache" in status
+        result = client.result(job_ids[-1])
+        assert result.alternatives
+        # the oldest finished job was evicted at the third submission
+        with pytest.raises(RedesignServiceError) as excinfo:
+            client.status(job_ids[0])
+        assert excinfo.value.status == 404
+        assert [plan["id"] for plan in client._request("/plans")["plans"]] == job_ids[1:]
 
     def test_delete_frees_a_finished_job(self, client, server, linear_flow):
         job_id = client.submit(linear_flow, _WIRE_CONFIG)
         client.wait(job_id, timeout=60.0)
         assert client.delete(job_id)["deleted"] is True
-        assert job_id not in server.jobs
+        assert all(plan["id"] != job_id for plan in server.plans_payload())
         for call in (client.status, client.delete):
             with pytest.raises(RedesignServiceError) as excinfo:
                 call(job_id)
             assert excinfo.value.status == 404
 
-    def test_rejects_nonpositive_retention_cap(self):
+    def test_rejects_nonpositive_retention_cap(self, make_server):
         with pytest.raises(ValueError, match="max_retained_jobs"):
-            RedesignServer(max_retained_jobs=0)
+            make_server(max_retained_jobs=0)
 
-    def test_broken_backend_cannot_strand_a_job_in_running(self, linear_flow):
+    def test_broken_backend_cannot_strand_a_job_in_running(self, make_server, linear_flow):
         """A cache backend raising even in its stats calls still yields a
         terminal *failed* job (never a forever-``running`` one) and a
         status endpoint that answers instead of 500ing."""
@@ -227,13 +277,13 @@ class TestJobRetention:
             def __contains__(self, key):
                 return False
 
-        with RedesignServer(cache=ExplodingBackend(), workers=1) as server:
-            client = RedesignClient(server.url, timeout=10.0)
-            job_id = client.submit(linear_flow, _WIRE_CONFIG)
-            status = client.wait(job_id, timeout=60.0)
-            assert status["status"] == "failed"
-            assert "backend down" in status["error"]
-            assert client.delete(job_id)["deleted"] is True  # reclaimable
+        server = make_server(cache=ExplodingBackend(), workers=1)
+        client = RedesignClient(server.url, timeout=10.0)
+        job_id = client.submit(linear_flow, _WIRE_CONFIG)
+        status = client.wait(job_id, timeout=60.0)
+        assert status["status"] == "failed"
+        assert "backend down" in status["error"]
+        assert client.delete(job_id)["deleted"] is True  # reclaimable
 
     def test_delete_with_a_body_does_not_desync_keepalive(self, server):
         """The DELETE body is drained; the next request parses cleanly."""

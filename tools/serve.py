@@ -11,22 +11,23 @@ Two subcommands, one per server (see ``docs/service.md``):
 
 ``redesign``
     Serve the full redesign loop (``POST /plans`` -> ranked
-    alternatives), with every worker session sharing one cache tier
-    (memory over disk with ``--cache-dir``, as a planner's)::
+    alternatives): jobs go through the server's in-memory job queue,
+    drained by ``--workers`` in-process planner workers sharing one
+    cache tier (memory over disk with ``--cache-dir``, as a
+    planner's)::
 
         PYTHONPATH=src python tools/serve.py redesign --workers 4 --cache-dir .cache/profiles
 
-    With ``--queue PATH`` the server plans nothing itself: submissions
-    are validated, then enqueued into the durable SQLite job queue for
-    external ``tools/worker.py`` processes to drain (the fleet
-    front-end role, without the bundled shards and workers of
-    ``fleet``).
+    With ``--queue PATH`` the job queue is that durable SQLite file
+    instead and the server starts no workers: external
+    ``tools/worker.py`` processes drain it (the fleet front-end role,
+    without the bundled shards and workers of ``fleet``).
 
 ``fleet``
     Launch a whole scale-out topology in one process (see
     ``docs/fleet.md``): N shard cache servers, the durable job queue, M
     pull-based planner workers wired to a ring over the shards, and the
-    queue-backed redesign front-end::
+    redesign front-end over that queue::
 
         PYTHONPATH=src python tools/serve.py fleet --shards 4 --fleet-workers 4 \
             --queue .fleet/jobs.sqlite
@@ -205,14 +206,17 @@ def main(argv=None) -> int:
     redesign = commands.add_parser("redesign", help="serve the redesign loop")
     redesign.add_argument("--port", type=int, default=8732, help="TCP port (0 = ephemeral)")
     redesign.add_argument(
-        "--workers", type=int, default=2, help="concurrent planning sessions"
+        "--workers",
+        type=int,
+        default=2,
+        help="in-process planner workers draining the server's job queue",
     )
     redesign.add_argument(
         "--queue",
         default=None,
-        help="serve as a queue-backed fleet front-end: enqueue plans into this "
-        "durable SQLite job queue for external tools/worker.py processes "
-        "instead of planning in-process (--workers is then unused)",
+        help="serve as a fleet front-end: enqueue plans into this durable "
+        "SQLite job queue for external tools/worker.py processes instead of "
+        "planning in-process (--workers is then unused)",
     )
     _add_backend_arguments(redesign)
 
@@ -273,35 +277,33 @@ def main(argv=None) -> int:
         )
         role = "profile-cache"
         hint = f'ProcessingConfiguration(cache_urls=("{server.url}",))'
-    elif args.queue is not None:
-        from repro.fleet import JobQueue
-
-        if args.cache_dir is not None:
-            parser.error(
-                "--queue and --cache-dir are mutually exclusive: a queue-backed "
-                "front-end plans nothing, its workers own their cache tier "
-                "(see tools/worker.py)"
-            )
-        queue_path = Path(args.queue)
-        queue_path.parent.mkdir(parents=True, exist_ok=True)
-        queue = JobQueue(queue_path)
-        server = RedesignServer(
-            queue=queue, host=args.host, port=args.port, auth_token=args.auth_token
-        )
-        role = "fleet front-end"
-        hint = (
-            f"drain with: PYTHONPATH=src python tools/worker.py --queue {queue_path}"
-        )
     else:
+        if args.queue is not None:
+            from repro.fleet import JobQueue
+
+            if args.cache_dir is not None:
+                parser.error(
+                    "--queue and --cache-dir are mutually exclusive: a fleet "
+                    "front-end plans nothing, its workers own their cache tier "
+                    "(see tools/worker.py)"
+                )
+            queue_path = Path(args.queue)
+            queue_path.parent.mkdir(parents=True, exist_ok=True)
+            queue = JobQueue(queue_path)
         server = RedesignServer(
             cache=build_profile_cache(cache_dir=args.cache_dir, max_bytes=args.max_bytes),
             workers=args.workers,
+            queue=queue,
             host=args.host,
             port=args.port,
             auth_token=args.auth_token,
         )
-        role = "redesign"
-        hint = f'RedesignClient("{server.url}").plan(flow)'
+        if queue is None:
+            role = "redesign"
+            hint = f'RedesignClient("{server.url}").plan(flow)'
+        else:
+            role = "fleet front-end"
+            hint = f"drain with: PYTHONPATH=src python tools/worker.py --queue {queue_path}"
 
     bound = " (bound to every interface)" if args.host in ("0.0.0.0", "") else ""
     print(f"{role} service listening on {server.url}{bound}")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run one redesign fleet worker process (``make worker``).
 
-A worker drains the durable job queue that a queue-backed redesign
+A worker drains the durable job queue that a fleet redesign
 front-end (``tools/serve.py redesign --queue ...`` or the bundled
 ``tools/serve.py fleet``) fills::
 
