@@ -61,8 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: bumping it makes every existing entry invisible (new keys, so new
 #: file names) and unreadable-as-stale (version check), so schema
 #: changes can never serve stale profiles.  Version 2: the key is a
-#: 64-hex digest instead of a nested tuple.
-CACHE_SCHEMA_VERSION = 2
+#: 64-hex digest instead of a nested tuple.  Version 3: the flow part of
+#: the key is the byte encoding of ``ETLGraph.fingerprint``.
+CACHE_SCHEMA_VERSION = 3
 
 _ENTRY_SUFFIX = ".profile.pkl"
 

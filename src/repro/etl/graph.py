@@ -24,11 +24,15 @@ signature and content fingerprint.
 
 The delta makes downstream stages O(delta) as well: validation re-checks
 only the delta neighbourhood (:func:`repro.etl.validation.validate_delta`),
-deduplication reuses the parent signature instead of re-hashing the
-whole flow, and the profile-cache key reuses the parent's per-operation
-fingerprint entries.  The topological order is memoized per structure
-version (see :class:`ETLGraph`); the simulator, the structural measures
-and the executor's compiler all read it.
+deduplication merges the parent signature with the delta (and reuses
+the parent's node or edge tuple outright when the delta leaves it
+alone), and the profile-cache key reuses the parent's per-operation
+fingerprint digests and hashes the flow as bytes -- a count header,
+the 32-byte operation digests, the NUL-terminated edge ids and the
+annotations -- never the ``repr`` of the whole flow (see
+:meth:`ETLGraph.fingerprint`).  The topological order is memoized per
+structure version (see :class:`ETLGraph`); the simulator, the
+structural measures and the executor's compiler all read it.
 """
 
 from __future__ import annotations
@@ -89,34 +93,36 @@ def _hops_to_end(adjacency: Mapping[str, Mapping[str, Any]], start: str) -> int:
     return 0
 
 
-def _operation_entry(op: Operation) -> tuple[str, str]:
-    """The fingerprint entry of one operation: its id and a content digest.
+#: The code of each operation kind in signatures and fingerprints: its
+#: value, read from one table instead of through the ``Enum.value``
+#: property.
+_KIND_CODES: dict[OperationKind, str] = {kind: kind.value for kind in OperationKind}
 
-    The digest is the SHA-256 of everything about the operation that
-    influences measures (see :meth:`ETLGraph.fingerprint`); the id stays
-    in the clear so entries sort, and merge from a copy parent, by id.
+
+def _operation_entry(op: Operation) -> tuple[str, bytes]:
+    """The fingerprint entry of one operation: its id and a 32-byte content digest.
+
+    The digest is the SHA-256 of the ``repr`` of one flat tuple, ``(op_id,
+    kind code, parallelism, schema code, config items, properties
+    code)``: everything about the operation that influences measures (see
+    :meth:`ETLGraph.fingerprint`).  The schema and properties codes are
+    SHA-256 digests of their canonical texts, memoized on those frozen
+    values (:meth:`Schema.fingerprint_code`,
+    :meth:`OperationProperties.fingerprint_code`) and shared by every
+    operation that shares the value, so a changed operation costs one
+    short ``repr`` and one hash.  The ``repr`` of a tuple of strings and
+    integers is injective.  The id stays in the clear so entries sort,
+    and merge from a copy parent, by id.
     """
-    props = op.properties
     content = (
         op.op_id,
-        op.kind.value,
+        _KIND_CODES[op.kind],
         op.parallelism,
-        tuple((f.name, f.dtype.value, f.nullable, f.key) for f in op.output_schema.fields),
+        op.output_schema.fingerprint_code(),
         tuple(sorted((str(k), repr(v)) for k, v in op.config.items())),
-        props.cost_per_tuple,
-        props.fixed_cost,
-        props.selectivity,
-        props.error_rate,
-        props.null_rate,
-        props.duplicate_rate,
-        props.failure_rate,
-        props.memory_per_tuple,
-        props.freshness_lag,
-        props.update_frequency,
-        props.monetary_cost,
-        tuple(sorted((str(k), repr(v)) for k, v in props.extra.items())),
+        op.properties.fingerprint_code(),
     )
-    return (op.op_id, hashlib.sha256(repr(content).encode("utf-8")).hexdigest())
+    return (op.op_id, hashlib.sha256(repr(content).encode("utf-8")).digest())
 
 
 @dataclass
@@ -503,11 +509,11 @@ class ETLGraph:
         self._require(op_id)
         if new_id in self._nodes:
             raise ValueError(f"operation id already in use: {new_id!r}")
-        operation = self._nodes[op_id]
+        renamed = replace(self._nodes[op_id], op_id=new_id)  # validates before any write
         succs = self._succ[op_id]
         preds = self._pred[op_id]
         self.remove_operation(op_id)
-        self.add_operation(replace(operation, op_id=new_id))
+        self.add_operation(renamed)
         for succ, edge in succs.items():
             self.add_edge(new_id, succ, edge.schema, edge.label, unchecked=True)
         for pred, edge in preds.items():
@@ -949,10 +955,13 @@ class ETLGraph:
         directly).
         """
         nodes, edges = self._structural_signature()
-        annotations = tuple(
-            sorted((str(k), repr(v)) for k, v in self.annotations.items())
-        )
-        return (nodes, edges, annotations)
+        return (nodes, edges, self._annotation_items())
+
+    def _annotation_items(self) -> tuple:
+        """The live annotations as sorted ``(str(key), repr(value))`` pairs."""
+        if not self.annotations:
+            return ()
+        return tuple(sorted((str(k), repr(v)) for k, v in self.annotations.items()))
 
     def _capture_parent(self) -> None:
         """Snapshot the copy parent's signature and fingerprint entries, once.
@@ -976,7 +985,10 @@ class ETLGraph:
             signature = self._merge_parent_signature()
         else:
             nodes = tuple(
-                sorted((op.op_id, op.kind.value, op.parallelism) for op in self.operations())
+                sorted(
+                    (op.op_id, _KIND_CODES[op.kind], op.parallelism)
+                    for op in self._nodes.values()
+                )
             )
             edges = tuple(sorted((e.source, e.target) for e in self.edges()))
             signature = (nodes, edges)
@@ -984,20 +996,31 @@ class ETLGraph:
         return signature
 
     def _merge_parent_signature(self) -> tuple:
-        """Parent structural signature + delta -> this graph's signature."""
-        parent_nodes, parent_edges = self._parent_sig
+        """Parent structural signature + delta -> this graph's signature.
+
+        A part the delta does not touch is the parent's tuple itself: an
+        annotation-only delta returns both, a delta that changes
+        operations but no transition returns the parent's edges.
+        """
+        nodes, edges = self._parent_sig
         delta = self._delta
-        changed = delta.ops_added | delta.ops_modified
-        gone = delta.ops_removed | changed
-        nodes = [entry for entry in parent_nodes if entry[0] not in gone]
-        for op_id in changed:
-            op = self._nodes.get(op_id)
-            if op is not None:
-                nodes.append((op.op_id, op.kind.value, op.parallelism))
-        edge_gone = delta.edges_removed | delta.edges_added
-        edges = [key for key in parent_edges if key not in edge_gone]
-        edges.extend(key for key in delta.edges_added if self.has_edge(*key))
-        return (tuple(sorted(nodes)), tuple(sorted(edges)))
+        if delta.ops_added or delta.ops_removed or delta.ops_modified:
+            changed = delta.ops_added | delta.ops_modified
+            gone = delta.ops_removed | changed
+            merged = [entry for entry in nodes if entry[0] not in gone]
+            for op_id in changed:
+                op = self._nodes.get(op_id)
+                if op is not None:
+                    merged.append((op_id, _KIND_CODES[op.kind], op.parallelism))
+            merged.sort()
+            nodes = tuple(merged)
+        if delta.edges_added or delta.edges_removed:
+            edge_gone = delta.edges_removed | delta.edges_added
+            kept = [key for key in edges if key not in edge_gone]
+            kept.extend(key for key in delta.edges_added if self.has_edge(*key))
+            kept.sort()
+            edges = tuple(kept)
+        return (nodes, edges)
 
     def fingerprint(self) -> str:
         """A content digest (64 lowercase hex) of everything that influences measures.
@@ -1010,19 +1033,45 @@ class ETLGraph:
         out, so equal flows reached through different pattern
         combinations share one profile-cache entry.
 
-        It is the SHA-256 of ``repr((entries, transitions,
-        annotations))``, where each entry is an operation id and the
-        digest of that operation's content.  The entries are cached and,
-        on copies, merged from the parent's entries plus the recorded
-        delta (an unchanged operation's digest is shared with the
-        parent, never recomputed); the transitions are those of the
-        structural signature, and the annotations are read live.
+        It is one SHA-256 over four byte segments, with no ``repr`` of
+        the whole flow:
+
+        1. the header ``f"{n}:{m}:"`` -- the operation count ``n`` and
+           the transition count ``m``;
+        2. the ``n`` 32-byte operation digests (:func:`_operation_entry`),
+           in id order;
+        3. the ``2m`` endpoint ids of the sorted transitions, each
+           followed by a NUL byte (a lone NUL when ``m`` is 0);
+        4. the ``repr`` of the sorted annotation items.
+
+        The encoding is injective, so distinct contents never share the
+        bytes that are hashed (short of a SHA-256 collision between two
+        operation digests): the header's digit runs end at the first
+        and second ``:``; the counts then fix the width of the digest
+        segment and the number of ids, ids end at a NUL because an
+        operation id may not contain one (``Operation`` refuses it), and
+        the annotations are the rest.  The entries are cached and, on
+        copies, merged from the parent's entries plus the recorded delta
+        (an unchanged operation's digest is shared with the parent, never
+        recomputed); the transitions are those of the structural
+        signature, reused from the parent when the delta touches none,
+        and the annotations are read live.
         """
-        annotations = tuple(
-            sorted((str(k), repr(v)) for k, v in self.annotations.items())
-        )
-        content = (self._operation_entries(), self._structural_signature()[1], annotations)
-        return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
+        entries = self._operation_entries()
+        edges = self._structural_signature()[1]
+        return hashlib.sha256(
+            b"".join(
+                (
+                    f"{len(entries)}:{len(edges)}:".encode(),
+                    b"".join([entry[1] for entry in entries]),
+                    "\x00".join(itertools.chain.from_iterable(edges)).encode(
+                        "utf-8", "surrogatepass"
+                    ),
+                    b"\x00",
+                    repr(self._annotation_items()).encode("utf-8"),
+                )
+            )
+        ).hexdigest()
 
     def _operation_entries(self) -> tuple:
         """The sorted per-operation part of the fingerprint, cached per version."""
@@ -1039,10 +1088,10 @@ class ETLGraph:
     def _merge_parent_entries(self) -> tuple:
         """Parent fingerprint entries + delta -> this graph's entries."""
         delta = self._delta
+        if not (delta.ops_added or delta.ops_removed or delta.ops_modified):
+            return self._parent_fp
         changed = delta.ops_added | delta.ops_modified
         gone = delta.ops_removed | changed
-        if not gone:
-            return self._parent_fp
         entries = [entry for entry in self._parent_fp if entry[0] not in gone]
         for op_id in changed:
             if op_id in self._nodes:

@@ -205,7 +205,8 @@ class Operation:
     name:
         A human-readable label; defaults to the generated ``op_id``.
     op_id:
-        Unique identifier within a flow.  Generated when omitted.
+        Unique identifier within a flow.  Generated when omitted.  It may
+        not contain a NUL character (``ValueError``).
     output_schema:
         Schema of the records this operation emits.  Routers emit the same
         schema on every outgoing edge unless ``per_output_schemas`` is set
@@ -229,6 +230,9 @@ class Operation:
     def __post_init__(self) -> None:
         if not self.op_id:
             object.__setattr__(self, "op_id", _next_operation_id(self.kind))
+        elif "\x00" in self.op_id:
+            # Flow fingerprints end each transition id with a NUL byte.
+            raise ValueError(f"operation id may not contain NUL: {self.op_id!r}")
         if not self.name:
             object.__setattr__(self, "name", self.op_id)
         if type(self.config) is not ReadOnlyDict:

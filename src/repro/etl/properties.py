@@ -9,6 +9,7 @@ both the static estimators and the runtime simulator that produces traces.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -108,6 +109,38 @@ class OperationProperties:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+    def fingerprint_code(self) -> str:
+        """The SHA-256 (64 hex) of these properties, as flow fingerprints digest them.
+
+        Taken over the ``repr`` of the eleven numbers in field order
+        followed by the sorted ``(str(key), repr(value))`` items of
+        ``extra``, once, and memoized: properties are frozen, and one
+        properties object is shared by every operation and fork that
+        carries it.
+        """
+        try:
+            return self._fingerprint_code  # type: ignore[attr-defined]
+        except AttributeError:
+            text = repr(
+                (
+                    self.cost_per_tuple,
+                    self.fixed_cost,
+                    self.selectivity,
+                    self.error_rate,
+                    self.null_rate,
+                    self.duplicate_rate,
+                    self.failure_rate,
+                    self.memory_per_tuple,
+                    self.freshness_lag,
+                    self.update_frequency,
+                    self.monetary_cost,
+                    tuple(sorted((str(k), repr(v)) for k, v in self.extra.items())),
+                )
+            )
+            code = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint_code", code)
+            return code
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a JSON-friendly mapping (only non-default values kept compactly)."""

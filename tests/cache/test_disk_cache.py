@@ -191,6 +191,44 @@ class TestDiskCacheFailureModes:
         assert disk.stats.misses > 0
         assert result.fingerprint() == cold.fingerprint()
 
+    def test_version_two_entries_are_invisible_to_a_plan(self, tmp_path, linear_flow):
+        """A directory written by the version-2 layout plans like a cold cache.
+
+        Version 2 named each file by its 64-hex key, the SHA-256 of
+        ``repr((2, digest, settings, registry))``, where the flow digest
+        was the SHA-256 of the ``repr`` of the nested fingerprint tuple
+        with each operation entry replaced by the hex digest of its
+        ``repr``.  One such entry per flow of the plan, each holding a
+        wrong profile, must never be read: no disk hit, no error, and the
+        plan of a cold cache.
+        """
+
+        def sha256(value):
+            return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+        config = fast_planner_config()
+        cold = Planner(configuration=config).plan(linear_flow)
+        seeder = Planner(configuration=config)
+        estimator = seeder.estimator
+        registry = tuple(
+            sorted((m.name, m.weight, m.requires_trace) for m in estimator.registry)
+        )
+        flows = [linear_flow] + [alt.flow for alt in seeder.generator.generate_iter(linear_flow)]
+        for flow in flows:
+            entries, edges, annotations = reference_fingerprint(flow)
+            digest = sha256((tuple((e[0], sha256(e)) for e in entries), edges, annotations))
+            key = sha256((2, digest, estimator.settings.fingerprint(), registry))
+            payload = {"version": 2, "key": key, "profile": _profile("stale")}
+            (tmp_path / f"{key}{_ENTRY_SUFFIX}").write_bytes(pickle.dumps(payload))
+
+        planner = Planner(configuration=fast_planner_config(cache_dir=str(tmp_path)))
+        result = planner.plan(linear_flow)
+        disk = planner.profile_cache.disk
+        assert disk.stats.hits == 0 and disk.stats.invalid == 0
+        assert disk.stats.misses > 0
+        assert len(_entry_files(disk)) == 2 * len(flows)
+        assert result.fingerprint() == cold.fingerprint()
+
 
 class TestDiskCacheEviction:
     def test_evicts_least_recently_used_under_cap(self, tmp_path):

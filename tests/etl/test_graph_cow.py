@@ -189,6 +189,59 @@ class TestIncrementalSignature:
         assert a.signature() != b.signature()
 
 
+class TestParentTupleReuse:
+    """A signature part the delta does not touch is the parent's tuple itself."""
+
+    @staticmethod
+    def _assert_matches_a_fresh_build(flow):
+        fresh = ETLGraph.from_dict(flow.to_dict())
+        assert flow.signature() == fresh.signature()
+        assert flow.fingerprint() == fresh.fingerprint()
+
+    def test_annotation_only_delta_reuses_both_parts(self, chain):
+        parent_nodes, parent_edges, _ = chain.signature()
+        child = chain.copy()
+        child.set_annotation("encryption", True)
+        nodes, edges, annotations = child.signature()
+        assert nodes is parent_nodes and edges is parent_edges
+        assert annotations == (("encryption", "True"),)
+        assert child.fingerprint() != chain.fingerprint()
+        self._assert_matches_a_fresh_build(child)
+
+    def test_operation_only_delta_reuses_the_edges(self, chain, schema):
+        parent_nodes, parent_edges, _ = chain.signature()
+        child = chain.copy()
+        child.update_operation("mid", config={"parallelism": 4})
+        child.update_operation(
+            "dst", output_schema=Schema.of(Field("w", DataType.STRING))
+        )
+        nodes, edges, _ = child.signature()
+        assert edges is parent_edges
+        assert nodes is not parent_nodes and ("mid", "derive", 4) in nodes
+        self._assert_matches_a_fresh_build(child)
+
+    def test_edge_schema_change_reuses_both_parts(self, chain):
+        parent_nodes, parent_edges, _ = chain.signature()
+        child = chain.copy()
+        child.set_edge_schema("mid", "dst", Schema.of(Field("w", DataType.STRING)))
+        nodes, edges, _ = child.signature()
+        assert nodes is parent_nodes and edges is parent_edges
+        self._assert_matches_a_fresh_build(child)
+
+    def test_parent_mutated_after_the_fork_falls_back_to_scratch(self, chain, schema):
+        child = chain.copy()
+        chain.remove_edge("mid", "dst")
+        chain.add_operation(Operation(OperationKind.NOOP, op_id="late", output_schema=schema))
+        chain.update_operation("mid", config={"parallelism": 3})
+        chain.signature(), chain.fingerprint()
+        child.set_annotation("encryption", True)
+        nodes, edges, _ = child.signature()
+        assert ("mid", "dst") in edges and ("mid", "derive", 1) in nodes
+        assert "late" not in {entry[0] for entry in nodes}
+        self._assert_matches_a_fresh_build(child)
+        self._assert_matches_a_fresh_build(chain)
+
+
 class TestRelabelIsolation:
     def test_relabel_on_child_does_not_leak_into_parent(self, chain):
         child = chain.copy()

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.etl.builder import FlowBuilder
+from repro.etl.graph import ETLGraph
 from repro.etl.operations import Operation, OperationCategory, OperationKind
 from repro.etl.properties import OperationProperties
 from repro.etl.schema import DataType, Field, Schema
@@ -117,6 +119,40 @@ class TestOperation:
         assert restored.properties.cost_per_tuple == pytest.approx(0.2)
         assert restored.properties.selectivity == pytest.approx(0.1)
         assert restored == op
+
+
+class TestOperationIdsRefuseNul:
+    """Flow fingerprints end each transition id with NUL, so no id may hold one."""
+
+    def test_constructor(self):
+        with pytest.raises(ValueError, match="NUL"):
+            Operation(OperationKind.FILTER, op_id="a\x00b")
+
+    def test_from_dict(self):
+        data = Operation(OperationKind.FILTER, op_id="f1").to_dict()
+        data["op_id"] = "f\x001"
+        with pytest.raises(ValueError, match="NUL"):
+            Operation.from_dict(data)
+        document = {"operations": [data], "edges": []}
+        with pytest.raises(ValueError, match="NUL"):
+            ETLGraph.from_dict(document)
+
+    def test_relabel_operation_leaves_the_flow_intact(self, linear_flow):
+        before = linear_flow.to_dict()
+        victim = linear_flow.operation_ids()[1]
+        with pytest.raises(ValueError, match="NUL"):
+            linear_flow.relabel_operation(victim, "renamed\x00")
+        assert linear_flow.to_dict() == before
+
+    def test_builder(self):
+        builder = FlowBuilder("nul")
+        with pytest.raises(ValueError, match="NUL"):
+            builder.add(OperationKind.FILTER, "filter", op_id="\x00")
+        assert len(builder.build(validate=False)) == 0
+
+    def test_other_characters_are_accepted(self):
+        for op_id in ("(a", "a')", ",", ":", "1:2:", "\x01", "\ud800"):
+            assert Operation(OperationKind.FILTER, op_id=op_id).op_id == op_id
 
 
 class TestOperationProperties:

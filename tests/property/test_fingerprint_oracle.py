@@ -8,13 +8,17 @@ mutations (relabel, remove, annotations set either way,
 the fingerprint was read, writes to a parent after it was forked, pickle
 round trips), every graph's fingerprint must equal
 ``tests/reference_fingerprint.py``'s digest, which ignores every cache.
+Deltas that touch no transition (annotation-only, operation-only) reuse
+the parent's signature tuples and still match a from-scratch build.
 Corpus tests pin the profile-cache keys of the TPC-H alternatives to the
 from-scratch ones, and check that hashing loses no distinction: as many
-distinct digests as distinct from-scratch fingerprint tuples.
+distinct digests as distinct from-scratch fingerprint tuples, also for
+operation ids built to blur the boundaries of a textual encoding.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
 from dataclasses import replace
 
@@ -23,6 +27,8 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.core import Planner, ProcessingConfiguration
+from repro.etl.graph import ETLGraph
+from repro.etl.operations import Operation, OperationKind
 from repro.etl.schema import DataType, Field, Schema
 from repro.workloads import RandomFlowConfig, random_flow, tpch_refresh_flow
 from tests.property.test_cow_equivalence import _apply_sequence, _pick_sequences
@@ -135,6 +141,100 @@ class TestFingerprintOracle:
         _mutate([restored], "config", 3, len(actions))
         assert restored.fingerprint() == reference_digest(restored)
         assert graphs[-1].fingerprint() == reference_digest(graphs[-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        picks=_pick_sequences,
+        actions=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("set_annotation", "assign_annotation", "config", "properties", "schema")
+                ),
+                st.integers(min_value=0, max_value=1_000),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        parent_write=st.booleans(),
+    )
+    def test_deltas_without_edge_changes_reuse_the_parent(
+        self, seed, picks, actions, parent_write
+    ):
+        """Annotation-only and operation-only deltas against a from-scratch build."""
+        flow = random_flow(RandomFlowConfig(operations=10, sources=2, seed=seed))
+        _, chain = _apply_sequence(flow, picks)
+        parent = chain[-1]
+        parent_nodes, parent_edges, _ = parent.signature()
+        graphs = [parent, parent.copy()]
+        if parent_write:
+            _mutate(graphs, "parent_write", seed, 0)
+        for step, (action, number) in enumerate(actions):
+            _mutate(graphs, action, number, step)
+        child = graphs[-1]
+        fresh = ETLGraph.from_dict(child.to_dict())
+        nodes, edges, _ = child.signature()
+        assert child.signature() == fresh.signature()
+        assert child.fingerprint() == reference_digest(child) == fresh.fingerprint()
+        if not parent_write:
+            assert edges is parent_edges
+            if not child.delta.ops_modified:
+                assert nodes is parent_nodes
+        assert parent.fingerprint() == reference_digest(parent)
+
+
+#: Operation ids that blur the boundaries of a textual encoding: quotes,
+#: brackets, separators and digit runs shaped like the digest header.
+_ADVERSARIAL_IDS = (
+    "a", "b", "a,b", "b,c", "c", "(a", "a')", "'", ",", ":", "1:2:", "12", "1", "2:"
+)
+
+
+def _adversarial_flows():
+    """Small flows over :data:`_ADVERSARIAL_IDS`, with and without transitions."""
+    schema = Schema.of(Field("id", DataType.INTEGER))
+
+    def build(ids, edges, annotations=()):
+        flow = ETLGraph("adversarial")
+        for op_id in ids:
+            flow.add_operation(Operation(OperationKind.NOOP, op_id=op_id, output_schema=schema))
+        for source, target in edges:
+            flow.add_edge(source, target)
+        for key, value in annotations:
+            flow.set_annotation(key, value)
+        return flow
+
+    flows = [build([op_id], []) for op_id in _ADVERSARIAL_IDS]
+    flows += [
+        build([source, target], [(source, target)])
+        for source, target in itertools.permutations(_ADVERSARIAL_IDS, 2)
+    ]
+    flows += [
+        build(["a", "b,c", "a,b", "c"], [("a", "b,c")]),
+        build(["a", "b,c", "a,b", "c"], [("a,b", "c")]),
+        build(["1", "2:", "12", ":"], [("1", "2:")]),
+        build(["1", "2:", "12", ":"], [("12", ":")]),
+        build(["a", "b", "(a"], [], [("x", "a'), ('b")]),
+        build(["a", "b", "(a"], [("a", "b")], [("x", "")]),
+    ]
+    return flows
+
+
+def test_adversarial_ids_keep_distinct_digests():
+    flows = _adversarial_flows()
+    contents = {reference_fingerprint(flow) for flow in flows}
+    assert len(contents) == len(flows)
+    # a separator-joined edge text does blur on these ids ...
+    assert len({",".join(itertools.chain(*reference_fingerprint(f)[1])) for f in flows}) < len(
+        flows
+    )
+    # ... the NUL-terminated byte encoding does not
+    digests = {flow.fingerprint() for flow in flows}
+    assert len(digests) == len(flows)
+    for flow in flows:
+        assert flow.fingerprint() == reference_digest(flow)
+        assert flow.copy().fingerprint() == flow.fingerprint()
+
 
 
 def _budget_two_corpus(flow):

@@ -104,6 +104,25 @@ class TestCompression:
         assert client.get(cache_key("tiny")) is None
         assert client.wire_stats()["compressed_requests"] == 0
 
+    def test_gzip_result_round_trips_through_the_redesign_client(self, linear_flow):
+        """Level-1 gzip responses decode to the same result as plain ones."""
+        configuration = dict(
+            pattern_budget=1, max_points_per_pattern=2, simulation_runs=1, seed=7
+        )
+        with RedesignServer(cache=ProfileCache(), workers=1) as srv:
+            compressed = RedesignClient(srv.url, timeout=10.0)
+            plain = RedesignClient(srv.url, timeout=10.0, compression=False)
+            job_id = compressed.submit(linear_flow, configuration)
+            assert compressed.wait(job_id, timeout=60.0)["status"] == "done"
+            before = compressed._client.compressed_responses
+            document = compressed.result_raw(job_id)
+            assert compressed._client.compressed_responses == before + 1
+            assert plain.result_raw(job_id) == document
+            assert plain._client.compressed_responses == 0
+            assert compressed.result(job_id).fingerprint() == plain.result(job_id).fingerprint()
+            compressed.close()
+            plain.close()
+
     def test_encode_decode_inverse_and_deterministic(self):
         payload = {"profiles": ["x" * 4096]}
         body, coding = encode_body(payload, compress=True)
