@@ -77,7 +77,6 @@ def run_cache_bench(
     max_points_per_pattern: int = 2,
     simulation_runs: int = 5,
     max_alternatives: int = 80,
-    workers: int = 1,
     cache_dir: str | None = None,
 ) -> dict:
     """Time the three arms on one workload and return a comparison report.
@@ -93,7 +92,6 @@ def run_cache_bench(
         max_points_per_pattern=max_points_per_pattern,
         simulation_runs=simulation_runs,
         max_alternatives=max_alternatives,
-        parallel_workers=workers,
     )
     owns_dir = cache_dir is None
     cache_dir = cache_dir or tempfile.mkdtemp(prefix="repro-profile-cache-")
@@ -204,7 +202,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pattern-budget", type=int, default=2)
     parser.add_argument("--simulation-runs", type=int, default=5)
     parser.add_argument("--max-alternatives", type=int, default=80)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--cache-dir", default=None, help="persist entries here (kept)")
     parser.add_argument("--json", action="store_true", help="emit the raw report as JSON")
     args = parser.parse_args(argv)
@@ -213,7 +210,6 @@ def main(argv=None) -> int:
         pattern_budget=args.pattern_budget,
         simulation_runs=args.simulation_runs,
         max_alternatives=args.max_alternatives,
-        workers=args.workers,
         cache_dir=args.cache_dir,
     )
     if args.json:

@@ -13,9 +13,12 @@ Three arms run the identical session:
 * **eager** -- the seed behaviour: materialize the full alternative list,
   evaluate it as one barrier batch, profile caching disabled.  Every
   re-plan re-simulates every flow.
-* **streaming** -- the lazy generator feeds the evaluator with a bounded
-  in-flight window and the shared :class:`ProfileCache` memoizes profiles,
-  so re-plans and the next iteration's baseline are served from the cache.
+* **streaming** -- the lazy generator feeds the evaluator one window at a
+  time (one batched cache lookup each) and the shared
+  :class:`ProfileCache` memoizes profiles, so re-plans and the next
+  iteration's baseline are served from the cache.  The win over eager
+  comes from that cache, not from overlap: evaluation runs on the
+  planning thread in both arms.
 * **screening** -- streaming plus two-phase beam screening: static-only
   scores for everyone, full simulation only for the top ``screening_beam``.
 
@@ -117,7 +120,6 @@ def run_comparison(
     iterations: int = 2,
     replans: int = 1,
     simulation_runs: int = 5,
-    workers: int = 2,
     pattern_budget: int = 2,
     max_points_per_pattern: int = 2,
     max_alternatives: int = 80,
@@ -131,7 +133,6 @@ def run_comparison(
         max_points_per_pattern=max_points_per_pattern,
         simulation_runs=simulation_runs,
         max_alternatives=max_alternatives,
-        parallel_workers=workers,
     )
 
     arms = {}
@@ -214,7 +215,6 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=2)
     parser.add_argument("--replans", type=int, default=1)
     parser.add_argument("--simulation-runs", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--screening-beam", type=int, default=10)
     parser.add_argument("--json", action="store_true", help="emit the raw report as JSON")
     args = parser.parse_args(argv)
@@ -223,7 +223,6 @@ def main(argv=None) -> int:
         iterations=args.iterations,
         replans=args.replans,
         simulation_runs=args.simulation_runs,
-        workers=args.workers,
         screening_beam=args.screening_beam,
     )
     if args.json:

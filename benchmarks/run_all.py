@@ -96,7 +96,7 @@ def run_all(tiny: bool = False) -> dict:
         )
         streaming_kwargs = dict(
             scale=0.01, iterations=1, replans=1, simulation_runs=1,
-            workers=1, max_alternatives=10, screening_beam=3,
+            max_alternatives=10, screening_beam=3,
         )
         cache_kwargs = dict(
             scale=0.01, pattern_budget=1, max_points_per_pattern=2,

@@ -88,10 +88,9 @@ def persistent_component(cache: CacheBackend | None) -> CacheBackend | None:
     """The part of ``cache`` whose entries outlive this process, if any.
 
     The disk store of a memory-over-disk tier, or the cache itself for a
-    disk store, a cache-server client or a ring of them: the only parts
-    worth shipping to process-pool workers (which unpickle them as fresh
-    handles onto the same store) or batching writes for.  ``None`` for
-    memory-only caches, whose unpickled copy would be empty.
+    disk store, a cache-server client or a ring of them: the part the
+    evaluator batches writes for during a stream.  ``None`` for
+    memory-only caches, which have nothing to batch.
     """
     if cache is None or isinstance(cache, ProfileCache):
         return None

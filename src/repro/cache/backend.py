@@ -2,7 +2,7 @@
 
 :class:`CacheBackend` is the protocol extracted from the original
 in-memory ``ProfileCache`` (PR 1) so that the planner, the estimator and
-the parallel evaluator can be handed *any* cache tier -- in-memory LRU
+the evaluator can be handed *any* cache tier -- in-memory LRU
 (:class:`~repro.cache.memory.ProfileCache`), disk-backed
 (:class:`~repro.cache.disk.DiskProfileCache`) or the memory-over-disk
 composite (:class:`~repro.cache.tiered.TieredProfileCache`) -- without
@@ -129,8 +129,8 @@ class CacheBackend(Protocol):
     * ``put`` may buffer (see ``flush``); a buffered entry must still be
       visible to ``get``/``__contains__`` of the same backend instance.
     * ``flush`` persists any buffered writes; it is a no-op for fully
-      synchronous backends.  Callers that batch work (the parallel
-      evaluator's process pool) call it once on teardown.
+      synchronous backends.  Callers that batch work (the evaluator's
+      stream) call it once on teardown.
     * ``clear`` drops every entry *and* resets the statistics.
     """
 
@@ -147,7 +147,7 @@ class CacheBackend(Protocol):
         backends amortize the per-lookup overhead -- one lock acquisition
         for the in-memory tier, one locked pass over the entry files for
         the disk tier, one network round-trip for the HTTP tier.  The
-        parallel evaluator resolves whole evaluation chunks this way.
+        evaluator resolves each evaluation window this way.
         """
         ...
 

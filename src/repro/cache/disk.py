@@ -36,8 +36,8 @@ re-plans in new processes, and parallel sessions pointed at one
   library use, where the process may exit at any time).
 * **Optional write batching.**  With :attr:`batch_writes` enabled, puts
   accumulate in memory and :meth:`flush` publishes them in one pass with
-  a single eviction sweep -- the parallel evaluator turns this on for
-  the duration of a process-pool stream and flushes on pool teardown.
+  a single eviction sweep -- the evaluator turns this on for the
+  duration of an evaluation stream and flushes when the stream ends.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ class DiskProfileCache:
         self.max_bytes = max_bytes
         self.batch_writes = batch_writes
         self.stats = CacheStats()
-        # Observability only; not pickled -- the handle clone re-attaches
-        # its own registry (or none).
+        # Observability only.
         self.metrics_registry = registry
         self._pending: dict[str, QualityProfile] = {}
         self._lock = threading.Lock()
@@ -248,7 +247,7 @@ class DiskProfileCache:
     def begin_write_batch(self) -> None:
         """Enter a batching scope (refcounted; see :meth:`end_write_batch`).
 
-        The parallel evaluator brackets each evaluation stream with
+        The evaluator brackets each evaluation stream with
         begin/end instead of toggling :attr:`batch_writes` directly, so
         *concurrent* streams over one shared cache (the redesign
         service's worker pool) compose: writes stay buffered until the
@@ -399,27 +398,3 @@ class DiskProfileCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._pending or (is_cache_key(key) and self._path(key).exists())
-
-    # ------------------------------------------------------------------
-    # Pickling: a disk cache is a *handle*; the clone re-opens the same
-    # directory with a fresh lock and an empty write buffer.  Stats
-    # round-trip (consistent with the in-memory tier).
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict[str, object]:
-        return {
-            "cache_dir": str(self.cache_dir),
-            "max_bytes": self.max_bytes,
-            "batch_writes": self.batch_writes,
-            "stats": self.stats,
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__init__(  # type: ignore[misc]
-            state["cache_dir"],
-            max_bytes=state.get("max_bytes"),
-            batch_writes=bool(state.get("batch_writes", False)),
-        )
-        stats = state.get("stats")
-        if stats is not None:
-            self.stats = stats  # type: ignore[assignment]

@@ -26,14 +26,13 @@ Design points, mirroring the disk tier where the analogy holds:
   are gzip-compressed transparently (``compression`` knob).
 * **Client-side write batching.**  ``put`` buffers; ``flush`` publishes
   the buffer in a single ``POST /put`` -- the same discipline the
-  parallel evaluator already applies to the disk tier, so a planning
+  evaluator already applies to the disk tier, so a planning
   stream costs one round-trip per campaign, not one per stored profile.
   A campaign that outgrows ``max_pending`` buffered entries publishes
   early (memory stays bounded on flows that never flush).  Buffered
   entries are served by ``get``/``in`` of this instance.
 * **Batched lookups.**  :meth:`get_many` resolves a whole evaluation
-  chunk in one ``POST /get_many`` round-trip (the per-task read-through
-  of process-pool workers uses this).
+  window in one ``POST /get_many`` round-trip.
 * **Graceful degradation, with recovery.**  A server that is
   unreachable, times out or misbehaves *never* fails a plan: the first
   failure is logged once (``repro.cache.http`` logger), pending writes
@@ -55,11 +54,6 @@ Design points, mirroring the disk tier where the analogy holds:
   as :class:`CacheAuthError`, *not* silent local fallback: running an
   entire campaign cold because of a misconfigured token is exactly the
   failure an operator wants to see immediately.
-* **Pickling.**  Like the disk tier, the client is a *handle*: a clone
-  re-opens the same URL with a fresh buffer and a fresh (non-degraded)
-  connection pool, while the accumulated hit/miss statistics survive
-  the round-trip.  Process-pool workers therefore get read-through to
-  the shared server.
 """
 
 from __future__ import annotations
@@ -163,11 +157,9 @@ class HTTPProfileCache:
         self.url = url.rstrip("/")
         self.timeout = timeout
         self.stats = CacheStats()
-        # Observability only (client-side view of the network tier); not
-        # pickled -- handle clones come back with ``registry=None``.
+        # Observability only (client-side view of the network tier).
         self.metrics_registry = registry
         self.fallback = ProfileCache(max_entries=fallback_max_entries)
-        self._fallback_max_entries = fallback_max_entries
         self.recovery_interval = recovery_interval
         self.max_pending = max_pending
         self._client = PooledJSONClient(
@@ -190,7 +182,7 @@ class HTTPProfileCache:
         self._lock = threading.Lock()
 
     #: Puts always buffer until :meth:`flush` -- advertised so the
-    #: parallel evaluator does not layer its own batching on top (the
+    #: evaluator does not layer its own batching on top (the
     #: same attribute the disk tier exposes).
     batch_writes = True
 
@@ -546,39 +538,3 @@ class HTTPProfileCache:
         if response is None:
             return key in self.fallback
         return bool(response.get("contains", False))
-
-    # ------------------------------------------------------------------
-    # Pickling: a handle onto the same server -- fresh buffer, fresh
-    # connection pool (a degraded parent does not doom its clones), the
-    # statistics round-trip (consistent with the other tiers).
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict[str, object]:
-        return {
-            "url": self.url,
-            "timeout": self.timeout,
-            "fallback_max_entries": self._fallback_max_entries,
-            "compression": self._client.compression,
-            "compress_min_bytes": self._client.compress_min_bytes,
-            "auth_token": self._client.auth_token,
-            "recovery_interval": self.recovery_interval,
-            "max_pending": self.max_pending,
-            "pool": self._client.keep_alive,
-            "stats": self.stats,
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__init__(  # type: ignore[misc]
-            state["url"],
-            timeout=state.get("timeout", DEFAULT_TIMEOUT),
-            fallback_max_entries=state.get("fallback_max_entries"),
-            compression=state.get("compression", True),
-            compress_min_bytes=state.get("compress_min_bytes", COMPRESS_MIN_BYTES),
-            auth_token=state.get("auth_token"),
-            recovery_interval=state.get("recovery_interval", DEFAULT_RECOVERY_INTERVAL),
-            max_pending=state.get("max_pending", DEFAULT_MAX_PENDING),
-            pool=state.get("pool", True),
-        )
-        stats = state.get("stats")
-        if stats is not None:
-            self.stats = stats  # type: ignore[assignment]

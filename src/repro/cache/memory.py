@@ -23,16 +23,6 @@ class ProfileCache:
     estimators of a planner and across the iterations of a redesign
     session.  Lookups are counted in :attr:`stats`; entries are evicted
     least-recently-used when ``max_entries`` is set.
-
-    Pickling contract
-    -----------------
-    The cache pickles as an *entry-less* cache: the memo and the lock
-    are dropped, but ``max_entries`` and the accumulated :attr:`stats`
-    survive the round-trip.  Process-pool workers therefore receive a
-    blank but fully functional memo (the parent re-inserts their
-    results, so no entry is lost and nothing large crosses the process
-    boundary), while hit/miss accounting is never silently zeroed by a
-    transfer.
     """
 
     def __init__(
@@ -44,9 +34,7 @@ class ProfileCache:
             raise ValueError("max_entries must be at least 1 (or None for unbounded)")
         self.max_entries = max_entries
         self.stats = CacheStats()
-        # Observability only; dropped on pickling like the lock (the
-        # registry itself travels as a handle, but an entry-less worker
-        # copy should not double-report the memory tier).
+        # Observability only.
         self.metrics_registry = registry
         self._entries: OrderedDict[str, QualityProfile] = OrderedDict()
         self._lock = threading.Lock()
@@ -126,17 +114,3 @@ class ProfileCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
-
-    # ------------------------------------------------------------------
-    # Pickling (process-pool workers must not drag the memo or the lock;
-    # the stats DO round-trip -- see the class docstring)
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict[str, object]:
-        return {"max_entries": self.max_entries, "stats": self.stats}
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__init__(max_entries=state.get("max_entries"))  # type: ignore[misc]
-        stats = state.get("stats")
-        if stats is not None:
-            self.stats = stats  # type: ignore[assignment]

@@ -41,7 +41,7 @@ class TieredProfileCache:
         self.disk = disk
         self.stats = CacheStats()
         # Observability only (logical hits/misses under "cache.tiered");
-        # the sub-tiers carry their own registries.  Not pickled.
+        # the sub-tiers carry their own registries.
         self.metrics_registry = registry
         self._stats_lock = threading.Lock()
 
@@ -114,18 +114,3 @@ class TieredProfileCache:
 
     def __contains__(self, key: str) -> bool:
         return key in self.memory or key in self.disk
-
-    # ------------------------------------------------------------------
-    # Pickling: delegate to the tiers (entry-less memory, disk handle),
-    # round-tripping the logical stats; the lock is rebuilt fresh.
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict[str, object]:
-        return {"memory": self.memory, "disk": self.disk, "stats": self.stats}
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.memory = state["memory"]  # type: ignore[assignment]
-        self.disk = state["disk"]  # type: ignore[assignment]
-        self.stats = state["stats"]  # type: ignore[assignment]
-        self.metrics_registry = None
-        self._stats_lock = threading.Lock()

@@ -16,14 +16,13 @@ prefix of consecutive pattern combinations (see
 wall-clock, never results (except ``screening_beam``, which deliberately
 prunes):
 
-``parallel_workers`` / ``eval_batch_size``
-    Size of the evaluation pool and the bounded in-flight window of the
-    streaming evaluator: one worker evaluates sequentially on the calling
-    thread; more run a process pool, so generation and the pure-Python
-    simulator genuinely overlap within the window while memory stays
-    flat.  Flows cross the process boundary by pickle; a pickled flow
-    privatizes the adjacency it shares with its copies, so workers always
-    receive self-contained flows.
+``eval_batch_size``
+    The evaluation window: how many candidates the streaming evaluator
+    pulls from the generator at a time.  A window is one batched cache
+    lookup (one ``get_many``: a single round-trip per shard on a cache
+    ring) and the scope of the evaluator's duplicate memo.  Evaluation
+    runs on the calling thread, so nothing overlaps; concurrency comes
+    from the fleet's planner workers (:mod:`repro.fleet`).
 ``screening_beam``
     Two-phase planning: score every candidate statically, simulate
     only the top ``screening_beam`` survivors.
@@ -46,7 +45,7 @@ prunes):
     ``docs/fleet.md``.
 ``metrics_registry``
     Observability of one planning campaign: when set, the planner, the
-    parallel evaluator and every cache tier record phase spans, latency
+    evaluator and every cache tier record phase spans, latency
     histograms and hit/miss counters into that
     :class:`repro.obs.MetricsRegistry` (for example the process-wide
     :func:`repro.obs.default_registry`).  Results are byte-identical
@@ -58,10 +57,14 @@ prunes):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.quality.composite import QualityProfile
 from repro.quality.framework import QualityCharacteristic
+
+#: Default evaluation window, shared by ``ProcessingConfiguration`` and
+#: :meth:`repro.core.evaluator.ParallelEvaluator.evaluate_stream`.
+DEFAULT_EVAL_BATCH_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,6 @@ class ProcessingConfiguration:
         The quality dimensions of the scatter plot / Pareto frontier.
     simulation_runs / seed:
         Passed to the quality estimator's simulator.
-    parallel_workers:
-        Number of workers used for concurrent measure estimation (the
-        reproduction's substitute for the paper's cloud nodes): ``1``
-        (the default) evaluates sequentially, more run a process pool.
     screening_beam:
         When set, planning runs in two phases: every generated candidate
         is first scored with cheap *static-only* estimation (no
@@ -153,9 +152,11 @@ class ProcessingConfiguration:
         the full simulated profile.  ``None`` (the default) disables
         screening and reproduces the exhaustive single-phase behaviour.
     eval_batch_size:
-        Upper bound on in-flight submissions while streaming candidates
-        through the parallel evaluator; generation and estimation overlap
-        within this window.
+        Size of the evaluation window: candidates are pulled from the
+        generator, looked up in the cache (one ``get_many`` per window)
+        and deduplicated this many at a time.  Memory stays proportional
+        to the window; nothing overlaps, evaluation runs on the planning
+        thread.
     cache_profiles:
         When true (the default) the planner memoizes quality profiles by
         flow fingerprint, so structurally identical flows -- within one
@@ -220,9 +221,8 @@ class ProcessingConfiguration:
     )
     simulation_runs: int = 3
     seed: int = 7
-    parallel_workers: int = 1
     screening_beam: int | None = None
-    eval_batch_size: int = 16
+    eval_batch_size: int = DEFAULT_EVAL_BATCH_SIZE
     cache_profiles: bool = True
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
@@ -247,8 +247,6 @@ class ProcessingConfiguration:
             raise ValueError("max_alternatives must be at least 1")
         if self.simulation_runs < 1:
             raise ValueError("simulation_runs must be at least 1")
-        if self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be at least 1")
         if self.screening_beam is not None and self.screening_beam < 1:
             raise ValueError("screening_beam must be at least 1 (or None to disable)")
         if self.eval_batch_size < 1:

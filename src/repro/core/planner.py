@@ -8,9 +8,10 @@ filters them against the user's constraints, and computes the Pareto
 frontier (skyline) presented to the user together with the relative-change
 comparison of every alternative against the initial flow.
 
-The stages run as a *streaming pipeline*: candidates flow out of the lazy
-generator straight into the parallel evaluator with a bounded in-flight
-window (``eval_batch_size``), profiles are memoized in a shared
+The stages run as a *streaming pipeline* on the planning thread:
+candidates flow out of the lazy generator into the evaluator one window
+(``eval_batch_size``) at a time -- one batched cache lookup per window --
+profiles are memoized in a shared
 :class:`~repro.cache.ProfileCache` (``cache_profiles``), and
 an optional two-phase beam screening (``screening_beam``) scores every
 candidate with cheap static-only estimation before spending simulation
@@ -205,11 +206,7 @@ class Planner:
         self.estimator = QualityEstimator(
             registry=self.measures, settings=estimator_settings, cache=self.profile_cache
         )
-        self.evaluator = ParallelEvaluator(
-            estimator=self.estimator,
-            workers=self.configuration.parallel_workers,
-            registry=self.metrics,
-        )
+        self.evaluator = ParallelEvaluator(estimator=self.estimator, registry=self.metrics)
         # Static-only twin used by the beam-screening first phase; shares
         # the registry and the profile cache (settings fingerprints keep
         # static and simulated entries apart).
@@ -222,9 +219,7 @@ class Planner:
             registry=self.measures, settings=screening_settings, cache=self.profile_cache
         )
         self.screening_evaluator = ParallelEvaluator(
-            estimator=self.screening_estimator,
-            workers=self.configuration.parallel_workers,
-            registry=self.metrics,
+            estimator=self.screening_estimator, registry=self.metrics
         )
         self.generator = AlternativeGenerator(
             palette=self.palette, policy=self.policy, configuration=self.configuration
@@ -275,14 +270,14 @@ class Planner:
           own copies of its structure.
         * The call is eager (it returns a fully evaluated
           :class:`PlanningResult`) but internally *streaming*: candidates
-          flow from the lazy generator into the evaluator with at most
-          ``eval_batch_size`` submissions in flight, so memory stays
+          flow from the lazy generator into the evaluator one window of
+          ``eval_batch_size`` candidates at a time, so memory stays
           proportional to the window, not to the alternative space.  Use
           :meth:`stream_alternatives` for candidate-by-candidate control.
         * Deterministic for a fixed configuration: same flow + same
           :class:`~repro.core.configuration.ProcessingConfiguration`
           (including ``seed``) produce the same alternatives, labels,
-          profiles and skyline, regardless of the worker count.
+          profiles and skyline, whichever fleet worker plans them.
         * When ``screening_beam`` is set, a static-only scoring pass
           screens the stream first and only the beam survivors are
           simulated -- the single knob that deliberately changes which
@@ -383,9 +378,9 @@ class Planner:
     ) -> Iterator[AlternativeFlow]:
         """Meter the time spent *inside* the lazy generator.
 
-        Generation and estimation overlap in the streaming pipeline, so
-        the generate phase cannot be a wall-clock bracket around the
-        loop; instead the time spent pulling each candidate out of the
+        Generation and estimation interleave window by window in the
+        streaming pipeline, so the generate phase cannot be a wall-clock
+        bracket around the loop; instead the time spent pulling each candidate out of the
         generator is accumulated and observed once per campaign as
         ``planner.phase.generate_seconds``.
         """

@@ -1106,9 +1106,9 @@ class ETLGraph:
     def __getstate__(self) -> dict[str, Any]:
         """Privatize shared adjacency dicts before pickling.
 
-        Process-pool workers receive flows by pickle.  A parent and a copy
-        pickled in the same payload would otherwise come back sharing
-        adjacency dicts while believing they own them; privatizing here
+        Flows are picklable values.  A parent and a copy pickled in the
+        same payload would otherwise come back sharing adjacency dicts
+        while believing they own them; privatizing here
         keeps every unpickled graph self-contained.  Operations need no
         such care: they are frozen values, safe to share.
         """
@@ -1125,7 +1125,7 @@ class ETLGraph:
             state["_parent_ref"] = None
             state["_parent_sig"] = None
         # The fingerprint entries are rebuilt on demand after unpickling,
-        # so process-pool payloads stay the size of the flow itself.
+        # so a pickle stays the size of the flow itself.
         state["_parent_fp"] = None
         state["_fp_cache"] = None
         state["_order_memo"] = None

@@ -41,11 +41,9 @@ Design points:
   the aggregated wire counters (:meth:`wire_stats` sums the per-shard
   transports), so ``RedesignSession.cache_stats()["tiers"]`` shows the
   whole fleet instead of one client.
-* **Pickling and forking.**  Like the single-server tier, the cache is
-  a *handle*: clones re-open the same URL set with fresh buffers and
-  connection pools while the logical statistics survive, and a forked
-  copy opens its own fan-out threads and connections, so process-pool
-  workers read through the same fleet.
+* **Forking.**  A forked copy (a benchmark's client process, say)
+  opens its own fan-out threads and connections, so it reads through
+  the same fleet without touching its parent's.
 """
 
 from __future__ import annotations
@@ -102,7 +100,7 @@ class ShardedProfileCache:
     """
 
     #: Puts buffer in the owning shard's client until :meth:`flush`
-    #: (the discipline the parallel evaluator expects).
+    #: (the discipline the evaluator expects).
     batch_writes = True
 
     def __init__(
@@ -121,9 +119,7 @@ class ShardedProfileCache:
         cleaned = [str(url).rstrip("/") for url in urls]
         if not cleaned:
             raise ValueError("a sharded cache needs at least one shard URL")
-        # Observability only (logical fan-out view under "cache.sharded");
-        # deliberately kept out of ``_client_kwargs`` so handle clones
-        # (which round-trip those kwargs) come back unregistered.
+        # Observability only (logical fan-out view under "cache.sharded").
         self.metrics_registry = registry
         self._client_kwargs = dict(
             timeout=timeout,
@@ -217,9 +213,9 @@ class ShardedProfileCache:
     def _pool(self) -> ThreadPoolExecutor:
         with self._lock:
             if os.getpid() != self._executor_pid:
-                # Forked child (a process-pool worker inherits the
-                # parent's handle as is): the inherited executor has no
-                # threads here, so submitting to it would wait forever.
+                # Forked child (it inherits the parent's handle as is):
+                # the inherited executor has no threads here, so
+                # submitting to it would wait forever.
                 self._executor = None
                 self._executor_pid = os.getpid()
             if self._executor is None:
@@ -353,22 +349,3 @@ class ShardedProfileCache:
             executor.shutdown(wait=False)
         for client in self._clients.values():
             client.close()
-
-    # ------------------------------------------------------------------
-    # Pickling: a handle onto the same fleet (fresh buffers and pools,
-    # logical statistics survive -- consistent with the other tiers).
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict[str, object]:
-        return {
-            "urls": list(self.ring.nodes),
-            "client_kwargs": dict(self._client_kwargs),
-            "stats": self.stats,
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        kwargs = dict(state.get("client_kwargs") or {})
-        self.__init__(state["urls"], **kwargs)  # type: ignore[misc]
-        stats = state.get("stats")
-        if stats is not None:
-            self.stats = stats  # type: ignore[assignment]

@@ -6,8 +6,8 @@ front-end exposes nothing beyond ``/health`` and a best-effort
 ``/stats``.  This module is the measurement substrate the rest of the
 observability layer builds on -- a :class:`MetricsRegistry` holding
 thread-safe :class:`Counter`, :class:`Gauge` and fixed-bucket
-:class:`Histogram` instruments, with consistent snapshots, cross-process
-merging and a :class:`Timer` context-manager span API.
+:class:`Histogram` instruments, with consistent snapshots and a
+:class:`Timer` context-manager span API.
 
 Contract
 --------
@@ -20,15 +20,6 @@ Contract
   bucket containing the target rank, clamped to the observed min/max.
   The estimate is therefore never off by more than the width of one
   bucket.
-* ``merge()`` adds counters and histogram buckets and overwrites
-  gauges; it accepts either another registry or a ``snapshot()`` dict
-  (which is how process-pool workers and remote scrapes fold in).
-* Registries pickle as *handles*, never as data: unpickling the
-  process-wide default registry (see :func:`default_registry`) resolves
-  to the receiving process's own default, and any other registry
-  unpickles empty.  A process-pool worker therefore accumulates into a
-  local registry and the parent folds the drained deltas back in --
-  counts are never duplicated across the fork/spawn boundary.
 
 A planner records into its configuration's ``metrics_registry``
 (``None``, the default, switches metrics off), and every
@@ -260,12 +251,11 @@ class MetricsRegistry:
     exposition sanitises them on the way out.
     """
 
-    def __init__(self, _default: bool = False) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._is_default = _default
 
     # -- instrument accessors ------------------------------------------
 
@@ -310,59 +300,12 @@ class MetricsRegistry:
         """Alias of :meth:`snapshot` -- the repo-wide stats contract."""
         return self.snapshot()
 
-    def merge(self, other: "MetricsRegistry | Mapping[str, object]") -> None:
-        """Fold another registry (or a ``snapshot()`` dict) into this one.
-
-        Counters and histogram buckets add; gauges take the incoming
-        value.  Histograms must agree on bucket bounds.
-        """
-        if isinstance(other, MetricsRegistry):
-            other = other.snapshot()
-        counters = other.get("counters", {})
-        gauges = other.get("gauges", {})
-        histograms = other.get("histograms", {})
-        with self._lock:
-            for name, value in counters.items():
-                self.counter(name).inc(value)
-            for name, value in gauges.items():
-                self.gauge(name).set(value)
-            for name, data in histograms.items():
-                buckets = data.get("buckets", [])
-                bounds = [b for b, _ in buckets if b != "+Inf"]
-                histogram = self.histogram(name, bounds or DEFAULT_LATENCY_BOUNDS)
-                incoming = [count for _, count in buckets]
-                if len(incoming) != len(histogram._counts):
-                    raise ValueError(
-                        f"histogram {name!r}: bucket bounds do not match for merge"
-                    )
-                for index, count in enumerate(incoming):
-                    histogram._counts[index] += count
-                histogram._count += data.get("count", 0)
-                histogram._sum += data.get("sum", 0.0)
-                if data.get("count"):
-                    histogram._min = min(histogram._min, data.get("min", math.inf))
-                    histogram._max = max(histogram._max, data.get("max", -math.inf))
-
-    def drain(self) -> dict[str, dict[str, object]]:
-        """Snapshot then reset -- how pool workers flush their deltas."""
-        with self._lock:
-            snapshot = self.snapshot()
-            self.reset()
-            return snapshot
-
     def reset(self) -> None:
-        """Drop every instrument (tests and drained worker registries)."""
+        """Drop every instrument."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-
-    # -- pickling: registries travel as handles, never as data ----------
-
-    def __reduce__(self):
-        if self._is_default:
-            return (default_registry, ())
-        return (MetricsRegistry, ())
 
 
 _DEFAULT_REGISTRY: MetricsRegistry | None = None
@@ -374,7 +317,7 @@ def default_registry() -> MetricsRegistry:
     global _DEFAULT_REGISTRY
     with _DEFAULT_LOCK:
         if _DEFAULT_REGISTRY is None:
-            _DEFAULT_REGISTRY = MetricsRegistry(_default=True)
+            _DEFAULT_REGISTRY = MetricsRegistry()
         return _DEFAULT_REGISTRY
 
 

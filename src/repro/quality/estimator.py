@@ -24,7 +24,7 @@ import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.cache import CACHE_SCHEMA_VERSION, CacheBackend
 from repro.etl.graph import ETLGraph
@@ -102,9 +102,8 @@ class QualityEstimator:
     every flow is simulated against one
     :class:`~repro.simulator.engine.SimulationMemo`, so the operation
     states the alternatives share are propagated once.  The memo is
-    dropped when the last open scope closes, is never pickled (process
-    pool workers get the estimator without it), and is safe to share
-    between threads calling one estimator.
+    dropped when the last open scope closes and is safe to share between
+    threads calling one estimator.
     """
 
     def __init__(
@@ -134,18 +133,6 @@ class QualityEstimator:
         self._memo: SimulationMemo | None = None
         self._memo_scopes = 0
 
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle without the lock and the simulation memo."""
-        state = self.__dict__.copy()
-        del state["_memo_lock"]
-        state["_memo"] = None
-        state["_memo_scopes"] = 0
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._memo_lock = threading.Lock()
-
     # ------------------------------------------------------------------
 
     @contextmanager
@@ -172,8 +159,8 @@ class QualityEstimator:
         return ETLSimulator(flow, self._simulation, memo=self._memo).run()
 
     # ------------------------------------------------------------------
-    # Cache plumbing (also used by ParallelEvaluator, which checks the
-    # cache in the parent process so process-pool workers stay cheap)
+    # Cache plumbing (also used by ParallelEvaluator, which resolves a
+    # whole window of keys in one batched lookup)
     # ------------------------------------------------------------------
 
     def cache_key(self, flow: ETLGraph) -> str:

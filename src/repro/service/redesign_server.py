@@ -62,11 +62,9 @@ from repro.service.common import (
 )
 
 #: Configuration fields a request may NOT set: the service owns the
-#: cache tier (one shared backend for the whole worker pool), the
-#: metrics registry (servers inject their own -- a registry is not a
-#: JSON value anyway) and evaluation concurrency (the server's
-#: ``workers``; a multi-worker request would fork a process pool from
-#: inside the threaded server).
+#: cache tier (one shared backend for all its workers) and the metrics
+#: registry (servers inject their own -- a registry is not a JSON value
+#: anyway).
 _RESERVED_FIELDS = frozenset(
     {
         "cache_dir",
@@ -75,7 +73,6 @@ _RESERVED_FIELDS = frozenset(
         "cache_auth_token",
         "cache_urls",
         "metrics_registry",
-        "parallel_workers",
     }
 )
 
@@ -104,9 +101,9 @@ def configuration_from_request(
     ``goal_priorities`` as a ``{characteristic: weight}`` object,
     ``skyline_characteristics`` as an array of characteristic names and
     ``constraints`` as an array of ``{target, min_value, max_value}``
-    objects.  Unknown or reserved (cache-tier, metrics-registry,
-    worker-count) fields are rejected with a 400 -- the service owns
-    those.  ``"metrics_enabled": true`` turns planner metrics on, into
+    objects.  Unknown or reserved (cache-tier, metrics-registry) fields
+    are rejected with a 400 -- the service owns the reserved ones.
+    ``"metrics_enabled": true`` turns planner metrics on, into
     ``registry`` (the planning process's; the process default when
     ``None``) -- a request names no registry, it is not a JSON value.
     """
@@ -120,7 +117,7 @@ def configuration_from_request(
             raise ServiceError(
                 400,
                 f"configuration field {name!r} is owned by the service (one shared "
-                "cache tier, metrics registry and worker pool per server); "
+                "cache tier and metrics registry per server); "
                 "remove it from the request",
             )
         if name in _SIMPLE_FIELDS:

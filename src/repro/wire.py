@@ -295,12 +295,13 @@ class PooledJSONClient:
         a server answering actual garbage, raises straight through.
         """
         if os.getpid() != self._pid:
-            # Forked child (fork inherits thread-local state, so the
-            # parent's pooled socket looks like "our" connection here).
-            # Two processes writing one fd interleave request bytes into
-            # protocol garbage -- abandon the inherited pool and dial
-            # fresh.  Closing our fd copies is safe: the parent's own
-            # descriptors keep its sockets alive.
+            # Forked child, e.g. a client process of a benchmark (fork
+            # inherits thread-local state, so the parent's socket looks
+            # like "our" connection here).  Two processes writing one fd
+            # interleave request bytes into protocol garbage -- abandon
+            # the inherited connections and dial fresh.  Closing our fd
+            # copies is safe: the parent's own descriptors keep its
+            # sockets alive.
             self._local = threading.local()
             with self._lock:
                 self._live = set()

@@ -1,12 +1,11 @@
-"""Cache tiers wired through the planner, session and evaluator pool.
+"""Cache tiers wired through the planner, session and evaluator.
 
 The acceptance bar of the subsystem: every cache tier produces
 byte-identical planning results (property-tested over seeded random
 flows), the tier follows from ``cache_dir`` / ``cache_urls``, defaults
 reproduce the memory-only behaviour, two planners can share one
-``cache_dir``, and the process backend's per-worker estimator path
-agrees with sequential evaluation while still writing profiles back to
-disk on pool teardown.
+``cache_dir``, and the evaluation stream writes profiles back to disk
+in one batch when it ends.
 """
 
 from __future__ import annotations
@@ -181,63 +180,33 @@ class TestSessionCacheStats:
         assert session.cache_stats() == {}
 
 
-class TestProcessBackendPool:
-    def test_process_pool_matches_sequential_and_writes_back(
-        self, make_config, tmp_path, linear_flow
-    ):
-        """Per-worker estimator pool: same results, disk populated on teardown."""
+class TestDiskWriteBack:
+    def test_stream_writes_back_on_teardown(self, make_config, tmp_path, linear_flow):
+        """Same results as the memory tier, disk populated when the stream ends."""
         sequential = Planner(configuration=make_config()).plan(linear_flow)
-        pooled_config = make_config(cache_dir=str(tmp_path), parallel_workers=2)
-        pooled_planner = Planner(configuration=pooled_config)
-        pooled = pooled_planner.plan(linear_flow)
-        assert pooled.fingerprint() == sequential.fingerprint()
-        # the parent's batched write-back published every profile on teardown
-        disk = pooled_planner.profile_cache.disk
+        disk_config = make_config(cache_dir=str(tmp_path))
+        disk_planner = Planner(configuration=disk_config)
+        planned = disk_planner.plan(linear_flow)
+        assert planned.fingerprint() == sequential.fingerprint()
+        # the stream's batched write-back published every profile on teardown
+        disk = disk_planner.profile_cache.disk
         assert not disk.batch_writes, "batching must be restored after the stream"
-        assert len(disk) == pooled_planner.profile_cache.stats.misses
+        assert len(disk) == disk_planner.profile_cache.stats.misses
         # a fresh planner is served entirely from the warm directory
-        warm = Planner(configuration=pooled_config)
+        warm = Planner(configuration=disk_config)
         warm_result = warm.plan(linear_flow)
         assert warm_result.fingerprint() == sequential.fingerprint()
         assert warm.profile_cache.stats.misses == 0
 
-    def test_worker_reads_through_a_prewarmed_directory(
+    def test_bare_evaluator_reads_through_a_prewarmed_directory(
         self, make_config, tmp_path, linear_flow
     ):
-        """Workers open their own handle onto cache_dir (read-through path)."""
-        from repro.core.evaluator import _evaluate_chunk_pooled, _init_worker
-        import repro.core.evaluator as evaluator_module
-
         config = make_config(cache_dir=str(tmp_path))
-        seeder = Planner(configuration=config)
-        seeder.plan(linear_flow)  # populates the directory
+        Planner(configuration=config).plan(linear_flow)  # populates the directory
 
         fresh = Planner(configuration=config)
         alternatives = list(fresh.generator.generate_iter(linear_flow))
-        # simulate the worker side in-process: initializer + pooled task
-        import pickle
-
-        worker_estimator = pickle.loads(pickle.dumps(fresh.estimator))
-        original = evaluator_module._WORKER_ESTIMATOR
-        try:
-            _init_worker(worker_estimator)
-            assert isinstance(worker_estimator.cache, DiskProfileCache)
-            (profile,), _ = _evaluate_chunk_pooled(alternatives[:1])
-            assert worker_estimator.cache.stats.hits == 1, "served from the warm dir"
-            assert profile.values  # a real, fully populated profile
-        finally:
-            evaluator_module._WORKER_ESTIMATOR = original
-
-    def test_memory_only_worker_drops_the_entry_less_cache(self, make_config, linear_flow):
-        from repro.core.evaluator import _init_worker
-        import repro.core.evaluator as evaluator_module
-        import pickle
-
-        planner = Planner(configuration=make_config())  # memory tier
-        worker_estimator = pickle.loads(pickle.dumps(planner.estimator))
-        original = evaluator_module._WORKER_ESTIMATOR
-        try:
-            _init_worker(worker_estimator)
-            assert worker_estimator.cache is None
-        finally:
-            evaluator_module._WORKER_ESTIMATOR = original
+        evaluated = fresh.evaluator.evaluate(alternatives)
+        assert fresh.profile_cache.stats.misses == 0
+        assert fresh.profile_cache.stats.hits == len(alternatives)
+        assert all(alternative.profile.values for alternative in evaluated)

@@ -81,18 +81,6 @@ class TestDiskCacheBasics:
         cache.put(cache_key("k"), _profile())
         assert cache.size_bytes() > 0
 
-    def test_pickles_as_a_handle_onto_the_same_directory(self, tmp_path):
-        cache = DiskProfileCache(tmp_path, max_bytes=1 << 20)
-        cache.put(cache_key("k"), _profile("shared"))
-        cache.get(cache_key("k"))
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.cache_dir == cache.cache_dir
-        assert clone.max_bytes == 1 << 20
-        # stats round-trip, and the clone reads entries the original wrote
-        assert clone.stats.hits == 1
-        hit = clone.get(cache_key("k"))
-        assert hit is not None and hit.flow_name == "shared"
-
 
 class TestDiskCacheFailureModes:
     def test_corrupted_entry_is_a_miss_and_removed(self, tmp_path):

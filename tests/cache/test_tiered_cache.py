@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 
 from repro.cache import (
     DiskProfileCache,
@@ -98,14 +97,6 @@ class TestTieredMaintenance:
     def test_single_tier_stats_shapes(self, tmp_path):
         assert set(ProfileCache().tier_stats()) == {"memory"}
         assert set(DiskProfileCache(tmp_path).tier_stats()) == {"disk"}
-
-    def test_pickles_to_an_entry_less_memory_tier_and_a_disk_handle(self, tmp_path):
-        cache = _tiered(tmp_path)
-        cache.put(cache_key("k"), _profile("shared"))
-        clone = pickle.loads(pickle.dumps(cache))
-        assert len(clone.memory) == 0  # memory entries never cross the boundary
-        hit = clone.get(cache_key("k"))  # ...but the disk handle still reads them
-        assert hit is not None and hit.flow_name == "shared"
 
 
 class TestBuildProfileCache:

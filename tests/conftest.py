@@ -127,7 +127,7 @@ def make_planner():
 
     Shared across test modules so that planner-level tests agree on one
     baseline configuration; pass overrides for per-test knobs, e.g.
-    ``make_planner(screening_beam=3, parallel_workers=4)``.
+    ``make_planner(screening_beam=3, eval_batch_size=4)``.
     """
 
     def make(**overrides) -> Planner:

@@ -1,31 +1,54 @@
-"""Chunked streaming evaluation: batched lookups, preserved semantics.
+"""Windowed streaming evaluation: batched lookups, preserved semantics.
 
-The evaluator now resolves parent-side cache lookups in one ``get_many``
-per window refill and groups process-pool tasks into contiguous chunks
-(each resolved worker-side in one batched read-through pass).  These
-tests pin the invariants the rewrite must keep: input order, exact
-hit/miss accounting, and results identical to sequential evaluation --
-with cache hits interleaving the chunks arbitrarily.
+The evaluator resolves each window of candidates in one ``get_many``
+pass and keeps a window-local duplicate memo.  These tests pin the
+invariants the window must keep: input order, exact hit/miss
+accounting, results identical to unwindowed evaluation -- with cache
+hits interleaving the windows arbitrarily -- and one window size shared
+by the planner and a bare evaluator.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from repro.cache import ProfileCache
+from repro.cache import DiskProfileCache, ProfileCache, TieredProfileCache
+from repro.cache.disk import _ENTRY_SUFFIX
 from repro.core.alternatives import AlternativeFlow
+from repro.core.configuration import DEFAULT_EVAL_BATCH_SIZE, ProcessingConfiguration
 from repro.core.evaluator import ParallelEvaluator
+from repro.core.planner import Planner
+from repro.obs.metrics import MetricsRegistry
 from repro.quality.estimator import EstimationSettings, QualityEstimator
+from tests.conftest import fast_planner_config
 
 
 def _alternatives(flow, count):
     return [AlternativeFlow(flow=flow.copy(name=f"alt_{i}")) for i in range(count)]
 
 
+def _entry_files(cache_dir):
+    return sorted(cache_dir.glob(f"*{_ENTRY_SUFFIX}"))
+
+
 def _cached_estimator() -> QualityEstimator:
     return QualityEstimator(
         settings=EstimationSettings(simulation_runs=1, seed=3), cache=ProfileCache()
     )
+
+
+class _CountingCache(ProfileCache):
+    """A memory tier that counts its batched lookups."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.get_many_calls = 0
+
+    def get_many(self, keys):
+        self.get_many_calls += 1
+        return super().get_many(keys)
 
 
 class TestInterleavedHits:
@@ -39,7 +62,7 @@ class TestInterleavedHits:
         seeder = QualityEstimator(settings=estimator.settings, cache=estimator.cache)
         seeder.evaluate(warmup[0].flow)
 
-        evaluator = ParallelEvaluator(estimator=estimator, workers=3)
+        evaluator = ParallelEvaluator(estimator=estimator)
         streamed = list(evaluator.evaluate_stream(iter(warmup), batch_size=4))
         assert streamed == warmup
         assert all(alt.profile is not None for alt in streamed)
@@ -59,7 +82,7 @@ class TestInterleavedHits:
 
         monkeypatch.setattr(estimator, "evaluate_uncached", counting)
         alternatives = _alternatives(linear_flow, 6)
-        evaluator = ParallelEvaluator(estimator=estimator, workers=1)
+        evaluator = ParallelEvaluator(estimator=estimator)
         list(evaluator.evaluate_stream(iter(alternatives), batch_size=4))
         stats = estimator.cache.stats
         # 6 candidates -> 6 logical lookups exactly (one per candidate).
@@ -71,37 +94,111 @@ class TestInterleavedHits:
         assert computed["count"] == 1
 
     def test_sequential_windowing_matches_unwindowed_results(self, linear_flow):
-        baseline = ParallelEvaluator(estimator=_cached_estimator(), workers=1).evaluate(
+        baseline = ParallelEvaluator(estimator=_cached_estimator()).evaluate(
             _alternatives(linear_flow, 5)
         )
         windowed = list(
-            ParallelEvaluator(estimator=_cached_estimator(), workers=1).evaluate_stream(
+            ParallelEvaluator(estimator=_cached_estimator()).evaluate_stream(
                 iter(_alternatives(linear_flow, 5)), batch_size=2
             )
         )
         for expected, got in zip(baseline, windowed):
             assert expected.profile.scores == got.profile.scores
 
-
-@pytest.mark.slow
-class TestPooledChunks:
-    def test_chunked_process_pool_matches_sequential(self, linear_flow, tmp_path):
-        """eval window 16 with 2 workers -> chunks of 4 per task."""
-        from repro.cache import DiskProfileCache, TieredProfileCache
-
-        sequential = ParallelEvaluator(estimator=_cached_estimator(), workers=1).evaluate(
+    def test_tiered_stream_matches_and_publishes_to_disk(self, linear_flow, tmp_path):
+        baseline = ParallelEvaluator(estimator=_cached_estimator()).evaluate(
             _alternatives(linear_flow, 10)
         )
         tiered = TieredProfileCache(ProfileCache(), DiskProfileCache(tmp_path))
         estimator = QualityEstimator(
             settings=EstimationSettings(simulation_runs=1, seed=3), cache=tiered
         )
-        pooled = ParallelEvaluator(estimator=estimator, workers=2)
         streamed = list(
-            pooled.evaluate_stream(iter(_alternatives(linear_flow, 10)), batch_size=16)
+            ParallelEvaluator(estimator=estimator).evaluate_stream(
+                iter(_alternatives(linear_flow, 10)), batch_size=4
+            )
         )
         assert [a.flow.name for a in streamed] == [f"alt_{i}" for i in range(10)]
-        for expected, got in zip(sequential, streamed):
+        for expected, got in zip(baseline, streamed):
             assert expected.profile.scores == got.profile.scores
-        # the parent published its batch on teardown
-        assert len(tiered.disk) > 0
+        # the stream published its batch when it ended
+        assert not tiered.disk.batch_writes
+        assert len(tiered.disk) == 1
+
+
+class TestStreamTeardown:
+    """The write batch and the simulation memo end with the stream."""
+
+    def _disk_estimator(self, tmp_path) -> QualityEstimator:
+        return QualityEstimator(
+            settings=EstimationSettings(simulation_runs=1, seed=3),
+            cache=DiskProfileCache(tmp_path),
+        )
+
+    def test_abandoned_stream_still_publishes_its_batch(self, linear_flow, tmp_path):
+        estimator = self._disk_estimator(tmp_path)
+        stream = ParallelEvaluator(estimator=estimator).evaluate_stream(
+            iter(_alternatives(linear_flow, 6)), batch_size=2
+        )
+        next(stream)
+        assert estimator.cache.batch_writes  # the scope is open mid-stream
+        assert _entry_files(tmp_path) == []  # ...so nothing is on disk yet
+        stream.close()
+        assert not estimator.cache.batch_writes
+        assert len(_entry_files(tmp_path)) == 1
+        assert estimator._memo is None
+
+    def test_failing_estimation_releases_the_scope(self, linear_flow, tmp_path, monkeypatch):
+        estimator = self._disk_estimator(tmp_path)
+
+        def failing(flow, archive=None):
+            raise RuntimeError("estimation failed")
+
+        monkeypatch.setattr(estimator, "evaluate_uncached", failing)
+        stream = ParallelEvaluator(estimator=estimator).evaluate_stream(
+            iter(_alternatives(linear_flow, 3))
+        )
+        with pytest.raises(RuntimeError, match="estimation failed"):
+            list(stream)
+        assert not estimator.cache.batch_writes
+        assert estimator._memo is None
+
+
+class TestWindowSpans:
+    def test_one_fill_and_one_drain_span_per_window(self, linear_flow, fast_estimator):
+        registry = MetricsRegistry()
+        evaluator = ParallelEvaluator(estimator=fast_estimator, registry=registry)
+        list(evaluator.evaluate_stream(iter(_alternatives(linear_flow, 10)), batch_size=4))
+        histograms = registry.snapshot()["histograms"]
+        # three windows (4 + 4 + 2); the closing fill finds the input empty
+        assert histograms["evaluator.window_fill_seconds"]["count"] == 4
+        assert histograms["evaluator.window_drain_seconds"]["count"] == 3
+        # no cache: every candidate is estimated
+        assert histograms["evaluator.estimate_seconds"]["count"] == 10
+
+
+class TestOneWindowDefault:
+    def test_configuration_default_is_the_evaluator_default(self):
+        parameters = inspect.signature(ParallelEvaluator.evaluate_stream).parameters
+        assert parameters["batch_size"].default == DEFAULT_EVAL_BATCH_SIZE
+        assert ProcessingConfiguration().eval_batch_size == DEFAULT_EVAL_BATCH_SIZE
+
+    def test_planner_and_bare_evaluator_batch_lookups_alike(self, small_purchases):
+        """``Planner.plan`` and a default ``evaluate_stream`` share one window."""
+        configuration = fast_planner_config(pattern_budget=2)
+        planned = _CountingCache()
+        planner = Planner(configuration=configuration, profile_cache=planned)
+        result = planner.plan(small_purchases)
+
+        bare = _CountingCache()
+        candidates = Planner(
+            configuration=configuration, profile_cache=bare
+        ).stream_alternatives(small_purchases)
+        estimator = QualityEstimator(
+            settings=planner.estimator.settings, cache=bare
+        )
+        streamed = list(ParallelEvaluator(estimator=estimator).evaluate_stream(candidates))
+
+        assert len(streamed) == len(result.alternatives) + result.discarded_by_constraints
+        assert len(streamed) > configuration.eval_batch_size
+        assert bare.get_many_calls == planned.get_many_calls

@@ -64,7 +64,6 @@ class TestProcessingConfiguration:
             {"max_points_per_pattern": 0},
             {"max_alternatives": 0},
             {"simulation_runs": 0},
-            {"parallel_workers": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

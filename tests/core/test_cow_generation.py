@@ -1,14 +1,16 @@
-"""Tests of alternative generation on flow copies and the evaluation pool.
+"""Tests of alternative generation on flow copies.
 
 Covers equivalence of the generator with the from-scratch reference in
 ``tests/reference_generator.py``, the isolation between the caller's flow
 and the alternatives forked from it, the annotation-aware dedup
 regression (graph-level patterns must survive), :class:`GenerationStats`,
-the removed mode knobs, and process workers receiving flow copies by
-pickle.
+the removed mode knobs, and the evaluator reading forked copies as it
+reads self-contained flows.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -175,13 +177,14 @@ class TestGenerationStats:
 
 
 class TestBackendKnob:
-    """The evaluation pool is sized by ``parallel_workers`` alone."""
+    """Evaluation has no backend or pool knobs: it runs on the planning thread."""
 
     def test_invalid_backend_rejected(self):
-        # the thread/process switch is gone: more than one worker is
-        # always a process pool
+        # the thread/process switch and the process pool are gone
         with pytest.raises(TypeError):
             ProcessingConfiguration(backend="process")
+        with pytest.raises(TypeError):
+            ProcessingConfiguration(parallel_workers=2)
 
     def test_invalid_copy_mode_rejected(self):
         # generation always forks flow copies and runs the prefix cache
@@ -189,25 +192,13 @@ class TestBackendKnob:
             with pytest.raises(TypeError):
                 ProcessingConfiguration(**{knob: "deep"})
 
-    def test_planner_wires_backend_through(self, make_planner):
-        planner = make_planner(parallel_workers=2)
-        assert planner.evaluator.workers == 2
-        assert planner.screening_evaluator.workers == 2
 
-    @pytest.mark.slow
-    def test_process_backend_evaluates_cow_alternatives(self, small_purchases):
-        # flow copies must pickle (adjacency privatized) into pool workers
+class TestEvaluatingCopies:
+    def test_forked_copies_evaluate_like_self_contained_flows(self, small_purchases):
+        """A fork sharing its parent's structure scores as its pickled value."""
         alternatives, _ = _generate(small_purchases, max_alternatives=4)
         estimator = QualityEstimator(settings=EstimationSettings(simulation_runs=1, seed=3))
-        evaluator = ParallelEvaluator(estimator=estimator, workers=2)
-        evaluated = evaluator.evaluate(alternatives)
-        assert all(alt.profile is not None for alt in evaluated)
-
-    @pytest.mark.slow
-    def test_planner_process_backend_end_to_end(self, small_purchases, make_planner):
-        planner = make_planner(parallel_workers=2, max_alternatives=6)
-        result = planner.plan(small_purchases)
-        assert result.alternatives
-        assert all(alt.profile is not None for alt in result.alternatives)
-        sequential = make_planner(max_alternatives=6).plan(small_purchases)
-        assert result.fingerprint() == sequential.fingerprint()
+        evaluated = ParallelEvaluator(estimator=estimator).evaluate(alternatives)
+        for alternative in evaluated:
+            standalone = pickle.loads(pickle.dumps(alternative.flow))
+            assert estimator.evaluate_uncached(standalone).scores == alternative.profile.scores

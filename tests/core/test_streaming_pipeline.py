@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.cache import ProfileCache
 from repro.core.alternatives import AlternativeFlow, AlternativeGenerator
 from repro.core.configuration import ProcessingConfiguration
 from repro.core.evaluator import ParallelEvaluator
@@ -98,14 +99,14 @@ class TestStreamingEvaluator:
         return [AlternativeFlow(flow=flow.copy(name=f"alt_{i}")) for i in range(count)]
 
     def test_stream_preserves_input_order(self, linear_flow, fast_estimator):
-        evaluator = ParallelEvaluator(estimator=fast_estimator, workers=4)
+        evaluator = ParallelEvaluator(estimator=fast_estimator)
         alternatives = self._alternatives(linear_flow, count=10)
         streamed = list(evaluator.evaluate_stream(iter(alternatives), batch_size=3))
         assert streamed == alternatives
         assert all(alt.profile is not None for alt in streamed)
 
     def test_stream_consumes_input_lazily(self, linear_flow, fast_estimator):
-        evaluator = ParallelEvaluator(estimator=fast_estimator, workers=2)
+        evaluator = ParallelEvaluator(estimator=fast_estimator)
         alternatives = self._alternatives(linear_flow, count=12)
         pulled = {"count": 0}
 
@@ -122,34 +123,11 @@ class TestStreamingEvaluator:
         assert pulled["count"] == len(alternatives)
         assert [first, *rest] == alternatives
 
-    def test_stream_matches_batch_evaluate(self, linear_flow):
-        estimator = QualityEstimator(settings=EstimationSettings(simulation_runs=1, seed=3))
-        batch = ParallelEvaluator(estimator=estimator, workers=1).evaluate(
-            self._alternatives(linear_flow)
-        )
-        streamed = list(
-            ParallelEvaluator(estimator=estimator, workers=3).evaluate_stream(
-                self._alternatives(linear_flow)
-            )
-        )
-        for expected, got in zip(batch, streamed):
-            assert expected.profile.scores == got.profile.scores
-
-    def test_stream_rejects_invalid_batch_size_eagerly(self, linear_flow, fast_estimator):
-        evaluator = ParallelEvaluator(estimator=fast_estimator, workers=2)
-        with pytest.raises(ValueError):
-            evaluator.evaluate_stream([], batch_size=0)  # raises at call time
-
-    def test_empty_stream_yields_nothing(self, fast_estimator):
-        evaluator = ParallelEvaluator(estimator=fast_estimator, workers=4)
-        assert list(evaluator.evaluate_stream(iter([]))) == []
-        assert evaluator.evaluate([]) == []
-
-    def test_batch_size_bounds_inflight_below_worker_count(
-        self, linear_flow, fast_estimator
-    ):
-        evaluator = ParallelEvaluator(estimator=fast_estimator, workers=8)
-        alternatives = self._alternatives(linear_flow, count=6)
+    @pytest.mark.parametrize("batch_size", [1, 2, 5])
+    def test_batch_size_bounds_inflight(self, linear_flow, fast_estimator, batch_size):
+        """The first yield pulls exactly one window from the producer."""
+        evaluator = ParallelEvaluator(estimator=fast_estimator)
+        alternatives = self._alternatives(linear_flow, count=12)
         pulled = {"count": 0}
 
         def producer():
@@ -157,46 +135,54 @@ class TestStreamingEvaluator:
                 pulled["count"] += 1
                 yield alternative
 
-        stream = evaluator.evaluate_stream(producer(), batch_size=2)
+        stream = evaluator.evaluate_stream(producer(), batch_size=batch_size)
         next(stream)
-        # the in-flight window is batch_size, not the (larger) worker count
-        assert pulled["count"] <= 3
+        assert pulled["count"] == batch_size
         assert list(stream) == alternatives[1:]
 
-    def test_workers_one_streams_sequentially(self, linear_flow, fast_estimator):
-        evaluator = ParallelEvaluator(estimator=fast_estimator, workers=1)
-        alternatives = self._alternatives(linear_flow, count=3)
-        assert list(evaluator.evaluate_stream(iter(alternatives))) == alternatives
-
-    @pytest.mark.slow
-    def test_process_backend_matches_sequential(self, linear_flow):
-        estimator = QualityEstimator(settings=EstimationSettings(simulation_runs=1, seed=3))
-        sequential = ParallelEvaluator(estimator=estimator, workers=1).evaluate(
-            self._alternatives(linear_flow, count=4)
-        )
-        procs = ParallelEvaluator(estimator=estimator, workers=2)
-        parallel = procs.evaluate(self._alternatives(linear_flow, count=4))
-        for s, p in zip(sequential, parallel):
-            assert s.profile.scores == p.profile.scores
-
-    @pytest.mark.slow
-    def test_process_backend_stream_fills_parent_cache(self, linear_flow):
-        from repro.cache import ProfileCache
-
+    def test_stream_fills_the_cache_for_a_restream(self, linear_flow):
         cache = ProfileCache()
         estimator = QualityEstimator(
             settings=EstimationSettings(simulation_runs=1, seed=3), cache=cache
         )
-        evaluator = ParallelEvaluator(estimator=estimator, workers=2)
+        evaluator = ParallelEvaluator(estimator=estimator)
         first = list(evaluator.evaluate_stream(self._alternatives(linear_flow, count=3)))
         assert all(alt.profile is not None for alt in first)
         assert cache.stats.misses == 3
-        # the parent process inserted the workers' results: re-streaming
-        # identical flows is served from the memo
+        # re-streaming identical flows is served from what the first
+        # stream stored
         second = list(evaluator.evaluate_stream(self._alternatives(linear_flow, count=3)))
         assert cache.stats.hits == 3
         for a, b in zip(first, second):
             assert a.profile.scores == b.profile.scores
+
+    def test_stream_matches_batch_evaluate(self, linear_flow):
+        estimator = QualityEstimator(settings=EstimationSettings(simulation_runs=1, seed=3))
+        batch = ParallelEvaluator(estimator=estimator).evaluate(
+            self._alternatives(linear_flow)
+        )
+        streamed = list(
+            ParallelEvaluator(estimator=estimator).evaluate_stream(
+                self._alternatives(linear_flow)
+            )
+        )
+        for expected, got in zip(batch, streamed):
+            assert expected.profile.scores == got.profile.scores
+
+    def test_stream_rejects_invalid_batch_size_eagerly(self, linear_flow, fast_estimator):
+        evaluator = ParallelEvaluator(estimator=fast_estimator)
+        with pytest.raises(ValueError):
+            evaluator.evaluate_stream([], batch_size=0)  # raises at call time
+
+    def test_empty_stream_yields_nothing(self, fast_estimator):
+        evaluator = ParallelEvaluator(estimator=fast_estimator)
+        assert list(evaluator.evaluate_stream(iter([]))) == []
+        assert evaluator.evaluate([]) == []
+
+    def test_workers_one_streams_sequentially(self, linear_flow, fast_estimator):
+        evaluator = ParallelEvaluator(estimator=fast_estimator)
+        alternatives = self._alternatives(linear_flow, count=3)
+        assert list(evaluator.evaluate_stream(iter(alternatives))) == alternatives
 
 
 class TestStreamingPlanEquivalence:
@@ -216,12 +202,13 @@ class TestStreamingPlanEquivalence:
             assert s.profile.scores == e.profile.scores
         assert streaming.skyline_indices == eager.skyline_indices
 
-    def test_parallel_streaming_matches_sequential(self, small_purchases, make_planner):
-        sequential = make_planner().plan(small_purchases)
-        parallel = make_planner(parallel_workers=4, eval_batch_size=4).plan(small_purchases)
-        assert sequential.summary() == parallel.summary()
-        for s, p in zip(sequential.alternatives, parallel.alternatives):
-            assert s.profile.scores == p.profile.scores
+    @pytest.mark.parametrize("batch_size", [1, 2, 5, 64])
+    def test_window_size_does_not_change_the_plan(
+        self, small_purchases, make_planner, batch_size
+    ):
+        default = make_planner().plan(small_purchases)
+        windowed = make_planner(eval_batch_size=batch_size).plan(small_purchases)
+        assert windowed.fingerprint() == default.fingerprint()
 
 
 class TestBeamScreening:

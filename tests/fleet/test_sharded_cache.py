@@ -1,14 +1,13 @@
 """ShardedProfileCache behaviour against live shard servers.
 
 Routing, batched fan-out, per-shard degradation/recovery, deterministic
-rebalancing, pickling -- and the ISSUE 8 satellite-3 regression:
+rebalancing -- and the ISSUE 8 satellite-3 regression:
 ``wire_stats()``/``tier_stats()`` aggregate *every* shard client, so
 ``RedesignSession.cache_stats()["tiers"]`` shows the whole fleet.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 
 import pytest
@@ -291,24 +290,6 @@ def test_reconfigure_is_deterministic_across_clients(shard_servers):
     finally:
         one.close()
         two.close()
-
-
-# ---------------------------------------------------------------------------
-# Pickling (process-pool workers receive a handle)
-# ---------------------------------------------------------------------------
-
-
-def test_pickled_clone_reads_the_same_fleet(sharded):
-    sharded.put(_key(5), _profile("shared"))
-    sharded.flush()
-    clone = pickle.loads(pickle.dumps(sharded))
-    try:
-        assert clone.urls == sharded.urls
-        assert clone.ring == sharded.ring
-        got = clone.get(_key(5))
-        assert got is not None and got.flow_name == "shared"
-    finally:
-        clone.close()
 
 
 def test_constructor_validation():

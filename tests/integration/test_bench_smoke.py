@@ -37,7 +37,6 @@ def test_bench_smoke_tiny_flow():
         iterations=1,
         replans=1,
         simulation_runs=1,
-        workers=1,
         max_alternatives=10,
         screening_beam=3,
     )

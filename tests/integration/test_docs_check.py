@@ -1,10 +1,11 @@
 """Tests of the ``make docs-check`` tooling (``tools/docs_check.py``).
 
-The checker gates four docs invariants: no broken intra-repository
+The checker gates five docs invariants: no broken intra-repository
 links in README/docs, every ``ProcessingConfiguration`` field documented
 in the tuning guide, -- inversely -- no tuning-guide knob entry for a
-field that no longer exists, and no backticked ``Class.attr`` reference
-to a ``repro`` class attribute that no longer exists.  These tests
+field that no longer exists, no recommended-profile row setting such a
+field, and no backticked ``Class.attr`` reference to a ``repro`` class
+attribute that no longer exists.  These tests
 assert the current tree is clean and that the checker actually catches
 all failure modes.
 """
@@ -31,6 +32,7 @@ def test_repository_docs_are_clean():
     assert checker.broken_links() == []
     assert checker.undocumented_knobs() == []
     assert checker.phantom_knobs() == []
+    assert checker.stale_profile_knobs() == []
     assert checker.phantom_api() == []
     assert checker.main() == 0
 
@@ -84,6 +86,31 @@ def test_phantom_knob_ignores_non_heading_mentions(tmp_path):
         "`validate_delta` in prose, which are not knobs\n"
     )
     assert checker.phantom_knobs(doc) == []
+
+
+def test_stale_profile_knob_detected(tmp_path):
+    """A profile row setting a removed knob must fail the check."""
+    checker = _load_checker()
+    doc = tmp_path / "tuning.md"
+    doc.write_text(
+        "| Scenario | Knobs |\n|---|---|\n"
+        "| Exhaustive report | `pattern_budget=3`, `parallel_workers=<cores>` |\n"
+    )
+    problems = checker.stale_profile_knobs(doc)
+    assert len(problems) == 1
+    assert "parallel_workers" in problems[0]
+
+
+def test_stale_profile_knob_passes_live_fields(tmp_path):
+    """Live fields in table rows pass; settings outside tables are prose."""
+    checker = _load_checker()
+    doc = tmp_path / "tuning.md"
+    doc.write_text(
+        "| Scenario | Knobs |\n|---|---|\n"
+        "| Report | `pattern_budget=3`, `cache_dir=<dir>`, `max_alternatives≤200` |\n"
+        "\nIn prose, `registry=` and `turbo_mode=1` are not profile settings.\n"
+    )
+    assert checker.stale_profile_knobs(doc) == []
 
 
 def test_every_knob_has_a_tuning_entry():

@@ -1,6 +1,5 @@
 """Instrument semantics of the metrics core (:mod:`repro.obs.metrics`)."""
 
-import pickle
 import random
 import time
 
@@ -132,74 +131,13 @@ class TestSnapshot:
         # as_dict is the repo-wide stats-contract alias
         assert registry.as_dict() == snapshot
 
-    def test_drain_returns_and_resets(self):
+    def test_reset_drops_every_instrument(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
-        drained = registry.drain()
-        assert drained["counters"] == {"c": 3}
-        assert registry.snapshot()["counters"] == {}
-
-
-class TestMerge:
-    def test_merge_adds_counters_and_histograms_overwrites_gauges(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(1)
-        a.gauge("g").set(1)
-        a.histogram("h").observe(0.01)
-        b.counter("c").inc(2)
-        b.gauge("g").set(9)
-        b.histogram("h").observe(0.02)
-        a.merge(b)
-        snapshot = a.snapshot()
-        assert snapshot["counters"]["c"] == 3
-        assert snapshot["gauges"]["g"] == 9
-        merged = snapshot["histograms"]["h"]
-        assert merged["count"] == 2
-        assert merged["sum"] == pytest.approx(0.03)
-        assert merged["min"] == pytest.approx(0.01)
-        assert merged["max"] == pytest.approx(0.02)
-        assert merged["count"] == sum(count for _, count in merged["buckets"])
-
-    def test_merge_accepts_snapshot_dicts(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("c").inc(5)
-        b.histogram("h").observe(0.5)
-        a.merge(b.snapshot())
-        assert a.counter("c").value == 5
-        assert a.histogram("h").count == 1
-
-    def test_merge_round_trip_equals_direct_observation(self):
-        """merge(drain()) folds worker deltas without loss or duplication."""
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        for value in (0.001, 0.05, 3.0):
-            worker.histogram("h").observe(value)
-            worker.counter("c").inc()
-        parent.merge(worker.drain())
-        parent.merge(worker.drain())  # second drain is empty: no duplication
-        assert parent.counter("c").value == 3
-        assert parent.histogram("h").count == 3
-        assert parent.histogram("h").sum == pytest.approx(3.051)
-
-    def test_merge_mismatched_bucket_bounds_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0, 2.0)).observe(0.5)
-        b.histogram("h", bounds=(9.0,)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket bounds"):
-            a.merge(b)
-
-
-class TestPickling:
-    def test_plain_registry_pickles_as_empty_handle(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(100)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert isinstance(clone, MetricsRegistry)
-        assert clone.snapshot()["counters"] == {}
-
-    def test_default_registry_pickles_to_the_process_default(self):
-        registry = default_registry()
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone is default_registry()
+        registry.gauge("g").set(1)
+        registry.histogram("h").observe(0.01)
+        registry.reset()
+        assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 class TestMetricsRegistryField:

@@ -1,7 +1,6 @@
 """Tests for the memoized estimation layer: ProfileCache and fingerprints."""
 
 import dataclasses
-import pickle
 
 import pytest
 
@@ -74,37 +73,6 @@ class TestProfileCache:
     def test_invalid_max_entries(self):
         with pytest.raises(ValueError):
             ProfileCache(max_entries=0)
-
-    def test_pickles_as_an_entry_less_cache(self):
-        cache = ProfileCache(max_entries=8)
-        cache.put(cache_key("a"), self._profile())
-        clone = pickle.loads(pickle.dumps(cache))
-        assert len(clone) == 0
-        assert clone.max_entries == 8
-        # the clone is fully functional (fresh lock, fresh entries)
-        clone.put(cache_key("b"), self._profile("b"))
-        assert cache_key("b") in clone
-
-    def test_pickling_round_trips_the_stats(self):
-        """Hit/miss counters survive a process-pool transfer.
-
-        Entries are deliberately dropped on pickling (workers get a blank
-        memo), but the accounting must not be silently zeroed: a cache
-        that crossed a process boundary still reports its history.
-        """
-        cache = ProfileCache()
-        cache.put(cache_key("a"), self._profile())
-        cache.get(cache_key("a"))  # hit
-        cache.get(cache_key("b"))  # miss
-        clone = pickle.loads(pickle.dumps(cache))
-        assert len(clone) == 0  # entries still dropped by design
-        assert clone.stats.hits == 1
-        assert clone.stats.misses == 1
-        assert clone.stats.lookups == 2
-        # a second hop keeps accumulating on top of the restored counters
-        clone.get(cache_key("c"))
-        hop = pickle.loads(pickle.dumps(clone))
-        assert hop.stats.misses == 2
 
     def test_flush_is_a_noop_and_tier_stats_report_memory(self):
         cache = ProfileCache()

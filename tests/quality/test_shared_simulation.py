@@ -2,13 +2,12 @@
 
 One plan's evaluation stream simulates every alternative against one
 :class:`~repro.simulator.engine.SimulationMemo`.  The memo must end with
-the stream, never travel through pickle (process-pool workers), and give
-the same profiles when threads share one estimator.
+the stream and give the same profiles when threads share one
+estimator.
 """
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 
@@ -49,20 +48,6 @@ class TestMemoLifetime:
                 assert estimator._memo is outer
             assert estimator._memo is outer
         assert estimator._memo is None
-
-    def test_pickled_estimator_carries_no_memo(self, small_purchases):
-        estimator = QualityEstimator(settings=_SETTINGS)
-        with estimator.shared_simulation():
-            estimator.simulate(small_purchases)
-            payload = pickle.dumps(estimator)
-            clone = pickle.loads(payload)
-        assert b"SimulationMemo" not in payload
-        assert clone._memo is None
-        with clone.shared_simulation():
-            assert clone._memo is not None
-            archive = clone.simulate(small_purchases)
-        assert clone._memo is None
-        assert list(archive) == list(estimator.simulate(small_purchases))
 
     def test_shared_memo_gives_the_private_memo_traces(self, small_purchases):
         flows = _alternative_flows(small_purchases)

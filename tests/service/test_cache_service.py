@@ -3,7 +3,7 @@
 Covers the CacheBackend contract over the network (buffered writes
 visible locally, one flush per campaign, logical stats), the fleet
 scenario (two clients warm each other through one server), key-named
-disk entries across server restarts, stats pickling, prompt shutdown of
+disk entries across server restarts, prompt shutdown of
 an idle server, and the planner-level wiring of a one-URL ``cache_urls``
 ring.
 """
@@ -11,7 +11,6 @@ ring.
 from __future__ import annotations
 
 import logging
-import pickle
 import time
 
 import pytest
@@ -78,17 +77,6 @@ class TestClientBackendContract:
         assert tiers["http"]["misses"] == 1
         assert tiers["server"]["misses"] == 1
         assert tiers["fallback"]["lookups"] == 0
-
-    def test_pickles_as_a_handle_with_stats(self, disk_server, client):
-        client.put(cache_key("k"), _profile("published"))
-        client.flush()
-        assert client.get(cache_key("k")) is not None
-        clone = pickle.loads(pickle.dumps(client))
-        # stats round-trip (PR 4 discipline); buffer does not
-        assert clone.stats.hits == client.stats.hits
-        assert clone.stats.misses == client.stats.misses
-        # the clone is a live handle onto the same server
-        assert clone.get(cache_key("k")).flow_name == "published"
 
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
@@ -238,6 +226,23 @@ class TestPlannerWiring:
         assert warm.profile_cache.stats.hits == warm.profile_cache.stats.lookups
         assert len(warm_result.alternatives) == len(cold_result.alternatives)
 
+    def test_ring_servers_see_each_planner_lookup_once(self, tmp_path, make_config, linear_flow):
+        """Only the planning thread looks profiles up: no second lookup per miss."""
+        shards = [CacheServer(DiskProfileCache(tmp_path / f"s{i}")).start() for i in range(2)]
+        try:
+            config = make_config(cache_urls=tuple(shard.url for shard in shards))
+            planner = Planner(configuration=config)
+            planned = planner.plan(linear_flow)
+            reference = Planner(configuration=make_config()).plan(linear_flow)
+            assert planned.fingerprint() == reference.fingerprint()
+            lookups = planner.profile_cache.stats.lookups
+            assert lookups > 0
+            assert sum(shard.stats.lookups for shard in shards) == lookups
+            planner.profile_cache.close()
+        finally:
+            for shard in shards:
+                shard.stop()
+
     def test_session_cache_stats_show_the_network_tiers(
         self, disk_server, make_config, linear_flow
     ):
@@ -293,15 +298,3 @@ class TestDegradation:
         client.flush()  # fails -> degrades; the buffer must not be lost
         assert client.degraded
         assert client.get(cache_key("buffered")).flow_name == "survives"
-
-    def test_degraded_pickle_clone_retries_the_server(self, tmp_path):
-        with CacheServer(DiskProfileCache(tmp_path)) as server:
-            doomed = HTTPProfileCache(server.url, timeout=0.5)
-            seeder = HTTPProfileCache(server.url)
-            seeder.put(cache_key("k"), _profile("alive"))
-            seeder.flush()
-            doomed._degrade(RuntimeError("simulated outage"))
-            assert doomed.degraded
-            clone = pickle.loads(pickle.dumps(doomed))
-            assert not clone.degraded
-            assert clone.get(cache_key("k")).flow_name == "alive"

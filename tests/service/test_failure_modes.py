@@ -186,98 +186,3 @@ class TestClientDegradesOnAnyFailure:
             client.flush()  # TypeError inside the request -> degrade
             assert client.degraded
             assert client.get(key).flow_name == "kept"  # served by the fallback
-
-
-class TestProcessPoolOverHTTP:
-    @pytest.mark.slow
-    def test_pooled_workers_read_through_the_cache_server(
-        self, tmp_path, make_config, linear_flow
-    ):
-        """The process pool's per-worker clients reconnect and share."""
-        with CacheServer(DiskProfileCache(tmp_path)) as server:
-            config = make_config(cache_urls=(server.url,), parallel_workers=2)
-            sequential = Planner(configuration=make_config()).plan(linear_flow)
-            pooled = Planner(configuration=config).plan(linear_flow)
-            assert pooled.fingerprint() == sequential.fingerprint()
-            # the parent's batched flush published every profile
-            assert len(server.backend) > 0
-
-    def test_worker_estimator_keeps_the_http_handle(self, tmp_path, make_config, linear_flow):
-        """_init_worker reduces the cache to its persistent component: the client."""
-        import pickle
-
-        from repro.cache.http import HTTPProfileCache
-        from repro.core import evaluator as evaluator_module
-        from repro.core.evaluator import _evaluate_chunk_pooled, _init_worker
-
-        with CacheServer(DiskProfileCache(tmp_path)) as server:
-            config = make_config()
-            seeder = Planner(configuration=config, profile_cache=HTTPProfileCache(server.url))
-            seeder.plan(linear_flow)  # warms the server (flush on stream end)
-
-            fresh = Planner(configuration=config, profile_cache=HTTPProfileCache(server.url))
-            alternatives = list(fresh.generator.generate_iter(linear_flow))
-            worker_estimator = pickle.loads(pickle.dumps(fresh.estimator))
-            original = evaluator_module._WORKER_ESTIMATOR
-            try:
-                _init_worker(worker_estimator)
-                assert isinstance(worker_estimator.cache, HTTPProfileCache)
-                profiles, _ = _evaluate_chunk_pooled(alternatives[:2])
-                assert len(profiles) == 2 and all(p.values for p in profiles)
-                # both served from the warm server in one batched lookup
-                assert worker_estimator.cache.stats.hits == 2
-            finally:
-                evaluator_module._WORKER_ESTIMATOR = original
-
-    @pytest.mark.slow
-    def test_pooled_workers_read_through_the_ring(self, tmp_path, make_config, linear_flow):
-        """With ``cache_urls`` and a process pool, workers hold a ring handle.
-
-        The parent looks every window up first; each miss it submits is
-        looked up once more by the worker that estimates it, so the
-        servers see more lookups than the parent made.  Workers without
-        the ring would add none.
-        """
-        shards = [CacheServer(DiskProfileCache(tmp_path / f"s{i}")).start() for i in range(2)]
-        try:
-            config = make_config(
-                cache_urls=tuple(shard.url for shard in shards), parallel_workers=2
-            )
-            planner = Planner(configuration=config)
-            pooled = planner.plan(linear_flow)
-            sequential = Planner(configuration=make_config()).plan(linear_flow)
-            assert pooled.fingerprint() == sequential.fingerprint()
-            parent = planner.profile_cache.stats
-            served = sum(shard.stats.lookups for shard in shards)
-            assert parent.misses > 0
-            assert served > parent.lookups
-            planner.profile_cache.close()
-        finally:
-            for shard in shards:
-                shard.stop()
-
-    def test_worker_estimator_keeps_the_ring_handle(self, tmp_path, make_config, linear_flow):
-        """_init_worker keeps a ``cache_urls`` ring: workers read through it."""
-        import pickle
-
-        from repro.core import evaluator as evaluator_module
-        from repro.core.evaluator import _evaluate_chunk_pooled, _init_worker
-        from repro.fleet import ShardedProfileCache
-
-        with CacheServer(DiskProfileCache(tmp_path)) as server:
-            config = make_config(cache_urls=(server.url,))
-            Planner(configuration=config).plan(linear_flow)  # warms the server
-
-            fresh = Planner(configuration=config)
-            alternatives = list(fresh.generator.generate_iter(linear_flow))
-            worker_estimator = pickle.loads(pickle.dumps(fresh.estimator))
-            original = evaluator_module._WORKER_ESTIMATOR
-            try:
-                _init_worker(worker_estimator)
-                assert isinstance(worker_estimator.cache, ShardedProfileCache)
-                profiles, _ = _evaluate_chunk_pooled(alternatives[:2])
-                assert len(profiles) == 2 and all(p.values for p in profiles)
-                assert worker_estimator.cache.stats.hits == 2
-            finally:
-                evaluator_module._WORKER_ESTIMATOR = original
-                worker_estimator.cache.close()

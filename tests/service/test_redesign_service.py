@@ -174,6 +174,7 @@ class TestJobLifecycle:
             "cache_recovery_interval",
             "cache_max_pending",
             "fleet_ring_replicas",
+            "parallel_workers",
         ],
     )
     def test_removed_mode_knobs_are_rejected_at_submit(self, client, linear_flow, knob):
@@ -181,13 +182,6 @@ class TestJobLifecycle:
             client.submit(linear_flow, dict(_WIRE_CONFIG, **{knob: "cow"}))
         assert excinfo.value.status == 400
         assert f"unknown configuration field: {knob!r}" in excinfo.value.message
-
-    def test_worker_count_is_owned_by_the_server(self, client, linear_flow):
-        """A request cannot make a server worker fork a process pool."""
-        with pytest.raises(RedesignServiceError) as excinfo:
-            client.submit(linear_flow, dict(_WIRE_CONFIG, parallel_workers=2))
-        assert excinfo.value.status == 400
-        assert "'parallel_workers' is owned by the service" in excinfo.value.message
 
     def test_runtime_failure_fails_the_job_not_the_server(self, client, server, linear_flow):
         """An error inside the planning run surfaces as a failed job."""
@@ -362,6 +356,24 @@ class TestConfigurationFromRequest:
         with pytest.raises(ServiceError, match="malformed goal_priorities"):
             configuration_from_request({"goal_priorities": {"nope": "x"}})
         assert configuration_from_request(None).pattern_budget == 2  # defaults
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cache_dir",
+            "cache_max_bytes",
+            "cache_timeout",
+            "cache_auth_token",
+            "cache_urls",
+            "metrics_registry",
+        ],
+    )
+    def test_service_owned_fields_are_rejected(self, field):
+        """The cache tier and the metrics registry belong to the server."""
+        with pytest.raises(ServiceError, match="owned by the service") as excinfo:
+            configuration_from_request({"pattern_budget": 1, field: None})
+        assert excinfo.value.status == 400
+        assert repr(field) in excinfo.value.message
 
     def test_http_level_rejections(self, server, linear_flow):
         def post(payload: dict) -> int:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checks (the ``make docs-check`` target).
 
-Four failure modes the docs surface must never regress into:
+Five failure modes the docs surface must never regress into:
 
 1. **Broken intra-repository links.** Every relative link target in
    ``README.md`` and ``docs/*.md`` must exist on disk (external
@@ -16,7 +16,11 @@ Four failure modes the docs surface must never regress into:
    field — renaming or deleting a knob without updating its docs fails
    the build, so the guide can never describe configuration that no
    longer exists.
-4. **Phantom API.** Every backticked ``Class.attr`` reference in
+4. **Stale profile knobs.** Every ```name=…``` code span in a table
+   row of the tuning guide (the recommended profiles) must name a
+   ``ProcessingConfiguration`` field — a profile that sets a removed
+   knob fails the build.
+5. **Phantom API.** Every backticked ``Class.attr`` reference in
    ``README.md`` and ``docs/*.md`` whose ``Class`` is a class defined
    under ``repro`` must resolve with ``getattr`` — a deleted method or
    property left behind in prose (``Operation.copy``) fails the build.
@@ -46,6 +50,9 @@ _LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 
 #: Knob entries in the tuning guide: ``### `knob_name` — default …``.
 _KNOB_HEADING_RE = re.compile(r"^###\s+`([A-Za-z_][A-Za-z0-9_]*)`", re.MULTILINE)
+
+#: Code spans opening with a keyword assignment: ```name=value```.
+_KNOB_SETTING_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*)=")
 
 #: Code spans opening with a class attribute: ```Class.attr``` or ```Class.attr(...)```.
 _CLASS_ATTR_RE = re.compile(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)")
@@ -124,6 +131,30 @@ def phantom_knobs(tuning_doc: Path | None = None) -> list[str]:
     return problems
 
 
+def stale_profile_knobs(tuning_doc: Path | None = None) -> list[str]:
+    """``name=…`` settings in the tuning guide's tables that are not fields.
+
+    Covers the recommended-profile rows, which set knobs by name without
+    a ``### `name``` heading of their own, so :func:`phantom_knobs` does
+    not see them.
+    """
+    doc = TUNING_DOC if tuning_doc is None else tuning_doc
+    if not doc.exists():
+        return [f"{_rel(doc)}: file missing"]
+    fields = set(_configuration_fields())
+    problems = []
+    for row in doc.read_text().splitlines():
+        if not row.lstrip().startswith("|"):
+            continue
+        for name in _KNOB_SETTING_RE.findall(row):
+            if name not in fields:
+                problems.append(
+                    f"{_rel(doc)}: table row sets `{name}=`, which is not a "
+                    f"ProcessingConfiguration field (remove or rename it)"
+                )
+    return problems
+
+
 def _repro_classes() -> dict[str, list[type]]:
     """Every class defined under ``repro``, by name (importing each module)."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -157,7 +188,13 @@ def phantom_api(doc_files: list[Path] | None = None) -> list[str]:
 
 
 def main() -> int:
-    problems = broken_links() + undocumented_knobs() + phantom_knobs() + phantom_api()
+    problems = (
+        broken_links()
+        + undocumented_knobs()
+        + phantom_knobs()
+        + stale_profile_knobs()
+        + phantom_api()
+    )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
     if not problems:
