@@ -8,10 +8,10 @@ session of ``iterations`` redesign cycles where the user re-plans
 ``replans`` extra time(s) per cycle (e.g. after tightening a constraint)
 before adopting an alternative.
 
-Three arms run the identical session:
+Two arms run the identical session:
 
-* **eager** -- the seed behaviour: materialize the full alternative list,
-  evaluate it as one barrier batch, profile caching disabled.  Every
+* **eager** -- the seed behaviour: materialize the full alternative list
+  and evaluate it as one barrier batch with a cacheless estimator.  Every
   re-plan re-simulates every flow.
 * **streaming** -- the lazy generator feeds the evaluator one window at a
   time (one batched cache lookup each) and the shared
@@ -19,12 +19,9 @@ Three arms run the identical session:
   iteration's baseline are served from the cache.  The win over eager
   comes from that cache, not from overlap: evaluation runs on the
   planning thread in both arms.
-* **screening** -- streaming plus two-phase beam screening: static-only
-  scores for everyone, full simulation only for the top ``screening_beam``.
 
 The report includes wall-clock per arm, the cache hit rate, and an
-equivalence check that the streaming arm adopts byte-identical flows (the
-screening arm is allowed to differ: it deliberately prunes).
+equivalence check that the streaming arm adopts byte-identical flows.
 
 Run standalone::
 
@@ -50,6 +47,8 @@ if str(_SRC) not in sys.path:  # pragma: no cover - environment guard
 from repro.core import Planner, ProcessingConfiguration  # noqa: E402
 from repro.core.configuration import MeasureConstraint  # noqa: E402
 from repro.core.pareto import pareto_front_profiles  # noqa: E402
+from repro.core.planner import PlanningResult  # noqa: E402
+from repro.quality.estimator import QualityEstimator  # noqa: E402
 from repro.workloads import tpch_refresh_flow  # noqa: E402
 
 
@@ -67,10 +66,19 @@ def _replan_configuration(config: ProcessingConfiguration) -> ProcessingConfigur
 
 
 def _eager_plan(planner: Planner, flow):
-    """The seed pipeline: materialize everything, evaluate as one barrier batch."""
+    """The seed pipeline: materialize everything, evaluate as one barrier batch.
+
+    Estimates come from a cacheless estimator over the planner's registry
+    and settings, so every re-plan re-simulates every flow.
+    """
     config = planner.configuration
-    baseline = planner.evaluate_flow(flow)
-    alternatives = planner.evaluate_alternatives(list(planner.generator.generate_iter(flow)))
+    estimator = QualityEstimator(
+        registry=planner.estimator.registry, settings=planner.estimator.settings
+    )
+    baseline = estimator.evaluate(flow)
+    alternatives = list(planner.generator.generate_iter(flow))
+    for alternative in alternatives:
+        alternative.profile = estimator.evaluate(alternative.flow)
     kept, discarded = [], 0
     for alternative in alternatives:
         if config.satisfies_constraints(alternative.profile):
@@ -80,8 +88,6 @@ def _eager_plan(planner: Planner, flow):
     characteristics = tuple(config.skyline_characteristics)
     profiles = [alt.profile for alt in kept]
     skyline = pareto_front_profiles(profiles, characteristics) if profiles else []
-    from repro.core.planner import PlanningResult
-
     return PlanningResult(
         initial_flow=flow,
         baseline_profile=baseline,
@@ -123,9 +129,8 @@ def run_comparison(
     pattern_budget: int = 2,
     max_points_per_pattern: int = 2,
     max_alternatives: int = 80,
-    screening_beam: int = 10,
 ) -> dict:
-    """Time the three arms on one workload and return a comparison report."""
+    """Time the two arms on one workload and return a comparison report."""
     if flow is None:
         flow = tpch_refresh_flow(scale=scale)
     base = dict(
@@ -136,31 +141,19 @@ def run_comparison(
     )
 
     arms = {}
-    eager_config = ProcessingConfiguration(**base, cache_profiles=False)
+    config = ProcessingConfiguration(**base)
     t0 = time.perf_counter()
-    eager_adopted, eager_evals, _ = _run_session(flow, eager_config, iterations, replans, eager=True)
+    eager_adopted, eager_evals, _ = _run_session(flow, config, iterations, replans, eager=True)
     arms["eager"] = {"seconds": time.perf_counter() - t0, "evaluations": eager_evals}
 
-    streaming_config = ProcessingConfiguration(**base)
     t0 = time.perf_counter()
     stream_adopted, stream_evals, stream_planner = _run_session(
-        flow, streaming_config, iterations, replans, eager=False
+        flow, config, iterations, replans, eager=False
     )
     arms["streaming"] = {
         "seconds": time.perf_counter() - t0,
         "evaluations": stream_evals,
         "cache": stream_planner.profile_cache.stats.as_dict(),
-    }
-
-    screening_config = ProcessingConfiguration(**base, screening_beam=screening_beam)
-    t0 = time.perf_counter()
-    _, screen_evals, screen_planner = _run_session(
-        flow, screening_config, iterations, replans, eager=False
-    )
-    arms["screening"] = {
-        "seconds": time.perf_counter() - t0,
-        "evaluations": screen_evals,
-        "cache": screen_planner.profile_cache.stats.as_dict(),
     }
 
     return {
@@ -170,7 +163,6 @@ def run_comparison(
         "arms": arms,
         "equivalent_selections": stream_adopted == eager_adopted,
         "speedup_streaming_vs_eager": arms["eager"]["seconds"] / arms["streaming"]["seconds"],
-        "speedup_screening_vs_eager": arms["eager"]["seconds"] / arms["screening"]["seconds"],
     }
 
 
@@ -189,8 +181,6 @@ def _render_report(report: dict) -> str:
     lines.append(
         "streaming vs eager: "
         f"{report['speedup_streaming_vs_eager']:.2f}x   "
-        "screening vs eager: "
-        f"{report['speedup_screening_vs_eager']:.2f}x   "
         f"identical selections: {report['equivalent_selections']}"
     )
     return "\n".join(lines)
@@ -215,7 +205,6 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=2)
     parser.add_argument("--replans", type=int, default=1)
     parser.add_argument("--simulation-runs", type=int, default=5)
-    parser.add_argument("--screening-beam", type=int, default=10)
     parser.add_argument("--json", action="store_true", help="emit the raw report as JSON")
     args = parser.parse_args(argv)
     report = run_comparison(
@@ -223,7 +212,6 @@ def main(argv=None) -> int:
         iterations=args.iterations,
         replans=args.replans,
         simulation_runs=args.simulation_runs,
-        screening_beam=args.screening_beam,
     )
     if args.json:
         print(json.dumps(report, indent=2))

@@ -62,14 +62,14 @@ def build_profile_cache(
     Mirrors the ``cache_dir`` / ``cache_max_bytes`` / ``cache_urls`` /
     ``cache_timeout`` / ``cache_auth_token`` fields of
     :class:`~repro.core.configuration.ProcessingConfiguration`, which
-    validates the combination up front; the planner calls this when
-    ``cache_profiles`` is enabled.  ``urls`` builds a
-    :class:`~repro.fleet.ShardedProfileCache` ring (one URL is a
-    one-shard ring), ``cache_dir`` memory over disk, and neither the
-    in-process :class:`ProfileCache`.  ``registry`` (the configuration's
-    ``metrics_registry``) hangs a metrics registry on the built tier so its batched lookups report
-    ``cache.<tier>.*`` instruments; ``None`` (the default) keeps every
-    tier observation-free.
+    validates the combination up front; every planner that is not handed
+    a backend builds its cache here, so a planner always has one.
+    ``urls`` builds a :class:`~repro.fleet.ShardedProfileCache` ring (one
+    URL is a one-shard ring), ``cache_dir`` memory over disk, and neither
+    the in-process :class:`ProfileCache`.  ``registry`` (the
+    configuration's ``metrics_registry``) hangs a metrics registry on the
+    built tier so its batched lookups report ``cache.<tier>.*``
+    instruments; ``None`` (the default) keeps every tier observation-free.
     """
     if urls:
         # Imported lazily: repro.fleet.sharded imports this package.

@@ -12,9 +12,9 @@ Performance tuning
 The alternative space is factorial in the flow size, so generation
 always applies patterns as deltas on shared flow copies and reuses the shared
 prefix of consecutive pattern combinations (see
-:mod:`repro.core.alternatives`).  The remaining scaling knobs change
-wall-clock, never results (except ``screening_beam``, which deliberately
-prunes):
+:mod:`repro.core.alternatives`), and the planner always memoizes quality
+profiles by flow fingerprint across re-plans and session iterations.
+The remaining scaling knobs change wall-clock, never results:
 
 ``eval_batch_size``
     The evaluation window: how many candidates the streaming evaluator
@@ -23,12 +23,6 @@ prunes):
     ring) and the scope of the evaluator's duplicate memo.  Evaluation
     runs on the calling thread, so nothing overlaps; concurrency comes
     from the fleet's planner workers (:mod:`repro.fleet`).
-``screening_beam``
-    Two-phase planning: score every candidate statically, simulate
-    only the top ``screening_beam`` survivors.
-``cache_profiles``
-    Memoize quality profiles by flow fingerprint across re-plans and
-    session iterations.
 ``cache_dir`` / ``cache_urls``
     Where those memoized profiles live -- the tier follows from what is
     set.  Neither: the in-process LRU (the default).  ``cache_dir``:
@@ -145,23 +139,12 @@ class ProcessingConfiguration:
         The quality dimensions of the scatter plot / Pareto frontier.
     simulation_runs / seed:
         Passed to the quality estimator's simulator.
-    screening_beam:
-        When set, planning runs in two phases: every generated candidate
-        is first scored with cheap *static-only* estimation (no
-        simulation), and only the top ``screening_beam`` survivors receive
-        the full simulated profile.  ``None`` (the default) disables
-        screening and reproduces the exhaustive single-phase behaviour.
     eval_batch_size:
         Size of the evaluation window: candidates are pulled from the
         generator, looked up in the cache (one ``get_many`` per window)
         and deduplicated this many at a time.  Memory stays proportional
         to the window; nothing overlaps, evaluation runs on the planning
         thread.
-    cache_profiles:
-        When true (the default) the planner memoizes quality profiles by
-        flow fingerprint, so structurally identical flows -- within one
-        run or across the iterations of a redesign session -- are
-        simulated only once.
     cache_dir:
         Directory of a persistent profile store, fronted by an
         in-process LRU that promotes disk hits.  Point several planners
@@ -221,9 +204,7 @@ class ProcessingConfiguration:
     )
     simulation_runs: int = 3
     seed: int = 7
-    screening_beam: int | None = None
     eval_batch_size: int = DEFAULT_EVAL_BATCH_SIZE
-    cache_profiles: bool = True
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
     cache_timeout: float = 5.0
@@ -247,8 +228,6 @@ class ProcessingConfiguration:
             raise ValueError("max_alternatives must be at least 1")
         if self.simulation_runs < 1:
             raise ValueError("simulation_runs must be at least 1")
-        if self.screening_beam is not None and self.screening_beam < 1:
-            raise ValueError("screening_beam must be at least 1 (or None to disable)")
         if self.eval_batch_size < 1:
             raise ValueError("eval_batch_size must be at least 1")
         if self.cache_urls is not None:

@@ -11,12 +11,10 @@ comparison of every alternative against the initial flow.
 The stages run as a *streaming pipeline* on the planning thread:
 candidates flow out of the lazy generator into the evaluator one window
 (``eval_batch_size``) at a time -- one batched cache lookup per window --
-profiles are memoized in a shared
-:class:`~repro.cache.ProfileCache` (``cache_profiles``), and
-an optional two-phase beam screening (``screening_beam``) scores every
-candidate with cheap static-only estimation before spending simulation
-time on the survivors.  With all knobs at their defaults the results are
-identical to the original eager generate-then-evaluate pipeline.
+and profiles are memoized in one shared cache backend, so re-plans and
+session iterations simulate only flows they have not profiled yet.
+Every candidate gets its full simulated profile; the results are
+identical to planning from scratch (``tests/reference_planner.py``).
 """
 
 from __future__ import annotations
@@ -157,7 +155,6 @@ class Planner:
         Pre-built cache backend overriding the tier the configuration
         would select -- the hook the redesign service uses to make a
         whole worker pool of concurrent sessions share one tier.
-        Ignored when ``configuration.cache_profiles`` is false.
     """
 
     def __init__(
@@ -183,13 +180,10 @@ class Planner:
         # The cache tier follows from the configuration -- the default
         # in-process LRU, memory over a cache_dir, or a ring of cache
         # servers at cache_urls -- unless the caller injected a shared
-        # backend.  Either way one backend serves every estimator of
-        # this planner, every re-plan, and -- through RedesignSession --
-        # every iteration.
-        if not self.configuration.cache_profiles:
-            self.profile_cache: CacheBackend | None = None
-        elif profile_cache is not None:
-            self.profile_cache = profile_cache
+        # backend.  Either way the planner always has one, and it serves
+        # every re-plan and -- through RedesignSession -- every iteration.
+        if profile_cache is not None:
+            self.profile_cache: CacheBackend = profile_cache
         else:
             self.profile_cache = build_profile_cache(
                 cache_dir=self.configuration.cache_dir,
@@ -207,20 +201,6 @@ class Planner:
             registry=self.measures, settings=estimator_settings, cache=self.profile_cache
         )
         self.evaluator = ParallelEvaluator(estimator=self.estimator, registry=self.metrics)
-        # Static-only twin used by the beam-screening first phase; shares
-        # the registry and the profile cache (settings fingerprints keep
-        # static and simulated entries apart).
-        screening_settings = EstimationSettings(
-            simulation_runs=self.configuration.simulation_runs,
-            seed=self.configuration.seed,
-            use_simulation=False,
-        )
-        self.screening_estimator = QualityEstimator(
-            registry=self.measures, settings=screening_settings, cache=self.profile_cache
-        )
-        self.screening_evaluator = ParallelEvaluator(
-            estimator=self.screening_estimator, registry=self.metrics
-        )
         self.generator = AlternativeGenerator(
             palette=self.palette, policy=self.policy, configuration=self.configuration
         )
@@ -277,11 +257,8 @@ class Planner:
         * Deterministic for a fixed configuration: same flow + same
           :class:`~repro.core.configuration.ProcessingConfiguration`
           (including ``seed``) produce the same alternatives, labels,
-          profiles and skyline, whichever fleet worker plans them.
-        * When ``screening_beam`` is set, a static-only scoring pass
-          screens the stream first and only the beam survivors are
-          simulated -- the single knob that deliberately changes which
-          profiles get computed.
+          profiles and skyline, whichever fleet worker plans them, and
+          whether the profile cache is cold or warm.
         """
         with self.estimator.shared_simulation():
             return self._plan(flow, on_evaluated)
@@ -300,9 +277,6 @@ class Planner:
         candidates: Iterable[AlternativeFlow] = self.stream_alternatives(flow)
         if registry is not None:
             candidates = self._timed_generation(candidates, registry)
-        if config.screening_beam is not None:
-            with maybe_timer(registry, "planner.phase.screen_seconds"):
-                candidates = self._screen(candidates)
 
         kept: list[AlternativeFlow] = []
         discarded = 0
@@ -396,32 +370,3 @@ class Planner:
             total += time.perf_counter() - start
             yield candidate
         registry.histogram("planner.phase.generate_seconds").observe(total)
-
-    def _screen(self, candidates: Iterable[AlternativeFlow]) -> list[AlternativeFlow]:
-        """Two-phase beam screening: keep the statically best candidates.
-
-        Every candidate is scored with static-only estimation (no
-        simulator runs), ranked by the sum of its composite scores over
-        the skyline characteristics, and the top ``screening_beam``
-        survivors are returned *in generation order* with their profiles
-        cleared, ready for full estimation.  Ties break towards earlier
-        generation, keeping the screening deterministic.
-        """
-        beam = self.configuration.screening_beam
-        assert beam is not None
-        characteristics = tuple(self.configuration.skyline_characteristics)
-        scored: list[tuple[float, int, AlternativeFlow]] = []
-        screened_stream = self.screening_evaluator.evaluate_stream(
-            candidates, batch_size=self.configuration.eval_batch_size
-        )
-        for index, alternative in enumerate(screened_stream):
-            assert alternative.profile is not None
-            score = sum(alternative.profile.score(c) for c in characteristics)
-            scored.append((score, index, alternative))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        survivors = sorted(scored[:beam], key=lambda item: item[1])
-        kept: list[AlternativeFlow] = []
-        for _, _, alternative in survivors:
-            alternative.profile = None  # the full simulated profile replaces the screen score
-            kept.append(alternative)
-        return kept

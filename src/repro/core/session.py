@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.cache.backend import cache_stats_dict
+from repro.cache.backend import CacheBackend, cache_stats_dict
 from repro.core.alternatives import AlternativeFlow
 from repro.core.comparison import FlowComparison
 from repro.core.configuration import ProcessingConfiguration
@@ -81,8 +81,8 @@ class RedesignSession:
       iteration; earlier iterations are history, matching the paper's
       incremental process.
     * Sessions are deterministic under a fixed configuration: replaying
-      the same choices yields the same flows and profiles, independent
-      of the worker count.
+      the same choices yields the same flows and profiles, whether the
+      profile cache starts cold or warm.
 
     Parameters
     ----------
@@ -115,8 +115,8 @@ class RedesignSession:
         return len(self.iterations)
 
     @property
-    def profile_cache(self):
-        """The planner's shared profile cache (``None`` when caching is off)."""
+    def profile_cache(self) -> CacheBackend:
+        """The planner's shared profile cache."""
         return self.planner.profile_cache
 
     def cache_stats(self) -> dict[str, object]:
@@ -128,13 +128,8 @@ class RedesignSession:
         ``overall``/``memory``/``disk`` for the tiered backend, or
         ``http``/``server``/``fallback`` for the network tier --
         ``server`` is fetched live and omitted when unreachable).
-        Returns an empty dict when profile caching is disabled
-        (``cache_profiles=False`` in the configuration).
         """
-        cache = self.planner.profile_cache
-        if cache is None:
-            return {}
-        return cache_stats_dict(cache)
+        return cache_stats_dict(self.planner.profile_cache)
 
     @property
     def current_profile(self) -> QualityProfile:

@@ -48,10 +48,6 @@ class EstimationSettings:
         for a given seed).
     resources:
         Default execution environment for the simulations.
-    use_simulation:
-        When false, only static (structure-based) measures are evaluated;
-        useful for cheap screening of very large alternative spaces (the
-        planner's ``screening_beam`` first phase).
 
     Settings are frozen: every cache key an estimator hands out encodes
     them once, at construction.
@@ -60,7 +56,6 @@ class EstimationSettings:
     simulation_runs: int = 5
     seed: int | None = 7
     resources: ResourceModel | None = None
-    use_simulation: bool = True
 
     def __post_init__(self) -> None:
         if self.simulation_runs < 1:
@@ -74,7 +69,7 @@ class EstimationSettings:
             if resources is None
             else (resources.workers, resources.speed, resources.cost_per_hour, resources.memory_mb)
         )
-        return (self.simulation_runs, self.seed, self.use_simulation, resource_key)
+        return (self.simulation_runs, self.seed, resource_key)
 
 
 class QualityEstimator:
@@ -84,8 +79,11 @@ class QualityEstimator:
     ----------
     registry:
         The measures to evaluate; defaults to the Fig. 1-style registry.
+        A flow is simulated only when the registry holds a trace-based
+        measure, so a registry of static (structure-based) measures only
+        is a simulation-free estimator.
     settings:
-        Simulation budget, seed, resources and the static-only switch.
+        Simulation budget, seed and resources.
     cache:
         Optional shared cache backend (any
         :class:`~repro.cache.CacheBackend` tier: the in-memory
@@ -116,6 +114,7 @@ class QualityEstimator:
         self.settings = settings or EstimationSettings()
         self.cache = cache
         self._composites = build_composites(self.registry)
+        self._needs_trace = any(m.requires_trace for m in self.registry)
         # Every cache key is the SHA-256 of ``repr((CACHE_SCHEMA_VERSION,
         # flow.fingerprint(), settings, registry))``.  The settings and the
         # registry are fixed for this estimator, so the tail of that text
@@ -227,9 +226,9 @@ class QualityEstimator:
             The flow to evaluate.
         archive:
             Optional pre-computed trace archive; when omitted and any
-            registered measure requires traces (and simulation is
-            enabled), the flow is simulated first.  Passing an explicit
-            archive bypasses the profile cache.
+            registered measure requires traces, the flow is simulated
+            first.  Passing an explicit archive bypasses the profile
+            cache.
         """
         key: str | None = None
         if archive is None and self.cache is not None:
@@ -246,8 +245,7 @@ class QualityEstimator:
         self, flow: ETLGraph, archive: TraceArchive | None = None
     ) -> QualityProfile:
         """The raw Measures Estimation stage, never touching the cache."""
-        needs_trace = any(m.requires_trace for m in self.registry)
-        if archive is None and needs_trace and self.settings.use_simulation:
+        if archive is None and self._needs_trace:
             archive = self.simulate(flow)
 
         values: dict[str, MeasureValue] = {}

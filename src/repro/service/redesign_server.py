@@ -76,18 +76,17 @@ _RESERVED_FIELDS = frozenset(
     }
 )
 
-#: Scalar/sequence fields accepted verbatim from the request document.
-_SIMPLE_FIELDS = frozenset(
+#: Integer fields accepted verbatim from the request document.  JSON
+#: ``true``/``false`` are not integers here, although ``bool`` is an
+#: ``int`` subclass in Python.
+_INTEGER_FIELDS = frozenset(
     {
-        "policy",
         "pattern_budget",
         "max_points_per_pattern",
         "max_alternatives",
         "simulation_runs",
         "seed",
-        "screening_beam",
         "eval_batch_size",
-        "cache_profiles",
     }
 )
 
@@ -97,7 +96,8 @@ def configuration_from_request(
 ) -> ProcessingConfiguration:
     """Build a :class:`ProcessingConfiguration` from a request document.
 
-    Accepts the scalar knobs verbatim, ``pattern_names`` as an array,
+    Accepts the integer knobs (JSON integers, not booleans) and
+    ``policy`` (a string) verbatim, ``pattern_names`` as an array,
     ``goal_priorities`` as a ``{characteristic: weight}`` object,
     ``skyline_characteristics`` as an array of characteristic names and
     ``constraints`` as an array of ``{target, min_value, max_value}``
@@ -120,7 +120,13 @@ def configuration_from_request(
                 "cache tier and metrics registry per server); "
                 "remove it from the request",
             )
-        if name in _SIMPLE_FIELDS:
+        if name in _INTEGER_FIELDS:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ServiceError(400, f"{name} must be an integer, got {value!r}")
+            kwargs[name] = value
+        elif name == "policy":
+            if not isinstance(value, str):
+                raise ServiceError(400, f"policy must be a string, got {value!r}")
             kwargs[name] = value
         elif name == "metrics_enabled":
             if not isinstance(value, bool):

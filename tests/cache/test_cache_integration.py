@@ -16,6 +16,7 @@ from repro.cache import DiskProfileCache, ProfileCache, TieredProfileCache
 from repro.core import Planner, ProcessingConfiguration, RedesignSession
 from repro.workloads import random_flow
 from repro.workloads.generator import RandomFlowConfig
+from tests.reference_planner import reference_plan
 
 
 class TestConfigurationValidation:
@@ -67,9 +68,8 @@ class TestConfigurationValidation:
         assert isinstance(tiered.profile_cache, TieredProfileCache)
         assert isinstance(tiered.profile_cache.disk, DiskProfileCache)
         assert tiered.profile_cache.disk.max_bytes == 1 << 20
-        # both estimators (full + screening) share the one backend
+        # the planner's one estimator reads and writes the configured tier
         assert tiered.estimator.cache is tiered.profile_cache
-        assert tiered.screening_estimator.cache is tiered.profile_cache
 
 
 class TestTierEquivalence:
@@ -79,8 +79,9 @@ class TestTierEquivalence:
         wall-clock, never results.
 
         The arms are the three configurable tiers (memory, ``cache_dir``,
-        a one-URL ``cache_urls`` ring), an uncached run, and a reference
-        planner injected with a bare single-server ``HTTPProfileCache``.
+        a one-URL ``cache_urls`` ring), a planner injected with a bare
+        single-server ``HTTPProfileCache``, and the from-scratch
+        ``reference_plan`` with no cache at all.
         """
         from repro.cache import HTTPProfileCache
         from repro.service import CacheServer
@@ -94,10 +95,10 @@ class TestTierEquivalence:
                 "memory": {},
                 "cache_dir": dict(cache_dir=str(tmp_path / f"t{flow_seed}")),
                 "cache_urls": dict(cache_urls=(server.url,)),
-                "uncached": dict(cache_profiles=False),
             }.items():
                 result = Planner(configuration=make_config(**extra)).plan(flow)
                 fingerprints[name] = result.fingerprint()
+            fingerprints["uncached"] = reference_plan(flow, make_config()).fingerprint()
             reference_cache = HTTPProfileCache(reference_server.url)
             reference = Planner(configuration=make_config(), profile_cache=reference_cache)
             fingerprints["http_reference"] = reference.plan(flow).fingerprint()
@@ -171,13 +172,6 @@ class TestSessionCacheStats:
         stats = session.cache_stats()
         assert stats["lookups"] > 0
         assert set(stats["tiers"]) == {"memory"}
-
-    def test_disabled_cache_yields_empty_stats(self, make_config, linear_flow):
-        session = RedesignSession(
-            linear_flow, configuration=make_config(cache_profiles=False)
-        )
-        session.iterate()
-        assert session.cache_stats() == {}
 
 
 class TestDiskWriteBack:

@@ -11,6 +11,7 @@ from repro.etl.builder import FlowBuilder
 from repro.etl.graph import ETLGraph
 from repro.etl.schema import DataType, Field, Schema
 from repro.quality.estimator import EstimationSettings, QualityEstimator
+from repro.quality.framework import MeasureRegistry, default_registry
 from repro.simulator.engine import ETLSimulator, SimulationConfig
 from repro.workloads import (
     RandomFlowConfig,
@@ -84,6 +85,14 @@ def set_config(flow: ETLGraph, op_id: str, **entries) -> None:
     flow.update_operation(op_id, config={**flow.operation(op_id).config, **entries})
 
 
+def static_registry() -> MeasureRegistry:
+    """The default registry without its trace-based measures.
+
+    An estimator over it never simulates: the static-only estimator.
+    """
+    return MeasureRegistry(m for m in default_registry() if not m.requires_trace)
+
+
 def twelve_cases():
     """The twelve planning cases (four flows at budgets 1-3) as ``(build, budget)`` params.
 
@@ -127,7 +136,7 @@ def make_planner():
 
     Shared across test modules so that planner-level tests agree on one
     baseline configuration; pass overrides for per-test knobs, e.g.
-    ``make_planner(screening_beam=3, eval_batch_size=4)``.
+    ``make_planner(pattern_budget=2, eval_batch_size=4)``.
     """
 
     def make(**overrides) -> Planner:

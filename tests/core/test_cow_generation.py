@@ -180,11 +180,20 @@ class TestBackendKnob:
     """Evaluation has no backend or pool knobs: it runs on the planning thread."""
 
     def test_invalid_backend_rejected(self):
-        # the thread/process switch and the process pool are gone
+        # the thread/process switch and the process pool are gone, and so
+        # are the beam screening, the cache switch and the static-only
+        # switch (static-only estimation is a registry without trace
+        # measures)
         with pytest.raises(TypeError):
             ProcessingConfiguration(backend="process")
         with pytest.raises(TypeError):
             ProcessingConfiguration(parallel_workers=2)
+        with pytest.raises(TypeError):
+            ProcessingConfiguration(screening_beam=3)
+        with pytest.raises(TypeError):
+            ProcessingConfiguration(cache_profiles=False)
+        with pytest.raises(TypeError):
+            EstimationSettings(use_simulation=False)
 
     def test_invalid_copy_mode_rejected(self):
         # generation always forks flow copies and runs the prefix cache

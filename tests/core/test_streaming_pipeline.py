@@ -1,13 +1,11 @@
 """Tests for the streaming planning pipeline.
 
-Covers the lazy alternative generator, the streaming evaluator, the
-profile cache shared across session iterations, and the two-phase beam
-screening -- including the equivalence guarantees: with all knobs at
-their defaults the streaming pipeline reproduces the eager
-generate-then-evaluate behaviour exactly.
+Covers the lazy alternative generator, the streaming evaluator and the
+profile cache shared across session iterations -- including the
+equivalence guarantee: the streaming, cached pipeline reproduces a plan
+made from scratch (``tests/reference_planner.py``) exactly.
 """
 
-import itertools
 import json
 
 import pytest
@@ -16,36 +14,12 @@ from repro.cache import ProfileCache
 from repro.core.alternatives import AlternativeFlow, AlternativeGenerator
 from repro.core.configuration import ProcessingConfiguration
 from repro.core.evaluator import ParallelEvaluator
-from repro.core.pareto import pareto_front_profiles
-from repro.core.planner import Planner, PlanningResult
+from repro.core.planner import PlanningResult
 from repro.core.session import RedesignSession
 from repro.patterns.registry import default_palette
 from repro.quality.estimator import EstimationSettings, QualityEstimator
 from repro.quality.framework import QualityCharacteristic
-
-
-def _eager_plan(planner: Planner, flow) -> PlanningResult:
-    """The seed's eager pipeline: materialize, barrier-evaluate, filter."""
-    config = planner.configuration
-    baseline = planner.evaluate_flow(flow)
-    alternatives = planner.evaluate_alternatives(list(planner.generator.generate_iter(flow)))
-    kept, discarded = [], 0
-    for alternative in alternatives:
-        if config.satisfies_constraints(alternative.profile):
-            kept.append(alternative)
-        else:
-            discarded += 1
-    characteristics = tuple(config.skyline_characteristics)
-    profiles = [alt.profile for alt in kept]
-    skyline = pareto_front_profiles(profiles, characteristics) if profiles else []
-    return PlanningResult(
-        initial_flow=flow,
-        baseline_profile=baseline,
-        alternatives=kept,
-        skyline_indices=skyline,
-        characteristics=characteristics,
-        discarded_by_constraints=discarded,
-    )
+from tests.reference_planner import reference_plan
 
 
 class TestLazyGeneration:
@@ -187,9 +161,8 @@ class TestStreamingEvaluator:
 
 class TestStreamingPlanEquivalence:
     def test_plan_matches_eager_pipeline(self, small_purchases, make_planner):
-        eager_planner = make_planner(cache_profiles=False)
         streaming_planner = make_planner()
-        eager = _eager_plan(eager_planner, small_purchases)
+        eager = reference_plan(small_purchases, streaming_planner.configuration)
         streaming = streaming_planner.plan(small_purchases)
 
         assert json.dumps(streaming.summary(), sort_keys=True) == json.dumps(
@@ -198,9 +171,7 @@ class TestStreamingPlanEquivalence:
         assert [a.label for a in streaming.alternatives] == [
             a.label for a in eager.alternatives
         ]
-        for s, e in zip(streaming.alternatives, eager.alternatives):
-            assert s.profile.scores == e.profile.scores
-        assert streaming.skyline_indices == eager.skyline_indices
+        assert streaming.fingerprint() == eager.fingerprint()
 
     @pytest.mark.parametrize("batch_size", [1, 2, 5, 64])
     def test_window_size_does_not_change_the_plan(
@@ -210,52 +181,7 @@ class TestStreamingPlanEquivalence:
         windowed = make_planner(eval_batch_size=batch_size).plan(small_purchases)
         assert windowed.fingerprint() == default.fingerprint()
 
-
-class TestBeamScreening:
-    def test_wide_beam_reproduces_unscreened_results(self, small_purchases, make_planner):
-        unscreened = make_planner().plan(small_purchases)
-        screened = make_planner(screening_beam=10_000).plan(small_purchases)
-        assert screened.summary() == unscreened.summary()
-        assert [a.label for a in screened.alternatives] == [
-            a.label for a in unscreened.alternatives
-        ]
-        for s, u in zip(screened.alternatives, unscreened.alternatives):
-            assert s.profile.scores == u.profile.scores
-
-    def test_narrow_beam_keeps_a_subset_with_full_profiles(
-        self, small_purchases, make_planner
-    ):
-        unscreened = make_planner().plan(small_purchases)
-        screened = make_planner(screening_beam=3).plan(small_purchases)
-        assert len(screened.alternatives) <= 3
-        all_labels = {a.label for a in unscreened.alternatives}
-        assert {a.label for a in screened.alternatives} <= all_labels
-        # survivors carry full (simulated) profiles, not the static screen
-        for alternative in screened.alternatives:
-            assert "process_cycle_time_ms" in alternative.profile.values
-
-    def test_beam_survivors_are_the_statically_best(self, small_purchases, make_planner):
-        planner = make_planner(screening_beam=3)
-        static = planner.screening_estimator
-        assert static.settings.use_simulation is False
-        generated = list(make_planner().generator.generate_iter(small_purchases))
-        characteristics = tuple(planner.configuration.skyline_characteristics)
-        static_scores = {
-            alt.label: sum(
-                static.evaluate_uncached(alt.flow).score(c) for c in characteristics
-            )
-            for alt in generated
-        }
-        expected = {
-            label
-            for label, _ in sorted(static_scores.items(), key=lambda kv: -kv[1])[:3]
-        }
-        screened = planner.plan(small_purchases)
-        assert {a.label for a in screened.alternatives} == expected
-
-    def test_screening_configuration_validation(self):
-        with pytest.raises(ValueError):
-            ProcessingConfiguration(screening_beam=0)
+    def test_window_configuration_validation(self):
         with pytest.raises(ValueError):
             ProcessingConfiguration(eval_batch_size=0)
 
@@ -290,16 +216,6 @@ class TestSessionCaching:
         assert second.summary() == first.summary()
         for a, b in zip(first.alternatives, second.alternatives):
             assert a.profile.scores == b.profile.scores
-
-    def test_cache_can_be_disabled(self, small_purchases, make_planner, make_config):
-        planner = make_planner(cache_profiles=False)
-        assert planner.profile_cache is None
-        session = RedesignSession(
-            small_purchases, configuration=make_config(cache_profiles=False)
-        )
-        assert session.cache_stats() == {}
-        result = planner.plan(small_purchases)
-        assert result.alternatives
 
 
 class TestBestFor:

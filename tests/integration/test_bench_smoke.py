@@ -38,9 +38,8 @@ def test_bench_smoke_tiny_flow():
         replans=1,
         simulation_runs=1,
         max_alternatives=10,
-        screening_beam=3,
     )
-    assert set(report["arms"]) == {"eager", "streaming", "screening"}
+    assert set(report["arms"]) == {"eager", "streaming"}
     for arm in report["arms"].values():
         assert arm["seconds"] > 0
         assert arm["evaluations"] > 0

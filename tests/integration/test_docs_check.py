@@ -57,7 +57,7 @@ def test_missing_doc_file_detected(tmp_path):
 def test_undocumented_knob_detected(tmp_path):
     checker = _load_checker()
     partial = tmp_path / "tuning.md"
-    partial.write_text("only documents `pattern_budget` and `screening_beam`")
+    partial.write_text("only documents `pattern_budget` and `simulation_runs`")
     problems = checker.undocumented_knobs(partial)
     assert problems, "an incomplete tuning guide must be flagged"
     assert any("eval_batch_size" in p for p in problems)

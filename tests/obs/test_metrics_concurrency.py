@@ -100,8 +100,7 @@ def test_thread_pool_evaluator_hammers_one_registry(linear_flow):
 
     snapshot = registry.snapshot()
     histograms = snapshot["histograms"]
-    # one campaign span per plan, with every phase inside it (screen
-    # only runs when a screening beam is configured)
+    # one campaign span per plan, with every phase inside it
     assert histograms["planner.plan_seconds"]["count"] == plans
     for phase in ("generate", "estimate", "rank"):
         assert histograms[f"planner.phase.{phase}_seconds"]["count"] == plans, phase

@@ -22,8 +22,9 @@ from repro.core.policies import HeuristicPolicy
 from repro.etl.graph import ETLGraph
 from repro.etl.validation import validate_delta, validate_flow
 from repro.patterns.registry import default_palette
-from repro.quality.estimator import EstimationSettings, QualityEstimator
+from repro.quality.estimator import QualityEstimator
 from repro.workloads import RandomFlowConfig, random_flow
+from tests.conftest import static_registry
 from tests.reference_generator import outcome, reference_generate
 
 _PALETTE = list(default_palette())
@@ -105,7 +106,7 @@ class TestCowEquivalence:
         flow = random_flow(RandomFlowConfig(operations=operations, sources=2, seed=seed))
         deep_result, _ = _apply_sequence(flow, picks, rebuild=True)
         cow_result, _ = _apply_sequence(flow, picks)
-        estimator = QualityEstimator(settings=EstimationSettings(use_simulation=False))
+        estimator = QualityEstimator(registry=static_registry())
         deep_profile = estimator.evaluate(deep_result)
         cow_profile = estimator.evaluate(cow_result)
         assert deep_profile.scores == cow_profile.scores

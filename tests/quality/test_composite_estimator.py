@@ -11,6 +11,7 @@ from repro.quality.framework import (
     default_registry,
 )
 from repro.quality.manageability import Coupling, LongestPathLength
+from tests.conftest import static_registry
 
 
 def _value(name, characteristic, value, normalized, higher=True):
@@ -140,17 +141,20 @@ class TestQualityEstimator:
         # Every registered measure must have been evaluated (simulation ran).
         assert len(profile.values) == len(fast_estimator.registry)
 
-    def test_static_only_evaluation(self, linear_flow):
-        estimator = QualityEstimator(
-            settings=EstimationSettings(use_simulation=False)
-        )
+    def test_static_only_evaluation(self, linear_flow, monkeypatch):
+        """A registry without trace measures never runs the simulator."""
+        estimator = QualityEstimator(registry=static_registry())
+
+        def no_simulation(flow):
+            raise AssertionError("a static-only estimator simulated a flow")
+
+        monkeypatch.setattr(estimator, "simulate", no_simulation)
         profile = estimator.evaluate(linear_flow)
-        trace_based = [m.name for m in estimator.registry if m.requires_trace]
+        trace_based = [m.name for m in default_registry() if m.requires_trace]
         for name in trace_based:
             assert name not in profile.values
-        static = [m.name for m in estimator.registry if not m.requires_trace]
-        for name in static:
-            assert name in profile.values
+        static = [m.name for m in default_registry() if not m.requires_trace]
+        assert static and set(profile.values) == set(static)
 
     def test_estimates_are_deterministic_for_a_seed(self, linear_flow):
         a = QualityEstimator(settings=EstimationSettings(simulation_runs=2, seed=5)).evaluate(
@@ -184,4 +188,6 @@ class TestEstimationSettings:
 
     def test_static_only_settings_still_need_a_valid_run_count(self):
         with pytest.raises(ValueError, match="simulation_runs"):
-            EstimationSettings(simulation_runs=0, use_simulation=False)
+            QualityEstimator(
+                registry=static_registry(), settings=EstimationSettings(simulation_runs=0)
+            )

@@ -8,7 +8,7 @@ from repro.quality.composite import QualityProfile
 from repro.cache import CacheStats, ProfileCache
 from repro.quality.estimator import EstimationSettings, QualityEstimator
 from repro.simulator.resources import ResourceModel
-from tests.conftest import set_properties
+from tests.conftest import set_properties, static_registry
 from tests.reference_fingerprint import reference_cache_key
 from tests.keys import cache_key
 
@@ -124,31 +124,26 @@ class TestCachedEstimator:
 
     def test_settings_partition_the_cache(self, linear_flow):
         cache = ProfileCache()
-        simulated = QualityEstimator(
-            settings=EstimationSettings(simulation_runs=1, seed=3), cache=cache
-        )
-        static = QualityEstimator(
-            settings=EstimationSettings(simulation_runs=1, seed=3, use_simulation=False),
-            cache=cache,
-        )
-        full = simulated.evaluate(linear_flow)
-        screened = static.evaluate(linear_flow.copy())
+        seeded = {
+            seed: QualityEstimator(
+                settings=EstimationSettings(simulation_runs=1, seed=seed), cache=cache
+            )
+            for seed in (3, 4)
+        }
+        first = seeded[3].evaluate(linear_flow)
+        second = seeded[4].evaluate(linear_flow.copy())
         assert cache.stats.misses == 2  # distinct entries, no cross-talk
-        assert "process_cycle_time_ms" in full.values
-        assert "process_cycle_time_ms" not in screened.values
+        assert seeded[3].cache_key(linear_flow) != seeded[4].cache_key(linear_flow)
+        assert first.values["process_cycle_time_ms"] != second.values["process_cycle_time_ms"]
+        # each seed is served its own entry back
+        assert seeded[4].evaluate(linear_flow.copy()).scores == second.scores
+        assert cache.stats.hits == 1
 
     def test_registries_partition_the_cache(self, linear_flow):
-        from repro.quality.framework import MeasureRegistry, default_registry
-
         cache = ProfileCache()
         settings = EstimationSettings(simulation_runs=1, seed=3)
         full = QualityEstimator(settings=settings, cache=cache)
-        restricted_registry = MeasureRegistry(
-            m for m in default_registry() if not m.requires_trace
-        )
-        restricted = QualityEstimator(
-            registry=restricted_registry, settings=settings, cache=cache
-        )
+        restricted = QualityEstimator(registry=static_registry(), settings=settings, cache=cache)
         full_profile = full.evaluate(linear_flow)
         restricted_profile = restricted.evaluate(linear_flow.copy())
         assert cache.stats.misses == 2  # distinct entries per registry
@@ -159,9 +154,7 @@ class TestCachedEstimator:
         "settings",
         [
             EstimationSettings(),
-            EstimationSettings(
-                simulation_runs=2, seed=None, use_simulation=False, resources=ResourceModel(workers=8)
-            ),
+            EstimationSettings(simulation_runs=2, seed=None, resources=ResourceModel(workers=8)),
         ],
         ids=["default", "custom"],
     )

@@ -175,6 +175,8 @@ class TestJobLifecycle:
             "cache_max_pending",
             "fleet_ring_replicas",
             "parallel_workers",
+            "screening_beam",
+            "cache_profiles",
         ],
     )
     def test_removed_mode_knobs_are_rejected_at_submit(self, client, linear_flow, knob):
@@ -182,6 +184,28 @@ class TestJobLifecycle:
             client.submit(linear_flow, dict(_WIRE_CONFIG, **{knob: "cow"}))
         assert excinfo.value.status == 400
         assert f"unknown configuration field: {knob!r}" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pattern_budget", 2.5),
+            ("simulation_runs", 1.5),
+            ("max_points_per_pattern", 1.5),
+            ("eval_batch_size", 2.5),
+            ("seed", "x"),
+            ("policy", 3),
+            ("max_alternatives", True),
+        ],
+    )
+    def test_mistyped_fields_are_rejected_at_submit(
+        self, client, server, linear_flow, field, value
+    ):
+        """A wrongly typed knob is a 400 at submit, never a failed job."""
+        with pytest.raises(RedesignServiceError) as excinfo:
+            client.submit(linear_flow, dict(_WIRE_CONFIG, **{field: value}))
+        assert excinfo.value.status == 400
+        assert field in excinfo.value.message
+        assert server.plans_payload() == []
 
     def test_runtime_failure_fails_the_job_not_the_server(self, client, server, linear_flow):
         """An error inside the planning run surfaces as a failed job."""
