@@ -14,10 +14,13 @@ Design points, mirroring the disk tier where the analogy holds:
   SHA-256 string (``QualityEstimator.cache_key``), the same on every
   tier, so lookups, ``/contains`` probes and ``/put`` entries carry the
   key unchanged and a server fronting a ``cache_dir`` addresses exactly
-  the files a local planner would.  Profiles travel as
-  :func:`repro.io.jsonflow.profile_to_dict` documents; the round-trip is
-  exact, so the tier-equivalence property (identical planning results
-  across tiers) holds over the network too.
+  the files a local planner would.  Profiles travel as one
+  :func:`repro.io.jsonflow.profiles_to_dict` document per request (the
+  wire format number, one measure table, ``[value, normalized]`` per
+  measure); the round-trip is exact, so the tier-equivalence property
+  (identical planning results across tiers) holds over the network
+  too.  A server of another wire format answers ``400`` and a response
+  of another format is refused: either way the client degrades.
 * **Pooled keep-alive connections.**  Requests ride the per-thread
   persistent connections of :class:`repro.wire.PooledJSONClient`: the
   TCP handshake is paid once per thread, a keep-alive socket that went
@@ -383,7 +386,7 @@ class HTTPProfileCache:
 
         Counts exactly one hit or miss per key, whichever side served it.
         """
-        from repro.io.jsonflow import profile_from_dict
+        from repro.io.jsonflow import WIRE_FORMAT, profiles_from_dict
 
         start = time.perf_counter()
         results: list[QualityProfile | None] = [None] * len(keys)
@@ -397,29 +400,22 @@ class HTTPProfileCache:
                     remote.append(index)
         if remote:
             response = self._request(
-                "/get_many", {"digests": [keys[index] for index in remote]}
+                "/get_many",
+                {"format": WIRE_FORMAT, "digests": [keys[index] for index in remote]},
             )
             if response is not None:
                 try:
-                    profiles = response.get("profiles")
-                    if not isinstance(profiles, list) or len(profiles) != len(remote):
+                    profiles = profiles_from_dict(response)
+                    if len(profiles) != len(remote):
                         raise ValueError(
                             f"expected {len(remote)} profile documents in the "
-                            "response, got "
-                            + (
-                                str(len(profiles))
-                                if isinstance(profiles, list)
-                                else type(profiles).__name__
-                            )
+                            f"response, got {len(profiles)}"
                         )
-                    decoded = [
-                        (profile_from_dict(entry) if entry else None, index)
-                        for index, entry in zip(remote, profiles)
-                    ]
-                except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                    # A 200 carrying non-profile documents is as
-                    # misbehaving as a dead socket: degrade rather than
-                    # raise into the plan.
+                    decoded = list(zip(profiles, remote))
+                except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+                    # A 200 carrying non-profile documents, or documents
+                    # of another wire format, is as misbehaving as a dead
+                    # socket: degrade rather than raise into the plan.
                     self._degrade(exc)
                     response = None
                 else:
@@ -463,7 +459,7 @@ class HTTPProfileCache:
 
     def flush(self) -> None:
         """Publish every buffered entry to the server in a single request."""
-        from repro.io.jsonflow import profile_to_dict
+        from repro.io.jsonflow import profiles_to_dict
 
         with self._lock:
             if not self._pending:
@@ -476,13 +472,7 @@ class HTTPProfileCache:
                 self.fallback.put(key, profile)
             return
         response = self._request(
-            "/put",
-            {
-                "entries": [
-                    {"key": key, "profile": profile_to_dict(profile)}
-                    for key, profile in batch.items()
-                ]
-            },
+            "/put", dict(profiles_to_dict(list(batch.values())), keys=list(batch))
         )
         if response is not None:
             with self._lock:

@@ -32,7 +32,10 @@ the 32-byte operation digests, the NUL-terminated edge ids and the
 annotations -- never the ``repr`` of the whole flow (see
 :meth:`ETLGraph.fingerprint`).  The topological order is memoized per
 structure version (see :class:`ETLGraph`); the simulator, the
-structural measures and the executor's compiler all read it.
+structural measures and the executor's compiler all read it.  The wire
+ships the difference too: :meth:`ETLGraph.to_delta_dict` encodes a flow
+against a base flow, and :meth:`ETLGraph.replay_delta_dict` rebuilds it
+as a fork of that base.
 """
 
 from __future__ import annotations
@@ -1169,6 +1172,166 @@ class ETLGraph:
             )
         flow.annotations = dict(data.get("annotations", {}))
         flow._lineage = [str(item) for item in data.get("applied_patterns", [])]
+        return flow
+
+    def to_delta_dict(self, base: "ETLGraph") -> dict[str, Any]:
+        """Serialise this flow as its difference from ``base``.
+
+        The inverse of :meth:`replay_delta_dict` on ``base``; the replayed
+        flow's :meth:`to_dict` equals this flow's.  The document holds
+        the name, annotations and lineage in full, plus:
+
+        ``removed``
+            Ids of ``base`` operations to drop first.
+        ``operations``
+            The added or changed operations (:meth:`Operation.to_dict`),
+            in this flow's insertion order.  An operation of ``base``
+            that this flow lists out of ``base``'s order is removed and
+            re-added, so replaying appends it where this flow has it.
+        ``successors``
+            ``{op_id: [[target, label, schema], ...]}``: the complete,
+            ordered successor list of every operation whose successors
+            differ from ``base``'s (after the removals).  ``schema`` is
+            ``null`` when it is the source operation's output schema.
+        ``predecessors``
+            ``{op_id: [source, ...]}``: the same for predecessor lists,
+            whose edges are the ones the successor lists name.
+
+        Payloads and adjacency dicts a fork still shares with ``base``
+        compare by identity, so a fork's delta costs O(flow) identity
+        checks plus O(delta) encoding.  Anything else compares by value:
+        a flow that is not a fork of ``base`` gets a correct delta at
+        the cost of comparing every operation and adjacency list.
+        """
+        base_nodes = base._nodes
+        base_position = {op_id: index for index, op_id in enumerate(base_nodes)}
+        operations: list[dict[str, Any]] = []
+        appended: set[str] = set()
+        last = -1
+        for op_id, op in self._nodes.items():
+            position = base_position.get(op_id, -1) if not appended else -1
+            if position > last:
+                last = position
+                base_op = base_nodes[op_id]
+                if op is not base_op and op != base_op:
+                    operations.append(op.to_dict())
+                continue
+            appended.add(op_id)
+            operations.append(op.to_dict())
+        gone = {op_id for op_id in base_nodes if op_id not in self._nodes}
+        gone.update(op_id for op_id in appended if op_id in base_nodes)
+
+        def changed(op_id: str, mine: dict, theirs: Mapping[str, dict]) -> bool:
+            if op_id in appended:
+                return bool(mine)
+            before = theirs[op_id]
+            if mine is before:
+                return False
+            return list(mine.items()) != [
+                item for item in before.items() if item[0] not in gone
+            ]
+
+        successors: dict[str, list] = {}
+        predecessors: dict[str, list[str]] = {}
+        for op_id, op in self._nodes.items():
+            succs = self._succ[op_id]
+            if changed(op_id, succs, base._succ):
+                output = op.output_schema
+                successors[op_id] = [
+                    [
+                        target,
+                        edge.label,
+                        None
+                        if edge.schema is output or edge.schema == output
+                        else edge.schema.to_dict(),
+                    ]
+                    for target, edge in succs.items()
+                ]
+            preds = self._pred[op_id]
+            if changed(op_id, preds, base._pred):
+                predecessors[op_id] = list(preds)
+        return {
+            "name": self.name,
+            "annotations": dict(self.annotations),
+            "applied_patterns": list(self._lineage),
+            "removed": sorted(gone),
+            "operations": operations,
+            "successors": successors,
+            "predecessors": predecessors,
+        }
+
+    def replay_delta_dict(self, data: Mapping[str, Any]) -> "ETLGraph":
+        """A fork of this flow with a :meth:`to_delta_dict` document applied.
+
+        The result is a real copy of this flow (:meth:`copy`): it shares
+        every untouched payload and adjacency dict, records the replayed
+        changes in its :attr:`delta`, and so merges its signature and
+        fingerprint from this flow's.  A document whose adjacency lists
+        disagree with each other, or that closes a cycle, raises
+        ``ValueError``; one naming an unknown operation raises
+        ``KeyError``.
+        """
+        flow = self.copy(name=str(data["name"]))
+        delta = flow._delta
+        for op_id in data["removed"]:
+            flow.remove_operation(op_id)
+        for op_data in data["operations"]:
+            op = Operation.from_dict(op_data)
+            if op.op_id in flow._nodes:
+                flow._nodes[op.op_id] = op
+                delta.record_op_modified(op.op_id)
+            else:
+                flow.add_operation(op)
+        nodes, succ, pred = flow._nodes, flow._succ, flow._pred
+        rewired: list[tuple[str, dict[str, Edge]]] = []
+        for source, entries in data["successors"].items():
+            flow._require(source)
+            output = nodes[source].output_schema
+            before = succ[source]
+            after: dict[str, Edge] = {}
+            for target, label, schema_data in entries:
+                flow._require(target)
+                schema = output if schema_data is None else Schema.from_dict(schema_data)
+                edge = before.get(target)
+                if edge is None:
+                    delta.record_edge_added((source, target))
+                elif edge.label != label or edge.schema != schema:
+                    delta.record_edge_modified((source, target))
+                else:
+                    after[target] = edge
+                    continue
+                after[target] = Edge(source=source, target=target, schema=schema, label=label)
+            for target in before:
+                if target not in after:
+                    delta.record_edge_removed((source, target))
+            succ[source] = after
+            flow._own_succ.add(source)
+            rewired.append((source, before))
+        for target, sources in data["predecessors"].items():
+            flow._require(target)
+            before = pred[target]
+            try:
+                pred[target] = {source: succ[source][target] for source in sources}
+            except KeyError:
+                raise ValueError(
+                    f"delta lists a predecessor of {target!r} without its edge"
+                ) from None
+            flow._own_pred.add(target)
+            for source in before:
+                if source not in pred[target] and target in succ.get(source, ()):
+                    raise ValueError(
+                        f"delta drops edge {source!r} -> {target!r} on one side only"
+                    )
+        for source, before in rewired:
+            for target in itertools.chain(succ[source], before):
+                if (target in succ[source]) != (source in pred.get(target, ())):
+                    raise ValueError(
+                        f"delta changes edge {source!r} -> {target!r} on one side only"
+                    )
+        flow.annotations = dict(data["annotations"])
+        flow._lineage = [str(item) for item in data["applied_patterns"]]
+        flow._dirty()
+        flow.topological_ids()  # raises on a cycle; the memo is kept
         return flow
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

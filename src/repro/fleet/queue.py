@@ -161,9 +161,12 @@ class JobQueue:
                 except sqlite3.OperationalError:
                     pass  # current schema: the column already exists
         # Enqueues through this instance, and the condition idle workers
-        # on it wait for (see wait_for_enqueue).
+        # on it wait for (see wait_for_enqueue); acks through it, and the
+        # condition status long-polls wait for (see wait_for_ack).
         self.enqueued = 0
         self._enqueued = threading.Condition()
+        self.acked = 0
+        self._acked = threading.Condition()
 
     # ------------------------------------------------------------------
 
@@ -263,10 +266,23 @@ class JobQueue:
                 lambda: self.enqueued != seen or stop.is_set(), timeout
             )
 
+    def wait_for_ack(self, seen: int, timeout: float, stop: threading.Event) -> None:
+        """Block until this instance acks past ``seen``, ``stop`` is set
+        (and :meth:`wake` called) or ``timeout`` passes.
+
+        A status long-poll reads :attr:`acked` before it reads the job's
+        row, so an ack in between is never slept through.  Acks by other
+        processes are not seen; a long-poll on a shared file re-reads
+        the row instead.
+        """
+        with self._acked:
+            self._acked.wait_for(lambda: self.acked != seen or stop.is_set(), timeout)
+
     def wake(self) -> None:
-        """Wake every :meth:`wait_for_enqueue` to re-check its ``stop``."""
-        with self._enqueued:
-            self._enqueued.notify_all()
+        """Wake every :meth:`wait_for_enqueue` and :meth:`wait_for_ack` to re-check ``stop``."""
+        for condition in (self._enqueued, self._acked):
+            with condition:
+                condition.notify_all()
 
     def status(self, job_id: str) -> dict[str, Any] | None:
         """One job's row as a JSON-able status document (``None`` if unknown).
@@ -498,6 +514,9 @@ class JobQueue:
                     max(0.0, now - timings["enqueued_at"])
                 )
         if acked:
+            with self._acked:
+                self.acked += 1
+                self._acked.notify_all()
             if status == "failed":
                 logger.warning("job %s failed on %s: %s", job_id, worker_id, error)
             else:

@@ -17,10 +17,16 @@ Wire format (JSON throughout; see ``docs/service.md``):
   before it reaches the backend, so no request can name a file outside
   a disk backend's ``cache_dir``.  Every backend is served through
   ``get_many`` and ``in`` with the key unchanged.
-* **Profiles travel as** :func:`repro.io.jsonflow.profile_to_dict`
-  documents; the server keeps the documents of recently served entries
-  in a key-indexed *hot map*, so repeat lookups skip the backend, the
-  unpickling and the re-encoding entirely.
+* **Profiles travel as one document per request**
+  (:func:`repro.io.jsonflow.profiles_to_dict`): the wire format number,
+  one measure table, and ``[value, normalized]`` per measure of each
+  profile.  Every ``/get``, ``/get_many`` and ``/put`` body states the
+  format; a request of another format is answered with ``400``.  The
+  server keeps recently served profiles, each encoded as a one-profile
+  document, in a key-indexed *hot map*, so repeat lookups skip the
+  backend, the unpickling and the re-encoding: a batch only merges the
+  hot documents' measure tables
+  (:func:`repro.io.jsonflow.merge_profile_documents`).
 
 With ``eviction_interval`` set (and a size-capped disk backend), the
 server moves the LRU sweep off the write path onto the backend's
@@ -37,7 +43,14 @@ from typing import Any
 
 from repro.cache import CacheBackend, CacheStats, DiskProfileCache
 from repro.cache.disk import is_cache_key
-from repro.io.jsonflow import profile_from_dict, profile_to_dict
+from repro.io.jsonflow import (
+    WireFormatError,
+    check_format,
+    merge_profile_documents,
+    profiles_from_dict,
+    profiles_to_dict,
+)
+from repro.quality.composite import QualityProfile
 from repro.service.common import (
     MAX_REQUEST_BYTES,
     JSONRequestHandler,
@@ -77,35 +90,34 @@ class _CacheHandler(JSONRequestHandler):
             raise ServiceError(404, f"unknown endpoint: {method} {path}")
         if not isinstance(body, dict):
             raise ServiceError(400, "request body must be a JSON object")
+        if path in ("/get", "/get_many", "/put"):
+            try:
+                check_format(body)
+            except WireFormatError as exc:
+                raise ServiceError(400, str(exc)) from None
         if path == "/get_many":
             digests = body.get("digests")
             if not isinstance(digests, list):
                 raise ServiceError(400, '"digests" must be a JSON array')
-            return {
-                "profiles": service.get_documents([_decode_key(d) for d in digests])
-            }
+            return merge_profile_documents(
+                service.get_documents([_decode_key(d) for d in digests])
+            )
         if path == "/get":
-            docs = service.get_documents([_decode_key(body.get("digest"))])
-            if docs[0] is None:
-                return {"hit": False}
-            return {"hit": True, "profile": docs[0]}
+            found = service.get_documents([_decode_key(body.get("digest"))])
+            return dict(merge_profile_documents(found), hit=found[0] is not None)
         if path == "/put":
-            entries = body.get("entries")
-            if not isinstance(entries, list):
-                raise ServiceError(400, '"entries" must be a JSON array')
-            decoded = []
-            for entry in entries:
-                if not isinstance(entry, dict) or "key" not in entry or "profile" not in entry:
-                    raise ServiceError(
-                        400, 'every entry must be an object with "key" and "profile"'
-                    )
-                try:
-                    profile = profile_from_dict(entry["profile"])
-                except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                    raise ServiceError(400, f"malformed profile document: {exc}") from None
-                decoded.append((_decode_key(entry["key"]), entry["profile"], profile))
-            service.store_entries(decoded)
-            return {"stored": len(decoded)}
+            keys = body.get("keys")
+            if not isinstance(keys, list):
+                raise ServiceError(400, '"keys" must be a JSON array')
+            keys = [_decode_key(key) for key in keys]
+            try:
+                profiles = profiles_from_dict(body)
+            except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+                raise ServiceError(400, f"malformed profile document: {exc}") from None
+            if len(profiles) != len(keys) or None in profiles:
+                raise ServiceError(400, "every key needs exactly one profile")
+            service.store_entries(list(zip(keys, profiles)))
+            return {"stored": len(keys)}
         if path == "/contains":
             return {"contains": service.contains(_decode_key(body.get("digest")))}
         if path == "/flush":
@@ -137,11 +149,11 @@ class CacheServer(ServiceServer):
         carry ``Authorization: Bearer <token>`` or get a ``401``.
         Clients configure it as ``cache_auth_token``.
     max_hot_entries:
-        LRU bound on the key-indexed hot map of ready-to-send profile
-        documents (default 8192 -- tens of MB at typical profile sizes,
+        LRU bound on the key-indexed hot map of recently served
+        profiles' documents (default 8192 -- tens of MB at typical profile sizes,
         so a long-running server's memory stays bounded even when the
-        disk store is huge).  Evicted documents are re-read from the
-        backend on demand; ``None`` keeps every served document.
+        disk store is huge).  Evicted profiles are re-read from the
+        backend on demand; ``None`` keeps every served profile.
     eviction_interval:
         When set (seconds), and the backend is a size-capped
         :class:`~repro.cache.DiskProfileCache`, run its LRU sweep on a
@@ -183,7 +195,8 @@ class CacheServer(ServiceServer):
         if getattr(backend, "metrics_registry", False) is None:
             backend.metrics_registry = self.metrics  # type: ignore[attr-defined]
         self.max_hot_entries = max_hot_entries
-        #: key -> ready-to-send profile document (JSON-able dict).
+        #: key -> one-profile document of a recently served or stored
+        #: profile, ready to merge into a response.
         self._hot: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
         self._sweeping: DiskProfileCache | None = None
@@ -215,14 +228,14 @@ class CacheServer(ServiceServer):
                     self._hot.popitem(last=False)
 
     def get_documents(self, keys: list[str]) -> list[dict | None]:
-        """Resolve keys to profile documents (hot map, then one backend batch)."""
+        """Resolve keys to one-profile documents (hot map, then one backend batch)."""
         results = [self._hot_get(key) for key in keys]
         missing = [index for index, document in enumerate(results) if document is None]
         if missing:
             profiles = self.backend.get_many([keys[index] for index in missing])
             for index, profile in zip(missing, profiles):
                 if profile is not None:
-                    results[index] = profile_to_dict(profile)
+                    results[index] = profiles_to_dict([profile])
                     self._hot_put(keys[index], results[index])
         hits = sum(1 for document in results if document is not None)
         with self._lock:
@@ -234,11 +247,11 @@ class CacheServer(ServiceServer):
             self.metrics.counter("cache.misses").inc(len(keys) - hits)
         return results
 
-    def store_entries(self, entries: list[tuple[str, dict, object]]) -> None:
-        """Store ``(key, document, profile)`` triples and publish them."""
-        for key, document, profile in entries:
-            self.backend.put(key, profile)  # type: ignore[arg-type]
-            self._hot_put(key, document)
+    def store_entries(self, entries: list[tuple[str, QualityProfile]]) -> None:
+        """Store ``(key, profile)`` pairs and publish them."""
+        for key, profile in entries:
+            self.backend.put(key, profile)
+            self._hot_put(key, profiles_to_dict([profile]))
         self.backend.flush()
 
     def contains(self, key: str) -> bool:

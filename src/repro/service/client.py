@@ -23,12 +23,10 @@ from typing import Any, Mapping
 
 from repro.core.planner import PlanningResult
 from repro.etl.graph import ETLGraph
+from repro.io.jsonflow import WireFormatError
+from repro.service.redesign_server import MAX_STATUS_WAIT_S, TERMINAL_STATES
 from repro.service.results import result_from_dict
 from repro.wire import PooledJSONClient, WireError
-
-#: Job states that will never change again.
-TERMINAL_STATES = ("done", "failed")
-
 
 class RedesignServiceError(RuntimeError):
     """An error response (or transport failure) from the redesign service."""
@@ -56,8 +54,9 @@ class RedesignClient:
         ``Authorization: Bearer <token>``.  A wrong or missing token
         surfaces as a ``RedesignServiceError`` with status 401.
     poll_max:
-        Cap for the exponential status-poll backoff used by
-        :meth:`wait` (the floor is ``wait``'s ``poll`` argument).
+        Accepted for compatibility and checked to be positive; unused,
+        since :meth:`wait` long-polls instead of sleeping between
+        status requests.
     """
 
     def __init__(
@@ -127,19 +126,26 @@ class RedesignClient:
             payload["configuration"] = dict(configuration)
         return self._request("/plans", payload)["id"]
 
-    def status(self, job_id: str) -> dict:
-        """Live status/progress of one job."""
+    def status(self, job_id: str, wait: float = 0.0) -> dict:
+        """Live status/progress of one job.
+
+        With ``wait`` (seconds) the server holds the request until the
+        job is terminal or the wait elapses (a long-poll, capped
+        server-side at ``MAX_STATUS_WAIT_S``).
+        """
+        if wait > 0:
+            return self._request(f"/plans/{job_id}?wait={wait:.3f}")
         return self._request(f"/plans/{job_id}")
 
     def wait(self, job_id: str, timeout: float = 120.0, poll: float = 0.05) -> dict:
-        """Poll until the job reaches a terminal state; returns its status.
+        """Long-poll until the job reaches a terminal state; returns its status.
 
-        ``poll`` is the *floor* of the polling interval, not a fixed
-        period: the delay doubles after every non-terminal status, up to
-        the client's ``poll_max``, so a long-running plan is not
-        hammered with status requests while a short one is still picked
-        up within ``poll`` seconds.  The final sleep is clipped to the
-        deadline.
+        Each :meth:`status` request asks the server to hold it until the
+        job is terminal, for at most the time left, ``MAX_STATUS_WAIT_S``
+        and half the request timeout; the client never sleeps.  A job
+        that finishes within one hold costs one request.  ``poll`` is
+        accepted for compatibility and checked to be positive; it no
+        longer sets an interval.
 
         Raises :class:`TimeoutError` if the deadline passes first.  A
         *failed* job is returned, not raised -- callers decide (fetching
@@ -148,18 +154,16 @@ class RedesignClient:
         if poll <= 0:
             raise ValueError("poll must be positive (seconds)")
         deadline = time.monotonic() + timeout
-        delay = poll
+        hold = min(MAX_STATUS_WAIT_S, self.timeout / 2)
         while True:
-            status = self.status(job_id)
+            remaining = deadline - time.monotonic()
+            status = self.status(job_id, wait=max(0.0, min(remaining, hold)))
             if status["status"] in TERMINAL_STATES:
                 return status
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"plan {job_id} still {status['status']} after {timeout:.1f}s"
                 )
-            time.sleep(min(delay, min(self.poll_max, remaining)))
-            delay = min(delay * 2, self.poll_max)
 
     def delete(self, job_id: str) -> dict:
         """Forget a finished job server-side, freeing its result document."""
@@ -170,8 +174,16 @@ class RedesignClient:
         return self._request(f"/plans/{job_id}/result")["result"]
 
     def result(self, job_id: str) -> PlanningResult:
-        """The ranked alternatives decoded back into a :class:`PlanningResult`."""
-        return result_from_dict(self.result_raw(job_id))
+        """The ranked alternatives decoded back into a :class:`PlanningResult`.
+
+        Every alternative's flow is built before this returns.  A result
+        document of another wire format raises
+        :class:`RedesignServiceError` (status 0), never a wrong decode.
+        """
+        try:
+            return result_from_dict(self.result_raw(job_id))
+        except WireFormatError as exc:
+            raise RedesignServiceError(0, f"plan {job_id}: {exc}") from None
 
     def plan(
         self,

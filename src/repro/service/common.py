@@ -235,6 +235,8 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
             body = self.read_json()
             path, _, query = self.path.partition("?")
             path = path.rstrip("/") or "/"
+            #: The request's query parameters, for routes that take any.
+            self.query = urllib.parse.parse_qs(query)
             if method == "GET" and path == "/metrics":
                 self._serve_metrics(query)
                 return

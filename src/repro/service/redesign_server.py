@@ -41,6 +41,9 @@ does not grow with the submission history.
 from __future__ import annotations
 
 import json
+import math
+import threading
+import time
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # repro.fleet imports this module; annotation only
@@ -60,6 +63,22 @@ from repro.service.common import (
     ServiceError,
     ServiceServer,
 )
+
+#: The longest a ``GET /plans/<id>?wait=<s>`` status long-poll blocks;
+#: a longer ``wait`` is cut to it.  Kept below the clients' default
+#: 30-second request timeout.
+MAX_STATUS_WAIT_S = 10.0
+
+#: Job states that will never change again.
+TERMINAL_STATES = ("done", "failed")
+
+#: A long-poll on a shared queue file re-reads the job's row, since
+#: another process's ack cannot wake it: first after ``_REREAD_S``, then
+#: at doubling intervals up to ``_REREAD_MAX_S`` -- the schedule of the
+#: sleeping client poll the long-poll replaced, so a waiting client
+#: reads the file no more often than it did.
+_REREAD_S = 0.05
+_REREAD_MAX_S = 1.0
 
 #: Configuration fields a request may NOT set: the service owns the
 #: cache tier (one shared backend for all its workers) and the metrics
@@ -134,6 +153,10 @@ def configuration_from_request(
             if value:
                 kwargs["metrics_registry"] = registry or default_registry()
         elif name == "pattern_names":
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ServiceError(
+                    400, f"pattern_names must be an array of strings, got {value!r}"
+                )
             kwargs[name] = tuple(value)
         elif name == "goal_priorities":
             try:
@@ -149,17 +172,7 @@ def configuration_from_request(
             except (TypeError, ValueError) as exc:
                 raise ServiceError(400, f"malformed skyline_characteristics: {exc}") from None
         elif name == "constraints":
-            try:
-                kwargs[name] = tuple(
-                    MeasureConstraint(
-                        target=entry["target"],
-                        min_value=entry.get("min_value"),
-                        max_value=entry.get("max_value"),
-                    )
-                    for entry in value
-                )
-            except (KeyError, TypeError) as exc:
-                raise ServiceError(400, f"malformed constraints: {exc}") from None
+            kwargs[name] = _constraints_from_request(value)
         else:
             raise ServiceError(400, f"unknown configuration field: {name!r}")
     try:
@@ -168,7 +181,50 @@ def configuration_from_request(
         raise ServiceError(400, f"invalid configuration: {exc}") from None
 
 
+def _constraints_from_request(value: Any) -> tuple[MeasureConstraint, ...]:
+    """``constraints`` as an array of ``{target, min_value, max_value}`` objects.
+
+    The target is a string; a bound is a JSON number or ``null`` (never
+    ``true``/``false``, although ``bool`` is an ``int`` in Python).
+    """
+    if not isinstance(value, list):
+        raise ServiceError(400, f"malformed constraints: expected an array, got {value!r}")
+    constraints = []
+    for entry in value:
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("target"), str):
+            raise ServiceError(
+                400, f"malformed constraints: {entry!r} is not an object with a string target"
+            )
+        bounds = {}
+        for bound in ("min_value", "max_value"):
+            number = entry.get(bound)
+            if number is not None and (
+                not isinstance(number, (int, float)) or isinstance(number, bool)
+            ):
+                raise ServiceError(
+                    400, f"malformed constraints: {bound} must be a number or null, got {number!r}"
+                )
+            bounds[bound] = number
+        constraints.append(MeasureConstraint(target=entry["target"], **bounds))
+    return tuple(constraints)
+
+
 class _RedesignHandler(JSONRequestHandler):
+    def _wait_parameter(self) -> float:
+        """The ``?wait=<seconds>`` of a status request (0 without one)."""
+        values = self.query.get("wait")
+        if not values:
+            return 0.0
+        try:
+            wait = float(values[-1])
+        except ValueError:
+            wait = math.nan
+        if not 0.0 <= wait < math.inf:
+            raise ServiceError(
+                400, f"wait must be a non-negative number of seconds, got {values[-1]!r}"
+            )
+        return wait
+
     def route(self, method: str, path: str, body: Any) -> dict | bytes:
         service: RedesignServer = self.server.service  # type: ignore[attr-defined]
         if method == "POST" and path == "/plans":
@@ -184,7 +240,7 @@ class _RedesignHandler(JSONRequestHandler):
                 remainder = path[len("/plans/"):]
                 if remainder.endswith("/result"):
                     return service.result(remainder[: -len("/result")])
-                return service.status(remainder)
+                return service.status(remainder, wait=self._wait_parameter())
         if method == "DELETE" and path.startswith("/plans/"):
             return service.delete(path[len("/plans/"):])
         raise ServiceError(404, f"unknown endpoint: {method} {path}")
@@ -264,6 +320,7 @@ class RedesignServer(ServiceServer):
         self.max_retained_jobs = max_retained_jobs
         self._owns_queue = queue is None
         self.queue = JobQueue(":memory:") if queue is None else queue
+        self._stopping = threading.Event()
         # Server-side observability: the shared tier and the queue
         # report into the server's registry unless the caller wired
         # their own.
@@ -375,12 +432,33 @@ class RedesignServer(ServiceServer):
             golden["plan_p99_seconds"] = latency["p99"]
         return payload
 
-    def status(self, job_id: str) -> dict:
-        """The ``GET /plans/<id>`` payload."""
-        entry = self.queue.status(job_id)
-        if entry is None:
-            raise ServiceError(404, f"unknown plan id: {job_id!r}")
-        return self._payload(entry)
+    def status(self, job_id: str, wait: float = 0.0) -> dict:
+        """The ``GET /plans/<id>`` payload.
+
+        With ``wait`` (seconds, capped at :data:`MAX_STATUS_WAIT_S`) the
+        call is a long-poll: it returns as soon as the job is terminal,
+        when the wait elapses, or when the server stops.  An ack through
+        this server's queue wakes it; on a shared queue file, which other
+        processes ack, it also re-reads the row after ``_REREAD_S``, then
+        at doubling intervals up to ``_REREAD_MAX_S``.
+        """
+        deadline = time.monotonic() + min(wait, MAX_STATUS_WAIT_S)
+        shared = self.queue.path != ":memory:"
+        slice_s = _REREAD_S
+        while True:
+            seen = self.queue.acked
+            entry = self.queue.status(job_id)
+            if entry is None:
+                raise ServiceError(404, f"unknown plan id: {job_id!r}")
+            remaining = deadline - time.monotonic()
+            if entry["status"] in TERMINAL_STATES or remaining <= 0 or self._stopping.is_set():
+                return self._payload(entry)
+            self.queue.wait_for_ack(
+                seen, min(remaining, slice_s) if shared else remaining, self._stopping
+            )
+            slice_s = min(slice_s * 2, _REREAD_MAX_S)
+            if self._stopping.is_set():
+                return self._payload(entry)
 
     def result(self, job_id: str) -> bytes:
         """The ``GET /plans/<id>/result`` body (409 until the job is done).
@@ -412,6 +490,8 @@ class RedesignServer(ServiceServer):
         it are dropped); a given queue is caller-owned -- its workers
         drain it independently of this front-end.
         """
+        self._stopping.set()
+        self.queue.wake()  # status long-polls return now
         super().stop()
         for worker in self._workers:
             worker.stop()

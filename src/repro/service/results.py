@@ -1,11 +1,38 @@
 """JSON round-trip of planning results (the ``/plans/<id>/result`` payload).
 
-Built on the existing :mod:`repro.io.jsonflow` codecs: flows are
-serialised with :meth:`~repro.etl.graph.ETLGraph.to_dict` (the same
-structure ``flow_to_json`` persists) and profiles with
-:func:`~repro.io.jsonflow.profile_to_dict`.  The alternatives are
-returned in generation order with the skyline indices alongside, exactly
-as :class:`~repro.core.planner.PlanningResult` holds them.
+Every alternative is the initial flow plus a small delta, and every
+profile of one plan comes from one measure registry, so the document
+carries the shared parts once:
+
+``format``
+    :data:`repro.io.jsonflow.WIRE_FORMAT`; a decoder of another format
+    refuses the document (:class:`~repro.io.jsonflow.WireFormatError`).
+``initial_flow``
+    The initial flow in full (:meth:`~repro.etl.graph.ETLGraph.to_dict`).
+``measures``
+    One measure table: name -> characteristic, higher-is-better, unit,
+    description.
+``baseline_profile``
+    The initial flow's profile: composite scores plus ``[value,
+    normalized]`` per measure (:func:`~repro.io.jsonflow.profile_to_dict`).
+``alternatives``
+    In generation order, each with its ``label``, ``applied`` and
+    ``pattern_names`` lineage, its profile, and its flow as a ``delta``
+    against the initial flow
+    (:meth:`~repro.etl.graph.ETLGraph.to_delta_dict`): the changed
+    operations, the removed ids, the complete ordered adjacency of every
+    operation whose adjacency changed, the annotations, the lineage and
+    the name.
+
+plus ``skyline_indices``, ``characteristics`` and
+``discarded_by_constraints``, exactly as
+:class:`~repro.core.planner.PlanningResult` holds them.
+
+:func:`result_from_dict` builds every flow before it returns: it
+decodes the initial flow once and replays each delta on a fork of it
+(:meth:`~repro.etl.graph.ETLGraph.replay_delta_dict`), so the decoded
+alternatives share the untouched operations and adjacency with it and
+merge their signatures and fingerprints from its.
 
 One deliberate loss: pattern *applications* are structured objects bound
 to live pattern instances, so the wire format carries their textual
@@ -23,15 +50,25 @@ from typing import Any, Mapping
 from repro.core.alternatives import AlternativeFlow
 from repro.core.planner import PlanningResult
 from repro.etl.graph import ETLGraph
-from repro.io.jsonflow import profile_from_dict, profile_to_dict
+from repro.io.jsonflow import (
+    WIRE_FORMAT,
+    check_format,
+    measures_from_dict,
+    profile_from_dict,
+    profile_to_dict,
+)
 from repro.quality.framework import QualityCharacteristic
 
 
 def result_to_dict(result: PlanningResult) -> dict[str, Any]:
     """Serialise a planning result to a JSON-compatible document."""
+    initial = result.initial_flow
+    measures: dict[str, Any] = {}
     return {
-        "initial_flow": result.initial_flow.to_dict(),
-        "baseline_profile": profile_to_dict(result.baseline_profile),
+        "format": WIRE_FORMAT,
+        "initial_flow": initial.to_dict(),
+        "measures": measures,
+        "baseline_profile": profile_to_dict(result.baseline_profile, measures),
         "characteristics": [c.value for c in result.characteristics],
         "discarded_by_constraints": result.discarded_by_constraints,
         "skyline_indices": list(result.skyline_indices),
@@ -40,9 +77,9 @@ def result_to_dict(result: PlanningResult) -> dict[str, Any]:
                 "label": alternative.label,
                 "applied": alternative.describe(),
                 "pattern_names": list(alternative.pattern_names),
-                "flow": alternative.flow.to_dict(),
+                "delta": alternative.flow.to_delta_dict(initial),
                 "profile": (
-                    profile_to_dict(alternative.profile)
+                    profile_to_dict(alternative.profile, measures)
                     if alternative.profile is not None
                     else None
                 ),
@@ -53,13 +90,20 @@ def result_to_dict(result: PlanningResult) -> dict[str, Any]:
 
 
 def result_from_dict(data: Mapping[str, Any]) -> PlanningResult:
-    """Rebuild a :class:`PlanningResult` from :func:`result_to_dict` output."""
+    """Rebuild a :class:`PlanningResult` from :func:`result_to_dict` output.
+
+    Raises :class:`~repro.io.jsonflow.WireFormatError` for a document of
+    another wire format.
+    """
+    check_format(data)
+    initial = ETLGraph.from_dict(data["initial_flow"])
+    measures = measures_from_dict(data["measures"])
     alternatives = [
         AlternativeFlow(
-            flow=ETLGraph.from_dict(entry["flow"]),
+            flow=initial.replay_delta_dict(entry["delta"]),
             applications=(),  # textual lineage only -- see the module docstring
             profile=(
-                profile_from_dict(entry["profile"])
+                profile_from_dict(entry["profile"], measures)
                 if entry.get("profile") is not None
                 else None
             ),
@@ -68,8 +112,8 @@ def result_from_dict(data: Mapping[str, Any]) -> PlanningResult:
         for entry in data["alternatives"]
     ]
     return PlanningResult(
-        initial_flow=ETLGraph.from_dict(data["initial_flow"]),
-        baseline_profile=profile_from_dict(data["baseline_profile"]),
+        initial_flow=initial,
+        baseline_profile=profile_from_dict(data["baseline_profile"], measures),
         alternatives=alternatives,
         skyline_indices=list(data.get("skyline_indices", [])),
         characteristics=tuple(

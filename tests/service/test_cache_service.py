@@ -11,6 +11,7 @@ ring.
 from __future__ import annotations
 
 import logging
+import threading
 import time
 
 import pytest
@@ -19,7 +20,8 @@ from repro.cache import DiskProfileCache, ProfileCache
 from repro.cache.http import HTTPProfileCache
 from repro.core import Planner, ProcessingConfiguration, RedesignSession
 from repro.quality.composite import QualityProfile
-from repro.service import CacheServer, RedesignServer
+from repro.fleet import JobQueue
+from repro.service import CacheServer, RedesignClient, RedesignServer, RedesignServiceError
 from tests.keys import cache_key
 
 
@@ -173,15 +175,51 @@ class TestMemoryBackedServer:
 
 class TestLifecycle:
     @pytest.mark.parametrize(
-        "make", [lambda: CacheServer(ProfileCache()), RedesignServer], ids=["cache", "redesign"]
+        "make, long_poll",
+        [
+            pytest.param(lambda: CacheServer(ProfileCache()), False, id="cache"),
+            pytest.param(RedesignServer, False, id="redesign"),
+            # a queue nobody drains: the job stays queued, the long-poll waits
+            pytest.param(
+                lambda: RedesignServer(queue=JobQueue(":memory:")), True, id="redesign-long-poll"
+            ),
+        ],
     )
-    def test_idle_server_stops_promptly(self, make):
+    def test_idle_server_stops_promptly(self, make, long_poll, linear_flow):
         server = make().start()
+        if long_poll:
+            job_id = server.submit({"flow": linear_flow.to_dict()})["id"]
+            waiting, woken = threading.Event(), threading.Event()
+            wait_for_ack = server.queue.wait_for_ack
+
+            def entered(*args):
+                waiting.set()
+                wait_for_ack(*args)
+                woken.set()
+
+            server.queue.wait_for_ack = entered
+            poll = threading.Thread(
+                target=_status_or_error, args=(RedesignClient(server.url), job_id)
+            )
+            poll.start()
+            assert waiting.wait(5.0)
         time.sleep(0.05)  # let the accept loop block on its poll
         started = time.perf_counter()
         server.stop()
         assert time.perf_counter() - started < 0.25
         assert not server.running
+        if long_poll:
+            assert woken.wait(0.25)  # the server-side wait ended, not just the socket
+            poll.join(5.0)
+            assert not poll.is_alive()
+            server.queue.close()
+
+
+def _status_or_error(client: RedesignClient, job_id: str) -> None:
+    try:
+        client.status(job_id, wait=30.0)
+    except RedesignServiceError:
+        pass  # the stopping server may sever the connection first
 
 
 class TestBackgroundEvictionWiring:

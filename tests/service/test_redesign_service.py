@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -195,6 +196,9 @@ class TestJobLifecycle:
             ("seed", "x"),
             ("policy", 3),
             ("max_alternatives", True),
+            ("pattern_names", "recovery_point"),
+            ("pattern_names", 5),
+            ("constraints", [{"target": "performance", "min_value": "x"}]),
         ],
     )
     def test_mistyped_fields_are_rejected_at_submit(
@@ -219,6 +223,121 @@ class TestJobLifecycle:
             client.result_raw(job_id)
         assert excinfo.value.status == 409
         assert client.health()["status"] == "ok"  # the worker survived
+
+
+class TestStatusLongPoll:
+    """``GET /plans/<id>?wait=<s>``: the worker is the test, acking on cue."""
+
+    @pytest.fixture(params=["memory", "file-same-handle", "file-other-handle"])
+    def gated(self, request, tmp_path):
+        """``(server, acking queue)``: a front-end over a queue nobody drains."""
+        if request.param == "memory":
+            queue = acker = JobQueue(":memory:")
+        else:
+            queue = JobQueue(tmp_path / "jobs.sqlite")
+            acker = queue if request.param == "file-same-handle" else JobQueue(queue.path)
+        server = RedesignServer(queue=queue).start()
+        yield server, acker
+        server.stop()
+        for handle in {id(queue): queue, id(acker): acker}.values():
+            handle.close()
+
+    @staticmethod
+    def _entered(server) -> threading.Event:
+        """An event set once a long-poll waits on the server's queue."""
+        waiting = threading.Event()
+        wait_for_ack = server.queue.wait_for_ack
+
+        def entered(*args):
+            waiting.set()
+            wait_for_ack(*args)
+
+        server.queue.wait_for_ack = entered
+        return waiting
+
+    def test_an_ack_ends_the_wait_in_one_request(self, gated, linear_flow, monkeypatch):
+        server, acker = gated
+        client = RedesignClient(server.url, timeout=10.0)  # holds of 5 s
+        job_id = client.submit(linear_flow, _WIRE_CONFIG)
+        leased = acker.lease("gate")
+        assert leased is not None and leased.job_id == job_id
+        requests: list[float] = []
+        status = client.status
+        monkeypatch.setattr(
+            client, "status", lambda job, wait=0.0: requests.append(wait) or status(job, wait)
+        )
+        waiting = self._entered(server)
+        outcome: list = []
+        poller = threading.Thread(
+            target=lambda: outcome.append(client.wait(job_id, timeout=30.0))
+        )
+        started = time.monotonic()
+        poller.start()
+        assert waiting.wait(5.0)
+        assert acker.ack(job_id, "gate", "done", result={"gated": True})
+        poller.join(5.0)
+        elapsed = time.monotonic() - started
+        assert outcome and outcome[0]["status"] == "done"
+        assert len(requests) == 1 and requests[0] == 5.0
+        assert elapsed < 4.0  # woken by the ack (or a re-read), not by the hold
+
+    def test_the_wait_elapses_on_a_job_that_stays_queued(self, gated, linear_flow):
+        server, _ = gated
+        client = RedesignClient(server.url, timeout=10.0)
+        job_id = client.submit(linear_flow, _WIRE_CONFIG)
+        started = time.monotonic()
+        assert client.status(job_id, wait=0.1)["status"] == "queued"
+        assert time.monotonic() - started >= 0.1
+        with pytest.raises(TimeoutError):
+            client.wait(job_id, timeout=0.05)
+
+    def test_a_shared_file_is_reread_no_faster_than_a_sleeping_poll(
+        self, gated, linear_flow, monkeypatch
+    ):
+        """Re-reads back off 0.05 s -> 1 s, the schedule of the removed client poll.
+
+        A fake clock stands in for the hold, so nothing sleeps: each wait
+        on the queue advances it by its full timeout (no ack arrives).
+        """
+        from repro.service import redesign_server
+
+        server, _ = gated
+        job_id = server.submit({"flow": linear_flow.to_dict(), "configuration": _WIRE_CONFIG})[
+            "id"
+        ]
+        clock = [0.0]
+        slices: list[float] = []
+
+        def no_ack(seen, timeout, stop):
+            slices.append(timeout)
+            clock[0] += timeout
+
+        monkeypatch.setattr(
+            redesign_server, "time", type("Clock", (), {"monotonic": lambda: clock[0]})
+        )
+        monkeypatch.setattr(server.queue, "wait_for_ack", no_ack)
+        reads = []
+        read = server.queue.status
+        monkeypatch.setattr(server.queue, "status", lambda job: reads.append(job) or read(job))
+        assert server.status(job_id, wait=3.0)["status"] == "queued"
+        if server.queue.path == ":memory:":
+            assert slices == [pytest.approx(3.0)]  # only an ack or the deadline ends it
+        else:
+            assert slices == pytest.approx([0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 0.45])
+        assert len(reads) == len(slices) + 1
+
+    @pytest.mark.parametrize("wait", ["-1", "soon", "nan", "inf"])
+    def test_a_malformed_wait_is_a_400(self, server, linear_flow, wait):
+        client = RedesignClient(server.url, timeout=10.0)
+        job_id = client.submit(linear_flow, _WIRE_CONFIG)
+        with pytest.raises(RedesignServiceError) as excinfo:
+            client._request(f"/plans/{job_id}?wait={wait}")
+        assert excinfo.value.status == 400
+
+    def test_a_long_poll_on_an_unknown_job_is_a_404(self, server):
+        with pytest.raises(RedesignServiceError) as excinfo:
+            RedesignClient(server.url, timeout=10.0).status("plan-9999", wait=5.0)
+        assert excinfo.value.status == 404
 
 
 @DEPLOYMENTS

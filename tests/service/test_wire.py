@@ -18,7 +18,7 @@ import pytest
 
 from repro.cache import DiskProfileCache, ProfileCache
 from repro.core import Planner
-from repro.io.jsonflow import profile_from_dict, profile_to_dict
+from repro.io.jsonflow import WIRE_FORMAT, profiles_from_dict, profiles_to_dict
 from repro.quality.composite import QualityProfile
 from repro.service import CacheServer
 from repro.workloads import purchases_flow
@@ -45,8 +45,8 @@ def evaluated_profile():
 class TestProfileCodec:
     def test_profile_round_trip_is_exact(self, evaluated_profile):
         profile, _ = evaluated_profile
-        wire = json.loads(json.dumps(profile_to_dict(profile)))
-        back = profile_from_dict(wire)
+        wire = json.loads(json.dumps(profiles_to_dict([profile])))
+        (back,) = profiles_from_dict(wire)
         assert back.flow_name == profile.flow_name
         assert back.scores == profile.scores  # float-exact
         assert set(back.values) == set(profile.values)
@@ -57,7 +57,8 @@ class TestProfileCodec:
         from repro.quality.composite import QualityProfile
 
         empty = QualityProfile(flow_name="nothing")
-        assert profile_from_dict(profile_to_dict(empty)).flow_name == "nothing"
+        (back,) = profiles_from_dict(profiles_to_dict([empty]))
+        assert back.flow_name == "nothing"
 
 
 class TestRequestHygiene:
@@ -94,16 +95,34 @@ class TestRequestHygiene:
         assert excinfo.value.code == 404
 
     def test_wrong_shapes_are_400(self, server):
-        for path, body in [
-            ("/get_many", {"digests": "not-a-list"}),
-            ("/get_many", {"digests": ["too-short"]}),
-            ("/put", {"entries": [{"key": [1]}]}),  # missing profile
-            ("/get", {"digest": 7}),
-        ]:
+        """Each body states the format, so it reaches its own shape check."""
+        profile, key = QualityProfile(flow_name="p"), "ab" * 32
+        one = profiles_to_dict([profile])
+        two = profiles_to_dict([profile, profile])
+        valueless = json.loads(json.dumps(one))
+        del valueless["profiles"][0]["values"]
+        cases = [
+            ("/get_many", {"digests": "not-a-list"}, '"digests" must be a JSON array'),
+            ("/get_many", {"digests": ["too-short"]}, "64-character"),
+            ("/get", {"digest": 7}, "64-character"),
+            ("/put", dict(one, keys=key), '"keys" must be a JSON array'),
+            ("/put", dict(two, keys=[key]), "exactly one profile"),
+            ("/put", dict(one, keys=[key], profiles=[None]), "exactly one profile"),
+            ("/put", dict(valueless, keys=[key]), "malformed profile document"),
+        ]
+        for path, body, message in cases:
+            body = dict(body, format=WIRE_FORMAT)
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._post(server.url + path, json.dumps(body).encode())
             assert excinfo.value.code == 400, path
-            assert "error" in json.loads(excinfo.value.read().decode("utf-8"))
+            assert message in json.loads(excinfo.value.read().decode("utf-8"))["error"], body
+        assert not server.contains(key)  # no refused /put stored anything
+
+    def test_body_without_a_format_is_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(server.url + "/get_many", json.dumps({"digests": []}).encode())
+        assert excinfo.value.code == 400
+        assert "wire format" in json.loads(excinfo.value.read().decode("utf-8"))["error"]
 
     def test_oversized_reject_does_not_corrupt_a_keepalive_connection(self, server):
         """The unread body must not be parsed as the next request."""
@@ -153,13 +172,13 @@ class TestRequestHygiene:
         assert disk.stats.misses == 2 and disk.stats.hits == 0
 
         wire = list(bad) if isinstance(bad, tuple) else bad
-        document = profile_to_dict(profile)
+        document = dict(profiles_to_dict([profile]), keys=[wire])
         with CacheServer(disk) as server:
             for path, body in [
-                ("/get", {"digest": wire}),
-                ("/get_many", {"digests": [wire]}),
+                ("/get", {"format": WIRE_FORMAT, "digest": wire}),
+                ("/get_many", {"format": WIRE_FORMAT, "digests": [wire]}),
                 ("/contains", {"digest": wire}),
-                ("/put", {"entries": [{"key": wire, "profile": document}]}),
+                ("/put", document),
             ]:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     self._post(server.url + path, json.dumps(body).encode())

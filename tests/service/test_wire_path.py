@@ -308,22 +308,26 @@ class TestWildcardBinding:
             assert not client.degraded
 
 
-class TestWaitBackoff:
-    def test_poll_interval_doubles_up_to_the_cap(self, monkeypatch):
+class TestWaitLongPoll:
+    def test_wait_long_polls_and_never_sleeps(self, monkeypatch):
         client = RedesignClient("http://127.0.0.1:1", timeout=1.0, poll_max=0.08)
-        statuses = iter(["queued"] * 5 + ["done"])
-        monkeypatch.setattr(
-            client, "status", lambda job_id: {"status": next(statuses)}
-        )
-        sleeps: list[float] = []
-        monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
+        statuses = iter(["queued"] * 2 + ["done"])
+        holds: list[float] = []
+
+        def status(job_id, wait=0.0):
+            holds.append(wait)
+            return {"status": next(statuses)}
+
+        monkeypatch.setattr(client, "status", status)
+        monkeypatch.setattr(time, "sleep", lambda s: pytest.fail("wait slept"))
         result = client.wait("job", timeout=60.0, poll=0.01)
         assert result["status"] == "done"
-        assert sleeps == [0.01, 0.02, 0.04, 0.08, 0.08]
+        # each request asks the server to hold it: half the 1 s request timeout
+        assert holds == [0.5, 0.5, 0.5]
 
     def test_deadline_still_raises_timeout(self, monkeypatch):
         client = RedesignClient("http://127.0.0.1:1", timeout=1.0)
-        monkeypatch.setattr(client, "status", lambda job_id: {"status": "queued"})
+        monkeypatch.setattr(client, "status", lambda job_id, wait=0.0: {"status": "queued"})
         with pytest.raises(TimeoutError):
             client.wait("job", timeout=0.0, poll=0.01)
 
