@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-fleet test-exec bench bench-tiny bench-cache bench-service bench-wire bench-fleet bench-exec bench-obs obs serve serve-fleet worker docs-check examples check
+.PHONY: test test-fast test-fleet test-exec bench bench-tiny bench-cache bench-service bench-fleet bench-exec bench-obs obs serve serve-fleet worker docs-check examples check
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -38,10 +38,6 @@ bench-cache:
 ## service benchmark only: N clients sharing a cache server vs N cold solo runs
 bench-service:
 	$(PYTHON) benchmarks/bench_service.py
-
-## wire benchmark only: pooled keep-alive + compression vs per-request connections
-bench-wire:
-	$(PYTHON) benchmarks/bench_wire.py
 
 ## fleet benchmark only: C clients vs 1..4 cache shards (near-linear scaling)
 bench-fleet:

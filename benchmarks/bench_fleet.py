@@ -10,12 +10,11 @@ the same fleet's traffic drains through N independent channels -- and a
 single client's batched ``get_many`` windows fan out N ways too.
 
 This benchmark measures exactly that grid on the TPC-H refresh
-workload, with loopback made honest the same way ``bench_wire`` does
-it: every shard sits behind a :class:`ShardLinkProxy` whose
-per-request service time and bandwidth throttle are **shared by all
-connections to that shard** (the defining property of a saturated
-machine; ``bench_wire``'s per-connection throttle models a link, this
-one models a server).  For every shard
+workload, with loopback made honest by a proxy: every shard sits
+behind a :class:`ShardLinkProxy` whose per-request service time and
+bandwidth throttle are **shared by all connections to that shard**
+(the defining property of a saturated machine: the proxy models a
+server, not a link).  For every shard
 count (1 and 4) the harness boots that many shard channels, warms them
 with one solo campaign, then times fleets of concurrent forked client
 processes (1 and 4; 16 with ``--slow``) planning against the warm
@@ -62,7 +61,7 @@ from repro.workloads import tpch_refresh_flow  # noqa: E402
 
 def scrape_metrics(url: str, timeout: float = 10.0) -> dict:
     """One ``GET /metrics`` payload from a live server."""
-    client = PooledJSONClient(url, timeout, keep_alive=False)
+    client = PooledJSONClient(url, timeout)
     try:
         return client.request_json("GET", "/metrics")
     finally:
@@ -114,9 +113,8 @@ class ShardLinkProxy:
     (parse, lookup, encode -- the fixed cost a loaded server pays per
     round-trip) and every relayed chunk ``len/bandwidth`` seconds from
     one budget **shared by all connections to this shard**.  That is
-    the defining property of a saturated machine -- ``bench_wire``'s
-    per-connection throttle models a link, this one models a server.
-    Four busy clients on one shard therefore share one channel; four
+    the defining property of a saturated machine: it models a server,
+    not a link.  Four busy clients on one shard therefore share one channel; four
     shards give the fleet four.
     """
 
@@ -349,8 +347,7 @@ def run_fleet_bench(
 ) -> dict:
     """Time every (shards, clients) cell and return a comparison report.
 
-    ``eval_batch_size`` deliberately stays small (as in ``bench_wire``)
-    so the campaign's reads arrive as a stream of bounded ``get_many``
+    ``eval_batch_size`` deliberately stays small so the campaign's reads arrive as a stream of bounded ``get_many``
     windows -- the regime a real fleet with bounded memory lives in.
     The headline ``speedup_sharded_vs_single`` divides the busiest
     fleet's wall-clock against ``min(shard_counts)`` shards by the same

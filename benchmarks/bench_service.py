@@ -58,7 +58,7 @@ from repro.workloads import tpch_refresh_flow  # noqa: E402
 
 def scrape_metrics(url: str, timeout: float = 10.0) -> dict:
     """One ``GET /metrics`` payload from a live server."""
-    client = PooledJSONClient(url, timeout, keep_alive=False)
+    client = PooledJSONClient(url, timeout)
     try:
         return client.request_json("GET", "/metrics")
     finally:

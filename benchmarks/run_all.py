@@ -6,9 +6,7 @@ prefix-cached pattern application), the streaming-pipeline benchmark
 profile-cache benchmark (``bench_profile_cache``: cold vs. warm-disk
 vs. in-memory planning), the service benchmark (``bench_service``:
 concurrent clients sharing one cache server vs. cold solo runs), the
-wire benchmark (``bench_wire``: pooled keep-alive + compressed wire vs.
-the per-request wire through a latency-injecting proxy), the fleet
-benchmark (``bench_fleet``: concurrent clients against 1 vs. 4 cache
+fleet benchmark (``bench_fleet``: concurrent clients against 1 vs. 4 cache
 shards, each shard a shared-capacity channel), the execution
 benchmark (``bench_execution``: measured top-k calibration of the
 simulator's ranking against real wall time) and the observability
@@ -57,8 +55,8 @@ def _load(name: str):
 def _run_bench_isolated(script: str, arguments: list[str]) -> dict:
     """Run a benchmark script with ``--json`` in a fresh interpreter.
 
-    The service and wire benchmarks time forked client fleets and
-    latency-proxied campaigns, so they must not inherit this process's
+    The service and fleet benchmarks time forked client fleets and
+    proxied campaigns, so they must not inherit this process's
     warmed module-level memos and fat heap -- running them in-process
     measurably skews *both* arms.  A subprocess reproduces exactly what
     the standalone invocation measures.
@@ -107,12 +105,6 @@ def run_all(tiny: bool = False) -> dict:
             "--max-points-per-pattern", "2", "--simulation-runs", "1",
             "--max-alternatives", "15", "--clients", "2",
         ]
-        wire_arguments = [
-            "--scale", "0.01", "--pattern-budget", "1",
-            "--max-points-per-pattern", "2", "--simulation-runs", "1",
-            "--max-alternatives", "15", "--repeats", "1",
-            "--connect-latency", "0.005",
-        ]
         fleet_arguments = [
             "--scale", "0.01", "--pattern-budget", "1",
             "--max-points-per-pattern", "2", "--simulation-runs", "1",
@@ -129,7 +121,6 @@ def run_all(tiny: bool = False) -> dict:
         streaming_kwargs = {}
         cache_kwargs = {}
         service_arguments = []
-        wire_arguments = []
         fleet_arguments = []
         execution_kwargs = {}
         obs_kwargs = {}
@@ -138,7 +129,6 @@ def run_all(tiny: bool = False) -> dict:
     streaming = bench_streaming.run_comparison(**streaming_kwargs)
     profile_cache = bench_cache.run_cache_bench(**cache_kwargs)
     service = _run_bench_isolated("bench_service.py", service_arguments)
-    wire = _run_bench_isolated("bench_wire.py", wire_arguments)
     fleet = _run_bench_isolated("bench_fleet.py", fleet_arguments)
     execution = bench_execution.run_execution_bench(**execution_kwargs)
     observability = bench_obs.run_obs_bench(**obs_kwargs)
@@ -186,16 +176,6 @@ def run_all(tiny: bool = False) -> dict:
             "request_seconds": service["request_seconds"],
             "raw": service,
         },
-        "wire": {
-            "workload": wire["workload"],
-            "speedup_pooled_vs_per_request": wire["speedup_pooled_vs_per_request"],
-            "identical_results": wire["identical_results"],
-            "connect_latency_ms": wire["connect_latency_ms"],
-            "per_request_wire": wire["per_request_wire"],
-            "pooled_wire": wire["pooled_wire"],
-            "warm_hit_rate": wire["warm_hit_rate"],
-            "raw": wire,
-        },
         "fleet": {
             "workload": fleet["workload"],
             "shard_counts": fleet["shard_counts"],
@@ -219,6 +199,9 @@ def run_all(tiny: bool = False) -> dict:
         "observability": {
             "workload": observability["workload"],
             "overhead_fraction": observability["overhead_fraction"],
+            "off_spread": observability["off_spread"],
+            "on_spread": observability["on_spread"],
+            "gate_resolved": observability["gate_resolved"],
             "max_overhead_fraction": observability["max_overhead_fraction"],
             "off_best_seconds": observability["off_best_seconds"],
             "on_best_seconds": observability["on_best_seconds"],
@@ -266,12 +249,6 @@ def main(argv=None) -> int:
         f"{service['speedup_service_vs_solo']:.2f}x vs cold solo runs, "
         f"identical={service['identical_results']}"
     )
-    wire = report["wire"]
-    print(
-        f"wire: pooled+compressed {wire['speedup_pooled_vs_per_request']:.2f}x vs "
-        f"per-request over a {wire['connect_latency_ms']:.0f} ms-connect proxy, "
-        f"identical={wire['identical_results']}"
-    )
     fleet = report["fleet"]
     print(
         f"fleet: {fleet['busiest_clients']} clients on {max(fleet['shard_counts'])} "
@@ -290,7 +267,8 @@ def main(argv=None) -> int:
     print(
         f"observability: {observability['overhead_fraction'] * 100.0:+.2f}% overhead "
         f"metrics-on vs off (gate <= "
-        f"{observability['max_overhead_fraction'] * 100.0:.0f}%), "
+        f"{observability['max_overhead_fraction'] * 100.0:.0f}%, "
+        f"resolved={observability['gate_resolved']}), "
         f"{observability['plan_spans_recorded']} plan spans recorded, "
         f"identical={observability['identical_results']}"
     )

@@ -34,10 +34,11 @@ re-plans in new processes, and parallel sessions pointed at one
   :meth:`start_background_eviction` runs it on an opt-in daemon thread
   at a fixed interval instead (the in-line sweep stays the default for
   library use, where the process may exit at any time).
-* **Optional write batching.**  With :attr:`batch_writes` enabled, puts
-  accumulate in memory and :meth:`flush` publishes them in one pass with
-  a single eviction sweep -- the evaluator turns this on for the
-  duration of an evaluation stream and flushes when the stream ends.
+* **Scoped write batching.**  Inside a :meth:`begin_write_batch` /
+  :meth:`end_write_batch` scope, puts accumulate in memory and
+  :meth:`flush` publishes them in one pass with a single eviction sweep
+  -- the evaluator opens a scope for the duration of an evaluation
+  stream and flushes when the stream ends.
 """
 
 from __future__ import annotations
@@ -91,17 +92,12 @@ class DiskProfileCache:
     max_bytes:
         Optional cap on the total size of the entry files; exceeding it
         evicts least-recently-used entries.  ``None`` means unbounded.
-    batch_writes:
-        When true, :meth:`put` buffers entries in memory and only
-        :meth:`flush` publishes them to disk.  Buffered entries are
-        still served by :meth:`get` / ``in`` of this instance.
     """
 
     def __init__(
         self,
         cache_dir: str | os.PathLike,
         max_bytes: int | None = None,
-        batch_writes: bool = False,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
@@ -109,16 +105,14 @@ class DiskProfileCache:
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
-        self.batch_writes = batch_writes
         self.stats = CacheStats()
         # Observability only.
         self.metrics_registry = registry
         self._pending: dict[str, QualityProfile] = {}
         self._lock = threading.Lock()
         # Write-batch refcount (begin/end_write_batch): how many streams
-        # currently own a batching scope, and what to restore at zero.
+        # currently own a batching scope.
         self._batch_depth = 0
-        self._configured_batch_writes = batch_writes
         # In-line eviction is the default; start_background_eviction()
         # hands the sweep to a daemon thread instead (server mode).
         self._sweep_inline = True
@@ -244,11 +238,20 @@ class DiskProfileCache:
             if self._sweep_inline:
                 self._evict_to_cap()
 
+    @property
+    def batch_writes(self) -> bool:
+        """Whether a write-batch scope is open.
+
+        While one is, :meth:`put` buffers entries in memory and only
+        :meth:`flush` publishes them to disk; buffered entries are still
+        served by :meth:`get` / ``in`` of this instance.
+        """
+        return self._batch_depth > 0
+
     def begin_write_batch(self) -> None:
         """Enter a batching scope (refcounted; see :meth:`end_write_batch`).
 
-        The evaluator brackets each evaluation stream with
-        begin/end instead of toggling :attr:`batch_writes` directly, so
+        The evaluator brackets each evaluation stream with begin/end, so
         *concurrent* streams over one shared cache (the redesign
         service's worker pool) compose: writes stay buffered until the
         last stream ends its scope, rather than whichever stream
@@ -257,14 +260,14 @@ class DiskProfileCache:
         """
         with self._lock:
             self._batch_depth += 1
-            self.batch_writes = True
 
     def end_write_batch(self) -> None:
-        """Leave a batching scope, restoring the configured mode at zero."""
+        """Leave a batching scope; the last one out stops buffering puts.
+
+        Buffered entries stay buffered until :meth:`flush`.
+        """
         with self._lock:
             self._batch_depth = max(0, self._batch_depth - 1)
-            if self._batch_depth == 0:
-                self.batch_writes = self._configured_batch_writes
 
     def _write(self, key: str, profile: QualityProfile) -> None:
         payload = {"version": CACHE_SCHEMA_VERSION, "key": key, "profile": profile}

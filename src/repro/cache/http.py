@@ -26,12 +26,12 @@ Design points, mirroring the disk tier where the analogy holds:
   TCP handshake is paid once per thread, a keep-alive socket that went
   stale while idle (server restart) is replaced and the request retried
   exactly once, and protocol garbage is never retried.  Large bodies
-  are gzip-compressed transparently (``compression`` knob).
+  are gzip-compressed transparently.
 * **Client-side write batching.**  ``put`` buffers; ``flush`` publishes
   the buffer in a single ``POST /put`` -- the same discipline the
   evaluator already applies to the disk tier, so a planning
   stream costs one round-trip per campaign, not one per stored profile.
-  A campaign that outgrows ``max_pending`` buffered entries publishes
+  A campaign that outgrows :data:`MAX_PENDING` buffered entries publishes
   early (memory stays bounded on flows that never flush).  Buffered
   entries are served by ``get``/``in`` of this instance.
 * **Batched lookups.**  :meth:`get_many` resolves a whole evaluation
@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.backend import CacheStats, observe_get_many
 from repro.cache.memory import ProfileCache
-from repro.wire import COMPRESS_MIN_BYTES, PooledJSONClient, WireError
+from repro.wire import PooledJSONClient, WireError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -83,8 +83,8 @@ DEFAULT_TIMEOUT = 5.0
 #: Default first recovery-probe delay, in seconds.
 DEFAULT_RECOVERY_INTERVAL = 5.0
 
-#: Default bound on the unflushed write buffer.
-DEFAULT_MAX_PENDING = 1024
+#: Bound on the unflushed write buffer: a put that fills it publishes.
+MAX_PENDING = 1024
 
 #: The probe delay doubles after each failed probe, up to this multiple
 #: of ``recovery_interval``.
@@ -111,68 +111,35 @@ class HTTPProfileCache:
     timeout:
         Per-request timeout in seconds; a request exceeding it degrades
         the client to its local fallback tier (it never raises).
-    fallback_max_entries:
-        Optional LRU bound on the local in-memory tier used after
-        degradation (``None`` = unbounded, matching the default
-        ``ProfileCache``).
-    compression:
-        Gzip request bodies at/above ``compress_min_bytes`` and accept
-        compressed responses.
-    compress_min_bytes:
-        Size threshold of the request compressor.
     auth_token:
         Shared token sent as ``Authorization: Bearer <token>``
         (``ProcessingConfiguration.cache_auth_token``); a ``401``
         raises :class:`CacheAuthError` instead of degrading.
     recovery_interval:
         First recovery-probe delay after degradation, in seconds; the
-        delay doubles per failed probe up to 16x.  ``None`` disables
-        probing (degradation is then permanent for the process, the
-        pre-overhaul behaviour).
-    max_pending:
-        Auto-publish the write buffer once it holds this many entries
-        (campaigns below it keep the one-round-trip-per-campaign
-        discipline).
-    pool:
-        ``False`` tears the connection down after every request -- the
-        per-request TCP behaviour the wire benchmark compares against.
+        delay doubles per failed probe up to 16x.
     """
 
     def __init__(
         self,
         url: str,
         timeout: float = DEFAULT_TIMEOUT,
-        fallback_max_entries: int | None = None,
-        compression: bool = True,
-        compress_min_bytes: int = COMPRESS_MIN_BYTES,
         auth_token: str | None = None,
-        recovery_interval: float | None = DEFAULT_RECOVERY_INTERVAL,
-        max_pending: int = DEFAULT_MAX_PENDING,
-        pool: bool = True,
+        recovery_interval: float = DEFAULT_RECOVERY_INTERVAL,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
         if timeout <= 0:
             raise ValueError("timeout must be positive (seconds)")
-        if recovery_interval is not None and recovery_interval <= 0:
-            raise ValueError("recovery_interval must be positive seconds (or None)")
-        if max_pending < 1:
-            raise ValueError("max_pending must be at least 1")
+        if recovery_interval <= 0:
+            raise ValueError("recovery_interval must be positive (seconds)")
         self.url = url.rstrip("/")
         self.timeout = timeout
         self.stats = CacheStats()
         # Observability only (client-side view of the network tier).
         self.metrics_registry = registry
-        self.fallback = ProfileCache(max_entries=fallback_max_entries)
+        self.fallback = ProfileCache()
         self.recovery_interval = recovery_interval
-        self.max_pending = max_pending
-        self._client = PooledJSONClient(
-            self.url,
-            timeout,
-            compression=compression,
-            compress_min_bytes=compress_min_bytes,
-            auth_token=auth_token,
-            keep_alive=pool,
-        )
+        self._client = PooledJSONClient(self.url, timeout, auth_token=auth_token)
         # The transport mirrors wire.* byte counters into the same
         # registry (compression ratio = raw_bytes / bytes on the wire).
         self._client.metrics_registry = registry
@@ -180,14 +147,9 @@ class HTTPProfileCache:
         self._degraded = False
         self._closed = False
         self._probe_timer: threading.Timer | None = None
-        self._probe_interval = recovery_interval or 0.0
+        self._probe_interval = recovery_interval
         self._recoveries = 0
         self._lock = threading.Lock()
-
-    #: Puts always buffer until :meth:`flush` -- advertised so the
-    #: evaluator does not layer its own batching on top (the
-    #: same attribute the disk tier exposes).
-    batch_writes = True
 
     # ------------------------------------------------------------------
     # Wire helpers
@@ -244,9 +206,9 @@ class HTTPProfileCache:
     def _degrade(self, exc: Exception) -> None:
         """Switch to the local fallback tier, logging once per outage.
 
-        With ``recovery_interval`` set, degradation is no longer
-        terminal: a backoff timer starts probing ``/health`` and
-        re-attaches when the server answers (see :meth:`_probe`).
+        Degradation is not terminal: a backoff timer starts probing
+        ``/health`` and re-attaches when the server answers (see
+        :meth:`_probe`).
         """
         with self._lock:
             if self._degraded:
@@ -259,17 +221,12 @@ class HTTPProfileCache:
             self.fallback.put(key, profile)
         logger.warning(
             "profile cache server %s unreachable (%s); falling back to a local "
-            "in-memory tier%s",
+            "in-memory tier (probing for recovery every %gs, backing off)",
             self.url,
             exc,
-            (
-                f" (probing for recovery every {self.recovery_interval:g}s, backing off)"
-                if self.recovery_interval is not None
-                else " for the rest of this process"
-            ),
+            self.recovery_interval,
         )
-        if self.recovery_interval is not None:
-            self._schedule_probe(self.recovery_interval)
+        self._schedule_probe(self.recovery_interval)
 
     # ------------------------------------------------------------------
     # Recovery probes
@@ -308,7 +265,7 @@ class HTTPProfileCache:
             self._reattach()
 
     def _next_probe_interval(self) -> float:
-        cap = (self.recovery_interval or 1.0) * RECOVERY_BACKOFF_CAP
+        cap = self.recovery_interval * RECOVERY_BACKOFF_CAP
         return min(self._probe_interval * 2, cap)
 
     def _reattach(self) -> None:
@@ -443,14 +400,14 @@ class HTTPProfileCache:
         The degraded check happens under the same lock :meth:`_degrade`
         drains the buffer with, so a put racing with the degradation can
         never strand an entry in a buffer nothing will ever flush.  A
-        buffer reaching ``max_pending`` entries publishes immediately --
+        buffer reaching :data:`MAX_PENDING` entries publishes immediately --
         a campaign that never flushes cannot hold every profile it ever
         produced in memory.
         """
         with self._lock:
             if not self._degraded:
                 self._pending[key] = profile
-                if len(self._pending) < self.max_pending:
+                if len(self._pending) < MAX_PENDING:
                     return
             else:
                 self.fallback.put(key, profile)

@@ -4,7 +4,7 @@ Combines the speed of the in-process LRU with the persistence of the
 disk store: lookups hit memory first, fall back to disk, and *promote*
 disk hits into the memory tier so a profile is deserialized at most once
 per process.  Writes go through to both tiers (the disk write may be
-buffered -- see :attr:`DiskProfileCache.batch_writes`).
+buffered -- see :meth:`DiskProfileCache.begin_write_batch`).
 
 The composite keeps its own *logical* :class:`CacheStats` -- exactly one
 hit or miss per :meth:`get`, whichever tier served it -- so existing

@@ -14,14 +14,14 @@ Design points:
   of the URL set, so every planner and worker configured with the same
   ``cache_urls`` agrees on placement with zero coordination -- keys are
   content digests, so they are location-independent already.
-* **One shard client per shard, full PR 6 wire machinery each.**  Every
+* **One shard client per shard, the whole wire machinery each.**  Every
   shard is served by its own :class:`HTTPProfileCache`: pooled
   keep-alive connections, transparent compression, per-campaign write
   batching, bounded pending buffers and bearer-token auth all apply
   per shard.
 * **Per-shard degradation and recovery.**  A dead shard degrades *its*
-  client to a local in-memory fallback and probes ``/health`` on the
-  PR 6 backoff timer; the other shards keep serving normally (their
+  client to a local in-memory fallback and probes ``/health`` on its
+  backoff timer; the other shards keep serving normally (their
   stores stay warm) and a revived shard wins its slice of traffic back
   and republishes what its fallback accumulated.  A plan never fails,
   and a single shard outage re-simulates only ~1/N of the key space.
@@ -56,13 +56,11 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.backend import CacheStats, observe_get_many
 from repro.cache.http import (
-    DEFAULT_MAX_PENDING,
     DEFAULT_RECOVERY_INTERVAL,
     DEFAULT_TIMEOUT,
     HTTPProfileCache,
 )
 from repro.fleet.ring import HashRing
-from repro.wire import COMPRESS_MIN_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -92,28 +90,18 @@ class ShardedProfileCache:
         Base URLs of the shard servers (at least one).  The consistent
         hash ring over this set decides which shard owns which key;
         URL order is irrelevant.
-    timeout / compression / compress_min_bytes / auth_token /
-    recovery_interval / max_pending / fallback_max_entries / pool:
+    timeout / auth_token / recovery_interval:
         Forwarded to every per-shard :class:`HTTPProfileCache` -- the
         same knobs, applied shard-by-shard (one shared token for the
         whole fleet).
     """
 
-    #: Puts buffer in the owning shard's client until :meth:`flush`
-    #: (the discipline the evaluator expects).
-    batch_writes = True
-
     def __init__(
         self,
         urls: Sequence[str],
         timeout: float = DEFAULT_TIMEOUT,
-        fallback_max_entries: int | None = None,
-        compression: bool = True,
-        compress_min_bytes: int = COMPRESS_MIN_BYTES,
         auth_token: str | None = None,
-        recovery_interval: float | None = DEFAULT_RECOVERY_INTERVAL,
-        max_pending: int = DEFAULT_MAX_PENDING,
-        pool: bool = True,
+        recovery_interval: float = DEFAULT_RECOVERY_INTERVAL,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
         cleaned = [str(url).rstrip("/") for url in urls]
@@ -123,13 +111,8 @@ class ShardedProfileCache:
         self.metrics_registry = registry
         self._client_kwargs = dict(
             timeout=timeout,
-            fallback_max_entries=fallback_max_entries,
-            compression=compression,
-            compress_min_bytes=compress_min_bytes,
             auth_token=auth_token,
             recovery_interval=recovery_interval,
-            max_pending=max_pending,
-            pool=pool,
         )
         self.stats = CacheStats()
         self._lock = threading.Lock()

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 from repro.core.planner import PlanningResult
 from repro.etl.graph import ETLGraph
 from repro.io.jsonflow import WireFormatError
-from repro.service.redesign_server import MAX_STATUS_WAIT_S, TERMINAL_STATES
+from repro.service.redesign_server import MAX_STATUS_WAIT_S
 from repro.service.results import result_from_dict
 from repro.wire import PooledJSONClient, WireError
 
@@ -46,9 +46,6 @@ class RedesignClient:
         Base URL of the server, e.g. ``"http://127.0.0.1:8732"``.
     timeout:
         Per-request timeout in seconds.
-    compression:
-        Compress large request bodies and accept compressed responses
-        (on by default; flows serialise to highly redundant JSON).
     auth_token:
         Shared token for servers started with ``auth_token``; sent as
         ``Authorization: Bearer <token>``.  A wrong or missing token
@@ -64,7 +61,6 @@ class RedesignClient:
         url: str,
         timeout: float = 30.0,
         *,
-        compression: bool = True,
         auth_token: str | None = None,
         poll_max: float = 1.0,
     ) -> None:
@@ -75,12 +71,7 @@ class RedesignClient:
         self.url = url.rstrip("/")
         self.timeout = timeout
         self.poll_max = poll_max
-        self._client = PooledJSONClient(
-            self.url,
-            timeout,
-            compression=compression,
-            auth_token=auth_token,
-        )
+        self._client = PooledJSONClient(self.url, timeout, auth_token=auth_token)
 
     # ------------------------------------------------------------------
 
@@ -151,6 +142,11 @@ class RedesignClient:
         *failed* job is returned, not raised -- callers decide (fetching
         its result will raise).
         """
+        # Imported here: the repro.fleet package loads the queue, the ring
+        # and the planner workers, which importing repro.service (say, for
+        # the result codec) should not pay for.
+        from repro.fleet.queue import TERMINAL_STATES
+
         if poll <= 0:
             raise ValueError("poll must be positive (seconds)")
         deadline = time.monotonic() + timeout

@@ -20,8 +20,9 @@ Wire-path features shared with the clients (:mod:`repro.wire`):
   ``max_request_bytes`` cap enforced on *both* the wire size and the
   decompressed size (a compressed bomb cannot bypass the limit).
 * Responses at or above :data:`repro.wire.COMPRESS_MIN_BYTES` are
-  gzip-compressed, at level 1, when the client advertised
-  ``Accept-Encoding: gzip``.
+  gzip-compressed by :func:`repro.wire.compress_body` (the clients'
+  request compressor) when the client advertised
+  ``Accept-Encoding: gzip``; other clients get identity responses.
 * With ``auth_token`` set on the server, every request (except ``GET
   /health``, the conventional load-balancer liveness probe, and ``GET
   /metrics``, the read-only monitoring scrape) must carry
@@ -44,7 +45,6 @@ boundaries only behind a TLS terminator (see ``docs/service.md``).
 
 from __future__ import annotations
 
-import gzip
 import hmac
 import json
 import logging
@@ -58,7 +58,7 @@ from typing import Any
 
 from repro.obs.golden import golden_metrics
 from repro.obs.metrics import MetricsRegistry, render_prometheus
-from repro.wire import COMPRESS_MIN_BYTES, BodyTooLarge, decode_body
+from repro.wire import BodyTooLarge, compress_body, decode_body
 
 logger = logging.getLogger("repro.service")
 
@@ -103,16 +103,8 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
     def send_json(self, status: int, payload: dict | bytes) -> None:
         body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         content_encoding = None
-        if len(body) >= COMPRESS_MIN_BYTES and "gzip" in (
-            self.headers.get("Accept-Encoding") or ""
-        ).lower():
-            # Level 1: this runs on the handler thread, where speed beats
-            # the last bytes (a 0.73 MB planning result on a 2-core x86
-            # VM: 3.8 ms for 52 kB, against 14.2 ms for 19 kB at the
-            # default level 9).
-            compressed = gzip.compress(body, compresslevel=1, mtime=0)
-            if len(compressed) < len(body):
-                body, content_encoding = compressed, "gzip"
+        if "gzip" in (self.headers.get("Accept-Encoding") or "").lower():
+            body, content_encoding = compress_body(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         if content_encoding is not None:

@@ -69,9 +69,6 @@ from repro.service.common import (
 #: 30-second request timeout.
 MAX_STATUS_WAIT_S = 10.0
 
-#: Job states that will never change again.
-TERMINAL_STATES = ("done", "failed")
-
 #: A long-poll on a shared queue file re-reads the job's row, since
 #: another process's ack cannot wake it: first after ``_REREAD_S``, then
 #: at doubling intervals up to ``_REREAD_MAX_S`` -- the schedule of the
@@ -442,6 +439,9 @@ class RedesignServer(ServiceServer):
         processes ack, it also re-reads the row after ``_REREAD_S``, then
         at doubling intervals up to ``_REREAD_MAX_S``.
         """
+        # repro.fleet.worker imports this module for its request decoding.
+        from repro.fleet.queue import TERMINAL_STATES
+
         deadline = time.monotonic() + min(wait, MAX_STATUS_WAIT_S)
         shared = self.queue.path != ":memory:"
         slice_s = _REREAD_S

@@ -248,7 +248,8 @@ class TestDiskCacheEviction:
 
 class TestDiskCacheBatching:
     def test_batched_puts_are_visible_but_not_published(self, tmp_path):
-        cache = DiskProfileCache(tmp_path, batch_writes=True)
+        cache = DiskProfileCache(tmp_path)
+        cache.begin_write_batch()
         cache.put(cache_key("k"), _profile("buffered"))
         assert cache_key("k") in cache
         assert len(cache) == 1
@@ -258,7 +259,8 @@ class TestDiskCacheBatching:
         assert other.get(cache_key("k")) is None  # other handles cannot see the buffer
 
     def test_flush_publishes_the_buffer(self, tmp_path):
-        cache = DiskProfileCache(tmp_path, batch_writes=True)
+        cache = DiskProfileCache(tmp_path)
+        cache.begin_write_batch()
         for i in range(3):
             cache.put(cache_key(f"k{i}"), _profile(f"p{i}"))
         cache.flush()
@@ -272,7 +274,8 @@ class TestDiskCacheBatching:
         seed.put(cache_key("probe"), _profile())
         entry_size = seed.size_bytes()
         seed.clear()
-        cache = DiskProfileCache(tmp_path, max_bytes=entry_size * 2, batch_writes=True)
+        cache = DiskProfileCache(tmp_path, max_bytes=entry_size * 2)
+        cache.begin_write_batch()
         for i in range(5):
             cache.put(cache_key(f"k{i}"), _profile(f"p{i}"))
         assert cache.stats.evictions == 0  # nothing published yet
@@ -334,7 +337,8 @@ class TestGetMany:
         assert cache.stats.misses == 1
 
     def test_get_many_serves_the_pending_buffer(self, tmp_path):
-        cache = DiskProfileCache(tmp_path, batch_writes=True)
+        cache = DiskProfileCache(tmp_path)
+        cache.begin_write_batch()
         cache.put(cache_key("buffered"), _profile("pending"))
         results = cache.get_many([cache_key("buffered"), cache_key("absent")])
         assert results[0].flow_name == "pending"

@@ -17,8 +17,8 @@ def _profile(name: str = "p") -> QualityProfile:
     return QualityProfile(flow_name=name)
 
 
-def _tiered(tmp_path, **disk_kwargs) -> TieredProfileCache:
-    return TieredProfileCache(ProfileCache(), DiskProfileCache(tmp_path, **disk_kwargs))
+def _tiered(tmp_path) -> TieredProfileCache:
+    return TieredProfileCache(ProfileCache(), DiskProfileCache(tmp_path))
 
 
 class TestTieredLookup:
@@ -65,7 +65,8 @@ class TestTieredLookup:
 
 class TestTieredMaintenance:
     def test_flush_publishes_the_disk_buffer(self, tmp_path):
-        cache = _tiered(tmp_path, batch_writes=True)
+        cache = _tiered(tmp_path)
+        cache.disk.begin_write_batch()
         cache.put(cache_key("k"), _profile("buffered"))
         assert DiskProfileCache(tmp_path).get(cache_key("k")) is None  # not published yet
         cache.flush()

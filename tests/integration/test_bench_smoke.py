@@ -120,33 +120,6 @@ def test_service_bench_smoke_tiny_flow():
     assert "from /metrics" in rendered
 
 
-def test_wire_bench_smoke_tiny_flow():
-    bench = _load_module(_BENCH_DIR / "bench_wire.py")
-    report = bench.run_wire_bench(
-        scale=0.01,
-        pattern_budget=1,
-        max_points_per_pattern=2,
-        simulation_runs=1,
-        max_alternatives=15,
-        repeats=1,
-        connect_latency=0.005,
-    )
-    assert report["identical_results"]
-    assert report["per_request_seconds"] > 0
-    assert report["pooled_seconds"] > 0
-    # the per-request arm pays one TCP connection per request; the
-    # pooled arm reuses one keep-alive connection for the campaign
-    per_request, pooled = report["per_request_wire"], report["pooled_wire"]
-    assert per_request["connections_opened"] == per_request["requests"]
-    assert pooled["connections_opened"] == 1
-    assert pooled["reconnects"] == 0
-    assert report["warm_hit_rate"] == 1.0
-    # the cold campaign's end-of-stream /put is the big compressed body
-    assert report["cold_publish_wire"]["compressed_requests"] >= 1
-    rendered = bench._render_report(report)
-    assert "pooled vs per-request" in rendered
-
-
 def test_fleet_bench_smoke_tiny_flow():
     bench = _load_module(_BENCH_DIR / "bench_fleet.py")
     report = bench.run_fleet_bench(
@@ -253,12 +226,6 @@ def test_run_all_smoke_writes_machine_readable_record(tmp_path):
     assert service["clients"] == 2
     assert service["fleet_hit_rate"] == 1.0
     assert service["request_seconds"]["count"] > 0
-    wire = record["wire"]
-    assert wire["identical_results"]
-    assert wire["speedup_pooled_vs_per_request"] > 0
-    assert wire["pooled_wire"]["connections_opened"] == 1
-    assert wire["per_request_wire"]["connections_opened"] > 1
-    assert wire["warm_hit_rate"] == 1.0
     fleet = record["fleet"]
     assert fleet["identical_results"]
     assert fleet["shard_counts"] == [1, 2]

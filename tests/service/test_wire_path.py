@@ -1,9 +1,10 @@
-"""The overhauled wire path: pooling, compression, auth, recovery.
+"""The wire path: pooling, compression, auth, recovery.
 
 Covers the transport contracts of :mod:`repro.wire` end-to-end against
 real servers: one TCP connection per thread across a whole campaign, a
 stale keep-alive socket surviving a server restart with exactly one
-reconnect, transparent compression with byte-identical profiles, token
+reconnect, transparent compression with byte-identical profiles (and
+identity responses for peers that do not ask for gzip), token
 authentication failing loudly (never silent fallback), degraded clients
 winning traffic back through recovery probes, and the observability
 surfaces (``/stats`` polls, ``len()``) staying best-effort.
@@ -12,19 +13,25 @@ surfaces (``/stats`` polls, ``len()``) staying best-effort.
 from __future__ import annotations
 
 import gzip
+import http.client
 import json
+import random
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
+import repro.cache.http as cache_http
 from repro.cache import ProfileCache
 from repro.cache.http import CacheAuthError, HTTPProfileCache
+from repro.core import Planner
+from repro.io.jsonflow import WIRE_FORMAT
 from repro.quality.composite import QualityProfile
 from repro.service import CacheServer, RedesignClient, RedesignServer
 from repro.service.client import RedesignServiceError
-from repro.wire import BodyTooLarge, decode_body, encode_body
+from repro.wire import BodyTooLarge, compress_body, decode_body
 from tests.keys import cache_key
 
 
@@ -43,6 +50,24 @@ def server():
         yield srv
 
 
+def _raw_request(
+    url: str, method: str, path: str, body: bytes | None = None, headers=None
+) -> tuple[int, str | None, bytes]:
+    """One request on a bare ``http.client`` connection, headers as given.
+
+    Returns ``(status, Content-Encoding, body)`` exactly as they arrived:
+    no ``Accept-Encoding`` is sent unless ``headers`` carries one.
+    """
+    split = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(split.hostname, split.port, timeout=10.0)
+    try:
+        connection.request(method, path, body=body, headers=dict(headers or {}))
+        response = connection.getresponse()
+        return response.status, response.getheader("Content-Encoding"), response.read()
+    finally:
+        connection.close()
+
+
 class TestConnectionPooling:
     def test_one_connection_serves_a_whole_campaign(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0)
@@ -55,16 +80,37 @@ class TestConnectionPooling:
         assert stats["reconnects"] == 0
         assert stats["requests"] >= 11  # one flush + ten lookups
 
-    def test_pool_false_reproduces_per_request_connections(self, server):
-        client = HTTPProfileCache(server.url, timeout=5.0, pool=False)
-        for _ in range(4):
-            assert client.get(cache_key("absent")) is None
-        assert client.wire_stats()["connections_opened"] == 4
-        assert not client.degraded
+    def test_ring_campaign_opens_one_connection_and_plans_identically(
+        self, server, make_config, linear_flow
+    ):
+        """A planner on a one-shard ``cache_urls`` ring pays one TCP
+        handshake per requesting thread for a whole campaign, sends its
+        large end-of-stream ``/put`` gzipped, gets large ``/get_many``
+        answers back gzipped, and plans what an in-process cache plans."""
+        reference = Planner(configuration=make_config()).plan(linear_flow)
+        config = make_config(cache_urls=(server.url,))
+        cold = Planner(configuration=config)
+        cold_result = cold.plan(linear_flow)
+        cold_wire = cold.profile_cache.wire_stats()
+        assert cold_wire["compressed_requests"] >= 1  # the campaign's /put
+        warm = Planner(configuration=config)
+        warm_result = warm.plan(linear_flow)
+        warm_wire = warm.profile_cache.wire_stats()
+        # one planning thread (a one-shard window is looked up inline),
+        # so one connection however many requests the campaign makes
+        assert warm_wire["requests"] > 1
+        assert warm_wire["connections_opened"] == 1
+        assert warm_wire["reconnects"] == 0
+        assert warm_wire["compressed_responses"] >= 1
+        assert warm.profile_cache.stats.misses == 0
+        assert cold_result.fingerprint() == warm_result.fingerprint() == reference.fingerprint()
+        for planner in (cold, warm):
+            assert not planner.profile_cache.degraded_shards
+            planner.profile_cache.close()
 
     def test_stale_keepalive_socket_reconnects_exactly_once(self, server):
         """A server restart costs one transparent reconnect, not a plan."""
-        client = HTTPProfileCache(server.url, timeout=5.0, recovery_interval=None)
+        client = HTTPProfileCache(server.url, timeout=5.0)
         client.put(cache_key("warm"), _profile("kept"))
         client.flush()
         port = server.port
@@ -91,13 +137,30 @@ class TestCompression:
         writer.flush()
         assert writer.wire_stats()["compressed_requests"] >= 1
 
-        for compression in (True, False):
-            reader = HTTPProfileCache(server.url, timeout=5.0, compression=compression)
-            fetched = reader.get(cache_key("big"))
-            assert fetched == profile  # exact document, either wire format
-            expected = 1 if compression else 0
-            assert reader.wire_stats()["compressed_responses"] == expected
-            assert not reader.degraded
+        reader = HTTPProfileCache(server.url, timeout=5.0)
+        assert reader.get(cache_key("big")) == profile  # exact document
+        assert reader.wire_stats()["compressed_responses"] == 1
+        assert not reader.degraded
+
+    def test_cache_server_answers_plain_peers_with_identity_bodies(self, server):
+        """A peer that sends a plain body and no ``Accept-Encoding`` gets
+        a plain response holding the same document a gzip peer gets."""
+        profile = _big_profile()
+        writer = HTTPProfileCache(server.url, timeout=5.0)
+        writer.put(cache_key("big"), profile)
+        writer.flush()
+        body = json.dumps({"format": WIRE_FORMAT, "digests": [cache_key("big")]}).encode()
+        headers = {"Content-Type": "application/json"}
+        status, coding, plain = _raw_request(server.url, "POST", "/get_many", body, headers)
+        assert status == 200 and coding is None
+        status, coding, zipped = _raw_request(
+            server.url, "POST", "/get_many", body, {**headers, "Accept-Encoding": "gzip"}
+        )
+        assert status == 200 and coding == "gzip"
+        assert json.loads(plain) == json.loads(decode_body(zipped, coding))
+        status, coding, health = _raw_request(server.url, "GET", "/health")
+        assert status == 200 and coding is None
+        assert json.loads(health)["status"] == "ok"
 
     def test_small_bodies_travel_uncompressed(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0)
@@ -105,30 +168,62 @@ class TestCompression:
         assert client.wire_stats()["compressed_requests"] == 0
 
     def test_gzip_result_round_trips_through_the_redesign_client(self, linear_flow):
-        """Level-1 gzip responses decode to the same result as plain ones."""
+        """Level-1 gzip responses decode to the same result a plain peer
+        reads, and a plain submission is planned like a gzipped one."""
         configuration = dict(
             pattern_budget=1, max_points_per_pattern=2, simulation_runs=1, seed=7
         )
         with RedesignServer(cache=ProfileCache(), workers=1) as srv:
-            compressed = RedesignClient(srv.url, timeout=10.0)
-            plain = RedesignClient(srv.url, timeout=10.0, compression=False)
-            job_id = compressed.submit(linear_flow, configuration)
-            assert compressed.wait(job_id, timeout=60.0)["status"] == "done"
-            before = compressed._client.compressed_responses
-            document = compressed.result_raw(job_id)
-            assert compressed._client.compressed_responses == before + 1
-            assert plain.result_raw(job_id) == document
-            assert plain._client.compressed_responses == 0
-            assert compressed.result(job_id).fingerprint() == plain.result(job_id).fingerprint()
-            compressed.close()
-            plain.close()
+            client = RedesignClient(srv.url, timeout=10.0)
+            job_id = client.submit(linear_flow, configuration)
+            assert client.wait(job_id, timeout=60.0)["status"] == "done"
+            before = client._client.compressed_responses
+            document = client.result_raw(job_id)
+            assert client._client.compressed_responses == before + 1
+            status, coding, plain = _raw_request(srv.url, "GET", f"/plans/{job_id}/result")
+            assert status == 200 and coding is None
+            assert json.loads(plain)["result"] == document
 
-    def test_encode_decode_inverse_and_deterministic(self):
-        payload = {"profiles": ["x" * 4096]}
-        body, coding = encode_body(payload, compress=True)
-        again, _ = encode_body(payload, compress=True)
+            submission = json.dumps(
+                {"flow": linear_flow.to_dict(), "configuration": configuration}
+            ).encode()
+            status, coding, accepted = _raw_request(
+                srv.url, "POST", "/plans", submission, {"Content-Type": "application/json"}
+            )
+            assert status == 200 and coding is None
+            plain_id = json.loads(accepted)["id"]
+            assert client.wait(plain_id, timeout=60.0)["status"] == "done"
+            assert client.result(plain_id).fingerprint() == client.result(job_id).fingerprint()
+            client.close()
+
+    def test_compress_decode_inverse_and_deterministic(self):
+        payload = json.dumps({"profiles": ["x" * 4096]}).encode()
+        body, coding = compress_body(payload)
+        again, _ = compress_body(payload)
         assert coding == "gzip" and body == again  # mtime=0: reproducible
-        assert json.loads(decode_body(body, coding).decode()) == payload
+        assert decode_body(body, coding) == payload
+        tiny = b'{"digest": "k"}'
+        assert compress_body(tiny) == (tiny, None)  # below COMPRESS_MIN_BYTES
+
+    def test_incompressible_bodies_go_out_plain(self):
+        """Above the threshold, a body gzip would grow is sent as it is."""
+        noise = random.Random(0).randbytes(4096)
+        assert compress_body(noise) == (noise, None)
+
+    def test_server_responses_use_the_shared_compressor(self, server):
+        """The server gzips a response exactly as ``compress_body`` does:
+        level 1, ``mtime=0``, so the bytes are reproducible."""
+        writer = HTTPProfileCache(server.url, timeout=5.0)
+        writer.put(cache_key("big"), _big_profile())
+        writer.flush()
+        body = json.dumps({"format": WIRE_FORMAT, "digests": [cache_key("big")]}).encode()
+        headers = {"Content-Type": "application/json"}
+        _, _, plain = _raw_request(server.url, "POST", "/get_many", body, headers)
+        status, coding, zipped = _raw_request(
+            server.url, "POST", "/get_many", body, {**headers, "Accept-Encoding": "gzip"}
+        )
+        assert status == 200 and coding == "gzip"
+        assert (zipped, coding) == compress_body(plain)
 
     def test_decompression_bomb_is_rejected_with_413(self, server):
         bomb = gzip.compress(b"0" * (64 * 1024 * 1024), mtime=0)
@@ -229,13 +324,10 @@ class TestRecoveryProbes:
                 client.close()
         assert any("re-attached" in record.message for record in caplog.records)
 
-    def test_recovery_interval_none_keeps_pr5_terminal_degradation(self):
-        server = CacheServer(ProfileCache()).start()
-        client = HTTPProfileCache(server.url, timeout=2.0, recovery_interval=None)
-        server.stop()
-        assert client.get(cache_key("k")) is None
-        assert client.degraded
-        assert client._probe_timer is None  # nothing scheduled, ever
+    @pytest.mark.parametrize("interval", [0, -1.0])
+    def test_recovery_interval_must_be_positive(self, interval):
+        with pytest.raises(ValueError):
+            HTTPProfileCache("http://127.0.0.1:1", recovery_interval=interval)
 
     def test_close_cancels_the_probe_timer(self):
         server = CacheServer(ProfileCache()).start()
@@ -284,18 +376,15 @@ class TestBestEffortObservability:
 
 
 class TestPendingBuffer:
-    def test_buffer_auto_publishes_at_max_pending(self, server):
-        client = HTTPProfileCache(server.url, timeout=5.0, max_pending=3)
+    def test_buffer_auto_publishes_at_max_pending(self, server, monkeypatch):
+        monkeypatch.setattr(cache_http, "MAX_PENDING", 3)
+        client = HTTPProfileCache(server.url, timeout=5.0)
         client.put(cache_key("a"), _profile())
         client.put(cache_key("b"), _profile())
         assert len(server.backend) == 0  # still buffered
         client.put(cache_key("c"), _profile())  # third entry crosses the bound
         assert len(server.backend) == 3
         assert client._pending == {}
-
-    def test_max_pending_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HTTPProfileCache("http://127.0.0.1:1", max_pending=0)
 
 
 class TestWildcardBinding:

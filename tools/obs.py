@@ -39,7 +39,7 @@ from repro.wire import PooledJSONClient  # noqa: E402
 
 def scrape(url: str, timeout: float = 5.0) -> dict:
     """One ``GET /metrics`` payload, or ``{"error": ...}`` on failure."""
-    client = PooledJSONClient(url, timeout, keep_alive=False)
+    client = PooledJSONClient(url, timeout)
     try:
         payload = client.request_json("GET", "/metrics")
         if not isinstance(payload, dict):
