@@ -8,7 +8,10 @@ consecutive combinations instead of re-applying it from the base flow.
 This benchmark times that generator on the TPC-H refresh workload at
 ``pattern_budget=3`` and reports candidates/sec, the
 application/validation time split and the prefix-reuse counters of
-:class:`~repro.core.alternatives.GenerationStats`.  Every repeat must
+:class:`~repro.core.alternatives.GenerationStats`, and counts the cyclic
+garbage collector's collections (per generation 0, 1 and 2) and their
+seconds during each run, through ``gc.callbacks`` -- the library itself
+never touches the collector.  Every repeat must
 produce the identical alternative stream (same labels, same
 signatures); equivalence with a from-scratch generator that rebuilds the
 initial flow for every combination is the test suite's job
@@ -26,6 +29,7 @@ test suite smoke-runs :func:`run_generation_bench` at tiny scale via
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -43,15 +47,50 @@ from repro.patterns.registry import default_palette  # noqa: E402
 from repro.workloads import tpch_refresh_flow  # noqa: E402
 
 
+class CollectionTally:
+    """Cyclic-GC collections and their seconds per generation, while registered.
+
+    A ``gc.callbacks`` hook: each collection's ``start``/``stop`` pair
+    adds one to ``counts[generation]`` and its duration to
+    ``seconds[generation]``.  Use it as a context manager around the
+    code to account.
+    """
+
+    def __init__(self) -> None:
+        self.counts = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started: float | None = None
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            generation = info["generation"]
+            self.counts[generation] += 1
+            self.seconds[generation] += time.perf_counter() - self._started
+            self._started = None
+
+    def __enter__(self) -> "CollectionTally":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        gc.callbacks.remove(self)
+
+    def as_dict(self) -> dict:
+        return {"collections": list(self.counts), "seconds": list(self.seconds)}
+
+
 def _run_once(flow, **knobs):
-    """One generation run; returns (seconds, [(label, signature)], stats dict)."""
+    """One generation run; returns (seconds, [(label, signature)], stats dict, gc dict)."""
     configuration = ProcessingConfiguration(**knobs)
     generator = AlternativeGenerator(default_palette(), HeuristicPolicy(), configuration)
-    started = time.perf_counter()
-    alternatives = list(generator.generate_iter(flow))
-    seconds = time.perf_counter() - started
+    with CollectionTally() as tally:
+        started = time.perf_counter()
+        alternatives = list(generator.generate_iter(flow))
+        seconds = time.perf_counter() - started
     outcome = [(alt.label, alt.flow.signature()) for alt in alternatives]
-    return seconds, outcome, generator.last_stats.as_dict()
+    return seconds, outcome, generator.last_stats.as_dict(), tally.as_dict()
 
 
 def run_generation_bench(
@@ -66,7 +105,9 @@ def run_generation_bench(
     """Time generation and return a report.
 
     The generator runs ``repeats`` times; the reported wall-clock is the
-    median, which keeps the figure robust against scheduler noise.
+    median, which keeps the figure robust against scheduler noise, and so
+    are the per-generation collection counts and seconds (``gc``; every
+    run's are in ``gc_runs``).
     """
     if flow is None:
         flow = tpch_refresh_flow(scale=scale)
@@ -79,10 +120,12 @@ def run_generation_bench(
     seconds: list[float] = []
     outcomes: list[list] = []
     stats: dict = {}
+    gc_runs: list[dict] = []
     for _ in range(max(1, repeats)):
-        elapsed, outcome, stats = _run_once(flow, **knobs)
+        elapsed, outcome, stats, collections = _run_once(flow, **knobs)
         seconds.append(elapsed)
         outcomes.append(outcome)
+        gc_runs.append(collections)
     median_seconds = statistics.median(seconds)
     alternatives = len(outcomes[0])
     return {
@@ -102,6 +145,11 @@ def run_generation_bench(
         "prefix_hits": stats["prefix_hits"],
         "prefix_steps_reused": stats["prefix_steps_reused"],
         "identical_alternatives": all(outcome == outcomes[0] for outcome in outcomes),
+        "gc": {
+            key: [statistics.median(run[key][g] for run in gc_runs) for g in range(3)]
+            for key in ("collections", "seconds")
+        },
+        "gc_runs": gc_runs,
         "stats": stats,
     }
 
@@ -119,6 +167,11 @@ def _render_report(report: dict) -> str:
             f"prefix cache: {report['patterns_applied']} applications for "
             f"{report['combinations_tried']} combinations, "
             f"{report['prefix_steps_reused']} steps reused",
+            "gc collections per run (gen 0/1/2): "
+            + "/".join(f"{count:g}" for count in report["gc"]["collections"])
+            + " in "
+            + "/".join(f"{seconds * 1000:.1f}" for seconds in report["gc"]["seconds"])
+            + " ms",
             f"identical alternative streams across repeats: "
             f"{report['identical_alternatives']}",
         ]

@@ -149,6 +149,8 @@ def run_all(tiny: bool = False) -> dict:
             "patterns_applied": generation["patterns_applied"],
             "prefix_steps_reused": generation["prefix_steps_reused"],
             "identical_alternatives": generation["identical_alternatives"],
+            "gc_collections": generation["gc"]["collections"],
+            "gc_seconds": generation["gc"]["seconds"],
             "raw": generation,
         },
         "streaming": {

@@ -90,10 +90,39 @@ class AlternativeFlow:
 
 @dataclass(frozen=True)
 class _Deployment:
-    """One candidate (pattern, point) pair selected by the policy."""
+    """One candidate (pattern, point) pair selected by the policy.
+
+    ``application`` is the record every successful deployment of the
+    pair appends (one shared value, not one per alternative), and
+    ``conflict`` its identity for :meth:`AlternativeGenerator._combination_is_reasonable`:
+    two deployments may not share a combination when their conflict keys
+    are equal -- the same pattern at the same point, or the same
+    graph-level pattern twice.  ``checks`` are the predicates of the
+    pattern's prerequisites, read once per generation run instead of
+    once per re-check; ``None`` when the pattern overrides
+    :meth:`~repro.patterns.base.FlowComponentPattern.is_applicable_at`.
+    """
 
     pattern: FlowComponentPattern
     point: ApplicationPoint
+    application: PatternApplication = field(init=False, compare=False, repr=False)
+    conflict: tuple = field(init=False, compare=False, repr=False)
+    checks: tuple | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        pattern = self.pattern
+        name = pattern.name
+        object.__setattr__(self, "application", PatternApplication(name, self.point))
+        checks = None
+        applicable = getattr(pattern.is_applicable_at, "__func__", None)
+        if applicable is FlowComponentPattern.is_applicable_at:
+            checks = tuple(prerequisite.predicate for prerequisite in pattern.prerequisites())
+        object.__setattr__(self, "checks", checks)
+        if self.point.point_type is ApplicationPointType.GRAPH:
+            conflict = (name, ApplicationPointType.GRAPH.value)
+        else:
+            conflict = (name,) + self.point.key()
+        object.__setattr__(self, "conflict", conflict)
 
 
 @dataclass
@@ -257,6 +286,11 @@ class AlternativeGenerator:
         # are frozen values and forks privatize adjacency before writing,
         # so generation never changes the caller's graph.
         deployments = self.candidate_deployments(flow)
+        # With pairwise distinct conflict keys -- the usual case: each
+        # pattern appears once and lists each point once -- every
+        # combination is reasonable, which is proven here once for the
+        # whole run instead of per combination.
+        screen = len({deployment.conflict for deployment in deployments}) < len(deployments)
         produced = 0
         seen_signatures = {flow.signature()}
         # The base issue list and the prefix cache are scoped to this run:
@@ -269,7 +303,7 @@ class AlternativeGenerator:
                 for combo in itertools.combinations(deployments, combo_size):
                     if produced >= config.max_alternatives:
                         return
-                    if not self._combination_is_reasonable(combo):
+                    if screen and not self._combination_is_reasonable(combo):
                         continue
                     stats.combinations_tried += 1
                     alternative = self._apply_combination(
@@ -277,11 +311,13 @@ class AlternativeGenerator:
                     )
                     if alternative is None:
                         continue
-                    signature = alternative.flow.signature()
-                    if signature in seen_signatures:
+                    # One insertion answers the membership test too:
+                    # hashing a signature walks every entry of it.
+                    seen = len(seen_signatures)
+                    seen_signatures.add(alternative.flow.signature())
+                    if len(seen_signatures) == seen:
                         stats.duplicates_pruned += 1
                         continue
-                    seen_signatures.add(signature)
                     produced += 1
                     stats.yielded = produced
                     alternative.label = f"ETL Flow {produced}"
@@ -292,19 +328,14 @@ class AlternativeGenerator:
     # ------------------------------------------------------------------
 
     def _combination_is_reasonable(self, combo: Sequence[_Deployment]) -> bool:
-        """Cheap pre-checks avoiding obviously redundant combinations."""
-        seen_points: set[tuple] = set()
-        seen_graph_patterns: set[str] = set()
-        for deployment in combo:
-            point_key = (deployment.pattern.name,) + deployment.point.key()
-            if point_key in seen_points:
-                return False
-            seen_points.add(point_key)
-            if deployment.point.point_type is ApplicationPointType.GRAPH:
-                if deployment.pattern.name in seen_graph_patterns:
-                    return False
-                seen_graph_patterns.add(deployment.pattern.name)
-        return True
+        """Whether no two deployments of ``combo`` conflict.
+
+        Two deployments conflict when they deploy the same pattern at the
+        same point, or the same graph-level pattern twice (see
+        :class:`_Deployment`); a combination holding a conflicting pair
+        is redundant.
+        """
+        return len({deployment.conflict for deployment in combo}) == len(combo)
 
     def _apply_combination(
         self,
@@ -355,7 +386,12 @@ class AlternativeGenerator:
         last = len(combo) - 1
         for index in range(reused, len(combo)):
             deployment = combo[index]
-            point = self._refresh_point(current, deployment)
+            # The base flow is where every point was found valid, so a
+            # step on it skips the prerequisite re-check.
+            if current is flow:
+                point = deployment.point
+            else:
+                point = self._refresh_point(current, deployment)
             if point is not None:
                 tick = time.perf_counter()
                 try:
@@ -378,7 +414,7 @@ class AlternativeGenerator:
                             chained = False
                             issues = None
                     current = derived
-                    applied.append(PatternApplication(deployment.pattern.name, point))
+                    applied.append(deployment.application)
             if index < last:
                 stack.append(
                     _PrefixEntry(deployment, current, tuple(applied), chained, issues)
@@ -400,14 +436,27 @@ class AlternativeGenerator:
     def _refresh_point(
         self, current: ETLGraph, deployment: _Deployment
     ) -> ApplicationPoint | None:
-        """Check that the deployment's point still exists and is still valid."""
+        """Check that the deployment's point still exists and is still valid.
+
+        Equal to ``pattern.is_applicable_at(current, point)`` after the
+        existence check: the point has the pattern's point type (the
+        pattern found it), and the prerequisites are the ones the
+        deployment read at the start of the run.
+        """
         point = deployment.point
-        if point.point_type is ApplicationPointType.NODE:
+        point_type = point.point_type
+        if point_type is ApplicationPointType.NODE:
             if point.node_id not in current:
                 return None
-        elif point.point_type is ApplicationPointType.EDGE:
+        elif point_type is ApplicationPointType.EDGE:
             if not current.has_edge(*point.edge):
                 return None
-        if not deployment.pattern.is_applicable_at(current, point):
-            return None
+        checks = deployment.checks
+        if checks is None:
+            if not deployment.pattern.is_applicable_at(current, point):
+                return None
+        else:
+            for check in checks:
+                if not check(current, point):
+                    return None
         return point

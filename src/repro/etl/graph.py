@@ -43,8 +43,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+from bisect import bisect_left, insort
+from collections import abc
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.etl.operations import MERGER_KINDS, Operation, OperationKind
 from repro.etl.schema import Schema
@@ -96,10 +99,14 @@ def _hops_to_end(adjacency: Mapping[str, Mapping[str, Any]], start: str) -> int:
     return 0
 
 
-#: The code of each operation kind in signatures and fingerprints: its
-#: value, read from one table instead of through the ``Enum.value``
-#: property.
-_KIND_CODES: dict[OperationKind, str] = {kind: kind.value for kind in OperationKind}
+def _edge_code(key: tuple[str, str]) -> bytes:
+    """One transition's part of the fingerprint: its two endpoint ids, NUL-separated.
+
+    The fingerprint's transition segment is these codes joined by NUL
+    bytes, which equals encoding every endpoint id NUL-separated in one
+    go (the encoding works code point by code point).
+    """
+    return f"{key[0]}\x00{key[1]}".encode("utf-8", "surrogatepass")
 
 
 def _operation_entry(op: Operation) -> tuple[str, bytes]:
@@ -119,13 +126,67 @@ def _operation_entry(op: Operation) -> tuple[str, bytes]:
     """
     content = (
         op.op_id,
-        _KIND_CODES[op.kind],
+        op.kind._value_,
         op.parallelism,
         op.output_schema.fingerprint_code(),
         tuple(sorted((str(k), repr(v)) for k, v in op.config.items())),
         op.properties.fingerprint_code(),
     )
     return (op.op_id, hashlib.sha256(repr(content).encode("utf-8")).digest())
+
+
+#: The digest of a fingerprint entry, read in C by ``map``.
+_DIGEST = itemgetter(1)
+
+
+def _drop_ids(entries: list[tuple], ids: Iterable[str]) -> None:
+    """Delete the entries keyed ``ids`` from ``entries``, sorted and keyed by first item.
+
+    Each id is found by bisection (a one-tuple ``(op_id,)`` sorts just
+    before every entry it starts); ids without an entry are skipped.
+    """
+    for op_id in ids:
+        index = bisect_left(entries, (op_id,))
+        if index < len(entries) and entries[index][0] == op_id:
+            del entries[index]
+
+
+#: The value of every delta part and ownership set nothing has written
+#: yet: forks allocate their sets on first write, so the steps that leave
+#: a part empty (most of them) never pay for it.  Writers test the type,
+#: never the identity (see :func:`_with`).
+_NO_IDS: frozenset = frozenset()
+
+
+class _NoAnnotations(abc.Mapping):
+    """The read-only empty mapping an unwritten ``annotations_set`` holds.
+
+    A module singleton that pickles by reference, so an unpickled delta
+    holds it too.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key: str) -> Any:
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __hash__(self) -> int:  # a dataclass field default must be hashable
+        return 0
+
+    def __reduce__(self) -> str:
+        return "_NO_ANNOTATIONS"
+
+
+_NO_ANNOTATIONS: Mapping[str, Any] = _NoAnnotations()
 
 
 @dataclass
@@ -137,6 +198,12 @@ class GraphDelta:
     delta so that, at any point, replaying the delta on the parent yields
     the child.  Entries are *net* effects -- an operation added and then
     removed again leaves no trace.
+
+    A part stays the shared empty value (an empty ``frozenset``, or an
+    empty read-only mapping for ``annotations_set``) until the first
+    recording helper writes to it, which swaps in a ``set`` or a ``dict``
+    of its own.  Read the parts freely; write them only through the
+    ``record_*`` helpers.
 
     Attributes
     ----------
@@ -153,13 +220,13 @@ class GraphDelta:
         Graph annotations set through :meth:`ETLGraph.set_annotation`.
     """
 
-    ops_added: set[str] = field(default_factory=set)
-    ops_removed: set[str] = field(default_factory=set)
-    ops_modified: set[str] = field(default_factory=set)
-    edges_added: set[tuple[str, str]] = field(default_factory=set)
-    edges_removed: set[tuple[str, str]] = field(default_factory=set)
-    edges_modified: set[tuple[str, str]] = field(default_factory=set)
-    annotations_set: dict[str, Any] = field(default_factory=dict)
+    ops_added: set[str] | frozenset = _NO_IDS
+    ops_removed: set[str] | frozenset = _NO_IDS
+    ops_modified: set[str] | frozenset = _NO_IDS
+    edges_added: set[tuple[str, str]] | frozenset = _NO_IDS
+    edges_removed: set[tuple[str, str]] | frozenset = _NO_IDS
+    edges_modified: set[tuple[str, str]] | frozenset = _NO_IDS
+    annotations_set: Mapping[str, Any] = _NO_ANNOTATIONS
 
     def is_empty(self) -> bool:
         """Whether the delta records no change at all."""
@@ -172,22 +239,6 @@ class GraphDelta:
             or self.edges_modified
             or self.annotations_set
         )
-
-    def touched_operations(self, flow: "ETLGraph") -> set[str]:
-        """Identifiers of present operations whose neighbourhood changed.
-
-        Covers added and updated operations plus every endpoint of an
-        added, removed or modified transition -- exactly the set whose
-        degree, schema environment or payload may differ from the parent,
-        and therefore the only operations delta validation re-checks.
-        """
-        ids = set(self.ops_added) | set(self.ops_modified)
-        for source, target in itertools.chain(
-            self.edges_added, self.edges_removed, self.edges_modified
-        ):
-            ids.add(source)
-            ids.add(target)
-        return {op_id for op_id in ids if op_id in flow}
 
     def summary(self) -> dict[str, int]:
         """Compact size report (used by generation statistics)."""
@@ -252,39 +303,67 @@ class GraphDelta:
     def record_op_added(self, op_id: str) -> None:
         if op_id in self.ops_removed:
             # Removed and re-added: the payload may differ from the parent.
-            self.ops_removed.discard(op_id)
-            self.ops_modified.add(op_id)
+            self.ops_removed = _without(self.ops_removed, op_id)
+            self.ops_modified = _with(self.ops_modified, op_id)
         else:
-            self.ops_added.add(op_id)
+            self.ops_added = _with(self.ops_added, op_id)
 
     def record_op_removed(self, op_id: str) -> None:
         if op_id in self.ops_added:
-            self.ops_added.discard(op_id)
+            self.ops_added = _without(self.ops_added, op_id)
         else:
-            self.ops_modified.discard(op_id)
-            self.ops_removed.add(op_id)
+            if op_id in self.ops_modified:
+                self.ops_modified = _without(self.ops_modified, op_id)
+            self.ops_removed = _with(self.ops_removed, op_id)
 
     def record_op_modified(self, op_id: str) -> None:
         if op_id not in self.ops_added:
-            self.ops_modified.add(op_id)
+            self.ops_modified = _with(self.ops_modified, op_id)
 
     def record_edge_added(self, key: tuple[str, str]) -> None:
         if key in self.edges_removed:
-            self.edges_removed.discard(key)
-            self.edges_modified.add(key)
+            self.edges_removed = _without(self.edges_removed, key)
+            self.edges_modified = _with(self.edges_modified, key)
         else:
-            self.edges_added.add(key)
+            self.edges_added = _with(self.edges_added, key)
 
     def record_edge_removed(self, key: tuple[str, str]) -> None:
         if key in self.edges_added:
-            self.edges_added.discard(key)
+            self.edges_added = _without(self.edges_added, key)
         else:
-            self.edges_modified.discard(key)
-            self.edges_removed.add(key)
+            if key in self.edges_modified:
+                self.edges_modified = _without(self.edges_modified, key)
+            self.edges_removed = _with(self.edges_removed, key)
 
     def record_edge_modified(self, key: tuple[str, str]) -> None:
         if key not in self.edges_added:
-            self.edges_modified.add(key)
+            self.edges_modified = _with(self.edges_modified, key)
+
+    def record_annotation(self, key: str, value: Any) -> None:
+        annotations = self.annotations_set
+        if type(annotations) is not dict:
+            annotations = self.annotations_set = dict(annotations)
+        annotations[key] = value
+
+
+def _with(part: set | frozenset, item: Any) -> set:
+    """``part`` with ``item`` added: ``part`` itself once it is a ``set``, else a new one.
+
+    Tests the type, never the identity, so a part that went through
+    pickle (a different empty ``frozenset``) is replaced just the same.
+    """
+    if type(part) is not set:
+        part = set(part)
+    part.add(item)
+    return part
+
+
+def _without(part: set | frozenset, item: Any) -> set:
+    """``part`` with ``item`` discarded, made writable as :func:`_with` does."""
+    if type(part) is not set:
+        part = set(part)
+    part.discard(item)
+    return part
 
 
 @dataclass(frozen=True)
@@ -334,24 +413,37 @@ class ETLGraph:
         self._succ: dict[str, dict[str, Edge]] = {}
         self._pred: dict[str, dict[str, Edge]] = {}
         self.annotations: dict[str, Any] = {}
-        self._lineage: list[str] = []
+        # The lineage is a tuple: forks share it until they append.
+        self._lineage: tuple[str, ...] = ()
         # Copy bookkeeping.  ``_delta`` (copies only) records the net
         # difference against the copy parent; ``_parent_sig`` and
-        # ``_parent_fp`` snapshot the parent's structural signature and
-        # operation fingerprint entries so the child's are computed by
-        # merging the delta instead of re-hashing the whole flow.
-        # Adjacency copy-on-write: when ``_shared_adj`` is set (after a
-        # fork, on both sides), the per-node adjacency dicts may be
-        # shared with another graph; ``_own_succ``/``_own_pred`` name the
-        # nodes whose dicts this graph has already privatized.
+        # ``_parent_fp`` snapshot the parent's ``_sig_cache`` and
+        # ``_fp_cache`` so the child's are computed by merging the delta
+        # instead of re-hashing the whole flow.
+        # Copy-on-write, at two levels.  ``_shared_nodes`` (the operation
+        # dict) and ``_shared_links`` (the two outer adjacency dicts) are
+        # set on both sides of a fork, which shares those dicts outright;
+        # the first write on either side copies them.  When
+        # ``_shared_adj`` is set (after a fork, on both sides), the
+        # per-node adjacency dicts may be shared with another graph;
+        # ``_own_succ``/``_own_pred`` name the nodes whose dicts this
+        # graph has already privatized (an empty ``frozenset`` until the
+        # first privatization allocates a set).
+        self._shared_nodes: bool = False
+        self._shared_links: bool = False
         self._shared_adj: bool = False
-        self._own_succ: set[str] | None = None
-        self._own_pred: set[str] | None = None
+        self._own_succ: set[str] | frozenset | None = None
+        self._own_pred: set[str] | frozenset | None = None
         self._delta: GraphDelta | None = None
         self._parent_uid: int | None = None
         self._parent_sig: tuple | None = None
         self._parent_fp: tuple | None = None
         self._parent_ref: "ETLGraph | None" = None
+        # ``(nodes, edges, edge codes)``: the structural signature and,
+        # aligned with the edge tuple, each transition's encoded part of
+        # the fingerprint (:func:`_edge_code`).  The codes travel with
+        # the edges: a child that keeps the parent's edge tuple keeps
+        # its codes, and one that changes transitions splices both.
         self._sig_cache: tuple | None = None
         self._fp_cache: tuple | None = None
         # Bumped by every mutation; a child only merges from its parent's
@@ -378,19 +470,55 @@ class ETLGraph:
         self._fp_cache = None
         self._version += 1
 
+    def _writable_nodes(self) -> dict[str, Operation]:
+        """The operation dict, privatized for writing."""
+        if self._shared_nodes:
+            self._nodes = dict(self._nodes)
+            self._shared_nodes = False
+        return self._nodes
+
+    def _own_links(self) -> None:
+        """Privatize the two outer adjacency dicts for writing.
+
+        The per-node dicts they hold stay shared; :meth:`_succ_of` and
+        :meth:`_pred_of` privatize those one by one.  A per-node dict
+        this graph owns implies outer dicts it owns, since both sides of
+        a fork restart with no per-node dict owned.
+        """
+        if self._shared_links:
+            self._succ = dict(self._succ)
+            self._pred = dict(self._pred)
+            self._shared_links = False
+
     def _succ_of(self, op_id: str) -> dict[str, Edge]:
         """The successor dict of ``op_id``, privatized for writing."""
         if self._shared_adj and op_id not in self._own_succ:
+            self._own_links()
             self._succ[op_id] = dict(self._succ[op_id])
-            self._own_succ.add(op_id)
+            self._owned_succ().add(op_id)
         return self._succ[op_id]
 
     def _pred_of(self, op_id: str) -> dict[str, Edge]:
         """The predecessor dict of ``op_id``, privatized for writing."""
         if self._shared_adj and op_id not in self._own_pred:
+            self._own_links()
             self._pred[op_id] = dict(self._pred[op_id])
-            self._own_pred.add(op_id)
+            self._owned_pred().add(op_id)
         return self._pred[op_id]
+
+    def _owned_succ(self) -> set[str]:
+        """The writable ``_own_succ`` set, allocated on first write."""
+        own = self._own_succ
+        if type(own) is not set:
+            own = self._own_succ = set()
+        return own
+
+    def _owned_pred(self) -> set[str]:
+        """The writable ``_own_pred`` set, allocated on first write."""
+        own = self._own_pred
+        if type(own) is not set:
+            own = self._own_pred = set()
+        return own
 
     def _write_edge(self, edge: Edge) -> None:
         """Insert or replace ``edge`` in both adjacency directions.
@@ -417,13 +545,14 @@ class ETLGraph:
         op_id = operation.op_id
         if op_id in self._nodes:
             raise ValueError(f"duplicate operation id: {op_id!r}")
-        self._nodes[op_id] = operation
+        self._writable_nodes()[op_id] = operation
+        self._own_links()
         self._succ[op_id] = {}
         self._pred[op_id] = {}
         if self._shared_adj:
             # The freshly created adjacency dicts are private already.
-            self._own_succ.add(op_id)
-            self._own_pred.add(op_id)
+            self._owned_succ().add(op_id)
+            self._owned_pred().add(op_id)
         self._dirty()
         if self._delta is not None:
             self._delta.record_op_added(op_id)
@@ -490,10 +619,14 @@ class ETLGraph:
             del self._succ_of(pred)[op_id]
         for succ in succs:
             del self._pred_of(succ)[op_id]
-        del self._nodes[op_id], self._succ[op_id], self._pred[op_id]
+        del self._writable_nodes()[op_id]
+        self._own_links()
+        del self._succ[op_id], self._pred[op_id]
         if self._shared_adj:
-            self._own_succ.discard(op_id)
-            self._own_pred.discard(op_id)
+            if op_id in self._own_succ:
+                self._own_succ.discard(op_id)
+            if op_id in self._own_pred:
+                self._own_pred.discard(op_id)
         self._dirty()
         if self._delta is not None:
             for pred in preds:
@@ -554,7 +687,8 @@ class ETLGraph:
         invalidated.  Returns the new operation.  Identifiers change
         through :meth:`relabel_operation` instead.
         """
-        updated = self._nodes[op_id] = replace(self.operation(op_id), **changes)
+        updated = replace(self.operation(op_id), **changes)
+        self._writable_nodes()[op_id] = updated
         self._dirty()
         if self._delta is not None:
             self._delta.record_op_modified(op_id)
@@ -606,6 +740,11 @@ class ETLGraph:
                 if not waiting[later]:
                     heapq.heappush(ready, later)
         return order
+
+    def out_edges(self, op_id: str) -> list[Edge]:
+        """The transitions leaving ``op_id``, in edge insertion order."""
+        self._require(op_id)
+        return list(self._succ[op_id].values())
 
     def edge(self, source: str, target: str) -> Edge:
         """Return the transition ``source -> target``."""
@@ -850,7 +989,7 @@ class ETLGraph:
 
     def record_pattern(self, description: str) -> None:
         """Append a pattern application record to the flow lineage."""
-        self._lineage.append(description)
+        self._lineage += (description,)
 
     def set_annotation(self, key: str, value: Any) -> None:
         """Set a graph-level annotation, recording it in the delta.
@@ -862,7 +1001,7 @@ class ETLGraph:
         """
         self.annotations[key] = value
         if self._delta is not None:
-            self._delta.annotations_set[key] = value
+            self._delta.record_annotation(key, value)
 
     # ------------------------------------------------------------------
     # Delta / derivation introspection
@@ -888,11 +1027,15 @@ class ETLGraph:
     def copy(self, name: str | None = None) -> "ETLGraph":
         """Return a copy of the flow that evolves independently of it.
 
-        A cheap fork: only the three outer dicts are copied.  The copy
-        shares every operation payload with this graph (operations are
-        frozen values) and shares the per-operation adjacency dicts until
-        a write on either side privatizes the touched ones.  The copy records each later
-        mutation in its :class:`GraphDelta` (:attr:`delta`) and
+        A cheap fork that copies no container: the copy shares every
+        operation payload with this graph (operations are frozen values)
+        and shares the operation dict and the adjacency dicts until a
+        write on either side privatizes them -- the outer dicts on the
+        first structural write, each per-operation adjacency dict on the
+        first write to it.  A fork that only sets annotations never
+        copies the structure at all.  Its delta parts are allocated on
+        first write as well (see :class:`GraphDelta`).  The copy records
+        each later mutation in its :class:`GraphDelta` (:attr:`delta`) and
         maintains :meth:`signature` and :meth:`fingerprint`
         incrementally from this graph's, so downstream validation,
         deduplication and cache keys cost O(delta).
@@ -913,25 +1056,42 @@ class ETLGraph:
         name:
             Optional name of the copy (defaults to this flow's name).
         """
-        clone = ETLGraph(name=name or self.name)
-        clone._nodes = dict(self._nodes)
-        clone._succ = dict(self._succ)
-        clone._pred = dict(self._pred)
+        # Built without ``__init__``, whose fresh containers the fork
+        # would only replace; the attributes are set in ``__init__``'s
+        # order.  The lineage tuple is shared until either side appends.
+        clone = ETLGraph.__new__(ETLGraph)
+        clone.name = name or self.name
+        clone._nodes = self._nodes
+        clone._succ = self._succ
+        clone._pred = self._pred
         clone.annotations = dict(self.annotations)
-        clone._lineage = list(self._lineage)
-        # After the fork every adjacency dict is shared between the two
-        # graphs, so both sides restart their copy-on-write tracking.
+        clone._lineage = self._lineage
+        # After the fork every dict of the structure is shared between
+        # the two graphs, so both sides restart their copy-on-write
+        # tracking.
+        clone._shared_nodes = True
+        clone._shared_links = True
         clone._shared_adj = True
-        clone._own_succ = set()
-        clone._own_pred = set()
-        if not self._shared_adj or self._own_succ or self._own_pred:
-            self._shared_adj = True
-            self._own_succ = set()
-            self._own_pred = set()
+        clone._own_succ = _NO_IDS
+        clone._own_pred = _NO_IDS
         clone._delta = GraphDelta()
         clone._parent_uid = self._uid
+        clone._parent_sig = None
+        clone._parent_fp = None
         clone._parent_ref = self
+        clone._sig_cache = None
+        clone._fp_cache = None
+        clone._version = 0
         clone._parent_version = self._version
+        clone._order_memo = None
+        clone._longest_memo = None
+        clone._uid = next(_graph_uid_counter)
+        self._shared_nodes = True
+        self._shared_links = True
+        if not self._shared_adj or self._own_succ or self._own_pred:
+            self._shared_adj = True
+            self._own_succ = _NO_IDS
+            self._own_pred = _NO_IDS
         return clone
 
     def structurally_equal(self, other: "ETLGraph") -> bool:
@@ -957,7 +1117,7 @@ class ETLGraph:
         read live (annotation dicts are tiny and may be assigned
         directly).
         """
-        nodes, edges = self._structural_signature()
+        nodes, edges, _ = self._structural_signature()
         return (nodes, edges, self._annotation_items())
 
     def _annotation_items(self) -> tuple:
@@ -967,7 +1127,7 @@ class ETLGraph:
         return tuple(sorted((str(k), repr(v)) for k, v in self.annotations.items()))
 
     def _capture_parent(self) -> None:
-        """Snapshot the copy parent's signature and fingerprint entries, once.
+        """Snapshot the copy parent's signature and fingerprint caches, once.
 
         A parent mutated since the fork no longer matches the recorded
         delta; the child then computes both from scratch.
@@ -980,7 +1140,11 @@ class ETLGraph:
                 self._parent_fp = parent._operation_entries()
 
     def _structural_signature(self) -> tuple:
-        """The (nodes, edges) part of the signature, cached per structure version."""
+        """``(nodes, edges, edge code)``, cached per structure version.
+
+        The first two are the structural part of :meth:`signature`; the
+        edge code is the transition segment of :meth:`fingerprint`.
+        """
         if self._sig_cache is not None:
             return self._sig_cache
         self._capture_parent()
@@ -989,41 +1153,62 @@ class ETLGraph:
         else:
             nodes = tuple(
                 sorted(
-                    (op.op_id, _KIND_CODES[op.kind], op.parallelism)
+                    (op.op_id, op.kind._value_, op.parallelism)
                     for op in self._nodes.values()
                 )
             )
             edges = tuple(sorted((e.source, e.target) for e in self.edges()))
-            signature = (nodes, edges)
+            signature = (nodes, edges, tuple(map(_edge_code, edges)))
         self._sig_cache = signature
         return signature
 
     def _merge_parent_signature(self) -> tuple:
         """Parent structural signature + delta -> this graph's signature.
 
-        A part the delta does not touch is the parent's tuple itself: an
-        annotation-only delta returns both, a delta that changes
-        operations but no transition returns the parent's edges.
+        Each changed entry is spliced in or out of a copy of the parent's
+        sorted tuple by bisection, and each changed transition's code
+        with it.  A part the delta does not touch is the parent's tuple
+        itself: an annotation-only delta returns the parent's cache
+        whole, and a delta that changes operations but no transition
+        keeps the parent's edges and their codes.
         """
-        nodes, edges = self._parent_sig
+        parent = self._parent_sig
+        nodes, edges, edge_codes = parent
         delta = self._delta
-        if delta.ops_added or delta.ops_removed or delta.ops_modified:
-            changed = delta.ops_added | delta.ops_modified
-            gone = delta.ops_removed | changed
-            merged = [entry for entry in nodes if entry[0] not in gone]
-            for op_id in changed:
-                op = self._nodes.get(op_id)
-                if op is not None:
-                    merged.append((op_id, _KIND_CODES[op.kind], op.parallelism))
-            merged.sort()
+        ops_added, ops_modified = delta.ops_added, delta.ops_modified
+        ops_removed = delta.ops_removed
+        edges_added, edges_removed = delta.edges_added, delta.edges_removed
+        if ops_added or ops_modified or ops_removed:
+            merged = list(nodes)
+            for gone in (ops_removed, ops_added, ops_modified):
+                if gone:
+                    _drop_ids(merged, gone)
+            present = self._nodes
+            for changed in (ops_added, ops_modified):
+                for op_id in changed:
+                    op = present.get(op_id)
+                    if op is not None:
+                        insort(merged, (op_id, op.kind._value_, op.parallelism))
             nodes = tuple(merged)
-        if delta.edges_added or delta.edges_removed:
-            edge_gone = delta.edges_removed | delta.edges_added
-            kept = [key for key in edges if key not in edge_gone]
-            kept.extend(key for key in delta.edges_added if self.has_edge(*key))
-            kept.sort()
+        elif not (edges_added or edges_removed):
+            return parent
+        if edges_added or edges_removed:
+            kept = list(edges)
+            codes = list(edge_codes)
+            for gone in (edges_removed, edges_added):
+                for key in gone:
+                    index = bisect_left(kept, key)
+                    if index < len(kept) and kept[index] == key:
+                        del kept[index], codes[index]
+            succ = self._succ
+            for key in edges_added:
+                if key[1] in succ.get(key[0], ()):
+                    index = bisect_left(kept, key)
+                    kept.insert(index, key)
+                    codes.insert(index, _edge_code(key))
             edges = tuple(kept)
-        return (nodes, edges)
+            edge_codes = tuple(codes)
+        return (nodes, edges, edge_codes)
 
     def fingerprint(self) -> str:
         """A content digest (64 lowercase hex) of everything that influences measures.
@@ -1057,19 +1242,17 @@ class ETLGraph:
         copies, merged from the parent's entries plus the recorded delta
         (an unchanged operation's digest is shared with the parent, never
         recomputed); the transitions are those of the structural
-        signature, reused from the parent when the delta touches none,
-        and the annotations are read live.
+        signature, each encoded once (:func:`_edge_code`) and shared with
+        every fork that keeps it; the annotations are read live.
         """
         entries = self._operation_entries()
-        edges = self._structural_signature()[1]
+        _, edges, edge_codes = self._structural_signature()
         return hashlib.sha256(
             b"".join(
                 (
                     f"{len(entries)}:{len(edges)}:".encode(),
-                    b"".join([entry[1] for entry in entries]),
-                    "\x00".join(itertools.chain.from_iterable(edges)).encode(
-                        "utf-8", "surrogatepass"
-                    ),
+                    b"".join(map(_DIGEST, entries)),
+                    b"\x00".join(edge_codes),
                     b"\x00",
                     repr(self._annotation_items()).encode("utf-8"),
                 )
@@ -1089,17 +1272,22 @@ class ETLGraph:
         return entries
 
     def _merge_parent_entries(self) -> tuple:
-        """Parent fingerprint entries + delta -> this graph's entries."""
+        """Parent fingerprint entries + delta -> this graph's, spliced by bisection."""
         delta = self._delta
-        if not (delta.ops_added or delta.ops_removed or delta.ops_modified):
+        ops_added, ops_modified = delta.ops_added, delta.ops_modified
+        ops_removed = delta.ops_removed
+        if not (ops_added or ops_modified or ops_removed):
             return self._parent_fp
-        changed = delta.ops_added | delta.ops_modified
-        gone = delta.ops_removed | changed
-        entries = [entry for entry in self._parent_fp if entry[0] not in gone]
-        for op_id in changed:
-            if op_id in self._nodes:
-                entries.append(_operation_entry(self._nodes[op_id]))
-        entries.sort()
+        entries = list(self._parent_fp)
+        for gone in (ops_removed, ops_added, ops_modified):
+            if gone:
+                _drop_ids(entries, gone)
+        present = self._nodes
+        for changed in (ops_added, ops_modified):
+            for op_id in changed:
+                op = present.get(op_id)
+                if op is not None:
+                    insort(entries, _operation_entry(op))
         return tuple(entries)
 
     # ------------------------------------------------------------------
@@ -1107,18 +1295,22 @@ class ETLGraph:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:
-        """Privatize shared adjacency dicts before pickling.
+        """Privatize shared structure dicts before pickling.
 
         Flows are picklable values.  A parent and a copy pickled in the
-        same payload would otherwise come back sharing adjacency dicts
+        same payload would otherwise come back sharing structure dicts
         while believing they own them; privatizing here
         keeps every unpickled graph self-contained.  Operations need no
         such care: they are frozen values, safe to share.
         """
         state = self.__dict__.copy()
+        if self._shared_nodes:
+            state["_nodes"] = dict(self._nodes)
+            state["_shared_nodes"] = False
         if self._shared_adj:
             state["_succ"] = {op_id: dict(succs) for op_id, succs in self._succ.items()}
             state["_pred"] = {op_id: dict(preds) for op_id, preds in self._pred.items()}
+            state["_shared_links"] = False
             state["_shared_adj"] = False
             state["_own_succ"] = None
             state["_own_pred"] = None
@@ -1171,7 +1363,7 @@ class ETLGraph:
                 label=str(edge_data.get("label", "")),
             )
         flow.annotations = dict(data.get("annotations", {}))
-        flow._lineage = [str(item) for item in data.get("applied_patterns", [])]
+        flow._lineage = tuple(str(item) for item in data.get("applied_patterns", []))
         return flow
 
     def to_delta_dict(self, base: "ETLGraph") -> dict[str, Any]:
@@ -1272,6 +1464,8 @@ class ETLGraph:
         ``KeyError``.
         """
         flow = self.copy(name=str(data["name"]))
+        flow._writable_nodes()
+        flow._own_links()
         delta = flow._delta
         for op_id in data["removed"]:
             flow.remove_operation(op_id)
@@ -1305,7 +1499,7 @@ class ETLGraph:
                 if target not in after:
                     delta.record_edge_removed((source, target))
             succ[source] = after
-            flow._own_succ.add(source)
+            flow._owned_succ().add(source)
             rewired.append((source, before))
         for target, sources in data["predecessors"].items():
             flow._require(target)
@@ -1316,7 +1510,7 @@ class ETLGraph:
                 raise ValueError(
                     f"delta lists a predecessor of {target!r} without its edge"
                 ) from None
-            flow._own_pred.add(target)
+            flow._owned_pred().add(target)
             for source in before:
                 if source not in pred[target] and target in succ.get(source, ()):
                     raise ValueError(
@@ -1329,7 +1523,7 @@ class ETLGraph:
                         f"delta changes edge {source!r} -> {target!r} on one side only"
                     )
         flow.annotations = dict(data["annotations"])
-        flow._lineage = [str(item) for item in data["applied_patterns"]]
+        flow._lineage = tuple(str(item) for item in data["applied_patterns"])
         flow._dirty()
         flow.topological_ids()  # raises on a cycle; the memo is kept
         return flow

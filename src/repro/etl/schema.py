@@ -10,8 +10,10 @@ a partition key.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -319,7 +321,25 @@ class Schema:
 
     @classmethod
     def from_dict(cls, data: Iterable[Mapping[str, object]]) -> "Schema":
-        """Deserialise a schema produced by :meth:`to_dict`."""
+        """Deserialise a schema produced by :meth:`to_dict`.
+
+        Inside a :func:`decoding_scope`, equal documents decode to one
+        shared (immutable) schema.
+        """
+        memo = getattr(_DECODING, "memo", None)
+        if memo is None:
+            return cls._decode(data)
+        try:
+            key = tuple(tuple(item.items()) for item in data)
+            schema = memo.get(key)
+        except (AttributeError, TypeError):  # not a list of flat mappings
+            return cls._decode(data)
+        if schema is None:
+            schema = memo[key] = cls._decode(data)
+        return schema
+
+    @classmethod
+    def _decode(cls, data: Iterable[Mapping[str, object]]) -> "Schema":
         return cls(
             tuple(
                 Field(
@@ -331,6 +351,31 @@ class Schema:
                 for item in data
             )
         )
+
+
+#: The open :func:`decoding_scope` memo of this thread, if any.
+_DECODING = threading.local()
+
+
+@contextlib.contextmanager
+def decoding_scope() -> Iterator[None]:
+    """Decode each distinct schema document once while the scope is open.
+
+    A document that rebuilds many flows -- a planning result lists every
+    alternative's changed operations, most of them with one of a handful
+    of schemas -- decodes inside one scope, so :meth:`Schema.from_dict`
+    builds each distinct schema once and shares it.  The memo belongs to
+    the calling thread and is dropped when the outermost scope closes;
+    nested scopes share it.
+    """
+    if getattr(_DECODING, "memo", None) is not None:
+        yield
+        return
+    _DECODING.memo = {}
+    try:
+        yield
+    finally:
+        _DECODING.memo = None
 
 
 EMPTY_SCHEMA = Schema()

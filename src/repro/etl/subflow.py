@@ -18,16 +18,17 @@ All functions return a *new* flow; the host flow passed in is never
 mutated.  The new flow is a ``host.copy()``, so the graft is recorded as
 a structured :class:`~repro.etl.graph.GraphDelta` (operations added,
 transitions rewired, annotations set) that downstream validation and
-deduplication exploit.  Grafted operations are new values built with
-``dataclasses.replace``; the sub-flow's own operations are left as they
-are.
+deduplication exploit.  Grafted operations are new values (a sub-flow
+operation with a fresh id, and the application point's schema where it
+has none); the sub-flow's own operations are left as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.etl.graph import ETLGraph
+from repro.etl.operations import Operation
 from repro.etl.schema import Schema
 
 
@@ -83,7 +84,13 @@ def _copy_subflow_into(
     mapping: dict[str, str] = {}
     for op in subflow.operations():
         new_id = _unique_id(host, f"{op.op_id}__{suffix}")
-        host.add_operation(replace(op, op_id=new_id, output_schema=op.output_schema or schema))
+        # What ``dataclasses.replace(op, op_id=..., output_schema=...)``
+        # builds, without its per-call walk over the fields.
+        host.add_operation(
+            Operation(
+                op.kind, op.name, new_id, op.output_schema or schema, op.config, op.properties
+            )
+        )
         mapping[op.op_id] = new_id
     for edge in subflow.edges():
         # Both endpoints are freshly grafted nodes, acyclic by construction.

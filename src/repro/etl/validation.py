@@ -20,11 +20,12 @@ validated parent (the property suite asserts this agreement).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.etl.graph import ETLGraph, GraphDelta
-from repro.etl.operations import OperationKind
+from repro.etl.graph import Edge, ETLGraph, GraphDelta
+from repro.etl.operations import Operation, OperationKind
 
 
 class Severity(enum.Enum):
@@ -104,14 +105,31 @@ def validate_delta(
 ) -> list[ValidationIssue]:
     """Validate a flow derived from a validated parent by ``delta``.
 
-    Instead of re-walking the whole flow, only the operations whose
-    neighbourhood the delta touched (added/materialized operations and
-    every endpoint of a changed transition) are re-checked; the parent's
-    per-operation issues are carried over for untouched operations, and
-    the cheap flow-wide invariants (emptiness, weak connectivity, source
-    and sink existence) are recomputed.  The result contains exactly the
-    same issues as ``validate_flow(flow)``, up to ordering, provided
-    ``parent_issues`` is the parent's complete issue list.
+    Instead of re-walking the whole flow, only the checks the delta can
+    change are re-run, and the parent's other issues are carried over.
+    The result contains exactly the same issues as ``validate_flow(flow)``
+    (the same multiset, up to ordering), provided ``parent_issues`` is
+    the parent's complete issue list.
+
+    Which checks re-run depends on the shape of the change:
+
+    * an annotation-only delta re-runs nothing;
+    * an added or replaced operation, and one whose in- or out-degree
+      changed, gets every per-operation check (isolation, entry and exit
+      kind, arity, and the schemas of its outgoing transitions);
+    * the source of an added or modified transition whose degrees did
+      not change (a degree-neutral rewire, such as interposing an
+      operation on one of its outputs) re-checks only its outgoing
+      schemas; the target of such a rewire re-checks nothing, since
+      schema issues belong to the transition's source;
+    * connectivity is proven from the delta where possible (see
+      :func:`_still_connected`), with a walk of the flow as the fallback;
+    * a source and a sink exist in every non-empty flow without cycles,
+      so their existence is only re-walked when the parent lacked one.
+
+    A change across one operation (to or from an empty or a single
+    operation flow) is validated whole: emptiness and isolation hinge on
+    the operation count there.
 
     Because the output is again a complete issue list, calls chain: the
     alternative generator's prefix cache stores the issue list of each
@@ -135,49 +153,75 @@ def validate_delta(
         # Annotation-only deltas (graph-level patterns) cannot change any
         # validation outcome; the parent's issues are the flow's issues.
         return list(parent_issues)
+    node_count = flow.node_count
+    ops_added, ops_removed = delta.ops_added, delta.ops_removed
+    if node_count < 2 or node_count - len(ops_added) + len(ops_removed) < 2:
+        return validate_flow(flow)
+
+    # Net degree changes, per operation and side, from the transitions.
+    in_change: dict[str, int] = {}
+    out_change: dict[str, int] = {}
+    for source, target in delta.edges_added:
+        out_change[source] = out_change.get(source, 0) + 1
+        in_change[target] = in_change.get(target, 0) + 1
+    for source, target in delta.edges_removed:
+        out_change[source] = out_change.get(source, 0) - 1
+        in_change[target] = in_change.get(target, 0) - 1
+    full = set(ops_added)
+    full.update(delta.ops_modified)
+    for changes in (in_change, out_change):
+        for op_id, change in changes.items():
+            if change:
+                full.add(op_id)
+    rewired = {
+        source
+        for source, _ in itertools.chain(delta.edges_added, delta.edges_modified)
+        if source not in full and source in flow
+    }
 
     issues: list[ValidationIssue] = []
-    issues.extend(_check_non_empty(flow))
-    if flow.node_count:
-        if not _still_connected(flow, delta, parent_issues):
-            issues.append(_DISCONNECTED_ISSUE)
-        if not flow.has_source():
-            issues.append(_NO_SOURCE_ISSUE)
-        if not flow.has_sink():
-            issues.append(_NO_SINK_ISSUE)
-
-    touched = delta.touched_operations(flow)
-    removed = delta.ops_removed
     for issue in parent_issues:
-        if issue.code in _GLOBAL_CODES:
-            continue  # recomputed above
-        if not issue.op_id or issue.op_id in removed or issue.op_id in touched:
+        op_id = issue.op_id
+        if not op_id or issue.code in _GLOBAL_CODES:
+            continue  # recomputed below
+        if op_id in full or op_id not in flow:
             continue
-        if issue.op_id not in flow:
+        if op_id in rewired and issue.code == "SCHEMA_MISMATCH":
             continue
         issues.append(issue)
 
-    for op_id in sorted(touched):
+    for op_id in sorted(full):
+        if op_id not in flow:
+            continue  # removed
         op = flow.operation(op_id)
-        isolated = _isolated_issue(flow, op_id)
-        if isolated is not None:
-            issues.append(isolated)
-        if flow.in_degree(op_id) == 0:
+        in_degree = flow.in_degree(op_id)
+        out_edges = flow.out_edges(op_id)
+        out_degree = len(out_edges)
+        if not (in_degree or out_degree):  # isolated: the flow has two operations or more
+            issues.append(_isolated_issue(op, in_degree, out_degree, node_count))
+        if not in_degree:
             entry_issue = _non_extract_source_issue(op)
             if entry_issue is not None:
                 issues.append(entry_issue)
-        if flow.out_degree(op_id) == 0:
+        if not out_degree:
             exit_issue = _non_load_sink_issue(op)
             if exit_issue is not None:
                 issues.append(exit_issue)
-        issues.extend(_arity_issues(flow, op_id))
-        # Schema compatibility is attributed to the edge source, so each
-        # touched operation re-checks its outgoing transitions; incoming
-        # ones are covered by their own (touched or carried-over) source.
-        for successor in flow.successors(op_id):
-            schema_issue = _edge_schema_issue(flow, op_id, successor.op_id)
-            if schema_issue is not None:
-                issues.append(schema_issue)
+        if op.kind._value_ in _ARITY_KINDS:
+            issues.extend(_arity_issues(op, in_degree, out_degree))
+        _extend_schema_issues(issues, op, out_edges)
+    for op_id in sorted(rewired):
+        _extend_schema_issues(issues, flow.operation(op_id), flow.out_edges(op_id))
+
+    codes = {issue.code for issue in parent_issues} if parent_issues else ()
+    if not _still_connected(flow, delta, "DISCONNECTED" in codes):
+        issues.append(_DISCONNECTED_ISSUE)
+    # A non-empty flow without cycles (the graph refuses them) always has
+    # a source and a sink, so only a parent that lacked one is re-walked.
+    if "NO_SOURCE" in codes and not flow.has_source():
+        issues.append(_NO_SOURCE_ISSUE)
+    if "NO_SINK" in codes and not flow.has_sink():
+        issues.append(_NO_SINK_ISSUE)
     return issues
 
 
@@ -195,8 +239,11 @@ def _check_connectivity(flow: ETLGraph) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     if not flow.is_connected():
         issues.append(_DISCONNECTED_ISSUE)
+    node_count = flow.node_count
     for op in flow.operations():
-        isolated = _isolated_issue(flow, op.op_id)
+        isolated = _isolated_issue(
+            op, flow.in_degree(op.op_id), flow.out_degree(op.op_id), node_count
+        )
         if isolated is not None:
             issues.append(isolated)
     return issues
@@ -222,62 +269,86 @@ def _check_sources_and_sinks(flow: ETLGraph) -> list[ValidationIssue]:
 def _check_arities(flow: ETLGraph) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     for op in flow.operations():
-        issues.extend(_arity_issues(flow, op.op_id))
+        issues.extend(_arity_issues(op, flow.in_degree(op.op_id), flow.out_degree(op.op_id)))
     return issues
 
 
 def _check_schemas(flow: ETLGraph) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     for edge in flow.edges():
-        issue = _edge_schema_issue(flow, edge.source, edge.target)
+        issue = _edge_schema_issue(flow.operation(edge.source), edge)
         if issue is not None:
             issues.append(issue)
     return issues
 
 
-def _still_connected(
-    flow: ETLGraph, delta: GraphDelta, parent_issues: Sequence[ValidationIssue]
-) -> bool:
+def _still_connected(flow: ETLGraph, delta: GraphDelta, parent_disconnected: bool) -> bool:
     """Weak connectivity of a derived flow, proven locally when possible.
 
-    If the parent was connected, no operation was removed, and (a) every
-    removed transition's endpoints are re-connected through the *added*
-    transitions while (b) every added operation reaches a pre-existing
-    one through them, the flow is still connected -- a proof that costs
-    O(delta).  Any other shape (node removals, uncompensated edge
-    removals, a disconnected parent) falls back to the full traversal.
+    The parent was connected.  Through the *added* transitions, (a) the
+    two surviving endpoints of every removed transition must still be
+    joined, (b) all surviving neighbours of the removed operations must
+    be joined to each other, and (c) every added operation must be
+    joined to a pre-existing one.  Then any two operations the parent
+    joined are still joined: each removed transition on the parent's
+    path between them is bridged by (a), each stretch through removed
+    operations by (b), and added operations hang on by (c).  The joins
+    are one union-find pass over the added transitions, so the proof
+    costs O(delta); any other shape (a disconnected parent, a bridge the
+    added transitions do not provide) falls back to the full traversal.
     """
-    if delta.ops_removed or any(i.code == "DISCONNECTED" for i in parent_issues):
+    if parent_disconnected:
         return flow.is_connected()
-    if not delta.edges_removed and not delta.ops_added:
-        # Only additions on a connected flow: still connected.
+    ops_added = delta.ops_added
+    edges_removed = delta.edges_removed
+    if not edges_removed and not ops_added:
+        # Only additions on a connected flow (an operation removed
+        # without transitions was isolated, so the parent would not
+        # have been connected): still connected.
         return True
 
-    adjacency: dict[str, list[str]] = {}
+    # ``link`` maps an operation to another of its component; a root
+    # maps nowhere.
+    link: dict[str, str] = {}
     for source, target in delta.edges_added:
-        adjacency.setdefault(source, []).append(target)
-        adjacency.setdefault(target, []).append(source)
+        while source in link:
+            source = link[source]
+        while target in link:
+            target = link[target]
+        if source != target:
+            link[source] = target
 
-    def reaches(start: str, accept) -> bool:
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if accept(node):
-                return True
-            for neighbour in adjacency.get(node, ()):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    stack.append(neighbour)
-        return False
+    def root(node: str) -> str:
+        while node in link:
+            node = link[node]
+        return node
 
-    for source, target in delta.edges_removed:
-        if not reaches(source, lambda node, goal=target: node == goal):
+    boundary = None
+    for source, target in edges_removed:
+        if source in flow:
+            if target in flow:
+                if root(source) != root(target):
+                    return flow.is_connected()
+                continue
+            end = root(source)
+        elif target in flow:
+            end = root(target)
+        else:
+            continue
+        if boundary is None:
+            boundary = end
+        elif end != boundary:
             return flow.is_connected()
-    added = delta.ops_added
-    for op_id in added:
-        if op_id in flow and not reaches(op_id, lambda node: node not in added):
-            return flow.is_connected()
+    if ops_added:
+        anchored = {
+            root(node)
+            for edge in delta.edges_added
+            for node in edge
+            if node not in ops_added
+        }
+        for op_id in ops_added:
+            if op_id in flow and root(op_id) not in anchored:
+                return flow.is_connected()
     return True
 
 
@@ -302,20 +373,46 @@ _NO_SINK_ISSUE = ValidationIssue(
 #: instead of carrying over from the parent.
 _GLOBAL_CODES = frozenset({"EMPTY_FLOW", "DISCONNECTED", "NO_SOURCE", "NO_SINK"})
 
+# Operation-kind tables, keyed by each kind's ``_value_`` (a plain string
+# attribute): membership costs one cached string hash, where the
+# ``OperationKind`` properties each run a Python-level function.
+_ENTRY_KINDS = frozenset(
+    kind._value_ for kind in OperationKind if kind.is_source or kind is OperationKind.NOOP
+)
+_EXIT_KINDS = frozenset(
+    kind._value_
+    for kind in OperationKind
+    if kind.is_sink or kind in (OperationKind.CHECKPOINT, OperationKind.NOOP)
+)
+# EXTRACT_SAVEPOINT re-reads persisted intermediary data and may
+# legitimately sit in the middle of a flow (Fig. 2b of the paper).
+_INPUTLESS_KINDS = frozenset(
+    kind._value_
+    for kind in OperationKind
+    if kind.is_source and kind is not OperationKind.EXTRACT_SAVEPOINT
+)
+_SINK_KINDS = frozenset(kind._value_ for kind in OperationKind if kind.is_sink)
+_ROUTER_KINDS = frozenset(kind._value_ for kind in OperationKind if kind.is_router)
+_JOIN_KIND = OperationKind.JOIN._value_
+#: The kinds :func:`_arity_issues` can flag.
+_ARITY_KINDS = _INPUTLESS_KINDS | _SINK_KINDS | _ROUTER_KINDS | {_JOIN_KIND}
 
-def _isolated_issue(flow: ETLGraph, op_id: str) -> ValidationIssue | None:
-    if flow.in_degree(op_id) == 0 and flow.out_degree(op_id) == 0 and flow.node_count > 1:
+
+def _isolated_issue(
+    op: Operation, in_degree: int, out_degree: int, node_count: int
+) -> ValidationIssue | None:
+    if not (in_degree or out_degree) and node_count > 1:
         return ValidationIssue(
             Severity.ERROR,
             "ISOLATED_OPERATION",
-            f"operation {flow.operation(op_id).name!r} is not connected to the flow",
-            op_id=op_id,
+            f"operation {op.name!r} is not connected to the flow",
+            op_id=op.op_id,
         )
     return None
 
 
-def _non_extract_source_issue(op) -> ValidationIssue | None:
-    if not op.kind.is_source and op.kind is not OperationKind.NOOP:
+def _non_extract_source_issue(op: Operation) -> ValidationIssue | None:
+    if op.kind._value_ not in _ENTRY_KINDS:
         return ValidationIssue(
             Severity.WARNING,
             "NON_EXTRACT_SOURCE",
@@ -326,11 +423,8 @@ def _non_extract_source_issue(op) -> ValidationIssue | None:
     return None
 
 
-def _non_load_sink_issue(op) -> ValidationIssue | None:
-    if not op.kind.is_sink and op.kind not in (
-        OperationKind.CHECKPOINT,
-        OperationKind.NOOP,
-    ):
+def _non_load_sink_issue(op: Operation) -> ValidationIssue | None:
+    if op.kind._value_ not in _EXIT_KINDS:
         return ValidationIssue(
             Severity.WARNING,
             "NON_LOAD_SINK",
@@ -340,64 +434,75 @@ def _non_load_sink_issue(op) -> ValidationIssue | None:
     return None
 
 
-def _arity_issues(flow: ETLGraph, op_id: str) -> list[ValidationIssue]:
-    op = flow.operation(op_id)
-    in_degree = flow.in_degree(op_id)
-    out_degree = flow.out_degree(op_id)
+def _arity_issues(op: Operation, in_degree: int, out_degree: int) -> list[ValidationIssue]:
+    code = op.kind._value_
     issues: list[ValidationIssue] = []
-    # EXTRACT_SAVEPOINT re-reads persisted intermediary data and may
-    # legitimately sit in the middle of a flow (Fig. 2b of the paper).
-    true_source = op.kind.is_source and op.kind is not OperationKind.EXTRACT_SAVEPOINT
-    if true_source and in_degree > 0:
+    if in_degree and code in _INPUTLESS_KINDS:
         issues.append(
             ValidationIssue(
                 Severity.ERROR,
                 "SOURCE_WITH_INPUT",
                 f"extraction operation {op.name!r} must not have incoming transitions",
-                op_id=op_id,
+                op_id=op.op_id,
             )
         )
-    if op.kind.is_sink and out_degree > 0:
+    if out_degree and code in _SINK_KINDS:
         issues.append(
             ValidationIssue(
                 Severity.WARNING,
                 "SINK_WITH_OUTPUT",
                 f"load operation {op.name!r} has outgoing transitions",
-                op_id=op_id,
+                op_id=op.op_id,
             )
         )
-    if op.kind is OperationKind.JOIN and in_degree < 2:
+    if in_degree < 2 and code == _JOIN_KIND:
         issues.append(
             ValidationIssue(
                 Severity.ERROR,
                 "JOIN_ARITY",
                 f"join operation {op.name!r} needs at least two inputs, has {in_degree}",
-                op_id=op_id,
+                op_id=op.op_id,
             )
         )
-    if op.kind.is_router and out_degree < 2:
+    if out_degree < 2 and code in _ROUTER_KINDS:
         issues.append(
             ValidationIssue(
                 Severity.WARNING,
                 "ROUTER_ARITY",
                 f"routing operation {op.name!r} has fewer than two outputs "
                 f"({out_degree})",
-                op_id=op_id,
+                op_id=op.op_id,
             )
         )
     return issues
 
 
-def _edge_schema_issue(flow: ETLGraph, source: str, target: str) -> ValidationIssue | None:
-    edge = flow.edge(source, target)
-    source_schema = flow.operation(source).output_schema
-    if len(edge.schema) and len(source_schema):
-        if not source_schema.is_compatible_with(edge.schema):
+def _extend_schema_issues(
+    issues: list[ValidationIssue], op: Operation, out_edges: Iterable[Edge]
+) -> None:
+    """Append the schema issues of ``out_edges``, the transitions leaving ``op``."""
+    for edge in out_edges:
+        issue = _edge_schema_issue(op, edge)
+        if issue is not None:
+            issues.append(issue)
+
+
+def _edge_schema_issue(source: Operation, edge: Edge) -> ValidationIssue | None:
+    """The schema issue of transition ``edge``, attributed to its ``source`` operation.
+
+    A transition carrying its source's own schema object is compatible
+    with it (field names are unique), so that common case skips the
+    compatibility memo.
+    """
+    schema = edge.schema
+    source_schema = source.output_schema
+    if schema is not source_schema and schema.fields and source_schema.fields:
+        if not source_schema.is_compatible_with(schema):
             return ValidationIssue(
                 Severity.WARNING,
                 "SCHEMA_MISMATCH",
                 "transition schema requires fields that the source operation "
-                f"{source!r} does not produce",
-                op_id=source,
+                f"{edge.source!r} does not produce",
+                op_id=edge.source,
             )
     return None

@@ -53,6 +53,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.fleet.states import TERMINAL_STATES
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
@@ -89,10 +91,6 @@ CREATE TABLE IF NOT EXISTS workers (
     last_seen   REAL NOT NULL
 );
 """
-
-#: Job states.  ``queued`` and (expired) ``leased`` are leasable;
-#: ``done`` and ``failed`` are terminal.
-TERMINAL_STATES = ("done", "failed")
 
 #: What a status document is built from: never ``payload`` or ``result``,
 #: which carry whole flows and ranked alternatives.

@@ -23,6 +23,7 @@ from typing import Any, Mapping
 
 from repro.core.planner import PlanningResult
 from repro.etl.graph import ETLGraph
+from repro.fleet.states import TERMINAL_STATES
 from repro.io.jsonflow import WireFormatError
 from repro.service.redesign_server import MAX_STATUS_WAIT_S
 from repro.service.results import result_from_dict
@@ -142,11 +143,6 @@ class RedesignClient:
         *failed* job is returned, not raised -- callers decide (fetching
         its result will raise).
         """
-        # Imported here: the repro.fleet package loads the queue, the ring
-        # and the planner workers, which importing repro.service (say, for
-        # the result codec) should not pay for.
-        from repro.fleet.queue import TERMINAL_STATES
-
         if poll <= 0:
             raise ValueError("poll must be positive (seconds)")
         deadline = time.monotonic() + timeout

@@ -54,6 +54,7 @@ from repro.cache import CacheBackend, ProfileCache, cache_stats_dict
 from repro.core.configuration import MeasureConstraint, ProcessingConfiguration
 from repro.etl.graph import ETLGraph
 from repro.etl.validation import validate_flow
+from repro.fleet.states import TERMINAL_STATES
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.patterns.registry import PatternRegistry
 from repro.quality.framework import QualityCharacteristic
@@ -439,9 +440,6 @@ class RedesignServer(ServiceServer):
         processes ack, it also re-reads the row after ``_REREAD_S``, then
         at doubling intervals up to ``_REREAD_MAX_S``.
         """
-        # repro.fleet.worker imports this module for its request decoding.
-        from repro.fleet.queue import TERMINAL_STATES
-
         deadline = time.monotonic() + min(wait, MAX_STATUS_WAIT_S)
         shared = self.queue.path != ":memory:"
         slice_s = _REREAD_S

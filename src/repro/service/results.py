@@ -50,6 +50,7 @@ from typing import Any, Mapping
 from repro.core.alternatives import AlternativeFlow
 from repro.core.planner import PlanningResult
 from repro.etl.graph import ETLGraph
+from repro.etl.schema import decoding_scope
 from repro.io.jsonflow import (
     WIRE_FORMAT,
     check_format,
@@ -96,21 +97,24 @@ def result_from_dict(data: Mapping[str, Any]) -> PlanningResult:
     another wire format.
     """
     check_format(data)
-    initial = ETLGraph.from_dict(data["initial_flow"])
-    measures = measures_from_dict(data["measures"])
-    alternatives = [
-        AlternativeFlow(
-            flow=initial.replay_delta_dict(entry["delta"]),
-            applications=(),  # textual lineage only -- see the module docstring
-            profile=(
-                profile_from_dict(entry["profile"], measures)
-                if entry.get("profile") is not None
-                else None
-            ),
-            label=entry.get("label", ""),
-        )
-        for entry in data["alternatives"]
-    ]
+    # One document repeats a handful of schemas across every changed
+    # operation and transition: each distinct one is decoded once.
+    with decoding_scope():
+        initial = ETLGraph.from_dict(data["initial_flow"])
+        measures = measures_from_dict(data["measures"])
+        alternatives = [
+            AlternativeFlow(
+                flow=initial.replay_delta_dict(entry["delta"]),
+                applications=(),  # textual lineage only -- see the module docstring
+                profile=(
+                    profile_from_dict(entry["profile"], measures)
+                    if entry.get("profile") is not None
+                    else None
+                ),
+                label=entry.get("label", ""),
+            )
+            for entry in data["alternatives"]
+        ]
     return PlanningResult(
         initial_flow=initial,
         baseline_profile=profile_from_dict(data["baseline_profile"], measures),

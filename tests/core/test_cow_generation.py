@@ -50,6 +50,34 @@ class TestCowDeepEquivalence:
         reference, _ = reference_generate(generator, small_purchases)
         assert outcome(cow) == outcome(reference)
 
+    def test_identical_with_repeated_patterns(self, small_purchases):
+        # A pattern named twice yields conflicting deployments (the same
+        # pattern at the same point, a graph-level pattern twice), so the
+        # generator screens combinations one by one.
+        names = ("FilterNullValues", "EncryptDataFlow", "FilterNullValues", "EncryptDataFlow")
+        cow, generator = _generate(small_purchases, pattern_budget=3, pattern_names=names)
+        deployments = generator.candidate_deployments(small_purchases)
+        assert len({d.conflict for d in deployments}) < len(deployments)
+        reference, _ = reference_generate(generator, small_purchases)
+        assert len(cow) > 0
+        assert outcome(cow) == outcome(reference)
+
+    def test_identical_with_an_overridden_applicability_check(self, small_purchases):
+        # A pattern that overrides is_applicable_at is re-checked through
+        # it, not through its declared prerequisites.
+        palette = default_palette()
+        checkpoint = palette.get("AddCheckpoint")
+
+        def applicable(flow, point, original=checkpoint.is_applicable_at):
+            return original(flow, point) and flow.node_count < len(small_purchases) + 2
+
+        checkpoint.is_applicable_at = applicable
+        config = ProcessingConfiguration(pattern_budget=3, max_points_per_pattern=3)
+        generator = AlternativeGenerator(palette, HeuristicPolicy(), config)
+        cow = list(generator.generate_iter(small_purchases))
+        reference, _ = reference_generate(generator, small_purchases)
+        assert outcome(cow) == outcome(reference)
+
     def test_cow_alternatives_are_valid_and_self_contained(self, small_purchases):
         cow, _ = _generate(small_purchases)
         for alternative in cow:

@@ -114,7 +114,6 @@ class TestDeltaRecording:
         assert delta.ops_added == {"cp"}
         assert delta.edges_removed == {("mid", "dst")}
         assert delta.edges_added == {("mid", "cp"), ("cp", "dst")}
-        assert delta.touched_operations(child) == {"mid", "cp", "dst"}
 
     def test_net_effect_cancellation(self, chain, schema):
         child = chain.copy()

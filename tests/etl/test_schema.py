@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.etl.schema import EMPTY_SCHEMA, DataType, Field, Schema
+from repro.etl.schema import EMPTY_SCHEMA, DataType, Field, Schema, decoding_scope
 
 
 class TestDataType:
@@ -165,3 +165,42 @@ class TestSchemaSerialisation:
     def test_to_dict_structure(self, simple_schema):
         data = simple_schema.to_dict()
         assert data[0] == {"name": "id", "dtype": "integer", "nullable": False, "key": True}
+
+
+class TestDecodingScope:
+    def test_equal_documents_share_one_schema_inside_the_scope(self, simple_schema):
+        data = simple_schema.to_dict()
+        with decoding_scope():
+            first = Schema.from_dict(data)
+            again = Schema.from_dict([dict(item) for item in data])
+            other = Schema.from_dict(data[:2])
+        assert first is again and first == simple_schema
+        assert other is not first and other == simple_schema.project(["id", "name"])
+
+    def test_outside_the_scope_every_document_decodes_afresh(self, simple_schema):
+        data = simple_schema.to_dict()
+        with decoding_scope():
+            inside = Schema.from_dict(data)
+        assert Schema.from_dict(data) is not inside
+        assert Schema.from_dict(data) is not Schema.from_dict(data)
+
+    def test_nested_scopes_share_the_outer_memo(self, simple_schema):
+        data = simple_schema.to_dict()
+        with decoding_scope():
+            outer = Schema.from_dict(data)
+            with decoding_scope():
+                assert Schema.from_dict(data) is outer
+            assert Schema.from_dict(data) is outer
+
+    def test_same_items_in_another_order_decode_equal(self):
+        with decoding_scope():
+            one = Schema.from_dict([{"name": "a", "dtype": "string"}])
+            two = Schema.from_dict([{"dtype": "string", "name": "a"}])
+            swapped = Schema.from_dict([{"name": "string", "dtype": "integer"}])
+        assert one == two
+        assert swapped.fields[0].name == "string"
+
+    def test_unhashable_documents_decode_without_the_memo(self):
+        with decoding_scope():
+            schema = Schema.from_dict([{"name": "a", "dtype": "string", "tags": ["x"]}])
+        assert schema.fields[0].name == "a"

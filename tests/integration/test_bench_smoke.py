@@ -7,6 +7,7 @@ smallest budgets), without asserting on wall-clock -- timing claims are
 only meaningful at benchmark scale.
 """
 
+import gc
 import importlib.util
 import json
 from pathlib import Path
@@ -66,8 +67,22 @@ def test_generation_bench_smoke_tiny_flow():
     assert report["candidates_per_second"] > 0
     assert 0 < report["patterns_applied"] <= 2 * report["combinations_tried"]
     assert report["prefix_steps_reused"] > 0
+    assert len(report["gc_runs"]) == 1
+    for key in ("collections", "seconds"):
+        assert len(report["gc"][key]) == 3
+        assert all(value >= 0 for value in report["gc"][key])
     rendered = bench._render_report(report)
     assert "prefix cache" in rendered
+    assert "gc collections" in rendered
+
+
+def test_collection_tally_counts_forced_collections():
+    bench = _load_module(_BENCH_DIR / "bench_generation.py")
+    with bench.CollectionTally() as tally:
+        gc.collect(0)
+        gc.collect(2)
+    assert tally.counts[0] >= 1 and tally.counts[2] >= 1
+    assert tally not in gc.callbacks
 
 
 def test_profile_cache_bench_smoke_tiny_flow():
@@ -212,6 +227,7 @@ def test_run_all_smoke_writes_machine_readable_record(tmp_path):
     assert generation["identical_alternatives"]
     assert generation["candidates_per_second"] > 0
     assert generation["patterns_applied"] > 0
+    assert len(generation["gc_collections"]) == len(generation["gc_seconds"]) == 3
     streaming = record["streaming"]
     assert streaming["equivalent_selections"]
     assert streaming["speedup_streaming_vs_eager"] > 0

@@ -7,9 +7,10 @@ every combination is replayed on a flow rebuilt from scratch with
 ``ETLGraph.from_dict(flow.to_dict())`` -- which shares no object with the
 initial flow or with the generator -- every result is validated in full
 with :func:`validate_flow`, and duplicates are pruned by
-:meth:`ETLGraph.signature`.  It borrows only the generator's enumeration
-primitives (``candidate_deployments``, ``_combination_is_reasonable`` and
-``_refresh_point``), so a disagreement between the two points at the
+:meth:`ETLGraph.signature`.  It borrows only the generator's
+``candidate_deployments`` (the policy); the redundancy screen and the
+point re-check are its own from-scratch copies (:func:`is_reasonable`,
+:func:`refresh_point`), so a disagreement between the two points at the
 incremental machinery, not at the policy.
 """
 
@@ -20,7 +21,37 @@ import itertools
 from repro.core.alternatives import AlternativeFlow, AlternativeGenerator
 from repro.etl.graph import ETLGraph
 from repro.etl.validation import has_errors, validate_flow
-from repro.patterns.base import PatternApplication
+from repro.patterns.base import ApplicationPoint, ApplicationPointType, PatternApplication
+
+
+def is_reasonable(combo) -> bool:
+    """Whether a combination repeats no point of a pattern and no graph-level pattern."""
+    seen_points: set[tuple] = set()
+    seen_graph_patterns: set[str] = set()
+    for deployment in combo:
+        point_key = (deployment.pattern.name,) + deployment.point.key()
+        if point_key in seen_points:
+            return False
+        seen_points.add(point_key)
+        if deployment.point.point_type is ApplicationPointType.GRAPH:
+            if deployment.pattern.name in seen_graph_patterns:
+                return False
+            seen_graph_patterns.add(deployment.pattern.name)
+    return True
+
+
+def refresh_point(current: ETLGraph, deployment) -> ApplicationPoint | None:
+    """The deployment's point if it still exists on ``current`` and is still valid."""
+    point = deployment.point
+    if point.point_type is ApplicationPointType.NODE:
+        if point.node_id not in current:
+            return None
+    elif point.point_type is ApplicationPointType.EDGE:
+        if not current.has_edge(*point.edge):
+            return None
+    if not deployment.pattern.is_applicable_at(current, point):
+        return None
+    return point
 
 
 def reference_generate(
@@ -41,12 +72,12 @@ def reference_generate(
         for combo in itertools.combinations(deployments, size):
             if len(alternatives) >= config.max_alternatives:
                 return alternatives, patterns_applied
-            if not generator._combination_is_reasonable(combo):
+            if not is_reasonable(combo):
                 continue
             current = ETLGraph.from_dict(document)
             applied: list[PatternApplication] = []
             for deployment in combo:
-                point = generator._refresh_point(current, deployment)
+                point = refresh_point(current, deployment)
                 if point is None:
                     continue
                 try:

@@ -91,6 +91,18 @@ def test_decoded_alternatives_are_the_planned_ones(build, budget):
     assert decoded.characteristics == result.characteristics
 
 
+def test_decoding_shares_each_distinct_schema():
+    result = _plan(purchases_flow, 1)
+    decoded = result_from_dict(_wire(result_to_dict(result)))
+    schemas: dict[tuple, Schema] = {}
+    flows = [decoded.initial_flow] + [alternative.flow for alternative in decoded.alternatives]
+    for flow in flows:
+        for op in flow.operations():
+            shared = schemas.setdefault(op.output_schema.fields, op.output_schema)
+            assert op.output_schema is shared
+    assert len(schemas) < sum(len(flow) for flow in flows)
+
+
 def test_the_document_is_smaller_than_the_full_flows():
     result = _plan(purchases_flow, 1)
     delta = len(json.dumps(result_to_dict(result)))
