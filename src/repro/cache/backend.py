@@ -48,6 +48,12 @@ class CacheStats:
     evictions: int = 0
     invalid: int = 0
 
+    def count(self, results: "Sequence[QualityProfile | None]") -> None:
+        """Count one hit or one miss per lookup result (``None`` is a miss)."""
+        hits = sum(1 for result in results if result is not None)
+        self.hits += hits
+        self.misses += len(results) - hits
+
     @property
     def lookups(self) -> int:
         """Total number of cache lookups."""

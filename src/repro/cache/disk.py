@@ -15,8 +15,9 @@ re-plans in new processes, and parallel sessions pointed at one
   the same directory and published with :func:`os.replace`, so readers
   (including readers in other processes) see either the old entry or the
   new one, never a torn write.
-* **Versioned, self-verifying payloads.**  Each payload records the
-  cache schema version and the key it was stored under; reads verify
+* **Versioned, self-verifying payloads.**  Each entry is a one-profile
+  :func:`repro.io.jsonflow.profiles_to_dict` document that also records
+  the cache schema version and the key it was stored under; reads verify
   both, so a file renamed or copied under another key, or written by
   an incompatible schema, is treated as a miss and deleted instead of
   served stale.  The *key* already folds in the schema version, the
@@ -43,8 +44,8 @@ re-plans in new processes, and parallel sessions pointed at one
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import re
 import threading
 import time
@@ -63,10 +64,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: file names) and unreadable-as-stale (version check), so schema
 #: changes can never serve stale profiles.  Version 2: the key is a
 #: 64-hex digest instead of a nested tuple.  Version 3: the flow part of
-#: the key is the byte encoding of ``ETLGraph.fingerprint``.
-CACHE_SCHEMA_VERSION = 3
+#: the key is the byte encoding of ``ETLGraph.fingerprint``.  Version 4:
+#: an entry is a JSON profile document instead of a pickle.
+CACHE_SCHEMA_VERSION = 4
 
-_ENTRY_SUFFIX = ".profile.pkl"
+_ENTRY_SUFFIX = ".profile.json"
+
+#: Entry files of every schema.  Those of schemas 1-3 (``.profile.pkl``)
+#: are never read, but count towards ``max_bytes`` and leave by eviction.
+_ENTRY_SUFFIXES = (_ENTRY_SUFFIX, ".profile.pkl")
 
 #: The shape of a cache key.  Checked before a key names a file or is
 #: accepted from the network, so a caller-supplied key containing ``/``
@@ -128,7 +134,7 @@ class DiskProfileCache:
 
     def _entry_files(self) -> list[Path]:
         try:
-            return [p for p in self.cache_dir.iterdir() if p.name.endswith(_ENTRY_SUFFIX)]
+            return [p for p in self.cache_dir.iterdir() if p.name.endswith(_ENTRY_SUFFIXES)]
         except OSError:
             return []
 
@@ -143,15 +149,10 @@ class DiskProfileCache:
         least-recently-*used*, not least-recently-written.
         """
         with self._lock:
-            pending = self._pending.get(key)
-            if pending is not None:
-                self.stats.hits += 1
-                return pending
-            profile = self._read(key)
+            profile = self._pending.get(key)
             if profile is None:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
+                profile = self._read(key)
+            self.stats.count([profile])
             return profile
 
     def _count_invalid(self) -> None:
@@ -169,18 +170,16 @@ class DiskProfileCache:
             raw = path.read_bytes()
         except OSError:
             return None  # absent (or unreadable, which amounts to the same)
+        from repro.io.jsonflow import profiles_from_dict
+
         try:
-            payload = pickle.loads(raw)
-            version = payload["version"]
-            stored_key = payload["key"]
-            profile = payload["profile"]
+            payload = json.loads(raw)
+            if payload["version"] != CACHE_SCHEMA_VERSION or payload["key"] != key:
+                raise ValueError("an entry of another schema or key")
+            (profile,) = profiles_from_dict(payload)
         except Exception:
-            # Truncated write, garbage bytes, unpicklable class, wrong
-            # payload shape: degrade to a miss and drop the entry.
-            self._count_invalid()
-            self._discard(path)
-            return None
-        if version != CACHE_SCHEMA_VERSION or stored_key != key:
+            # Truncated write, garbage bytes, another schema or key,
+            # wrong document shape: degrade to a miss and drop the entry.
             self._count_invalid()
             self._discard(path)
             return None
@@ -194,19 +193,8 @@ class DiskProfileCache:
         """Batched lookup: one locked pass over pending buffer and files."""
         start = time.perf_counter()
         with self._lock:
-            results: list[QualityProfile | None] = []
-            for key in keys:
-                pending = self._pending.get(key)
-                if pending is not None:
-                    self.stats.hits += 1
-                    results.append(pending)
-                    continue
-                profile = self._read(key)
-                if profile is None:
-                    self.stats.misses += 1
-                else:
-                    self.stats.hits += 1
-                results.append(profile)
+            results = [self._pending.get(key) or self._read(key) for key in keys]
+            self.stats.count(results)
         observe_get_many(
             self.metrics_registry, "disk", time.perf_counter() - start, results
         )
@@ -270,11 +258,13 @@ class DiskProfileCache:
             self._batch_depth = max(0, self._batch_depth - 1)
 
     def _write(self, key: str, profile: QualityProfile) -> None:
-        payload = {"version": CACHE_SCHEMA_VERSION, "key": key, "profile": profile}
+        from repro.io.jsonflow import profiles_to_dict
+
+        payload = dict(profiles_to_dict([profile]), version=CACHE_SCHEMA_VERSION, key=key)
         path = self._path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            tmp.write_bytes(pickle.dumps(payload))
+            tmp.write_bytes(json.dumps(payload).encode("utf-8"))
             os.replace(tmp, path)
         except OSError:
             # A full/read-only disk degrades the cache to write-through

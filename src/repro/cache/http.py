@@ -16,8 +16,8 @@ Design points, mirroring the disk tier where the analogy holds:
   key unchanged and a server fronting a ``cache_dir`` addresses exactly
   the files a local planner would.  Profiles travel as one
   :func:`repro.io.jsonflow.profiles_to_dict` document per request (the
-  wire format number, one measure table, ``[value, normalized]`` per
-  measure); the round-trip is exact, so the tier-equivalence property
+  wire format number, the measure tables, one row per profile); the
+  round-trip is exact, so the tier-equivalence property
   (identical planning results across tiers) holds over the network
   too.  A server of another wire format answers ``400`` and a response
   of another format is refused: either way the client degrades.
@@ -384,11 +384,7 @@ class HTTPProfileCache:
                 for index in remote:
                     results[index] = self.fallback.get(keys[index])
         with self._lock:
-            for profile in results:
-                if profile is None:
-                    self.stats.misses += 1
-                else:
-                    self.stats.hits += 1
+            self.stats.count(results)
         observe_get_many(
             self.metrics_registry, "http", time.perf_counter() - start, results
         )

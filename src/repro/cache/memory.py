@@ -45,26 +45,20 @@ class ProfileCache:
         """Look up a profile, counting the hit or miss."""
         with self._lock:
             profile = self._entries.get(key)
-            if profile is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
+            if profile is not None:
+                self._entries.move_to_end(key)
+            self.stats.count([profile])
             return profile
 
     def get_many(self, keys: Sequence[str]) -> list["QualityProfile | None"]:
         """Batched lookup under a single lock acquisition."""
         start = time.perf_counter()
         with self._lock:
-            results: list[QualityProfile | None] = []
-            for key in keys:
-                profile = self._entries.get(key)
-                if profile is None:
-                    self.stats.misses += 1
-                else:
+            results = [self._entries.get(key) for key in keys]
+            for key, profile in zip(keys, results):
+                if profile is not None:
                     self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                results.append(profile)
+            self.stats.count(results)
         observe_get_many(
             self.metrics_registry, "memory", time.perf_counter() - start, results
         )

@@ -55,10 +55,7 @@ class TieredProfileCache:
             if profile is not None:
                 self.memory.put(key, profile)
         with self._stats_lock:
-            if profile is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
+            self.stats.count([profile])
         return profile
 
     def get_many(self, keys: Sequence[str]) -> list["QualityProfile | None"]:
@@ -73,11 +70,7 @@ class TieredProfileCache:
                     self.memory.put(keys[index], profile)
                     results[index] = profile
         with self._stats_lock:
-            for profile in results:
-                if profile is None:
-                    self.stats.misses += 1
-                else:
-                    self.stats.hits += 1
+            self.stats.count(results)
         observe_get_many(
             self.metrics_registry, "tiered", time.perf_counter() - start, results
         )

@@ -81,21 +81,27 @@ class FlowComparison:
         }
 
 
-def compare_profiles(profile: QualityProfile, baseline: QualityProfile) -> FlowComparison:
-    """Compute the Fig. 5 comparison of ``profile`` against ``baseline``."""
-    comparison = FlowComparison(flow_name=profile.flow_name, baseline_name=baseline.flow_name)
-    comparison.characteristic_changes = profile.characteristic_changes(baseline)
-    for name, value in profile.values.items():
-        base = baseline.values.get(name)
-        if base is None:
-            continue
+def compare_profiles(
+    profile: QualityProfile,
+    baseline: QualityProfile,
+    flow_name: str = "",
+    baseline_name: str = "",
+) -> FlowComparison:
+    """Compute the Fig. 5 comparison of ``profile`` against ``baseline``.
+
+    Profiles carry no flow name; the caller names the two flows.
+    """
+    comparison = FlowComparison(flow_name, baseline_name, profile.characteristic_changes(baseline))
+    table = profile.table
+    for name, improvement in profile.relative_changes(baseline).items():
+        column = table.index[name]
         comparison.measure_changes[name] = MeasureChange(
             measure=name,
-            characteristic=value.characteristic,
-            baseline_value=base.value,
-            new_value=value.value,
-            relative_improvement=value.relative_change(base),
-            unit=value.unit,
-            description=value.description,
+            characteristic=table.characteristics[column],
+            baseline_value=baseline.raw_values[baseline.table.index[name]],
+            new_value=profile.raw_values[column],
+            relative_improvement=improvement,
+            unit=table.units[column],
+            description=table.descriptions[column],
         )
     return comparison

@@ -98,15 +98,15 @@ class MeasureConstraint:
         return True
 
     def _resolve(self, profile: QualityProfile) -> float | None:
-        if self.target in profile.values:
-            return profile.values[self.target].value
+        table = profile.table
+        if self.target in table.index:
+            return profile.raw_values[table.index[self.target]]
         try:
             characteristic = QualityCharacteristic(self.target)
         except ValueError:
             return None
-        if characteristic in profile.scores:
-            return profile.scores[characteristic]
-        return None
+        position = table.composite_index.get(characteristic)
+        return None if position is None else profile.composite_scores[position]
 
 
 @dataclass

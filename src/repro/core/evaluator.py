@@ -35,13 +35,6 @@ from repro.quality.composite import QualityProfile
 from repro.quality.estimator import QualityEstimator
 
 
-def _relabel(profile: QualityProfile, flow_name: str) -> QualityProfile:
-    """A shallow copy re-labelled for one flow (as ``cached_profile`` does)."""
-    return QualityProfile(
-        flow_name=flow_name, scores=dict(profile.scores), values=dict(profile.values)
-    )
-
-
 class ParallelEvaluator:
     """Evaluates batches or streams of alternative flows on the calling thread.
 
@@ -147,7 +140,7 @@ class ParallelEvaluator:
                         if hit is None and key is not None:
                             hit = fresh.get(key)
                         if hit is not None:
-                            alternative.profile = _relabel(hit, alternative.flow.name)
+                            alternative.profile = hit
                         else:
                             # Timed per profile, accumulated per window;
                             # the yield below suspends the generator, so
@@ -156,8 +149,8 @@ class ParallelEvaluator:
                             with maybe_timer(registry, "evaluator.estimate_seconds") as span:
                                 profile = estimator.evaluate_uncached(alternative.flow)
                             drain_seconds += span.elapsed
-                            estimator.store_profile(alternative.flow, profile, key)
                             if key is not None:
+                                estimator.cache.put(key, profile)
                                 fresh[key] = profile
                             alternative.profile = profile
                         yield alternative

@@ -80,7 +80,12 @@ class PlanningResult:
         """The Fig. 5 relative-change view of one alternative vs. the initial flow."""
         if alternative.profile is None:
             raise ValueError("the alternative has not been evaluated yet")
-        return compare_profiles(alternative.profile, self.baseline_profile)
+        return compare_profiles(
+            alternative.profile,
+            self.baseline_profile,
+            alternative.flow.name,
+            self.initial_flow.name,
+        )
 
     def best_for(self, characteristic: QualityCharacteristic) -> AlternativeFlow:
         """The alternative with the highest composite score on one characteristic.
@@ -110,9 +115,10 @@ class PlanningResult:
         def profile_fingerprint(profile: QualityProfile | None) -> tuple | None:
             if profile is None:
                 return None
+            table = profile.table
             return (
-                tuple(sorted((k, v.value) for k, v in profile.values.items())),
-                tuple(sorted((c.value, s) for c, s in profile.scores.items())),
+                tuple(sorted(zip(table.names, profile.raw_values))),
+                tuple(sorted(zip((c.value for c in table.composites), profile.composite_scores))),
             )
 
         return (

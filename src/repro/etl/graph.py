@@ -255,13 +255,12 @@ class GraphDelta:
     def compose(self, later: "GraphDelta") -> "GraphDelta":
         """The net delta of applying this delta and then ``later``.
 
-        Used by the alternative generator to validate a chain of pattern
-        applications in one O(combined delta) pass against the base flow
-        instead of once per step.  Composition goes through the same
-        net-effect recording helpers, so transient changes that ``later``
-        reverts (an operation added then removed, an edge restored)
-        cancel out exactly as if the mutations had been recorded on one
-        graph.
+        Nothing in the planner calls it: it is the net composition the
+        tests use as the oracle for per-step delta chaining.  Composition
+        goes through the same net-effect recording helpers, so transient
+        changes that ``later`` reverts (an operation added then removed,
+        an edge restored) cancel out exactly as if the mutations had been
+        recorded on one graph.
         """
         merged = GraphDelta(
             ops_added=set(self.ops_added),

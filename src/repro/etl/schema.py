@@ -344,13 +344,25 @@ class Schema:
             tuple(
                 Field(
                     name=str(item["name"]),
-                    dtype=DataType(item.get("dtype", "string")),
+                    dtype=_dtype(item.get("dtype", "string")),
                     nullable=bool(item.get("nullable", True)),
                     key=bool(item.get("key", False)),
                 )
                 for item in data
             )
         )
+
+
+#: ``DataType`` by value: a dict lookup, where ``DataType(value)`` goes
+#: through the enum's call machinery on every decoded field.
+_DTYPES = {dtype.value: dtype for dtype in DataType}
+
+
+def _dtype(value: object) -> DataType:
+    try:
+        return _DTYPES[value]  # type: ignore[index]
+    except (KeyError, TypeError):
+        raise ValueError(f"{value!r} is not a valid DataType") from None
 
 
 #: The open :func:`decoding_scope` memo of this thread, if any.

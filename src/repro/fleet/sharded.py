@@ -226,10 +226,7 @@ class ShardedProfileCache:
         """Look up one profile on its owning shard."""
         profile = self._clients[self.ring.node(key)].get(key)
         with self._lock:
-            if profile is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
+            self.stats.count([profile])
         return profile
 
     def get_many(self, keys: Sequence[str]) -> "list[QualityProfile | None]":
@@ -253,11 +250,7 @@ class ShardedProfileCache:
                 for index, profile in zip(indices, future.result()):
                     results[index] = profile
         with self._lock:
-            for profile in results:
-                if profile is None:
-                    self.stats.misses += 1
-                else:
-                    self.stats.hits += 1
+            self.stats.count(results)
         observe_get_many(
             self.metrics_registry, "sharded", time.perf_counter() - start, results
         )

@@ -6,21 +6,26 @@ detail of the flow (operations, configurations, cost models, edge schemas,
 annotations and pattern lineage) and is the format the examples and
 benchmarks persist their artefacts in.
 
-The module is also the one profile codec of the service layer: the
-redesign service's result documents (:mod:`repro.service.results`) and
-the cache ring's ``/get``, ``/get_many`` and ``/put`` bodies
+The module is also the one profile codec: the redesign service's result
+documents (:mod:`repro.service.results`), the cache ring's ``/get``,
+``/get_many`` and ``/put`` bodies
 (:class:`~repro.cache.http.HTTPProfileCache`,
-:class:`~repro.service.CacheServer`).  Every such document states
+:class:`~repro.service.CacheServer`, whose hot map keeps one-profile
+documents) and the disk tier's entries
+(:class:`~repro.cache.DiskProfileCache`).  Every such document states
 :data:`WIRE_FORMAT` in its ``"format"`` field (:func:`check_format`
-refuses any other) and carries one *measure table* -- measure name ->
-characteristic, higher-is-better, unit, description -- so each profile
-(:func:`profile_to_dict` / :func:`profile_from_dict`) sends only its
-flow name, its composite scores and ``[value, normalized]`` per
-measure.  The round trip is exact (floats survive because :mod:`json`
-serialises them with ``repr``).  :func:`profiles_to_dict` /
-:func:`profiles_from_dict` wrap a list of profiles in one such
-document, and :func:`merge_profile_documents` merges one-profile
-documents into one (the cache server keeps its hot entries encoded).
+refuses any other) and lists its measure tables once
+(:func:`tables_to_dict` / :func:`tables_from_dict`): per table, the
+measure names and, column by column, their characteristics,
+orientation, units, descriptions and weights.  Each profile
+(:func:`profile_to_dict` / :func:`profile_from_dict`) is one row
+``[table, values, normalized, scores]``: the position of its table in
+the list and three arrays in that table's order, so profiles of two
+registries in one document each point at their own table.  The round
+trip is exact (floats survive because :mod:`json` serialises them with
+``repr``).  :func:`profiles_to_dict` / :func:`profiles_from_dict` wrap a
+list of profiles in one such document, and
+:func:`merge_profile_documents` merges one-profile documents into one.
 Cache keys need no codec: they are 64-hex strings.
 """
 
@@ -31,8 +36,8 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.etl.graph import ETLGraph
-from repro.quality.composite import QualityProfile
-from repro.quality.framework import MeasureValue, QualityCharacteristic
+from repro.quality.composite import MeasureTable, QualityProfile
+from repro.quality.framework import QualityCharacteristic
 
 
 def flow_to_json(flow: ETLGraph, indent: int = 2) -> str:
@@ -65,10 +70,15 @@ def load_flow_json(path: str | Path) -> ETLGraph:
 # ----------------------------------------------------------------------
 
 #: The number of the JSON wire format every profile-carrying document
-#: states in its ``"format"`` field: result documents and the cache
-#: ring's ``/get``, ``/get_many`` and ``/put`` bodies.  A peer of another
-#: format is refused, never decoded.
-WIRE_FORMAT = 2
+#: states in its ``"format"`` field: result documents, the cache ring's
+#: ``/get``, ``/get_many`` and ``/put`` bodies and the disk tier's
+#: entries.  A peer of another format is refused, never decoded.
+#: Format 3: profiles are rows against a list of measure tables.
+WIRE_FORMAT = 3
+
+
+#: ``QualityCharacteristic`` by value, for decoding tables.
+_CHARACTERISTICS = {c.value: c for c in QualityCharacteristic}
 
 
 class WireFormatError(ValueError):
@@ -84,85 +94,59 @@ def check_format(document: Mapping[str, Any]) -> None:
         )
 
 
-def _metadata(value: MeasureValue) -> dict[str, Any]:
-    return {
-        "characteristic": value.characteristic.value,
-        "higher_is_better": value.higher_is_better,
-        "unit": value.unit,
-        "description": value.description,
-    }
+def profile_to_dict(profile: QualityProfile, tables: dict[MeasureTable, int]) -> list[Any]:
+    """Serialise a quality profile as ``[table, values, normalized, scores]``.
 
-
-def profile_to_dict(profile: QualityProfile, measures: dict[str, Any]) -> dict[str, Any]:
-    """Serialise a quality profile against a document's measure table.
-
-    ``measures`` is the table of the document the profile goes into
-    (measure name -> characteristic, higher-is-better, unit,
-    description); a measure it lacks is added to it.  Each value travels
-    as ``[value, normalized]``; one whose metadata differs from the
-    table's entry under its name (a registry that reuses a name) carries
-    its own as a third element.  The inverse of
-    :func:`profile_from_dict`; the round trip is exact (floats survive
-    because :mod:`json` writes them with ``repr``).
+    ``tables`` maps the document's measure tables to their positions; a
+    table it lacks is added to it (:func:`tables_to_dict` encodes them).
+    The inverse of :func:`profile_from_dict`; the round trip is exact
+    (floats survive because :mod:`json` writes them with ``repr``).
     """
-    values = {}
-    for name, value in profile.values.items():
-        own = _metadata(value)
-        listed = measures.setdefault(name, own)
-        entry = [value.value, value.normalized]
-        if listed != own or value.measure != name:
-            entry.append(dict(own, measure=value.measure))
-        values[name] = entry
-    return {
-        "flow_name": profile.flow_name,
-        "scores": {c.value: score for c, score in profile.scores.items()},
-        "values": values,
-    }
+    row = (profile.raw_values, profile.normalized_values, profile.composite_scores)
+    return [tables.setdefault(profile.table, len(tables)), *map(list, row)]
 
 
-def measures_from_dict(measures: Mapping[str, Any]) -> dict[str, tuple]:
-    """Decode a document's measure table once, for :func:`profile_from_dict`."""
-    return {name: _decode_metadata(name, entry) for name, entry in measures.items()}
+def tables_to_dict(tables: Mapping[MeasureTable, int]) -> list[dict[str, Any]]:
+    """The ``"tables"`` list of a document, in the order ``tables`` numbers them."""
+    columns = ("names", "higher_is_better", "units", "descriptions", "weights")
+    return [
+        dict(
+            {column: list(getattr(table, column)) for column in columns},
+            characteristics=[c.value for c in table.characteristics],
+        )
+        for table in tables
+    ]
 
 
-def _decode_metadata(name: str, entry: Mapping[str, Any]) -> tuple:
-    return (
-        str(entry.get("measure", name)),
-        QualityCharacteristic(entry["characteristic"]),
-        bool(entry["higher_is_better"]),
-        str(entry.get("unit", "")),
-        str(entry.get("description", "")),
-    )
+def tables_from_dict(tables: Sequence[Mapping[str, Any]]) -> list[MeasureTable]:
+    """Decode a document's ``"tables"`` once, for :func:`profile_from_dict`."""
+    return [
+        MeasureTable(
+            **dict(table, characteristics=[_CHARACTERISTICS[c] for c in table["characteristics"]])
+        )
+        for table in tables
+    ]
 
 
-def profile_from_dict(data: Mapping[str, Any], measures: Mapping[str, tuple]) -> QualityProfile:
+def profile_from_dict(data: Sequence[Any], tables: Sequence[MeasureTable]) -> QualityProfile:
     """Rebuild a quality profile from :func:`profile_to_dict` output.
 
-    ``measures`` is the document's table as :func:`measures_from_dict`
-    decodes it.
+    ``tables`` are the document's tables as :func:`tables_from_dict`
+    decodes them; profiles of one table share it.
     """
-    values = {}
-    for name, entry in data["values"].items():
-        measure, characteristic, higher_is_better, unit, description = (
-            _decode_metadata(name, entry[2]) if len(entry) > 2 else measures[name]
-        )
-        values[name] = MeasureValue(
-            measure, characteristic, entry[0], entry[1], higher_is_better, unit, description
-        )
-    scores = {
-        QualityCharacteristic(name): score for name, score in data["scores"].items()
-    }
-    return QualityProfile(flow_name=data["flow_name"], scores=scores, values=values)
+    index, values, normalized, scores = data
+    table = tables[index]
+    columns, composites = len(table.names), len(table.composites)
+    if not len(values) == len(normalized) == columns or len(scores) != composites:
+        raise ValueError("a profile row does not match its measure table")
+    return QualityProfile(table, tuple(values), tuple(normalized), tuple(scores))
 
 
 def profiles_to_dict(profiles: Sequence[QualityProfile | None]) -> dict[str, Any]:
-    """A ``{"format", "measures", "profiles"}`` document; a ``None`` stays ``null``."""
-    measures: dict[str, Any] = {}
-    documents = [
-        None if profile is None else profile_to_dict(profile, measures)
-        for profile in profiles
-    ]
-    return {"format": WIRE_FORMAT, "measures": measures, "profiles": documents}
+    """A ``{"format", "tables", "profiles"}`` document; a ``None`` stays ``null``."""
+    tables: dict[MeasureTable, int] = {}
+    rows = [None if profile is None else profile_to_dict(profile, tables) for profile in profiles]
+    return {"format": WIRE_FORMAT, "tables": tables_to_dict(tables), "profiles": rows}
 
 
 def merge_profile_documents(
@@ -172,34 +156,27 @@ def merge_profile_documents(
 
     The result equals :func:`profiles_to_dict` of the profiles, so a
     server can keep each profile encoded once and answer a batch by
-    merging the tables: a value whose name the merged table already
-    lists with other metadata gets its own as a third element, as
-    :func:`profile_to_dict` would give it.
+    listing each distinct table once and pointing every row at it.
     """
-    measures: dict[str, Any] = {}
-    merged: list[dict[str, Any] | None] = []
+    tables: list[Mapping[str, Any]] = []
+    rows: list[list[Any] | None] = []
     for document in documents:
         if document is None:
-            merged.append(None)
+            rows.append(None)
             continue
-        (profile,) = document["profiles"]
-        own = document["measures"]
-        clashes = [name for name, entry in own.items() if measures.setdefault(name, entry) != entry]
-        if clashes:
-            values = dict(profile["values"])
-            for name in clashes:
-                if len(values[name]) == 2:
-                    values[name] = [*values[name], dict(own[name], measure=name)]
-            profile = dict(profile, values=values)
-        merged.append(profile)
-    return {"format": WIRE_FORMAT, "measures": measures, "profiles": merged}
+        (table,) = document["tables"]
+        (row,) = document["profiles"]
+        if table not in tables:
+            tables.append(table)
+        rows.append([tables.index(table), *row[1:]])
+    return {"format": WIRE_FORMAT, "tables": tables, "profiles": rows}
 
 
 def profiles_from_dict(document: Mapping[str, Any]) -> list[QualityProfile | None]:
     """The profiles of a :func:`profiles_to_dict` document (format checked)."""
     check_format(document)
-    measures = measures_from_dict(document["measures"])
+    tables = tables_from_dict(document["tables"])
     return [
-        None if entry is None else profile_from_dict(entry, measures)
+        None if entry is None else profile_from_dict(entry, tables)
         for entry in document["profiles"]
     ]

@@ -5,9 +5,10 @@ companion work "Quality Measures for ETL Processes", DaWaK 2014): quality
 *characteristics* (performance, data quality, reliability, manageability,
 cost, security) are quantified by *measures*, some computed from the
 static structure of the flow graph and some from (simulated) runtime
-traces.  Composite measures aggregate detailed metrics per characteristic
-and can be expanded back into their components, which is what the Fig. 5
-drill-down of the tool shows.
+traces.  Every profile is one row against its registry's measure table;
+composite scores aggregate detailed metrics per characteristic and can be
+expanded back into their components, which is what the Fig. 5 drill-down
+of the tool shows.
 """
 
 from repro.quality.framework import (
@@ -17,7 +18,7 @@ from repro.quality.framework import (
     MeasureRegistry,
     default_registry,
 )
-from repro.quality.composite import CompositeMeasure, QualityProfile
+from repro.quality.composite import MeasureTable, QualityProfile
 from repro.quality.estimator import EstimationSettings, QualityEstimator
 
 from repro.quality import (  # noqa: F401  (re-exported measure modules)
@@ -34,7 +35,7 @@ __all__ = [
     "MeasureValue",
     "MeasureRegistry",
     "default_registry",
-    "CompositeMeasure",
+    "MeasureTable",
     "QualityProfile",
     "QualityEstimator",
     "EstimationSettings",

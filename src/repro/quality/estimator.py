@@ -3,8 +3,9 @@
 The *Measures Estimation* stage of the POIESIS architecture (Fig. 3) takes
 an ETL flow and produces its quality measures.  :class:`QualityEstimator`
 implements that stage: it runs the runtime simulator when any requested
-measure needs traces, evaluates every measure in its registry, and folds
-the results into a :class:`~repro.quality.composite.QualityProfile`.
+measure needs traces and evaluates every measure in its registry into one
+:class:`~repro.quality.composite.QualityProfile` row against the
+registry's :class:`~repro.quality.composite.MeasureTable`.
 
 Because the alternative space is factorial in the flow size (Section 2.2)
 and the iterative redesign loop revisits structurally identical flows
@@ -28,8 +29,8 @@ from typing import Iterator
 
 from repro.cache import CACHE_SCHEMA_VERSION, CacheBackend
 from repro.etl.graph import ETLGraph
-from repro.quality.composite import QualityProfile, build_composites
-from repro.quality.framework import MeasureRegistry, MeasureValue, default_registry
+from repro.quality.composite import QualityProfile
+from repro.quality.framework import MeasureRegistry, default_registry
 from repro.simulator.engine import ETLSimulator, SimulationConfig, SimulationMemo
 from repro.simulator.resources import ResourceModel
 from repro.simulator.traces import TraceArchive
@@ -113,8 +114,9 @@ class QualityEstimator:
         self.registry = registry or default_registry()
         self.settings = settings or EstimationSettings()
         self.cache = cache
-        self._composites = build_composites(self.registry)
-        self._needs_trace = any(m.requires_trace for m in self.registry)
+        self.table = self.registry.table()
+        self._measures = tuple(self.registry)
+        self._needs_trace = any(m.requires_trace for m in self._measures)
         # Every cache key is the SHA-256 of ``repr((CACHE_SCHEMA_VERSION,
         # flow.fingerprint(), settings, registry))``.  The settings and the
         # registry are fixed for this estimator, so the tail of that text
@@ -158,7 +160,7 @@ class QualityEstimator:
         return ETLSimulator(flow, self._simulation, memo=self._memo).run()
 
     # ------------------------------------------------------------------
-    # Cache plumbing (also used by ParallelEvaluator, which resolves a
+    # The cache key (also used by ParallelEvaluator, which resolves a
     # whole window of keys in one batched lookup)
     # ------------------------------------------------------------------
 
@@ -180,41 +182,6 @@ class QualityEstimator:
         head = f"({CACHE_SCHEMA_VERSION!r}, {flow.fingerprint()!r}".encode("utf-8")
         return hashlib.sha256(head + self._key_tail).hexdigest()
 
-    def cached_profile(
-        self, flow: ETLGraph, key: str | None = None
-    ) -> QualityProfile | None:
-        """A cached profile for ``flow``, re-labelled with the flow's name.
-
-        Returns ``None`` when no cache is configured or the flow has not
-        been profiled yet.  The returned profile is a shallow copy so that
-        callers mutating scores/values do not corrupt the memo.  Pass a
-        pre-computed ``key`` to avoid fingerprinting the flow twice.
-        """
-        if self.cache is None:
-            return None
-        hit = self.cache.get(key if key is not None else self.cache_key(flow))
-        if hit is None:
-            return None
-        return QualityProfile(
-            flow_name=flow.name, scores=dict(hit.scores), values=dict(hit.values)
-        )
-
-    def store_profile(
-        self, flow: ETLGraph, profile: QualityProfile, key: str | None = None
-    ) -> None:
-        """Memoize an evaluated profile (no-op without a cache).
-
-        A shallow snapshot is stored, so callers mutating the profile they
-        were handed cannot corrupt the memo.
-        """
-        if self.cache is not None:
-            snapshot = QualityProfile(
-                flow_name=profile.flow_name,
-                scores=dict(profile.scores),
-                values=dict(profile.values),
-            )
-            self.cache.put(key if key is not None else self.cache_key(flow), snapshot)
-
     # ------------------------------------------------------------------
 
     def evaluate(self, flow: ETLGraph, archive: TraceArchive | None = None) -> QualityProfile:
@@ -228,33 +195,28 @@ class QualityEstimator:
             Optional pre-computed trace archive; when omitted and any
             registered measure requires traces, the flow is simulated
             first.  Passing an explicit archive bypasses the profile
-            cache.
+            cache.  Profiles are immutable, so a cache hit is the cached
+            object itself.
         """
-        key: str | None = None
-        if archive is None and self.cache is not None:
-            key = self.cache_key(flow)
-            cached = self.cached_profile(flow, key)
-            if cached is not None:
-                return cached
-        profile = self.evaluate_uncached(flow, archive)
-        if key is not None:
-            self.store_profile(flow, profile, key)
+        if archive is not None or self.cache is None:
+            return self.evaluate_uncached(flow, archive)
+        key = self.cache_key(flow)
+        profile = self.cache.get(key)
+        if profile is None:
+            profile = self.evaluate_uncached(flow)
+            self.cache.put(key, profile)
         return profile
 
     def evaluate_uncached(
         self, flow: ETLGraph, archive: TraceArchive | None = None
     ) -> QualityProfile:
-        """The raw Measures Estimation stage, never touching the cache."""
+        """The raw Measures Estimation stage, never touching the cache.
+
+        Each measure of the registry, in its order, fills one column of the row.
+        """
         if archive is None and self._needs_trace:
             archive = self.simulate(flow)
-
-        values: dict[str, MeasureValue] = {}
-        for measure in self.registry:
-            if measure.requires_trace and archive is None:
-                continue
-            values[measure.name] = measure.evaluate(flow, archive)
-
-        profile = QualityProfile(flow_name=flow.name, values=values)
-        for characteristic, composite in self._composites.items():
-            profile.scores[characteristic] = composite.score(values)
-        return profile
+        raw = [measure.compute(flow, archive) for measure in self._measures]
+        normalized = [measure.normalize(value) for measure, value in zip(self._measures, raw)]
+        scores = self.table.scores(normalized)
+        return QualityProfile(self.table, tuple(raw), tuple(normalized), scores)

@@ -6,10 +6,13 @@ import abc
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.etl.graph import ETLGraph
 from repro.simulator.traces import TraceArchive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.quality.composite import MeasureTable
 
 
 class QualityCharacteristic(enum.Enum):
@@ -115,14 +118,18 @@ class MeasureValue:
             raise ValueError(
                 f"cannot compare measure {self.measure!r} to baseline {baseline.measure!r}"
             )
-        if baseline.value == 0:
-            if self.value == 0:
-                return 0.0
-            direction = 1.0 if self.value > 0 else -1.0
-            change = direction
-        else:
-            change = (self.value - baseline.value) / abs(baseline.value)
-        return change if self.higher_is_better else -change
+        return relative_change(self.value, baseline.value, self.higher_is_better)
+
+
+def relative_change(value: float, baseline: float, higher_is_better: bool) -> float:
+    """Relative improvement of a raw ``value`` over ``baseline`` (positive = better)."""
+    if baseline == 0:
+        if value == 0:
+            return 0.0
+        change = 1.0 if value > 0 else -1.0
+    else:
+        change = (value - baseline) / abs(baseline)
+    return change if higher_is_better else -change
 
 
 class MeasureRegistry:
@@ -130,6 +137,7 @@ class MeasureRegistry:
 
     def __init__(self, measures: Iterable[Measure] = ()) -> None:
         self._measures: dict[str, Measure] = {}
+        self._table: MeasureTable | None = None
         for measure in measures:
             self.register(measure)
 
@@ -138,11 +146,23 @@ class MeasureRegistry:
         if not measure.name:
             raise ValueError("measures must define a non-empty name")
         self._measures[measure.name] = measure
+        self._table = None
         return measure
 
     def unregister(self, name: str) -> None:
         """Remove a measure from the registry."""
         del self._measures[name]
+        self._table = None
+
+    def table(self) -> "MeasureTable":
+        """The measure table of the registered measures, in order (built once per set)."""
+        if self._table is None:
+            from repro.quality.composite import MeasureTable
+
+            attrs = ("name", "characteristic", "higher_is_better", "unit", "description", "weight")
+            measures = self._measures.values()
+            self._table = MeasureTable(*(tuple(getattr(m, a) for m in measures) for a in attrs))
+        return self._table
 
     def get(self, name: str) -> Measure:
         """Return the measure called ``name``."""

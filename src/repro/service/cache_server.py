@@ -19,13 +19,13 @@ Wire format (JSON throughout; see ``docs/service.md``):
   ``get_many`` and ``in`` with the key unchanged.
 * **Profiles travel as one document per request**
   (:func:`repro.io.jsonflow.profiles_to_dict`): the wire format number,
-  one measure table, and ``[value, normalized]`` per measure of each
-  profile.  Every ``/get``, ``/get_many`` and ``/put`` body states the
-  format; a request of another format is answered with ``400``.  The
-  server keeps recently served profiles, each encoded as a one-profile
-  document, in a key-indexed *hot map*, so repeat lookups skip the
-  backend, the unpickling and the re-encoding: a batch only merges the
-  hot documents' measure tables
+  the measure tables, and one ``[table, values, normalized, scores]``
+  row per profile.  Every ``/get``, ``/get_many`` and ``/put`` body
+  states the format; a request of another format is answered with
+  ``400``.  The server keeps recently served profiles, each encoded as a
+  one-profile document, in a key-indexed *hot map*, so repeat lookups
+  skip the backend and the re-encoding: a batch only lists each distinct
+  table once and re-points the rows
   (:func:`repro.io.jsonflow.merge_profile_documents`).
 
 With ``eviction_interval`` set (and a size-capped disk backend), the

@@ -9,12 +9,12 @@ carries the shared parts once:
     refuses the document (:class:`~repro.io.jsonflow.WireFormatError`).
 ``initial_flow``
     The initial flow in full (:meth:`~repro.etl.graph.ETLGraph.to_dict`).
-``measures``
-    One measure table: name -> characteristic, higher-is-better, unit,
-    description.
+``tables``
+    The measure tables the profiles are rows against (one per measure
+    registry; :func:`~repro.io.jsonflow.tables_to_dict`).
 ``baseline_profile``
-    The initial flow's profile: composite scores plus ``[value,
-    normalized]`` per measure (:func:`~repro.io.jsonflow.profile_to_dict`).
+    The initial flow's profile: ``[table, values, normalized, scores]``
+    (:func:`~repro.io.jsonflow.profile_to_dict`).
 ``alternatives``
     In generation order, each with its ``label``, ``applied`` and
     ``pattern_names`` lineage, its profile, and its flow as a ``delta``
@@ -54,22 +54,23 @@ from repro.etl.schema import decoding_scope
 from repro.io.jsonflow import (
     WIRE_FORMAT,
     check_format,
-    measures_from_dict,
     profile_from_dict,
     profile_to_dict,
+    tables_from_dict,
+    tables_to_dict,
 )
+from repro.quality.composite import MeasureTable
 from repro.quality.framework import QualityCharacteristic
 
 
 def result_to_dict(result: PlanningResult) -> dict[str, Any]:
     """Serialise a planning result to a JSON-compatible document."""
     initial = result.initial_flow
-    measures: dict[str, Any] = {}
+    tables: dict[MeasureTable, int] = {}
     return {
         "format": WIRE_FORMAT,
         "initial_flow": initial.to_dict(),
-        "measures": measures,
-        "baseline_profile": profile_to_dict(result.baseline_profile, measures),
+        "baseline_profile": profile_to_dict(result.baseline_profile, tables),
         "characteristics": [c.value for c in result.characteristics],
         "discarded_by_constraints": result.discarded_by_constraints,
         "skyline_indices": list(result.skyline_indices),
@@ -80,13 +81,14 @@ def result_to_dict(result: PlanningResult) -> dict[str, Any]:
                 "pattern_names": list(alternative.pattern_names),
                 "delta": alternative.flow.to_delta_dict(initial),
                 "profile": (
-                    profile_to_dict(alternative.profile, measures)
+                    profile_to_dict(alternative.profile, tables)
                     if alternative.profile is not None
                     else None
                 ),
             }
             for alternative in result.alternatives
         ],
+        "tables": tables_to_dict(tables),  # last: encoding the profiles fills ``tables``
     }
 
 
@@ -101,13 +103,13 @@ def result_from_dict(data: Mapping[str, Any]) -> PlanningResult:
     # operation and transition: each distinct one is decoded once.
     with decoding_scope():
         initial = ETLGraph.from_dict(data["initial_flow"])
-        measures = measures_from_dict(data["measures"])
+        tables = tables_from_dict(data["tables"])
         alternatives = [
             AlternativeFlow(
                 flow=initial.replay_delta_dict(entry["delta"]),
                 applications=(),  # textual lineage only -- see the module docstring
                 profile=(
-                    profile_from_dict(entry["profile"], measures)
+                    profile_from_dict(entry["profile"], tables)
                     if entry.get("profile") is not None
                     else None
                 ),
@@ -117,7 +119,7 @@ def result_from_dict(data: Mapping[str, Any]) -> PlanningResult:
         ]
     return PlanningResult(
         initial_flow=initial,
-        baseline_profile=profile_from_dict(data["baseline_profile"], measures),
+        baseline_profile=profile_from_dict(data["baseline_profile"], tables),
         alternatives=alternatives,
         skyline_indices=list(data.get("skyline_indices", [])),
         characteristics=tuple(

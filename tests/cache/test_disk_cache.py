@@ -8,7 +8,9 @@ must all surface as misses/evictions, not exceptions or stale profiles.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import json
 import os
 import pickle
 import threading
@@ -16,21 +18,22 @@ import threading
 import pytest
 
 from repro.cache import CACHE_SCHEMA_VERSION, CacheStats, DiskProfileCache
-from repro.cache.disk import _ENTRY_SUFFIX
 from repro.core import Planner
 from repro.quality.composite import QualityProfile
 from repro.quality.estimator import QualityEstimator
 from tests.conftest import fast_planner_config
 from tests.keys import cache_key
 from tests.reference_fingerprint import reference_fingerprint
+from tests.profiles import tag, tagged
 
 
-def _profile(name: str = "p", **values) -> QualityProfile:
-    return QualityProfile(flow_name=name, values=dict(values))
+def _profile(name: str = "p") -> QualityProfile:
+    return tagged(name)
 
 
 def _entry_files(cache: DiskProfileCache):
-    return sorted(cache.cache_dir.glob(f"*{_ENTRY_SUFFIX}"))
+    """Entry files of every layout: the current one and the ``.pkl`` of schemas 1-3."""
+    return sorted(cache.cache_dir.glob("*.profile.*"))
 
 
 class TestDiskCacheBasics:
@@ -39,7 +42,7 @@ class TestDiskCacheBasics:
         assert cache.get(cache_key("k")) is None
         cache.put(cache_key("k"), _profile())
         hit = cache.get(cache_key("k"))
-        assert hit is not None and hit.flow_name == "p"
+        assert hit is not None and tag(hit) == "p"
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.lookups == 2
@@ -51,7 +54,7 @@ class TestDiskCacheBasics:
         DiskProfileCache(tmp_path).put(cache_key("k"), _profile("persisted"))
         reopened = DiskProfileCache(tmp_path)
         hit = reopened.get(cache_key("k"))
-        assert hit is not None and hit.flow_name == "persisted"
+        assert hit is not None and tag(hit) == "persisted"
         assert reopened.stats.hits == 1
 
     def test_atomic_publish_leaves_no_temp_files(self, tmp_path):
@@ -87,14 +90,14 @@ class TestDiskCacheFailureModes:
         cache = DiskProfileCache(tmp_path)
         cache.put(cache_key("k"), _profile())
         (path,) = _entry_files(cache)
-        path.write_bytes(b"\x00garbage not pickle")
+        path.write_bytes(b"\x00garbage not json")
         assert cache.get(cache_key("k")) is None
         assert cache.stats.invalid == 1
         assert cache.stats.misses == 1
         assert not path.exists(), "the damaged entry must be dropped"
         # the cache heals: a re-put works and is readable again
         cache.put(cache_key("k"), _profile("healed"))
-        assert cache.get(cache_key("k")).flow_name == "healed"
+        assert tag(cache.get(cache_key("k"))) == "healed"
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = DiskProfileCache(tmp_path)
@@ -108,7 +111,7 @@ class TestDiskCacheFailureModes:
         cache = DiskProfileCache(tmp_path)
         cache.put(cache_key("k"), _profile())
         (path,) = _entry_files(cache)
-        path.write_bytes(pickle.dumps(["not", "a", "payload", "dict"]))
+        path.write_bytes(json.dumps(["not", "a", "payload", "dict"]).encode())
         assert cache.get(cache_key("k")) is None
         assert cache.stats.invalid == 1
 
@@ -116,9 +119,9 @@ class TestDiskCacheFailureModes:
         cache = DiskProfileCache(tmp_path)
         cache.put(cache_key("k"), _profile())
         (path,) = _entry_files(cache)
-        payload = pickle.loads(path.read_bytes())
+        payload = json.loads(path.read_bytes())
         payload["version"] = CACHE_SCHEMA_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
+        path.write_bytes(json.dumps(payload).encode())
         assert cache.get(cache_key("k")) is None
         assert cache.stats.invalid == 1
         assert not path.exists(), "a stale-schema entry must be dropped"
@@ -128,9 +131,9 @@ class TestDiskCacheFailureModes:
         cache = DiskProfileCache(tmp_path)
         cache.put(cache_key("k"), _profile())
         (path,) = _entry_files(cache)
-        payload = pickle.loads(path.read_bytes())
+        payload = json.loads(path.read_bytes())
         payload["key"] = cache_key("some", "other", "key")
-        path.write_bytes(pickle.dumps(payload))
+        path.write_bytes(json.dumps(payload).encode())
         assert cache.get(cache_key("k")) is None
         assert cache.stats.invalid == 1
 
@@ -170,7 +173,7 @@ class TestDiskCacheFailureModes:
             key = (reference_fingerprint(flow), estimator.settings.fingerprint(), registry)
             name = hashlib.sha256(repr((1, key)).encode("utf-8")).hexdigest()
             payload = {"version": 1, "key": key, "profile": _profile("stale")}
-            (tmp_path / f"{name}{_ENTRY_SUFFIX}").write_bytes(pickle.dumps(payload))
+            (tmp_path / f"{name}.profile.pkl").write_bytes(pickle.dumps(payload))
 
         planner = Planner(configuration=fast_planner_config(cache_dir=str(tmp_path)))
         result = planner.plan(linear_flow)
@@ -207,7 +210,7 @@ class TestDiskCacheFailureModes:
             digest = sha256((tuple((e[0], sha256(e)) for e in entries), edges, annotations))
             key = sha256((2, digest, estimator.settings.fingerprint(), registry))
             payload = {"version": 2, "key": key, "profile": _profile("stale")}
-            (tmp_path / f"{key}{_ENTRY_SUFFIX}").write_bytes(pickle.dumps(payload))
+            (tmp_path / f"{key}.profile.pkl").write_bytes(pickle.dumps(payload))
 
         planner = Planner(configuration=fast_planner_config(cache_dir=str(tmp_path)))
         result = planner.plan(linear_flow)
@@ -216,6 +219,82 @@ class TestDiskCacheFailureModes:
         assert disk.stats.misses > 0
         assert len(_entry_files(disk)) == 2 * len(flows)
         assert result.fingerprint() == cold.fingerprint()
+
+
+#: An entry as the schema-3 layout wrote it: ``pickle.dumps`` of
+#: ``{"version": 3, "key": ..., "profile": QualityProfile(...)}``, the
+#: pickled profile of ``purchases_flow(rows_per_source=200)`` under a
+#: two-measure registry, with its per-measure ``MeasureValue`` objects.
+_SCHEMA_3_ENTRY = base64.b64decode(
+    "gASVVwIAAAAAAAB9lCiMB3ZlcnNpb26USwOMA2tleZSMQDMyNjc0MTU1ZWJmMjIwZjhmYTE2NGIwNzVjMjBmNGQ0"
+    "YTFlMzk4ZTM4YjhmNDExMDAxN2U0ZmUzZjg1MTY1ZjOUjAdwcm9maWxllIwXcmVwcm8ucXVhbGl0eS5jb21wb3Np"
+    "dGWUjA5RdWFsaXR5UHJvZmlsZZSTlCmBlH2UKIwJZmxvd19uYW1llIwLc19wdXJjaGFzZXOUjAZzY29yZXOUfZSM"
+    "F3JlcHJvLnF1YWxpdHkuZnJhbWV3b3JrlIwVUXVhbGl0eUNoYXJhY3RlcmlzdGljlJOUjA1tYW5hZ2VhYmlsaXR5"
+    "lIWUUpRHQFK5WLR4P19zjAZ2YWx1ZXOUfZQojBNsb25nZXN0X3BhdGhfbGVuZ3RolGgOjAxNZWFzdXJlVmFsdWWU"
+    "k5QpgZR9lCiMB21lYXN1cmWUaBaMDmNoYXJhY3RlcmlzdGljlGgTjAV2YWx1ZZRHQBQAAAAAAACMCm5vcm1hbGl6"
+    "ZWSURz/rFmDXoiOxjBBoaWdoZXJfaXNfYmV0dGVylImMBHVuaXSUjAVlZGdlc5SMC2Rlc2NyaXB0aW9ulIwpTGVu"
+    "Z3RoIG9mIHByb2Nlc3Mgd29ya2Zsb3cncyBsb25nZXN0IHBhdGiUdWKMCGNvdXBsaW5nlGgYKYGUfZQoaBtoJGgc"
+    "aBNoHUc/6222222222geRz/k2Ja47dqyaB+JaCCMCmVkZ2VzL25vZGWUaCKMHENvdXBsaW5nIG9mIHByb2Nlc3Mg"
+    "d29ya2Zsb3eUdWJ1dWJ1Lg=="
+)
+
+
+class TestSchemaThreeDirectory:
+    """A ``cache_dir`` written by the schema-3 layout: pickled ``.profile.pkl`` entries."""
+
+    @staticmethod
+    def _seed(tmp_path, monkeypatch, flows, estimator):
+        """One schema-3 entry per flow, named by the key schema 3 gave it."""
+        import repro.quality.estimator as estimator_module
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator_module, "CACHE_SCHEMA_VERSION", 3)
+            keys = [estimator.cache_key(flow) for flow in flows]
+        paths = [tmp_path / f"{key}.profile.pkl" for key in keys]
+        for path in paths:
+            path.write_bytes(_SCHEMA_3_ENTRY)
+        return keys, paths
+
+    def test_old_entries_read_as_misses_and_never_raise(
+        self, tmp_path, monkeypatch, linear_flow
+    ):
+        config = fast_planner_config()
+        cold = Planner(configuration=config).plan(linear_flow)
+        seeder = Planner(configuration=config)
+        flows = [linear_flow] + [alt.flow for alt in seeder.generator.generate_iter(linear_flow)]
+        keys, paths = self._seed(tmp_path, monkeypatch, flows, seeder.estimator)
+
+        disk = DiskProfileCache(tmp_path)
+        assert disk.get_many(keys) == [None] * len(keys)
+        assert disk.get(keys[0]) is None and keys[0] not in disk
+        planner = Planner(configuration=fast_planner_config(cache_dir=str(tmp_path)))
+        result = planner.plan(linear_flow)
+        disk = planner.profile_cache.disk
+        assert disk.stats.hits == 0 and disk.stats.invalid == 0
+        assert disk.stats.misses > 0
+        assert result.fingerprint() == cold.fingerprint()
+        assert all(path.exists() for path in paths)  # never read, so never dropped
+
+    def test_the_size_cap_evicts_old_entries(self, tmp_path, monkeypatch, linear_flow):
+        other = linear_flow.copy(name="other")
+        other.annotations["marker"] = True
+        _, paths = self._seed(tmp_path, monkeypatch, [linear_flow, other], QualityEstimator())
+        for path in paths:
+            os.utime(path, (1, 1))  # older than anything written below
+        old_bytes = sum(path.stat().st_size for path in paths)
+        cache = DiskProfileCache(tmp_path)
+        assert cache.size_bytes() == old_bytes and len(cache) == len(paths)
+
+        probe = DiskProfileCache(tmp_path / "probe")
+        probe.put(cache_key("new"), _profile("new"))
+        capped = DiskProfileCache(tmp_path, max_bytes=probe.size_bytes())
+        capped.put(cache_key("new"), _profile("new"))
+        assert not any(path.exists() for path in paths)
+        assert capped.stats.evictions == len(paths)
+        assert capped.size_bytes() == probe.size_bytes()
+        assert tag(capped.get(cache_key("new"))) == "new"
+        capped.clear()
+        assert _entry_files(capped) == []
 
 
 class TestDiskCacheEviction:
@@ -253,7 +332,7 @@ class TestDiskCacheBatching:
         cache.put(cache_key("k"), _profile("buffered"))
         assert cache_key("k") in cache
         assert len(cache) == 1
-        assert cache.get(cache_key("k")).flow_name == "buffered"  # served from the buffer
+        assert tag(cache.get(cache_key("k"))) == "buffered"  # served from the buffer
         assert _entry_files(cache) == []  # nothing on disk yet
         other = DiskProfileCache(tmp_path)
         assert other.get(cache_key("k")) is None  # other handles cannot see the buffer
@@ -266,7 +345,7 @@ class TestDiskCacheBatching:
         cache.flush()
         assert len(_entry_files(cache)) == 3
         other = DiskProfileCache(tmp_path)
-        assert other.get(cache_key("k1")).flow_name == "p1"
+        assert tag(other.get(cache_key("k1"))) == "p1"
         cache.flush()  # idempotent on an empty buffer
 
     def test_flush_applies_the_size_cap_once(self, tmp_path):
@@ -297,7 +376,7 @@ class TestDiskCacheConcurrency:
                     cache.put(key, _profile(f"w{worker}-{i}"))
                     hit = cache.get(key)
                     assert hit is not None  # my own write (or the peer's) is always readable
-                    assert hit.flow_name.startswith("w")
+                    assert tag(hit).startswith("w")
             except Exception as exc:  # pragma: no cover - only on failure
                 errors.append(exc)
 
@@ -332,7 +411,7 @@ class TestGetMany:
         cache.put(cache_key("a"), _profile("pa"))
         cache.put(cache_key("b"), _profile("pb"))
         results = cache.get_many([cache_key("a"), cache_key("missing"), cache_key("b")])
-        assert [r.flow_name if r else None for r in results] == ["pa", None, "pb"]
+        assert [tag(r) if r else None for r in results] == ["pa", None, "pb"]
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
 
@@ -341,7 +420,7 @@ class TestGetMany:
         cache.begin_write_batch()
         cache.put(cache_key("buffered"), _profile("pending"))
         results = cache.get_many([cache_key("buffered"), cache_key("absent")])
-        assert results[0].flow_name == "pending"
+        assert tag(results[0]) == "pending"
         assert results[1] is None
 
     def test_version_mismatch_is_invalid_and_dropped(self, tmp_path):
@@ -350,12 +429,12 @@ class TestGetMany:
         cache.put(cache_key("stale"), _profile())
         cache.put(cache_key("fresh"), _profile("fresh"))
         path = cache._path(cache_key("stale"))
-        payload = pickle.loads(path.read_bytes())
+        payload = json.loads(path.read_bytes())
         payload["version"] = CACHE_SCHEMA_VERSION + 999
-        path.write_bytes(pickle.dumps(payload))
+        path.write_bytes(json.dumps(payload).encode())
         results = cache.get_many([cache_key("stale"), cache_key("fresh")])
         assert results[0] is None
-        assert results[1].flow_name == "fresh"
+        assert tag(results[1]) == "fresh"
         assert cache.stats.invalid == 1
         assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert not path.exists(), "stale entries are dropped, not served"

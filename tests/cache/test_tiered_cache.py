@@ -11,10 +11,11 @@ from repro.cache import (
 )
 from repro.quality.composite import QualityProfile
 from tests.keys import cache_key
+from tests.profiles import tag, tagged
 
 
 def _profile(name: str = "p") -> QualityProfile:
-    return QualityProfile(flow_name=name)
+    return tagged(name)
 
 
 def _tiered(tmp_path) -> TieredProfileCache:
@@ -36,7 +37,7 @@ class TestTieredLookup:
         DiskProfileCache(tmp_path).put(cache_key("k"), _profile("warm"))
         cache = _tiered(tmp_path)  # fresh memory tier, warm disk
         first = cache.get(cache_key("k"))
-        assert first is not None and first.flow_name == "warm"
+        assert first is not None and tag(first) == "warm"
         assert cache.memory.stats.misses == 1
         assert cache.disk.stats.hits == 1
         # the promotion makes the second lookup a pure memory hit
@@ -70,7 +71,7 @@ class TestTieredMaintenance:
         cache.put(cache_key("k"), _profile("buffered"))
         assert DiskProfileCache(tmp_path).get(cache_key("k")) is None  # not published yet
         cache.flush()
-        assert DiskProfileCache(tmp_path).get(cache_key("k")).flow_name == "buffered"
+        assert tag(DiskProfileCache(tmp_path).get(cache_key("k"))) == "buffered"
 
     def test_clear_resets_both_tiers_and_all_stats(self, tmp_path):
         cache = _tiered(tmp_path)
@@ -135,7 +136,7 @@ class TestTieredGetMany:
         cache.put(cache_key("b"), _profile("pb"))
         cache.memory.clear()  # simulate a fresh process: disk-only warmth
         results = cache.get_many([cache_key("a"), cache_key("gone"), cache_key("b")])
-        assert [r.flow_name if r else None for r in results] == ["pa", None, "pb"]
+        assert [tag(r) if r else None for r in results] == ["pa", None, "pb"]
         # one logical count per key...
         assert cache.stats.hits == 2 and cache.stats.misses == 1
         # ...and the disk hits were promoted into memory

@@ -13,21 +13,15 @@ from repro.core.policies import (
 from repro.patterns.data_quality import FilterNullValues
 from repro.patterns.performance import ParallelizeTask
 from repro.patterns.reliability import AddCheckpoint
-from repro.quality.composite import QualityProfile
-from repro.quality.framework import MeasureValue, QualityCharacteristic
+from repro.quality.framework import QualityCharacteristic
+from tests.profiles import make_profile
 
 
 def _profile(perf=50.0, cycle=1_000.0):
-    profile = QualityProfile(flow_name="f")
-    profile.scores[QualityCharacteristic.PERFORMANCE] = perf
-    profile.values["process_cycle_time_ms"] = MeasureValue(
-        measure="process_cycle_time_ms",
-        characteristic=QualityCharacteristic.PERFORMANCE,
-        value=cycle,
-        normalized=0.5,
-        higher_is_better=False,
+    return make_profile(
+        {QualityCharacteristic.PERFORMANCE: perf},
+        [("process_cycle_time_ms", QualityCharacteristic.PERFORMANCE, cycle, 0.5, False)],
     )
-    return profile
 
 
 class TestMeasureConstraint:

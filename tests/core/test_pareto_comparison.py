@@ -4,16 +4,18 @@ import pytest
 
 from repro.core.comparison import compare_profiles
 from repro.core.pareto import dominance_counts, pareto_front, pareto_front_profiles
-from repro.quality.composite import QualityProfile
-from repro.quality.framework import MeasureValue, QualityCharacteristic
+from repro.quality.framework import QualityCharacteristic
+from tests.profiles import make_profile
 
 
 def _profile(name, perf, dq, rel):
-    profile = QualityProfile(flow_name=name)
-    profile.scores[QualityCharacteristic.PERFORMANCE] = perf
-    profile.scores[QualityCharacteristic.DATA_QUALITY] = dq
-    profile.scores[QualityCharacteristic.RELIABILITY] = rel
-    return profile
+    return make_profile(
+        {
+            QualityCharacteristic.PERFORMANCE: perf,
+            QualityCharacteristic.DATA_QUALITY: dq,
+            QualityCharacteristic.RELIABILITY: rel,
+        }
+    )
 
 
 CHARS = (
@@ -80,25 +82,19 @@ class TestParetoFront:
 
 
 class TestComparison:
-    def _profiles(self):
-        baseline = QualityProfile(flow_name="initial")
-        baseline.scores[QualityCharacteristic.PERFORMANCE] = 50.0
-        baseline.scores[QualityCharacteristic.RELIABILITY] = 40.0
-        baseline.values["process_cycle_time_ms"] = MeasureValue(
-            "process_cycle_time_ms", QualityCharacteristic.PERFORMANCE, 1_000.0, 0.5, False, "ms"
+    def _profiles(self, baseline_success=True):
+        perf, rel = QualityCharacteristic.PERFORMANCE, QualityCharacteristic.RELIABILITY
+        baseline = make_profile(
+            {perf: 50.0, rel: 40.0},
+            [("process_cycle_time_ms", perf, 1_000.0, 0.5, False, "ms")]
+            + ([("success_rate", rel, 0.8, 0.8, True)] if baseline_success else []),
         )
-        baseline.values["success_rate"] = MeasureValue(
-            "success_rate", QualityCharacteristic.RELIABILITY, 0.8, 0.8, True
-        )
-
-        alternative = QualityProfile(flow_name="alt")
-        alternative.scores[QualityCharacteristic.PERFORMANCE] = 60.0
-        alternative.scores[QualityCharacteristic.RELIABILITY] = 36.0
-        alternative.values["process_cycle_time_ms"] = MeasureValue(
-            "process_cycle_time_ms", QualityCharacteristic.PERFORMANCE, 800.0, 0.6, False, "ms"
-        )
-        alternative.values["success_rate"] = MeasureValue(
-            "success_rate", QualityCharacteristic.RELIABILITY, 0.72, 0.72, True
+        alternative = make_profile(
+            {perf: 60.0, rel: 36.0},
+            [
+                ("process_cycle_time_ms", perf, 800.0, 0.6, False, "ms"),
+                ("success_rate", rel, 0.72, 0.72, True),
+            ],
         )
         return alternative, baseline
 
@@ -129,14 +125,13 @@ class TestComparison:
         assert success.relative_improvement == pytest.approx(-0.1)
 
     def test_missing_baseline_measures_are_skipped(self):
-        alternative, baseline = self._profiles()
-        del baseline.values["success_rate"]
+        alternative, baseline = self._profiles(baseline_success=False)
         comparison = compare_profiles(alternative, baseline)
         assert "success_rate" not in comparison.measure_changes
 
     def test_to_dict(self):
         alternative, baseline = self._profiles()
-        data = compare_profiles(alternative, baseline).to_dict()
+        data = compare_profiles(alternative, baseline, "alt", "initial").to_dict()
         assert data["flow"] == "alt"
         assert data["baseline"] == "initial"
         assert "performance" in data["characteristics"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import ProfileCache
 from repro.core.alternatives import AlternativeFlow
 from repro.core.configuration import MeasureConstraint, ProcessingConfiguration
 from repro.core.evaluator import ParallelEvaluator
@@ -41,6 +42,37 @@ class TestParallelEvaluator:
         for alternative in evaluated:
             assert alternative.profile.scores == direct.scores
 
+    def test_one_key_in_one_window_shares_one_profile(self, linear_flow, monkeypatch):
+        """Copies of one flow share a cache key: one estimate, one shared profile,
+        and each alternative still reports its own flow's name."""
+        estimator = QualityEstimator(
+            settings=EstimationSettings(simulation_runs=1, seed=3), cache=ProfileCache()
+        )
+        estimated = []
+        evaluate_uncached = estimator.evaluate_uncached
+        monkeypatch.setattr(
+            estimator,
+            "evaluate_uncached",
+            lambda flow: estimated.append(flow.name) or evaluate_uncached(flow),
+        )
+        alternatives = self._alternatives(linear_flow)
+        evaluated = list(
+            ParallelEvaluator(estimator=estimator).evaluate_stream(
+                alternatives, batch_size=len(alternatives)
+            )
+        )
+        assert estimated == ["alt_0"]
+        (shared,) = {id(alternative.profile) for alternative in evaluated}
+        result = PlanningResult(
+            initial_flow=linear_flow,
+            baseline_profile=estimator.evaluate(linear_flow),
+            alternatives=evaluated,
+        )
+        for index, alternative in enumerate(evaluated):
+            assert alternative.flow.name == f"alt_{index}"
+            assert result.comparison(alternative).flow_name == f"alt_{index}"
+            assert result.comparison(alternative).baseline_name == linear_flow.name
+
     def test_empty_batch(self, fast_estimator):
         assert ParallelEvaluator(estimator=fast_estimator).evaluate([]) == []
 
@@ -60,7 +92,7 @@ class TestPlanner:
         assert all(alt.profile is not None for alt in result.alternatives)
         assert result.skyline_indices
         assert set(result.skyline_indices) <= set(range(len(result.alternatives)))
-        assert result.baseline_profile.flow_name == small_purchases.name
+        assert result.baseline_profile is planner.evaluate_flow(small_purchases)  # cached
 
     def test_skyline_profiles_are_mutually_non_dominated(self, small_purchases):
         planner = Planner(configuration=_fast_config(pattern_budget=2))
@@ -193,4 +225,4 @@ class TestRedesignSession:
     def test_current_profile(self, small_purchases):
         session = RedesignSession(small_purchases, configuration=_fast_config())
         profile = session.current_profile
-        assert profile.flow_name == small_purchases.name
+        assert profile == session.planner.estimator.evaluate_uncached(small_purchases)

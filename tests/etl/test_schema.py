@@ -161,6 +161,9 @@ class TestSchemaSerialisation:
         data = simple_schema.to_dict()
         restored = Schema.from_dict(data)
         assert restored == simple_schema
+        for dtype in ("no-such-type", ["integer"]):
+            with pytest.raises(ValueError, match="not a valid DataType"):
+                Schema.from_dict([dict(data[0], dtype=dtype)])
 
     def test_to_dict_structure(self, simple_schema):
         data = simple_schema.to_dict()

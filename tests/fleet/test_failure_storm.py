@@ -20,9 +20,9 @@ from repro.core.planner import Planner
 from repro.core.session import RedesignSession
 from repro.service.redesign_server import configuration_from_request
 from repro.service.results import result_to_dict
-from repro.quality.composite import QualityProfile
 from tests.fleet.conftest import FleetHarness
 from tests.keys import cache_key
+from tests.profiles import tag, tagged
 
 pytestmark = pytest.mark.fleet
 
@@ -138,11 +138,11 @@ def test_kill_one_shard_of_four_mid_plan(make_fleet, branching_flow):
         cache_key("sentinel", n) for n in range(10_000)
         if cache.shard_for(cache_key("sentinel", n)) == victim_url
     )
-    cache.put(sentinel, QualityProfile(flow_name="republished"))
+    cache.put(sentinel, tagged("republished"))
     cache.flush()
     assert sentinel in fleet.shards[victim].backend
     got = cache.get(sentinel)
-    assert got is not None and got.flow_name == "republished"
+    assert got is not None and tag(got) == "republished"
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ from repro.service import CacheServer
 from tests.conftest import fast_planner_config
 from tests.fleet.conftest import PROBE_INTERVAL, make_sharded_cache
 from tests.keys import cache_key
+from tests.profiles import tag, tagged
 
 pytestmark = pytest.mark.fleet
 
 
 def _profile(name: str = "p") -> QualityProfile:
-    return QualityProfile(flow_name=name)
+    return tagged(name)
 
 
 def _key(n: int) -> str:
@@ -69,7 +70,7 @@ def test_put_get_roundtrip_across_shards(sharded):
     sharded.flush()
     for n, key in enumerate(keys):
         got = sharded.get(key)
-        assert got is not None and got.flow_name == f"p{n}"
+        assert got is not None and tag(got) == f"p{n}"
     assert sharded.stats.hits == len(keys)
 
 
@@ -98,7 +99,7 @@ def test_get_many_fans_out_and_preserves_order(sharded):
     assert len(results) == len(keys)
     for n, result in enumerate(results):
         if n in (3, 7, 21):
-            assert result is not None and result.flow_name == f"p{n}"
+            assert result is not None and tag(result) == f"p{n}"
         else:
             assert result is None
     assert sharded.stats.hits == 3
@@ -212,7 +213,7 @@ def test_dead_shard_degrades_alone_and_recovers(shard_servers, sharded):
     # Writes to the dead shard land in its local fallback, readable back.
     sharded.put(victim_keys[0], _profile("offline"))
     sharded.flush()
-    assert sharded.get(victim_keys[0]).flow_name == "offline"
+    assert tag(sharded.get(victim_keys[0])) == "offline"
 
     # Revive on the same port: the probe re-attaches and republishes.
     revived = CacheServer(ProfileCache(), port=victim_port)
@@ -221,7 +222,7 @@ def test_dead_shard_degrades_alone_and_recovers(shard_servers, sharded):
         wait_until(lambda: not sharded.client_for(victim_url).degraded)
         wait_until(lambda: _key_on(revived, victim_keys[0]))
         assert sharded.degraded_shards == ()
-        assert sharded.get(victim_keys[0]).flow_name == "offline"
+        assert tag(sharded.get(victim_keys[0])) == "offline"
         assert sharded.wire_stats()["recoveries"] == 1
     finally:
         revived.stop()

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.pareto import dominance_counts, pareto_front
 from repro.quality.composite import QualityProfile
 from repro.quality.framework import QualityCharacteristic
+from tests.profiles import make_profile
 from tests.reference_skyline import reference_dominance_counts, reference_pareto_front
 
 _CHARACTERISTICS = tuple(QualityCharacteristic)[:5]
@@ -41,13 +42,7 @@ def _point_sets(draw) -> list[tuple]:
 
 
 def _profiles(points: list[tuple]) -> list[QualityProfile]:
-    profiles = []
-    for index, point in enumerate(points):
-        profile = QualityProfile(flow_name=f"p{index}")
-        for characteristic, value in zip(_CHARACTERISTICS, point):
-            profile.scores[characteristic] = value
-        profiles.append(profile)
-    return profiles
+    return [make_profile(dict(zip(_CHARACTERISTICS, point))) for point in points]
 
 
 class TestSkylineOracle:

@@ -1,84 +1,62 @@
 """Tests for composite measures, quality profiles and the estimator facade."""
 
+import pickle
+
 import pytest
 
-from repro.quality.composite import CompositeMeasure, QualityProfile, build_composites
+from repro.io.jsonflow import profiles_to_dict
+from repro.quality.composite import MeasureTable
 from repro.quality.estimator import EstimationSettings, QualityEstimator
 from repro.quality.framework import (
     MeasureRegistry,
-    MeasureValue,
     QualityCharacteristic,
     default_registry,
 )
 from repro.quality.manageability import Coupling, LongestPathLength
 from tests.conftest import static_registry
+from tests.profiles import make_profile
 
 
-def _value(name, characteristic, value, normalized, higher=True):
-    return MeasureValue(
-        measure=name,
-        characteristic=characteristic,
-        value=value,
-        normalized=normalized,
-        higher_is_better=higher,
-    )
-
-
-class TestCompositeMeasure:
+class TestMeasureTable:
     def test_score_is_weighted_mean_of_normalised_values(self):
-        composite = CompositeMeasure(
-            QualityCharacteristic.MANAGEABILITY,
-            components=(LongestPathLength(), Coupling()),
-        )
-        values = {
-            "longest_path_length": _value(
-                "longest_path_length", QualityCharacteristic.MANAGEABILITY, 5, 0.8, higher=False
-            ),
-            "coupling": _value(
-                "coupling", QualityCharacteristic.MANAGEABILITY, 1.0, 0.4, higher=False
-            ),
-        }
+        table = MeasureRegistry([LongestPathLength(), Coupling()]).table()
         # equal weights (1.0) -> plain mean of 0.8 and 0.4 on a 0-100 scale
-        assert composite.score(values) == pytest.approx(60.0)
+        assert table.scores([0.8, 0.4]) == (pytest.approx(60.0),)
 
-    def test_missing_components_are_skipped(self):
-        composite = CompositeMeasure(
-            QualityCharacteristic.MANAGEABILITY,
-            components=(LongestPathLength(), Coupling()),
+    def test_zero_total_weight_scores_zero(self):
+        table = MeasureTable(
+            names=("m",),
+            characteristics=(QualityCharacteristic.COST,),
+            higher_is_better=(True,),
+            units=("",),
+            descriptions=("",),
+            weights=(0.0,),
         )
-        values = {
-            "coupling": _value(
-                "coupling", QualityCharacteristic.MANAGEABILITY, 1.0, 0.4, higher=False
-            ),
-        }
-        assert composite.score(values) == pytest.approx(40.0)
+        assert table.scores([0.7]) == (0.0,)
 
-    def test_empty_values_score_zero(self):
-        composite = CompositeMeasure(QualityCharacteristic.COST, components=())
-        assert composite.score({}) == 0.0
-
-    def test_build_composites_covers_registry(self):
+    def test_registry_table_composites_cover_registry(self):
         registry = default_registry()
-        composites = build_composites(registry)
-        assert set(composites) == set(registry.characteristics())
-        for characteristic, composite in composites.items():
-            assert composite.component_names() == [
+        table = registry.table()
+        assert registry.table() is table  # built once per set of measures
+        assert list(table.composites) == registry.characteristics()
+        for characteristic, columns in zip(table.composites, table.members):
+            assert [table.names[column] for column in columns] == [
                 m.name for m in registry.for_characteristic(characteristic)
             ]
 
 
 class TestQualityProfile:
-    def _profile(self, name="flow", perf=50.0, dq=60.0):
-        profile = QualityProfile(flow_name=name)
-        profile.scores[QualityCharacteristic.PERFORMANCE] = perf
-        profile.scores[QualityCharacteristic.DATA_QUALITY] = dq
-        profile.values["cycle"] = _value(
-            "cycle", QualityCharacteristic.PERFORMANCE, 100.0, 0.5, higher=False
+    def _profile(self, perf=50.0, dq=60.0, cycle=100.0):
+        return make_profile(
+            scores={
+                QualityCharacteristic.PERFORMANCE: perf,
+                QualityCharacteristic.DATA_QUALITY: dq,
+            },
+            measures=[
+                ("cycle", QualityCharacteristic.PERFORMANCE, cycle, 0.5, False),
+                ("nulls", QualityCharacteristic.DATA_QUALITY, 0.1, 0.9, False),
+            ],
         )
-        profile.values["nulls"] = _value(
-            "nulls", QualityCharacteristic.DATA_QUALITY, 0.1, 0.9, higher=False
-        )
-        return profile
 
     def test_score_and_value_accessors(self):
         profile = self._profile()
@@ -110,10 +88,7 @@ class TestQualityProfile:
 
     def test_relative_changes(self):
         baseline = self._profile()
-        improved = self._profile()
-        improved.values["cycle"] = _value(
-            "cycle", QualityCharacteristic.PERFORMANCE, 50.0, 0.7, higher=False
-        )
+        improved = self._profile(cycle=50.0)
         changes = improved.relative_changes(baseline)
         assert changes["cycle"] == pytest.approx(0.5)
         assert changes["nulls"] == pytest.approx(0.0)
@@ -124,17 +99,19 @@ class TestQualityProfile:
         changes = better.characteristic_changes(baseline)
         assert changes[QualityCharacteristic.PERFORMANCE] == pytest.approx(0.5)
 
-    def test_to_dict_round_trippable_structure(self):
-        data = self._profile().to_dict()
-        assert data["flow_name"] == "flow"
-        assert "performance" in data["scores"]
-        assert "cycle" in data["measures"]
+    def test_codec_document_structure(self):
+        document = profiles_to_dict([self._profile()])
+        (table,) = document["tables"]
+        assert table["names"] == ["cycle", "nulls"]
+        assert table["characteristics"] == ["performance", "data_quality"]
+        assert document["profiles"] == [[0, [100.0, 0.1], [0.5, 0.9], [50.0, 60.0]]]
 
 
 class TestQualityEstimator:
     def test_full_evaluation_produces_scores_and_values(self, linear_flow, fast_estimator):
         profile = fast_estimator.evaluate(linear_flow)
-        assert profile.flow_name == linear_flow.name
+        assert profile.table is fast_estimator.registry.table()
+        assert pickle.loads(pickle.dumps(profile)) == profile
         assert profile.scores
         for characteristic, score in profile.scores.items():
             assert 0.0 <= score <= 100.0, characteristic

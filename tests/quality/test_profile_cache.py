@@ -4,13 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.quality.composite import QualityProfile
 from repro.cache import CacheStats, ProfileCache
 from repro.quality.estimator import EstimationSettings, QualityEstimator
 from repro.simulator.resources import ResourceModel
 from tests.conftest import set_properties, static_registry
 from tests.reference_fingerprint import reference_cache_key
 from tests.keys import cache_key
+from tests.profiles import tag, tagged
 
 
 class TestFlowFingerprint:
@@ -38,13 +38,13 @@ class TestFlowFingerprint:
 
 class TestProfileCache:
     def _profile(self, name="p"):
-        return QualityProfile(flow_name=name)
+        return tagged(name)
 
     def test_get_put_and_stats(self):
         cache = ProfileCache()
         assert cache.get(cache_key("k")) is None
         cache.put(cache_key("k"), self._profile())
-        assert cache.get(cache_key("k")).flow_name == "p"
+        assert tag(cache.get(cache_key("k"))) == "p"
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.lookups == 2
@@ -102,25 +102,40 @@ class TestCachedEstimator:
         assert first.scores == second.scores
         assert first.values == second.values
 
-    def test_cache_hit_relabels_the_profile(self, linear_flow):
-        cache = ProfileCache()
-        estimator = QualityEstimator(
-            settings=EstimationSettings(simulation_runs=1, seed=3), cache=cache
-        )
-        estimator.evaluate(linear_flow)
-        renamed = linear_flow.copy(name="rebranded")
-        profile = estimator.evaluate(renamed)
-        assert profile.flow_name == "rebranded"
-
-    def test_cached_profiles_are_copies(self, linear_flow):
+    def test_cache_hit_is_the_cached_profile(self, linear_flow):
+        """A profile carries no flow name, so a hit is shared, not relabelled."""
         cache = ProfileCache()
         estimator = QualityEstimator(
             settings=EstimationSettings(simulation_runs=1, seed=3), cache=cache
         )
         first = estimator.evaluate(linear_flow)
-        first.scores.clear()  # a caller mutating its copy...
-        second = estimator.evaluate(linear_flow.copy())
-        assert second.scores  # ...does not corrupt the memo
+        renamed = linear_flow.copy(name="rebranded")
+        assert estimator.evaluate(renamed) is first
+
+    def test_cached_profiles_are_immutable(self, linear_flow):
+        cache = ProfileCache()
+        estimator = QualityEstimator(
+            settings=EstimationSettings(simulation_runs=1, seed=3), cache=cache
+        )
+        profile = estimator.evaluate(linear_flow)
+        scores, values = dict(profile.scores), dict(profile.values)
+        with pytest.raises(TypeError):
+            profile.scores[next(iter(scores))] = 0.0
+        with pytest.raises(AttributeError):
+            profile.scores.clear()
+        with pytest.raises(TypeError):
+            profile.values["process_cycle_time_ms"] = None
+        with pytest.raises(TypeError):
+            del profile.values["process_cycle_time_ms"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.raw_values = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.table.names = ()
+        with pytest.raises(TypeError):
+            profile.raw_values[0] = 0.0
+        again = estimator.evaluate(linear_flow.copy())
+        assert again is profile
+        assert dict(again.scores) == scores and dict(again.values) == values
 
     def test_settings_partition_the_cache(self, linear_flow):
         cache = ProfileCache()

@@ -4,7 +4,8 @@ The service's result document carries the initial flow once and every
 alternative as a delta against it, with one measure table for all
 profiles (:mod:`repro.service.results`).  This reference does none of
 that: every flow travels whole (:meth:`ETLGraph.to_dict`) and every
-measure value carries its own metadata.  Decoding builds each flow from
+measure value carries its own metadata, from which each decoded profile
+gets a measure table of its own.  Decoding builds each flow from
 scratch with :meth:`ETLGraph.from_dict`, so a disagreement with the
 service codec points at the delta encoding or replay, or at the measure
 table, not at the flow or profile model.
@@ -17,14 +18,14 @@ from typing import Any, Mapping
 from repro.core.alternatives import AlternativeFlow
 from repro.core.planner import PlanningResult
 from repro.etl.graph import ETLGraph
-from repro.quality.composite import QualityProfile
-from repro.quality.framework import MeasureValue, QualityCharacteristic
+from repro.quality.composite import MeasureTable, QualityProfile
+from repro.quality.framework import QualityCharacteristic
 
 
 def reference_profile_to_dict(profile: QualityProfile) -> dict[str, Any]:
     """A profile with every measure value's metadata inline."""
+    weights = dict(zip(profile.table.names, profile.table.weights))
     return {
-        "flow_name": profile.flow_name,
         "scores": {c.value: score for c, score in profile.scores.items()},
         "values": {
             name: {
@@ -35,6 +36,7 @@ def reference_profile_to_dict(profile: QualityProfile) -> dict[str, Any]:
                 "higher_is_better": v.higher_is_better,
                 "unit": v.unit,
                 "description": v.description,
+                "weight": weights[name],
             }
             for name, v in profile.values.items()
         },
@@ -42,21 +44,22 @@ def reference_profile_to_dict(profile: QualityProfile) -> dict[str, Any]:
 
 
 def reference_profile_from_dict(data: Mapping[str, Any]) -> QualityProfile:
-    """The inverse of :func:`reference_profile_to_dict`."""
-    values = {
-        name: MeasureValue(
-            measure=entry["measure"],
-            characteristic=QualityCharacteristic(entry["characteristic"]),
-            value=entry["value"],
-            normalized=entry["normalized"],
-            higher_is_better=entry["higher_is_better"],
-            unit=entry["unit"],
-            description=entry["description"],
-        )
-        for name, entry in data["values"].items()
-    }
-    scores = {QualityCharacteristic(name): score for name, score in data["scores"].items()}
-    return QualityProfile(flow_name=data["flow_name"], scores=scores, values=values)
+    """The inverse of :func:`reference_profile_to_dict`: a table of the profile's own."""
+    entries = list(data["values"].values())
+    table = MeasureTable(
+        names=tuple(entry["measure"] for entry in entries),
+        characteristics=tuple(QualityCharacteristic(e["characteristic"]) for e in entries),
+        higher_is_better=tuple(entry["higher_is_better"] for entry in entries),
+        units=tuple(entry["unit"] for entry in entries),
+        descriptions=tuple(entry["description"] for entry in entries),
+        weights=tuple(entry["weight"] for entry in entries),
+    )
+    return QualityProfile(
+        table,
+        tuple(entry["value"] for entry in entries),
+        tuple(entry["normalized"] for entry in entries),
+        tuple(data["scores"][c.value] for c in table.composites),
+    )
 
 
 def reference_result_to_dict(result: PlanningResult) -> dict[str, Any]:

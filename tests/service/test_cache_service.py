@@ -23,10 +23,11 @@ from repro.quality.composite import QualityProfile
 from repro.fleet import JobQueue
 from repro.service import CacheServer, RedesignClient, RedesignServer, RedesignServiceError
 from tests.keys import cache_key
+from tests.profiles import tag, tagged
 
 
 def _profile(name: str = "p") -> QualityProfile:
-    return QualityProfile(flow_name=name)
+    return tagged(name)
 
 
 @pytest.fixture()
@@ -46,13 +47,13 @@ class TestClientBackendContract:
         client.put(key, _profile("mine"))
         # buffered: visible to this instance, invisible to the server
         assert key in client
-        assert client.get(key).flow_name == "mine"
+        assert tag(client.get(key)) == "mine"
         assert len(disk_server.backend) == 0
         client.flush()
         assert len(disk_server.backend) == 1
         # a second client now sees it through the server
         other = HTTPProfileCache(disk_server.url)
-        assert other.get(key).flow_name == "mine"
+        assert tag(other.get(key)) == "mine"
         assert other.stats.hits == 1
 
     def test_stats_count_one_per_lookup_on_either_side(self, client):
@@ -91,10 +92,10 @@ class TestSharedServer:
         b = HTTPProfileCache(disk_server.url)
         a.put(cache_key("shared"), _profile("from-a"))
         a.flush()
-        assert b.get(cache_key("shared")).flow_name == "from-a"
+        assert tag(b.get(cache_key("shared"))) == "from-a"
         b.put(cache_key("back"), _profile("from-b"))
         b.flush()
-        assert a.get(cache_key("back")).flow_name == "from-b"
+        assert tag(a.get(cache_key("back"))) == "from-b"
         assert disk_server.stats.hits == 2
 
     def test_digest_path_survives_a_server_restart(self, tmp_path):
@@ -107,7 +108,7 @@ class TestSharedServer:
             warm.flush()
         with CacheServer(DiskProfileCache(store)) as second:
             fresh = HTTPProfileCache(second.url)
-            assert fresh.get(key).flow_name == "old"
+            assert tag(fresh.get(key)) == "old"
             # served from the file the first server wrote: the new
             # server's hot map was empty
             assert second.stats.hits == 1
@@ -120,8 +121,8 @@ class TestSharedServer:
         local.put(key, _profile("direct"))
         with CacheServer(DiskProfileCache(store)) as server:
             over_http = HTTPProfileCache(server.url)
-            assert over_http.get(key).flow_name == "direct"
-        assert local._path(key).name == f"{key}.profile.pkl"
+            assert tag(over_http.get(key)) == "direct"
+        assert local._path(key).name == f"{key}.profile.json"
 
 
 class TestMemoryBackedServer:
@@ -131,7 +132,7 @@ class TestMemoryBackedServer:
             client.put(cache_key("k"), _profile("scratch"))
             client.flush()
             other = HTTPProfileCache(server.url)
-            assert other.get(cache_key("k")).flow_name == "scratch"
+            assert tag(other.get(cache_key("k"))) == "scratch"
             assert cache_key("k") in other
 
     def test_hot_map_eviction_falls_back_to_the_backend(self):
@@ -142,8 +143,8 @@ class TestMemoryBackedServer:
             client.flush()
             # "a" was evicted from the hot map; the backend still
             # holds it under the same key
-            assert client.get(cache_key("a")).flow_name == "pa"
-            assert client.get(cache_key("b")).flow_name == "pb"
+            assert tag(client.get(cache_key("a"))) == "pa"
+            assert tag(client.get(cache_key("b"))) == "pb"
 
     def test_entries_the_backend_evicted_are_misses(self):
         """The server holds no key the bounded backend has dropped."""
@@ -154,7 +155,7 @@ class TestMemoryBackedServer:
             client.put(cache_key("b"), _profile("pb"))
             client.flush()  # the bounded backend evicted "a"
             assert client.get(cache_key("a")) is None
-            assert client.get(cache_key("b")).flow_name == "pb"
+            assert tag(client.get(cache_key("b"))) == "pb"
             assert cache_key("a") not in client
 
     def test_server_state_never_outgrows_a_bounded_backend(self):
@@ -168,8 +169,8 @@ class TestMemoryBackedServer:
             assert len(server._hot) <= 1
             assert len(server.backend) == 2
             # the survivors still resolve their profiles
-            assert client.get(cache_key("k18")).flow_name == "p18"
-            assert client.get(cache_key("k19")).flow_name == "p19"
+            assert tag(client.get(cache_key("k18"))) == "p18"
+            assert tag(client.get(cache_key("k19"))) == "p19"
             assert client.get(cache_key("k17")) is None
 
 
@@ -319,7 +320,7 @@ class TestDegradation:
         with caplog.at_level(logging.WARNING, logger="repro.cache.http"):
             assert client.get(cache_key("k")) is None
             client.put(cache_key("k"), _profile("local"))
-            assert client.get(cache_key("k")).flow_name == "local"  # served by the fallback
+            assert tag(client.get(cache_key("k"))) == "local"  # served by the fallback
             assert client.get(cache_key("other")) is None
         warnings = [r for r in caplog.records if "falling back" in r.getMessage()]
         assert len(warnings) == 1, "degradation is logged exactly once"
@@ -335,4 +336,4 @@ class TestDegradation:
             server.stop()
         client.flush()  # fails -> degrades; the buffer must not be lost
         assert client.degraded
-        assert client.get(cache_key("buffered")).flow_name == "survives"
+        assert tag(client.get(cache_key("buffered"))) == "survives"

@@ -17,6 +17,7 @@ from repro.cache import DiskProfileCache, ProfileCache
 from repro.core import Planner
 from repro.service import CacheServer
 from tests.keys import cache_key
+from tests.profiles import tag, tagged
 
 
 class TestServerKilledMidPlan:
@@ -177,12 +178,11 @@ class TestClientDegradesOnAnyFailure:
     def test_unserializable_key_degrades_on_flush_without_losing_the_entry(self):
         """json.dumps failures count as cache failures, not plan failures."""
         from repro.cache.http import HTTPProfileCache
-        from repro.quality.composite import QualityProfile
 
         with CacheServer(ProfileCache()) as server:
             client = HTTPProfileCache(server.url, timeout=2.0)
             key = (b"bytes-are-hashable-but-not-json",)
-            client.put(key, QualityProfile(flow_name="kept"))
+            client.put(key, tagged("kept"))
             client.flush()  # TypeError inside the request -> degrade
             assert client.degraded
-            assert client.get(key).flow_name == "kept"  # served by the fallback
+            assert tag(client.get(key)) == "kept"  # served by the fallback

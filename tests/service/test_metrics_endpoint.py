@@ -18,9 +18,9 @@ import pytest
 
 from repro.cache import ProfileCache
 from repro.cache.http import HTTPProfileCache
-from repro.quality.composite import QualityProfile
 from repro.service import CacheServer, RedesignClient, RedesignServer
 from tests.keys import cache_key
+from tests.profiles import tagged
 
 _WIRE_CONFIG = dict(
     pattern_budget=1,
@@ -58,7 +58,7 @@ class TestCacheServerMetrics:
 
     def test_traffic_shows_up_in_counters_and_golden(self, server):
         client = HTTPProfileCache(server.url, timeout=5.0)
-        client.put(cache_key("k"), QualityProfile(flow_name="k"))
+        client.put(cache_key("k"), tagged("k"))
         client.flush()
         assert client.get(cache_key("k")) is not None
         assert client.get(cache_key("absent")) is None
@@ -123,7 +123,7 @@ class TestScrapeIsAPureRead:
         """A monitoring loop and a working client share one server."""
         client = HTTPProfileCache(server.url, timeout=5.0)
         for index in range(10):
-            client.put(cache_key("warm", index), QualityProfile(flow_name=f"p{index}"))
+            client.put(cache_key("warm", index), tagged(f"p{index}"))
         client.flush()
 
         stop = threading.Event()

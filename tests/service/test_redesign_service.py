@@ -538,6 +538,9 @@ class TestConfigurationFromRequest:
         assert post({}) == 400  # no flow
         assert post({"flow": "not-a-document"}) == 400
         assert post({"flow": {"bogus": True}}) == 400  # malformed flow doc
+        unknown_dtype = linear_flow.to_dict()
+        unknown_dtype["operations"][0]["output_schema"][0]["dtype"] = "no-such-type"
+        assert post({"flow": unknown_dtype}) == 400
         assert (
             post({"flow": linear_flow.to_dict(), "configuration": {"cache_dir": "/x"}})
             == 400

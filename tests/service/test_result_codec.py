@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.cache import ProfileCache
+from repro.cache import DiskProfileCache, ProfileCache
 from repro.cache.http import HTTPProfileCache
 from repro.core import Planner, ProcessingConfiguration
 from repro.etl.graph import ETLGraph
@@ -226,6 +226,14 @@ class TestProfileCodec:
                 (back,) = HTTPProfileCache(server.url, timeout=5.0).get_many([cache_key("p")])
                 assert _bits(back) == _bits(baseline_profile)
                 assert back == baseline_profile
+
+    def test_every_default_measure_is_bit_equal_through_the_disk_tier(
+        self, baseline_profile, tmp_path
+    ):
+        DiskProfileCache(tmp_path).put(cache_key("p"), baseline_profile)
+        back = DiskProfileCache(tmp_path).get(cache_key("p"))  # read from the file
+        assert _bits(back) == _bits(baseline_profile)
+        assert back == baseline_profile
 
     def test_a_reused_measure_name_keeps_its_own_metadata(self, linear_flow):
         class CouplingInLinks(Coupling):

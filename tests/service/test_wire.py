@@ -19,9 +19,9 @@ import pytest
 from repro.cache import DiskProfileCache, ProfileCache
 from repro.core import Planner
 from repro.io.jsonflow import WIRE_FORMAT, profiles_from_dict, profiles_to_dict
-from repro.quality.composite import QualityProfile
 from repro.service import CacheServer
 from repro.workloads import purchases_flow
+from tests.profiles import make_profile, tagged
 
 #: Keys that are not 64 lowercase hex.  The first names a file outside
 #: ``cache_dir`` and is exactly 64 characters, so a length-only check
@@ -47,18 +47,16 @@ class TestProfileCodec:
         profile, _ = evaluated_profile
         wire = json.loads(json.dumps(profiles_to_dict([profile])))
         (back,) = profiles_from_dict(wire)
-        assert back.flow_name == profile.flow_name
+        assert back == profile
         assert back.scores == profile.scores  # float-exact
         assert set(back.values) == set(profile.values)
         for name, value in profile.values.items():
             assert back.values[name] == value  # dataclass equality, all fields
 
     def test_profile_round_trip_survives_empty_profile(self):
-        from repro.quality.composite import QualityProfile
-
-        empty = QualityProfile(flow_name="nothing")
+        empty = make_profile()
         (back,) = profiles_from_dict(profiles_to_dict([empty]))
-        assert back.flow_name == "nothing"
+        assert back == empty and not back.values and not back.scores
 
 
 class TestRequestHygiene:
@@ -96,11 +94,11 @@ class TestRequestHygiene:
 
     def test_wrong_shapes_are_400(self, server):
         """Each body states the format, so it reaches its own shape check."""
-        profile, key = QualityProfile(flow_name="p"), "ab" * 32
+        profile, key = tagged("p"), "ab" * 32
         one = profiles_to_dict([profile])
         two = profiles_to_dict([profile, profile])
         valueless = json.loads(json.dumps(one))
-        del valueless["profiles"][0]["values"]
+        del valueless["profiles"][0][1:]  # a row without its values
         cases = [
             ("/get_many", {"digests": "not-a-list"}, '"digests" must be a JSON array'),
             ("/get_many", {"digests": ["too-short"]}, "64-character"),
@@ -152,17 +150,17 @@ class TestRequestHygiene:
         """Neither the disk tier nor the server builds a path from a bad key.
 
         Before validation, ``../``-shaped keys flowed into
-        ``cache_dir / f"{key}.profile.pkl"`` -- letting a client read,
-        touch or (via the invalid-entry discard) delete ``*.profile.pkl``
+        ``cache_dir / f"{key}.profile.json"`` -- letting a client read,
+        touch or (via the invalid-entry discard) delete ``*.profile.json``
         files outside the served directory.
         """
-        outside = [tmp_path / f"{'a' * 61}.profile.pkl", tmp_path / "x.profile.pkl"]
+        outside = [tmp_path / f"{'a' * 61}.profile.json", tmp_path / "x.profile.json"]
         for path in outside:
             path.write_bytes(b"not an entry; outside the served directory")
         before = [path.stat().st_mtime_ns for path in outside]
         store = tmp_path / "store"
         disk = DiskProfileCache(store)
-        profile = QualityProfile(flow_name="p")
+        profile = tagged("p")
 
         with pytest.raises(ValueError, match="hex"):
             disk.put(bad, profile)

@@ -33,15 +33,16 @@ from repro.service import CacheServer, RedesignClient, RedesignServer
 from repro.service.client import RedesignServiceError
 from repro.wire import BodyTooLarge, compress_body, decode_body
 from tests.keys import cache_key
+from tests.profiles import tag, tagged
 
 
 def _profile(name: str = "p") -> QualityProfile:
-    return QualityProfile(flow_name=name)
+    return tagged(name)
 
 
 def _big_profile(name: str = "big") -> QualityProfile:
     """A profile whose JSON document clears the compression threshold."""
-    return QualityProfile(flow_name=name + "x" * 4096)
+    return tagged(name + "x" * 4096)
 
 
 @pytest.fixture()
@@ -259,7 +260,7 @@ class TestAuthentication:
         client = HTTPProfileCache(locked_server.url, timeout=5.0, auth_token="s3cret")
         client.put(cache_key("k"), _profile("authed"))
         client.flush()
-        assert client.get(cache_key("k")).flow_name == "authed"
+        assert tag(client.get(cache_key("k"))) == "authed"
         assert not client.degraded
 
     @pytest.mark.parametrize("token", [None, "wrong"])
@@ -300,7 +301,7 @@ class TestRecoveryProbes:
         client.put(cache_key("before"), _profile("early"))
         server.stop()
         with caplog.at_level(logging.WARNING, logger="repro.cache.http"):
-            assert client.get(cache_key("before")).flow_name == "early"  # buffered
+            assert tag(client.get(cache_key("before"))) == "early"  # buffered
             assert client.get(cache_key("missing")) is None  # degrades here
             assert client.degraded
             client.put(cache_key("during"), _profile("offline"))  # fallback write
@@ -318,7 +319,7 @@ class TestRecoveryProbes:
                 # Everything written while offline (and the pre-outage
                 # buffer) was republished to the restarted server.
                 assert len(restarted.backend) == 2
-                assert client.get(cache_key("during")).flow_name == "offline"
+                assert tag(client.get(cache_key("during"))) == "offline"
             finally:
                 restarted.stop()
                 client.close()
@@ -358,7 +359,7 @@ class TestBestEffortObservability:
         assert len(client) == 0  # local view: buffer empty, fallback empty
         assert not client.degraded
         # The next lookup still goes to the server -- and hits.
-        assert client.get(cache_key("k")).flow_name == "served"
+        assert tag(client.get(cache_key("k"))) == "served"
         assert server.stats.hits == 1
 
     def test_stats_include_wire_accounting(self, server):
