@@ -301,6 +301,12 @@ class HTTPProfileCache:
         """How many times a recovery probe has re-attached the server."""
         return self._recoveries
 
+    @property
+    def has_pending(self) -> bool:
+        """Whether :meth:`flush` has buffered entries to publish."""
+        with self._lock:
+            return bool(self._pending)
+
     def wire_stats(self) -> dict[str, int]:
         """Transport accounting of the pooled connection layer."""
         client = self._client

@@ -57,8 +57,10 @@ from repro.quality.composite import QualityProfile
 from repro.quality.framework import QualityCharacteristic
 
 #: Default evaluation window, shared by ``ProcessingConfiguration`` and
-#: :meth:`repro.core.evaluator.ParallelEvaluator.evaluate_stream`.
-DEFAULT_EVAL_BATCH_SIZE = 16
+#: :meth:`repro.core.evaluator.ParallelEvaluator.evaluate_stream`.  Large
+#: enough that a small plan (the initial flow plus a budget-1 palette's
+#: ~25 candidates) is one batched lookup: one round trip per shard.
+DEFAULT_EVAL_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)

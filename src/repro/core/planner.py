@@ -10,15 +10,17 @@ comparison of every alternative against the initial flow.
 
 The stages run as a *streaming pipeline* on the planning thread:
 candidates flow out of the lazy generator into the evaluator one window
-(``eval_batch_size``) at a time -- one batched cache lookup per window --
-and profiles are memoized in one shared cache backend, so re-plans and
-session iterations simulate only flows they have not profiled yet.
+(``eval_batch_size``) at a time -- one batched cache lookup per window,
+the initial flow's own profile riding in the first -- and profiles are
+memoized in one shared cache backend, so re-plans and session
+iterations simulate only flows they have not profiled yet.
 Every candidate gets its full simulated profile; the results are
 identical to planning from scratch (``tests/reference_planner.py``).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -227,7 +229,11 @@ class Planner:
         return self.evaluator.evaluate(list(alternatives))
 
     def evaluate_flow(self, flow: ETLGraph) -> QualityProfile:
-        """Evaluate a single flow (used for the baseline profile)."""
+        """Evaluate a single flow outside a plan (a session's current flow, say).
+
+        :meth:`plan` resolves the initial flow's profile in its first
+        evaluation window instead.
+        """
         return self.estimator.evaluate(flow)
 
     # ------------------------------------------------------------------
@@ -251,9 +257,10 @@ class Planner:
         --------
         * ``flow`` must pass :func:`~repro.etl.validation.validate_flow`
           (a :class:`~repro.etl.validation.ValidationError` is raised
-          otherwise) and is **never mutated**: candidates are forks of
-          it that share its frozen operations and write only to their
-          own copies of its structure.
+          otherwise, before any cache traffic) and is **never
+          mutated**: candidates are forks of it that share its frozen
+          operations and write only to their own copies of its
+          structure.
         * The call is eager (it returns a fully evaluated
           :class:`PlanningResult`) but internally *streaming*: candidates
           flow from the lazy generator into the evaluator one window of
@@ -279,7 +286,6 @@ class Planner:
         registry = self.metrics
         campaign = maybe_timer(registry, "planner.plan_seconds")
         campaign.__enter__()
-        baseline_profile = self.evaluate_flow(flow)
         candidates: Iterable[AlternativeFlow] = self.stream_alternatives(flow)
         if registry is not None:
             candidates = self._timed_generation(candidates, registry)
@@ -287,9 +293,19 @@ class Planner:
         kept: list[AlternativeFlow] = []
         discarded = 0
         with maybe_timer(registry, "planner.phase.estimate_seconds"):
-            for alternative in self.evaluator.evaluate_stream(
-                candidates, batch_size=config.eval_batch_size
-            ):
+            # The initial flow heads the stream, so its profile shares the
+            # first window's batched lookup (and a miss is estimated and
+            # stored there); it is taken off before the hook, the
+            # constraint filter and the counters see the stream.
+            baseline = AlternativeFlow(flow)
+            stream = self.evaluator.evaluate_stream(
+                itertools.chain((baseline,), candidates),
+                batch_size=config.eval_batch_size,
+            )
+            next(stream)
+            baseline_profile = baseline.profile
+            assert baseline_profile is not None
+            for alternative in stream:
                 assert alternative.profile is not None
                 if on_evaluated is not None:
                     on_evaluated(alternative)

@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.etl.operations import MERGER_KINDS, Operation, OperationKind
-from repro.etl.schema import Schema
+from repro.etl.schema import Schema, decoding_scope
 
 _graph_uid_counter = itertools.count(1)
 
@@ -1350,17 +1350,23 @@ class ETLGraph:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ETLGraph":
-        """Deserialise a flow produced by :meth:`to_dict`."""
+        """Deserialise a flow produced by :meth:`to_dict`.
+
+        The schema documents repeat on every edge that carries them, so
+        the flow decodes inside one :func:`~repro.etl.schema.decoding_scope`
+        and builds each distinct schema once.
+        """
         flow = cls(name=str(data.get("name", "etl_flow")))
-        for op_data in data.get("operations", []):
-            flow.add_operation(Operation.from_dict(op_data))
-        for edge_data in data.get("edges", []):
-            flow.add_edge(
-                str(edge_data["source"]),
-                str(edge_data["target"]),
-                schema=Schema.from_dict(edge_data.get("schema", [])),
-                label=str(edge_data.get("label", "")),
-            )
+        with decoding_scope():
+            for op_data in data.get("operations", []):
+                flow.add_operation(Operation.from_dict(op_data))
+            for edge_data in data.get("edges", []):
+                flow.add_edge(
+                    str(edge_data["source"]),
+                    str(edge_data["target"]),
+                    schema=Schema.from_dict(edge_data.get("schema", [])),
+                    label=str(edge_data.get("label", "")),
+                )
         flow.annotations = dict(data.get("annotations", {}))
         flow._lineage = tuple(str(item) for item in data.get("applied_patterns", []))
         return flow

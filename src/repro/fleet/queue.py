@@ -244,7 +244,8 @@ class JobQueue:
             self.metrics_registry.counter("queue.enqueued").inc()
         with self._enqueued:
             self.enqueued += 1
-            self._enqueued.notify_all()
+            # One job, one idle worker: the rest would only lease nothing.
+            self._enqueued.notify()
         logger.debug("enqueued %s", job_id)
         return job_id
 
@@ -256,13 +257,18 @@ class JobQueue:
 
         Idle workers read :attr:`enqueued` before a lease that found
         nothing and wait here, so a job enqueued in between is never
-        slept through.  Enqueues by other processes are not seen; those
-        workers find them at the next poll.
+        slept through.  Each enqueue wakes one waiting worker.
+        Enqueues by other processes are not seen; those workers find
+        them at the next poll.
         """
         with self._enqueued:
             self._enqueued.wait_for(
                 lambda: self.enqueued != seen or stop.is_set(), timeout
             )
+            if stop.is_set() and self.enqueued != seen:
+                # A stopping worker will not lease: hand the enqueue's
+                # wake-up on to another idle worker.
+                self._enqueued.notify()
 
     def wait_for_ack(self, seen: int, timeout: float, stop: threading.Event) -> None:
         """Block until this instance acks past ``seen``, ``stop`` is set

@@ -29,7 +29,9 @@ Design points:
   shard and issues the per-shard ``POST /get_many`` round-trips
   *concurrently* (a small persistent thread pool, one worker per
   shard, so the pooled per-thread connections stay warm); a window's
-  latency is the slowest shard, not the sum.
+  latency is the slowest shard, not the sum.  :meth:`flush` fans the
+  end-of-campaign write-back out the same way: one concurrent
+  ``POST /put`` per shard that has pending entries.
 * **Deterministic rebalancing.**  :meth:`reconfigure` swaps the URL set
   in place: pending writes are flushed first, clients for surviving
   shards are kept (their connections, stats and degradation state
@@ -51,7 +53,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.backend import CacheStats, observe_get_many
@@ -261,9 +263,24 @@ class ShardedProfileCache:
         self._clients[self.shard_for(key)].put(key, profile)
 
     def flush(self) -> None:
-        """Publish every shard's buffered writes (one batch per shard)."""
-        for client in list(self._clients.values()):
-            client.flush()
+        """Publish every shard's buffered writes: one concurrent ``/put``
+        per shard with pending entries, on the lookup fan-out pool.
+
+        Returns once every put has landed (or degraded into its shard's
+        fallback), so a plan that ends with a flush is readable by the
+        next one.
+        """
+        pending = [
+            client for client in list(self._clients.values()) if client.has_pending
+        ]
+        if len(pending) <= 1:
+            for client in pending:
+                client.flush()
+            return
+        futures = [self._pool().submit(client.flush) for client in pending]
+        wait(futures)
+        for future in futures:
+            future.result()
 
     def clear(self) -> None:
         """Drop buffers, fallbacks and (best-effort) every shard's store."""

@@ -83,9 +83,12 @@ class RunningJob:
     def summary(self, result: PlanningResult | None = None) -> dict[str, Any]:
         """``generation`` / ``cache`` stats, plus result sizes once done.
 
-        Never raises: it runs on the failure path too, and a cache tier
-        broken enough to raise in its stats calls must not strand the
-        job un-acked.  Stats are best-effort.
+        ``cache`` is the backend's local logical counters, shared by
+        every job on this worker's tier; the summary rides on the ack,
+        so it makes no round trip (a shard's own view is its ``GET
+        /stats``).  Never raises: it runs on the failure path too, and a
+        cache tier broken enough to raise in its stats calls must not
+        strand the job un-acked.  Stats are best-effort.
         """
         summary: dict[str, Any] = {}
         if self.planner is None:
@@ -94,7 +97,7 @@ class RunningJob:
             stats = getattr(self.planner.generator, "last_stats", None)
             if stats is not None:
                 summary["generation"] = stats.as_dict()
-            summary["cache"] = self.session.cache_stats()
+            summary["cache"] = self.planner.profile_cache.stats.as_dict()
         except Exception:
             pass
         if result is not None:

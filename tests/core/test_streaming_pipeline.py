@@ -14,8 +14,11 @@ from repro.cache import ProfileCache
 from repro.core.alternatives import AlternativeFlow, AlternativeGenerator
 from repro.core.configuration import ProcessingConfiguration
 from repro.core.evaluator import ParallelEvaluator
-from repro.core.planner import PlanningResult
+from repro.core.planner import Planner, PlanningResult
 from repro.core.session import RedesignSession
+from repro.etl.graph import ETLGraph
+from repro.etl.validation import ValidationError
+from repro.obs.metrics import MetricsRegistry
 from repro.patterns.registry import default_palette
 from repro.quality.estimator import EstimationSettings, QualityEstimator
 from repro.quality.framework import QualityCharacteristic
@@ -173,7 +176,7 @@ class TestStreamingPlanEquivalence:
         ]
         assert streaming.fingerprint() == eager.fingerprint()
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 5, 64])
+    @pytest.mark.parametrize("batch_size", [1, 2, 5, 16, 64])
     def test_window_size_does_not_change_the_plan(
         self, small_purchases, make_planner, batch_size
     ):
@@ -184,6 +187,65 @@ class TestStreamingPlanEquivalence:
     def test_window_configuration_validation(self):
         with pytest.raises(ValueError):
             ProcessingConfiguration(eval_batch_size=0)
+
+
+class _CountingCache(ProfileCache):
+    """The in-process tier, counting the lookups a plan makes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gets = 0
+        self.get_many_calls = 0
+
+    def get(self, key):
+        self.gets += 1
+        return super().get(key)
+
+    def get_many(self, keys):
+        self.get_many_calls += 1
+        return super().get_many(keys)
+
+
+class TestBaselineInFirstWindow:
+    """The initial flow's profile is resolved as the head of the stream."""
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 64])
+    def test_one_get_many_per_window_and_no_get(
+        self, small_purchases, make_config, batch_size
+    ):
+        config = make_config(eval_batch_size=batch_size)
+        cache = _CountingCache()
+        for _ in ("cold", "warm"):
+            cache.gets = cache.get_many_calls = 0
+            planner = Planner(configuration=config, profile_cache=cache)
+            result = planner.plan(small_purchases)
+            n = len(result.alternatives) + result.discarded_by_constraints
+            assert cache.get_many_calls == -(-(n + 1) // batch_size)
+            assert cache.gets == 0
+            key = planner.estimator.cache_key(small_purchases)
+            assert cache.get(key) is result.baseline_profile
+
+    def test_hook_constraints_and_counters_never_see_the_baseline(
+        self, linear_flow, make_config
+    ):
+        registry = MetricsRegistry()
+        seen: list[AlternativeFlow] = []
+        planner = Planner(configuration=make_config(metrics_registry=registry))
+        result = planner.plan(linear_flow, on_evaluated=seen.append)
+        n = len(result.alternatives) + result.discarded_by_constraints
+        assert len(seen) == n
+        assert all(alternative.applications for alternative in seen)
+        counters = registry.snapshot()["counters"]
+        assert counters["planner.alternatives_evaluated"] == n
+        assert planner.profile_cache.stats.lookups == n + 1
+
+    def test_invalid_flow_raises_before_any_cache_traffic(self, make_config):
+        cache = _CountingCache()
+        planner = Planner(configuration=make_config(), profile_cache=cache)
+        with pytest.raises(ValidationError):
+            planner.plan(ETLGraph(name="empty"))
+        assert cache.gets == cache.get_many_calls == 0
+        assert cache.stats.lookups == 0
 
 
 class TestSessionCaching:

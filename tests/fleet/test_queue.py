@@ -8,6 +8,7 @@ the SQLite file (the restart path).
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -210,3 +211,132 @@ def test_stats_counts_by_state(queue):
 def test_lease_timeout_validation(tmp_path):
     with pytest.raises(ValueError, match="lease_timeout"):
         JobQueue(tmp_path / "bad.sqlite", lease_timeout=0)
+
+
+# ---------------------------------------------------------------------------
+# Waking idle workers
+# ---------------------------------------------------------------------------
+
+
+def _idle_worker(queue, worker_id, stop, leases, idle, leased):
+    """The lease/wait half of ``FleetWorker.run``; ends once it leases a job.
+
+    ``idle`` is released with the enqueue condition held, so once the
+    caller has acquired it the worker is inside the wait: an enqueue
+    after that is guaranteed to find it waiting.  Every lease is
+    recorded as ``(worker_id, job_id or None)``.
+    """
+    while not stop.is_set():
+        seen = queue.enqueued
+        job = queue.lease(worker_id)
+        leases.append((worker_id, None if job is None else job.job_id))
+        if job is not None:
+            leased.release()
+            return
+        with queue._enqueued:  # reentrant: the wait below releases it fully
+            idle.release()
+            queue.wait_for_enqueue(seen, 30.0, stop)
+
+
+def _start_idle_workers(queue, stops):
+    """One idle worker thread per stop event, each waiting before the next starts."""
+    leases: list[tuple[str, str | None]] = []
+    idle = threading.Semaphore(0)
+    leased = threading.Semaphore(0)
+    threads = []
+    for index, stop in enumerate(stops):
+        thread = threading.Thread(
+            target=_idle_worker,
+            args=(queue, f"w{index}", stop, leases, idle, leased),
+        )
+        thread.start()
+        assert idle.acquire(timeout=10)
+        threads.append(thread)
+    assert leases == [(f"w{index}", None) for index in range(len(stops))]
+    leases.clear()
+    return threads, leases, leased
+
+
+def _stop_workers(queue, threads, stops):
+    for stop in stops:
+        stop.set()
+    queue.wake()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+def test_one_enqueue_wakes_one_idle_worker(queue):
+    stops = [threading.Event(), threading.Event()]
+    threads, leases, leased = _start_idle_workers(queue, stops)
+    try:
+        job_id = queue.enqueue({"n": 1})
+        assert leased.acquire(timeout=10)
+    finally:
+        _stop_workers(queue, threads, stops)
+    # the other worker slept until it was stopped: no empty lease
+    assert [job for _, job in leases] == [job_id]
+
+
+def test_back_to_back_enqueues_wake_both_idle_workers(queue):
+    stops = [threading.Event(), threading.Event()]
+    threads, leases, leased = _start_idle_workers(queue, stops)
+    try:
+        jobs = {queue.enqueue({"n": 1}), queue.enqueue({"n": 2})}
+        assert leased.acquire(timeout=10) and leased.acquire(timeout=10)
+    finally:
+        _stop_workers(queue, threads, stops)
+    assert sorted(worker for worker, _ in leases) == ["w0", "w1"]
+    assert {job for _, job in leases} == jobs
+
+
+def test_a_stopping_worker_passes_its_wake_up_on(queue):
+    stops = [threading.Event(), threading.Event()]
+    threads, leases, leased = _start_idle_workers(queue, stops)
+    try:
+        # w0 waits longest, so it takes the enqueue's wake-up, but it is
+        # stopping (no wake() yet): w1 must still lease the job
+        stops[0].set()
+        job_id = queue.enqueue({"n": 1})
+        assert leased.acquire(timeout=10)
+    finally:
+        _stop_workers(queue, threads, stops)
+    assert leases == [("w1", job_id)]
+
+
+def test_a_burst_of_enqueues_loses_no_wake_up(queue):
+    """More draining workers than cores, a burst of jobs, a short switch
+    interval: every job is leased exactly once while the workers' waits
+    would outlast the test, so a lost wake-up shows as a timeout."""
+    stop = threading.Event()
+    leased: list[str] = []
+    done = threading.Semaphore(0)
+
+    def drain(worker_id: str) -> None:
+        while not stop.is_set():
+            seen = queue.enqueued
+            job = queue.lease(worker_id)
+            if job is None:
+                queue.wait_for_enqueue(seen, 30.0, stop)
+                continue
+            leased.append(job.job_id)
+            done.release()
+
+    jobs = 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=drain, args=(f"w{i}",)) for i in range(6)]
+    try:
+        for thread in threads:
+            thread.start()
+        enqueued = [queue.enqueue({"n": n}) for n in range(jobs)]
+        for _ in range(jobs):
+            assert done.acquire(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+        queue.wake()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+    assert sorted(leased) == sorted(enqueued)
